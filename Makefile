@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test bench bench-check doccheck
+.PHONY: all build test bench bench-check bench-smoke doccheck
 
 all: build
 
@@ -21,6 +21,13 @@ bench:
 # baseline (allocs/op, B/op, calendar-queue and RTL compile speedups).
 bench-check:
 	$(GO) run ./cmd/kernelbench -baseline BENCH_kernel.json
+
+# Two short ledger runs whose golden-tick checks cover the PMU co-simulation
+# path and the DRAM queue path end to end (bench/README.md); timings are
+# printed, only correctness fails the target.
+bench-smoke:
+	$(GO) run ./bench --workload pmu-cosim --seconds 2
+	$(GO) run ./bench --workload dse-grid --seconds 2
 
 # Enforce godoc comments on every exported symbol of the kernel packages,
 # then audit that every command-line flag the binaries register is documented

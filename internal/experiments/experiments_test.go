@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"testing"
+	"time"
 
 	"gem5rtl/internal/sim"
 )
@@ -48,24 +49,38 @@ func TestFigure5ProducesPhases(t *testing.T) {
 	}
 }
 
+// TestTable2OverheadOrdering asserts Table 2's orderings on host time, each
+// exactly once. A cell is a wall-clock sample of some tens of milliseconds
+// taken while other packages' tests share the host, and that noise only ever
+// adds time, so every cell is measured three times and its fastest sample is
+// the one compared.
 func TestTable2OverheadOrdering(t *testing.T) {
-	cells, err := Runner{Workers: 1}.Table2(context.Background(), []int{80}, 20)
-	if err != nil {
-		t.Fatal(err)
+	best := map[string]time.Duration{}
+	for i := 0; i < 3; i++ {
+		cells, err := Runner{Workers: 1}.Table2(context.Background(), []int{80}, 20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range cells {
+			if c.Config == "gem5" && c.Overhead != 1.0 {
+				t.Fatalf("baseline overhead %.2f", c.Overhead)
+			}
+			if b, ok := best[c.Config]; !ok || c.HostTime < b {
+				best[c.Config] = c.HostTime
+			}
+		}
 	}
-	byCfg := map[string]Table2Cell{}
-	for _, c := range cells {
-		byCfg[c.Config] = c
+	base := best["gem5"]
+	if base <= 0 {
+		t.Fatalf("baseline host time %v", base)
 	}
-	if byCfg["gem5"].Overhead != 1.0 {
-		t.Fatalf("baseline overhead %.2f", byCfg["gem5"].Overhead)
+	pmu := float64(best["gem5+PMU"]) / float64(base)
+	wave := float64(best["gem5+PMU+waveform"]) / float64(base)
+	if pmu < 1.0 {
+		t.Fatalf("PMU overhead %.2f below baseline", pmu)
 	}
-	if byCfg["gem5+PMU"].Overhead < 1.0 {
-		t.Fatalf("PMU overhead %.2f below baseline", byCfg["gem5+PMU"].Overhead)
-	}
-	if byCfg["gem5+PMU+waveform"].Overhead <= byCfg["gem5+PMU"].Overhead {
-		t.Fatalf("waveform overhead %.2f not above PMU %.2f",
-			byCfg["gem5+PMU+waveform"].Overhead, byCfg["gem5+PMU"].Overhead)
+	if wave <= pmu {
+		t.Fatalf("waveform overhead %.2f not above PMU %.2f", wave, pmu)
 	}
 }
 

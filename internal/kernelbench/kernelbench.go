@@ -155,7 +155,7 @@ func benchPacketPool(b *testing.B) {
 // Tick. Both engine rows run the identical stimulus, so their ns/op ratio —
 // the RTL compile speedup — measures how the engines split the same work:
 // the closure engine re-evaluates the whole model every cycle while the
-// bytecode engine's dirty-set gating elides the quiet cycles' evaluations.
+// bytecode engine's activity scheduling runs only what a changed value woke.
 // Steady state must not allocate on either engine.
 func benchRTL(b *testing.B, engine rtl.Engine) {
 	m, err := pmu.CompileModelEngine(pmu.NumCounters, engine)

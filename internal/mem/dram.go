@@ -134,18 +134,27 @@ func (d *DRAMCtrl) Stats() DRAMStats { return d.stats }
 // Config returns the controller configuration.
 func (d *DRAMCtrl) Config() DRAMConfig { return d.cfg }
 
-// route computes (channel, bank, row) for an address. The bank index XOR-
-// folds the row bits so large power-of-two strides (e.g. two DMA streams
-// placed 16 MiB apart) do not alias onto the same banks and thrash rows.
+// route computes (channel, bank, row) for an address.
 func (d *DRAMCtrl) route(addr uint64) (int, int, uint64) {
-	block := addr >> 6
-	ch := int(block) % d.cfg.Channels
-	chanBlock := block / uint64(d.cfg.Channels)
+	bank, row := d.bankRow(addr)
+	return d.channelOf(addr), bank, row
+}
+
+// channelOf is the channel part of route: all a request needs to learn
+// whether the controller has room for it.
+func (d *DRAMCtrl) channelOf(addr uint64) int {
+	return int(addr>>6) % d.cfg.Channels
+}
+
+// bankRow is the rest of route, the request's place within its channel. The
+// bank index XOR-folds the row bits so large power-of-two strides (e.g. two
+// DMA streams placed 16 MiB apart) do not alias onto the same banks and
+// thrash rows.
+func (d *DRAMCtrl) bankRow(addr uint64) (int, uint64) {
+	chanBlock := (addr >> 6) / uint64(d.cfg.Channels)
 	colsPerRow := uint64(d.cfg.RowBufferBytes / 64)
 	rowIdx := chanBlock / colsPerRow
-	bank := foldBank(rowIdx, d.cfg.BanksPerChannel)
-	row := rowIdx / uint64(d.cfg.BanksPerChannel)
-	return ch, bank, row
+	return foldBank(rowIdx, d.cfg.BanksPerChannel), rowIdx / uint64(d.cfg.BanksPerChannel)
 }
 
 // foldBank XOR-folds rowIdx in bank-width chunks.
@@ -161,10 +170,23 @@ func foldBank(rowIdx uint64, banks int) int {
 	return int(acc % uint64(banks))
 }
 
-// RecvTimingReq implements port.Responder with queue-full back-pressure.
+// RecvTimingReq implements port.Responder with queue-full back-pressure. A
+// refusal is decided from the channel's queue depth before anything is
+// built: under sustained contention every freed slot has all blocked
+// requesters re-offer, so refusals outnumber acceptances many times over and
+// must cost neither a routing computation nor a request record.
 func (d *DRAMCtrl) RecvTimingReq(pkt *port.Packet) bool {
-	chIdx, bank, row := d.route(pkt.Addr)
+	chIdx := d.channelOf(pkt.Addr)
 	ch := d.chans[chIdx]
+	isWrite := pkt.Cmd.IsWrite()
+	if isWrite {
+		if len(ch.writeQ) >= d.cfg.WriteQueueDepth {
+			return false
+		}
+	} else if len(ch.readQ) >= d.cfg.ReadQueueDepth {
+		return false
+	}
+	bank, row := d.bankRow(pkt.Addr)
 	var req *dramRequest
 	if n := len(d.reqFree); n > 0 {
 		req = d.reqFree[n-1]
@@ -177,10 +199,7 @@ func (d *DRAMCtrl) RecvTimingReq(pkt *port.Packet) bool {
 	if d.trace.On() {
 		d.trace.Logf("%s addr=%#x ch=%d bank=%d row=%#x", pkt.Cmd, pkt.Addr, chIdx, bank, row)
 	}
-	if pkt.Cmd.IsWrite() {
-		if len(ch.writeQ) >= d.cfg.WriteQueueDepth {
-			return false
-		}
+	if isWrite {
 		ch.writeQ = append(ch.writeQ, req)
 		d.stats.Writes++
 		d.stats.BytesWrit += uint64(pkt.Size)
@@ -193,9 +212,6 @@ func (d *DRAMCtrl) RecvTimingReq(pkt *port.Packet) bool {
 			d.rq.Schedule(resp, d.q.Now()+d.cfg.FrontendLatency)
 		}
 	} else {
-		if len(ch.readQ) >= d.cfg.ReadQueueDepth {
-			return false
-		}
 		ch.readQ = append(ch.readQ, req)
 		d.stats.Reads++
 		d.stats.BytesRead += uint64(pkt.Size)

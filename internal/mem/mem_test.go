@@ -315,3 +315,77 @@ func BenchmarkDRAMSequentialReads(b *testing.B) {
 		q.Run()
 	}
 }
+
+// TestDRAMRefusalIsFree pins the decide-before-you-build order of
+// RecvTimingReq: a request refused for a full queue costs no allocation, and
+// — over a flood of reads and writes that keeps both queues at their limit —
+// every request record ever made is either queued or on the free list, each
+// exactly once.
+func TestDRAMRefusalIsFree(t *testing.T) {
+	q := sim.NewEventQueue()
+	cfg := DDR4Config(1)
+	d := NewDRAMCtrl(cfg, q, NewStorage())
+	tst := newMemTester(q)
+	port.Bind(tst.p, d.Port())
+
+	seen := map[*dramRequest]bool{}
+	conserved := func(when string) {
+		t.Helper()
+		held := map[*dramRequest]bool{}
+		hold := func(r *dramRequest) {
+			if held[r] {
+				t.Fatalf("%s: request record held twice", when)
+			}
+			held[r], seen[r] = true, true
+		}
+		for _, ch := range d.chans {
+			for _, r := range ch.readQ {
+				hold(r)
+			}
+			for _, r := range ch.writeQ {
+				hold(r)
+			}
+		}
+		for _, r := range d.reqFree {
+			hold(r)
+		}
+		if len(held) != len(seen) {
+			t.Fatalf("%s: %d request records made, %d queued or free", when, len(seen), len(held))
+		}
+	}
+
+	const n = 600
+	for i := 0; i < n; i++ {
+		if i%3 == 0 {
+			tst.send(port.NewWritePacket(uint64(i)*64, make([]byte, 64)))
+		} else {
+			tst.send(port.NewReadPacket(uint64(i)*64, 64))
+		}
+	}
+	if !tst.stalled {
+		t.Fatal("expected back-pressure")
+	}
+	conserved("flooded")
+
+	refused := tst.pending[0]
+	if allocs := testing.AllocsPerRun(100, func() {
+		if d.RecvTimingReq(refused) {
+			t.Fatal("a full queue accepted a request")
+		}
+	}); allocs != 0 {
+		t.Fatalf("a refused request allocates %.1f times, want 0", allocs)
+	}
+
+	for i := 0; q.Step(); i++ {
+		if i%97 == 0 {
+			conserved("draining")
+		}
+	}
+	conserved("drained")
+	if reads, writes := d.QueueOccupancy(); reads != 0 || writes != 0 || len(d.reqFree) != len(seen) {
+		t.Fatalf("drained: %d reads and %d writes queued, %d of %d records free", reads, writes, len(d.reqFree), len(seen))
+	}
+	if len(seen) > cfg.ReadQueueDepth+cfg.WriteQueueDepth {
+		t.Fatalf("%d request records made for queues of %d+%d", len(seen), cfg.ReadQueueDepth, cfg.WriteQueueDepth)
+	}
+}

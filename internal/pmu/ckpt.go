@@ -24,9 +24,9 @@ func (w *Wrapper) SaveState(cw *ckpt.Writer) error {
 	for i := range w.axiQ {
 		rtlobject.SaveCPURequest(cw, &w.axiQ[i])
 	}
-	cw.Bool(w.inflightRead != nil)
-	if w.inflightRead != nil {
-		rtlobject.SaveCPURequest(cw, w.inflightRead)
+	cw.Bool(w.reading)
+	if w.reading {
+		rtlobject.SaveCPURequest(cw, &w.inflightRead)
 	}
 	return cw.Err()
 }
@@ -45,14 +45,12 @@ func (w *Wrapper) RestoreState(r *ckpt.Reader) error {
 	w.pendingCommits = r.Len()
 	w.pendingMisses = r.Len()
 	n := r.Len()
-	w.axiQ = nil
+	w.axiQ = w.axiQ[:0]
 	for i := 0; i < n && r.Err() == nil; i++ {
 		w.axiQ = append(w.axiQ, rtlobject.LoadCPURequest(r))
 	}
-	w.inflightRead = nil
-	if r.Bool() {
-		req := rtlobject.LoadCPURequest(r)
-		w.inflightRead = &req
+	if w.reading = r.Bool(); w.reading {
+		w.inflightRead = rtlobject.LoadCPURequest(r)
 	}
 	return r.Err()
 }

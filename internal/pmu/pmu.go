@@ -168,10 +168,18 @@ type Wrapper struct {
 	pendingCommits int
 	pendingMisses  int
 
-	// One AXI transaction in flight at a time; extras queue here.
+	// One AXI transaction in flight at a time; extras queue here. The queue
+	// is a request or two deep, so the head is removed by shifting down and
+	// the backing array is reused.
 	axiQ []rtlobject.CPURequest
-	// Read issued last tick, completing this tick.
-	inflightRead *rtlobject.CPURequest
+	// Read issued on an earlier tick and not yet answered (reading is set).
+	inflightRead rtlobject.CPURequest
+	reading      bool
+
+	// out and rbuf are the Output handed back by Tick and its read payload,
+	// reused every cycle: valid until the next Tick, like the Input.
+	out  rtlobject.Output
+	rbuf [4]byte
 
 	// TickHook runs after every model tick (used by tests/tracing).
 	TickHook func(m *rtl.Model)
@@ -222,8 +230,8 @@ func (w *Wrapper) Reset() {
 	w.model.SetInputID(w.inRst, 0)
 	w.pendingCommits = 0
 	w.pendingMisses = 0
-	w.axiQ = nil
-	w.inflightRead = nil
+	w.axiQ = w.axiQ[:0]
+	w.reading = false
 }
 
 // AddCommits accumulates committed-instruction events from the core tap.
@@ -232,10 +240,11 @@ func (w *Wrapper) AddCommits(n int) { w.pendingCommits += n }
 // AddMiss accumulates one L1D miss event from the cache tap.
 func (w *Wrapper) AddMiss() { w.pendingMisses++ }
 
-// Tick implements rtlobject.Wrapper.
+// Tick implements rtlobject.Wrapper. The returned Output and its slices are
+// reused by the next Tick.
 func (w *Wrapper) Tick(in *rtlobject.Input) *rtlobject.Output {
-	out := &rtlobject.Output{}
-	// Complete the read issued last tick (rvalid is registered).
+	out := &w.out
+	out.CPUResponses = out.CPUResponses[:0]
 	w.axiQ = append(w.axiQ, in.CPURequests...)
 
 	// Event wires for this cycle.
@@ -258,10 +267,11 @@ func (w *Wrapper) Tick(in *rtlobject.Input) *rtlobject.Output {
 	// Drive at most one AXI transaction per cycle.
 	w.model.SetInputID(w.inAwvalid, 0)
 	w.model.SetInputID(w.inArvalid, 0)
-	var issuedRead *rtlobject.CPURequest
-	if w.inflightRead == nil && len(w.axiQ) > 0 {
+	if !w.reading && len(w.axiQ) > 0 {
 		req := w.axiQ[0]
-		w.axiQ = w.axiQ[1:]
+		n := copy(w.axiQ, w.axiQ[1:])
+		w.axiQ[n] = rtlobject.CPURequest{} // drop the Data reference
+		w.axiQ = w.axiQ[:n]
 		if req.Write {
 			var v uint64
 			for i := 0; i < len(req.Data) && i < 4; i++ {
@@ -277,8 +287,7 @@ func (w *Wrapper) Tick(in *rtlobject.Input) *rtlobject.Output {
 		} else {
 			w.model.SetInputID(w.inArvalid, 1)
 			w.model.SetInputID(w.inAraddr, req.Addr&0xFF)
-			r := req
-			issuedRead = &r
+			w.inflightRead, w.reading = req, true
 		}
 	}
 
@@ -289,19 +298,17 @@ func (w *Wrapper) Tick(in *rtlobject.Input) *rtlobject.Output {
 
 	// rdata/rvalid are registered: after this Tick they reflect the arvalid
 	// driven above, so the read completes one model cycle after issue.
-	if issuedRead != nil {
-		w.inflightRead = issuedRead
-	}
-	if w.inflightRead != nil && w.model.PeekID(w.outRvalid) == 1 {
+	if w.reading && w.model.PeekID(w.outRvalid) == 1 {
 		data := w.model.PeekID(w.outRdata)
 		if w.trace.On() {
 			w.trace.Logf("axi read addr=%#x -> %#x", w.inflightRead.Addr&0xFF, data)
 		}
+		w.rbuf = [4]byte{byte(data), byte(data >> 8), byte(data >> 16), byte(data >> 24)}
 		out.CPUResponses = append(out.CPUResponses, rtlobject.CPUResponse{
 			ID:   w.inflightRead.ID,
-			Data: []byte{byte(data), byte(data >> 8), byte(data >> 16), byte(data >> 24)},
+			Data: w.rbuf[:],
 		})
-		w.inflightRead = nil
+		w.reading = false
 	}
 	out.Interrupt = w.model.PeekID(w.outIrq) == 1
 	if out.Interrupt != w.prevIrq {

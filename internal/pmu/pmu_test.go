@@ -3,6 +3,7 @@ package pmu
 import (
 	"testing"
 
+	"gem5rtl/internal/rtl"
 	"gem5rtl/internal/rtlobject"
 	"gem5rtl/internal/verilog"
 )
@@ -228,5 +229,40 @@ func BenchmarkPMUTick(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		w.AddCommits(3)
 		w.Tick(in)
+	}
+}
+
+// TestTickAllocsPerRun holds the wrapper to the exchange contract the
+// RTLObject already offers it: the Output, like the Input, is storage reused
+// every cycle, so a model cycle allocates nothing — with events pending, an
+// AXI write queued behind an AXI read, and the read's response going out.
+func TestTickAllocsPerRun(t *testing.T) {
+	for _, engine := range []rtl.Engine{rtl.EngineClosure, rtl.EngineBytecode} {
+		w, err := NewWrapperEngine(NumCounters, engine)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.Reset()
+		axiWrite(w, RegEnable, 0x3F)
+		in := &rtlobject.Input{}
+		reqs := []rtlobject.CPURequest{
+			{ID: 1, Addr: RegCounterBase + 4*EvCycle},
+			{ID: 2, Addr: RegThreshVal, Write: true, Data: []byte{0, 1, 0, 0}},
+		}
+		responses := 0
+		allocs := testing.AllocsPerRun(200, func() {
+			w.AddCommits(3)
+			w.AddMiss()
+			in.CPURequests = reqs
+			responses += len(w.Tick(in).CPUResponses)
+			in.CPURequests = nil
+			responses += len(w.Tick(in).CPUResponses)
+		})
+		if allocs != 0 {
+			t.Errorf("engine %s: Tick allocates %.1f times per two cycles, want 0", engine, allocs)
+		}
+		if responses == 0 {
+			t.Errorf("engine %s: no AXI response seen", engine)
+		}
 	}
 }

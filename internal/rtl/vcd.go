@@ -19,6 +19,10 @@ type VCDWriter struct {
 	period   uint64 // timestamp units per cycle
 	headerOK bool
 	changes  uint64
+	// buf collects the records of the dump under way and is reused by the
+	// next: timestamps and values are formatted straight into it, so a
+	// dump allocates nothing.
+	buf []byte
 }
 
 // AttachVCD connects a VCD writer to the model. period is the number of VCD
@@ -48,7 +52,7 @@ func (v *VCDWriter) SetEnabled(on bool) { v.enabled = on }
 // Enabled reports whether dumping is active.
 func (v *VCDWriter) Enabled() bool { return v.enabled }
 
-// Changes returns the number of value changes written (for tests/stats).
+// Changes returns the number of value records written (for tests/stats).
 func (v *VCDWriter) Changes() uint64 { return v.changes }
 
 // Flush flushes buffered output; call at end of simulation.
@@ -62,11 +66,9 @@ func (v *VCDWriter) Flush() error { return v.w.Flush() }
 // FILE is not part of a checkpoint: a restored run's trace begins at the
 // restore point rather than replaying history.
 func (v *VCDWriter) Resync(m *Model) {
-	fmt.Fprintf(v.w, "#%d\n", m.cycle*v.period)
-	for i := range m.c.Signals {
-		v.writeValue(m.c.Signals[i].Width, m.vals[i], v.ids[i])
-		v.last[i] = m.vals[i]
-	}
+	v.appendTime(m.cycle)
+	v.appendAll(m)
+	v.writeBuf()
 }
 
 // vcdID generates the printable short identifiers VCD uses ("!", "\"", ...).
@@ -99,42 +101,62 @@ func (v *VCDWriter) writeHeader(m *Model) {
 		}
 	}
 	fmt.Fprintf(v.w, "$upscope $end\n$enddefinitions $end\n$dumpvars\n")
-	for i := range m.c.Signals {
-		v.writeValue(m.c.Signals[i].Width, m.vals[i], v.ids[i])
-		v.last[i] = m.vals[i]
-	}
+	v.appendAll(m)
+	v.writeBuf()
 	fmt.Fprintf(v.w, "$end\n#0\n")
 	v.headerOK = true
 }
 
-func (v *VCDWriter) writeValue(width int, val uint64, id string) {
+// appendTime starts a dump's records with the cycle's timestamp line.
+func (v *VCDWriter) appendTime(cycle uint64) {
+	v.buf = append(v.buf, '#')
+	v.buf = strconv.AppendUint(v.buf, cycle*v.period, 10)
+	v.buf = append(v.buf, '\n')
+}
+
+// appendValue adds one value record: "0!" for a scalar, "b1010 !" for a
+// vector.
+func (v *VCDWriter) appendValue(width int, val uint64, id string) {
 	if width == 1 {
-		v.w.WriteString(strconv.FormatUint(val&1, 10))
-		v.w.WriteString(id)
-		v.w.WriteByte('\n')
-		return
+		v.buf = append(v.buf, '0'+byte(val&1))
+	} else {
+		v.buf = append(v.buf, 'b')
+		v.buf = strconv.AppendUint(v.buf, val, 2)
+		v.buf = append(v.buf, ' ')
 	}
-	v.w.WriteByte('b')
-	v.w.WriteString(strconv.FormatUint(val, 2))
-	v.w.WriteByte(' ')
-	v.w.WriteString(id)
-	v.w.WriteByte('\n')
+	v.buf = append(v.buf, id...)
+	v.buf = append(v.buf, '\n')
 	v.changes++
+}
+
+// appendAll adds every signal's current value and refreshes the snapshot.
+func (v *VCDWriter) appendAll(m *Model) {
+	for i := range m.c.Signals {
+		v.appendValue(m.c.Signals[i].Width, m.vals[i], v.ids[i])
+		v.last[i] = m.vals[i]
+	}
+}
+
+// writeBuf hands the collected records to the buffered sink. A write error
+// is sticky in the bufio.Writer and surfaces at Flush.
+func (v *VCDWriter) writeBuf() {
+	v.w.Write(v.buf)
+	v.buf = v.buf[:0]
 }
 
 // dump writes changed signals at the current cycle's timestamp.
 func (v *VCDWriter) dump(m *Model) {
-	wroteTime := false
 	for i := range m.c.Signals {
 		if m.vals[i] == v.last[i] {
 			continue
 		}
-		if !wroteTime {
-			fmt.Fprintf(v.w, "#%d\n", m.cycle*v.period)
-			wroteTime = true
+		if len(v.buf) == 0 {
+			v.appendTime(m.cycle)
 		}
-		v.writeValue(m.c.Signals[i].Width, m.vals[i], v.ids[i])
+		v.appendValue(m.c.Signals[i].Width, m.vals[i], v.ids[i])
 		v.last[i] = m.vals[i]
-		v.changes++
+	}
+	if len(v.buf) != 0 {
+		v.writeBuf()
 	}
 }

@@ -2,6 +2,7 @@ package rtl
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 )
@@ -56,5 +57,21 @@ func TestVCDResyncAfterRestore(t *testing.T) {
 	bTail := bOut.String()[bMark:]
 	if aTail != bTail {
 		t.Errorf("post-restore waveform diverges:\n got %q\nwant %q", bTail, aTail)
+	}
+}
+
+// TestVCDDumpAllocsPerRun pins the waveform writer's formatting path: a
+// dump — timestamp plus scalar and vector value records — goes through one
+// reused buffer and allocates nothing.
+func TestVCDDumpAllocsPerRun(t *testing.T) {
+	m := buildCounter(t)
+	v := m.AttachVCD(io.Discard, 1)
+	m.SetInput("en", 1)
+	before := v.Changes()
+	if allocs := testing.AllocsPerRun(200, m.Tick); allocs != 0 {
+		t.Fatalf("a traced Tick allocates %.1f times, want 0", allocs)
+	}
+	if v.Changes() == before {
+		t.Fatal("no value record written")
 	}
 }

@@ -3,7 +3,6 @@ package rtlc
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 
 	"gem5rtl/internal/rtl"
 )
@@ -27,13 +26,25 @@ import (
 //     comb pass runs in levelised order, and memories are constant within a
 //     segment.
 //   - mux/compare fusion: (a==b) ? t : f and the <, >=, !=, <=, > variants
-//     collapse into single OpMux* instructions, the shape that dominates
-//     register-file read muxes; !cond muxes swap arms instead of negating.
+//     collapse into single OpMux* instructions; !cond muxes swap arms instead
+//     of negating.
+//   - select fusion: a chain (sel==K0) ? a0 : (sel==K1) ? a1 : ... : d over
+//     one selector and small literal keys — a register-file read mux —
+//     becomes one OpSelect indexing a dense table of arm registers.
 //   - dead-code elimination: a backward liveness sweep per segment drops
 //     instructions whose results reach no signal store or port output (for
 //     example compares subsumed by a fused mux). Signal stores themselves
 //     are never dead: every signal is architecturally observable through
 //     Peek, VCD dumps and checkpoints.
+//
+// Code is emitted in segments — one per combinational assignment, one per
+// sequential next-state function, one per memory write port — and no
+// temporary lives across a segment boundary: value numbering carries over
+// from one combinational assignment to the next only where the value sits in
+// a signal slot or the constant pool. A segment therefore depends on exactly
+// the signal slots and memories its own instructions read, which is what the
+// fan-out tables record (fanout) and what lets the VM run any segment on its
+// own.
 //
 // Finally the virtual register space is compacted: the constant pool keeps
 // only constants the optimized code still references, and each segment's
@@ -56,24 +67,6 @@ type vnKey struct {
 	mask   uint64
 }
 
-type coneSet struct {
-	sigs map[rtl.SigID]struct{}
-	mems map[rtl.MemID]struct{}
-}
-
-func newConeSet() *coneSet {
-	return &coneSet{sigs: map[rtl.SigID]struct{}{}, mems: map[rtl.MemID]struct{}{}}
-}
-
-func (cs *coneSet) merge(o *coneSet) {
-	for s := range o.sigs {
-		cs.sigs[s] = struct{}{}
-	}
-	for m := range o.mems {
-		cs.mems[m] = struct{}{}
-	}
-}
-
 type compiler struct {
 	c    *rtl.Circuit
 	nsig int
@@ -90,6 +83,9 @@ type compiler struct {
 	vn     map[vnKey]uint32
 	sigVal map[rtl.SigID]uint32
 
+	// OpSelect lookup tables, indexed by Inst.B.
+	tabs [][]uint32
+
 	// Provable value-width bound per temp register (signals and constants
 	// are derived on the fly). Used to elide masking that cannot change the
 	// value — conservative, since Const values and memory init words may
@@ -104,10 +100,6 @@ type compiler struct {
 	// makes it eligible for store retargeting in root().
 	fresh    bool
 	freshKey vnKey
-
-	// Cone computation.
-	combDriver map[rtl.SigID]rtl.Expr
-	coneMemo   map[rtl.SigID]*coneSet
 }
 
 // Compile validates and lowers a circuit to an optimized Program. The
@@ -125,45 +117,33 @@ func Compile(c *rtl.Circuit) (*Program, error) {
 		return nil, fmt.Errorf("rtlc: circuit %q has too many signals (%d)", c.Name, len(c.Signals))
 	}
 	cc := &compiler{
-		c:          c,
-		nsig:       len(c.Signals),
-		constIdx:   map[uint64]uint32{},
-		constWire:  map[rtl.SigID]uint32{},
-		tempW:      map[uint32]int{},
-		nTempV:     tempVBase,
-		combDriver: map[rtl.SigID]rtl.Expr{},
-		coneMemo:   map[rtl.SigID]*coneSet{},
+		c:         c,
+		nsig:      len(c.Signals),
+		constIdx:  map[uint64]uint32{},
+		constWire: map[rtl.SigID]uint32{},
+		tempW:     map[uint32]int{},
+		nTempV:    tempVBase,
 	}
-	for i := range c.Combs {
-		cc.combDriver[c.Combs[i].Dst] = c.Combs[i].Src
-	}
+	p := &Program{NSig: cc.nsig}
 
-	p := &Program{
-		NSig:     cc.nsig,
-		SigWords: (cc.nsig + 63) / 64,
-		MemWords: (len(c.Mems) + 63) / 64,
-	}
-
-	// Combinational pass: one segment in levelised order, storing into the
-	// architectural signal slots.
+	// Combinational pass: one segment per assignment in levelised order,
+	// each storing into its signal's architectural slot.
 	cc.beginSegment()
+	combCode := make([][]Inst, 0, len(order))
 	for _, idx := range order {
 		a := &c.Combs[idx]
+		cc.nextComb()
 		cc.combRoot(a.Src, a.Dst)
+		combCode = append(combCode, cc.code)
+		p.CombSegs = append(p.CombSegs, CombSeg{Dst: a.Dst})
 	}
-	p.Comb = cc.code
 
-	// Sequential next-state functions: one segment each, so the dirty-set
-	// pass can skip them independently.
+	// Sequential next-state functions: one segment each.
 	for i := range c.Seqs {
 		sq := &c.Seqs[i]
 		cc.beginSegment()
 		out := cc.port(sq.Next, rtl.Mask(c.Signals[sq.Dst].Width))
-		cone := newConeSet()
-		cc.exprRoots(sq.Next, cone)
-		sp := SeqProg{Dst: sq.Dst, Out: out, Code: cc.code}
-		sp.Cone, sp.MemCone = cc.coneWords(cone)
-		p.Seqs = append(p.Seqs, sp)
+		p.Seqs = append(p.Seqs, SeqProg{Dst: sq.Dst, Out: out, Code: cc.code})
 	}
 
 	// Memory write ports: enable and address are raw expression values,
@@ -175,16 +155,10 @@ func Compile(c *rtl.Circuit) (*Program, error) {
 		en := cc.port(w.En, ^uint64(0))
 		addr := cc.port(w.Addr, ^uint64(0))
 		data := cc.port(w.Data, rtl.Mask(mem.Width))
-		cone := newConeSet()
-		cc.exprRoots(w.En, cone)
-		cc.exprRoots(w.Addr, cone)
-		cc.exprRoots(w.Data, cone)
-		mw := MemWProg{
+		p.MemWs = append(p.MemWs, MemWProg{
 			Mem: w.Mem, Depth: mem.Depth, Mask: rtl.Mask(mem.Width),
 			Code: cc.code, En: en, Addr: addr, Data: data,
-		}
-		mw.Cone, mw.MemCone = cc.coneWords(cone)
-		p.MemWs = append(p.MemWs, mw)
+		})
 	}
 
 	for i, s := range c.Signals {
@@ -193,7 +167,9 @@ func Compile(c *rtl.Circuit) (*Program, error) {
 		}
 	}
 
-	cc.finalize(p)
+	cc.finalize(p, combCode)
+	p.Tables = cc.tabs
+	p.fanout(len(c.Mems))
 	return p, nil
 }
 
@@ -202,6 +178,27 @@ func (cc *compiler) beginSegment() {
 	cc.vn = map[vnKey]uint32{}
 	cc.sigVal = map[rtl.SigID]uint32{}
 	cc.fresh = false
+}
+
+// nextComb starts the next combinational assignment's segment. Facts whose
+// value sits in a signal slot or the constant pool carry over — they hold
+// whichever segments run — while anything held in a temporary is dropped: the
+// VM may run this segment without the one that computed the temporary.
+func (cc *compiler) nextComb() {
+	cc.code = nil
+	cc.fresh = false
+	isTemp := func(r uint32) bool { return r >= tempVBase && r < constVBase }
+	for k, r := range cc.vn {
+		if isTemp(r) {
+			delete(cc.vn, k)
+		}
+	}
+	for s, r := range cc.sigVal {
+		if isTemp(r) {
+			// combRoot stored the temporary's value to the slot unchanged.
+			cc.sigVal[s] = uint32(s)
+		}
+	}
 }
 
 func (cc *compiler) newTempV() uint32 {
@@ -273,15 +270,16 @@ func commutative(op Op) bool {
 
 // tryFold executes in at compile time when every register operand is a pool
 // constant, using the runtime interpreter itself so fold and execution can
-// never disagree. OpMemRead is excluded (memory contents are runtime state).
+// never disagree. OpMemRead is excluded (memory contents are runtime state),
+// as is OpSelect (selectChain leaves constant selectors to the mux folder).
 func (cc *compiler) tryFold(in Inst) (uint32, bool) {
-	if in.Op == OpMemRead {
+	if in.Op == OpMemRead || in.Op == OpSelect {
 		return 0, false
 	}
 	var vals [4]uint64
 	n := 0
 	ok := true
-	(&in).eachSrc(func(r *uint32) {
+	(&in).eachSrc(nil, func(r *uint32) {
 		if !ok {
 			return
 		}
@@ -300,7 +298,7 @@ func (cc *compiler) tryFold(in Inst) (uint32, bool) {
 	regs := [5]uint64{vals[0], vals[1], vals[2], vals[3], 0}
 	in.Dst = 4
 	one := [1]Inst{in}
-	exec(one[:], regs[:], nil)
+	exec(one[:], regs[:], nil, nil)
 	return cc.constReg(regs[4]), true
 }
 
@@ -546,7 +544,91 @@ func (cc *compiler) binary(v *rtl.Binary) uint32 {
 	panic(fmt.Sprintf("rtlc: unknown binary op %d", v.Op))
 }
 
+// Select fusion bounds: a chain becomes an OpSelect from selectMinArms cases
+// up (below that the fused compare muxes are as good), and only while its
+// keys stay under selectMaxKey, which bounds the dense table.
+const (
+	selectMinArms = 3
+	selectMaxKey  = 1 << 10
+)
+
+// eqLiteral matches cond against x == K with K a literal on either side.
+func eqLiteral(cond rtl.Expr) (x rtl.Expr, k uint64, ok bool) {
+	b, isBin := cond.(*rtl.Binary)
+	if !isBin || b.Op != rtl.OpEq {
+		return nil, 0, false
+	}
+	if c, isC := b.Y.(*rtl.Const); isC {
+		return b.X, c.Val, true
+	}
+	if c, isC := b.X.(*rtl.Const); isC {
+		return b.Y, c.Val, true
+	}
+	return nil, 0, false
+}
+
+// selectChain lowers a chain (sel==K0) ? a0 : (sel==K1) ? a1 : ... : rest —
+// every level comparing the same selector register against a small literal,
+// every level of one width so one mask serves all arms — to a single
+// OpSelect. The first level that breaks the pattern is the default arm. It
+// reports false, having emitted nothing but dead code, when v heads no such
+// chain.
+func (cc *compiler) selectChain(v *rtl.Mux) (uint32, bool) {
+	x, _, ok := eqLiteral(v.Cond)
+	if !ok {
+		return 0, false
+	}
+	sel := cc.expr(x)
+	if _, isC := cc.constVal(sel); isC {
+		return 0, false
+	}
+	type selArm struct {
+		key uint64
+		e   rtl.Expr
+	}
+	var arms []selArm
+	var rest rtl.Expr = v
+	for {
+		node, isMux := rest.(*rtl.Mux)
+		if !isMux || node.W != v.W {
+			break
+		}
+		nx, k, ok := eqLiteral(node.Cond)
+		if !ok || k >= selectMaxKey || cc.expr(nx) != sel {
+			break
+		}
+		arms = append(arms, selArm{k, node.T})
+		rest = node.F
+	}
+	if len(arms) < selectMinArms {
+		return 0, false
+	}
+	def := cc.expr(rest)
+	size := uint64(0)
+	for _, a := range arms {
+		if a.key >= size {
+			size = a.key + 1
+		}
+	}
+	tab := make([]uint32, size)
+	set := make([]bool, size)
+	for i := range tab {
+		tab[i] = def
+	}
+	for _, a := range arms {
+		// First match wins, as in the chain.
+		if r := cc.expr(a.e); !set[a.key] {
+			tab[a.key], set[a.key] = r, true
+		}
+	}
+	cc.tabs = append(cc.tabs, tab)
+	return cc.emit(Inst{Op: OpSelect, A: sel, B: uint32(len(cc.tabs) - 1), C: def, Mask: rtl.Mask(v.W)}), true
+}
+
 func (cc *compiler) mux(v *rtl.Mux) uint32 {
+	if r, ok := cc.selectChain(v); ok {
+		return r
+	}
 	cond, t, f := v.Cond, v.T, v.F
 	// !cond muxes swap arms instead of materialising the negation.
 	for {
@@ -598,75 +680,6 @@ func (cc *compiler) mux(v *rtl.Mux) uint32 {
 	return cc.emit(Inst{Op: OpMux, A: condR, B: tR, C: fR, Mask: mask})
 }
 
-// exprRoots accumulates the root signals (non-comb-driven: inputs, register
-// outputs, undriven wires) and memories that e transitively depends on,
-// following combinational drivers with memoisation.
-func (cc *compiler) exprRoots(e rtl.Expr, cs *coneSet) {
-	switch v := e.(type) {
-	case *rtl.Const:
-	case *rtl.Ref:
-		cc.refRoots(v.Sig, cs)
-	case *rtl.Unary:
-		cc.exprRoots(v.X, cs)
-	case *rtl.Binary:
-		cc.exprRoots(v.X, cs)
-		cc.exprRoots(v.Y, cs)
-	case *rtl.Mux:
-		cc.exprRoots(v.Cond, cs)
-		cc.exprRoots(v.T, cs)
-		cc.exprRoots(v.F, cs)
-	case *rtl.Slice:
-		cc.exprRoots(v.X, cs)
-	case *rtl.Index:
-		cc.exprRoots(v.X, cs)
-		cc.exprRoots(v.Bit, cs)
-	case *rtl.Concat:
-		for _, p := range v.Parts {
-			cc.exprRoots(p, cs)
-		}
-	case *rtl.MemRead:
-		cs.mems[v.Mem] = struct{}{}
-		cc.exprRoots(v.Addr, cs)
-	}
-}
-
-func (cc *compiler) refRoots(s rtl.SigID, cs *coneSet) {
-	if memo, ok := cc.coneMemo[s]; ok {
-		cs.merge(memo)
-		return
-	}
-	drv, ok := cc.combDriver[s]
-	if !ok {
-		cs.sigs[s] = struct{}{}
-		return
-	}
-	sub := newConeSet()
-	cc.exprRoots(drv, sub)
-	cc.coneMemo[s] = sub
-	cs.merge(sub)
-}
-
-// coneWords converts a root set to sorted bitset-intersection masks.
-func (cc *compiler) coneWords(cs *coneSet) (sig, mem []ConeWord) {
-	sigWords := map[int]uint64{}
-	for s := range cs.sigs {
-		sigWords[int(s)>>6] |= 1 << (uint(s) & 63)
-	}
-	memWords := map[int]uint64{}
-	for m := range cs.mems {
-		memWords[int(m)>>6] |= 1 << (uint(m) & 63)
-	}
-	toSlice := func(ws map[int]uint64) []ConeWord {
-		out := make([]ConeWord, 0, len(ws))
-		for w, m := range ws {
-			out = append(out, ConeWord{Word: w, Mask: m})
-		}
-		sort.Slice(out, func(i, j int) bool { return out[i].Word < out[j].Word })
-		return out
-	}
-	return toSlice(sigWords), toSlice(memWords)
-}
-
 // segment is one straight-line code region plus the registers that must
 // survive it (port outputs); comb stores to signal slots are implicit roots.
 type segment struct {
@@ -674,10 +687,15 @@ type segment struct {
 	outs []*uint32
 }
 
-// finalize runs dead-code elimination per segment and renumbers the virtual
-// register space into the dense [signals | constants | temps] file.
-func (cc *compiler) finalize(p *Program) {
-	segs := []segment{{code: &p.Comb}}
+// finalize runs dead-code elimination per segment, renumbers the virtual
+// register space into the dense [signals | constants | temps] file, and lays
+// the combinational segments (comb, in levelised order) out back to back in
+// p.Comb.
+func (cc *compiler) finalize(p *Program, comb [][]Inst) {
+	var segs []segment
+	for i := range comb {
+		segs = append(segs, segment{code: &comb[i]})
+	}
 	for i := range p.Seqs {
 		segs = append(segs, segment{code: &p.Seqs[i].Code, outs: []*uint32{&p.Seqs[i].Out}})
 	}
@@ -700,7 +718,7 @@ func (cc *compiler) finalize(p *Program) {
 			if in.Dst >= nsig && !live[in.Dst] {
 				continue
 			}
-			(&in).eachSrc(func(r *uint32) { live[*r] = true })
+			(&in).eachSrc(cc.tabs, func(r *uint32) { live[*r] = true })
 			kept = append(kept, in)
 		}
 		for i, j := 0, len(kept)-1; i < j; i, j = i+1, j-1 {
@@ -723,7 +741,7 @@ func (cc *compiler) finalize(p *Program) {
 	for _, sg := range segs {
 		code := *sg.code
 		for i := range code {
-			(&code[i]).eachSrc(func(r *uint32) { noteConst(*r) })
+			(&code[i]).eachSrc(cc.tabs, func(r *uint32) { noteConst(*r) })
 		}
 		for _, out := range sg.outs {
 			noteConst(*out)
@@ -751,7 +769,7 @@ func (cc *compiler) finalize(p *Program) {
 		code := *sg.code
 		for i := range code {
 			in := &code[i]
-			in.eachSrc(remap)
+			in.eachSrc(cc.tabs, remap)
 			if in.Dst >= tempVBase {
 				t, ok := tempMap[in.Dst]
 				if !ok {
@@ -769,4 +787,75 @@ func (cc *compiler) finalize(p *Program) {
 		}
 	}
 	p.NTemp = maxTemp
+
+	for i := range comb {
+		p.CombSegs[i].Start = len(p.Comb)
+		p.Comb = append(p.Comb, comb[i]...)
+		p.CombSegs[i].End = len(p.Comb)
+	}
+}
+
+// readBits returns the bits of the signal in operand r that instruction in
+// observes: a constant slice reads only its field, anything else the whole
+// word.
+func readBits(in *Inst, r *uint32) uint64 {
+	if r == &in.A {
+		switch in.Op {
+		case OpCopy:
+			return in.Mask
+		case OpShrC:
+			return in.Mask << in.WA
+		}
+	}
+	return ^uint64(0)
+}
+
+// fanout derives the activity space and the fan-out tables from the finished
+// code: a segment is a reader of exactly the signal slots and memories its
+// own instructions (and port registers) name.
+func (p *Program) fanout(nmem int) {
+	align := func(n int) int { return (n + 63) &^ 63 }
+	p.SeqBase = align(len(p.CombSegs))
+	p.MemBase = p.SeqBase + align(len(p.Seqs))
+	p.NSeg = p.MemBase + align(nmem)
+	p.Fanout = make([][]Fan, p.NSig)
+	p.MemFanout = make([][]Fan, nmem)
+
+	add := func(fans *[]Fan, seg uint32, bits uint64) {
+		for i := range *fans {
+			if (*fans)[i].Seg == seg {
+				(*fans)[i].Bits |= bits
+				return
+			}
+		}
+		*fans = append(*fans, Fan{Bits: bits, Seg: seg})
+	}
+	reads := func(seg int, code []Inst, outs ...uint32) {
+		for i := range code {
+			in := &code[i]
+			in.eachSrc(p.Tables, func(r *uint32) {
+				if int(*r) < p.NSig {
+					add(&p.Fanout[*r], uint32(seg), readBits(in, r))
+				}
+			})
+			if in.Op == OpMemRead {
+				add(&p.MemFanout[in.B], uint32(seg), ^uint64(0))
+			}
+		}
+		for _, r := range outs {
+			if int(r) < p.NSig {
+				add(&p.Fanout[r], uint32(seg), ^uint64(0))
+			}
+		}
+	}
+	for i, sg := range p.CombSegs {
+		reads(i, p.Comb[sg.Start:sg.End])
+	}
+	for i := range p.Seqs {
+		reads(p.SeqBase+i, p.Seqs[i].Code, p.Seqs[i].Out)
+	}
+	for i := range p.MemWs {
+		w := &p.MemWs[i]
+		reads(p.MemBase+int(w.Mem), w.Code, w.En, w.Addr, w.Data)
+	}
 }

@@ -102,6 +102,13 @@ const (
 	// all-ones) except when the read is retargeted into a narrower store,
 	// mirroring the closure engine's read-raw/mask-at-assign behaviour.
 	OpMemRead
+	// OpSelect: table select over one selector — r[Dst] = r[T[r[A]]] & Mask
+	// when r[A] < len(T), else r[C] & Mask, where T = Program.Tables[B] maps
+	// a selector value to the register holding that case's arm (the default
+	// register C fills the gaps). B is a table ID, not a register. One
+	// OpSelect replaces a whole (sel == K0) ? a0 : (sel == K1) ? a1 : ... d
+	// chain over a single selector — the shape of register-file read muxes.
+	OpSelect
 
 	nOps
 )
@@ -114,7 +121,7 @@ var opNames = [nOps]string{
 	OpSLe: "sle", OpSGt: "sgt", OpSGe: "sge", OpLAnd: "land", OpLOr: "lor",
 	OpNot: "not", OpNeg: "neg", OpRedXor: "redxor", OpIndex: "index",
 	OpMux: "mux", OpMuxEq: "muxeq", OpMuxNe: "muxne", OpMuxLt: "muxlt",
-	OpMuxGe: "muxge", OpMemRead: "memrd",
+	OpMuxGe: "muxge", OpMemRead: "memrd", OpSelect: "select",
 }
 
 // String returns the mnemonic for the opcode.
@@ -142,11 +149,19 @@ type Inst struct {
 }
 
 // eachSrc calls f on each operand field of in that names a register. B is a
-// memory ID for OpMemRead and is skipped; WA/WB are immediates.
-func (in *Inst) eachSrc(f func(*uint32)) {
+// memory ID for OpMemRead and a table ID for OpSelect — the table's entries
+// (in tabs) are visited instead; WA/WB are immediates.
+func (in *Inst) eachSrc(tabs [][]uint32, f func(*uint32)) {
 	switch in.Op {
 	case OpCopy, OpNot, OpNeg, OpRedXor, OpShrC, OpMemRead:
 		f(&in.A)
+	case OpSelect:
+		f(&in.A)
+		f(&in.C)
+		t := tabs[in.B]
+		for i := range t {
+			f(&t[i])
+		}
 	case OpMux:
 		f(&in.A)
 		f(&in.B)
@@ -170,14 +185,16 @@ func opUsesMask(op Op) bool {
 	switch op {
 	case OpCopy, OpAdd, OpSub, OpMul, OpDiv, OpMod, OpAnd, OpOr, OpXor,
 		OpShl, OpShr, OpSra, OpShrC, OpNot, OpNeg,
-		OpMux, OpMuxEq, OpMuxNe, OpMuxLt, OpMuxGe, OpMemRead:
+		OpMux, OpMuxEq, OpMuxNe, OpMuxLt, OpMuxGe, OpMemRead, OpSelect:
 		return true
 	}
 	return false
 }
 
-// SeqProg is the compiled next-state function of one sequential assignment,
-// plus the dirty-set metadata that lets the VM skip it on quiet cycles.
+// SeqProg is the compiled next-state function of one sequential assignment.
+// The VM evaluates it only on cycles where a signal or memory its code reads
+// changed value (Program.Fanout); otherwise the register provably recomputes
+// its current value and keeps it.
 type SeqProg struct {
 	// Dst is the register's signal slot (also its value-file index).
 	Dst rtl.SigID
@@ -185,22 +202,14 @@ type SeqProg struct {
 	Out uint32
 	// Code computes the next value from current (pre-edge) state.
 	Code []Inst
-	// Cone selects, over the signal dirty bitset, the root signals (inputs,
-	// registers, undriven wires) this next-state function transitively
-	// depends on. If none are dirty the evaluation is skipped.
-	Cone []ConeWord
-	// MemCone is the same selection over the memory dirty bitset.
-	MemCone []ConeWord
-}
-
-// ConeWord is one word of a bitset intersection mask: bitset[Word] & Mask.
-type ConeWord struct {
-	Word int
-	Mask uint64
 }
 
 // MemWProg is the compiled write port of one memory: Code computes the
-// enable, address and data expressions into the En/Addr/Data registers.
+// enable, address and data expressions into the En/Addr/Data registers. The
+// ports of one memory are activated as a group — when no port of a memory
+// read anything that changed, each port recomputes last cycle's write, whose
+// commit left the array word already equal to the data — so last-writer-wins
+// ordering between ports is never reordered.
 type MemWProg struct {
 	// Mem is the target memory.
 	Mem rtl.MemID
@@ -213,24 +222,42 @@ type MemWProg struct {
 	// En, Addr and Data are the registers holding the port values after
 	// Code runs; the write happens iff En is nonzero.
 	En, Addr, Data uint32
-	// Cone selects, over the signal dirty bitset, the root signals the
-	// port's enable/address/data expressions transitively depend on. If no
-	// port of a memory has a dirty cone, none of that memory's ports can
-	// produce a state-changing write and the whole group is skipped.
-	Cone []ConeWord
-	// MemCone is the same selection over the memory dirty bitset.
-	MemCone []ConeWord
+}
+
+// CombSeg is one combinational assignment's slice of Program.Comb: straight-
+// line code whose only architectural effect is the store to Dst's slot.
+type CombSeg struct {
+	// Dst is the wire (or comb-driven output) the segment settles.
+	Dst rtl.SigID
+	// Start and End bound the segment's code: Program.Comb[Start:End].
+	Start, End int
+}
+
+// Fan is one fan-out edge: a segment whose code reads the edge's source.
+type Fan struct {
+	// Bits selects the bits of the source signal the reader observes (all
+	// ones unless every read goes through a constant slice); a change
+	// confined to other bits does not activate the reader. Memory edges
+	// carry all ones.
+	Bits uint64
+	// Seg is the reader's index in the program's activity space: comb
+	// segments first, then sequential programs from SeqBase, then memory
+	// write-port groups (one per memory) from MemBase.
+	Seg uint32
 }
 
 // Program is a compiled circuit: a flat register file layout plus straight-
 // line code for the combinational pass, each sequential next-state function,
-// and each memory write port.
+// and each memory write port, and the fan-out tables that let the VM evaluate
+// a segment only when something it reads changed value.
 //
 // The register file is laid out [signal slots | constant pool | temporaries]:
 // the first NSig slots are the architectural signal values (the Model adopts
 // them as its value store), the next NConst hold the folded constant pool
 // (loaded once at VM construction — there is no load-immediate opcode), and
-// the rest are scratch temporaries reused by every code segment.
+// the rest are scratch temporaries reused by every code segment. No temporary
+// is live across segments: a segment reads signal slots, constants and
+// memories, and whatever it computes along the way.
 type Program struct {
 	// NSig is the number of architectural signal slots.
 	NSig int
@@ -240,17 +267,32 @@ type Program struct {
 	NTemp int
 	// Consts is the constant pool, in register order.
 	Consts []uint64
-	// Comb is the combinational pass in levelised order.
+	// Comb is the combinational pass in levelised order: the concatenation
+	// of the CombSegs' code, so running it front to back settles everything.
 	Comb []Inst
+	// CombSegs partitions Comb into one segment per combinational
+	// assignment, in levelised order: a segment only reads wires settled by
+	// segments before it.
+	CombSegs []CombSeg
 	// Seqs are the sequential next-state programs, in circuit order.
 	Seqs []SeqProg
 	// MemWs are the memory write ports, in circuit order.
 	MemWs []MemWProg
-	// Inputs lists the circuit's input signals; the VM snapshots them each
-	// Tick to detect externally driven changes for the dirty set.
+	// Tables holds the OpSelect lookup tables, indexed by Inst.B.
+	Tables [][]uint32
+	// Inputs lists the circuit's input signals; the VM snapshots them to
+	// detect externally driven changes.
 	Inputs []rtl.SigID
-	// SigWords and MemWords size the dirty bitsets.
-	SigWords, MemWords int
+	// Fanout[s] lists the segments whose code reads signal s directly —
+	// wires included: activity propagates through combinational logic one
+	// changed value at a time, never through precomputed transitive cones.
+	Fanout [][]Fan
+	// MemFanout[m] lists the segments that read memory m.
+	MemFanout [][]Fan
+	// SeqBase and MemBase are the word-aligned offsets of the sequential
+	// programs and the memory groups in the activity space; NSeg is its
+	// word-aligned size.
+	SeqBase, MemBase, NSeg int
 }
 
 // RegsLen returns the register file size implied by the layout.
@@ -273,7 +315,7 @@ func (p *Program) Len() int {
 // It is the single semantic authority for the instruction set: the VM hot
 // path, the compile-time constant folder and the disassembler's doc comments
 // all defer to it, so folding can never drift from execution.
-func exec(code []Inst, regs []uint64, mems [][]uint64) {
+func exec(code []Inst, regs []uint64, mems [][]uint64, tabs [][]uint32) {
 	for i := range code {
 		in := &code[i]
 		switch in.Op {
@@ -399,6 +441,12 @@ func exec(code []Inst, regs []uint64, mems [][]uint64) {
 			} else {
 				regs[in.Dst] = words[a] & in.Mask
 			}
+		case OpSelect:
+			src := in.C
+			if t, s := tabs[in.B], regs[in.A]; s < uint64(len(t)) {
+				src = t[s]
+			}
+			regs[in.Dst] = regs[src] & in.Mask
 		default:
 			panic(fmt.Sprintf("rtlc: exec of unknown opcode %d", in.Op))
 		}
@@ -428,17 +476,26 @@ func (p *Program) regName(r uint32) string {
 func (p *Program) disasmInst(in *Inst) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%s = %s", p.regName(in.Dst), in.Op)
-	first := true
-	inCopy := *in
-	(&inCopy).eachSrc(func(r *uint32) {
-		if first {
-			sb.WriteByte(' ')
-			first = false
-		} else {
-			sb.WriteString(", ")
+	if in.Op == OpSelect {
+		// Only the cases that differ from the default: the table is dense.
+		fmt.Fprintf(&sb, " %s {", p.regName(in.A))
+		sep := ""
+		for k, r := range p.Tables[in.B] {
+			if r != in.C {
+				fmt.Fprintf(&sb, "%s%#x:%s", sep, k, p.regName(r))
+				sep = " "
+			}
 		}
-		sb.WriteString(p.regName(*r))
-	})
+		fmt.Fprintf(&sb, "} else %s", p.regName(in.C))
+	} else {
+		sep := " "
+		inCopy := *in
+		(&inCopy).eachSrc(nil, func(r *uint32) {
+			sb.WriteString(sep)
+			sb.WriteString(p.regName(*r))
+			sep = ", "
+		})
+	}
 	if in.Op == OpMemRead {
 		fmt.Fprintf(&sb, ", mem%d", in.B)
 	}
@@ -457,13 +514,16 @@ func (p *Program) Disasm() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "regs: %d sig + %d const + %d temp\n", p.NSig, p.NConst, p.NTemp)
 	sb.WriteString("comb:\n")
-	for i := range p.Comb {
-		fmt.Fprintf(&sb, "  %s\n", p.disasmInst(&p.Comb[i]))
+	for i := range p.CombSegs {
+		sg := &p.CombSegs[i]
+		fmt.Fprintf(&sb, " s%d:\n", sg.Dst)
+		for j := sg.Start; j < sg.End; j++ {
+			fmt.Fprintf(&sb, "  %s\n", p.disasmInst(&p.Comb[j]))
+		}
 	}
 	for i := range p.Seqs {
 		sq := &p.Seqs[i]
-		fmt.Fprintf(&sb, "seq s%d <- %s (cone %d+%d words):\n",
-			sq.Dst, p.regName(sq.Out), len(sq.Cone), len(sq.MemCone))
+		fmt.Fprintf(&sb, "seq s%d <- %s:\n", sq.Dst, p.regName(sq.Out))
 		for j := range sq.Code {
 			fmt.Fprintf(&sb, "  %s\n", p.disasmInst(&sq.Code[j]))
 		}

@@ -1,7 +1,8 @@
 // Package rtlc is the optimizing RTL engine: a compiler from the rtl.Circuit
 // IR to a flat register-machine bytecode plus a dense switch-dispatch VM with
-// word-packed value storage and a dirty-set sequential pass that skips
-// registers whose next-state input cones did not change this cycle.
+// word-packed value storage that runs a piece of the circuit — a wire's
+// assignment, a register's next-state function, a memory's write ports —
+// only on cycles where a value it reads has changed.
 //
 // It registers itself with the rtl package as the "bytecode" engine
 // (rtl.EngineBytecode) in an init function, so linking this package in —

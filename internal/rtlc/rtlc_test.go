@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"gem5rtl/internal/pmu"
 	"gem5rtl/internal/rtl"
 	"gem5rtl/internal/rtlc"
 )
@@ -446,5 +447,187 @@ func TestTickAllocsPerRun(t *testing.T) {
 				t.Fatalf("engine %s: Tick allocates %.1f times per cycle, want 0", engine, allocs)
 			}
 		})
+	}
+}
+
+// pmuVM compiles the 20-counter PMU to bytecode and returns a bare VM over
+// it with a setter for its inputs, reset and with every event line enabled
+// and the threshold armed on the cycle counter — the Table 2 configuration.
+func pmuVM(t testing.TB) (*rtlc.VM, func(name string, v uint64)) {
+	t.Helper()
+	m, err := pmu.CompileModelEngine(pmu.NumCounters, rtl.EngineClosure)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := m.Circuit()
+	p, err := rtlc.Compile(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vm, err := rtlc.NewVM(p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := func(name string, v uint64) { vm.Vals()[c.SignalByName(name)] = v }
+	set("rst", 1)
+	vm.Tick()
+	set("rst", 0)
+	for _, wr := range [][2]uint64{
+		{pmu.RegEnable, 0x3F}, {pmu.RegThreshSel, pmu.EvCycle}, {pmu.RegThreshVal, 10000},
+	} {
+		set("awvalid", 1)
+		set("awaddr", wr[0])
+		set("wdata", wr[1])
+		vm.Tick()
+	}
+	set("awvalid", 0)
+	return vm, set
+}
+
+// TestPMUTickInstructionCount pins what a PMU model cycle costs in executed
+// bytecode instructions, the engine's host-independent unit of work: with
+// only the cycle line high a tick runs the cycle counter's next-state
+// program and the few wires that read it; with the commit lines toggling it
+// adds the event register and the counters whose own event bit moved — not
+// every counter, although every counter's program reads the event register.
+func TestPMUTickInstructionCount(t *testing.T) {
+	vm, set := pmuVM(t)
+	perTick := func(events func(i int) uint64) uint64 {
+		const warm, n = 8, 64
+		var start uint64
+		for i := 0; i < warm+n; i++ {
+			if i == warm {
+				start = vm.Executed()
+			}
+			set("events", events(i))
+			vm.Tick()
+		}
+		return (vm.Executed() - start + n - 1) / n
+	}
+	const cycle = 1 << pmu.EvCycle
+	idle := perTick(func(int) uint64 { return cycle })
+	if idle > 60 {
+		t.Errorf("idle tick executes %d instructions, want <= 60", idle)
+	}
+	// Two or four commits on alternate cycles: commit lines 2 and 3 toggle.
+	busy := perTick(func(i int) uint64 { return cycle | 0x3 | uint64(i&1)*0xC })
+	if busy > 110 {
+		t.Errorf("busy tick executes %d instructions, want <= 110", busy)
+	}
+	t.Logf("instructions per tick: idle %d, busy %d", idle, busy)
+}
+
+// TestSelectFusion checks the table-select lowering against the closure
+// engine over every selector value: a chain with a duplicate key (first
+// match wins), a gap, and a selector wider than the largest key.
+func TestSelectFusion(t *testing.T) {
+	b := rtl.NewBuilder("sel")
+	sel := b.Ref(b.Input("sel", 5))
+	var arms []rtl.Expr
+	for i := 0; i < 6; i++ {
+		arms = append(arms, b.Ref(b.Input(fmt.Sprintf("a%d", i), 12)))
+	}
+	key := func(k uint64) rtl.Expr { return rtl.Eq(sel, rtl.C(k, 5)) }
+	o := b.Output("o", 12)
+	b.Assign(o, rtl.MuxE(key(0), arms[0],
+		rtl.MuxE(key(3), arms[1],
+			rtl.MuxE(rtl.Eq(rtl.C(1, 5), sel), arms[2], // literal on the left
+				rtl.MuxE(key(3), arms[3], // shadowed by the earlier 3
+					rtl.MuxE(key(9), arms[4], arms[5]))))))
+	c, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := rtlc.Compile(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := countOps(p.Comb, rtlc.OpSelect); n != 1 || len(p.Comb) != 1 {
+		t.Fatalf("chain not fused to one select:\n%s", p.Disasm())
+	}
+	mc, mb := compileBoth(t, c)
+	for i := range arms {
+		mc.SetInput(fmt.Sprintf("a%d", i), uint64(0x100+i))
+		mb.SetInput(fmt.Sprintf("a%d", i), uint64(0x100+i))
+	}
+	for s := uint64(0); s < 32; s++ {
+		mc.SetInput("sel", s)
+		mb.SetInput("sel", s)
+		mc.Eval()
+		mb.Eval()
+		compareState(t, c, mc, mb, fmt.Sprintf("sel %d", s))
+	}
+	if mb.Peek("o") != 0x105 {
+		t.Fatalf("default arm: o = %#x, want 0x105", mb.Peek("o"))
+	}
+}
+
+// TestValueChangeCutOff pins the activity rule at the wire: a wire that
+// recomputes to the value it held wakes no reader, and a wire that goes
+// X -> Y in the trailing settle and back to X in the next leading settle
+// leaves every register what the closure engine says it is.
+func TestValueChangeCutOff(t *testing.T) {
+	b := rtl.NewBuilder("cut")
+	a := b.Ref(b.Input("a", 8))
+	flip := b.Ref(b.Input("flip", 1))
+	tog := b.Reg("tog", 1, 0)
+	b.Seq(tog, rtl.XorE(b.Ref(tog), flip))
+	// hi only looks at a's top bit; w mixes register and input so that a
+	// register flip and an input flip in the same cycle cancel.
+	hi := b.Wire("hi", 1)
+	b.Assign(hi, rtl.Bit(a, 7))
+	w := b.Wire("w", 1)
+	b.Assign(w, rtl.XorE(b.Ref(tog), rtl.Bit(a, 0)))
+	acc := b.Reg("acc", 8, 0)
+	b.Seq(acc, rtl.Add(b.Ref(acc), rtl.Resize(b.Ref(hi), 8)))
+	cnt := b.Reg("cnt", 8, 0)
+	b.Seq(cnt, rtl.Add(b.Ref(cnt), rtl.Resize(b.Ref(w), 8)))
+	c, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := rtlc.Compile(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vm, err := rtlc.NewVM(p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mc := rtl.MustCompile(c)
+	step := func(av, fv uint64) uint64 {
+		before := vm.Executed()
+		vm.Vals()[c.SignalByName("a")] = av
+		vm.Vals()[c.SignalByName("flip")] = fv
+		mc.SetInput("a", av)
+		mc.SetInput("flip", fv)
+		vm.Tick()
+		mc.Tick()
+		for i := range c.Signals {
+			if got, want := vm.Vals()[i], mc.PeekID(rtl.SigID(i)); got != want {
+				t.Fatalf("a=%#x flip=%d: signal %q = %#x, closure %#x", av, fv, c.Signals[i].Name, got, want)
+			}
+		}
+		return vm.Executed() - before
+	}
+	step(0, 0)
+	step(0, 0)
+	if n := step(0, 0); n != 0 {
+		t.Fatalf("steady state executes %d instructions, want 0", n)
+	}
+	// Bits 1..6 of a change: hi and w read bits 7 and 0 only, nothing wakes.
+	if n := step(0x7e, 0); n != 0 {
+		t.Fatalf("a change in unread bits executes %d instructions, want 0", n)
+	}
+	// tog flips at the edge, w goes 0 -> 1 in the trailing settle; the next
+	// cycle's input flips a[0] and w goes back to 0 in the leading settle,
+	// before any capture saw the 1.
+	step(0x7e, 1)
+	step(0x7f, 0)
+	if got := vm.Vals()[c.SignalByName("cnt")]; got != 0 {
+		t.Fatalf("cnt = %d after w went 0 -> 1 -> 0 between captures, want 0", got)
+	}
+	if n := step(0x7f, 0); n != 0 {
+		t.Fatalf("settled again: tick executes %d instructions, want 0", n)
 	}
 }

@@ -2,6 +2,7 @@ package rtlc
 
 import (
 	"fmt"
+	"math/bits"
 
 	"gem5rtl/internal/rtl"
 	"gem5rtl/internal/sim"
@@ -12,31 +13,37 @@ import (
 // rtl.Model adopts them as its value store, so Peek/SetInput, VCD dumps,
 // checkpoints and fault injection observe and mutate VM state directly.
 //
-// The sequential pass is activity-gated: each register's next-state program
-// carries the precomputed set of root signals and memories its input cone
-// depends on, and the VM tracks which roots changed (inputs by snapshot
-// comparison, registers and memories by commit-time value comparison). A
-// register whose cone saw no change keeps its value and its evaluation is
-// skipped — observable only through Skipped() and wall-clock time, never in
-// results. Any mutation the VM cannot see (reset, checkpoint restore, fault
-// injection, memory pokes) must call Invalidate, which forces the next Tick
-// to evaluate everything.
+// Evaluation is activity-scheduled by one rule: a segment — a combinational
+// assignment, a register's next-state program, a memory's write ports — runs
+// only if a value it reads changed since it last ran. Changes are found where
+// values are produced (inputs by snapshot comparison, wires by comparing the
+// slot across the segment's run, registers and memory words at commit) and
+// wake the producer's direct readers through the program's fan-out tables; a
+// wire that recomputes to the value it held wakes nobody. A segment that is
+// not woken provably recomputes what it already holds, so skipping it is
+// observable only through Skipped(), Executed() and wall-clock time, never
+// in results. Any mutation the VM cannot see (reset, checkpoint restore,
+// fault injection, memory pokes) must call Invalidate, which wakes
+// everything.
 type VM struct {
 	p    *Program
 	regs []uint64
 	mems [][]uint64
 
-	dirty    []uint64
-	memDirty []uint64
-	allDirty bool
-	extEval  bool
-	inSnap   []uint64
+	// active is the wake bitset over the program's activity space: comb
+	// segments in [0, SeqBase), sequential programs from SeqBase, memory
+	// write-port groups from MemBase. comb, seq and memw alias its three
+	// word ranges.
+	active          []uint64
+	comb, seq, memw []uint64
+	inSnap          []uint64
 
 	next    []uint64
+	evald   []int32
 	memwBuf []memWrite
-	memRun  []bool
 
-	skipped uint64
+	skipped  uint64
+	executed uint64
 
 	// Self-profiler phase attribution (AttachProfiler). Nil when off.
 	prof    *sim.Profiler
@@ -54,52 +61,71 @@ type memWrite struct {
 // NewVM instantiates a VM for a compiled program, sharing the given memory
 // storage (one word slice per circuit memory, depths matching the circuit).
 func NewVM(p *Program, mems [][]uint64) (*VM, error) {
+	if len(mems) != len(p.MemFanout) {
+		return nil, fmt.Errorf("rtlc: %d memory arrays for a program with %d", len(mems), len(p.MemFanout))
+	}
 	for i := range p.MemWs {
 		w := &p.MemWs[i]
-		if int(w.Mem) >= len(mems) || len(mems[w.Mem]) != w.Depth {
+		if len(mems[w.Mem]) != w.Depth {
 			return nil, fmt.Errorf("rtlc: memory storage shape mismatch for mem %d", w.Mem)
 		}
 	}
 	v := &VM{
-		p:        p,
-		regs:     make([]uint64, p.RegsLen()),
-		mems:     mems,
-		dirty:    make([]uint64, p.SigWords),
-		memDirty: make([]uint64, p.MemWords),
-		allDirty: true,
-		inSnap:   make([]uint64, len(p.Inputs)),
-		next:     make([]uint64, len(p.Seqs)),
-		memwBuf:  make([]memWrite, 0, len(p.MemWs)),
-		memRun:   make([]bool, len(mems)),
+		p:       p,
+		regs:    make([]uint64, p.RegsLen()),
+		mems:    mems,
+		active:  make([]uint64, p.NSeg/64),
+		inSnap:  make([]uint64, len(p.Inputs)),
+		next:    make([]uint64, len(p.Seqs)),
+		evald:   make([]int32, 0, len(p.Seqs)),
+		memwBuf: make([]memWrite, 0, len(p.MemWs)),
 	}
+	v.comb = v.active[:p.SeqBase/64]
+	v.seq = v.active[p.SeqBase/64 : p.MemBase/64]
+	v.memw = v.active[p.MemBase/64:]
 	copy(v.regs[p.NSig:], p.Consts)
+	v.Invalidate()
 	return v, nil
 }
 
 // Vals returns the architectural signal slots of the register file.
 func (v *VM) Vals() []uint64 { return v.regs[:v.p.NSig] }
 
-// Eval settles the combinational logic: one straight-line bytecode pass in
-// levelised order. External Eval calls may observe transient input values
-// that are reverted before the next Tick (set/eval/set-back probing), so the
-// next Tick's leading settle can never be elided after one.
+// Eval settles the combinational logic against the current inputs: the
+// segments a changed input (or an Invalidate) woke, in levelised order.
 func (v *VM) Eval() {
-	exec(v.p.Comb, v.regs, v.mems)
-	v.extEval = true
+	v.scanInputs()
+	v.settle()
 }
 
-// Invalidate discards all activity-gating state; the next Tick evaluates
-// every sequential program.
-func (v *VM) Invalidate() { v.allDirty = true }
+// Invalidate wakes every segment: the next Eval settles all combinational
+// logic and the next Tick evaluates every sequential program and write port.
+func (v *VM) Invalidate() {
+	wakeAll := func(ws []uint64, n int) {
+		for i := range ws {
+			ws[i] = ^uint64(0)
+		}
+		if r := n & 63; r != 0 {
+			ws[len(ws)-1] = 1<<r - 1
+		}
+	}
+	wakeAll(v.comb, len(v.p.CombSegs))
+	wakeAll(v.seq, len(v.p.Seqs))
+	wakeAll(v.memw, len(v.mems))
+}
 
 // Skipped reports how many sequential next-state evaluations were elided.
 func (v *VM) Skipped() uint64 { return v.skipped }
 
+// Executed reports how many bytecode instructions have run, over all code
+// segments: the engine's work in units that do not depend on the host.
+func (v *VM) Executed() uint64 { return v.executed }
+
 // AttachProfiler implements rtl.PhaseProfiled: Tick sub-attributes its comb
 // settles, sequential captures/commits and memory write-port passes to the
-// given self-profiler owners. Phase counts reflect the work the VM really
-// performs — activity gating elides phases, so a quiet model charges almost
-// nothing — while simulation results remain bit-exact.
+// given self-profiler owners. A phase is entered only when it has a woken
+// segment to run, so phase counts reflect the work the VM really performs —
+// a quiet model charges nothing — while simulation results remain bit-exact.
 func (v *VM) AttachProfiler(p *sim.Profiler, comb, seq, memw sim.OwnerID) {
 	v.prof, v.ownComb, v.ownSeq, v.ownMemw = p, comb, seq, memw
 }
@@ -119,8 +145,6 @@ func (v *VM) exit(prev sim.OwnerID) {
 	}
 }
 
-func (v *VM) markSig(s uint32) { v.dirty[s>>6] |= 1 << (s & 63) }
-
 func bitsetZero(ws []uint64) bool {
 	for _, w := range ws {
 		if w != 0 {
@@ -130,148 +154,117 @@ func bitsetZero(ws []uint64) bool {
 	return true
 }
 
-func (v *VM) coneDirty(cone, memCone []ConeWord) bool {
-	for _, cw := range cone {
-		if v.dirty[cw.Word]&cw.Mask != 0 {
-			return true
-		}
-	}
-	for _, cw := range memCone {
-		if v.memDirty[cw.Word]&cw.Mask != 0 {
-			return true
-		}
-	}
-	return false
+// run executes one code segment.
+func (v *VM) run(code []Inst) {
+	exec(code, v.regs, v.mems, v.p.Tables)
+	v.executed += uint64(len(code))
 }
 
-// Tick advances one clock cycle: settle combinational logic, capture every
-// register's next value and memory write with pre-edge state, commit, and
-// settle again — bit-exact against the closure engine's Tick, minus the
-// evaluations the dirty set proves redundant. Three further elisions ride on
-// the same dirty tracking:
-//
-//   - the leading settle is skipped when no root changed since the previous
-//     trailing settle (no input edge, no external Eval, not invalidated) —
-//     the combinational slots then provably still hold their fixed point;
-//   - a memory's write ports are skipped as a group when every port's input
-//     cone is clean — each port then recomputes last cycle's enable/address/
-//     data, whose committed write left the array word already equal to the
-//     data. Gating is all-or-nothing per memory so last-writer-wins ordering
-//     between ports is never reordered;
-//   - the trailing settle is skipped when no commit changed a value — the
-//     post-edge state equals the pre-edge state the leading settle (or its
-//     inherited fixed point) already covered.
-func (v *VM) Tick() {
-	// Externally driven inputs have no commit point, so detect changes by
-	// snapshot comparison. The marks feed this cycle's gating and are
-	// consumed (cleared) below.
-	inChanged := false
+// wake activates the readers of the bits of signal s that changed.
+func (v *VM) wake(s uint32, changed uint64) {
+	for _, f := range v.p.Fanout[s] {
+		if f.Bits&changed != 0 {
+			v.active[f.Seg>>6] |= 1 << (f.Seg & 63)
+		}
+	}
+}
+
+// scanInputs wakes the readers of externally driven inputs. Inputs have no
+// commit point, so changes are found by comparing against a snapshot.
+func (v *VM) scanInputs() {
 	for i, id := range v.p.Inputs {
 		if nv := v.regs[id]; nv != v.inSnap[i] {
+			v.wake(uint32(id), nv^v.inSnap[i])
 			v.inSnap[i] = nv
-			v.markSig(uint32(id))
-			inChanged = true
 		}
 	}
-	// Globally quiet fast path: with no root dirty at all, every seq and
-	// write-port cone is clean, so the cycle reduces to "skip everything" —
-	// no captures, no commits, no settles (beyond honouring a pending
-	// external Eval). This is the steady state between event bursts.
-	if !v.allDirty && !inChanged && bitsetZero(v.dirty) && bitsetZero(v.memDirty) {
-		if v.extEval {
-			prev := v.enter(v.ownComb)
-			exec(v.p.Comb, v.regs, v.mems)
-			v.exit(prev)
-			v.extEval = false
-		}
-		v.skipped += uint64(len(v.p.Seqs))
+}
+
+// settle runs the woken combinational segments in levelised order. A segment
+// whose wire changes value wakes its readers — later segments join this same
+// pass, sequential programs and write ports wait for the next capture.
+func (v *VM) settle() {
+	if bitsetZero(v.comb) {
 		return
 	}
-
-	if v.allDirty || v.extEval || inChanged {
-		prev := v.enter(v.ownComb)
-		exec(v.p.Comb, v.regs, v.mems)
-		v.exit(prev)
-	}
-	v.extEval = false
-
-	// Capture memory writes with pre-edge values, skipping every port of a
-	// memory whose ports' cones are all clean.
-	v.memwBuf = v.memwBuf[:0]
-	if len(v.p.MemWs) > 0 {
-		prev := v.enter(v.ownMemw)
-		for i := range v.memRun {
-			v.memRun[i] = v.allDirty
-		}
-		if !v.allDirty {
-			for i := range v.p.MemWs {
-				w := &v.p.MemWs[i]
-				if !v.memRun[w.Mem] && v.coneDirty(w.Cone, w.MemCone) {
-					v.memRun[w.Mem] = true
-				}
+	prev := v.enter(v.ownComb)
+	for w := range v.comb {
+		for v.comb[w] != 0 {
+			b := bits.TrailingZeros64(v.comb[w])
+			v.comb[w] &^= 1 << b
+			sg := &v.p.CombSegs[w<<6+b]
+			old := v.regs[sg.Dst]
+			v.run(v.p.Comb[sg.Start:sg.End])
+			if nv := v.regs[sg.Dst]; nv != old {
+				v.wake(uint32(sg.Dst), nv^old)
 			}
 		}
+	}
+	v.exit(prev)
+}
+
+// Tick advances one clock cycle: settle combinational logic against the
+// inputs, capture the woken registers' next values and the woken memories'
+// writes with pre-edge state, commit what was captured, and settle again so
+// wires and outputs reflect the new state — bit-exact against the closure
+// engine's Tick, minus the evaluations the activity rule proves redundant.
+// Commits that change a value wake that value's readers: wires for the
+// trailing settle, registers and write ports for the next cycle.
+func (v *VM) Tick() {
+	v.scanInputs()
+	v.settle()
+
+	v.memwBuf = v.memwBuf[:0]
+	if !bitsetZero(v.memw) {
+		prev := v.enter(v.ownMemw)
 		for i := range v.p.MemWs {
 			w := &v.p.MemWs[i]
-			if !v.memRun[w.Mem] {
+			if v.memw[w.Mem>>6]&(1<<(uint(w.Mem)&63)) == 0 {
 				continue
 			}
-			exec(w.Code, v.regs, v.mems)
+			v.run(w.Code)
 			if v.regs[w.En] != 0 {
 				if addr := v.regs[w.Addr]; addr < uint64(w.Depth) {
 					v.memwBuf = append(v.memwBuf, memWrite{w.Mem, int(addr), v.regs[w.Data] & w.Mask})
 				}
 			}
 		}
+		clear(v.memw)
 		v.exit(prev)
 	}
 
-	// Capture register next-state, skipping programs whose input cones are
-	// clean: the register then provably recomputes its current value.
-	prevSeq := v.enter(v.ownSeq)
-	for j := range v.p.Seqs {
-		sq := &v.p.Seqs[j]
-		if v.allDirty || v.coneDirty(sq.Cone, sq.MemCone) {
-			exec(sq.Code, v.regs, v.mems)
-			v.next[j] = v.regs[sq.Out]
-		} else {
-			v.skipped++
-			v.next[j] = v.regs[sq.Dst]
+	v.evald = v.evald[:0]
+	if !bitsetZero(v.seq) || len(v.memwBuf) > 0 {
+		prev := v.enter(v.ownSeq)
+		for w := range v.seq {
+			for m := v.seq[w]; m != 0; m &= m - 1 {
+				j := w<<6 + bits.TrailingZeros64(m)
+				sq := &v.p.Seqs[j]
+				v.run(sq.Code)
+				v.next[j] = v.regs[sq.Out]
+				v.evald = append(v.evald, int32(j))
+			}
+			v.seq[w] = 0
 		}
-	}
-
-	// The marks above were consumed by this cycle's gating; marks set by
-	// the commits below feed the next cycle.
-	for i := range v.dirty {
-		v.dirty[i] = 0
-	}
-	for i := range v.memDirty {
-		v.memDirty[i] = 0
-	}
-	v.allDirty = false
-
-	// Commit, marking roots that actually changed value.
-	changed := false
-	for j := range v.p.Seqs {
-		dst := uint32(v.p.Seqs[j].Dst)
-		if v.regs[dst] != v.next[j] {
-			v.regs[dst] = v.next[j]
-			v.markSig(dst)
-			changed = true
+		for _, j := range v.evald {
+			dst := uint32(v.p.Seqs[j].Dst)
+			if old, nv := v.regs[dst], v.next[j]; nv != old {
+				v.regs[dst] = nv
+				v.wake(dst, nv^old)
+			}
 		}
-	}
-	for _, w := range v.memwBuf {
-		words := v.mems[w.mem]
-		if words[w.addr] != w.data {
-			words[w.addr] = w.data
-			v.memDirty[int(w.mem)>>6] |= 1 << (uint(w.mem) & 63)
-			changed = true
+		for _, w := range v.memwBuf {
+			words := v.mems[w.mem]
+			if words[w.addr] != w.data {
+				words[w.addr] = w.data
+				for _, f := range v.p.MemFanout[w.mem] {
+					v.active[f.Seg>>6] |= 1 << (f.Seg & 63)
+				}
+			}
 		}
-	}
-	v.exit(prevSeq)
-	if changed {
-		prev := v.enter(v.ownComb)
-		exec(v.p.Comb, v.regs, v.mems)
 		v.exit(prev)
 	}
+	v.skipped += uint64(len(v.p.Seqs) - len(v.evald))
+
+	v.settle()
 }
