@@ -22,12 +22,14 @@ bench:
 bench-check:
 	$(GO) run ./cmd/kernelbench -baseline BENCH_kernel.json
 
-# Two short ledger runs whose golden-tick checks cover the PMU co-simulation
-# path and the DRAM queue path end to end (bench/README.md); timings are
-# printed, only correctness fails the target.
+# Three short ledger runs whose golden-tick checks cover the PMU co-simulation
+# path, the contended DRAM request queue and the RTLObject DMA exchange at
+# full scale end to end (bench/README.md); timings are printed, only
+# correctness fails the target.
 bench-smoke:
 	$(GO) run ./bench --workload pmu-cosim --seconds 2
 	$(GO) run ./bench --workload dse-grid --seconds 2
+	$(GO) run ./bench --workload nvdla-cosim --seconds 2
 
 # Enforce godoc comments on every exported symbol of the kernel packages,
 # then audit that every command-line flag the binaries register is documented

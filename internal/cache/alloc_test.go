@@ -33,10 +33,13 @@ func TestCacheHitPathAllocs(t *testing.T) {
 	c := New(l1Config(), q)
 	store := mem.NewStorage()
 	m := mem.NewIdealMemory("mem", q, store, 50*sim.Nanosecond)
-	port.Bind(c.MemPort(), m.Port())
+	// Unchecked links: the allocation claim is about the simulation path, and
+	// the protocol checker (GEM5RTL_CHECK_PORTS) formats a history line per
+	// handshake.
+	port.BindUnchecked(c.MemPort(), m.Port())
 	d := &pooledDriver{}
 	d.p = port.NewRequestPort("drv", d)
-	port.Bind(d.p, c.CPUPort())
+	port.BindUnchecked(d.p, c.CPUPort())
 
 	hit := func() {
 		pkt := d.pool.GetRead(0x100, 8)
@@ -68,10 +71,13 @@ func TestCacheMissPathAllocs(t *testing.T) {
 	c := New(cfg, q)
 	store := mem.NewStorage()
 	m := mem.NewIdealMemory("mem", q, store, 50*sim.Nanosecond)
-	port.Bind(c.MemPort(), m.Port())
+	// Unchecked links: the allocation claim is about the simulation path, and
+	// the protocol checker (GEM5RTL_CHECK_PORTS) formats a history line per
+	// handshake.
+	port.BindUnchecked(c.MemPort(), m.Port())
 	d := &pooledDriver{}
 	d.p = port.NewRequestPort("drv", d)
-	port.Bind(d.p, c.CPUPort())
+	port.BindUnchecked(d.p, c.CPUPort())
 
 	// Walk a strided footprint larger than the cache so every access past
 	// the warm-up round misses and (after one full pass) evicts.

@@ -139,23 +139,42 @@ func TestDSEMoreAcceleratorsMoreContention(t *testing.T) {
 	}
 }
 
+// TestTable3Shapes asserts the Table 3 ordering — a full-system run costs at
+// least the standalone model's run — once per workload and configuration. A
+// cell is a 2-3 ms wall-clock measurement and host noise only adds time, so
+// each is taken three times and the fastest samples are compared (as
+// TestTable2OverheadOrdering does).
 func TestTable3Shapes(t *testing.T) {
-	rows, err := Runner{Workers: 1}.Table3(context.Background(), DSEParams{Scale: 64, Limit: 4 * sim.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 6 {
-		t.Fatalf("rows = %d, want 6", len(rows))
-	}
-	for _, r := range rows {
-		if r.Config == "standalone-rtl" {
-			if r.Overhead != 1.0 {
+	type cell struct{ config, workload string }
+	best := map[cell]time.Duration{}
+	for i := 0; i < 3; i++ {
+		rows, err := Runner{Workers: 1}.Table3(context.Background(), DSEParams{Scale: 64, Limit: 4 * sim.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != 6 {
+			t.Fatalf("rows = %d, want 6", len(rows))
+		}
+		for _, r := range rows {
+			if r.Config == "standalone-rtl" && r.Overhead != 1.0 {
 				t.Fatalf("standalone overhead %.2f", r.Overhead)
 			}
-			continue
+			c := cell{r.Config, r.Workload}
+			if b, ok := best[c]; !ok || r.HostTime < b {
+				best[c] = r.HostTime
+			}
 		}
-		if r.Overhead < 1.0 {
-			t.Fatalf("%s/%s overhead %.2f below standalone", r.Config, r.Workload, r.Overhead)
+	}
+	if len(best) != 6 {
+		t.Fatalf("%d distinct cells, want 6", len(best))
+	}
+	for c, host := range best {
+		standalone := best[cell{"standalone-rtl", c.workload}]
+		if standalone <= 0 {
+			t.Fatalf("standalone host time %v for %s", standalone, c.workload)
+		}
+		if overhead := float64(host) / float64(standalone); overhead < 1.0 {
+			t.Fatalf("%s/%s overhead %.2f below standalone", c.config, c.workload, overhead)
 		}
 	}
 }

@@ -106,8 +106,8 @@ func (d *DRAMCtrl) SaveState(w *ckpt.Writer) error {
 	if err := d.rq.SaveState(w); err != nil {
 		return err
 	}
-	w.Int(len(d.pendingReads))
-	for _, pr := range d.pendingReads {
+	w.Int(len(d.inflightReads()))
+	for _, pr := range d.inflightReads() {
 		port.SavePacket(w, pr.pkt)
 		w.U64(uint64(pr.arrived))
 		sim.SaveEvent(w, pr.ev)
@@ -140,7 +140,7 @@ func (d *DRAMCtrl) RestoreState(r *ckpt.Reader) error {
 		return err
 	}
 	n := r.Len()
-	d.pendingReads = nil
+	d.pendingReads, d.prHead = nil, 0
 	for i := 0; i < n && r.Err() == nil; i++ {
 		pr := &dramPendingRead{pkt: port.LoadPacket(r), arrived: sim.Tick(r.U64())}
 		pr.ev = sim.NewEvent(d.cfg.Name+".readDone", func() { d.readDone(pr) }).SetOwner(d.ownReadDone)

@@ -21,10 +21,17 @@ type DRAMCtrl struct {
 	rq    *port.RespQueue
 	chans []*dramChannel
 
-	// pendingReads tracks issued reads whose data has not returned yet. Each
-	// entry owns its completion event, so in-flight reads are explicit state
-	// (checkpointable) rather than anonymous closures on the event queue.
+	// pendingReads[prHead:] tracks issued reads whose data has not returned
+	// yet, in issue order. Each entry owns its completion event, so in-flight
+	// reads are explicit state (checkpointable) rather than anonymous closures
+	// on the event queue. Reads retire oldest first or nearly so, so a retired
+	// entry is closed over from the front (see readDone) and the consumed
+	// prefix is reclaimed when the array would otherwise grow.
 	pendingReads []*dramPendingRead
+	prHead       int
+
+	// writeHi and writeLo are the write-drain watermarks in queue entries.
+	writeHi, writeLo int
 
 	// reqFree and prFree recycle the per-access bookkeeping records; each
 	// dramPendingRead keeps its completion event (and the closure binding it)
@@ -112,7 +119,10 @@ func NewDRAMCtrl(cfg DRAMConfig, q *sim.EventQueue, store *Storage) *DRAMCtrl {
 	d := &DRAMCtrl{cfg: cfg, q: q, store: store}
 	d.ownReadDone = q.Owner(cfg.Name, "readDone")
 	d.ownIssue = q.Owner(cfg.Name, "issue")
+	d.writeHi = int(float64(cfg.WriteQueueDepth) * cfg.WriteHighWatermark)
+	d.writeLo = int(float64(cfg.WriteQueueDepth) * cfg.WriteLowWatermark)
 	d.prt = port.NewResponsePort(cfg.Name, d)
+	d.prt.DeclareAdmissionClasses(2*cfg.Channels, d.admissionClass)
 	d.rq = port.NewRespQueue(cfg.Name, q, d.prt)
 	for i := 0; i < cfg.Channels; i++ {
 		ch := &dramChannel{ctrl: d, id: i, banks: make([]dramBank, cfg.BanksPerChannel)}
@@ -170,11 +180,25 @@ func foldBank(rowIdx uint64, banks int) int {
 	return int(acc % uint64(banks))
 }
 
+// admissionClass names the queue a request would occupy — channel × read or
+// write — which is all RecvTimingReq's refusal depends on: the controller's
+// declaration to port.ResponsePort.DeclareAdmissionClasses. A queue only
+// shrinks in the issue event, so between two of those a full queue stays full,
+// and a refusal returns before anything is touched.
+func (d *DRAMCtrl) admissionClass(pkt *port.Packet) int {
+	c := 2 * d.channelOf(pkt.Addr)
+	if pkt.Cmd.IsWrite() {
+		c++
+	}
+	return c
+}
+
 // RecvTimingReq implements port.Responder with queue-full back-pressure. A
 // refusal is decided from the channel's queue depth before anything is
-// built: under sustained contention every freed slot has all blocked
-// requesters re-offer, so refusals outnumber acceptances many times over and
-// must cost neither a routing computation nor a request record.
+// built — the admission promise (admissionClass) rests on that, and a
+// requester that does not use the promise re-offers everything it holds on
+// every freed slot, so a refusal must cost neither a routing computation nor
+// a request record.
 func (d *DRAMCtrl) RecvTimingReq(pkt *port.Packet) bool {
 	chIdx := d.channelOf(pkt.Addr)
 	ch := d.chans[chIdx]
@@ -252,12 +276,10 @@ func (ch *dramChannel) issue() {
 	now := d.q.Now()
 
 	// Decide read vs write service.
-	hi := int(float64(cfg.WriteQueueDepth) * cfg.WriteHighWatermark)
-	lo := int(float64(cfg.WriteQueueDepth) * cfg.WriteLowWatermark)
-	if ch.draining && len(ch.writeQ) <= lo {
+	if ch.draining && len(ch.writeQ) <= d.writeLo {
 		ch.draining = false
 	}
-	if !ch.draining && len(ch.writeQ) >= hi {
+	if !ch.draining && len(ch.writeQ) >= d.writeHi {
 		ch.draining = true
 	}
 	var queue *[]*dramRequest
@@ -367,18 +389,35 @@ func (d *DRAMCtrl) scheduleReadDone(pkt *port.Packet, arrived sim.Tick, when sim
 		pr = &dramPendingRead{pkt: pkt, arrived: arrived}
 		pr.ev = sim.NewEvent(d.cfg.Name+".readDone", func() { d.readDone(pr) }).SetOwner(d.ownReadDone)
 	}
+	if d.prHead > 0 && len(d.pendingReads) == cap(d.pendingReads) {
+		n := copy(d.pendingReads, d.pendingReads[d.prHead:])
+		clear(d.pendingReads[n:])
+		d.pendingReads = d.pendingReads[:n]
+		d.prHead = 0
+	}
 	d.pendingReads = append(d.pendingReads, pr)
 	d.q.Schedule(pr.ev, when)
 }
 
+// inflightReads returns the tracked reads in issue order.
+func (d *DRAMCtrl) inflightReads() []*dramPendingRead { return d.pendingReads[d.prHead:] }
+
 // readDone retires a tracked read: fills the packet from storage and hands
 // it to the response queue.
 func (d *DRAMCtrl) readDone(pr *dramPendingRead) {
-	for i, p := range d.pendingReads {
-		if p == pr {
-			d.pendingReads = append(d.pendingReads[:i], d.pendingReads[i+1:]...)
-			break
-		}
+	// Close the gap from the front: the retiring read is the oldest or (with
+	// several channels completing out of issue order) a few entries behind it,
+	// so this moves nothing or next to nothing and keeps issue order.
+	i := d.prHead
+	for d.pendingReads[i] != pr {
+		i++
+	}
+	copy(d.pendingReads[d.prHead+1:i+1], d.pendingReads[d.prHead:i])
+	d.pendingReads[d.prHead] = nil
+	d.prHead++
+	if d.prHead == len(d.pendingReads) {
+		d.pendingReads = d.pendingReads[:0]
+		d.prHead = 0
 	}
 	pkt := pr.pkt
 	pkt.MakeResponse()

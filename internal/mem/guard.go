@@ -14,17 +14,18 @@ func (d *DRAMCtrl) GuardName() string { return d.prt.Name() }
 // InFlight reports queued plus issued-but-uncompleted accesses.
 func (d *DRAMCtrl) InFlight() int {
 	r, w := d.QueueOccupancy()
-	return r + w + len(d.pendingReads) + d.rq.Len()
+	return r + w + len(d.inflightReads()) + d.rq.Len()
 }
 
 // GuardDetail renders queue occupancy and in-flight read packet IDs.
 func (d *DRAMCtrl) GuardDetail() string {
 	r, w := d.QueueOccupancy()
-	ids := make([]string, 0, len(d.pendingReads))
+	reads := d.inflightReads()
+	ids := make([]string, 0, len(reads))
 	const maxIDs = 8
-	for i, pr := range d.pendingReads {
+	for i, pr := range reads {
 		if i == maxIDs {
-			ids = append(ids, fmt.Sprintf("+%d more", len(d.pendingReads)-maxIDs))
+			ids = append(ids, fmt.Sprintf("+%d more", len(reads)-maxIDs))
 			break
 		}
 		ids = append(ids, fmt.Sprintf("%d", pr.pkt.ID))

@@ -149,7 +149,7 @@ func loadQueuedPkts(r *ckpt.Reader, dst []queuedPkt) []queuedPkt {
 			Rank: r.U64(),
 			Seq:  r.U64(),
 		}
-		dst = append(dst, queuedPkt{pkt, when, stamp})
+		dst = append(dst, queuedPkt{pkt: pkt, when: when, stamp: stamp})
 	}
 	return dst
 }
@@ -160,7 +160,7 @@ func (rq *RespQueue) SaveState(w *ckpt.Writer) error {
 	w.Section("port.respq")
 	w.Bool(rq.blocked)
 	sim.SaveEvent(w, rq.ev)
-	saveQueuedPkts(w, rq.pending[rq.head:])
+	saveQueuedPkts(w, rq.pending.ents[rq.pending.head:])
 	return w.Err()
 }
 
@@ -170,28 +170,39 @@ func (rq *RespQueue) RestoreState(r *ckpt.Reader) error {
 	r.Section("port.respq")
 	rq.blocked = r.Bool()
 	rq.q.RestoreEvent(r, rq.ev)
-	rq.pending = loadQueuedPkts(r, rq.pending[:0])
-	rq.head = 0
+	rq.restore(loadQueuedPkts(r, rq.pending.ents[:0]))
 	return r.Err()
 }
 
 // SaveState captures the queued requests, the blocked flag and the drain
-// event of a ReqQueue.
+// event of a ReqQueue. Parked packets are written in their place in queue
+// order, so the bytes do not say which packets had been refused.
 func (rq *ReqQueue) SaveState(w *ckpt.Writer) error {
 	w.Section("port.reqq")
 	w.Bool(rq.blocked)
 	sim.SaveEvent(w, rq.ev)
-	saveQueuedPkts(w, rq.pending)
+	ents := rq.pending.ents[rq.pending.head:]
+	if rq.parked > 0 {
+		ents = append([]queuedPkt(nil), ents...)
+		for i := range rq.lanes {
+			ents = append(ents, rq.lanes[i].ents[rq.lanes[i].head:]...)
+		}
+		sort.Slice(ents, func(a, b int) bool { return ents[a].before(&ents[b]) })
+	}
+	saveQueuedPkts(w, ents)
 	return w.Err()
 }
 
 // RestoreState reinstates the queue contents and re-materialises the drain
-// event.
+// event. Nothing is restored as parked: the first walk of a blocked queue
+// offers (and re-parks) what the saved queue had refused, which the peer's
+// admission promise makes indistinguishable from having kept it parked.
 func (rq *ReqQueue) RestoreState(r *ckpt.Reader) error {
 	r.Section("port.reqq")
 	rq.blocked = r.Bool()
 	rq.q.RestoreEvent(r, rq.ev)
-	rq.pending = loadQueuedPkts(r, rq.pending[:0])
+	rq.restore(loadQueuedPkts(r, rq.pending.ents[:0]))
+	rq.lanes, rq.parked = nil, 0
 	return r.Err()
 }
 

@@ -191,8 +191,21 @@ func (pl *PacketPool) Get(cmd Cmd, addr uint64, size int) *Packet {
 // an ID minted from the pool's namespace. It exists so a namespaced
 // component's writes draw from the same deterministic per-component ID
 // sequence as its pooled reads instead of the process-global counter.
+//
+// The packet comes in one allocation with room for two sender states — the
+// issuing bridge's and one crossbar's — because, unlike a pooled read, it has
+// no recycled stack to push onto and would otherwise grow one twice.
 func (pl *PacketPool) NewWrite(addr uint64, data []byte) *Packet {
-	return &Packet{ID: pl.mintID(), Cmd: WriteReq, Addr: addr, Size: len(data), Data: data}
+	w := &writePacket{Packet: Packet{ID: pl.mintID(), Cmd: WriteReq, Addr: addr, Size: len(data), Data: data}}
+	w.senderState = w.stack[:0]
+	return &w.Packet
+}
+
+// writePacket is NewWrite's allocation: a Packet and its sender-state stack's
+// first backing array. Only these packets carry the extra words.
+type writePacket struct {
+	Packet
+	stack [2]any
 }
 
 // GetRead is shorthand for Get(ReadReq, addr, size).

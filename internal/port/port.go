@@ -49,6 +49,11 @@ type ResponsePort struct {
 	needReqRetry bool
 	// needRespRetry is the symmetric flag on the requestor side.
 	needRespRetry bool
+
+	// classes and classOf are the owner's admission-class declaration (see
+	// DeclareAdmissionClasses); classOf is nil when it made none.
+	classes int
+	classOf func(*Packet) int
 }
 
 // NewRequestPort creates an unbound request port owned by r.
@@ -169,3 +174,36 @@ func (p *ResponsePort) SendRetryReq() {
 
 // WaitingForReqRetry reports whether a refused requestor awaits a retry.
 func (p *ResponsePort) WaitingForReqRetry() bool { return p.needReqRetry }
+
+// DeclareAdmissionClasses tells requestors that the owner's refusals depend
+// only on a static class of the packet: classOf maps every request to a class
+// in [0, n) — for a DRAM controller, the queue it would occupy. Declaring is a
+// promise about RecvTimingReq:
+//
+//   - between two retries (more exactly: for as long as the owner is only
+//     being offered requests and runs no event of its own), once it has
+//     refused a packet of a class it refuses every later packet of that
+//     class;
+//   - a refusal changes nothing in the owner — no counter, no trace line, no
+//     allocation — so an offer that would be refused may as well not be made.
+//
+// A ReqQueue uses the promise to stop offering a class after its first
+// refusal in a walk, which makes a retry cost what it gets accepted instead of
+// what is waiting. Responders whose refusals depend on anything else (a cache
+// refuses a miss when its MSHRs are full but still accepts a hit, and counts
+// the stall) must not declare. Declare before traffic flows; Interpose
+// withdraws the declaration, because a tap may accept or see what the owner
+// would have refused.
+func (p *ResponsePort) DeclareAdmissionClasses(n int, classOf func(*Packet) int) {
+	if n < 1 || classOf == nil {
+		panic("port: DeclareAdmissionClasses on " + p.name + " needs at least one class and a classifier")
+	}
+	p.classes, p.classOf = n, classOf
+}
+
+// AdmissionClasses returns the declaration made with DeclareAdmissionClasses
+// (0, nil when there is none), for a wrapper that fronts the owner on another
+// port and passes its refusals through unchanged.
+func (p *ResponsePort) AdmissionClasses() (n int, classOf func(*Packet) int) {
+	return p.classes, p.classOf
+}

@@ -51,11 +51,18 @@ func (inj *Injector) DeliverReq(pkt *Packet) bool {
 // delayed re-delivery. Multiple interpositions nest (outermost sees traffic
 // first); a tap over a checked link observes traffic before the checker
 // validates it, so injected faults exercise the checker too.
+//
+// The responder's admission-class declaration (DeclareAdmissionClasses) is
+// withdrawn: a tap that drops or replays changes what is accepted, and an
+// observing tap must see every offer, so the link's ReqQueue goes back to
+// offering every ready packet on every retry. The protocol checker, which
+// does neither, leaves the declaration in place.
 func Interpose(req *RequestPort, tap LinkTap) *Injector {
 	if req.peer == nil {
 		panic("port: Interpose on unbound port " + req.name)
 	}
 	resp := req.peer
+	resp.classes, resp.classOf = 0, nil
 	inj := &Injector{reqInner: req.owner, respInner: resp.owner}
 	req.owner = &tappedRequestor{tap: tap, inner: req.owner}
 	resp.owner = &tappedResponder{tap: tap, inner: resp.owner, port: resp}

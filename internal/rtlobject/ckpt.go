@@ -75,6 +75,13 @@ func LoadCPURequest(r *ckpt.Reader) CPURequest {
 	}
 }
 
+// SenderStateKind makes a transaction record on a packet's sender-state stack
+// checkpoint as what it stands for, the bare request ID.
+func (t *memTxn) SenderStateKind() uint8 { return ckpt.RawU64SenderState }
+
+// EncodeSenderState writes the request ID.
+func (t *memTxn) EncodeSenderState(w *ckpt.Writer) { w.U64(t.req.ID) }
+
 // SaveState captures the RTLObject bridge — tick event, wrapper exchange
 // buffers, CPU-side packet table, memory-side in-flight table and overflow
 // queue, port flags and response queues — then delegates to the wrapped
@@ -106,14 +113,10 @@ func (r *RTLObject) SaveState(w *ckpt.Writer) error {
 	}
 	w.U64(r.nextCPUID)
 	w.U64(r.pool.SaveCounter())
-	ids = ids[:0]
-	for id := range r.inflight {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	w.Int(len(ids))
-	for _, id := range ids {
-		txn := r.inflight[id]
+	txns := append([]*memTxn(nil), r.inflight...)
+	sort.Slice(txns, func(i, j int) bool { return txns[i].req.ID < txns[j].req.ID })
+	w.Int(len(txns))
+	for _, txn := range txns {
 		SaveMemRequest(w, &txn.req)
 		w.U64(uint64(txn.issued))
 	}
@@ -173,10 +176,10 @@ func (r *RTLObject) RestoreState(rd *ckpt.Reader) error {
 	r.nextCPUID = rd.U64()
 	r.pool.RestoreCounter(rd.U64())
 	n = rd.Len()
-	r.inflight = make(map[uint64]*memTxn, n)
+	r.inflight = nil
 	for i := 0; i < n && rd.Err() == nil; i++ {
 		req := LoadMemRequest(rd)
-		r.inflight[req.ID] = &memTxn{req: req, issued: sim.Tick(rd.U64())}
+		r.inflight = append(r.inflight, &memTxn{req: req, issued: sim.Tick(rd.U64()), slot: i})
 	}
 	n = rd.Len()
 	r.sendQ = nil

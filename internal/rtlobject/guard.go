@@ -28,8 +28,8 @@ func (r *RTLObject) InFlight() int {
 // GuardDetail renders the transaction tables with model-side request IDs.
 func (r *RTLObject) GuardDetail() string {
 	ids := make([]uint64, 0, len(r.inflight))
-	for id := range r.inflight {
-		ids = append(ids, id)
+	for _, txn := range r.inflight {
+		ids = append(ids, txn.req.ID)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	const maxIDs = 8

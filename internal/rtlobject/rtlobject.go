@@ -50,7 +50,10 @@ type MemRequest struct {
 	Port int
 }
 
-// MemResponse returns load data (or a store ack) to the model.
+// MemResponse returns load data (or a store ack) to the model. Data is valid
+// during the Tick call that delivers it, like the Input slices themselves: the
+// RTLObject copies response payloads into one buffer it reuses every tick, so a
+// wrapper that keeps a payload must copy the bytes.
 type MemResponse struct {
 	ID    uint64
 	Write bool
@@ -164,20 +167,26 @@ type RTLObject struct {
 	// Input handed to the wrapper is therefore only valid during the Tick
 	// call, matching the paper's void*-struct protocol. Wrappers that keep
 	// entries beyond the call must copy the elements (element copies stay
-	// valid — only the backing array is recycled).
+	// valid — only the backing array is recycled) and, of a MemResponse, the
+	// payload bytes: respData holds the payloads of pendingResp back to back
+	// and is rewound once Tick has returned.
 	pendingCPU  []CPURequest
 	pendingResp []MemResponse
+	respData    []byte
 	in          Input                   // reused Input handed to Wrapper.Tick
 	cpuPkts     map[uint64]*port.Packet // CPU request ID -> original packet
 	cpuPktPort  map[uint64]int
 	nextCPUID   uint64
 
-	// Memory-side outstanding and overflow queue. sendQ drains from
-	// sendHead instead of re-slicing so the backing array is reused;
-	// txnFree recycles memTxn records and pool recycles DMA read packets
-	// (write packets stay unpooled: their Data aliases the wrapper's
-	// request buffer, which checkpoints and posted-write queues may retain).
-	inflight map[uint64]*memTxn
+	// Memory-side outstanding and overflow queue. inflight lists the issued
+	// transactions in no particular order (each knows its slot); the record
+	// itself rides on the packet as sender state, so a response finds it
+	// without a lookup. sendQ drains from sendHead instead of re-slicing so
+	// the backing array is reused; txnFree recycles memTxn records and pool
+	// recycles DMA read packets (write packets stay unpooled: their Data
+	// aliases the wrapper's request buffer, which checkpoints and
+	// posted-write queues may retain).
+	inflight []*memTxn
 	sendQ    []MemRequest
 	sendHead int
 	txnFree  []*memTxn
@@ -193,9 +202,13 @@ type RTLObject struct {
 	stats Stats
 }
 
+// memTxn is one issued memory request. It is also the sender state of the
+// request's packet; a checkpoint writes it as the bare request ID (see
+// ckpt.go), which is what a restored packet carries instead.
 type memTxn struct {
 	req    MemRequest
 	issued sim.Tick
+	slot   int // index in RTLObject.inflight
 }
 
 // New creates an RTLObject clocked from coreDom divided by cfg.ClockDivider.
@@ -212,7 +225,6 @@ func New(cfg Config, coreDom *sim.ClockDomain, w Wrapper) *RTLObject {
 		wrapper:    w,
 		cpuPkts:    map[uint64]*port.Packet{},
 		cpuPktPort: map[uint64]int{},
-		inflight:   map[uint64]*memTxn{},
 	}
 	for i := 0; i < NumCPUPorts; i++ {
 		i := i
@@ -279,6 +291,7 @@ func (r *RTLObject) tick(cycle uint64) bool {
 	r.pendingResp = r.pendingResp[:0]
 	r.pendingCPU = r.pendingCPU[:0]
 	out := r.wrapper.Tick(&r.in)
+	r.respData = r.respData[:0]
 	r.stats.Ticks++
 	if out != nil {
 		for _, resp := range out.CPUResponses {
@@ -343,10 +356,19 @@ func (r *RTLObject) pumpMem() {
 			pkt = r.pool.GetRead(addr, req.Size)
 		}
 		pkt.ReqTick = r.q.Now()
-		pkt.PushSenderState(req.ID)
+		var txn *memTxn
+		if n := len(r.txnFree); n > 0 {
+			txn = r.txnFree[n-1]
+			r.txnFree = r.txnFree[:n-1]
+		} else {
+			txn = &memTxn{}
+		}
+		*txn = memTxn{req: req, issued: r.q.Now(), slot: len(r.inflight)}
+		pkt.PushSenderState(txn)
 		if !r.memPorts[req.Port].SendTimingReq(pkt) {
 			pkt.PopSenderState()
 			pkt.Release()
+			r.recycleTxn(txn)
 			r.blocked[req.Port] = true
 			return
 		}
@@ -354,15 +376,7 @@ func (r *RTLObject) pumpMem() {
 			r.trace.Logf("mem issue id=%d port=%d write=%v addr=%#x (%d inflight)",
 				req.ID, req.Port, req.Write, addr, len(r.inflight)+1)
 		}
-		var txn *memTxn
-		if n := len(r.txnFree); n > 0 {
-			txn = r.txnFree[n-1]
-			r.txnFree = r.txnFree[:n-1]
-			*txn = memTxn{req: req, issued: r.q.Now()}
-		} else {
-			txn = &memTxn{req: req, issued: r.q.Now()}
-		}
-		r.inflight[req.ID] = txn
+		r.inflight = append(r.inflight, txn)
 		if req.Write {
 			r.stats.MemWrites++
 			r.stats.MemWriteBytes += uint64(len(req.Data))
@@ -442,12 +456,8 @@ type memSide struct {
 
 func (m *memSide) RecvTimingResp(pkt *port.Packet) bool {
 	r := m.r
-	id := pkt.PopSenderState().(uint64)
-	txn, ok := r.inflight[id]
-	if !ok {
-		panic(fmt.Sprintf("rtlobject %s: memory response for unknown id %d", r.cfg.Name, id))
-	}
-	delete(r.inflight, id)
+	txn := r.retire(pkt.PopSenderState())
+	id := txn.req.ID
 	lat := r.q.Now() - txn.issued
 	if r.trace.On() {
 		r.trace.Logf("mem done id=%d write=%v latency=%d", id, txn.req.Write, uint64(lat))
@@ -456,11 +466,14 @@ func (m *memSide) RecvTimingResp(pkt *port.Packet) bool {
 	r.stats.RetiredMem++
 	resp := MemResponse{ID: id, Write: txn.req.Write, Latency: lat}
 	if pkt.Cmd == port.ReadResp {
-		// Individually allocated: wrappers may retain response payloads.
-		resp.Data = append([]byte(nil), pkt.Data...)
+		// Copied out (the packet is recycled below) into the payload buffer
+		// of the tick that will deliver it. When the buffer grows, earlier
+		// payloads stay where they are, in the array it grew out of.
+		n := len(r.respData)
+		r.respData = append(r.respData, pkt.Data...)
+		resp.Data = r.respData[n:len(r.respData):len(r.respData)]
 	}
-	txn.req = MemRequest{} // drop the Data reference before recycling
-	r.txnFree = append(r.txnFree, txn)
+	r.recycleTxn(txn)
 	// The payload has been copied out; recycle the pooled read packet
 	// (no-op for unpooled write packets).
 	pkt.Release()
@@ -468,6 +481,35 @@ func (m *memSide) RecvTimingResp(pkt *port.Packet) bool {
 	// Retiring a request may unblock the overflow queue immediately.
 	r.pumpMem()
 	return true
+}
+
+// retire takes the transaction named by a response's sender state off the
+// in-flight list.
+func (r *RTLObject) retire(state any) *memTxn {
+	txn, _ := state.(*memTxn)
+	if id, restored := state.(uint64); restored {
+		// A packet restored from a checkpoint carries the bare request ID.
+		for _, t := range r.inflight {
+			if t.req.ID == id {
+				txn = t
+				break
+			}
+		}
+	}
+	if txn == nil || txn.slot >= len(r.inflight) || r.inflight[txn.slot] != txn {
+		panic(fmt.Sprintf("rtlobject %s: memory response for unknown transaction %v", r.cfg.Name, state))
+	}
+	n := len(r.inflight) - 1
+	r.inflight[txn.slot], r.inflight[n].slot = r.inflight[n], txn.slot
+	r.inflight[n] = nil
+	r.inflight = r.inflight[:n]
+	return txn
+}
+
+// recycleTxn returns a record to the free list, dropping its Data reference.
+func (r *RTLObject) recycleTxn(txn *memTxn) {
+	txn.req = MemRequest{}
+	r.txnFree = append(r.txnFree, txn)
 }
 
 func (m *memSide) RecvReqRetry() {

@@ -26,7 +26,11 @@ func (w *echoWrapper) Reset()       { w.resets++; w.responses = nil; w.ticks = 0
 func (w *echoWrapper) Tick(in *Input) *Output {
 	w.ticks++
 	out := &Output{}
-	w.responses = append(w.responses, in.MemResponses...)
+	for _, resp := range in.MemResponses {
+		// Kept past the call, so the payload is copied (see MemResponse).
+		resp.Data = append([]byte(nil), resp.Data...)
+		w.responses = append(w.responses, resp)
+	}
 	for _, req := range in.CPURequests {
 		w.cpuSeen = append(w.cpuSeen, req)
 		out.CPUResponses = append(out.CPUResponses, CPUResponse{
