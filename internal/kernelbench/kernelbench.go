@@ -75,8 +75,9 @@ func Suite() []Bench {
 // benchQueueChurn measures steady-state Schedule/dispatch throughput on a
 // mixed event population: 64 near-future tickers at coprime clock-like
 // periods (the common case: every component reschedules within the calendar
-// window) plus 4 far tickers that land in the spill heap each round. One op
-// = one event dispatch. Every event carries an owner tag (tagging is always
+// window) plus 4 far tickers whose period is derived from sim.CalendarWindow,
+// so they land in the spill heap each round whatever the ring's geometry. One
+// op = one event dispatch. Every event carries an owner tag (tagging is always
 // on in real components), so the profiled row differs from queue/calendar by
 // exactly the attached profiler — their ns/op ratio is the dispatch-hook
 // overhead.
@@ -105,7 +106,7 @@ func benchQueueChurn(b *testing.B, reference, profiled bool) {
 	}
 	for i := 0; i < 4; i++ {
 		i := i
-		far := sim.Tick(100_000 + 7_000*i) // beyond the calendar window
+		far := sim.CalendarWindow + sim.Tick(100_000+7_000*i) // beyond the calendar window
 		var ev *sim.Event
 		ev = sim.NewEvent(fmt.Sprintf("far%d", i), func() {
 			q.Schedule(ev, q.Now()+far)
@@ -179,6 +180,36 @@ func benchRTL(b *testing.B, engine rtl.Engine) {
 		m.SetInputID(events, ev)
 		m.Tick()
 	}
+}
+
+// MeasurePairedRatio returns the median, over pairs alternating passes, of
+// slow's ns/op divided by fast's — how calendar_speedup and
+// rtl_compile_speedup are measured. One sample of one row over one sample of
+// another, which is what dividing two suite rows gives, moves with whatever
+// the host did during either second (one binary has read 3.57, 4.28 and 4.74
+// for calendar_speedup against its own 4.72 baseline); alternating the rows
+// puts both halves of every ratio in the same few seconds, and the median
+// over pairs discards the pair a neighbour landed on.
+func MeasurePairedRatio(slow, fast Bench, pairs int, logf func(format string, args ...any)) float64 {
+	if logf == nil {
+		logf = func(string, ...any) {}
+	}
+	nsPerOp := func(b Bench) float64 {
+		r := testing.Benchmark(b.Run)
+		return float64(r.T.Nanoseconds()) / float64(r.N)
+	}
+	ratios := make([]float64, 0, pairs)
+	for i := 0; i < pairs; i++ {
+		s, f := nsPerOp(slow), nsPerOp(fast)
+		if f <= 0 {
+			logf("%s/%s measurement failed: %s ran no iterations", slow.Name, fast.Name, fast.Name)
+			return 0
+		}
+		ratios = append(ratios, s/f)
+		logf("  %s ÷ %s pair %d/%d: %.2fx", slow.Name, fast.Name, i+1, pairs, s/f)
+	}
+	sort.Float64s(ratios)
+	return ratios[len(ratios)/2]
 }
 
 // MeasureSelfProfOverhead times alternating unprofiled/profiled sequential

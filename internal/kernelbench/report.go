@@ -24,12 +24,14 @@ type Result struct {
 // CalendarSpeedup, never raw wall time.
 type Report struct {
 	// CalendarSpeedup is queue/reference ns/op divided by queue/calendar
-	// ns/op from the same run — the event-kernel speedup, computed on one
-	// machine and therefore comparable across machines.
+	// ns/op — the event-kernel speedup, computed on one machine and
+	// therefore comparable across machines. Like SelfProfOverhead it is the
+	// median per-pair ratio of alternating passes (MeasurePairedRatio), not
+	// the quotient of the two rows in Results.
 	CalendarSpeedup float64 `json:"calendar_speedup"`
-	// RTLSpeedup is rtl/closure ns/op divided by rtl/bytecode ns/op from
-	// the same run — the RTL compiler's speedup over the closure reference
-	// engine, machine-relative like CalendarSpeedup.
+	// RTLSpeedup is rtl/closure ns/op divided by rtl/bytecode ns/op — the
+	// RTL compiler's speedup over the closure reference engine, measured
+	// like CalendarSpeedup.
 	RTLSpeedup float64 `json:"rtl_compile_speedup"`
 	// SelfProfOverhead is the whole-simulator cost of attaching the
 	// self-profiler to every point of the 12-config DSE grid, as a
@@ -52,6 +54,9 @@ type Report struct {
 	Results     []Result `json:"results"`
 }
 
+// ratioPairs is how many alternating pairs back each paired ratio column.
+const ratioPairs = 5
+
 // PsimSpeedupFloor is the acceptance floor for the sharded engine: a 4-shard
 // multi-accelerator run must be at least this much faster than serial on a
 // host with PsimSpeedupMinCPUs+ cores.
@@ -69,21 +74,23 @@ func Collect(logf func(format string, args ...any)) Report {
 }
 
 // CollectOnly runs the suite rows whose names contain substr ("" = all) —
-// the focused-gate entry behind cmd/kernelbench -only. Derived ratios are
-// computed when their input rows were measured; the selfprof overhead
-// measurement (whole-grid paired passes) runs only on an unfiltered
-// collection. Compare a filtered report against a baseline narrowed by
-// RestrictBaseline, never against the full committed document.
+// the focused-gate entry behind cmd/kernelbench -only. The calendar and RTL
+// speedups are measured (paired passes) when both their rows were selected;
+// the selfprof overhead measurement (whole-grid paired passes) runs only on
+// an unfiltered collection. Compare a filtered report against a baseline
+// narrowed by RestrictBaseline, never against the full committed document.
 func CollectOnly(substr string, logf func(format string, args ...any)) Report {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
 	var rep Report
 	ns := map[string]float64{}
+	byName := map[string]Bench{}
 	for _, bench := range Suite() {
 		if substr != "" && !strings.Contains(bench.Name, substr) {
 			continue
 		}
+		byName[bench.Name] = bench
 		logf("running %s ...", bench.Name)
 		r := testing.Benchmark(bench.Run)
 		res := Result{
@@ -97,12 +104,17 @@ func CollectOnly(substr string, logf func(format string, args ...any)) Report {
 		rep.Results = append(rep.Results, res)
 		logf("  %12.1f ns/op  %8d allocs/op  %10d B/op", res.NsPerOp, res.AllocsPerOp, res.BytesPerOp)
 	}
-	if cal, ref := ns["queue/calendar"], ns["queue/reference"]; cal > 0 {
-		rep.CalendarSpeedup = ref / cal
+	pairedRatio := func(slow, fast string) float64 {
+		s, okS := byName[slow]
+		f, okF := byName[fast]
+		if !okS || !okF {
+			return 0
+		}
+		logf("measuring %s ÷ %s (paired passes) ...", slow, fast)
+		return MeasurePairedRatio(s, f, ratioPairs, logf)
 	}
-	if fast, slow := ns["rtl/bytecode"], ns["rtl/closure"]; fast > 0 {
-		rep.RTLSpeedup = slow / fast
-	}
+	rep.CalendarSpeedup = pairedRatio("queue/reference", "queue/calendar")
+	rep.RTLSpeedup = pairedRatio("rtl/closure", "rtl/bytecode")
 	if runtime.NumCPU() >= PsimSpeedupMinCPUs {
 		if ser, par := ns["psim/serial"], ns["psim/shards4"]; par > 0 {
 			rep.PsimSpeedup = ser / par
@@ -112,7 +124,7 @@ func CollectOnly(substr string, logf func(format string, args ...any)) Report {
 	}
 	if substr == "" {
 		logf("measuring selfprof overhead (paired passes) ...")
-		rep.SelfProfOverhead = MeasureSelfProfOverhead(5, logf)
+		rep.SelfProfOverhead = MeasureSelfProfOverhead(ratioPairs, logf)
 	}
 	return rep
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -64,7 +65,7 @@ func runDifferentialWorkload(q *EventQueue, seed uint64) []string {
 		q.ScheduleOneShot("same-tick", q.Now(), record(fmt.Sprintf("same-tick-%d", ticks)))
 		if ticks%7 == 0 {
 			// Far beyond the calendar window.
-			q.ScheduleOneShot("far", q.Now()+2*calWindow+Tick(splitmix64(&rng)%1000),
+			q.ScheduleOneShot("far", q.Now()+2*CalendarWindow+Tick(splitmix64(&rng)%1000),
 				record(fmt.Sprintf("far-%d", ticks)))
 		}
 		if ticks%11 == 0 {
@@ -78,7 +79,7 @@ func runDifferentialWorkload(q *EventQueue, seed uint64) []string {
 		}
 		// Random-priority scatter at random offsets, including the exact
 		// window boundary where near and far storage meet.
-		off := Tick(splitmix64(&rng) % uint64(2*calWindow))
+		off := Tick(splitmix64(&rng) % uint64(2*CalendarWindow))
 		prio := int(splitmix64(&rng)%5) - 2
 		e := NewEventPri("scatter", prio, nil)
 		e.fn = record(fmt.Sprintf("scatter-p%d", prio))
@@ -135,6 +136,35 @@ func TestScheduleOneShotRecycles(t *testing.T) {
 	}
 }
 
+// footprintSink makes the queue under measurement escape to the heap.
+var footprintSink *EventQueue
+
+// TestEventQueueFootprint pins what one queue costs to build: every soc.Build
+// allocates, zeroes and hands the collector one per shard, and the 520 KiB of
+// the one-tick ring was 16% of the bytes a small DSE point allocated. 136 KiB
+// admits the 128 KiB ring and its 2 KiB bitmap, nothing larger.
+func TestEventQueueFootprint(t *testing.T) {
+	defer func() { footprintSink = nil }()
+	const limit = 136 << 10
+	best := uint64(1 << 62)
+	for try := 0; try < 3; try++ { // a stray allocation by the test runtime only ever adds
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		footprintSink = NewEventQueue()
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got < best {
+			best = got
+		}
+	}
+	t.Logf("NewEventQueue allocates %d bytes (%.1f KiB)", best, float64(best)/1024)
+	if best > limit {
+		t.Errorf("NewEventQueue allocates %d bytes, limit %d", best, limit)
+	}
+	if best < calBuckets*8 {
+		t.Errorf("measured %d bytes, less than the ring's own %d: the measurement is broken", best, calBuckets*8)
+	}
+}
+
 // TestNextEventTick checks the introspection hook across near, far and empty
 // states.
 func TestNextEventTick(t *testing.T) {
@@ -142,9 +172,9 @@ func TestNextEventTick(t *testing.T) {
 	if _, ok := q.NextEventTick(); ok {
 		t.Fatal("empty queue reported a next event")
 	}
-	q.ScheduleOneShot("far", 3*calWindow, func() {})
-	if tk, ok := q.NextEventTick(); !ok || tk != 3*calWindow {
-		t.Fatalf("far-only queue: got (%d, %v), want (%d, true)", tk, ok, 3*calWindow)
+	q.ScheduleOneShot("far", 3*CalendarWindow, func() {})
+	if tk, ok := q.NextEventTick(); !ok || tk != 3*CalendarWindow {
+		t.Fatalf("far-only queue: got (%d, %v), want (%d, true)", tk, ok, 3*CalendarWindow)
 	}
 	q.ScheduleOneShot("near", 42, func() {})
 	if tk, ok := q.NextEventTick(); !ok || tk != 42 {
@@ -161,10 +191,10 @@ func TestNextEventTick(t *testing.T) {
 func TestPendingSummariesAcrossWindow(t *testing.T) {
 	q := NewEventQueue()
 	q.ScheduleFunc("near-b", 100, func() {})
-	q.ScheduleFunc("far-a", 5*calWindow, func() {})
+	q.ScheduleFunc("far-a", 5*CalendarWindow, func() {})
 	q.ScheduleFunc("near-a", 50, func() {})
 	got := q.PendingSummaries(0)
-	want := []string{"near-a @50 prio=0", "near-b @100 prio=0", fmt.Sprintf("far-a @%d prio=0", 5*calWindow)}
+	want := []string{"near-a @50 prio=0", "near-b @100 prio=0", fmt.Sprintf("far-a @%d prio=0", 5*CalendarWindow)}
 	if len(got) != len(want) {
 		t.Fatalf("got %d summaries %v, want %d", len(got), got, len(want))
 	}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"gem5rtl/internal/ckpt"
@@ -19,18 +20,17 @@ func (q *EventQueue) SaveState(w *ckpt.Writer) error {
 	return SaveQueues(w, []*EventQueue{q})
 }
 
-// forEachPending visits every pending event (near ring and far heap) in
-// arbitrary order.
+// forEachPending visits every pending event (spill heap, then the occupied
+// ring buckets) in no particular dispatch order.
 func (q *EventQueue) forEachPending(fn func(*Event)) {
 	for _, e := range q.far {
 		fn(e)
 	}
-	for si, head := range q.slots {
-		if q.bits[si>>6]&(1<<(uint(si)&63)) == 0 {
-			continue
-		}
-		for e := head; e != nil; e = e.next {
-			fn(e)
+	for wi, w := range q.bits {
+		for ; w != 0; w &= w - 1 {
+			for e := q.slots[wi<<6+bits.TrailingZeros64(w)]; e != nil; e = e.next {
+				fn(e)
+			}
 		}
 	}
 }

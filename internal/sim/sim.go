@@ -7,23 +7,30 @@
 // # Queue internals
 //
 // The queue is a hybrid calendar/heap structure tuned for the simulator's
-// event mix (see PERFORMANCE.md for the model and measurements):
+// event mix (DESIGN.md §6.1 has the invariants, PERFORMANCE.md §6 the
+// measurements that chose the geometry):
 //
-//   - Near-future events — clock edges, port-queue drains, cache and memory
-//     completions, everything within calWindow ticks of now — live in a
-//     calendar ring with one slot per tick. Insertion and removal are O(1)
-//     plus an insertion sort over the handful of events sharing one tick, and
-//     dispatching a tick drains its slot as a batch with no per-event heap
-//     churn. An occupancy bitmap makes "find the next non-empty tick" a few
-//     word scans.
-//   - Far-future events — sleep syscall wake-ups, periodic context checks —
-//     fall back to a conventional binary heap and migrate into the ring only
-//     when their tick comes up for dispatch.
+//   - Near-future events — clock edges, port-queue drains, cache, crossbar
+//     and DRAM completions, everything fewer than calBuckets buckets ahead of
+//     now's — live in a calendar ring of buckets spanning 2^calBucketBits
+//     ticks each. A bucket is an intrusive list kept sorted by the dispatch
+//     key (when, prio, rank, seq), so insertion is O(1) plus an insertion sort
+//     over the handful of events sharing a bucket, and the head of the
+//     earliest non-empty bucket is the next ring event. An occupancy bitmap
+//     makes "find the next non-empty bucket" a few word tests. Consecutive
+//     buckets share cache lines, so the part of the 128 KiB ring a run is
+//     working in stays cache-resident between dispatches, and the window
+//     (CalendarWindow, 4.19 µs) covers the distance at which a loaded DRAM
+//     controller schedules its read completions.
+//   - Far-future events — sleep syscall wake-ups, periodic context checks,
+//     watchdog deadlines — sit in a conventional binary heap and are
+//     dispatched straight from it when they come due; FarScheduled counts
+//     them.
 //
 // Both structures order events identically, so the dispatch order is
-// bit-identical to a pure-heap queue; TestCalendarMatchesReferenceHeap and
-// the kernel golden-state tests hold the two implementations to the same
-// StateHash.
+// bit-identical to a pure-heap queue; TestCalendarScripts, FuzzCalendar,
+// TestCalendarMatchesReferenceHeap and the kernel golden-state tests hold the
+// two implementations to the same dispatch logs and StateHash.
 package sim
 
 import (
@@ -58,16 +65,36 @@ const (
 	PriMinFirst = -1 << 30
 )
 
-// Calendar-ring geometry. The window must comfortably cover the recurring
-// near-future distances of the simulated SoC — clock periods (500–2000
-// ticks), cache latencies (1000–10000 ticks) and DRAM round-trips (tens of
-// nanoseconds) — so that only genuinely far events (microsecond sleeps,
-// 100 us context checks) pay the heap. 2^16 ticks = 65.536 ns.
+// Calendar-ring geometry: calBuckets buckets of 2^calBucketBits ticks each.
+// Both halves were chosen by measurement (PERFORMANCE.md §6 has the tables).
+// The window, calBuckets << calBucketBits = 4 194 304 ticks, has to cover the
+// distance at which a loaded DRAM controller schedules a read completion, or
+// those events take the spill heap: 8.4% of a DDR4-4ch NVDLA run's events at
+// the 65 536-tick window this replaced, and still 4.4% of a four-NVDLA
+// DDR4-1ch run's at 262 144 ticks, where a completion is scheduled up to
+// 3.3 µs ahead. The buckets have to be wide enough that the events of the
+// next few dozen nanoseconds fall in a few cache lines of the ring (one-tick
+// slots put every insert and pop on a line of its own, 512 KiB of them) and
+// narrow enough that a bucket's list stays a handful of events: end to end
+// 16 to 1 024 ticks read alike within the run-to-run spread, because clocked
+// objects share their edges, but the queue/calendar microbenchmark, whose
+// tickers start one tick apart, reads 33, 44, 48, 60 and 78 ns at 16, 64,
+// 256, 512 and 1 024 ticks. 256 ticks is under the shortest clock period
+// modelled (500), so no bucket holds two edges of one clock, and 2^14 of
+// them is the smallest ring that reaches the window.
 const (
-	calWindowBits = 16
-	calWindow     = Tick(1) << calWindowBits
-	calMask       = uint64(calWindow) - 1
+	calBucketBits = 8
+	calBuckets    = 1 << 14
+	calBucketMask = calBuckets - 1
+	calWords      = calBuckets / 64
 )
+
+// CalendarWindow is the span of simulated time the calendar ring covers: an
+// event scheduled at least this far ahead of Now is filed in the spill heap
+// (one scheduled up to a bucket width less may be too, depending on where in
+// its bucket Now falls). Exported for benchmarks and tests that need an
+// offset on a known side of the boundary.
+const CalendarWindow = Tick(calBuckets) << calBucketBits
 
 // Event is a schedulable unit of work. Create events with NewEvent (or
 // EventQueue.ScheduleFunc) and schedule them on exactly one queue at a time.
@@ -97,7 +124,7 @@ type Event struct {
 	// index is the event's far-heap position, or one of the sentinel states
 	// below when it is not in the heap.
 	index     int
-	next      *Event // intrusive link: calendar slot list, or queue freelist
+	next      *Event // intrusive link: calendar bucket list, or queue freelist
 	scheduled bool
 	oneShot   bool
 	// owner attributes the event's dispatch time to a (component, kind)
@@ -146,10 +173,16 @@ func (e *Event) Scheduled() bool { return e.scheduled }
 // Scheduled() is true.
 func (e *Event) When() Tick { return e.when }
 
-// before orders two events scheduled for the same tick: by priority, then by
-// name rank (stable across queue layouts), then by insertion sequence (FIFO
-// among same-name events). It must agree with eventHeap.Less.
+// before is the dispatch order of two pending events: by tick, then by
+// priority, then by name rank (stable across queue layouts), then by
+// insertion sequence (FIFO among same-name events). It orders the calendar
+// buckets and must agree with eventHeap.Less, which the reference queue
+// keeps as its own copy so that the oracle shares no comparator with the
+// ring it checks.
 func (e *Event) before(o *Event) bool {
+	if e.when != o.when {
+		return e.when < o.when
+	}
 	if e.prio != o.prio {
 		return e.prio < o.prio
 	}
@@ -224,20 +257,27 @@ type EventQueue struct {
 	stopAfter Tick
 	stopSet   bool
 
-	// Calendar ring: slot i holds the (prio, seq)-sorted intrusive list of
-	// events at the unique tick t in [now, now+calWindow) with t mod
-	// calWindow == i. bits mirrors slot occupancy for fast next-tick scans.
-	slots     []*Event
-	bits      []uint64
+	// Calendar ring. Bucket b = when >> calBucketBits; every ring event's
+	// bucket lies in [now's bucket, now's bucket + calBuckets), exactly one
+	// lap, so slots[b&calBucketMask] holds events of one bucket only: an
+	// intrusive list sorted by (when, prio, rank, seq). bits mirrors slot
+	// occupancy for the next-bucket scan and lives in the queue itself, next
+	// to the fields every dispatch reads; slots is nil on a reference queue.
+	slots     *[calBuckets]*Event
+	bits      [calWords]uint64
 	nearCount int
-	// nearNext caches the earliest ring tick; nearDirty forces a bitmap
-	// rescan after the slot holding nearNext drains.
-	nearNext  Tick
-	nearDirty bool
+	// nearBucket caches the earliest non-empty bucket (its absolute number,
+	// not its ring index); nearDirty forces a bitmap rescan after that bucket
+	// empties. The next ring event is always the head of nearBucket's list,
+	// so no cached tick can go stale when a head is popped or descheduled.
+	nearBucket uint64
+	nearDirty  bool
 
-	// far holds events at least calWindow ticks ahead (and everything when
-	// ref is set). Far events migrate into the ring when their tick comes up.
-	far eventHeap
+	// far holds events calBuckets or more buckets ahead (and everything when
+	// ref is set); they are dispatched straight from the heap when due.
+	// farScheduled counts insertions into it.
+	far          eventHeap
+	farScheduled uint64
 
 	// freeEvents recycles one-shot events dispatched via ScheduleOneShot.
 	freeEvents *Event
@@ -259,10 +299,7 @@ func NewEventQueue() *EventQueue {
 	if referenceMode {
 		return NewReferenceEventQueue()
 	}
-	return &EventQueue{
-		slots: make([]*Event, calWindow),
-		bits:  make([]uint64, calWindow/64),
-	}
+	return &EventQueue{slots: new([calBuckets]*Event)}
 }
 
 // NewReferenceEventQueue returns a queue that dispatches purely from the
@@ -295,6 +332,13 @@ func (q *EventQueue) Now() Tick { return q.now }
 // of the queue API it must be called from the simulation goroutine.
 func (q *EventQueue) Dispatched() uint64 { return q.dispatched }
 
+// FarScheduled returns how many events were filed in the spill heap instead
+// of the calendar ring since the queue was built — the slow path a well-sized
+// window keeps to µs-scale timers (on a reference queue, every event). It is
+// a host-side diagnostic like the self-profiler's times: not checkpointed,
+// not part of any StateHash, and read from the simulation goroutine only.
+func (q *EventQueue) FarScheduled() uint64 { return q.farScheduled }
+
 // Empty reports whether no events are pending.
 func (q *EventQueue) Empty() bool { return q.nearCount == 0 && len(q.far) == 0 }
 
@@ -323,22 +367,24 @@ func (q *EventQueue) Schedule(e *Event, when Tick) {
 	q.insert(e, when)
 }
 
-// insert files e (whose seq is already assigned) under its time class.
+// insert files e (whose seq is already assigned) under its time class. Near
+// means fewer than calBuckets buckets ahead of now's bucket — a distance in
+// buckets, not in ticks: with now inside its bucket, an event up to a bucket
+// width short of CalendarWindow ticks away can already belong to the next
+// lap, where it would share a slot with now's own bucket. A near event is
+// linked into its bucket in dispatch order, so the ring pops events exactly
+// as the reference heap would.
 func (q *EventQueue) insert(e *Event, when Tick) {
 	e.when = when
 	e.scheduled = true
-	if q.ref || when-q.now >= calWindow {
+	b := uint64(when >> calBucketBits)
+	if q.ref || b-uint64(q.now>>calBucketBits) >= calBuckets {
+		q.farScheduled++
 		heap.Push(&q.far, e)
 		return
 	}
-	q.insertNear(e)
-}
-
-// insertNear links e into its calendar slot, keeping the slot list sorted by
-// (prio, seq) so same-tick dispatch order matches the reference heap.
-func (q *EventQueue) insertNear(e *Event) {
 	e.index = idxNearRing
-	si := uint64(e.when) & calMask
+	si := b & calBucketMask
 	head := q.slots[si]
 	switch {
 	case head == nil:
@@ -358,16 +404,17 @@ func (q *EventQueue) insertNear(e *Event) {
 	}
 	q.nearCount++
 	if q.nearCount == 1 {
-		q.nearNext = e.when
+		q.nearBucket = b
 		q.nearDirty = false
-	} else if !q.nearDirty && e.when < q.nearNext {
-		q.nearNext = e.when
+	} else if !q.nearDirty && b < q.nearBucket {
+		q.nearBucket = b
 	}
 }
 
 // removeNear unlinks a pending ring event (Deschedule support).
 func (q *EventQueue) removeNear(e *Event) {
-	si := uint64(e.when) & calMask
+	b := uint64(e.when >> calBucketBits)
+	si := b & calBucketMask
 	head := q.slots[si]
 	if head == e {
 		q.slots[si] = e.next
@@ -383,67 +430,59 @@ func (q *EventQueue) removeNear(e *Event) {
 	q.nearCount--
 	if q.slots[si] == nil {
 		q.bits[si>>6] &^= 1 << (si & 63)
-		if e.when == q.nearNext {
+		if b == q.nearBucket {
 			q.nearDirty = true
 		}
 	}
 }
 
-// scanNear finds the earliest non-empty ring tick at or after now. It must
+// scanNear finds the earliest non-empty bucket at or after now's. It must
 // only be called while nearCount > 0.
-func (q *EventQueue) scanNear() Tick {
-	base := uint64(q.now) & calMask
+func (q *EventQueue) scanNear() uint64 {
+	nowB := uint64(q.now >> calBucketBits)
+	base := nowB & calBucketMask
 	wi := base >> 6
-	nw := uint64(len(q.bits))
-	// First word: ignore slots before now's slot.
-	if w := q.bits[wi] &^ (1<<(base&63) - 1); w != 0 {
-		slot := wi<<6 + uint64(bits.TrailingZeros64(w))
-		return q.now + Tick((slot-base)&calMask)
-	}
-	for i := uint64(1); i <= nw; i++ {
-		j := (wi + i) % nw
-		w := q.bits[j]
-		if j == wi {
-			// Wrapped all the way around: only slots before base remain.
-			w &= 1<<(base&63) - 1
-		}
+	// First word: ignore buckets behind now's, which belong to the far end of
+	// the lap and are met again, unmasked, when the walk wraps round to it.
+	w := q.bits[wi] &^ (1<<(base&63) - 1)
+	for i := uint64(0); i <= calWords; i++ {
 		if w != 0 {
-			slot := j<<6 + uint64(bits.TrailingZeros64(w))
-			return q.now + Tick((slot-base)&calMask)
+			si := (wi+i)&(calWords-1)<<6 + uint64(bits.TrailingZeros64(w))
+			return nowB + (si-base)&calBucketMask
 		}
+		w = q.bits[(wi+i+1)&(calWords-1)]
 	}
 	panic("sim: scanNear with empty ring")
 }
 
-// NextEventTick returns the tick of the next pending event, or false when the
-// queue is empty. It does not disturb the queue and is the introspection hook
-// RunUntil and external pacing loops use.
-func (q *EventQueue) NextEventTick() (Tick, bool) {
-	var t Tick
-	ok := false
+// peek returns the next event in dispatch order without removing it, or nil
+// when the queue is empty: the head of the earliest non-empty bucket or the
+// top of the spill heap, whichever is before the other.
+func (q *EventQueue) peek() *Event {
+	var e *Event
 	if q.nearCount > 0 {
 		if q.nearDirty {
-			q.nearNext = q.scanNear()
+			q.nearBucket = q.scanNear()
 			q.nearDirty = false
 		}
-		t = q.nearNext
-		ok = true
+		e = q.slots[q.nearBucket&calBucketMask]
 	}
-	if len(q.far) > 0 && (!ok || q.far[0].when < t) {
-		t = q.far[0].when
-		ok = true
+	if len(q.far) > 0 {
+		if f := q.far[0]; e == nil || f.before(e) {
+			e = f
+		}
 	}
-	return t, ok
+	return e
 }
 
-// migrateFar moves every far-heap event scheduled exactly at t into t's ring
-// slot. Heap pops yield them in (prio, seq) order, so the sorted slot insert
-// merges them with any ring events already at t in reference order.
-func (q *EventQueue) migrateFar(t Tick) {
-	for len(q.far) > 0 && q.far[0].when == t {
-		e := heap.Pop(&q.far).(*Event)
-		q.insertNear(e)
+// NextEventTick returns the tick of the next pending event, or false when the
+// queue is empty. It does not disturb the queue and is the introspection hook
+// external pacing loops use.
+func (q *EventQueue) NextEventTick() (Tick, bool) {
+	if e := q.peek(); e != nil {
+		return e.when, true
 	}
+	return 0, false
 }
 
 // ScheduleFunc creates, schedules, and returns a one-shot event running fn.
@@ -527,25 +566,33 @@ func (q *EventQueue) Step() bool {
 	if q.ref {
 		return q.stepRef()
 	}
-	t, ok := q.NextEventTick()
-	if !ok {
+	e := q.peek()
+	if e == nil {
 		return false
 	}
-	q.now = t
-	if len(q.far) > 0 && q.far[0].when == t {
-		q.migrateFar(t)
+	q.dispatch(e)
+	return true
+}
+
+// dispatch removes e, the event peek returned, from whichever structure
+// holds it and runs it.
+func (q *EventQueue) dispatch(e *Event) {
+	if e.index >= 0 {
+		heap.Pop(&q.far)
+	} else {
+		// e heads the earliest bucket.
+		si := uint64(e.when>>calBucketBits) & calBucketMask
+		q.slots[si] = e.next
+		if e.next == nil {
+			q.bits[si>>6] &^= 1 << (si & 63)
+			q.nearDirty = true
+		}
+		e.next = nil
+		e.index = idxUnscheduled
+		q.nearCount--
 	}
-	si := uint64(t) & calMask
-	e := q.slots[si]
-	q.slots[si] = e.next
-	if e.next == nil {
-		q.bits[si>>6] &^= 1 << (si & 63)
-		q.nearDirty = true
-	}
-	e.next = nil
-	e.index = idxUnscheduled
+	q.now = e.when
 	e.scheduled = false
-	q.nearCount--
 	q.dispatched++
 	q.curStamp = Stamp{When: e.when, Prio: int32(e.prio), Rank: e.rank, Seq: e.seq}
 	if p := q.prof; p != nil {
@@ -555,7 +602,6 @@ func (q *EventQueue) Step() bool {
 	if e.oneShot && !e.scheduled {
 		q.recycleEvent(e)
 	}
-	return true
 }
 
 // stepRef is the reference pure-heap dispatcher (the pre-calendar-queue
@@ -607,28 +653,8 @@ func (q *EventQueue) Run() string {
 // wedges — and does not disturb the queue.
 func (q *EventQueue) PendingSummaries(max int) []string {
 	evs := make([]*Event, 0, q.Pending())
-	evs = append(evs, q.far...)
-	for si, head := range q.slots {
-		if q.bits[si>>6]&(1<<(uint(si)&63)) == 0 {
-			continue
-		}
-		for e := head; e != nil; e = e.next {
-			evs = append(evs, e)
-		}
-	}
-	sort.Slice(evs, func(i, j int) bool {
-		a, b := evs[i], evs[j]
-		if a.when != b.when {
-			return a.when < b.when
-		}
-		if a.prio != b.prio {
-			return a.prio < b.prio
-		}
-		if a.rank != b.rank {
-			return a.rank < b.rank
-		}
-		return a.seq < b.seq
-	})
+	q.forEachPending(func(e *Event) { evs = append(evs, e) })
+	sort.Slice(evs, func(i, j int) bool { return evs[i].before(evs[j]) })
 	if max > 0 && len(evs) > max {
 		evs = evs[:max]
 	}
@@ -648,11 +674,15 @@ func (q *EventQueue) RunUntil(limit Tick) string {
 		if q.stopSet && q.stopAfter < eff {
 			eff = q.stopAfter
 		}
-		t, ok := q.NextEventTick()
-		if !ok || t > eff {
+		e := q.peek()
+		if e == nil || e.when > eff {
 			break
 		}
-		q.Step()
+		if q.ref {
+			q.stepRef()
+		} else {
+			q.dispatch(e)
+		}
 	}
 	eff := limit
 	if q.stopSet && q.stopAfter < eff {

@@ -624,3 +624,15 @@ func (s *System) Dispatched() uint64 {
 	}
 	return n
 }
+
+// FarScheduled returns, summed over all shard queues, how many events were
+// scheduled into a spill heap instead of a calendar ring (see
+// sim.EventQueue.FarScheduled) — host-side cost accounting, not simulated
+// state: a restored run counts only what it scheduled itself.
+func (s *System) FarScheduled() uint64 {
+	var n uint64
+	for _, q := range s.ShardQueues {
+		n += q.FarScheduled()
+	}
+	return n
+}
