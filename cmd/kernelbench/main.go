@@ -24,28 +24,18 @@ func main() {
 	out := flag.String("out", "", "write BENCH_kernel.json to this path")
 	baseline := flag.String("baseline", "", "compare against this committed baseline and exit non-zero on regression")
 	threshold := flag.Float64("threshold", 0.10, "relative regression tolerance")
-	only := flag.String("only", "", "run only suite rows whose name contains this substring (focused gate; -baseline is narrowed to the measured rows)")
 	flag.Parse()
 	if *out == "" && *baseline == "" {
 		fmt.Fprintln(os.Stderr, "kernelbench: need -out and/or -baseline")
 		os.Exit(2)
 	}
-	if *out != "" && *only != "" {
-		fmt.Fprintln(os.Stderr, "kernelbench: -only runs a partial suite; refusing to write it with -out")
-		os.Exit(2)
-	}
 
-	rep := kernelbench.CollectOnly(*only, func(format string, args ...any) {
+	rep := kernelbench.Collect(func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, format+"\n", args...)
 	})
 	fmt.Fprintf(os.Stderr, "calendar speedup vs reference heap: %.2fx\n", rep.CalendarSpeedup)
 	fmt.Fprintf(os.Stderr, "rtl bytecode speedup vs closure engine: %.2fx\n", rep.RTLSpeedup)
 	fmt.Fprintf(os.Stderr, "self-profiler dispatch overhead: %.3fx\n", rep.SelfProfOverhead)
-	if rep.PsimSpeedup > 0 {
-		fmt.Fprintf(os.Stderr, "psim 4-shard speedup vs serial: %.2fx\n", rep.PsimSpeedup)
-	} else {
-		fmt.Fprintln(os.Stderr, "psim 4-shard speedup: not measured (host below 4 CPUs)")
-	}
 
 	if *out != "" {
 		buf, err := rep.Marshal()
@@ -70,9 +60,6 @@ func main() {
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "kernelbench: parsing baseline:", err)
 			os.Exit(1)
-		}
-		if *only != "" {
-			base = kernelbench.RestrictBaseline(base, rep)
 		}
 		problems := kernelbench.Compare(rep, base, *threshold)
 		for _, p := range problems {

@@ -3,7 +3,7 @@
 // technology, and the number of accelerator instances, printing performance
 // normalised to an ideal 1-cycle main memory in the same layout as the
 // paper's figures. The sweep points are independent simulations and are
-// sharded across -parallel worker goroutines; the printed tables are
+// spread across -parallel worker goroutines; the printed tables are
 // byte-identical for any worker count.
 package main
 
@@ -33,7 +33,6 @@ func main() {
 	ckptDir := flag.String("checkpoint-dir", "", "persist warm-start snapshots here so they survive across runs (requires -checkpoint-at)")
 	verbose := flag.Bool("v", false, "print per-run progress to stderr")
 	rtlEngine := flag.String("rtl-engine", "", "RTL simulation engine for every point (closure or bytecode; default bytecode; results are engine-independent)")
-	shards := flag.Int("shards", 0, "parallel simulation shards per point (0/1 = serial; results are shard-count-independent; divides cores among -parallel workers)")
 	watchdog := flag.Bool("watchdog", false, "attach a liveness watchdog to every cold point so hangs fail fast with a diagnostic (ignored on warm-start runs)")
 	checkPorts := flag.Bool("check-ports", false, "enforce the timing-port handshake protocol on every bound link (panics on a violation)")
 	selfProf := flag.Int("self-profile", 0, "attach the event-kernel self-profiler to every point with this clock-read cadence (64 is a good default; 0 = off)")
@@ -62,24 +61,7 @@ func main() {
 		defer stop()
 	}
 
-	// Sharded points each burn up to Shards cores; unless the user pinned
-	// -parallel explicitly, shrink the worker pool so workers x shards stays
-	// within the machine instead of oversubscribing every run at once.
-	if *shards > 1 {
-		parallelSet := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "parallel" {
-				parallelSet = true
-			}
-		})
-		if !parallelSet {
-			if *parallel = runtime.NumCPU() / *shards; *parallel < 1 {
-				*parallel = 1
-			}
-		}
-	}
-
-	p := experiments.DSEParams{Scale: *scale, Limit: 8 * sim.Second, RTLEngine: *rtlEngine, Shards: *shards}
+	p := experiments.DSEParams{Scale: *scale, Limit: 8 * sim.Second, RTLEngine: *rtlEngine}
 	// Shared spec validation: a bad -workload/-scale fails here with the
 	// same message the sweep service's submit endpoint would produce.
 	if err := p.Spec(*workload, 1, "ideal", 1).Validate(); err != nil {

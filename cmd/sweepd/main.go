@@ -1,6 +1,6 @@
 // Command sweepd serves sweep-as-a-service: a long-running experiment server
 // that accepts RunSpec batches over HTTP/JSON (see internal/sweepd for the
-// API), shards the points across a simulation worker pool, and memoises
+// API), spreads the points across a simulation worker pool, and memoises
 // every result in a persistent fingerprint-keyed store so identical points —
 // across jobs, clients and restarts — simulate exactly once.
 //

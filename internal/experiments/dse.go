@@ -39,9 +39,6 @@ type DSEParams struct {
 	// RTLEngine selects the RTL simulation engine for every point of the
 	// sweep (empty = production default). Results are engine-independent.
 	RTLEngine string
-	// Shards selects the sharded simulation engine for every point of the
-	// sweep (0/1 = serial). Results are shard-count-independent.
-	Shards int
 }
 
 // DefaultDSEParams returns the standard scaled configuration.

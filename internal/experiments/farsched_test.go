@@ -35,7 +35,7 @@ func TestLoadedDRAMStaysInCalendarRing(t *testing.T) {
 			if done != tc.golden {
 				t.Errorf("final tick %d, golden %d", done, tc.golden)
 			}
-			far, all := s.FarScheduled(), s.Dispatched()
+			far, all := s.Queue.FarScheduled(), s.Queue.Dispatched()
 			t.Logf("%d of %d events scheduled into the spill heap (%.3f%%), %d DRAM reads",
 				far, all, 100*float64(far)/float64(all), s.DRAM.Stats().Reads)
 			if far*100 >= all {

@@ -362,7 +362,7 @@ func runSortOnce(ctx context.Context, n, sleepUs int, withPMU, waveform bool) (t
 	watchStop := s.Queue.WatchContext(ctx, 0)
 	defer watchStop()
 	s.Queue.RunUntil(sim.MaxTick)
-	obs.CountEvents(s.Dispatched())
+	obs.CountEvents(s.Queue.Dispatched())
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}

@@ -35,11 +35,6 @@ type RunSpec struct {
 	// is excluded from the canonical encoding and the fingerprint, and two
 	// specs differing only in engine are the same simulation point.
 	RTLEngine string `json:"rtl_engine,omitempty"`
-	// Shards selects the bulk-synchronous sharded simulation engine
-	// (soc.Config.Shards; 0/1 = serial). Like RTLEngine it is a pure
-	// execution-strategy knob — results are shard-count-independent — so it
-	// too is excluded from the canonical encoding and the fingerprint.
-	Shards int `json:"shards,omitempty"`
 }
 
 // String renders the spec for progress lines and error messages.
@@ -118,9 +113,6 @@ func (s RunSpec) Validate() error {
 			return fmt.Errorf("experiments: invalid spec: %w", err)
 		}
 	}
-	if s.Shards < 0 {
-		return fmt.Errorf("experiments: invalid spec: shards %d (want >= 0; 0 or 1 selects the serial engine)", s.Shards)
-	}
 	return nil
 }
 
@@ -134,7 +126,11 @@ type runSpecJSON struct {
 	Scale     int      `json:"scale"`
 	Limit     sim.Tick `json:"limit"`
 	RTLEngine string   `json:"rtl_engine,omitempty"`
-	Shards    int      `json:"shards,omitempty"`
+	// Shards is read and dropped: result-store entries and client batches
+	// exist that carry a "shards" count. It is no part of a result or a
+	// fingerprint, so rejecting the key would quarantine valid stored
+	// results. Nothing sets it, so no encoding contains it.
+	Shards int `json:"shards,omitempty"`
 }
 
 // UnmarshalJSON decodes a spec strictly: an unknown field is an error, so a
@@ -147,7 +143,8 @@ func (s *RunSpec) UnmarshalJSON(data []byte) error {
 	if err := dec.Decode(&raw); err != nil {
 		return fmt.Errorf("experiments: decoding RunSpec: %w", err)
 	}
-	*s = RunSpec(raw)
+	*s = RunSpec{Workload: raw.Workload, NVDLAs: raw.NVDLAs, Memory: raw.Memory,
+		Inflight: raw.Inflight, Scale: raw.Scale, Limit: raw.Limit, RTLEngine: raw.RTLEngine}
 	return nil
 }
 
@@ -155,12 +152,11 @@ func (s *RunSpec) UnmarshalJSON(data []byte) error {
 // declaration order. Two equal specs always produce identical bytes, so the
 // encoding is usable as a deduplication key.
 func (s RunSpec) CanonicalJSON() []byte {
-	raw := runSpecJSON(s)
-	// Engines are dispatch-identical and shard counts result-identical: the
-	// execution-strategy knobs must not split the result-store key space, so
-	// they never reach the canonical bytes.
-	raw.RTLEngine = ""
-	raw.Shards = 0
+	// RTLEngine is left out. Engines are dispatch-identical: the
+	// execution-strategy knob must not split the result-store key space, so
+	// it never reaches the canonical bytes.
+	raw := runSpecJSON{Workload: s.Workload, NVDLAs: s.NVDLAs, Memory: s.Memory,
+		Inflight: s.Inflight, Scale: s.Scale, Limit: s.Limit}
 	b, err := json.Marshal(raw)
 	if err != nil {
 		// Marshalling a struct of strings and integers cannot fail.
@@ -198,5 +194,5 @@ func ParseSpecs(data []byte) ([]RunSpec, error) {
 func (p DSEParams) Spec(workload string, nDLA int, memory string, inflight int) RunSpec {
 	return RunSpec{Workload: workload, NVDLAs: nDLA, Memory: memory,
 		Inflight: inflight, Scale: p.Scale, Limit: p.Limit,
-		RTLEngine: p.RTLEngine, Shards: p.Shards}
+		RTLEngine: p.RTLEngine}
 }

@@ -38,6 +38,12 @@ func TestStrictDecodeRejectsUnknownFields(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "inflght") {
 		t.Errorf("unknown field not rejected: err=%v", err)
 	}
+	// "shards" is the one key read and dropped (stored and submitted specs
+	// carry it); a misspelling of it is an unknown field like any other.
+	err = json.Unmarshal([]byte(`{"workload":"sanity3","shrads":2}`), &spec)
+	if err == nil || !strings.Contains(err.Error(), "shrads") {
+		t.Errorf("misspelt shards key not rejected: err=%v", err)
+	}
 }
 
 // TestFingerprint checks equal specs share a fingerprint and any field change
@@ -49,6 +55,12 @@ func TestFingerprint(t *testing.T) {
 	}
 	if len(a.Fingerprint()) != 64 {
 		t.Errorf("fingerprint %q is not hex SHA-256", a.Fingerprint())
+	}
+	// Fingerprints name the files of every result store in existence: one
+	// literal, so a change to the canonical encoding cannot pass unnoticed.
+	pinned := DSEParams{Scale: 32, Limit: 8 * sim.Second}.Spec("googlenet", 4, "DDR4-1ch", 240)
+	if got, want := pinned.Fingerprint(), "4731b7dc4790486877e5ef75f713c55e2331140d46c6380ede92ee8ecd0d9061"; got != want {
+		t.Errorf("fingerprint of %v moved:\n  got  %s\n  want %s", pinned, got, want)
 	}
 	variants := []RunSpec{a, a, a, a, a, a}
 	variants[0].Workload = "googlenet"
@@ -154,6 +166,19 @@ func TestParseSpecs(t *testing.T) {
 	}
 	if len(specs) != 1 || specs[0].Memory != "HBM" {
 		t.Errorf("parsed %+v", specs)
+	}
+
+	// A batch written for a server that took a "shards" count still parses;
+	// the key is dropped, so it is never written back.
+	legacy, err := ParseSpecs([]byte(strings.Replace(good, `}]`, `,"shards":2}]`, 1)))
+	if err != nil {
+		t.Fatalf("batch with a shards key rejected: %v", err)
+	}
+	if len(legacy) != 1 || legacy[0] != specs[0] {
+		t.Errorf("shards key changed the parsed spec: %+v vs %+v", legacy, specs)
+	}
+	if out, _ := json.Marshal(legacy); string(out) != good {
+		t.Errorf("re-marshalled batch:\n  got  %s\n  want %s", out, good)
 	}
 
 	if _, err := ParseSpecs([]byte(`[{"workload":"sanity3","typo":1}]`)); err == nil {

@@ -20,12 +20,7 @@
 //     warm-start and self-profiled, exercising the whole simulator;
 //     MeasureSelfProfOverhead separately derives the selfprof overhead
 //     (gated in CI) from drift-cancelling alternating passes, holding the
-//     profiler to its <5% whole-run budget;
-//   - psim/* — one multi-accelerator point (4 NVDLAs, DDR4-2ch) run serial
-//     and under the bulk-synchronous sharded engine at 2 and 4 shards, so
-//     serial/shards4 (the psim speedup) is a machine-relative quantity;
-//     results are bit-identical across the three rows by construction
-//     (DESIGN.md §9), only wall time may differ.
+//     profiler to its <5% whole-run budget.
 //
 // PERFORMANCE.md documents how to run the suite and how the JSON baseline
 // is compared.
@@ -66,9 +61,6 @@ func Suite() []Bench {
 		{"sweep/cold", func(b *testing.B) { benchSweep(b, false, false) }},
 		{"sweep/warm", func(b *testing.B) { benchSweep(b, true, false) }},
 		{"sweep/profiled", func(b *testing.B) { benchSweep(b, false, true) }},
-		{"psim/serial", func(b *testing.B) { benchPsim(b, 1) }},
-		{"psim/shards2", func(b *testing.B) { benchPsim(b, 2) }},
-		{"psim/shards4", func(b *testing.B) { benchPsim(b, 4) }},
 	}
 }
 
@@ -275,28 +267,6 @@ func sweepSpecs() []experiments.RunSpec {
 		}
 	}
 	return specs
-}
-
-// psimSpec is the multi-accelerator point of the psim/* rows: enough
-// concurrent NVDLA work that the non-memory shards hold real computation.
-// The same configuration backs TestShardedRunAPI's bit-identity check.
-func psimSpec(shards int) experiments.RunSpec {
-	p := experiments.DSEParams{Scale: 32, Limit: 8 * sim.Second, Shards: shards}
-	return p.Spec("sanity3", 4, "DDR4-2ch", 64)
-}
-
-// benchPsim measures one full multi-accelerator run under the given shard
-// count (1 = the serial engine). One op = one complete simulation. The
-// serial/shards4 ns/op ratio is the psim speedup recorded (and gated) in
-// BENCH_kernel.json on hosts with enough cores to host the shards.
-func benchPsim(b *testing.B, shards int) {
-	spec := psimSpec(shards)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Run(context.Background(), spec); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // benchSweep measures one sequential pass over the 12-point DSE grid — the

@@ -3,9 +3,7 @@ package kernelbench
 import (
 	"encoding/json"
 	"fmt"
-	"runtime"
 	"sort"
-	"strings"
 	"testing"
 )
 
@@ -41,55 +39,22 @@ type Report struct {
 	// budget is <5% (see sim.DefaultProfileEvery); Compare gates growth
 	// beyond the committed baseline. queue/profiled vs queue/calendar
 	// bounds the same hook from above on empty event bodies.
-	SelfProfOverhead float64 `json:"selfprof_overhead"`
-	// PsimSpeedup is psim/serial ns/op divided by psim/shards4 ns/op from
-	// the same run — the wall-time gain of the bulk-synchronous sharded
-	// engine on the multi-accelerator point, machine-relative like
-	// CalendarSpeedup. It is recorded only on hosts with at least
-	// PsimSpeedupMinCPUs cores (0 = not measured on this host): shards are
-	// goroutines that need real cores to overlap, so the ratio is
-	// meaningless on a smaller machine. When measured, Compare holds it to
-	// the absolute PsimSpeedupFloor.
-	PsimSpeedup float64  `json:"psim_speedup"`
-	Results     []Result `json:"results"`
+	SelfProfOverhead float64  `json:"selfprof_overhead"`
+	Results          []Result `json:"results"`
 }
 
 // ratioPairs is how many alternating pairs back each paired ratio column.
 const ratioPairs = 5
 
-// PsimSpeedupFloor is the acceptance floor for the sharded engine: a 4-shard
-// multi-accelerator run must be at least this much faster than serial on a
-// host with PsimSpeedupMinCPUs+ cores.
-const PsimSpeedupFloor = 1.5
-
-// PsimSpeedupMinCPUs is the smallest host that can meaningfully measure (and
-// therefore gate) PsimSpeedup: the 4-shard row needs four runnable shard
-// goroutines plus the coordinator.
-const PsimSpeedupMinCPUs = 4
-
 // Collect runs the whole suite through testing.Benchmark and assembles the
 // report. Progress lines go through logf (may be nil).
 func Collect(logf func(format string, args ...any)) Report {
-	return CollectOnly("", logf)
-}
-
-// CollectOnly runs the suite rows whose names contain substr ("" = all) —
-// the focused-gate entry behind cmd/kernelbench -only. The calendar and RTL
-// speedups are measured (paired passes) when both their rows were selected;
-// the selfprof overhead measurement (whole-grid paired passes) runs only on
-// an unfiltered collection. Compare a filtered report against a baseline
-// narrowed by RestrictBaseline, never against the full committed document.
-func CollectOnly(substr string, logf func(format string, args ...any)) Report {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
 	var rep Report
-	ns := map[string]float64{}
 	byName := map[string]Bench{}
 	for _, bench := range Suite() {
-		if substr != "" && !strings.Contains(bench.Name, substr) {
-			continue
-		}
 		byName[bench.Name] = bench
 		logf("running %s ...", bench.Name)
 		r := testing.Benchmark(bench.Run)
@@ -100,61 +65,18 @@ func CollectOnly(substr string, logf func(format string, args ...any)) Report {
 			AllocsPerOp: r.AllocsPerOp(),
 			BytesPerOp:  r.AllocedBytesPerOp(),
 		}
-		ns[res.Name] = res.NsPerOp
 		rep.Results = append(rep.Results, res)
 		logf("  %12.1f ns/op  %8d allocs/op  %10d B/op", res.NsPerOp, res.AllocsPerOp, res.BytesPerOp)
 	}
 	pairedRatio := func(slow, fast string) float64 {
-		s, okS := byName[slow]
-		f, okF := byName[fast]
-		if !okS || !okF {
-			return 0
-		}
 		logf("measuring %s ÷ %s (paired passes) ...", slow, fast)
-		return MeasurePairedRatio(s, f, ratioPairs, logf)
+		return MeasurePairedRatio(byName[slow], byName[fast], ratioPairs, logf)
 	}
 	rep.CalendarSpeedup = pairedRatio("queue/reference", "queue/calendar")
 	rep.RTLSpeedup = pairedRatio("rtl/closure", "rtl/bytecode")
-	if runtime.NumCPU() >= PsimSpeedupMinCPUs {
-		if ser, par := ns["psim/serial"], ns["psim/shards4"]; par > 0 {
-			rep.PsimSpeedup = ser / par
-		}
-	} else {
-		logf("host has %d CPUs (< %d): psim_speedup not measured", runtime.NumCPU(), PsimSpeedupMinCPUs)
-	}
-	if substr == "" {
-		logf("measuring selfprof overhead (paired passes) ...")
-		rep.SelfProfOverhead = MeasureSelfProfOverhead(ratioPairs, logf)
-	}
+	logf("measuring selfprof overhead (paired passes) ...")
+	rep.SelfProfOverhead = MeasureSelfProfOverhead(ratioPairs, logf)
 	return rep
-}
-
-// RestrictBaseline narrows a committed baseline to what a filtered run
-// (CollectOnly) measured: rows absent from current are dropped, and each
-// baseline-relative ratio survives only when its input rows were measured.
-// The absolute PsimSpeedup floor is unaffected — Compare applies it to the
-// current report alone.
-func RestrictBaseline(baseline, current Report) Report {
-	cur := map[string]bool{}
-	for _, r := range current.Results {
-		cur[r.Name] = true
-	}
-	out := Report{PsimSpeedup: baseline.PsimSpeedup}
-	for _, r := range baseline.Results {
-		if cur[r.Name] {
-			out.Results = append(out.Results, r)
-		}
-	}
-	if cur["queue/calendar"] && cur["queue/reference"] {
-		out.CalendarSpeedup = baseline.CalendarSpeedup
-	}
-	if cur["rtl/closure"] && cur["rtl/bytecode"] {
-		out.RTLSpeedup = baseline.RTLSpeedup
-	}
-	if current.SelfProfOverhead > 0 {
-		out.SelfProfOverhead = baseline.SelfProfOverhead
-	}
-	return out
 }
 
 // Marshal renders the report as committed-file JSON.
@@ -238,16 +160,6 @@ func Compare(current, baseline Report, threshold float64) []string {
 				"rtl compile speedup %.2fx fell below baseline %.2fx - %d%% = %.2fx",
 				current.RTLSpeedup, baseline.RTLSpeedup, int(threshold*100), floor))
 		}
-	}
-	// The psim gate is an absolute floor, not baseline-relative: the
-	// acceptance criterion is ">= 1.5x at 4 shards", independent of what an
-	// earlier baseline measured. A current report with PsimSpeedup == 0 ran
-	// on a host below PsimSpeedupMinCPUs cores and is exempt — the column is
-	// machine-guarded, like skipping raw ns/op.
-	if current.PsimSpeedup > 0 && current.PsimSpeedup < PsimSpeedupFloor {
-		problems = append(problems, fmt.Sprintf(
-			"psim speedup %.2fx (serial/shards4) fell below the %.2fx floor",
-			current.PsimSpeedup, PsimSpeedupFloor))
 	}
 	if baseline.SelfProfOverhead > 0 {
 		// Even with paired-pass drift cancellation the sweep ratio carries a

@@ -61,43 +61,11 @@ type Xbar struct {
 	// and the checkpoint codec encodes it by value.
 	frontStates []*frontState
 
-	// Sharded-engine lane ownership (see SetFrontShard). laneQ[i] is the
-	// event queue front lane i runs on — x.q unless the lane was moved to
-	// another shard. Remote lanes exchange traffic with the crossbar's home
-	// shard through the emit hooks instead of touching its queues directly.
-	laneQ       []*sim.EventQueue
-	emitIngress []func(IngressMsg)
-	emitEgress  []func(EgressMsg)
-
-	// forwarded counts requests per front lane so remote lanes can count
-	// without racing the home shard; ForwardedCount sums them.
-	forwarded []uint64
+	forwarded uint64
 	Responses uint64
 
 	// trace is the NoC debug-flag logger (nil = off; see AttachTracer).
 	trace *obs.Logger
-}
-
-// IngressMsg is a request crossing a shard boundary front→crossbar: the lane
-// has already done its local accounting (outstanding, ingress occupancy) and
-// the home shard only has to place the packet on the routed down queue under
-// the sender's stamp at an epoch barrier.
-type IngressMsg struct {
-	Down  int
-	Pkt   *port.Packet
-	When  sim.Tick
-	Stamp sim.Stamp
-}
-
-// EgressMsg is a response crossing crossbar→front: the home shard records the
-// time the response reached the crossbar (SendTick) and the lane's shard does
-// the lane-local work — outstanding release, egress occupancy, response
-// scheduling — at the next epoch barrier.
-type EgressMsg struct {
-	Front    int
-	Pkt      *port.Packet
-	SendTick sim.Tick
-	Stamp    sim.Stamp
 }
 
 // New creates a crossbar with nFront upstream ports and nDown downstream
@@ -107,11 +75,7 @@ func New(cfg Config, q *sim.EventQueue, nFront, nDown int) *Xbar {
 		cfg.MaxOutstanding = 64
 	}
 	x := &Xbar{cfg: cfg, q: q, outstanding: make([]int, nFront),
-		ingressBusy: make([]sim.Tick, nFront), egressBusy: make([]sim.Tick, nFront),
-		laneQ:       make([]*sim.EventQueue, nFront),
-		emitIngress: make([]func(IngressMsg), nFront),
-		emitEgress:  make([]func(EgressMsg), nFront),
-		forwarded:   make([]uint64, nFront)}
+		ingressBusy: make([]sim.Tick, nFront), egressBusy: make([]sim.Tick, nFront)}
 	for i := 0; i < nFront; i++ {
 		i := i
 		fp := port.NewResponsePort(fmt.Sprintf("%s.front[%d]", cfg.Name, i), &xbarFront{x, i})
@@ -120,7 +84,6 @@ func New(cfg Config, q *sim.EventQueue, nFront, nDown int) *Xbar {
 		frq.SetOwner(q.Owner(cfg.Name, "front-drain"))
 		x.respQs = append(x.respQs, frq)
 		x.frontStates = append(x.frontStates, &frontState{front: i})
-		x.laneQ[i] = q
 	}
 	for i := 0; i < nDown; i++ {
 		i := i
@@ -176,12 +139,10 @@ func (x *Xbar) occupancy(n int) sim.Tick {
 	return sim.Tick(flits) * x.cfg.ClockTick
 }
 
-// xferAt accounts occupancy on one directional port layer for a transfer
-// starting no earlier than now and returns the departure time. The explicit
-// now lets barrier-applied cross-shard transfers account occupancy from the
-// simulated send time rather than the (later) apply time.
-func (x *Xbar) xferAt(now sim.Tick, busy []sim.Tick, idx, bytes int) sim.Tick {
-	start := now
+// xfer accounts occupancy on one directional port layer and returns the
+// departure time.
+func (x *Xbar) xfer(busy []sim.Tick, idx, bytes int) sim.Tick {
+	start := x.q.Now()
 	if busy[idx] > start {
 		start = busy[idx]
 	}
@@ -189,59 +150,8 @@ func (x *Xbar) xferAt(now sim.Tick, busy []sim.Tick, idx, bytes int) sim.Tick {
 	return start + x.cfg.Latency
 }
 
-// xfer is xferAt at the home queue's current tick.
-func (x *Xbar) xfer(busy []sim.Tick, idx, bytes int) sim.Tick {
-	return x.xferAt(x.q.Now(), busy, idx, bytes)
-}
-
-// SetFrontShard moves front lane i onto another shard's event queue. The
-// lane-local state (outstanding count, ingress/egress occupancy, response
-// queue) is owned by that shard from then on; traffic crosses the boundary as
-// IngressMsg/EgressMsg values through the emit hooks, which the sharded
-// engine delivers to the opposite shard's barrier-apply phase (ApplyIngress
-// on the crossbar's home shard, ApplyEgress on the lane's shard). Must be
-// called after New and before any traffic; the minimum cross-shard latency
-// this relies on is cfg.Latency, which therefore bounds the engine's epoch
-// length.
-func (x *Xbar) SetFrontShard(i int, q *sim.EventQueue, ingress func(IngressMsg), egress func(EgressMsg)) {
-	x.laneQ[i] = q
-	x.emitIngress[i] = ingress
-	x.emitEgress[i] = egress
-	name := fmt.Sprintf("%s.front[%d]", x.cfg.Name, i)
-	x.respQs[i] = port.NewRespQueue(name, q, x.fronts[i])
-	x.respQs[i].SetOwner(q.Owner(x.cfg.Name, "front-drain"))
-}
-
-// ApplyIngress schedules a boundary-crossing request on its routed down
-// queue; the sharded engine calls it on the crossbar's home shard at an
-// epoch barrier. Insertion order among messages from different source shards
-// is irrelevant: the down queue orders by (when, sender stamp).
-func (x *Xbar) ApplyIngress(m IngressMsg) {
-	x.reqQs[m.Down].ScheduleStamped(m.Pkt, m.When, m.Stamp)
-}
-
-// ApplyEgress completes a boundary-crossing response on its lane's shard at
-// an epoch barrier: releases the outstanding slot and accounts the egress
-// traversal from the simulated send time. No retry kick is needed — a remote
-// lane never refuses (RecvTimingReq panics instead), so nothing ever waits.
-func (x *Xbar) ApplyEgress(m EgressMsg) {
-	i := m.Front
-	x.outstanding[i]--
-	payload := 0
-	if m.Pkt.Cmd.IsRead() {
-		payload = m.Pkt.Size
-	}
-	x.respQs[i].ScheduleStamped(m.Pkt, x.xferAt(m.SendTick, x.egressBusy, i, payload), m.Stamp)
-}
-
 // ForwardedCount returns the total requests forwarded across all front lanes.
-func (x *Xbar) ForwardedCount() uint64 {
-	var n uint64
-	for _, f := range x.forwarded {
-		n += f
-	}
-	return n
-}
+func (x *Xbar) ForwardedCount() uint64 { return x.forwarded }
 
 type frontState struct {
 	front int
@@ -254,18 +164,7 @@ type xbarFront struct {
 
 func (f *xbarFront) RecvTimingReq(pkt *port.Packet) bool {
 	x := f.x
-	emit := x.emitIngress[f.i]
 	if x.outstanding[f.i] >= x.cfg.MaxOutstanding {
-		if emit != nil {
-			// A shard-boundary lane must never exert back-pressure: the
-			// refusal/retry round trip would couple the shards tighter than
-			// the epoch lookahead. Configurations that could hit this are
-			// rejected up front (soc.Config validation), so reaching it is a
-			// bug, and silently diverging from the serial engine would be
-			// worse than stopping.
-			panic(fmt.Sprintf("noc %s: shard boundary back-pressure on front[%d] (%d outstanding)",
-				x.cfg.Name, f.i, x.outstanding[f.i]))
-		}
 		if x.trace.On() {
 			x.trace.Logf("front[%d] %s addr=%#x refused: %d outstanding",
 				f.i, pkt.Cmd, pkt.Addr, x.outstanding[f.i])
@@ -280,17 +179,12 @@ func (f *xbarFront) RecvTimingReq(pkt *port.Packet) bool {
 		pkt.PushSenderState(f.x.frontStates[f.i])
 		x.outstanding[f.i]++
 	}
-	x.forwarded[f.i]++
+	x.forwarded++
 	payload := 0
 	if pkt.Cmd.IsWrite() {
 		payload = pkt.Size
 	}
-	when := x.xferAt(x.laneQ[f.i].Now(), x.ingressBusy, f.i, payload)
-	if emit != nil {
-		emit(IngressMsg{Down: down, Pkt: pkt, When: when, Stamp: x.laneQ[f.i].CurrentStamp()})
-	} else {
-		x.reqQs[down].ScheduleStamped(pkt, when, x.q.CurrentStamp())
-	}
+	x.reqQs[down].Schedule(pkt, x.xfer(x.ingressBusy, f.i, payload))
 	return true
 }
 
@@ -307,12 +201,6 @@ func (d *xbarDown) RecvTimingResp(pkt *port.Packet) bool {
 	x.Responses++
 	if x.trace.On() {
 		x.trace.Logf("down[%d] %s addr=%#x -> front[%d]", d.i, pkt.Cmd, pkt.Addr, st.front)
-	}
-	if emit := x.emitEgress[st.front]; emit != nil {
-		// Remote lane: the lane's shard releases the outstanding slot and
-		// accounts the egress traversal at the barrier (ApplyEgress).
-		emit(EgressMsg{Front: st.front, Pkt: pkt, SendTick: x.q.Now(), Stamp: x.q.CurrentStamp()})
-		return true
 	}
 	x.outstanding[st.front]--
 	payload := 0

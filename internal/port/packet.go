@@ -121,10 +121,11 @@ type PacketPool struct {
 	// space<<IDSpaceShift | ctr with a pool-local counter instead of draws
 	// from the process-global counter. A namespaced allocator's ID sequence
 	// depends only on its own allocation order — not on what any other
-	// component (or shard goroutine) allocates in between — which is what
-	// keeps packet IDs, and therefore checkpoint bytes, identical between the
-	// serial and sharded engines. The counter is component state: owners
-	// persist it via SaveCounter/RestoreCounter in their own checkpoints.
+	// component, or another simulation in the same process, allocates in
+	// between — so a device's packet IDs, and the checkpoint bytes that hold
+	// them, are the same in every run of the same system. The counter is
+	// component state: owners persist it via SaveCounter/RestoreCounter in
+	// their own checkpoints.
 	space uint64
 	ctr   uint64
 }

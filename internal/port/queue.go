@@ -5,13 +5,12 @@ import (
 )
 
 // queuedPkt is one scheduled delivery. stamp is the dispatch stamp of the
-// event that inserted it (sim.EventQueue.CurrentStamp at Schedule time, or an
-// explicit sender stamp via ScheduleStamped): entries are kept sorted by
-// (when, stamp), which for a serial run is exactly the historical
-// insertion-order-stable sort (stamps are monotone in dispatch order) and for
-// a sharded run makes the queue order independent of *when in host time* a
-// cross-shard insertion was applied — the sender's dispatch identity, not the
-// apply order, decides arrival-tick ties. seq is the owning queue's insertion
+// event that inserted it (sim.EventQueue.CurrentStamp at Schedule time):
+// entries are kept sorted by (when, stamp), so arrival-tick ties go to the
+// sender that dispatched first, and a sender's dispatch identity — tick,
+// priority, name rank, sequence — depends on component names, never on
+// construction order. A checkpoint stores the stamps, so a restored queue
+// keeps the order it was saved under. seq is the owning queue's insertion
 // count: it orders full (when, stamp) ties the way a stable insert does, which
 // lets a ReqQueue that has moved entries to its parked lists (see ReqQueue)
 // merge them back into the one order they were inserted under.
@@ -100,8 +99,7 @@ func (s *sendQueue) init(name string, q *sim.EventQueue, drain func()) {
 func (s *sendQueue) SetOwner(id sim.OwnerID) { s.ev.SetOwner(id) }
 
 // schedule inserts pkt for tick when (no earlier than now) keeping the list
-// sorted by (readiness time, sender stamp), stable for equal keys — identical
-// to issue order in a serial run.
+// sorted by (readiness time, sender stamp), stable for equal keys.
 func (s *sendQueue) schedule(pkt *Packet, when sim.Tick, stamp sim.Stamp) {
 	if when < s.q.Now() {
 		when = s.q.Now()
@@ -156,18 +154,10 @@ func NewRespQueue(name string, q *sim.EventQueue, port *ResponsePort) *RespQueue
 // Schedule queues pkt (which must already be a response) for delivery at the
 // given absolute tick, stamped with the current dispatch context.
 func (rq *RespQueue) Schedule(pkt *Packet, when sim.Tick) {
-	rq.ScheduleStamped(pkt, when, rq.q.CurrentStamp())
-}
-
-// ScheduleStamped is Schedule with an explicit sender stamp — the sharded
-// engine's barrier-apply path uses it to insert cross-shard responses under
-// the *sender's* dispatch identity, and checkpoint restore uses it to
-// reinstate saved stamps.
-func (rq *RespQueue) ScheduleStamped(pkt *Packet, when sim.Tick, stamp sim.Stamp) {
 	if !pkt.IsResponse() {
 		panic("port: RespQueue.Schedule with non-response packet")
 	}
-	rq.schedule(pkt, when, stamp)
+	rq.schedule(pkt, when, rq.q.CurrentStamp())
 }
 
 // Empty reports whether no responses are queued.
@@ -247,19 +237,13 @@ func NewReqQueue(name string, q *sim.EventQueue, port *RequestPort) *ReqQueue {
 }
 
 // Schedule queues a request for transmission at the given absolute tick,
-// stamped with the current dispatch context.
+// stamped with the current dispatch context. While the queue is blocked the
+// packet waits for the next retry even if it would be accepted.
 func (rq *ReqQueue) Schedule(pkt *Packet, when sim.Tick) {
-	rq.ScheduleStamped(pkt, when, rq.q.CurrentStamp())
-}
-
-// ScheduleStamped is Schedule with an explicit sender stamp; see
-// RespQueue.ScheduleStamped. While the queue is blocked the packet waits for
-// the next retry even if it would be accepted.
-func (rq *ReqQueue) ScheduleStamped(pkt *Packet, when sim.Tick, stamp sim.Stamp) {
 	if pkt.IsResponse() {
 		panic("port: ReqQueue.Schedule with response packet")
 	}
-	rq.schedule(pkt, when, stamp)
+	rq.schedule(pkt, when, rq.q.CurrentStamp())
 }
 
 // Empty reports whether no requests are queued.

@@ -30,10 +30,10 @@ func newRefReqQueue(name string, q *sim.EventQueue, port *RequestPort) *refReqQu
 }
 
 func (rq *refReqQueue) Schedule(pkt *Packet, when sim.Tick) {
-	rq.ScheduleStamped(pkt, when, rq.q.CurrentStamp())
+	rq.schedule(pkt, when, rq.q.CurrentStamp())
 }
 
-func (rq *refReqQueue) ScheduleStamped(pkt *Packet, when sim.Tick, stamp sim.Stamp) {
+func (rq *refReqQueue) schedule(pkt *Packet, when sim.Tick, stamp sim.Stamp) {
 	if when < rq.q.Now() {
 		when = rq.q.Now()
 	}
@@ -113,7 +113,7 @@ func (rq *ReqQueue) isBlocked() bool { return rq.blocked }
 // reqQueue is what the differential test drives: ReqQueue or its oracle.
 type reqQueue interface {
 	Schedule(*Packet, sim.Tick)
-	ScheduleStamped(*Packet, sim.Tick, sim.Stamp)
+	schedule(*Packet, sim.Tick, sim.Stamp)
 	RecvReqRetry()
 	Len() int
 	isBlocked() bool
@@ -256,7 +256,7 @@ func (w *diffWorld) play(script []diffAction) {
 					pkt.RequestorID = 1
 				}
 				if ar.stamped {
-					w.rq.ScheduleStamped(pkt, ar.when, ar.stamp)
+					w.rq.schedule(pkt, ar.when, ar.stamp)
 				} else {
 					w.rq.Schedule(pkt, ar.when)
 				}

@@ -56,32 +56,10 @@ func FromQueue(q *sim.EventQueue) *Report {
 	return r
 }
 
-// FromQueues builds one merged Report across shard queues (soc
-// System.ShardQueues), or nil when profiling is off everywhere. Event
-// counts sum across shards; the wall time is the maximum per-shard wall
-// time, since shards run concurrently and summing would overcount the run.
-func FromQueues(qs ...*sim.EventQueue) *Report {
-	var out *Report
-	var wall int64
-	for _, q := range qs {
-		r := FromQueue(q)
-		if r == nil {
-			continue
-		}
-		if r.WallNS > wall {
-			wall = r.WallNS
-		}
-		if out == nil {
-			out = r
-		} else {
-			out.Merge(r)
-		}
-	}
-	if out != nil {
-		out.WallNS = wall
-	}
-	return out
-}
+// FromQueues is FromQueue on the one queue a system has. It exists for its
+// one caller, bench/stage.go, which passes the system's queue as a
+// one-element list; everything else calls FromQueue.
+func FromQueues(qs ...*sim.EventQueue) *Report { return FromQueue(qs[0]) }
 
 // Merge folds other's samples into r by (component, kind), summing counts,
 // times and wall time. A nil other is a no-op.

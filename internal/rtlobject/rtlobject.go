@@ -247,9 +247,9 @@ func (r *RTLObject) Name() string { return r.cfg.Name }
 // SetPacketIDSpace namespaces the object's DMA packet IDs under the given
 // non-zero space tag (port.PacketPool.SetIDSpace). The SoC assigns every
 // RTLObject its own space so the object's ID sequence depends only on its own
-// allocation order — a prerequisite for the sharded engine, where objects
-// allocate concurrently, to mint the same IDs (and therefore the same
-// checkpoint bytes) as a serial run. Must be called before Start.
+// allocation order, not on what other components or other simulations in the
+// process allocate in between: the same system mints the same IDs, and writes
+// the same checkpoint bytes, in every run. Must be called before Start.
 func (r *RTLObject) SetPacketIDSpace(space uint64) { r.pool.SetIDSpace(space) }
 
 // Stats returns a snapshot of activity counters.

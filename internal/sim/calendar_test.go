@@ -140,7 +140,7 @@ func TestScheduleOneShotRecycles(t *testing.T) {
 var footprintSink *EventQueue
 
 // TestEventQueueFootprint pins what one queue costs to build: every soc.Build
-// allocates, zeroes and hands the collector one per shard, and the 520 KiB of
+// allocates, zeroes and hands the collector one, and the 520 KiB of
 // the one-tick ring was 16% of the bytes a small DSE point allocated. 136 KiB
 // admits the 128 KiB ring and its 2 KiB bitmap, nothing larger.
 func TestEventQueueFootprint(t *testing.T) {

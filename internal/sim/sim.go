@@ -37,7 +37,6 @@ import (
 	"container/heap"
 	"fmt"
 	"math/bits"
-	"sort"
 )
 
 // Tick is a point in (or span of) simulated time. One Tick is one picosecond,
@@ -112,13 +111,11 @@ type Event struct {
 	// rank is a stable arbitration key derived from the event name (FNV-64a).
 	// Same-tick, same-priority events dispatch in rank order before falling
 	// back to the insertion sequence, so the intra-tick order of events from
-	// *different* components depends only on their names — not on which queue
-	// they were scheduled on or in which host order. This is what lets the
-	// sharded engine (internal/psim) reproduce the serial dispatch order
-	// bit-for-bit: component names are unique, so cross-component ties break
-	// identically on every shard layout, and the seq tie-break is only ever
-	// consulted between events of the same name, which always live on the
-	// same queue.
+	// *different* components depends only on their names — not on the order
+	// the components were constructed or happened to schedule in. Component
+	// names are unique, so the seq tie-break is only ever consulted between
+	// events of the same name, and the goldens and saved checkpoints hold
+	// the order this key produces.
 	rank uint64
 	seq  uint64
 	// index is the event's far-heap position, or one of the sentinel states
@@ -174,7 +171,7 @@ func (e *Event) Scheduled() bool { return e.scheduled }
 func (e *Event) When() Tick { return e.when }
 
 // before is the dispatch order of two pending events: by tick, then by
-// priority, then by name rank (stable across queue layouts), then by
+// priority, then by name rank (stable across construction orders), then by
 // insertion sequence (FIFO among same-name events). It orders the calendar
 // buckets and must agree with eventHeap.Less, which the reference queue
 // keeps as its own copy so that the oracle shares no comparator with the
@@ -244,16 +241,16 @@ type EventQueue struct {
 	// curStamp identifies the dispatch context of the event currently (or
 	// most recently) executing: its (when, prio, rank, seq). Port queues
 	// capture it at insertion time so their arrival-tick ties resolve by the
-	// *sender's* dispatch order — an engine-independent key the sharded
-	// engine can reproduce across epoch barriers.
+	// *sender's* dispatch order, a key a checkpoint can store and a restored
+	// queue keeps sorting by.
 	curStamp Stamp
 
 	// stopAfter, when stopSet, caps RunUntil: no event with a later tick is
 	// dispatched and time does not advance past it. Unlike ExitSimLoop it is
 	// not an event and consumes no sequence numbers or dispatch counts, so a
 	// run that completes via stop-after leaves the same queue state as one
-	// that never reached the cap — the property the serial and sharded
-	// engines rely on to finish runs at bit-identical states.
+	// that was given the cap as its limit — what lets a run that detects
+	// completion mid-flight end in a state a checkpoint split reproduces.
 	stopAfter Tick
 	stopSet   bool
 
@@ -652,9 +649,7 @@ func (q *EventQueue) Run() string {
 // introspection hook — the liveness watchdog dumps it when a simulation
 // wedges — and does not disturb the queue.
 func (q *EventQueue) PendingSummaries(max int) []string {
-	evs := make([]*Event, 0, q.Pending())
-	q.forEachPending(func(e *Event) { evs = append(evs, e) })
-	sort.Slice(evs, func(i, j int) bool { return evs[i].before(evs[j]) })
+	evs := q.pendingInOrder()
 	if max > 0 && len(evs) > max {
 		evs = evs[:max]
 	}
@@ -696,12 +691,12 @@ func (q *EventQueue) RunUntil(limit Tick) string {
 
 // Stamp is the identity of one event dispatch: the (when, prio, rank, seq)
 // key under which the event was ordered. Stamps order exactly like the
-// dispatch order itself, so "sort by stamp" reproduces "order of side
-// effects in the serial run" — the property port queues use to keep
-// arrival-tick ties deterministic under the sharded engine. The Seq field
-// is only ever compared between dispatches of the same event name (equal
-// Rank), which always share a queue, so stamp comparisons never depend on
-// per-queue sequence counters diverging across shard layouts.
+// dispatch order itself, so "sort by stamp" reproduces "order of the
+// senders' side effects" — the property port queues use to break
+// arrival-tick ties by who sent first rather than by who was inserted
+// first. The Seq field is only ever compared between dispatches of the same
+// event name (equal Rank), so a checkpoint can renumber it per name
+// (port/ckpt.go) without changing any comparison.
 type Stamp struct {
 	When Tick
 	Prio int32
@@ -731,8 +726,8 @@ func (q *EventQueue) CurrentStamp() Stamp { return q.curStamp }
 // SetStopAfter caps RunUntil at tick t: events scheduled later stay pending
 // and simulated time stops at t. Unlike ExitSimLoop this consumes no event,
 // sequence number or dispatch count — completion detected mid-run (the last
-// NVDLA interrupt) can end the run at an epoch-aligned tick while leaving
-// queue state identical to a run that was given exactly that limit.
+// NVDLA interrupt) can end the run at a chosen tick while leaving queue state
+// identical to a run that was given exactly that limit.
 func (q *EventQueue) SetStopAfter(t Tick) {
 	q.stopAfter = t
 	q.stopSet = true

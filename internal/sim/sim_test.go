@@ -43,7 +43,7 @@ func TestSameTickPriorityAndFIFO(t *testing.T) {
 // TestSameTickRankOrder pins the cross-name arbitration contract: same-tick,
 // same-priority events of different names dispatch in name-rank order no
 // matter which order they were scheduled in — the property that makes
-// dispatch order independent of the queue layout (serial vs sharded).
+// dispatch order depend on component names, not on construction order.
 func TestSameTickRankOrder(t *testing.T) {
 	names := []string{"alpha", "beta", "gamma", "delta"}
 	runIn := func(order []int) []string {

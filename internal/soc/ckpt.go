@@ -24,7 +24,6 @@ import (
 
 	"gem5rtl/internal/ckpt"
 	"gem5rtl/internal/port"
-	"gem5rtl/internal/sim"
 )
 
 // fingerprint hashes the Config fields that determine simulated behaviour.
@@ -33,7 +32,9 @@ import (
 // them (the VCD writer is re-synced on restore; see rtl.VCDWriter.Resync).
 // RTLEngine is excluded too: engines are dispatch-identical and share the
 // model state layout, so checkpoints are engine-portable — a run saved
-// under one engine restores under any other.
+// under one engine restores under any other. The hash covers the modelled
+// machine only, no choice of how the host executes it, so a checkpoint loads
+// wherever the same machine is built.
 func (cfg Config) fingerprint() uint64 {
 	memName := cfg.Memory
 	if memName == "" {
@@ -46,21 +47,10 @@ func (cfg Config) fingerprint() uint64 {
 	return h.Sum64()
 }
 
-// queueSaver serialises the shard event queues as one canonical section:
-// sim.SaveQueues emits a byte-identical stream for any sharding of the same
-// pending events, which is what makes checkpoints interchangeable between
-// serial and sharded runs (and across shard counts).
-type queueSaver struct {
-	qs []*sim.EventQueue
-}
-
-func (q queueSaver) SaveState(w *ckpt.Writer) error    { return sim.SaveQueues(w, q.qs) }
-func (q queueSaver) RestoreState(r *ckpt.Reader) error { return sim.RestoreQueues(r, q.qs) }
-
 // components returns every Checkpointable in the system in its fixed
 // serialisation order.
 func (s *System) components() []ckpt.Checkpointable {
-	cs := []ckpt.Checkpointable{queueSaver{s.ShardQueues}}
+	cs := []ckpt.Checkpointable{s.Queue}
 	for i := range s.Cores {
 		cs = append(cs, s.Cores[i], s.L1Is[i], s.L1Ds[i], s.L2s[i], s.L2Muxes[i])
 	}
@@ -85,11 +75,6 @@ func (s *System) components() []ckpt.Checkpointable {
 
 // Save writes a checkpoint of the whole system to out.
 func (s *System) Save(out io.Writer) error {
-	if s.Engine != nil {
-		// Saving is only defined at epoch barriers, where every shard sits
-		// on the same tick; RunNVDLAPhase always stops at one.
-		s.Engine.CheckAligned()
-	}
 	w := ckpt.NewWriter(out)
 	w.Header(s.Cfg.fingerprint(), uint64(s.Queue.Now()))
 	// The global packet-ID high-water mark: restore fast-forwards the

@@ -78,19 +78,7 @@ func (s *System) AttachWatchdog(cfg guard.Config) *guard.Watchdog {
 	if s.Tracer != nil {
 		wd.SetTraceTail(s.Tracer.Tail)
 	}
-	if s.Engine != nil {
-		// Sharded builds host the check from the engine's epoch-barrier hook
-		// (guard.Watchdog.CheckHosted, called by runNVDLAPhaseSharded) rather
-		// than a queue event: probes span shards, so sampling them is only
-		// safe at barriers where every shard is quiescent. Registering the
-		// extra shard queues makes the liveness logic and the hang report's
-		// pending-event dump cover all of them, naming the stalled shard.
-		for k, q := range s.ShardQueues[1:] {
-			wd.WatchQueue(fmt.Sprintf("shard%d", k+1), q)
-		}
-	} else {
-		wd.Start()
-	}
+	wd.Start()
 	s.Watchdog = wd
 	return wd
 }

@@ -2,26 +2,20 @@ package soc
 
 import "gem5rtl/internal/sim"
 
-// AttachSelfProfiler attaches the event-kernel self-profiler to every shard
-// queue of the system (reading the host clock every "every" dispatches;
-// <= 0 selects sim.DefaultProfileEvery) and wires per-phase attribution
-// into the RTL models the system hosts: the PMU wrapper's model
-// sub-attributes its comb settle, sequential update and memory write-port
-// phases under the PMU RTLObject's component name. Component-level
-// attribution needs no wiring — every event in the system is owner-tagged
-// at construction, so in a sharded build each accelerator's events are
-// attributed on its own shard's profiler; merge the per-shard reports with
-// prof.FromQueues over System.ShardQueues.
+// AttachSelfProfiler attaches the event-kernel self-profiler to the system's
+// queue (reading the host clock every "every" dispatches; <= 0 selects
+// sim.DefaultProfileEvery) and wires per-phase attribution into the RTL
+// models the system hosts: the PMU wrapper's model sub-attributes its comb
+// settle, sequential update and memory write-port phases under the PMU
+// RTLObject's component name. Component-level attribution needs no wiring —
+// every event in the system is owner-tagged at construction; read the report
+// with prof.FromQueue(s.Queue).
 //
 // Profiling is observational: an unprofiled run dispatches the same events
 // at the same ticks and produces byte-identical stats, state hashes and
-// VCD output. Attach before the run starts. The returned profiler is shard
-// 0's.
+// VCD output. Attach before the run starts.
 func (s *System) AttachSelfProfiler(every int) *sim.Profiler {
 	p := s.Queue.AttachProfiler(every)
-	for _, q := range s.ShardQueues[1:] {
-		q.AttachProfiler(every)
-	}
 	if s.PMU != nil {
 		name := s.PMU.Name()
 		s.PMUWrapper.Model().AttachProfiler(p,

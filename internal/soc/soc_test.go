@@ -145,10 +145,14 @@ func TestNVDLATraceOnIdealMemory(t *testing.T) {
 	cfg.Memory = "ideal"
 	cfg.NVDLAs = 1
 	cfg.NVDLAMaxInflight = 64
-	s := MustBuild(cfg)
-	s.NVDLAs[0].Start()
 	tr := smallTrace(0x1000_0000)
-	s.PlayTrace(0, tr)
+	build := func() *System {
+		s := MustBuild(cfg)
+		s.NVDLAs[0].Start()
+		s.PlayTrace(0, tr)
+		return s
+	}
+	s := build()
 	done, err := s.RunUntilNVDLAsDone(100 * sim.Millisecond)
 	if err != nil {
 		t.Fatal(err)
@@ -159,6 +163,38 @@ func TestNVDLATraceOnIdealMemory(t *testing.T) {
 	st := s.NVDLAWrappers[0].Stats()
 	if st.BytesRead != tr.TotalReadBytes {
 		t.Fatalf("read %d bytes, trace says %d", st.BytesRead, tr.TotalReadBytes)
+	}
+
+	// The contract the goldens rest on: the tick returned is the interrupt's
+	// own, the queue rests on the last tick of the crossbar-latency window
+	// holding it, and the stop that got it there is disarmed again.
+	twin := build()
+	twin.NVDLAs[0].OnInterrupt(func(level bool) {
+		if level {
+			twin.Queue.ExitSimLoop("irq")
+		}
+	})
+	twin.Queue.RunUntil(100 * sim.Millisecond)
+	if irq := twin.Queue.Now(); done != irq {
+		t.Errorf("reported completion tick %d, interrupt rose at %d", done, irq)
+	}
+	window := s.Clock.Cycles(2) // Table 1 crossbar latency
+	if now := s.Queue.Now(); now < done || now >= done+window || (now+1)%window != 0 {
+		t.Errorf("queue rests at %d after completion at %d, want the last tick of its %d-tick window", now, done, window)
+	}
+	if at, armed := s.Queue.StopAfter(); armed {
+		t.Errorf("stop-after still armed at %d after the phase returned", at)
+	}
+}
+
+func TestWindowEnd(t *testing.T) {
+	cases := []struct{ t, want sim.Tick }{
+		{0, 999}, {1, 999}, {999, 999}, {1000, 1999}, {1500, 1999}, {1999, 1999}, {2000, 2999},
+	}
+	for _, c := range cases {
+		if got := windowEnd(c.t, 1000); got != c.want {
+			t.Errorf("windowEnd(%d) = %d, want %d", c.t, got, c.want)
+		}
 	}
 }
 

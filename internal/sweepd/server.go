@@ -27,11 +27,7 @@ const MetricsPrefix = "gem5rtl_"
 // with runtime.NumCPU() workers, default retries and no warm start.
 type Config struct {
 	// Workers is the simulation worker pool size; <= 0 means
-	// runtime.NumCPU(). It doubles as the core budget for sharded points: a
-	// point whose RunSpec asks for N simulation shards claims N cores while
-	// it runs, so a mixed queue of serial and sharded points never runs more
-	// shard goroutines than the pool has workers (the scheduler admits an
-	// over-wide point only on an otherwise idle pool).
+	// runtime.NumCPU(). A running point occupies exactly one worker.
 	Workers int
 	// StoreDir persists results as <fingerprint>.json files; "" keeps the
 	// store in memory only (it then dies with the process). Quarantined
@@ -39,7 +35,7 @@ type Config struct {
 	// aside by the boot scan in quarantine/.
 	StoreDir string
 	// CkptDir is the shared warm-start checkpoint directory; with Warmup > 0
-	// every worker populates and restores snapshots from it, so shards warm
+	// every worker populates and restores snapshots from it, so workers warm
 	// each other and a restarted server inherits the previous one's prefixes.
 	CkptDir string
 	// Warmup enables warm-start checkpointing at this simulated tick
@@ -131,7 +127,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg: cfg, store: store, poison: poison,
-		sched: newScheduler(poison, cfg.Retry, cfg.MaxQueue, cfg.Workers),
+		sched: newScheduler(poison, cfg.Retry, cfg.MaxQueue),
 	}
 	s.ctx, s.cancel = context.WithCancel(context.Background())
 	s.run = cfg.RunPoint
@@ -187,9 +183,6 @@ func New(cfg Config) (*Server, error) {
 	})
 	s.reg.Register("sweepd.workers.utilization", "fraction of the worker pool executing a point", func() float64 {
 		return float64(s.busy.Load()) / float64(s.cfg.Workers)
-	})
-	s.reg.Register("sweepd.cores.busy", "cores claimed by running points (sharded points claim their shard count)", func() float64 {
-		return float64(s.sched.counts().coresBusy)
 	})
 	return s, nil
 }

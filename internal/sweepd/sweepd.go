@@ -1,5 +1,5 @@
 // Package sweepd is the sweep-as-a-service layer: a long-running experiment
-// server that accepts RunSpec batches over HTTP/JSON, shards the points
+// server that accepts RunSpec batches over HTTP/JSON, spreads the points
 // across a simulation worker pool, and memoises every result in a persistent
 // store keyed by the spec's canonical fingerprint. Identical points — across
 // jobs, clients and server restarts — simulate once and cache-hit forever.

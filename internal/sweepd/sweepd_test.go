@@ -180,11 +180,36 @@ func TestRestartServesFromStore(t *testing.T) {
 	waitDone(t, j)
 	s1.Close()
 
+	// Entries on disk may carry a "shards" key inside the spec (servers wrote
+	// the spec as submitted, and submissions could set one). It never was part
+	// of the fingerprint, so such a file is a valid result under its name: the
+	// boot scan must load it, not quarantine it.
+	files, _ := filepath.Glob(filepath.Join(dir, "*.json"))
+	if len(files) != 2 {
+		t.Fatalf("store holds %d entries, want the point and its baseline", len(files))
+	}
+	for _, f := range files {
+		buf, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		legacy := strings.Replace(string(buf), `,"limit":8000000000000}`, `,"limit":8000000000000,"shards":2}`, 1)
+		if legacy == string(buf) {
+			t.Fatalf("entry %s not in the expected format: %s", filepath.Base(f), buf)
+		}
+		if err := os.WriteFile(f, []byte(legacy), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
 	s2, err := New(Config{Workers: 1, StoreDir: dir, RunPoint: countingRun(&runs)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s2.Close()
+	if q := s2.store.Quarantined(); q != 0 {
+		t.Fatalf("boot scan quarantined %d valid entries carrying a shards key", q)
+	}
 	s2.Start()
 	before := runs.Load()
 	j2, err := s2.sched.submit(s2.store, SubmitRequest{Specs: specs}, 0)
