@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"gem5rtl/internal/experiments"
 	"gem5rtl/internal/guard"
@@ -30,7 +29,6 @@ import (
 	"gem5rtl/internal/pmu"
 	"gem5rtl/internal/port"
 	"gem5rtl/internal/prof"
-	"gem5rtl/internal/rtl"
 	"gem5rtl/internal/sim"
 	"gem5rtl/internal/soc"
 	"gem5rtl/internal/trace"
@@ -65,7 +63,6 @@ func main() {
 	program := flag.String("program", "sort", "guest program: sort, loop, stream, none")
 	n := flag.Int("n", 200, "workload size parameter")
 	withPMU := flag.Bool("pmu", false, "attach the PMU RTL model to core 0")
-	rtlEngine := flag.String("rtl-engine", "", "RTL simulation engine: "+engineChoices()+" (default bytecode; results are engine-independent)")
 	nvdlas := flag.Int("nvdla", 0, "number of NVDLA accelerator instances")
 	inflight := flag.Int("inflight", 64, "per-NVDLA max in-flight memory requests")
 	dlaWorkload := flag.String("dla-workload", "sanity3", "NVDLA trace: sanity3 or googlenet")
@@ -108,7 +105,6 @@ func main() {
 	cfg.Cores = *cores
 	cfg.Memory = *memName
 	cfg.WithPMU = *withPMU
-	cfg.RTLEngine = rtl.Engine(*rtlEngine)
 	cfg.NVDLAs = *nvdlas
 	cfg.NVDLAMaxInflight = *inflight
 	cfg.NVDLAScratchpad = *scratchpad
@@ -354,15 +350,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "# self-profile written to %s\n", *selfProfOut)
 		}
 	}
-}
-
-// engineChoices renders the registered RTL engines for flag help.
-func engineChoices() string {
-	names := make([]string, 0, 2)
-	for _, e := range rtl.Engines() {
-		names = append(names, string(e))
-	}
-	return strings.Join(names, ", ")
 }
 
 func fatal(err error) {

@@ -32,7 +32,6 @@ func main() {
 	ckptAt := flag.Duration("checkpoint-at", 0, "warm-start: snapshot each point at this simulated time and restore it on later runs (0 = off)")
 	ckptDir := flag.String("checkpoint-dir", "", "persist warm-start snapshots here so they survive across runs (requires -checkpoint-at)")
 	verbose := flag.Bool("v", false, "print per-run progress to stderr")
-	rtlEngine := flag.String("rtl-engine", "", "RTL simulation engine for every point (closure or bytecode; default bytecode; results are engine-independent)")
 	watchdog := flag.Bool("watchdog", false, "attach a liveness watchdog to every cold point so hangs fail fast with a diagnostic (ignored on warm-start runs)")
 	checkPorts := flag.Bool("check-ports", false, "enforce the timing-port handshake protocol on every bound link (panics on a violation)")
 	selfProf := flag.Int("self-profile", 0, "attach the event-kernel self-profiler to every point with this clock-read cadence (64 is a good default; 0 = off)")
@@ -61,7 +60,7 @@ func main() {
 		defer stop()
 	}
 
-	p := experiments.DSEParams{Scale: *scale, Limit: 8 * sim.Second, RTLEngine: *rtlEngine}
+	p := experiments.DSEParams{Scale: *scale, Limit: 8 * sim.Second}
 	// Shared spec validation: a bad -workload/-scale fails here with the
 	// same message the sweep service's submit endpoint would produce.
 	if err := p.Spec(*workload, 1, "ideal", 1).Validate(); err != nil {

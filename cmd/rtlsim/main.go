@@ -24,9 +24,6 @@ import (
 	"gem5rtl/internal/sim"
 	"gem5rtl/internal/verilog"
 	"gem5rtl/internal/vhdl"
-
-	// Link in the optimizing bytecode engine for -rtl-engine=bytecode.
-	_ "gem5rtl/internal/rtlc"
 )
 
 func main() {
@@ -38,7 +35,6 @@ func main() {
 	selfProf := flag.Int("self-profile", 0, "profile the model's comb/seq/memw phases with this clock-read cadence (64 is a good default; 0 = off)")
 	selfProfOut := flag.String("self-profile-out", "", "self-profile export file: .pb.gz = pprof protobuf, else folded stacks (default: print a table to stderr)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-	engineName := flag.String("rtl-engine", "", "simulation engine: closure or bytecode (default closure; results are engine-independent)")
 	var sets multiFlag
 	flag.Var(&sets, "set", "drive input: name=value (repeatable)")
 	flag.Parse()
@@ -61,16 +57,12 @@ func main() {
 		fatal(err)
 	}
 
-	engine, err := rtl.ParseEngine(*engineName)
-	if err != nil {
-		fatal(err)
-	}
 	var model *rtl.Model
 	switch {
 	case strings.HasSuffix(path, ".v") || strings.HasSuffix(path, ".sv"):
-		model, err = verilog.CompileEngine(string(src), *top, nil, engine)
+		model, err = verilog.Compile(string(src), *top, nil)
 	case strings.HasSuffix(path, ".vhd") || strings.HasSuffix(path, ".vhdl"):
-		model, err = vhdl.CompileEngine(string(src), *top, nil, engine)
+		model, err = vhdl.Compile(string(src), *top, nil)
 	default:
 		err = fmt.Errorf("unknown HDL extension on %q (want .v/.sv/.vhd/.vhdl)", path)
 	}

@@ -36,9 +36,6 @@ type DSEParams struct {
 	Scale int
 	// Limit bounds one run's simulated time.
 	Limit sim.Tick
-	// RTLEngine selects the RTL simulation engine for every point of the
-	// sweep (empty = production default). Results are engine-independent.
-	RTLEngine string
 }
 
 // DefaultDSEParams returns the standard scaled configuration.
@@ -104,6 +101,10 @@ type Table3Row struct {
 	HostTime time.Duration
 	// Overhead is normalised to the standalone RTL-model run.
 	Overhead float64
+	// The work behind HostTime, in counts that do not depend on the host:
+	// cycles the model was ticked on the standalone row, events the queue
+	// dispatched on a full-system row.
+	ModelTicks, Events uint64
 }
 
 // Table3 reproduces Table 3: host wall-clock of (a) the standalone
@@ -116,12 +117,12 @@ type Table3Row struct {
 func (r Runner) Table3(ctx context.Context, p DSEParams) ([]Table3Row, error) {
 	var rows []Table3Row
 	for _, wl := range []string{"sanity3", "googlenet"} {
-		standalone, err := runStandalone(ctx, wl, p)
+		standalone, ticks, err := runStandalone(ctx, wl, p)
 		if err != nil {
 			return nil, err
 		}
 		rows = append(rows, Table3Row{Config: "standalone-rtl", Workload: wl,
-			HostTime: standalone, Overhead: 1.0})
+			HostTime: standalone, Overhead: 1.0, ModelTicks: ticks})
 		results, err := r.Sweep(ctx, []RunSpec{
 			p.Spec(wl, 1, "ideal", 240),
 			p.Spec(wl, 1, "DDR4-4ch", 240),
@@ -139,7 +140,8 @@ func (r Runner) Table3(ctx context.Context, p DSEParams) ([]Table3Row, error) {
 			}
 			rows = append(rows, Table3Row{Config: name, Workload: wl,
 				HostTime: res.HostTime,
-				Overhead: float64(res.HostTime) / float64(standalone)})
+				Overhead: float64(res.HostTime) / float64(standalone),
+				Events:   res.Events})
 		}
 	}
 	return rows, nil
@@ -147,16 +149,17 @@ func (r Runner) Table3(ctx context.Context, p DSEParams) ([]Table3Row, error) {
 
 // RunStandaloneOnce is the exported single-run entry for benchmarks.
 func RunStandaloneOnce(workload string, p DSEParams) (time.Duration, error) {
-	return runStandalone(context.Background(), workload, p)
+	d, _, err := runStandalone(context.Background(), workload, p)
+	return d, err
 }
 
 // runStandalone ticks the accelerator wrapper directly against a
 // zero-latency memory, like running the Verilated model with its bundled
 // testbench wrapper: no SoC, no trace-into-memory load phase.
-func runStandalone(ctx context.Context, workload string, p DSEParams) (time.Duration, error) {
+func runStandalone(ctx context.Context, workload string, p DSEParams) (time.Duration, uint64, error) {
 	tr, err := trace.Scaled(workload, 0, p.Scale)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
-	return trace.RunStandaloneCtx(ctx, tr)
+	return trace.RunStandaloneTicks(ctx, tr)
 }

@@ -268,6 +268,10 @@ type Table2Cell struct {
 	HostTime time.Duration
 	// Overhead is host time normalised to the plain-gem5 run of this size.
 	Overhead float64
+	// The work behind HostTime, in counts that do not depend on the host:
+	// events the queue dispatched, instructions core 0 committed, cycles the
+	// PMU model was ticked and waveform bytes written.
+	Events, Committed, ModelTicks, VCDBytes uint64
 }
 
 // Table2 reproduces Table 2: host wall-clock of the sorting benchmark
@@ -291,11 +295,12 @@ func (r Runner) Table2(ctx context.Context, sizes []int, sleepUs int) ([]Table2C
 	}
 	cells := make([]Table2Cell, len(jobs))
 	err := r.ForEach(ctx, len(jobs), func(ctx context.Context, i int) error {
-		elapsed, err := runSortOnce(ctx, jobs[i].n, sleepUs, jobs[i].cfg.PMU, jobs[i].cfg.Waveform)
+		cell, err := runSortOnce(ctx, jobs[i].n, sleepUs, jobs[i].cfg.PMU, jobs[i].cfg.Waveform)
 		if err != nil {
 			return err
 		}
-		cells[i] = Table2Cell{Config: jobs[i].cfg.Name, Size: jobs[i].n, HostTime: elapsed}
+		cell.Config, cell.Size = jobs[i].cfg.Name, jobs[i].n
+		cells[i] = cell
 		return nil
 	})
 	if err != nil {
@@ -324,12 +329,16 @@ func DefaultTable2Sizes() []int { return []int{60, 600, 1200} }
 // RunTable2Config runs a single Table 2 configuration at one size,
 // returning the host time (benchmark entry point).
 func RunTable2Config(cfg Table2Config, n, sleepUs int) (time.Duration, error) {
-	return runSortOnce(context.Background(), n, sleepUs, cfg.PMU, cfg.Waveform)
+	cell, err := runSortOnce(context.Background(), n, sleepUs, cfg.PMU, cfg.Waveform)
+	return cell.HostTime, err
 }
 
-func runSortOnce(ctx context.Context, n, sleepUs int, withPMU, waveform bool) (time.Duration, error) {
+// runSortOnce runs the sort benchmark once and returns its host time and
+// work counts; the caller names the cell.
+func runSortOnce(ctx context.Context, n, sleepUs int, withPMU, waveform bool) (Table2Cell, error) {
+	var cell Table2Cell
 	if err := ctx.Err(); err != nil {
-		return 0, err
+		return cell, err
 	}
 	cfg := soc.DefaultConfig()
 	cfg.Cores = 1
@@ -341,7 +350,7 @@ func runSortOnce(ctx context.Context, n, sleepUs int, withPMU, waveform bool) (t
 	}
 	s, err := soc.Build(cfg)
 	if err != nil {
-		return 0, err
+		return cell, err
 	}
 	start := time.Now()
 	if withPMU {
@@ -354,7 +363,7 @@ func runSortOnce(ctx context.Context, n, sleepUs int, withPMU, waveform bool) (t
 	}
 	if err := s.LoadProgram(0, workload.SortBenchmark(workload.SortParams{
 		N: n, SleepUs: sleepUs})); err != nil {
-		return 0, err
+		return cell, err
 	}
 	done := false
 	s.Cores[0].OnExit = func(int64) { done = true; s.Queue.ExitSimLoop("exit") }
@@ -364,18 +373,25 @@ func runSortOnce(ctx context.Context, n, sleepUs int, withPMU, waveform bool) (t
 	s.Queue.RunUntil(sim.MaxTick)
 	obs.CountEvents(s.Queue.Dispatched())
 	if err := ctx.Err(); err != nil {
-		return 0, err
+		return cell, err
 	}
 	if !done {
-		return 0, fmt.Errorf("experiments: sort benchmark (n=%d) did not finish", n)
+		return cell, fmt.Errorf("experiments: sort benchmark (n=%d) did not finish", n)
 	}
-	return time.Since(start), nil
+	cell.HostTime = time.Since(start)
+	cell.Events = s.Queue.Dispatched()
+	cell.Committed = s.Cores[0].Stats().Committed
+	if withPMU {
+		cell.ModelTicks = s.PMU.Stats().Ticks
+	}
+	cell.VCDBytes = sink.n
+	return cell, nil
 }
 
 // countingWriter discards VCD output while paying realistic formatting cost.
-type countingWriter struct{ n int64 }
+type countingWriter struct{ n uint64 }
 
 func (w *countingWriter) Write(p []byte) (int, error) {
-	w.n += int64(len(p))
+	w.n += uint64(len(p))
 	return len(p), nil
 }

@@ -28,6 +28,7 @@ type runOpts struct {
 	statsSink func([]stats.Sample)
 	profEvery int
 	profSink  func(*prof.Report)
+	events    *uint64
 }
 
 // WithWarmStart turns the run into a warm-start point against cache: the
@@ -97,6 +98,12 @@ func WithSelfProfile(every int, sink func(*prof.Report)) Option {
 	}
 }
 
+// withEvents stores the number of events the point's queue dispatched into
+// dst (Result.Events).
+func withEvents(dst *uint64) Option {
+	return func(o *runOpts) { o.events = dst }
+}
+
 // Run executes one simulation point: n accelerator instances, each running
 // its own copy of the workload trace (the paper's setup), on the named
 // memory technology with the given in-flight cap. Cancelling ctx aborts the
@@ -149,6 +156,9 @@ func (o *runOpts) finish(s *soc.System) error {
 	}
 	if o.profSink != nil {
 		o.profSink(prof.FromQueue(s.Queue))
+	}
+	if o.events != nil {
+		*o.events = s.Queue.Dispatched()
 	}
 	return nil
 }

@@ -24,6 +24,10 @@ type Result struct {
 	// HostTime is the wall-clock cost of this point's own simulation
 	// (baseline lookups for normalisation are excluded).
 	HostTime time.Duration
+	// Events is how many events the point's queue dispatched: its cost in
+	// units that, unlike HostTime, do not depend on the host. 0 when the
+	// Runner's Run override executed the point.
+	Events uint64
 	// Err records a per-point failure: a build/trace error, ctx.Err() on
 	// cancellation, or a recovered panic from a diverging simulation. The
 	// rest of the sweep is unaffected.
@@ -70,15 +74,20 @@ type Runner struct {
 	AttrSink func(*prof.Report)
 }
 
-// executor resolves the per-point run function: an explicit override or the
-// unified Run entry point with the runner's options.
-func (r Runner) executor() func(ctx context.Context, spec RunSpec) (sim.Tick, error) {
+// pointRun executes one point with extra per-point options.
+type pointRun func(ctx context.Context, spec RunSpec, extra ...Option) (sim.Tick, error)
+
+// executor resolves the per-point run function: an explicit override, which
+// takes no options, or the unified Run entry point with the runner's options.
+func (r Runner) executor() pointRun {
 	if r.Run != nil {
-		return r.Run
+		return func(ctx context.Context, spec RunSpec, _ ...Option) (sim.Tick, error) {
+			return r.Run(ctx, spec)
+		}
 	}
 	opts := r.Options
-	return func(ctx context.Context, spec RunSpec) (sim.Tick, error) {
-		return Run(ctx, spec, opts...)
+	return func(ctx context.Context, spec RunSpec, extra ...Option) (sim.Tick, error) {
+		return Run(ctx, spec, append(opts[:len(opts):len(opts)], extra...)...)
 	}
 }
 
@@ -167,41 +176,38 @@ func (r Runner) runOne(ctx context.Context, spec RunSpec, cache *baselineCache) 
 		r.say(&res)
 	}()
 	if spec.isIdeal() {
-		res.Ticks, res.HostTime, res.Err = cache.get(ctx, spec.baseline())
+		e := cache.get(ctx, spec.baseline())
+		res.Ticks, res.HostTime, res.Events, res.Err = e.ticks, e.hostTime, e.events, e.err
 		if res.Err == nil {
 			res.Perf = 1
 		}
 		return res
 	}
-	start := time.Now()
-	var t sim.Tick
-	var err error
-	if r.SelfProfile > 0 && r.Run == nil {
-		// Per-point option composition: the sink writes this point's report,
-		// so the shared r.Options slice stays free of per-point sinks.
-		opts := append(append([]Option{}, r.Options...),
-			WithSelfProfile(r.SelfProfile, func(rep *prof.Report) {
-				res.Attr = rep
-				if r.AttrSink != nil {
-					r.AttrSink(rep)
-				}
-			}))
-		t, err = Run(ctx, spec, opts...)
-	} else {
-		t, err = cache.run(ctx, spec)
+	// Per-point sinks are composed here, so the shared r.Options slice stays
+	// free of them.
+	extra := []Option{withEvents(&res.Events)}
+	if r.SelfProfile > 0 {
+		extra = append(extra, WithSelfProfile(r.SelfProfile, func(rep *prof.Report) {
+			res.Attr = rep
+			if r.AttrSink != nil {
+				r.AttrSink(rep)
+			}
+		}))
 	}
+	start := time.Now()
+	t, err := cache.run(ctx, spec, extra...)
 	res.HostTime = time.Since(start)
 	if err != nil {
 		res.Err = err
 		return res
 	}
 	res.Ticks = t
-	ideal, _, err := cache.get(ctx, spec.baseline())
-	if err != nil {
-		res.Err = fmt.Errorf("ideal baseline for %v: %w", spec, err)
+	ideal := cache.get(ctx, spec.baseline())
+	if ideal.err != nil {
+		res.Err = fmt.Errorf("ideal baseline for %v: %w", spec, ideal.err)
 		return res
 	}
-	res.Perf = float64(ideal) / float64(t)
+	res.Perf = float64(ideal.ticks) / float64(t)
 	return res
 }
 
@@ -276,7 +282,7 @@ func (r Runner) ForEach(ctx context.Context, n int, fn func(ctx context.Context,
 // diverging baseline surfaces as an error on every dependent point rather
 // than a crash); concurrent getters block until the result is ready.
 type baselineCache struct {
-	run     func(ctx context.Context, spec RunSpec) (sim.Tick, error)
+	run     pointRun
 	mu      sync.Mutex
 	entries map[RunSpec]*baselineEntry
 }
@@ -285,10 +291,11 @@ type baselineEntry struct {
 	once     sync.Once
 	ticks    sim.Tick
 	hostTime time.Duration
+	events   uint64
 	err      error
 }
 
-func (c *baselineCache) get(ctx context.Context, spec RunSpec) (sim.Tick, time.Duration, error) {
+func (c *baselineCache) get(ctx context.Context, spec RunSpec) *baselineEntry {
 	c.mu.Lock()
 	e := c.entries[spec]
 	if e == nil {
@@ -303,8 +310,8 @@ func (c *baselineCache) get(ctx context.Context, spec RunSpec) (sim.Tick, time.D
 			}
 		}()
 		start := time.Now()
-		e.ticks, e.err = c.run(ctx, spec)
+		e.ticks, e.err = c.run(ctx, spec, withEvents(&e.events))
 		e.hostTime = time.Since(start)
 	})
-	return e.ticks, e.hostTime, e.err
+	return e
 }

@@ -9,7 +9,6 @@ import (
 	"strings"
 
 	"gem5rtl/internal/mem"
-	"gem5rtl/internal/rtl"
 	"gem5rtl/internal/sim"
 )
 
@@ -29,12 +28,6 @@ type RunSpec struct {
 	Scale int `json:"scale"`
 	// Limit bounds one run's simulated time, in ticks.
 	Limit sim.Tick `json:"limit"`
-	// RTLEngine selects the RTL simulation engine ("closure" or
-	// "bytecode"; empty = the production default). Engines are
-	// dispatch-identical, so this field is an execution-strategy knob: it
-	// is excluded from the canonical encoding and the fingerprint, and two
-	// specs differing only in engine are the same simulation point.
-	RTLEngine string `json:"rtl_engine,omitempty"`
 }
 
 // String renders the spec for progress lines and error messages.
@@ -108,29 +101,25 @@ func (s RunSpec) Validate() error {
 	if s.Limit == 0 {
 		return fmt.Errorf("experiments: invalid spec: limit 0 (want a simulated-time bound in ticks, e.g. %d for 8 s)", 8*sim.Second)
 	}
-	if s.RTLEngine != "" {
-		if _, err := rtl.ParseEngine(s.RTLEngine); err != nil {
-			return fmt.Errorf("experiments: invalid spec: %w", err)
-		}
-	}
 	return nil
 }
 
 // runSpecJSON mirrors RunSpec for strict decoding without recursing into
 // RunSpec.UnmarshalJSON.
 type runSpecJSON struct {
-	Workload  string   `json:"workload"`
-	NVDLAs    int      `json:"nvdlas"`
-	Memory    string   `json:"memory"`
-	Inflight  int      `json:"inflight"`
-	Scale     int      `json:"scale"`
-	Limit     sim.Tick `json:"limit"`
-	RTLEngine string   `json:"rtl_engine,omitempty"`
-	// Shards is read and dropped: result-store entries and client batches
-	// exist that carry a "shards" count. It is no part of a result or a
-	// fingerprint, so rejecting the key would quarantine valid stored
-	// results. Nothing sets it, so no encoding contains it.
-	Shards int `json:"shards,omitempty"`
+	Workload string   `json:"workload"`
+	NVDLAs   int      `json:"nvdlas"`
+	Memory   string   `json:"memory"`
+	Inflight int      `json:"inflight"`
+	Scale    int      `json:"scale"`
+	Limit    sim.Tick `json:"limit"`
+	// Shards and RTLEngine are read and dropped: result-store entries and
+	// client batches exist that carry a "shards" count or an "rtl_engine"
+	// name. Neither is part of a result or a fingerprint, so rejecting the
+	// keys would quarantine valid stored results. Nothing sets them, so no
+	// encoding contains them.
+	Shards    int    `json:"shards,omitempty"`
+	RTLEngine string `json:"rtl_engine,omitempty"`
 }
 
 // UnmarshalJSON decodes a spec strictly: an unknown field is an error, so a
@@ -144,7 +133,7 @@ func (s *RunSpec) UnmarshalJSON(data []byte) error {
 		return fmt.Errorf("experiments: decoding RunSpec: %w", err)
 	}
 	*s = RunSpec{Workload: raw.Workload, NVDLAs: raw.NVDLAs, Memory: raw.Memory,
-		Inflight: raw.Inflight, Scale: raw.Scale, Limit: raw.Limit, RTLEngine: raw.RTLEngine}
+		Inflight: raw.Inflight, Scale: raw.Scale, Limit: raw.Limit}
 	return nil
 }
 
@@ -152,9 +141,6 @@ func (s *RunSpec) UnmarshalJSON(data []byte) error {
 // declaration order. Two equal specs always produce identical bytes, so the
 // encoding is usable as a deduplication key.
 func (s RunSpec) CanonicalJSON() []byte {
-	// RTLEngine is left out. Engines are dispatch-identical: the
-	// execution-strategy knob must not split the result-store key space, so
-	// it never reaches the canonical bytes.
 	raw := runSpecJSON{Workload: s.Workload, NVDLAs: s.NVDLAs, Memory: s.Memory,
 		Inflight: s.Inflight, Scale: s.Scale, Limit: s.Limit}
 	b, err := json.Marshal(raw)
@@ -193,6 +179,5 @@ func ParseSpecs(data []byte) ([]RunSpec, error) {
 // Spec converts a DSEParams-era positional call into a RunSpec.
 func (p DSEParams) Spec(workload string, nDLA int, memory string, inflight int) RunSpec {
 	return RunSpec{Workload: workload, NVDLAs: nDLA, Memory: memory,
-		Inflight: inflight, Scale: p.Scale, Limit: p.Limit,
-		RTLEngine: p.RTLEngine}
+		Inflight: inflight, Scale: p.Scale, Limit: p.Limit}
 }

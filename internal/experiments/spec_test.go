@@ -38,11 +38,14 @@ func TestStrictDecodeRejectsUnknownFields(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "inflght") {
 		t.Errorf("unknown field not rejected: err=%v", err)
 	}
-	// "shards" is the one key read and dropped (stored and submitted specs
-	// carry it); a misspelling of it is an unknown field like any other.
-	err = json.Unmarshal([]byte(`{"workload":"sanity3","shrads":2}`), &spec)
-	if err == nil || !strings.Contains(err.Error(), "shrads") {
-		t.Errorf("misspelt shards key not rejected: err=%v", err)
+	// "shards" and "rtl_engine" are the two keys read and dropped (stored and
+	// submitted specs carry them); a misspelling of either is an unknown field
+	// like any other.
+	for _, typo := range []string{"shrads", "rtl_engin"} {
+		err = json.Unmarshal([]byte(`{"workload":"sanity3","`+typo+`":2}`), &spec)
+		if err == nil || !strings.Contains(err.Error(), typo) {
+			t.Errorf("misspelt legacy key %q not rejected: err=%v", typo, err)
+		}
 	}
 }
 
@@ -76,42 +79,6 @@ func TestFingerprint(t *testing.T) {
 			t.Errorf("variant %d collides with an earlier fingerprint", i)
 		}
 		seen[fp] = true
-	}
-}
-
-// TestRTLEngineExcludedFromFingerprint checks the engine knob is pure
-// execution strategy: it decodes strictly, it validates, and it never
-// reaches the canonical bytes or the fingerprint — two specs differing only
-// in engine are one simulation point and share baselines and result-store
-// entries.
-func TestRTLEngineExcludedFromFingerprint(t *testing.T) {
-	base := validSpec()
-	closure, bytecode := base, base
-	closure.RTLEngine = "closure"
-	bytecode.RTLEngine = "bytecode"
-	if base.Fingerprint() != closure.Fingerprint() || base.Fingerprint() != bytecode.Fingerprint() {
-		t.Error("engine choice changed the fingerprint")
-	}
-	if string(closure.CanonicalJSON()) != string(base.CanonicalJSON()) {
-		t.Errorf("engine leaked into canonical bytes: %s", closure.CanonicalJSON())
-	}
-	for _, s := range []RunSpec{closure, bytecode} {
-		if err := s.Validate(); err != nil {
-			t.Errorf("engine %q rejected: %v", s.RTLEngine, err)
-		}
-	}
-	bad := base
-	bad.RTLEngine = "jit"
-	if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "jit") {
-		t.Errorf("unknown engine not rejected by name: err=%v", err)
-	}
-	// The strict decoder accepts the field and carries it through.
-	var back RunSpec
-	if err := json.Unmarshal([]byte(`{"workload":"sanity3","nvdlas":1,"memory":"ideal","inflight":16,"scale":32,"limit":1,"rtl_engine":"closure"}`), &back); err != nil {
-		t.Fatalf("strict decode rejected rtl_engine: %v", err)
-	}
-	if back.RTLEngine != "closure" {
-		t.Errorf("rtl_engine not decoded: %+v", back)
 	}
 }
 
@@ -168,17 +135,20 @@ func TestParseSpecs(t *testing.T) {
 		t.Errorf("parsed %+v", specs)
 	}
 
-	// A batch written for a server that took a "shards" count still parses;
-	// the key is dropped, so it is never written back.
-	legacy, err := ParseSpecs([]byte(strings.Replace(good, `}]`, `,"shards":2}]`, 1)))
-	if err != nil {
-		t.Fatalf("batch with a shards key rejected: %v", err)
-	}
-	if len(legacy) != 1 || legacy[0] != specs[0] {
-		t.Errorf("shards key changed the parsed spec: %+v vs %+v", legacy, specs)
-	}
-	if out, _ := json.Marshal(legacy); string(out) != good {
-		t.Errorf("re-marshalled batch:\n  got  %s\n  want %s", out, good)
+	// A batch written for a server that took a "shards" count or an
+	// "rtl_engine" name still parses; the keys are dropped, so they are never
+	// written back.
+	for _, key := range []string{`"shards":2`, `"rtl_engine":"closure"`} {
+		legacy, err := ParseSpecs([]byte(strings.Replace(good, `}]`, `,`+key+`}]`, 1)))
+		if err != nil {
+			t.Fatalf("batch with %s rejected: %v", key, err)
+		}
+		if len(legacy) != 1 || legacy[0] != specs[0] {
+			t.Errorf("%s changed the parsed spec: %+v vs %+v", key, legacy, specs)
+		}
+		if out, _ := json.Marshal(legacy); string(out) != good {
+			t.Errorf("batch with %s re-marshalled:\n  got  %s\n  want %s", key, out, good)
+		}
 	}
 
 	if _, err := ParseSpecs([]byte(`[{"workload":"sanity3","typo":1}]`)); err == nil {

@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 
 	"gem5rtl/internal/obs"
-	"gem5rtl/internal/rtl"
 	"gem5rtl/internal/sim"
 	"gem5rtl/internal/soc"
 )
@@ -22,7 +21,6 @@ func specConfig(spec RunSpec) soc.Config {
 	cfg.Memory = spec.Memory
 	cfg.NVDLAs = spec.NVDLAs
 	cfg.NVDLAMaxInflight = spec.Inflight
-	cfg.RTLEngine = rtl.Engine(spec.RTLEngine)
 	return cfg
 }
 
@@ -121,9 +119,6 @@ func (c *CheckpointCache) Len() int {
 
 func (c *CheckpointCache) key(spec RunSpec, warmup sim.Tick) ckptKey {
 	spec.Limit = 0
-	// Checkpoints are engine-portable (same state layout, same
-	// fingerprint), so a prefix warmed under one engine serves all.
-	spec.RTLEngine = ""
 	return ckptKey{spec, warmup}
 }
 

@@ -5,8 +5,6 @@ import "testing"
 // BenchmarkKernel runs the shared kernel suite under `go test -bench`:
 //
 //	go test -bench BenchmarkKernel -benchmem ./internal/kernelbench
-//
-// cmd/kernelbench runs the identical bodies and emits BENCH_kernel.json.
 func BenchmarkKernel(b *testing.B) {
 	for _, bench := range Suite() {
 		b.Run(bench.Name, bench.Run)

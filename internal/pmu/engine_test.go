@@ -9,14 +9,14 @@ import (
 	"gem5rtl/internal/rtlobject"
 )
 
-// TestEngineEquivalence drives closure- and bytecode-engined PMU instances
-// with an identical stimulus — event bursts, AXI configuration traffic,
-// threshold interrupts, counter-clearing reads and writes — and requires
-// bit-identical wrapper outputs, RTL state, counters and VCD waveforms every
-// cycle. This is the integration-level form of the rtlc differential tests:
-// real generated Verilog through the full toolflow on both engines.
+// TestEngineEquivalence drives the PMU on the reference evaluator and on the
+// bytecode VM with an identical stimulus — event bursts, AXI configuration
+// traffic, threshold interrupts, counter-clearing reads and writes — and
+// requires bit-identical wrapper outputs, RTL state, counters and VCD
+// waveforms every cycle. This is the integration-level form of the rtlc differential tests:
+// real generated Verilog through the full toolflow on both evaluators.
 func TestEngineEquivalence(t *testing.T) {
-	wc, err := NewWrapperEngine(NumCounters, rtl.EngineClosure)
+	wr, err := NewWrapperEngine(NumCounters, rtl.EngineReference)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,18 +24,18 @@ func TestEngineEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var vcdC, vcdB bytes.Buffer
-	wc.Model().AttachVCD(&vcdC, 1)
+	var vcdR, vcdB bytes.Buffer
+	wr.Model().AttachVCD(&vcdR, 1)
 	wb.Model().AttachVCD(&vcdB, 1)
-	wc.Reset()
+	wr.Reset()
 	wb.Reset()
 
-	sigs := wc.Model().Circuit().Signals
+	sigs := wr.Model().Circuit().Signals
 	compare := func(cycle int) {
 		t.Helper()
 		for i := range sigs {
-			if gc, gb := wc.Model().PeekID(rtl.SigID(i)), wb.Model().PeekID(rtl.SigID(i)); gc != gb {
-				t.Fatalf("cycle %d: signal %q: closure %#x bytecode %#x", cycle, sigs[i].Name, gc, gb)
+			if gr, gb := wr.Model().PeekID(rtl.SigID(i)), wb.Model().PeekID(rtl.SigID(i)); gr != gb {
+				t.Fatalf("cycle %d: signal %q: reference %#x bytecode %#x", cycle, sigs[i].Name, gr, gb)
 			}
 		}
 	}
@@ -67,36 +67,36 @@ func TestEngineEquivalence(t *testing.T) {
 			}
 		}
 		if n := rng.Intn(7); n > 0 {
-			wc.AddCommits(n)
+			wr.AddCommits(n)
 			wb.AddCommits(n)
 		}
 		if rng.Intn(3) == 0 {
-			wc.AddMiss()
+			wr.AddMiss()
 			wb.AddMiss()
 		}
-		oc := wc.Tick(in)
+		or := wr.Tick(in)
 		ob := wb.Tick(in)
-		if oc.Interrupt != ob.Interrupt {
-			t.Fatalf("cycle %d: IRQ: closure %v bytecode %v", cycle, oc.Interrupt, ob.Interrupt)
+		if or.Interrupt != ob.Interrupt {
+			t.Fatalf("cycle %d: IRQ: reference %v bytecode %v", cycle, or.Interrupt, ob.Interrupt)
 		}
-		if len(oc.CPUResponses) != len(ob.CPUResponses) {
-			t.Fatalf("cycle %d: response count: closure %d bytecode %d",
-				cycle, len(oc.CPUResponses), len(ob.CPUResponses))
+		if len(or.CPUResponses) != len(ob.CPUResponses) {
+			t.Fatalf("cycle %d: response count: reference %d bytecode %d",
+				cycle, len(or.CPUResponses), len(ob.CPUResponses))
 		}
-		for i := range oc.CPUResponses {
-			if oc.CPUResponses[i].ID != ob.CPUResponses[i].ID ||
-				!bytes.Equal(oc.CPUResponses[i].Data, ob.CPUResponses[i].Data) {
+		for i := range or.CPUResponses {
+			if or.CPUResponses[i].ID != ob.CPUResponses[i].ID ||
+				!bytes.Equal(or.CPUResponses[i].Data, ob.CPUResponses[i].Data) {
 				t.Fatalf("cycle %d: response %d differs", cycle, i)
 			}
 		}
 		compare(cycle)
 	}
 	for i := 0; i < NumCounters; i++ {
-		if wc.Counter(i) != wb.Counter(i) {
-			t.Fatalf("counter %d: closure %d bytecode %d", i, wc.Counter(i), wb.Counter(i))
+		if wr.Counter(i) != wb.Counter(i) {
+			t.Fatalf("counter %d: reference %d bytecode %d", i, wr.Counter(i), wb.Counter(i))
 		}
 	}
-	if !bytes.Equal(vcdC.Bytes(), vcdB.Bytes()) {
-		t.Fatalf("VCD waveforms differ between engines (%d vs %d bytes)", vcdC.Len(), vcdB.Len())
+	if !bytes.Equal(vcdR.Bytes(), vcdB.Bytes()) {
+		t.Fatalf("VCD waveforms differ between engines (%d vs %d bytes)", vcdR.Len(), vcdB.Len())
 	}
 }

@@ -20,12 +20,9 @@ import (
 
 	"gem5rtl/internal/obs"
 	"gem5rtl/internal/rtl"
+	"gem5rtl/internal/rtlc"
 	"gem5rtl/internal/rtlobject"
 	"gem5rtl/internal/verilog"
-
-	// Link in the optimizing bytecode engine so every PMU user can select
-	// it by name (rtl.EngineBytecode).
-	_ "gem5rtl/internal/rtlc"
 )
 
 // NumCounters matches Table 1: 20 32-bit counters.
@@ -136,15 +133,26 @@ endmodule
 	return b.String()
 }
 
-// CompileModel runs the Verilog toolflow on the generated PMU source using
-// the closure reference engine.
-func CompileModel(nc int) (*rtl.Model, error) {
-	return CompileModelEngine(nc, rtl.EngineClosure)
-}
-
-// CompileModelEngine is CompileModel with an explicit simulation engine.
+// CompileModelEngine runs the Verilog toolflow on the generated PMU source
+// and instantiates the circuit on the named evaluator. Its signature and
+// NewWrapperEngine's are pinned by bench/probes.go (see rtl.Engine); tests
+// use the pair to build the reference beside the VM.
 func CompileModelEngine(nc int, engine rtl.Engine) (*rtl.Model, error) {
-	return verilog.CompileEngine(VerilogSource(nc), "pmu", nil, engine)
+	f, err := verilog.Parse(VerilogSource(nc))
+	if err != nil {
+		return nil, err
+	}
+	c, err := verilog.Elaborate(f, "pmu", nil)
+	if err != nil {
+		return nil, err
+	}
+	switch engine {
+	case rtl.EngineBytecode:
+		return rtlc.NewModel(c)
+	case rtl.EngineReference:
+		return rtl.Compile(c)
+	}
+	return nil, fmt.Errorf("pmu: unknown RTL engine %q", engine)
 }
 
 // Wrapper is the shared-library wrapper of Figure 3: it drives the PMU
@@ -190,13 +198,30 @@ type Wrapper struct {
 	prevIrq bool
 }
 
-// NewWrapper compiles the PMU RTL with the closure reference engine and
-// builds its wrapper.
-func NewWrapper(nc int) (*Wrapper, error) {
-	return NewWrapperEngine(nc, rtl.EngineClosure)
+// referenceMode makes NewWrapper build its model on the reference evaluator
+// for code paths that construct the PMU internally (soc.Build). Test-only;
+// see UseReferenceModelForTest.
+var referenceMode bool
+
+// UseReferenceModelForTest makes every subsequent NewWrapper run the PMU on
+// the rtl reference evaluator while on. It is NOT safe to toggle while
+// systems are being built on other goroutines and exists solely for
+// differential tests that build full systems through constructors they do
+// not control.
+func UseReferenceModelForTest(on bool) {
+	referenceMode = on
 }
 
-// NewWrapperEngine is NewWrapper with an explicit simulation engine.
+// NewWrapper compiles the PMU RTL and builds its wrapper.
+func NewWrapper(nc int) (*Wrapper, error) {
+	if referenceMode {
+		return NewWrapperEngine(nc, rtl.EngineReference)
+	}
+	return NewWrapperEngine(nc, rtl.EngineBytecode)
+}
+
+// NewWrapperEngine is NewWrapper on the named evaluator (see
+// CompileModelEngine).
 func NewWrapperEngine(nc int, engine rtl.Engine) (*Wrapper, error) {
 	m, err := CompileModelEngine(nc, engine)
 	if err != nil {

@@ -237,7 +237,7 @@ func BenchmarkPMUTick(b *testing.B) {
 // every cycle, so a model cycle allocates nothing — with events pending, an
 // AXI write queued behind an AXI read, and the read's response going out.
 func TestTickAllocsPerRun(t *testing.T) {
-	for _, engine := range []rtl.Engine{rtl.EngineClosure, rtl.EngineBytecode} {
+	for _, engine := range []rtl.Engine{rtl.EngineReference, rtl.EngineBytecode} {
 		w, err := NewWrapperEngine(NumCounters, engine)
 		if err != nil {
 			t.Fatal(err)

@@ -1,48 +1,35 @@
 package rtl
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
-
-// Engine names a Model evaluation engine. The package has one built-in
-// engine, EngineClosure — the closure-compiled reference evaluator — and
-// accepts additional engines through RegisterEngine (internal/rtlc registers
-// EngineBytecode, the optimizing bytecode compiler + register-machine VM).
-// Engines are behaviourally interchangeable: every engine must be bit-exact
-// against the closure reference on all architectural state (signal values,
-// memories, cycle counter), so VCD traces, checkpoints, StateHash digests and
-// fault-injection campaigns are engine-independent.
+// Engine names one of the two evaluators a Circuit can be instantiated on.
+// It is not a user-facing choice — every binary and library entry point runs
+// the bytecode VM — and exists for two readers of pmu.CompileModelEngine and
+// pmu.NewWrapperEngine only: bench/probes.go, which passes EngineBytecode
+// and pins the type, the constant and those two signatures until the
+// benchmark PR that may edit bench/ drops them, and tests, which pass
+// EngineReference to build what they compare the VM against.
 type Engine string
 
-// The engine names accepted by CompileEngine. An empty Engine selects the
-// closure reference engine.
 const (
-	// EngineClosure is the built-in reference engine: every expression tree
-	// is lowered to a tree of Go closures at compile time. It anchors the
-	// bit-exactness of every other engine, the way NewReferenceEventQueue
-	// anchors the calendar queue.
-	EngineClosure Engine = "closure"
-	// EngineBytecode is the optimizing bytecode compiler + register-machine
-	// VM implemented by internal/rtlc. Selecting it requires that package to
-	// be linked into the binary (it registers itself in an init function;
-	// importing internal/rtlc, directly or blank, is enough).
+	// EngineBytecode is the production engine: internal/rtlc's optimizing
+	// compiler and activity-scheduled register-machine VM (rtlc.NewModel).
 	EngineBytecode Engine = "bytecode"
+	// EngineReference is the tree-walking evaluator of reference.go
+	// (Compile): the definition of the semantics, run by tests only.
+	EngineReference Engine = "reference"
 )
 
-// Backend is a pluggable per-cycle evaluation core behind a Model. The Model
-// keeps ownership of the architectural state surface (Peek/SetInput, VCD,
+// Backend is the per-cycle evaluation core behind a Model. The Model keeps
+// ownership of the architectural state surface (Peek/SetInput, VCD,
 // checkpoints, fault injection); the backend owns how that state advances.
-//
-// The contract mirrors the closure engine exactly:
+// There are two: the VM in internal/rtlc, which everything runs, and the
+// reference evaluator in this package, which tests compare it against.
 //
 //   - Vals returns the signal-value storage, one uint64 per circuit signal.
 //     The Model adopts this slice as its value store, so external reads and
 //     writes (SetInput, checkpoint restore, bit flips) are immediately
 //     visible to the backend and vice versa — no synchronisation step.
 //   - Eval settles the combinational logic against current inputs, register
-//     and memory state, exactly like the closure engine's levelised pass.
+//     and memory state, as one pass in levelised order would.
 //   - Tick performs one full clock cycle minus the Model-side bookkeeping:
 //     Eval, capture of register next-state and memory writes with pre-edge
 //     values, commit, Eval. The Model increments the cycle counter and dumps
@@ -72,50 +59,6 @@ type Backend interface {
 // Model's memory storage (one word slice per circuit memory), which the
 // backend must share — memory state, like Vals, has a single copy.
 type EngineBuilder func(c *Circuit, mems [][]uint64) (Backend, error)
-
-var engineBuilders = map[Engine]EngineBuilder{}
-
-// RegisterEngine makes an engine available to CompileEngine. It is intended
-// to be called from an init function of the implementing package; registering
-// a duplicate or overriding the built-in closure engine panics.
-func RegisterEngine(name Engine, b EngineBuilder) {
-	if name == "" || name == EngineClosure {
-		panic("rtl: cannot override the closure reference engine")
-	}
-	if _, dup := engineBuilders[name]; dup {
-		panic(fmt.Sprintf("rtl: engine %q registered twice", name))
-	}
-	engineBuilders[name] = b
-}
-
-// Engines lists the selectable engine names, sorted, starting with the
-// built-in closure engine. Command-line help and spec validation use it so a
-// typo'd engine name fails with the real set of choices.
-func Engines() []Engine {
-	out := []Engine{EngineClosure}
-	for name := range engineBuilders {
-		out = append(out, name)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// ParseEngine validates an engine name from a flag or spec. The empty string
-// selects the closure reference engine.
-func ParseEngine(name string) (Engine, error) {
-	e := Engine(name)
-	if e == "" || e == EngineClosure {
-		return EngineClosure, nil
-	}
-	if _, ok := engineBuilders[e]; ok {
-		return e, nil
-	}
-	names := make([]string, 0, len(engineBuilders)+1)
-	for _, n := range Engines() {
-		names = append(names, string(n))
-	}
-	return "", fmt.Errorf("rtl: unknown engine %q (want one of %s)", name, strings.Join(names, ", "))
-}
 
 // CombOrder levelises the circuit's combinational assignments: the returned
 // indices into Combs order every assignment after the assignments producing

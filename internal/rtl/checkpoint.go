@@ -89,7 +89,7 @@ func (m *Model) RestoreCheckpoint(r io.Reader) error {
 			return fmt.Errorf("rtl: checkpoint read mem %d: %w", i, err)
 		}
 	}
-	m.invalidate()
+	m.backend.Invalidate()
 	m.Eval()
 	// An attached VCD writer keeps a last-value snapshot for change
 	// detection; realign it so the next dump emits deltas against the

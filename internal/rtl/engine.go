@@ -8,56 +8,27 @@ import (
 )
 
 // Model is a compiled, simulatable instance of a Circuit — the analogue of a
-// Verilated model object. Construction levelises the combinational logic
-// once (topological order over assignment dependencies), so each cycle is a
-// single linear pass rather than a fixed-point iteration; a combinational
-// loop is rejected at compile time. Model is not safe for concurrent use.
+// Verilated model object. It owns the architectural state surface (Peek,
+// SetInput, VCD, checkpoints, fault injection); a Backend advances that state
+// one cycle at a time. Model is not safe for concurrent use.
 type Model struct {
-	c      *Circuit
-	engine Engine
-	vals   []uint64
-	masks  []uint64
-	mems   [][]uint64
-	order  []int // indices into c.Combs in evaluation order
-	cycle  uint64
+	c     *Circuit
+	vals  []uint64 // aliases backend.Vals()
+	masks []uint64
+	mems  [][]uint64
+	cycle uint64
 
-	// backend, when non-nil, replaces the closure-compiled hot path below
-	// for Eval/Tick (see Backend). vals then aliases backend.Vals(), so the
-	// architectural surface (Peek, SetInput, VCD, checkpoints, fault
-	// injection) is engine-independent by construction.
 	backend Backend
-
-	// nextBuf is scratch space reused across Ticks to avoid per-cycle
-	// allocation of the register next-state vector.
-	nextBuf []uint64
-	// memwBuf is scratch space reused across Ticks for captured memory
-	// writes (pre-edge values), sized once to the write-port count.
-	memwBuf []pendingMemWrite
-
-	// Closure-compiled hot path (see compile.go).
-	combFns []func()
-	seqFns  []evalFn
-	memwFns []compiledMemWrite
 
 	inputs  map[string]SigID
 	outputs map[string]SigID
 
 	vcd *VCDWriter
-
-	// Self-profiler phase attribution (AttachProfiler): when prof is
-	// non-nil, closureTick sub-attributes each cycle to the comb-settle,
-	// sequential-update and memory-write-port phases. Nil when profiling
-	// is off (the default) or when the backend sub-attributes itself.
-	prof    *sim.Profiler
-	ownComb sim.OwnerID
-	ownSeq  sim.OwnerID
-	ownMemw sim.OwnerID
 }
 
-// PhaseProfiled is implemented by engine backends that sub-attribute their
-// tick phases (comb settle, sequential update, memory write ports) to the
-// self-profiler themselves. Model.AttachProfiler forwards to it when present;
-// otherwise only the closure reference engine's phases are attributed.
+// PhaseProfiled is implemented by backends that sub-attribute their tick
+// phases (comb settle, sequential update, memory write ports) to the
+// self-profiler. The reference evaluator does not.
 type PhaseProfiled interface {
 	AttachProfiler(p *sim.Profiler, comb, seq, memw sim.OwnerID)
 }
@@ -65,65 +36,30 @@ type PhaseProfiled interface {
 // AttachProfiler enables per-phase self-profiling of this model's ticks:
 // host time inside Tick is sub-attributed to the given comb/seq/memw owners
 // so an RTL-heavy simulation point reads "nvdla0/rtl-comb" rather than just
-// "slow". Phase counts reflect the work the active engine really did (an
+// "slow". Phase counts reflect the work the backend really did (an
 // activity-gated backend enters fewer phases), while results stay bit-exact.
 func (m *Model) AttachProfiler(p *sim.Profiler, comb, seq, memw sim.OwnerID) {
 	if b, ok := m.backend.(PhaseProfiled); ok {
 		b.AttachProfiler(p, comb, seq, memw)
-		return
-	}
-	m.prof, m.ownComb, m.ownSeq, m.ownMemw = p, comb, seq, memw
-}
-
-// enterPhase switches self-profiler attribution to owner o (nil-safe).
-func (m *Model) enterPhase(o sim.OwnerID) sim.OwnerID {
-	if m.prof == nil {
-		return 0
-	}
-	return m.prof.Enter(o)
-}
-
-// exitPhase restores the owner saved by enterPhase (nil-safe).
-func (m *Model) exitPhase(prev sim.OwnerID) {
-	if m.prof != nil {
-		m.prof.Exit(prev)
 	}
 }
 
-// pendingMemWrite is a memory write captured with pre-edge values, applied
-// at commit time (non-blocking semantics).
-type pendingMemWrite struct {
-	mem  MemID
-	addr int
-	data uint64
-}
+// Compile validates and instantiates a circuit on the reference evaluator
+// (reference.go) — what tests compare the production engine against. Every
+// binary and library entry point builds its models with rtlc.NewModel.
+func Compile(c *Circuit) (*Model, error) { return CompileWith(c, newReference) }
 
-// Compile validates, levelises, and instantiates a circuit on the closure
-// reference engine. Use CompileEngine to select another engine.
-func Compile(c *Circuit) (*Model, error) { return CompileEngine(c, EngineClosure) }
-
-// CompileEngine validates, levelises, and instantiates a circuit on the
-// named engine. The empty string selects the closure reference engine; other
-// names must have been made available via RegisterEngine (for bytecode,
-// linking internal/rtlc into the binary suffices). Whatever the engine, the
-// resulting Model is bit-exact: same values, VCD, checkpoints, state hashes.
-func CompileEngine(c *Circuit, engine Engine) (*Model, error) {
+// CompileWith validates a circuit and instantiates it on the backend build
+// returns. Whatever the backend, the Model's architectural surface is the
+// same: values, VCD, checkpoints and state hashes are bit-exact.
+func CompileWith(c *Circuit, build EngineBuilder) (*Model, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	order, err := levelize(c)
-	if err != nil {
-		return nil, err
-	}
-	if engine == "" {
-		engine = EngineClosure
-	}
 	m := &Model{
 		c:       c,
-		engine:  engine,
 		masks:   make([]uint64, len(c.Signals)),
 		mems:    make([][]uint64, len(c.Mems)),
-		order:   order,
 		inputs:  map[string]SigID{},
 		outputs: map[string]SigID{},
 	}
@@ -139,31 +75,19 @@ func CompileEngine(c *Circuit, engine Engine) (*Model, error) {
 	for i, mem := range c.Mems {
 		m.mems[i] = make([]uint64, mem.Depth)
 	}
-	if engine == EngineClosure {
-		m.vals = make([]uint64, len(c.Signals))
-		m.buildFns()
-	} else {
-		build, ok := engineBuilders[engine]
-		if !ok {
-			return nil, fmt.Errorf("rtl: unknown engine %q (registered: %v); is the engine's package linked in?",
-				engine, Engines())
-		}
-		be, err := build(c, m.mems)
-		if err != nil {
-			return nil, fmt.Errorf("rtl: engine %q: %w", engine, err)
-		}
-		if got := len(be.Vals()); got != len(c.Signals) {
-			return nil, fmt.Errorf("rtl: engine %q returned %d value slots for %d signals",
-				engine, got, len(c.Signals))
-		}
-		m.vals = be.Vals()
-		m.backend = be
+	be, err := build(c, m.mems)
+	if err != nil {
+		return nil, err
 	}
+	if got := len(be.Vals()); got != len(c.Signals) {
+		return nil, fmt.Errorf("rtl: backend returned %d value slots for %d signals", got, len(c.Signals))
+	}
+	m.vals, m.backend = be.Vals(), be
 	m.Reset()
 	return m, nil
 }
 
-// MustCompile is Compile panicking on error; for tests and embedded designs.
+// MustCompile is Compile panicking on error; for tests.
 func MustCompile(c *Circuit) *Model {
 	m, err := Compile(c)
 	if err != nil {
@@ -172,27 +96,11 @@ func MustCompile(c *Circuit) *Model {
 	return m
 }
 
-// Engine reports which evaluation engine this model was compiled for.
-func (m *Model) Engine() Engine { return m.engine }
-
-// SeqSkips reports how many sequential next-state evaluations the engine has
-// elided through activity gating since compile (always 0 for the closure
-// reference engine). Skips are a pure performance effect; they never change
+// SeqSkips reports how many sequential next-state evaluations the backend
+// has elided through activity gating since compile (always 0 on the
+// reference). Skips are a pure performance effect; they never change
 // simulation results.
-func (m *Model) SeqSkips() uint64 {
-	if m.backend != nil {
-		return m.backend.Skipped()
-	}
-	return 0
-}
-
-// invalidate tells the active backend that state was mutated behind its back
-// (reset, checkpoint restore, fault injection, memory poke).
-func (m *Model) invalidate() {
-	if m.backend != nil {
-		m.backend.Invalidate()
-	}
-}
+func (m *Model) SeqSkips() uint64 { return m.backend.Skipped() }
 
 // levelize orders combinational assignments so every assignment runs after
 // the assignments producing the signals it reads. Registers and inputs are
@@ -303,7 +211,7 @@ func (m *Model) Reset() {
 		copy(words, mem.Init)
 	}
 	m.cycle = 0
-	m.invalidate()
+	m.backend.Invalidate()
 	m.Eval()
 }
 
@@ -363,34 +271,27 @@ func (m *Model) PokeMem(id MemID, addr int, val uint64) {
 	w := m.mems[id]
 	if addr >= 0 && addr < len(w) {
 		w[addr] = val & Mask(m.c.Mems[id].Width)
-		m.invalidate()
+		m.backend.Invalidate()
 	}
 }
 
 // Eval settles the combinational logic against current inputs and register
-// state: one linear pass of compiled assignments in levelised order (closure
-// calls on the reference engine, bytecode on a registered backend).
-func (m *Model) Eval() {
-	if m.backend != nil {
-		m.backend.Eval()
-		return
-	}
-	for _, fn := range m.combFns {
-		fn()
-	}
-}
+// state: one pass over the assignments in levelised order.
+func (m *Model) Eval() { m.backend.Eval() }
 
-// EvalIterative is the naive fixed-point evaluation strategy kept for the
-// ablation benchmark in DESIGN.md (§5.1): it re-evaluates all combinational
-// assignments in declaration order until no value changes.
+// EvalIterative is the naive fixed-point evaluation strategy kept as the
+// check on levelisation itself and for the ablation benchmark in DESIGN.md
+// (§5.1): it re-evaluates all combinational assignments in declaration order,
+// with the reference's expression semantics, until no value changes.
 func (m *Model) EvalIterative() int {
+	r := reference{vals: m.vals, mems: m.mems}
 	passes := 0
 	for {
 		passes++
 		changed := false
 		for i := range m.c.Combs {
 			a := &m.c.Combs[i]
-			nv := m.eval(a.Src) & m.masks[a.Dst]
+			nv := r.eval(a.Src) & m.masks[a.Dst]
 			if nv != m.vals[a.Dst] {
 				m.vals[a.Dst] = nv
 				changed = true
@@ -407,194 +308,9 @@ func (m *Model) EvalIterative() int {
 // state, commit, and settle again so outputs reflect the new state. This is
 // the `tick` entry point of the paper's shared-library interface.
 func (m *Model) Tick() {
-	if m.backend != nil {
-		m.backend.Tick()
-	} else {
-		m.closureTick()
-	}
+	m.backend.Tick()
 	m.cycle++
 	if m.vcd != nil && m.vcd.enabled {
 		m.vcd.dump(m)
 	}
-}
-
-// closureTick is one clock cycle on the closure reference engine: eval,
-// capture with pre-edge values, commit, eval.
-func (m *Model) closureTick() {
-	prev := m.enterPhase(m.ownComb)
-	m.Eval()
-	m.exitPhase(prev)
-	// Capture next-state with pre-edge values (non-blocking semantics).
-	// memwBuf is reused across ticks so the hot path stays allocation-free.
-	prev = m.enterPhase(m.ownMemw)
-	m.memwBuf = m.memwBuf[:0]
-	for i := range m.memwFns {
-		w := &m.memwFns[i]
-		if w.en() != 0 {
-			addr := int(w.addr())
-			if addr >= 0 && addr < m.c.Mems[w.mem].Depth {
-				m.memwBuf = append(m.memwBuf, pendingMemWrite{w.mem, addr, w.data() & w.mask})
-			}
-		}
-	}
-	m.exitPhase(prev)
-	prev = m.enterPhase(m.ownSeq)
-	if m.nextBuf == nil || len(m.nextBuf) < len(m.seqFns) {
-		m.nextBuf = make([]uint64, len(m.seqFns))
-	}
-	for i, fn := range m.seqFns {
-		m.nextBuf[i] = fn()
-	}
-	// Commit.
-	for i := range m.c.Seqs {
-		m.vals[m.c.Seqs[i].Dst] = m.nextBuf[i]
-	}
-	for _, w := range m.memwBuf {
-		m.mems[w.mem][w.addr] = w.data
-	}
-	m.exitPhase(prev)
-	prev = m.enterPhase(m.ownComb)
-	m.Eval()
-	m.exitPhase(prev)
-}
-
-// eval evaluates an expression against current signal values.
-func (m *Model) eval(e Expr) uint64 {
-	switch v := e.(type) {
-	case *Const:
-		return v.Val
-	case *Ref:
-		return m.vals[v.Sig]
-	case *Unary:
-		x := m.eval(v.X)
-		switch v.Op {
-		case UnNot:
-			return ^x & Mask(v.W)
-		case UnNeg:
-			return (-x) & Mask(v.W)
-		case UnLNot:
-			if x == 0 {
-				return 1
-			}
-			return 0
-		case UnRedAnd:
-			if x == Mask(v.X.Width()) {
-				return 1
-			}
-			return 0
-		case UnRedOr:
-			if x != 0 {
-				return 1
-			}
-			return 0
-		case UnRedXor:
-			var p uint64
-			for t := x; t != 0; t &= t - 1 {
-				p ^= 1
-			}
-			return p
-		}
-	case *Binary:
-		x := m.eval(v.X)
-		y := m.eval(v.Y)
-		mask := Mask(v.W)
-		switch v.Op {
-		case OpAdd:
-			return (x + y) & mask
-		case OpSub:
-			return (x - y) & mask
-		case OpMul:
-			return (x * y) & mask
-		case OpDiv:
-			if y == 0 {
-				return mask
-			}
-			return (x / y) & mask
-		case OpMod:
-			if y == 0 {
-				return x & mask
-			}
-			return (x % y) & mask
-		case OpAnd:
-			return x & y & mask
-		case OpOr:
-			return (x | y) & mask
-		case OpXor:
-			return (x ^ y) & mask
-		case OpShl:
-			if y >= 64 {
-				return 0
-			}
-			return (x << y) & mask
-		case OpShr:
-			if y >= 64 {
-				return 0
-			}
-			return (x >> y) & mask
-		case OpSra:
-			sx := SignExtend(x, v.X.Width())
-			if y >= 64 {
-				y = 63
-			}
-			return uint64(sx>>y) & mask
-		case OpEq:
-			return b2u(x == y)
-		case OpNe:
-			return b2u(x != y)
-		case OpLt:
-			return b2u(x < y)
-		case OpLe:
-			return b2u(x <= y)
-		case OpGt:
-			return b2u(x > y)
-		case OpGe:
-			return b2u(x >= y)
-		case OpSLt:
-			return b2u(SignExtend(x, v.X.Width()) < SignExtend(y, v.Y.Width()))
-		case OpSLe:
-			return b2u(SignExtend(x, v.X.Width()) <= SignExtend(y, v.Y.Width()))
-		case OpSGt:
-			return b2u(SignExtend(x, v.X.Width()) > SignExtend(y, v.Y.Width()))
-		case OpSGe:
-			return b2u(SignExtend(x, v.X.Width()) >= SignExtend(y, v.Y.Width()))
-		case OpLAnd:
-			return b2u(x != 0 && y != 0)
-		case OpLOr:
-			return b2u(x != 0 || y != 0)
-		}
-	case *Mux:
-		if m.eval(v.Cond) != 0 {
-			return m.eval(v.T) & Mask(v.W)
-		}
-		return m.eval(v.F) & Mask(v.W)
-	case *Slice:
-		return (m.eval(v.X) >> uint(v.Lo)) & Mask(v.Hi-v.Lo+1)
-	case *Index:
-		bitPos := m.eval(v.Bit)
-		if bitPos >= uint64(v.X.Width()) {
-			return 0
-		}
-		return (m.eval(v.X) >> bitPos) & 1
-	case *Concat:
-		var acc uint64
-		for _, p := range v.Parts {
-			acc = acc<<uint(p.Width()) | m.eval(p)
-		}
-		return acc
-	case *MemRead:
-		addr := m.eval(v.Addr)
-		words := m.mems[v.Mem]
-		if addr >= uint64(len(words)) {
-			return 0
-		}
-		return words[addr]
-	}
-	panic(fmt.Sprintf("rtl: eval of unknown node %T", e))
-}
-
-func b2u(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
 }

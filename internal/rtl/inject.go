@@ -31,7 +31,7 @@ func (m *Model) InjectStateFlip(pick uint64) string {
 		w := uint64(m.c.Signals[sq.Dst].Width)
 		if pick < w {
 			m.vals[sq.Dst] ^= 1 << pick
-			m.invalidate()
+			m.backend.Invalidate()
 			m.Eval()
 			return fmt.Sprintf("reg %s bit %d", m.c.Signals[sq.Dst].Name, pick)
 		}
@@ -43,7 +43,7 @@ func (m *Model) InjectStateFlip(pick uint64) string {
 			addr := pick / uint64(mem.Width)
 			bit := pick % uint64(mem.Width)
 			m.mems[mi][addr] ^= 1 << bit
-			m.invalidate()
+			m.backend.Invalidate()
 			m.Eval()
 			return fmt.Sprintf("mem %s[%d] bit %d", mem.Name, addr, bit)
 		}

@@ -2,6 +2,7 @@ package rtl
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -47,6 +48,27 @@ func TestCounter(t *testing.T) {
 	m.Tick()
 	if got := m.Peek("q"); got != 0 {
 		t.Fatalf("clear failed: q = %d", got)
+	}
+}
+
+// TestLockstepReportsDivergence checks the differential harness itself: two
+// models in step pass every comparison, and one wrong bit on either side is
+// reported with the signal that holds it.
+func TestLockstepReportsDivergence(t *testing.T) {
+	var failures []string
+	l := NewLockstep(buildCounter(t), func(format string, args ...any) {
+		failures = append(failures, fmt.Sprintf(format, args...))
+	})
+	l.SetInput("en", 1)
+	l.Tick()
+	l.Tick()
+	if len(failures) != 0 || l.Peek("q") != 2 {
+		t.Fatalf("models in step: q = %d, failures %q", l.Peek("q"), failures)
+	}
+	l.ref.vals[l.ref.c.SignalByName("count")] ^= 4
+	l.Tick()
+	if len(failures) == 0 || !strings.Contains(failures[0], `"count"`) {
+		t.Fatalf("a flipped register bit went unreported: %q", failures)
 	}
 }
 
@@ -180,7 +202,7 @@ func TestMemoryReadWrite(t *testing.T) {
 	}
 }
 
-// TestTickZeroAllocs guards the closure engine's Tick hot path against
+// TestTickZeroAllocs guards the reference evaluator's Tick against
 // per-cycle allocation, including the memory-write capture buffer, which
 // must be reused across cycles even when write ports fire.
 func TestTickZeroAllocs(t *testing.T) {

@@ -89,7 +89,7 @@ type compiler struct {
 	// Provable value-width bound per temp register (signals and constants
 	// are derived on the fly). Used to elide masking that cannot change the
 	// value — conservative, since Const values and memory init words may
-	// carry bits above their declared width, which the closure engine
+	// carry bits above their declared width, which the reference evaluator
 	// propagates raw until the next mask.
 	tempW map[uint32]int
 
@@ -103,7 +103,7 @@ type compiler struct {
 }
 
 // Compile validates and lowers a circuit to an optimized Program. The
-// resulting program is bit-exact against the rtl closure engine by
+// resulting program is bit-exact against the rtl reference evaluator by
 // construction; see the package tests and FuzzEngines for the enforcement.
 func Compile(c *rtl.Circuit) (*Program, error) {
 	if err := c.Validate(); err != nil {
@@ -147,7 +147,7 @@ func Compile(c *rtl.Circuit) (*Program, error) {
 	}
 
 	// Memory write ports: enable and address are raw expression values,
-	// data is masked to the memory width — exactly the closure capture.
+	// data is masked to the memory width — exactly the reference's capture.
 	for i := range c.MemWrites {
 		w := &c.MemWrites[i]
 		mem := &c.Mems[w.Mem]
@@ -459,7 +459,7 @@ func (cc *compiler) expr(e rtl.Expr) uint32 {
 		return acc
 	case *rtl.MemRead:
 		a := cc.expr(v.Addr)
-		// Reads are raw (Mask all-ones): the closure engine masks memory
+		// Reads are raw (Mask all-ones): the reference masks memory
 		// words only at the enclosing store, and init words may legally
 		// carry bits above the declared width.
 		return cc.emit(Inst{Op: OpMemRead, A: a, B: uint32(v.Mem), Mask: ^uint64(0)})

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"gem5rtl/internal/rtl"
+	"gem5rtl/internal/rtlc"
 )
 
 // fz is a deterministic byte-stream reader for the fuzz circuit generator.
@@ -179,7 +180,7 @@ func genCircuit(f *fz) (*rtl.Circuit, error) {
 }
 
 // FuzzEngines is the differential fuzz target: for every generated circuit
-// it runs the closure reference engine, the bytecode VM, and the iterative
+// it runs the reference evaluator, the bytecode VM, and the iterative
 // fixpoint evaluator in lockstep — including under fault-injection bit flips
 // — and requires bit-identical signals, memories, and flip-site reports.
 func FuzzEngines(f *testing.F) {
@@ -204,12 +205,12 @@ func FuzzEngines(f *testing.F) {
 		if err != nil {
 			t.Skip()
 		}
-		mc, errC := rtl.CompileEngine(c, rtl.EngineClosure)
-		mb, errB := rtl.CompileEngine(c, rtl.EngineBytecode)
-		if (errC == nil) != (errB == nil) {
-			t.Fatalf("engines disagree on compilability: closure=%v bytecode=%v", errC, errB)
+		mr, errR := rtl.Compile(c)
+		mb, errB := rtlc.NewModel(c)
+		if (errR == nil) != (errB == nil) {
+			t.Fatalf("engines disagree on compilability: reference=%v bytecode=%v", errR, errB)
 		}
-		if errC != nil {
+		if errR != nil {
 			t.Skip()
 		}
 		var inputs []rtl.SigID
@@ -220,14 +221,14 @@ func FuzzEngines(f *testing.F) {
 		}
 		check := func(tag string) {
 			for i := range c.Signals {
-				if gc, gb := mc.PeekID(rtl.SigID(i)), mb.PeekID(rtl.SigID(i)); gc != gb {
-					t.Fatalf("%s: signal %q: closure %#x bytecode %#x", tag, c.Signals[i].Name, gc, gb)
+				if gr, gb := mr.PeekID(rtl.SigID(i)), mb.PeekID(rtl.SigID(i)); gr != gb {
+					t.Fatalf("%s: signal %q: reference %#x bytecode %#x", tag, c.Signals[i].Name, gr, gb)
 				}
 			}
 			for mi := range c.Mems {
 				for a := 0; a < c.Mems[mi].Depth; a++ {
-					if gc, gb := mc.PeekMem(rtl.MemID(mi), a), mb.PeekMem(rtl.MemID(mi), a); gc != gb {
-						t.Fatalf("%s: mem %q[%d]: closure %#x bytecode %#x", tag, c.Mems[mi].Name, a, gc, gb)
+					if gr, gb := mr.PeekMem(rtl.MemID(mi), a), mb.PeekMem(rtl.MemID(mi), a); gr != gb {
+						t.Fatalf("%s: mem %q[%d]: reference %#x bytecode %#x", tag, c.Mems[mi].Name, a, gr, gb)
 					}
 				}
 			}
@@ -236,22 +237,22 @@ func FuzzEngines(f *testing.F) {
 		for step := 0; step < 24; step++ {
 			for _, id := range inputs {
 				v := fr.u64()
-				mc.SetInputID(id, v)
+				mr.SetInputID(id, v)
 				mb.SetInputID(id, v)
 			}
 			// Third evaluator: the iterative fixpoint settle must agree with
-			// both compiled engines on the combinational state.
-			mc.Eval()
+			// both levelised ones on the combinational state.
+			mr.Eval()
 			mb.Eval()
-			mc.EvalIterative()
+			mr.EvalIterative()
 			check(fmt.Sprintf("eval step %d", step))
-			mc.Tick()
+			mr.Tick()
 			mb.Tick()
 			if step%7 == 3 {
 				pick := fr.u64()
-				dc, db := mc.InjectStateFlip(pick), mb.InjectStateFlip(pick)
-				if dc != db {
-					t.Fatalf("step %d: flip sites differ: %q vs %q", step, dc, db)
+				dr, db := mr.InjectStateFlip(pick), mb.InjectStateFlip(pick)
+				if dr != db {
+					t.Fatalf("step %d: flip sites differ: %q vs %q", step, dr, db)
 				}
 			}
 			check(fmt.Sprintf("tick step %d", step))

@@ -10,8 +10,8 @@ import (
 
 // Op is a bytecode opcode. The set is deliberately small and total: every
 // operation produces a defined result for every input (division by zero,
-// out-of-range shifts and indexes follow the rtl package's closure-engine
-// semantics bit for bit), so instructions can be executed eagerly and folded
+// out-of-range shifts and indexes follow the rtl package's reference
+// evaluator bit for bit), so instructions can be executed eagerly and folded
 // at compile time with the very same interpreter that runs them at runtime.
 type Op uint8
 
@@ -100,7 +100,7 @@ const (
 	// OpMemRead: r[Dst] = (r[A] >= len(mems[B]) ? 0 : mems[B][r[A]]) & Mask.
 	// B is a memory ID, not a register. The raw word is unmasked (Mask is
 	// all-ones) except when the read is retargeted into a narrower store,
-	// mirroring the closure engine's read-raw/mask-at-assign behaviour.
+	// mirroring the reference's read-raw/mask-at-assign behaviour.
 	OpMemRead
 	// OpSelect: table select over one selector — r[Dst] = r[T[r[A]]] & Mask
 	// when r[A] < len(T), else r[C] & Mask, where T = Program.Tables[B] maps

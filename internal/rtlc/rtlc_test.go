@@ -14,7 +14,8 @@ import (
 // allOpsCircuit exercises every IR node kind and documented edge case:
 // division by zero, shifts past 64, out-of-range dynamic index and memory
 // reads, signed compares of mixed widths, fused and unfused muxes, concat,
-// slices, reductions, multiple write ports on one memory.
+// slices, reductions, multiple write ports on one memory, an init word wider
+// than its memory copied word-to-word through a write port.
 func allOpsCircuit(t testing.TB) *rtl.Circuit {
 	t.Helper()
 	b := rtl.NewBuilder("allops")
@@ -82,6 +83,11 @@ func allOpsCircuit(t testing.TB) *rtl.Circuit {
 	shreg := b.Reg("shreg", 8, 1)
 	b.Seq(shreg, rtl.Cat(rtl.SliceE(b.Ref(shreg), 6, 0), rtl.Bit(rc, 3)))
 
+	// A port copying a raw read of a word that carries a ninth bit: the store
+	// must mask it to the memory width.
+	wide := b.Mem("wide", 8, 2)
+	b.MemInit(wide, []uint64{0x1a5})
+	b.MemWr(wide, rtl.C(1, 1), rtl.MemRd(wide, rtl.C(0, 1), 8), ren)
 	// Two write ports on one memory: last-writer-wins ordering must hold.
 	b.MemWr(mem, rtl.SliceE(ra, 2, 0), rc, ren)
 	b.MemWr(mem, rtl.SliceE(rb, 2, 0), rtl.Not(rc), rtl.Bit(ra, 0))
@@ -96,35 +102,35 @@ func allOpsCircuit(t testing.TB) *rtl.Circuit {
 	return c
 }
 
-func compileBoth(t testing.TB, c *rtl.Circuit) (mc, mb *rtl.Model) {
+func compileBoth(t testing.TB, c *rtl.Circuit) (mr, mb *rtl.Model) {
 	t.Helper()
-	mc, err := rtl.CompileEngine(c, rtl.EngineClosure)
+	mr, err := rtl.Compile(c)
 	if err != nil {
-		t.Fatalf("closure compile: %v", err)
+		t.Fatalf("reference compile: %v", err)
 	}
-	mb, err = rtl.CompileEngine(c, rtl.EngineBytecode)
+	mb, err = rtlc.NewModel(c)
 	if err != nil {
 		t.Fatalf("bytecode compile: %v", err)
 	}
-	return mc, mb
+	return mr, mb
 }
 
-func compareState(t testing.TB, c *rtl.Circuit, mc, mb *rtl.Model, tag string) {
+func compareState(t testing.TB, c *rtl.Circuit, mr, mb *rtl.Model, tag string) {
 	t.Helper()
 	for i := range c.Signals {
-		if gc, gb := mc.PeekID(rtl.SigID(i)), mb.PeekID(rtl.SigID(i)); gc != gb {
-			t.Fatalf("%s: signal %q: closure %#x, bytecode %#x", tag, c.Signals[i].Name, gc, gb)
+		if gr, gb := mr.PeekID(rtl.SigID(i)), mb.PeekID(rtl.SigID(i)); gr != gb {
+			t.Fatalf("%s: signal %q: reference %#x, bytecode %#x", tag, c.Signals[i].Name, gr, gb)
 		}
 	}
 	for mi := range c.Mems {
 		for a := 0; a < c.Mems[mi].Depth; a++ {
-			if gc, gb := mc.PeekMem(rtl.MemID(mi), a), mb.PeekMem(rtl.MemID(mi), a); gc != gb {
-				t.Fatalf("%s: mem %q[%d]: closure %#x, bytecode %#x", tag, c.Mems[mi].Name, a, gc, gb)
+			if gr, gb := mr.PeekMem(rtl.MemID(mi), a), mb.PeekMem(rtl.MemID(mi), a); gr != gb {
+				t.Fatalf("%s: mem %q[%d]: reference %#x, bytecode %#x", tag, c.Mems[mi].Name, a, gr, gb)
 			}
 		}
 	}
-	if mc.Cycle() != mb.Cycle() {
-		t.Fatalf("%s: cycle: closure %d, bytecode %d", tag, mc.Cycle(), mb.Cycle())
+	if mr.Cycle() != mb.Cycle() {
+		t.Fatalf("%s: cycle: reference %d, bytecode %d", tag, mr.Cycle(), mb.Cycle())
 	}
 }
 
@@ -149,42 +155,16 @@ func driveAllOps(m *rtl.Model, rng *rand.Rand, s int) {
 
 func TestEnginesDispatchIdentical(t *testing.T) {
 	c := allOpsCircuit(t)
-	mc, mb := compileBoth(t, c)
-	compareState(t, c, mc, mb, "reset")
-	rngC := rand.New(rand.NewSource(42))
+	mr, mb := compileBoth(t, c)
+	compareState(t, c, mr, mb, "reset")
+	rngR := rand.New(rand.NewSource(42))
 	rngB := rand.New(rand.NewSource(42))
 	for s := 0; s < 300; s++ {
-		driveAllOps(mc, rngC, s)
+		driveAllOps(mr, rngR, s)
 		driveAllOps(mb, rngB, s)
-		mc.Tick()
+		mr.Tick()
 		mb.Tick()
-		compareState(t, c, mc, mb, fmt.Sprintf("step %d", s))
-	}
-}
-
-func TestEngineSelectionAPI(t *testing.T) {
-	found := map[rtl.Engine]bool{}
-	for _, e := range rtl.Engines() {
-		found[e] = true
-	}
-	if !found[rtl.EngineClosure] || !found[rtl.EngineBytecode] {
-		t.Fatalf("Engines() = %v, want closure and bytecode", rtl.Engines())
-	}
-	if e, err := rtl.ParseEngine(""); err != nil || e != rtl.EngineClosure {
-		t.Fatalf("ParseEngine(\"\") = %v, %v", e, err)
-	}
-	if e, err := rtl.ParseEngine("bytecode"); err != nil || e != rtl.EngineBytecode {
-		t.Fatalf("ParseEngine(bytecode) = %v, %v", e, err)
-	}
-	if _, err := rtl.ParseEngine("jit"); err == nil {
-		t.Fatal("ParseEngine(jit) succeeded, want error naming valid engines")
-	}
-	if _, err := rtl.CompileEngine(allOpsCircuit(t), "jit"); err == nil {
-		t.Fatal("CompileEngine with unknown engine succeeded")
-	}
-	_, mb := compileBoth(t, allOpsCircuit(t))
-	if mb.Engine() != rtl.EngineBytecode {
-		t.Fatalf("Engine() = %q, want bytecode", mb.Engine())
+		compareState(t, c, mr, mb, fmt.Sprintf("step %d", s))
 	}
 }
 
@@ -216,9 +196,9 @@ func TestOptimizationConstFold(t *testing.T) {
 	if p.NTemp != 0 {
 		t.Fatalf("folded program uses %d temps:\n%s", p.NTemp, p.Disasm())
 	}
-	mc, mb := compileBoth(t, c)
-	if got := mb.Peek("o"); got != 17 || mc.Peek("o") != got {
-		t.Fatalf("o = %d (closure %d), want 17", got, mc.Peek("o"))
+	mr, mb := compileBoth(t, c)
+	if got := mb.Peek("o"); got != 17 || mr.Peek("o") != got {
+		t.Fatalf("o = %d (reference %d), want 17", got, mr.Peek("o"))
 	}
 }
 
@@ -284,13 +264,13 @@ func TestDirtySetSkipsQuietRegisters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc, mb := compileBoth(t, c)
+	mr, mb := compileBoth(t, c)
 
 	// Active phase: the counter changes every cycle, so nothing is skipped.
-	mc.SetInput("en", 1)
+	mr.SetInput("en", 1)
 	mb.SetInput("en", 1)
 	for i := 0; i < 10; i++ {
-		mc.Tick()
+		mr.Tick()
 		mb.Tick()
 	}
 	if got := mb.SeqSkips(); got != 0 {
@@ -298,35 +278,35 @@ func TestDirtySetSkipsQuietRegisters(t *testing.T) {
 	}
 	// Quiet phase: after the enable-low edge settles, every evaluation is
 	// provably redundant and must be skipped.
-	mc.SetInput("en", 0)
+	mr.SetInput("en", 0)
 	mb.SetInput("en", 0)
 	for i := 0; i < 10; i++ {
-		mc.Tick()
+		mr.Tick()
 		mb.Tick()
 	}
 	if got := mb.SeqSkips(); got < 8 {
 		t.Fatalf("quiet counter skipped only %d times, want >= 8", got)
 	}
-	compareState(t, c, mc, mb, "after quiet phase")
-	if mc.Peek("o") != 10 {
-		t.Fatalf("counter = %d, want 10", mc.Peek("o"))
+	compareState(t, c, mr, mb, "after quiet phase")
+	if mr.Peek("o") != 10 {
+		t.Fatalf("counter = %d, want 10", mr.Peek("o"))
 	}
 
 	// Fault injection must invalidate the gating so the flip propagates.
 	skipsBefore := mb.SeqSkips()
-	dc := mc.InjectStateFlip(3)
+	dr := mr.InjectStateFlip(3)
 	db := mb.InjectStateFlip(3)
-	if dc != db {
-		t.Fatalf("flip sites differ: %q vs %q", dc, db)
+	if dr != db {
+		t.Fatalf("flip sites differ: %q vs %q", dr, db)
 	}
-	mc.Tick()
+	mr.Tick()
 	mb.Tick()
-	compareState(t, c, mc, mb, "after flip")
+	compareState(t, c, mr, mb, "after flip")
 	if mb.SeqSkips() != skipsBefore {
 		t.Fatal("tick after fault injection was skipped")
 	}
-	if mc.SeqSkips() != 0 {
-		t.Fatalf("closure engine reports %d skips, want 0", mc.SeqSkips())
+	if mr.SeqSkips() != 0 {
+		t.Fatalf("reference reports %d skips, want 0", mr.SeqSkips())
 	}
 }
 
@@ -340,13 +320,13 @@ func TestCrossEngineCheckpoint(t *testing.T) {
 	}
 	for _, dir := range []struct {
 		name       string
-		save, load rtl.Engine
+		save, load func(*rtl.Circuit) (*rtl.Model, error)
 	}{
-		{"closure-to-bytecode", rtl.EngineClosure, rtl.EngineBytecode},
-		{"bytecode-to-closure", rtl.EngineBytecode, rtl.EngineClosure},
+		{"closure-to-bytecode", rtl.Compile, rtlc.NewModel},
+		{"bytecode-to-closure", rtlc.NewModel, rtl.Compile},
 	} {
 		t.Run(dir.name, func(t *testing.T) {
-			src, err := rtl.CompileEngine(c, dir.save)
+			src, err := dir.save(c)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -356,7 +336,7 @@ func TestCrossEngineCheckpoint(t *testing.T) {
 			if err := src.SaveCheckpoint(&buf); err != nil {
 				t.Fatal(err)
 			}
-			dst, err := rtl.CompileEngine(c, dir.load)
+			dst, err := dir.load(c)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -381,58 +361,64 @@ func TestCrossEngineCheckpoint(t *testing.T) {
 
 func TestVCDByteIdentical(t *testing.T) {
 	c := allOpsCircuit(t)
-	mc, mb := compileBoth(t, c)
-	var bufC, bufB bytes.Buffer
-	mc.AttachVCD(&bufC, 1)
+	mr, mb := compileBoth(t, c)
+	var bufR, bufB bytes.Buffer
+	mr.AttachVCD(&bufR, 1)
 	mb.AttachVCD(&bufB, 1)
-	rngC := rand.New(rand.NewSource(11))
+	rngR := rand.New(rand.NewSource(11))
 	rngB := rand.New(rand.NewSource(11))
 	for s := 0; s < 60; s++ {
-		driveAllOps(mc, rngC, s)
+		driveAllOps(mr, rngR, s)
 		driveAllOps(mb, rngB, s)
-		mc.Tick()
+		mr.Tick()
 		mb.Tick()
 	}
-	if !bytes.Equal(bufC.Bytes(), bufB.Bytes()) {
-		t.Fatalf("VCD output differs between engines (%d vs %d bytes)", bufC.Len(), bufB.Len())
+	if !bytes.Equal(bufR.Bytes(), bufB.Bytes()) {
+		t.Fatalf("VCD output differs between engines (%d vs %d bytes)", bufR.Len(), bufB.Len())
 	}
-	if bufC.Len() == 0 {
+	if bufR.Len() == 0 {
 		t.Fatal("VCD output empty")
 	}
 }
 
 func TestFaultInjectionEquivalence(t *testing.T) {
 	c := allOpsCircuit(t)
-	mc, mb := compileBoth(t, c)
-	if mc.StateBits() != mb.StateBits() {
-		t.Fatalf("StateBits: %d vs %d", mc.StateBits(), mb.StateBits())
+	mr, mb := compileBoth(t, c)
+	if mr.StateBits() != mb.StateBits() {
+		t.Fatalf("StateBits: %d vs %d", mr.StateBits(), mb.StateBits())
 	}
-	rngC := rand.New(rand.NewSource(5))
+	rngR := rand.New(rand.NewSource(5))
 	rngB := rand.New(rand.NewSource(5))
 	pickRng := rand.New(rand.NewSource(6))
 	for s := 0; s < 120; s++ {
-		driveAllOps(mc, rngC, s)
+		driveAllOps(mr, rngR, s)
 		driveAllOps(mb, rngB, s)
-		mc.Tick()
+		mr.Tick()
 		mb.Tick()
 		if s%7 == 3 {
 			pick := pickRng.Uint64()
-			dc, db := mc.InjectStateFlip(pick), mb.InjectStateFlip(pick)
-			if dc != db {
-				t.Fatalf("step %d: flip sites differ: %q vs %q", s, dc, db)
+			dr, db := mr.InjectStateFlip(pick), mb.InjectStateFlip(pick)
+			if dr != db {
+				t.Fatalf("step %d: flip sites differ: %q vs %q", s, dr, db)
 			}
 		}
-		compareState(t, c, mc, mb, fmt.Sprintf("step %d", s))
+		compareState(t, c, mr, mb, fmt.Sprintf("step %d", s))
 	}
 }
 
 // TestTickAllocsPerRun enforces the zero-allocation discipline on the Tick
-// hot path for both engines, matching the port/cache regression tests.
+// hot path for both evaluators, matching the port/cache regression tests.
 func TestTickAllocsPerRun(t *testing.T) {
 	c := allOpsCircuit(t)
-	for _, engine := range []rtl.Engine{rtl.EngineClosure, rtl.EngineBytecode} {
-		t.Run(string(engine), func(t *testing.T) {
-			m, err := rtl.CompileEngine(c, engine)
+	for _, engine := range []struct {
+		name  string
+		build func(*rtl.Circuit) (*rtl.Model, error)
+	}{
+		{"closure", rtl.Compile},
+		{"bytecode", rtlc.NewModel},
+	} {
+		t.Run(engine.name, func(t *testing.T) {
+			m, err := engine.build(c)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -444,7 +430,7 @@ func TestTickAllocsPerRun(t *testing.T) {
 				m.Tick()
 			})
 			if allocs != 0 {
-				t.Fatalf("engine %s: Tick allocates %.1f times per cycle, want 0", engine, allocs)
+				t.Fatalf("Tick allocates %.1f times per cycle, want 0", allocs)
 			}
 		})
 	}
@@ -455,7 +441,7 @@ func TestTickAllocsPerRun(t *testing.T) {
 // and the threshold armed on the cycle counter — the Table 2 configuration.
 func pmuVM(t testing.TB) (*rtlc.VM, func(name string, v uint64)) {
 	t.Helper()
-	m, err := pmu.CompileModelEngine(pmu.NumCounters, rtl.EngineClosure)
+	m, err := pmu.CompileModelEngine(pmu.NumCounters, rtl.EngineReference)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -517,8 +503,8 @@ func TestPMUTickInstructionCount(t *testing.T) {
 	t.Logf("instructions per tick: idle %d, busy %d", idle, busy)
 }
 
-// TestSelectFusion checks the table-select lowering against the closure
-// engine over every selector value: a chain with a duplicate key (first
+// TestSelectFusion checks the table-select lowering against the reference
+// evaluator over every selector value: a chain with a duplicate key (first
 // match wins), a gap, and a selector wider than the largest key.
 func TestSelectFusion(t *testing.T) {
 	b := rtl.NewBuilder("sel")
@@ -545,17 +531,17 @@ func TestSelectFusion(t *testing.T) {
 	if n := countOps(p.Comb, rtlc.OpSelect); n != 1 || len(p.Comb) != 1 {
 		t.Fatalf("chain not fused to one select:\n%s", p.Disasm())
 	}
-	mc, mb := compileBoth(t, c)
+	mr, mb := compileBoth(t, c)
 	for i := range arms {
-		mc.SetInput(fmt.Sprintf("a%d", i), uint64(0x100+i))
+		mr.SetInput(fmt.Sprintf("a%d", i), uint64(0x100+i))
 		mb.SetInput(fmt.Sprintf("a%d", i), uint64(0x100+i))
 	}
 	for s := uint64(0); s < 32; s++ {
-		mc.SetInput("sel", s)
+		mr.SetInput("sel", s)
 		mb.SetInput("sel", s)
-		mc.Eval()
+		mr.Eval()
 		mb.Eval()
-		compareState(t, c, mc, mb, fmt.Sprintf("sel %d", s))
+		compareState(t, c, mr, mb, fmt.Sprintf("sel %d", s))
 	}
 	if mb.Peek("o") != 0x105 {
 		t.Fatalf("default arm: o = %#x, want 0x105", mb.Peek("o"))
@@ -565,7 +551,7 @@ func TestSelectFusion(t *testing.T) {
 // TestValueChangeCutOff pins the activity rule at the wire: a wire that
 // recomputes to the value it held wakes no reader, and a wire that goes
 // X -> Y in the trailing settle and back to X in the next leading settle
-// leaves every register what the closure engine says it is.
+// leaves every register what the reference says it is.
 func TestValueChangeCutOff(t *testing.T) {
 	b := rtl.NewBuilder("cut")
 	a := b.Ref(b.Input("a", 8))
@@ -594,18 +580,18 @@ func TestValueChangeCutOff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc := rtl.MustCompile(c)
+	mr := rtl.MustCompile(c)
 	step := func(av, fv uint64) uint64 {
 		before := vm.Executed()
 		vm.Vals()[c.SignalByName("a")] = av
 		vm.Vals()[c.SignalByName("flip")] = fv
-		mc.SetInput("a", av)
-		mc.SetInput("flip", fv)
+		mr.SetInput("a", av)
+		mr.SetInput("flip", fv)
 		vm.Tick()
-		mc.Tick()
+		mr.Tick()
 		for i := range c.Signals {
-			if got, want := vm.Vals()[i], mc.PeekID(rtl.SigID(i)); got != want {
-				t.Fatalf("a=%#x flip=%d: signal %q = %#x, closure %#x", av, fv, c.Signals[i].Name, got, want)
+			if got, want := vm.Vals()[i], mr.PeekID(rtl.SigID(i)); got != want {
+				t.Fatalf("a=%#x flip=%d: signal %q = %#x, reference %#x", av, fv, c.Signals[i].Name, got, want)
 			}
 		}
 		return vm.Executed() - before

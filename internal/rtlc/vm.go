@@ -206,8 +206,8 @@ func (v *VM) settle() {
 // Tick advances one clock cycle: settle combinational logic against the
 // inputs, capture the woken registers' next values and the woken memories'
 // writes with pre-edge state, commit what was captured, and settle again so
-// wires and outputs reflect the new state — bit-exact against the closure
-// engine's Tick, minus the evaluations the activity rule proves redundant.
+// wires and outputs reflect the new state — bit-exact against the reference
+// evaluator's Tick, minus the evaluations the activity rule proves redundant.
 // Commits that change a value wake that value's readers: wires for the
 // trailing settle, registers and write ports for the next cycle.
 func (v *VM) Tick() {

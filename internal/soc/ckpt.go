@@ -30,11 +30,8 @@ import (
 // PMUWaveform/PMUWaveOut are host-side observability and deliberately
 // excluded: a run may be checkpointed without waveforms and restored with
 // them (the VCD writer is re-synced on restore; see rtl.VCDWriter.Resync).
-// RTLEngine is excluded too: engines are dispatch-identical and share the
-// model state layout, so checkpoints are engine-portable — a run saved
-// under one engine restores under any other. The hash covers the modelled
-// machine only, no choice of how the host executes it, so a checkpoint loads
-// wherever the same machine is built.
+// The hash covers the modelled machine only, nothing about how the host
+// executes it, so a checkpoint loads wherever the same machine is built.
 func (cfg Config) fingerprint() uint64 {
 	memName := cfg.Memory
 	if memName == "" {

@@ -9,7 +9,6 @@ import (
 	"gem5rtl/internal/experiments"
 	"gem5rtl/internal/pmu"
 	"gem5rtl/internal/port"
-	"gem5rtl/internal/rtl"
 	"gem5rtl/internal/sim"
 	"gem5rtl/internal/soc"
 	"gem5rtl/internal/trace"
@@ -197,25 +196,20 @@ func TestCheckpointRestoreEquivalenceCPU(t *testing.T) {
 	}
 }
 
-// cpuSystemEngine is cpuSystem with an explicit RTL engine.
-func cpuSystemEngine(t testing.TB, engine rtl.Engine) (*soc.System, *experiments.AXIHost) {
+// cpuSystemEngine is cpuSystem with the PMU on the reference evaluator when
+// reference is set, on the VM otherwise.
+func cpuSystemEngine(t testing.TB, reference bool) (*soc.System, *experiments.AXIHost) {
 	t.Helper()
-	cfg := soc.DefaultConfig()
-	cfg.Cores = 1
-	cfg.Memory = "DDR4-1ch"
-	cfg.WithPMU = true
-	cfg.RTLEngine = engine
-	s := soc.MustBuild(cfg)
-	host := experiments.NewAXIHost(s.Queue)
-	port.Bind(host.Port(), s.PMU.CPUPort(0))
-	return s, host
+	pmu.UseReferenceModelForTest(reference)
+	defer pmu.UseReferenceModelForTest(false)
+	return cpuSystem(t)
 }
 
-// TestCheckpointCrossEngine checks that checkpoints are engine-portable: a
-// run saved under one RTL engine restores under the other and finishes with
+// TestCheckpointCrossEngine checks that a whole-system checkpoint holds the
+// RTL model's architectural state and nothing of how it is evaluated: a run
+// saved with the PMU on one evaluator restores on the other and finishes with
 // the digest (final tick, event count, StateHash, full stats dump) of an
-// uninterrupted run — in both directions. This is what lets a sweep warm a
-// checkpoint prefix once and serve it to points running either engine.
+// uninterrupted run — in both directions.
 func TestCheckpointCrossEngine(t *testing.T) {
 	src := workload.SortBenchmark(workload.SortParams{N: 60, SleepUs: 20})
 	const limit = 100 * sim.Millisecond
@@ -230,10 +224,10 @@ func TestCheckpointCrossEngine(t *testing.T) {
 	}
 	for _, dir := range []struct {
 		name       string
-		save, load rtl.Engine
+		save, load bool // PMU on the reference evaluator?
 	}{
-		{"closure-to-bytecode", rtl.EngineClosure, rtl.EngineBytecode},
-		{"bytecode-to-closure", rtl.EngineBytecode, rtl.EngineClosure},
+		{"closure-to-bytecode", true, false},
+		{"bytecode-to-closure", false, true},
 	} {
 		t.Run(dir.name, func(t *testing.T) {
 			base := port.PacketIDMark() // see TestCheckpointRestoreEquivalenceNVDLA
@@ -265,12 +259,11 @@ func TestCheckpointCrossEngine(t *testing.T) {
 				t.Fatal("restored program did not finish")
 			}
 			if got := runDigest(t, warm); got != coldDigest {
-				t.Errorf("cross-engine digest diverges:\n--- %s cold ---\n%s--- %s warm ---\n%s",
-					dir.save, coldDigest, dir.load, got)
+				t.Errorf("cross-engine digest diverges:\n--- cold ---\n%s--- warm ---\n%s", coldDigest, got)
 			}
 			for i := 0; i < pmu.NumCounters; i++ {
 				if a, b := cold.PMUWrapper.Counter(i), warm.PMUWrapper.Counter(i); a != b {
-					t.Errorf("PMU counter %d diverges: %s=%d %s=%d", i, dir.save, a, dir.load, b)
+					t.Errorf("PMU counter %d diverges: cold=%d warm=%d", i, a, b)
 				}
 			}
 		})

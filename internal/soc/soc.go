@@ -21,7 +21,6 @@ import (
 	"gem5rtl/internal/obs"
 	"gem5rtl/internal/pmu"
 	"gem5rtl/internal/port"
-	"gem5rtl/internal/rtl"
 	"gem5rtl/internal/rtlobject"
 	"gem5rtl/internal/sim"
 	"gem5rtl/internal/stats"
@@ -39,11 +38,6 @@ type Config struct {
 	Memory string
 	// WithPMU attaches the PMU RTL model to core 0.
 	WithPMU bool
-	// RTLEngine selects the simulation engine for RTL models ("closure" or
-	// "bytecode"; see rtl.Engines). Empty means the production default,
-	// the optimizing bytecode engine. Engine choice never changes
-	// simulation results, only execution speed.
-	RTLEngine rtl.Engine
 	// PMUWaveform enables VCD tracing of the PMU model into PMUWaveOut.
 	PMUWaveform bool
 	PMUWaveOut  io.Writer
@@ -133,13 +127,6 @@ func Build(cfg Config) (*System, error) {
 	if cfg.CoreFreqHz == 0 {
 		cfg.CoreFreqHz = 2_000_000_000
 	}
-	// Production default is the optimizing bytecode engine; results are
-	// engine-independent so the choice is pure execution strategy.
-	if cfg.RTLEngine == "" {
-		cfg.RTLEngine = rtl.EngineBytecode
-	} else if _, err := rtl.ParseEngine(string(cfg.RTLEngine)); err != nil {
-		return nil, fmt.Errorf("soc: %w", err)
-	}
 	s := &System{Cfg: cfg, Queue: sim.NewEventQueue(), Stats: stats.NewRegistry()}
 	s.Clock = sim.NewClockDomain("cpu_clk", s.Queue, cfg.CoreFreqHz)
 	s.Store = mem.NewStorage()
@@ -220,7 +207,7 @@ func Build(cfg Config) (*System, error) {
 	// PMU (Figure 2b): events from core 0's commit tap and L1D misses,
 	// clocked at 1 GHz (divider 2 from the 2 GHz cores).
 	if cfg.WithPMU {
-		w, err := pmu.NewWrapperEngine(pmu.NumCounters, cfg.RTLEngine)
+		w, err := pmu.NewWrapper(pmu.NumCounters)
 		if err != nil {
 			return nil, err
 		}

@@ -180,10 +180,11 @@ func TestRestartServesFromStore(t *testing.T) {
 	waitDone(t, j)
 	s1.Close()
 
-	// Entries on disk may carry a "shards" key inside the spec (servers wrote
-	// the spec as submitted, and submissions could set one). It never was part
-	// of the fingerprint, so such a file is a valid result under its name: the
-	// boot scan must load it, not quarantine it.
+	// Entries on disk may carry a "shards" or an "rtl_engine" key inside the
+	// spec (servers wrote the spec as submitted, and submissions could set
+	// them). Neither ever was part of the fingerprint, so such a file is a
+	// valid result under its name: the boot scan must load it, not quarantine
+	// it.
 	files, _ := filepath.Glob(filepath.Join(dir, "*.json"))
 	if len(files) != 2 {
 		t.Fatalf("store holds %d entries, want the point and its baseline", len(files))
@@ -193,7 +194,7 @@ func TestRestartServesFromStore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		legacy := strings.Replace(string(buf), `,"limit":8000000000000}`, `,"limit":8000000000000,"shards":2}`, 1)
+		legacy := strings.Replace(string(buf), `,"limit":8000000000000}`, `,"limit":8000000000000,"shards":2,"rtl_engine":"closure"}`, 1)
 		if legacy == string(buf) {
 			t.Fatalf("entry %s not in the expected format: %s", filepath.Base(f), buf)
 		}
@@ -208,7 +209,7 @@ func TestRestartServesFromStore(t *testing.T) {
 	}
 	defer s2.Close()
 	if q := s2.store.Quarantined(); q != 0 {
-		t.Fatalf("boot scan quarantined %d valid entries carrying a shards key", q)
+		t.Fatalf("boot scan quarantined %d valid entries carrying shards and rtl_engine keys", q)
 	}
 	s2.Start()
 	before := runs.Load()

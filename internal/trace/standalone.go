@@ -21,6 +21,14 @@ const standaloneCtxCheckEvery = 4096
 // Table 3 normalisation baseline. Cancelling ctx aborts the tick loop and
 // returns ctx.Err().
 func RunStandaloneCtx(ctx context.Context, t *Trace) (time.Duration, error) {
+	d, _, err := RunStandaloneTicks(ctx, t)
+	return d, err
+}
+
+// RunStandaloneTicks is RunStandaloneCtx that also returns how many cycles
+// the model was ticked: the run's work in units that do not depend on the
+// host.
+func RunStandaloneTicks(ctx context.Context, t *Trace) (time.Duration, uint64, error) {
 	dla := nvdla.New(nvdla.DefaultConfig("standalone"))
 	start := time.Now()
 	for _, op := range t.Ops {
@@ -35,10 +43,11 @@ func RunStandaloneCtx(ctx context.Context, t *Trace) (time.Duration, error) {
 		}
 	}
 	in := &rtlobject.Input{}
-	for cycle := 0; !dla.Done(); cycle++ {
+	var cycle uint64
+	for ; !dla.Done(); cycle++ {
 		if cycle%standaloneCtxCheckEvery == 0 {
 			if err := ctx.Err(); err != nil {
-				return time.Since(start), err
+				return time.Since(start), cycle, err
 			}
 		}
 		out := dla.Tick(in)
@@ -51,13 +60,5 @@ func RunStandaloneCtx(ctx context.Context, t *Trace) (time.Duration, error) {
 			in.MemResponses = append(in.MemResponses, resp)
 		}
 	}
-	return time.Since(start), nil
-}
-
-// RunStandalone is RunStandaloneCtx without cancellation.
-//
-// Deprecated: use RunStandaloneCtx.
-func RunStandalone(t *Trace) time.Duration {
-	d, _ := RunStandaloneCtx(context.Background(), t)
-	return d
+	return time.Since(start), cycle, nil
 }

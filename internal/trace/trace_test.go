@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"context"
 	"testing"
 
 	"gem5rtl/internal/nvdla"
@@ -88,8 +89,8 @@ func TestRunStandaloneCompletes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := RunStandalone(tr); d <= 0 {
-		t.Fatalf("standalone run took %v", d)
+	if _, ticks, err := RunStandaloneTicks(context.Background(), tr); err != nil || ticks == 0 {
+		t.Fatalf("standalone run ticked the model %d times, err %v", ticks, err)
 	}
 }
 

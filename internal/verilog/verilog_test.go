@@ -4,20 +4,25 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"gem5rtl/internal/rtl"
 )
 
-func compile(t testing.TB, src, top string) interface {
-	SetInput(string, uint64)
-	Tick()
-	Eval()
-	Peek(string) uint64
-	Reset()
-} {
-	m, err := Compile(src, top, nil)
+// compile builds src on the production engine and returns it in lockstep with
+// the reference evaluator, so every cycle a test drives is also a differential
+// check of the construct under test.
+func compile(t testing.TB, src, top string) *rtl.Lockstep {
+	t.Helper()
+	return compileParams(t, src, top, nil)
+}
+
+func compileParams(t testing.TB, src, top string, overrides map[string]int64) *rtl.Lockstep {
+	t.Helper()
+	m, err := Compile(src, top, overrides)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m
+	return rtl.NewLockstep(m, t.Fatalf)
 }
 
 const counterSrc = `
@@ -234,10 +239,7 @@ module count #(parameter W = 4, parameter STEP = 1) (
   always @(posedge clk) q <= q + STEP;
 endmodule
 `
-	m, err := Compile(src, "count", map[string]int64{"W": 8, "STEP": 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := compileParams(t, src, "count", map[string]int64{"W": 8, "STEP": 3})
 	for i := 0; i < 4; i++ {
 		m.Tick()
 	}
@@ -245,10 +247,7 @@ endmodule
 		t.Fatalf("q = %d, want 12", m.Peek("q"))
 	}
 	// Default params: width 4 wraps at 16.
-	m2, err := Compile(src, "count", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m2 := compile(t, src, "count")
 	for i := 0; i < 17; i++ {
 		m2.Tick()
 	}
@@ -496,14 +495,8 @@ func TestMultipleModulesTopSelection(t *testing.T) {
 module a (input wire x, output wire y); assign y = ~x; endmodule
 module b (input wire x, output wire y); assign y = x; endmodule
 `
-	ma, err := Compile(src, "a", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mb, err := Compile(src, "b", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ma := compile(t, src, "a")
+	mb := compile(t, src, "b")
 	ma.SetInput("x", 1)
 	ma.Eval()
 	mb.SetInput("x", 1)
@@ -566,10 +559,7 @@ endmodule
 		t.Fatalf("q = %d, want 8", m.Peek("q"))
 	}
 	// localparam must not be overridable; parameter must be.
-	m2, err := Compile(src, "lp", map[string]int64{"BIAS": 5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m2 := compileParams(t, src, "lp", map[string]int64{"BIAS": 5})
 	m2.Tick()
 	if m2.Peek("q") != 8 {
 		t.Fatalf("override q = %d, want 8 (STEP 3 + BIAS 5)", m2.Peek("q"))

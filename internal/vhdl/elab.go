@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"gem5rtl/internal/rtl"
+	"gem5rtl/internal/rtlc"
 )
 
 // Elaborate flattens the named top entity into an rtl.Circuit. Generic
@@ -34,16 +35,8 @@ func Elaborate(d *Design, top string, overrides map[string]int64) (*rtl.Circuit,
 }
 
 // Compile parses, elaborates and compiles VHDL source in one call — the
-// equivalent of the paper's GHDL flow producing a tickable model. It uses
-// the closure reference engine; use CompileEngine to select another.
+// equivalent of the paper's GHDL flow producing a tickable model.
 func Compile(src, top string, overrides map[string]int64) (*rtl.Model, error) {
-	return CompileEngine(src, top, overrides, rtl.EngineClosure)
-}
-
-// CompileEngine is Compile with an explicit simulation engine (see
-// rtl.Engines). Engine choice never changes results, only execution
-// strategy.
-func CompileEngine(src, top string, overrides map[string]int64, engine rtl.Engine) (*rtl.Model, error) {
 	d, err := Parse(src)
 	if err != nil {
 		return nil, err
@@ -52,7 +45,7 @@ func CompileEngine(src, top string, overrides map[string]int64, engine rtl.Engin
 	if err != nil {
 		return nil, err
 	}
-	m, err := rtl.CompileEngine(c, engine)
+	m, err := rtlc.NewModel(c)
 	if err != nil {
 		if strings.Contains(err.Error(), "combinational loop") {
 			return nil, fmt.Errorf("vhdl: %w (a combinational process may leave a target unassigned on some path — inferred latch)", err)

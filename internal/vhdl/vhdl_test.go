@@ -5,7 +5,21 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"gem5rtl/internal/rtl"
 )
+
+// compile builds src on the production engine and returns it in lockstep with
+// the reference evaluator, so every cycle a test drives is also a differential
+// check of the construct under test.
+func compile(t testing.TB, src, top string, overrides map[string]int64) *rtl.Lockstep {
+	t.Helper()
+	m, err := Compile(src, top, overrides)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rtl.NewLockstep(m, t.Fatalf)
+}
 
 const counterVHDL = `
 library ieee;
@@ -40,10 +54,7 @@ end architecture;
 `
 
 func TestCounterVHDL(t *testing.T) {
-	m, err := Compile(counterVHDL, "counter", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := compile(t, counterVHDL, "counter", nil)
 	m.SetInput("en", 1)
 	for i := 0; i < 7; i++ {
 		m.Tick()
@@ -59,10 +70,7 @@ func TestCounterVHDL(t *testing.T) {
 }
 
 func TestGenericOverride(t *testing.T) {
-	m, err := Compile(counterVHDL, "counter", map[string]int64{"W": 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := compile(t, counterVHDL, "counter", map[string]int64{"W": 3})
 	m.SetInput("en", 1)
 	for i := 0; i < 9; i++ {
 		m.Tick() // wraps at 8
@@ -92,10 +100,7 @@ begin
        d;
 end architecture;
 `
-	m, err := Compile(src, "mux4", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := compile(t, src, "mux4", nil)
 	ins := []string{"a", "b", "c", "d"}
 	for i, n := range ins {
 		m.SetInput(n, uint64(10+i))
@@ -132,10 +137,7 @@ begin
   end process;
 end architecture;
 `
-	m, err := Compile(src, "alu", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := compile(t, src, "alu", nil)
 	f := func(a, b uint16, op uint8) bool {
 		op %= 4
 		m.SetInput("a", uint64(a))
@@ -177,10 +179,7 @@ begin
   end process;
 end architecture;
 `
-	m, err := Compile(src, "ff", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := compile(t, src, "ff", nil)
 	m.SetInput("rst_n", 1)
 	m.SetInput("d", 1)
 	m.Tick()
@@ -215,10 +214,7 @@ begin
   u1: entity work.inc generic map (STEP => 10) port map (d => mid, q => q);
 end architecture;
 `
-	m, err := Compile(src, "top", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := compile(t, src, "top", nil)
 	m.SetInput("d", 5)
 	m.Eval()
 	if got := m.Peek("q"); got != 18 {
@@ -243,10 +239,7 @@ begin
   cat <= a & a;
 end architecture;
 `
-	m, err := Compile(src, "bits", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := compile(t, src, "bits", nil)
 	m.SetInput("a", 0xB6)
 	m.Eval()
 	if m.Peek("hi") != 0xB || m.Peek("b2") != 1 || m.Peek("cat") != 0xB6B6 {
@@ -386,10 +379,7 @@ end architecture;
 `
 
 func TestBitonicSorter(t *testing.T) {
-	m, err := Compile(BitonicSorterVHDL, "bitonic8", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := compile(t, BitonicSorterVHDL, "bitonic8", nil)
 	f := func(vals [8]uint8) bool {
 		var lo, hi uint64
 		for i := 0; i < 4; i++ {
@@ -452,10 +442,7 @@ begin
   end process;
 end architecture;
 `
-	m, err := Compile(src, "dec", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := compile(t, src, "dec", nil)
 	want := map[uint64]uint64{0: 1, 3: 1, 1: 2, 2: 8}
 	for in, w := range want {
 		m.SetInput("s", in)
@@ -480,10 +467,7 @@ begin
   end process;
 end architecture;
 `
-	m, err := Compile(src, "iv", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := compile(t, src, "iv", nil)
 	if m.Peek("q") != 0x30 {
 		t.Fatalf("initial q = %#x, want 0x30", m.Peek("q"))
 	}
@@ -507,10 +491,7 @@ BEGIN
   Y <= NOT A;
 END ARCHITECTURE;
 `
-	m, err := Compile(src, "upcase", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := compile(t, src, "upcase", nil)
 	m.SetInput("a", 0)
 	m.Eval()
 	if m.Peek("y") != 1 {
