@@ -94,12 +94,13 @@ func main() {
 		f.Close()
 	}
 	var vcdFile *os.File
+	var vcd *rtl.VCDWriter
 	if *vcdPath != "" {
 		vcdFile, err = os.Create(*vcdPath)
 		if err != nil {
 			fatal(err)
 		}
-		model.AttachVCD(vcdFile, 1)
+		vcd = model.AttachVCD(vcdFile, 1)
 	}
 	for _, s := range sets {
 		name, val, ok := strings.Cut(s, "=")
@@ -127,7 +128,14 @@ func main() {
 	}
 
 	if vcdFile != nil {
-		vcdFile.Close()
+		// The writer buffers: without the flush the file ends at the last
+		// full 4 KiB block.
+		if err := vcd.Flush(); err != nil {
+			fatal(fmt.Errorf("writing %s: %w", *vcdPath, err))
+		}
+		if err := vcdFile.Close(); err != nil {
+			fatal(fmt.Errorf("writing %s: %w", *vcdPath, err))
+		}
 	}
 	if profQ != nil {
 		if rep := prof.FromQueue(profQ); rep != nil {

@@ -47,6 +47,8 @@ func runKernelGoldenPoint(t *testing.T, spec RunSpec) kernelGoldenEntry {
 	if err != nil {
 		t.Fatalf("%v: run: %v", spec, err)
 	}
+	// The goldens hold the machine; this holds how the host ran it.
+	checkMostlyElided(t, spec, s)
 	hash, err := s.StateHash()
 	if err != nil {
 		t.Fatalf("%v: hash: %v", spec, err)

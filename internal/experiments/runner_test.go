@@ -66,9 +66,12 @@ func TestSweepParallelMatchesSequential(t *testing.T) {
 // context watcher aborts the sweep promptly with ctx.Err().
 func TestSweepCancellation(t *testing.T) {
 	p := DSEParams{Scale: 1, Limit: 8 * sim.Second}
+	// Four GoogleNet accelerators: some 300 ms a point. (One sanity3
+	// accelerator, this test's points until sleeping RTLObjects, had come
+	// down to 35 ms and finished inside the deadline as often as not.)
 	specs := []RunSpec{
-		p.Spec("sanity3", 1, "DDR4-1ch", 64),
-		p.Spec("sanity3", 1, "HBM", 64),
+		p.Spec("googlenet", 4, "DDR4-1ch", 64),
+		p.Spec("googlenet", 4, "HBM", 64),
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()

@@ -167,7 +167,10 @@ func (w *Wrapper) Reset() {
 }
 
 // WriteReg applies a CSB register write (also reachable via CPU-side port
-// packets; this direct entry is the trace player's fast path).
+// packets; this direct entry is the trace player's fast path). It goes
+// behind the RTLObject's back: on a system that has been running, call the
+// object's Wake first (soc.PlayTrace does), or a model asleep on its Quiet
+// promise never sees the write.
 func (w *Wrapper) WriteReg(addr uint64, val uint32) {
 	switch addr {
 	case RegCtrl:
@@ -286,20 +289,7 @@ func (w *Wrapper) Tick(in *rtlobject.Input) *rtlobject.Output {
 			})
 		}
 	}
-	// Memory responses.
-	for _, resp := range in.MemResponses {
-		if resp.Write {
-			w.writesOut--
-			continue
-		}
-		tile, ok := w.readTile[resp.ID]
-		if !ok {
-			panic(fmt.Sprintf("nvdla %s: response for unknown read %d", w.cfg.Name, resp.ID))
-		}
-		delete(w.readTile, resp.ID)
-		w.tiles[tile].arrived += len(resp.Data)
-		w.stats.BytesRead += uint64(len(resp.Data))
-	}
+	w.absorb(in.MemResponses)
 	if !w.running {
 		w.stats.IdleCycles++
 		out.Interrupt = w.irq
@@ -379,6 +369,91 @@ func (w *Wrapper) Tick(in *rtlobject.Input) *rtlobject.Output {
 	}
 	out.Interrupt = w.irq
 	return out
+}
+
+// absorb is the memory-response half of a cycle: write acks retire output
+// writes, read data fills the tile it was fetched for.
+func (w *Wrapper) absorb(resps []rtlobject.MemResponse) {
+	for _, resp := range resps {
+		if resp.Write {
+			w.writesOut--
+			continue
+		}
+		tile, ok := w.readTile[resp.ID]
+		if !ok {
+			panic(fmt.Sprintf("nvdla %s: response for unknown read %d", w.cfg.Name, resp.ID))
+		}
+		delete(w.readTile, resp.ID)
+		w.tiles[tile].arrived += len(resp.Data)
+		w.stats.BytesRead += uint64(len(resp.Data))
+	}
+}
+
+// Quiet implements rtlobject.Sleeper. Between two inputs the model is in one
+// of four states whose cycles only move counters, read off the fields Tick
+// itself switches on:
+//
+//   - idle (not running): IdleCycles, for ever; nothing wakes it but a CSB
+//     request, which always does;
+//   - computing a tile: BusyCycles while computeLeft counts down — quiet up
+//     to, not including, the cycle that takes it to zero and retires the
+//     tile; read data for later tiles and write acks change nothing it looks
+//     at before then;
+//   - starved (next tile's data not all here): StallCycles until read data
+//     arrives;
+//   - draining (every tile computed, output writes outstanding): StallCycles
+//     until a write ack arrives.
+//
+// None of them is quiet while the load engine has a read to issue or the
+// store engine a write to hand over.
+func (w *Wrapper) Quiet() (uint64, rtlobject.InputKind) {
+	if !w.running {
+		return rtlobject.Forever, 0
+	}
+	if _, idle := w.quietFetch(); !idle || w.pendHead < len(w.pendWrites) {
+		return 0, 0
+	}
+	switch {
+	case w.computeLeft > 0:
+		return uint64(w.computeLeft - 1), 0
+	case w.computeTile >= len(w.tiles):
+		return rtlobject.Forever, rtlobject.WriteAck
+	case w.tiles[w.computeTile].arrived < w.tiles[w.computeTile].needed:
+		return rtlobject.Forever, rtlobject.ReadData
+	}
+	return 0, 0 // the next cycle starts a tile
+}
+
+// Advance implements rtlobject.Sleeper: n cycles of the state Quiet reported,
+// the first of them receiving held.
+func (w *Wrapper) Advance(n uint64, held []rtlobject.MemResponse) {
+	w.absorb(held)
+	switch {
+	case !w.running:
+		w.stats.IdleCycles += n
+		return
+	case w.computeLeft > 0:
+		w.computeLeft -= uint32(n)
+		w.stats.BusyCycles += n
+	default:
+		w.stats.StallCycles += n
+	}
+	w.fetchTile, _ = w.quietFetch()
+}
+
+// quietFetch reports whether the load engine's next cycle issues nothing,
+// and where that cycle leaves fetchTile: a load engine with nothing to issue
+// still steps over the tiles of its window that are fully issued (or that
+// both streams have run dry for), and fetchTile is checkpointed state.
+func (w *Wrapper) quietFetch() (int, bool) {
+	f := w.fetchTile
+	for f < len(w.tiles) && f < w.computeTile+w.cfg.PrefetchTiles {
+		if t := &w.tiles[f]; t.issued < t.needed && (w.inCur < w.inEnd || w.wtCur < w.wtEnd) {
+			return f, false
+		}
+		f++
+	}
+	return f, true
 }
 
 // nextRead builds the next 64-byte read for a tile, alternating the

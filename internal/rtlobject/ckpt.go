@@ -88,6 +88,8 @@ func (t *memTxn) EncodeSenderState(w *ckpt.Writer) { w.U64(t.req.ID) }
 // model, which must itself implement ckpt.Checkpointable. Maps are written
 // sorted by ID so the stream is deterministic.
 func (r *RTLObject) SaveState(w *ckpt.Writer) error {
+	// Normally a no-op: the queue, saved first, has already woken the object.
+	r.Wake()
 	w.Section("rtlobject." + r.cfg.Name)
 	if err := r.ticker.SaveState(w); err != nil {
 		return err

@@ -9,8 +9,14 @@ import (
 // The liveness-probe methods below implement guard.Probe (structurally): the
 // watchdog waits on the transaction tables bridging the RTL model to the
 // memory system. Forward progress must be measured with Progress (retired
-// transactions), never with Stats().Ticks — the tick event free-runs even
-// when the model is wedged.
+// transactions), never with Stats().Ticks: a wedged model is still clocked,
+// whether its ticks are dispatched or, for a Sleeper, credited. What the
+// watchdog can no longer rely on is that clock keeping the queue busy — a
+// Sleeper wedged on a lost response schedules nothing, the queue is left to
+// the watchdog's own check event, and the trip reads "event queue drained
+// with in-flight work" where a per-cycle wrapper's reads "no forward
+// progress". Without a watchdog the run ends at its limit with accelerators
+// still running, as it always did (TestLostResponseEndsAtLimit in soc).
 
 // GuardName identifies the RTLObject in watchdog diagnostics.
 func (r *RTLObject) GuardName() string { return r.cfg.Name }
@@ -25,8 +31,11 @@ func (r *RTLObject) InFlight() int {
 	return n
 }
 
-// GuardDetail renders the transaction tables with model-side request IDs.
+// GuardDetail renders the transaction tables with model-side request IDs. It
+// settles a sleeping object first: a hang report goes on to print the wrapped
+// model's own detail, which must be the per-cycle machine's.
 func (r *RTLObject) GuardDetail() string {
+	r.Settle()
 	ids := make([]uint64, 0, len(r.inflight))
 	for _, txn := range r.inflight {
 		ids = append(ids, txn.req.ID)

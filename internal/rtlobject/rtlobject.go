@@ -8,7 +8,10 @@
 //   - four predefined timing ports — two CPU-side response ports, through
 //     which SoC agents (cores, DMA) reach the RTL block, and two memory-side
 //     request ports, through which the RTL block reaches caches or DRAM;
-//   - a tick event driven at a configurable ratio of the core clock;
+//   - a tick event driven at a configurable ratio of the core clock, fired on
+//     every model clock edge unless the wrapper can say its next cycles only
+//     move counters (the optional Sleeper capability): then the edges between
+//     two inputs are applied arithmetically instead of dispatched;
 //   - optional TLB hookup for address translation of the model's memory
 //     requests;
 //   - Input/Output structs exchanged with the wrapper on every model tick,
@@ -115,6 +118,59 @@ type Wrapper interface {
 	Name() string
 }
 
+// InputKind is a set of the memory-response kinds an RTLObject hands to its
+// wrapper. A Sleeper names with it the kinds that must wake it.
+type InputKind uint8
+
+// The memory-response kinds. CPU-side requests are not in the set: they
+// always wake a sleeping model.
+const (
+	ReadData InputKind = 1 << iota // a load's data
+	WriteAck                       // a store's acknowledgement
+)
+
+// Forever is the quiet horizon of a model that only an input can move.
+const Forever = ^uint64(0)
+
+// Sleeper is an optional Wrapper capability: a model that can tell when its
+// coming cycles have a closed form. After a real Tick the RTLObject asks
+// Quiet; if the answer is not zero it stops scheduling its tick event for
+// that many edges (for good, on Forever) and applies the edges that go by
+// with Advance when the next input, reader or checkpoint needs them — so
+// that at every instant the model and the object are in the state ticking
+// every edge would have left them in, while the queue dispatches only the
+// ticks that issue or retire work. A Verilated netlist has no closed form
+// and does not implement it; a cycle-level model usually does.
+//
+// The contract, with "quiet cycle" meaning a Tick whose Input carries no CPU
+// request and no memory response of a kind in wake:
+//
+//   - Quiet returns (k, wake): each of the next k cycles, if quiet, returns
+//     no memory request and no CPU response, holds the interrupt level of
+//     the Tick before it, and changes nothing but state Advance reproduces.
+//     Responses of kinds outside wake may arrive during those cycles without
+//     shortening k. k is Forever when only an input can end the stretch.
+//   - Advance(n, held) has exactly the effect of n consecutive quiet Ticks,
+//     1 <= n <= k, the first of which was handed held (responses of kinds
+//     outside wake, in arrival order; valid during the call like an Input's).
+//   - Nothing else may change the model while it is quiet: a back door into
+//     it (a register poke, a fault injection) calls RTLObject.Wake first.
+type Sleeper interface {
+	Quiet() (cycles uint64, wake InputKind)
+	Advance(cycles uint64, held []MemResponse)
+}
+
+// ignoreSleepers makes New treat every wrapper as one without the Sleeper
+// capability. Test-only; see IgnoreSleepersForTest.
+var ignoreSleepers bool
+
+// IgnoreSleepersForTest makes every subsequently constructed RTLObject tick
+// its wrapper on every clock edge, whether or not the wrapper is a Sleeper,
+// while on. That per-cycle machine is the oracle the differential tests hold
+// the sleeping one to; nothing but tests may call this, and like
+// sim.UseReferenceQueueForTest it must not be toggled while simulations run.
+func IgnoreSleepersForTest(on bool) { ignoreSleepers = on }
+
 // Config parameterises an RTLObject.
 type Config struct {
 	Name string
@@ -137,9 +193,14 @@ type Stats struct {
 	MemWriteBytes uint64
 	CPURequests   uint64
 	Interrupts    uint64
-	StallCycles   uint64 // cycles with requests blocked on MaxInflight
-	TotalMemLat   sim.Tick
-	RetiredMem    uint64
+	// StallCycles counts every attempt to issue that found requests queued
+	// and MaxInflight already reached: once per model cycle spent in that
+	// state, and once more for each response or retry that retires or
+	// unblocks something and still leaves the cap reached. It is therefore
+	// an upper bound on, not a count of, the cycles lost to the cap.
+	StallCycles uint64
+	TotalMemLat sim.Tick
+	RetiredMem  uint64
 }
 
 // AvgMemLatency returns the mean memory round-trip in ticks.
@@ -196,6 +257,18 @@ type RTLObject struct {
 	irqLevel bool
 	irqFn    func(level bool)
 
+	// Closed-form cycles. sleeper is the wrapper's Sleeper capability, nil
+	// when it has none (or tests switched it off). While asleep the tick
+	// event is parked at the end of the quiet horizon (nowhere, on Forever)
+	// and the object owes every model edge from sleepFrom that the dispatch
+	// order has passed; settle pays them. Responses of kinds outside wakeOn
+	// wait in pendingResp, as they do between any two ticks, for the first
+	// cycle settle pays after them.
+	sleeper   Sleeper
+	asleep    bool
+	sleepFrom sim.Tick
+	wakeOn    InputKind
+
 	// trace is the RTL debug-flag logger (nil = off; see AttachTracer).
 	trace *obs.Logger
 
@@ -227,9 +300,9 @@ func New(cfg Config, coreDom *sim.ClockDomain, w Wrapper) *RTLObject {
 		cpuPktPort: map[uint64]int{},
 	}
 	for i := 0; i < NumCPUPorts; i++ {
-		i := i
-		r.cpuPorts[i] = port.NewResponsePort(fmt.Sprintf("%s.cpu_side[%d]", cfg.Name, i), &cpuSide{r, i})
-		r.respQs[i] = port.NewRespQueue(fmt.Sprintf("%s.cpu_side[%d]", cfg.Name, i), r.q, r.cpuPorts[i])
+		name := fmt.Sprintf("%s.cpu_side[%d]", cfg.Name, i)
+		r.cpuPorts[i] = port.NewResponsePort(name, &cpuSide{r, i})
+		r.respQs[i] = port.NewRespQueue(name, r.q, r.cpuPorts[i])
 		r.respQs[i].SetOwner(r.q.Owner(cfg.Name, "resp-drain"))
 	}
 	for i := 0; i < NumMemPorts; i++ {
@@ -238,6 +311,10 @@ func New(cfg Config, coreDom *sim.ClockDomain, w Wrapper) *RTLObject {
 	}
 	r.ticker = sim.NewTicker(cfg.Name+".tick", r.dom, sim.PriDefault, r.tick)
 	r.ticker.SetOwner(r.q.Owner(cfg.Name, "tick"))
+	if sl, ok := w.(Sleeper); ok && !ignoreSleepers {
+		r.sleeper = sl
+		r.q.RegisterBeforeSave(r)
+	}
 	return r
 }
 
@@ -252,8 +329,12 @@ func (r *RTLObject) Name() string { return r.cfg.Name }
 // the same checkpoint bytes, in every run. Must be called before Start.
 func (r *RTLObject) SetPacketIDSpace(space uint64) { r.pool.SetIDSpace(space) }
 
-// Stats returns a snapshot of activity counters.
-func (r *RTLObject) Stats() Stats { return r.stats }
+// Stats returns a snapshot of activity counters, with the cycles a sleeping
+// object owes applied first (arithmetic only: reading never ticks the model).
+func (r *RTLObject) Stats() Stats {
+	r.Settle()
+	return r.stats
+}
 
 // Wrapper returns the wrapped model (for testbench-style inspection).
 func (r *RTLObject) Wrapper() Wrapper { return r.wrapper }
@@ -269,18 +350,103 @@ func (r *RTLObject) MemPort(i int) *port.RequestPort { return r.memPorts[i] }
 func (r *RTLObject) OnInterrupt(fn func(level bool)) { r.irqFn = fn }
 
 // Start resets the wrapper and begins ticking at the next model clock edge.
+// Like starting a ticker twice, starting an object that is already running —
+// asleep included — panics.
 func (r *RTLObject) Start() {
+	if r.asleep {
+		panic(fmt.Sprintf("rtlobject %s: Start while running (asleep since tick %d)", r.cfg.Name, r.sleepFrom))
+	}
 	r.wrapper.Reset()
 	r.ticker.Start()
 }
 
 // Stop halts the tick event; outstanding memory responses are still
 // delivered to the wrapper on a subsequent Start.
-func (r *RTLObject) Stop() { r.ticker.Stop() }
+func (r *RTLObject) Stop() {
+	r.Settle()
+	r.asleep = false
+	r.ticker.Stop()
+}
 
-// tick is the per-model-cycle event: exchange structs with the wrapper and
-// move packets (§3.4's tick event function).
+// Settle applies the model cycles a sleeping object owes: every clock edge
+// since it fell asleep that ticking per cycle would have run by now. The
+// object stays asleep. The soc run primitives settle before they return and
+// Stats, GuardDetail and the checkpoint path settle on their own, so only
+// code that drives the queue by hand and then reads the wrapped model
+// through a back door needs to call it. A no-op on an object that is awake.
+func (r *RTLObject) Settle() {
+	if r.asleep {
+		r.settle()
+	}
+}
+
+// Wake settles a sleeping object and puts its tick event back on the next
+// model clock edge, the one ticking per cycle would run next. Call it before
+// changing the wrapped model behind the object's back (a direct register
+// write, a fault injection): the promise the model made when it fell asleep
+// does not cover that. A no-op on an object that is awake or stopped.
+func (r *RTLObject) Wake() {
+	if r.asleep {
+		r.settle()
+		r.asleep = false
+		r.ticker.MoveTo(r.sleepFrom)
+	}
+}
+
+// BeforeSave implements sim.BeforeSaver: a checkpoint is always that of an
+// awake object, so the stream needs no notion of sleep and a restored object
+// simply ticks.
+func (r *RTLObject) BeforeSave() { r.Wake() }
+
+// settle pays the edges owed since sleepFrom and returns how many there were.
+// What a quiet cycle does besides ticking the wrapper is counted here: the
+// tick itself, and — pumpMem's whole effect in a cycle no input has touched —
+// one stall when requests are queued behind the in-flight cap.
+func (r *RTLObject) settle() uint64 {
+	n := r.ticker.Credit(r.sleepFrom)
+	if n == 0 {
+		return 0
+	}
+	r.sleepFrom += sim.Tick(n) * r.dom.Period()
+	r.stats.Ticks += n
+	if r.sendHead < len(r.sendQ) && r.cfg.MaxInflight > 0 && len(r.inflight) >= r.cfg.MaxInflight {
+		r.stats.StallCycles += n
+	}
+	r.sleeper.Advance(n, r.pendingResp)
+	r.pendingResp = r.pendingResp[:0]
+	r.respData = r.respData[:0]
+	return n
+}
+
+// sleep parks the tick event if the wrapper's coming cycles are quiet and
+// reports whether it did. It runs at the end of a tick, when pumpMem has left
+// the send queue empty, at the cap or blocked on a port — states only a
+// response or a retry changes, and both settle before they act.
+func (r *RTLObject) sleep() bool {
+	k, wake := r.sleeper.Quiet()
+	if k == 0 || len(r.pendingResp) > 0 || len(r.pendingCPU) > 0 {
+		return false
+	}
+	r.asleep, r.wakeOn = true, wake
+	r.sleepFrom = r.q.Now() + r.dom.Period()
+	if k != Forever {
+		r.ticker.StartAt(r.sleepFrom + sim.Tick(k)*r.dom.Period())
+	}
+	return true
+}
+
+// tick is the model-cycle event: exchange structs with the wrapper and move
+// packets (§3.4's tick event function). It runs on every model clock edge
+// for a wrapper that is not a Sleeper, and on the edges that are not quiet
+// for one that is.
 func (r *RTLObject) tick(cycle uint64) bool {
+	if r.asleep {
+		// The parked event has reached the end of the horizon: the edges
+		// before this one are owed, and the ticker read this cycle's number
+		// before they were credited.
+		cycle += r.settle()
+		r.asleep = false
+	}
 	r.in = Input{
 		Cycle:        cycle,
 		MemResponses: r.pendingResp,
@@ -324,7 +490,7 @@ func (r *RTLObject) tick(cycle uint64) bool {
 		}
 	}
 	r.pumpMem()
-	return true
+	return r.sleeper == nil || !r.sleep()
 }
 
 // pumpMem issues queued memory requests subject to the in-flight cap and
@@ -425,6 +591,8 @@ type cpuSide struct {
 
 func (c *cpuSide) RecvTimingReq(pkt *port.Packet) bool {
 	r := c.r
+	// A CPU request can change anything in the model: it always wakes it.
+	r.Wake()
 	r.nextCPUID++
 	id := r.nextCPUID
 	req := CPURequest{
@@ -456,6 +624,20 @@ type memSide struct {
 
 func (m *memSide) RecvTimingResp(pkt *port.Packet) bool {
 	r := m.r
+	if r.asleep {
+		// Pay the edges up to this arrival while the in-flight count is
+		// still what they saw, then either wake for the edge that would have
+		// consumed the response or leave it held for the next one paid.
+		kind := WriteAck
+		if pkt.Cmd == port.ReadResp {
+			kind = ReadData
+		}
+		if r.wakeOn&kind != 0 {
+			r.Wake()
+		} else {
+			r.settle()
+		}
+	}
 	txn := r.retire(pkt.PopSenderState())
 	id := txn.req.ID
 	lat := r.q.Now() - txn.issued
@@ -513,6 +695,9 @@ func (r *RTLObject) recycleTxn(txn *memTxn) {
 }
 
 func (m *memSide) RecvReqRetry() {
+	// The wrapper never sees a retry, so it wakes nothing; what it issues can
+	// bring the object to the cap, which the edges before it did not see.
+	m.r.Settle()
 	m.r.blocked[m.i] = false
 	m.r.pumpMem()
 }

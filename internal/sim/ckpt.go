@@ -8,14 +8,44 @@ import (
 	"gem5rtl/internal/ckpt"
 )
 
+// BeforeSaver is a component whose host-side execution state can differ from
+// the machine state a checkpoint describes — a clocked object asleep between
+// its inputs, with cycles it has not yet accounted for. The queue calls
+// BeforeSave on every registered component at the start of SaveState, before
+// anything is written, so the stream is always that of a machine whose
+// pending events and counters are the ones the per-cycle machine would have.
+type BeforeSaver interface {
+	BeforeSave()
+}
+
+// RegisterBeforeSave adds c to the components SaveState settles first. The
+// queue is the first thing any checkpoint writes, which makes its save the
+// one place every rig passes through, whether it saves a whole system or a
+// queue and one component by hand.
+func (q *EventQueue) RegisterBeforeSave(c BeforeSaver) {
+	q.beforeSave = &saveHook{c: c, next: q.beforeSave}
+}
+
+// saveHook is one registered BeforeSaver. A list, not a slice: a slice header
+// is two words more in a queue struct that has none to spare (see orderKey),
+// and a system has at most a handful of these.
+type saveHook struct {
+	c    BeforeSaver
+	next *saveHook
+}
+
 // SaveState serialises the queue as one "sim.eventq" section: clock,
 // canonical sequence space (canonicalizeSeqs), dispatch count and exit latch,
 // followed by the self-profiler's attribution table. Pending events are
 // deliberately not serialised here: events hold closures, which cannot cross
 // a process boundary. Instead every component saves the scheduling state of
 // the events it owns (SaveEvent) and re-materialises them during its own
-// RestoreState (RestoreEvent).
+// RestoreState (RestoreEvent). Components registered with RegisterBeforeSave
+// are settled first.
 func (q *EventQueue) SaveState(w *ckpt.Writer) error {
+	for h := q.beforeSave; h != nil; h = h.next {
+		h.c.BeforeSave()
+	}
 	n := q.canonicalizeSeqs()
 	w.Section("sim.eventq")
 	w.U64(uint64(q.now))

@@ -85,6 +85,13 @@ func (c *ClockDomain) Derived(name string, div uint64) *ClockDomain {
 // The callback returns false to stop ticking (it can be restarted with
 // Start). This is the mechanism behind gem5rtl's clocked objects, including
 // RTLObject's per-cycle evaluation of the RTL model.
+//
+// An owner whose next cycles have a closed form need not take them one event
+// at a time: it returns false, parks the event where it next has work
+// (StartAt, or nowhere), and later has Credit account for the edges that
+// went by and MoveTo bring the event back. Credit keeps the cycle count and
+// the queue's dispatch count exactly where a free-running ticker would have
+// them, so the machine a checkpoint describes does not depend on the choice.
 type Ticker struct {
 	dom   *ClockDomain
 	ev    *Event
@@ -122,6 +129,37 @@ func (t *Ticker) Stop() {
 	if t.ev.Scheduled() {
 		t.dom.q.Deschedule(t.ev)
 	}
+}
+
+// MoveTo schedules the next tick at the given absolute time, moving the
+// pending one if there is one.
+func (t *Ticker) MoveTo(when Tick) { t.dom.q.Reschedule(t.ev, when) }
+
+// Credit accounts for the clock edges from the one at tick from onwards that
+// a free-running ticker would have run by now, without running them: it
+// advances the cycle count, counts them on the queue as events applied in
+// closed form (EventQueue.Credit, under the ticker's owner) and returns how
+// many there were. from must be an edge of this ticker, one period after the
+// last edge it ran or credited; the caller applies the cycles' effects.
+//
+// An edge at the current tick counts when the dispatch order has moved past
+// the ticker's own event key — the order a pending edge event would have
+// been held to, including against same-tick children of later events — and
+// never from inside the ticker's own callback, which is that edge running.
+func (t *Ticker) Credit(from Tick) uint64 {
+	q := t.dom.q
+	if from > q.now {
+		return 0
+	}
+	n := uint64((q.now-from)/t.dom.period) + 1
+	if from+Tick(n-1)*t.dom.period == q.now && !q.passed(t.ev) {
+		n--
+	}
+	if n > 0 {
+		t.cycle += n
+		q.Credit(t.ev.owner, n)
+	}
+	return n
 }
 
 // Running reports whether a tick is pending.

@@ -36,6 +36,7 @@ package sim
 import (
 	"container/heap"
 	"fmt"
+	"math"
 	"math/bits"
 )
 
@@ -233,10 +234,14 @@ type EventQueue struct {
 	seq        uint64
 	exitReason string
 	exitSet    bool
+	stopSet    bool // arms stopAfter, below; kept here so the two flags share a word
 	// dispatched is a plain counter on the Step hot path; the queue is
 	// strictly single-threaded, so read it only from the sim goroutine
 	// (host-side monitors aggregate it post-run via obs.CountEvents).
 	dispatched uint64
+	// elided is the part of dispatched that was applied in closed form by
+	// Credit instead of being run; see Elided.
+	elided uint64
 
 	// curStamp identifies the dispatch context of the event currently (or
 	// most recently) executing: its (when, prio, rank, seq). Port queues
@@ -244,6 +249,13 @@ type EventQueue struct {
 	// *sender's* dispatch order, a key a checkpoint can store and a restored
 	// queue keeps sorting by.
 	curStamp Stamp
+	// sameTick is what curStamp alone cannot tell a sleeping ticker (see
+	// passed): the highest-ordered event of its tick that has scheduled
+	// another event for that same tick — the child may order below its
+	// parent and still run after it — or, once RunUntil has finished a tick,
+	// a key above every event of that tick. Schedule writes it on its
+	// same-tick path only, so the dispatch loop does not maintain it.
+	sameTick orderKey
 
 	// stopAfter, when stopSet, caps RunUntil: no event with a later tick is
 	// dispatched and time does not advance past it. Unlike ExitSimLoop it is
@@ -252,7 +264,6 @@ type EventQueue struct {
 	// that was given the cap as its limit — what lets a run that detects
 	// completion mid-flight end in a state a checkpoint split reproduces.
 	stopAfter Tick
-	stopSet   bool
 
 	// Calendar ring. Bucket b = when >> calBucketBits; every ring event's
 	// bucket lies in [now's bucket, now's bucket + calBuckets), exactly one
@@ -269,6 +280,8 @@ type EventQueue struct {
 	// so no cached tick can go stale when a head is popped or descheduled.
 	nearBucket uint64
 	nearDirty  bool
+	// ref selects the reference pure-heap dispatcher (NewReferenceEventQueue).
+	ref bool
 
 	// far holds events calBuckets or more buckets ahead (and everything when
 	// ref is set); they are dispatched straight from the heap when due.
@@ -276,11 +289,11 @@ type EventQueue struct {
 	far          eventHeap
 	farScheduled uint64
 
+	// beforeSave lists the components SaveState settles first (BeforeSave).
+	beforeSave *saveHook
+
 	// freeEvents recycles one-shot events dispatched via ScheduleOneShot.
 	freeEvents *Event
-
-	// ref selects the reference pure-heap dispatcher (NewReferenceEventQueue).
-	ref bool
 
 	// Self-profiler state (prof.go). ownerKeys/ownerIDs intern attribution
 	// owners whether or not a profiler is attached, so owner IDs are fixed
@@ -324,10 +337,76 @@ func UseReferenceQueueForTest(on bool) {
 // Now returns the current simulated time.
 func (q *EventQueue) Now() Tick { return q.now }
 
-// Dispatched returns the total number of events executed so far; useful for
-// simulator performance statistics (host events per second). Like the rest
-// of the queue API it must be called from the simulation goroutine.
+// Dispatched returns the total number of events the simulated machine has
+// executed so far. It is the machine's count, not the host's: the checkpoint
+// stream carries it, so it must not depend on how the host executes cycles,
+// and an event a component applied in closed form (Credit) counts exactly as
+// if it had been run. Dispatched() - Elided() is what the dispatch loop
+// really did. Like the rest of the queue API it must be called from the
+// simulation goroutine.
 func (q *EventQueue) Dispatched() uint64 { return q.dispatched }
+
+// Elided returns how many of the Dispatched events were never scheduled:
+// clock edges a sleeping component credited arithmetically (Ticker.Credit).
+// It is a host-side diagnostic like FarScheduled: not checkpointed, not part
+// of any StateHash, and read from the simulation goroutine only.
+func (q *EventQueue) Elided() uint64 { return q.elided }
+
+// Credit counts n events of the given owner as dispatched without running
+// them, for a component that has applied their whole effect in closed form.
+// The dispatch count and the self-profiler's exact per-owner count move as
+// if the events had run (both are in the checkpoint stream); Elided records
+// that they did not.
+func (q *EventQueue) Credit(owner OwnerID, n uint64) {
+	q.dispatched += n
+	q.elided += n
+	if p := q.prof; p != nil {
+		p.counts[owner] += n
+	}
+}
+
+// passed reports whether the dispatch order at the current tick has moved
+// beyond e's (prio, rank): whether e, had it been pending for this tick all
+// along, would already have run. An event's own dispatch has not passed it.
+//
+// The executing event's stamp answers this only while events run in key
+// order, and a tick's events do not when one of them schedules a child for
+// the same tick: the child may order below an event that has already run.
+// Every such parent is folded into sameTick when it schedules (see
+// Schedule), and by induction the highest-ordered event dispatched so far
+// this tick is the larger of curStamp and sameTick: an event that ran before
+// a higher-ordered one was scheduled, directly or through a chain of
+// same-tick children, by that one or by a later one.
+func (q *EventQueue) passed(e *Event) bool {
+	hi := q.curStamp.key()
+	if hi.less(q.sameTick) {
+		hi = q.sameTick
+	}
+	return hi.when == q.now && orderKey{q.now, e.rank, int32(e.prio)}.less(hi)
+}
+
+// orderKey is a Stamp without its sequence number: what orders events of
+// different names. It is laid out to take 24 bytes, not a Stamp's 32: the
+// queue struct and its allocation header fill a 2 304-byte size class
+// exactly, and one word more costs every system built 384 bytes
+// (TestEventQueueFillsItsSizeClass).
+type orderKey struct {
+	when Tick
+	rank uint64
+	prio int32
+}
+
+func (s Stamp) key() orderKey { return orderKey{s.When, s.Rank, s.Prio} }
+
+func (k orderKey) less(o orderKey) bool {
+	if k.when != o.when {
+		return k.when < o.when
+	}
+	if k.prio != o.prio {
+		return k.prio < o.prio
+	}
+	return k.rank < o.rank
+}
 
 // FarScheduled returns how many events were filed in the spill heap instead
 // of the calendar ring since the queue was built — the slow path a well-sized
@@ -356,8 +435,15 @@ func (q *EventQueue) Schedule(e *Event, when Tick) {
 		panic(fmt.Sprintf("sim: event %q already scheduled for tick %d, cannot schedule for tick %d (use Reschedule, or Deschedule first)",
 			e.name, e.when, when))
 	}
-	if when < q.now {
-		panic(fmt.Sprintf("sim: event %q scheduled at %d, before now %d", e.name, when, q.now))
+	if when <= q.now {
+		if when < q.now {
+			panic(fmt.Sprintf("sim: event %q scheduled at %d, before now %d", e.name, when, q.now))
+		}
+		// A same-tick child: remember its parent for passed. Nested under the
+		// causality test, so scheduling into the future costs what it did.
+		if c := q.curStamp.key(); c.when == when && q.sameTick.less(c) {
+			q.sameTick = c
+		}
 	}
 	e.seq = q.seq
 	q.seq++
@@ -683,8 +769,15 @@ func (q *EventQueue) RunUntil(limit Tick) string {
 	if q.stopSet && q.stopAfter < eff {
 		eff = q.stopAfter
 	}
-	if !q.exitSet && q.now < eff {
-		q.now = eff
+	if !q.exitSet {
+		if q.now < eff {
+			q.now = eff
+		}
+		if q.now == eff {
+			// Every event of this tick has run, whatever its key: a key
+			// above them all tells passed so until time moves on.
+			q.sameTick = orderKey{eff, math.MaxUint64, math.MaxInt32}
+		}
 	}
 	return q.exitReason
 }

@@ -362,6 +362,9 @@ func (s *System) StartCores(cores ...int) {
 // the accelerator's CSB. The final WaitIRQ is the caller's job (run the
 // event queue until the accelerator interrupt).
 func (s *System) PlayTrace(idx int, t *trace.Trace) {
+	// The register writes below bypass the RTLObject; an accelerator that is
+	// asleep (idle since its last trace) must be ticking again to see them.
+	s.NVDLAs[idx].Wake()
 	w := s.NVDLAWrappers[idx]
 	for _, op := range t.Ops {
 		switch op.Kind {
@@ -411,6 +414,12 @@ func (s *System) RunUntilNVDLAsDoneCtx(ctx context.Context, limit sim.Tick) (sim
 // behave the same in both halves: the phase ends early, reporting the true
 // completion tick with remaining == 0 and leaving the queue on the last tick
 // of that tick's completion window (see windowEnd).
+//
+// Before it returns from running the queue it settles every accelerator: the
+// cycles a sleeping RTLObject applies in closed form are all applied, so the
+// wrappers' own Stats and Done, the queue's Dispatched and an attached
+// profiler read what the per-cycle machine would show, with no call the
+// reader must remember.
 func (s *System) RunNVDLAPhase(ctx context.Context, limit sim.Tick) (sim.Tick, int, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, 0, err
@@ -443,6 +452,9 @@ func (s *System) RunNVDLAPhase(ctx context.Context, limit sim.Tick) (sim.Tick, i
 	defer stop()
 	s.Queue.RunUntil(limit)
 	s.Queue.ClearStopAfter()
+	for _, o := range s.NVDLAs {
+		o.Settle()
+	}
 	if err := ctx.Err(); err != nil {
 		return 0, remaining, err
 	}
