@@ -26,7 +26,7 @@ bench-smoke:
 # in the user-facing docs (see cmd/doccheck -flags).
 doccheck:
 	$(GO) run ./cmd/doccheck ./internal/sim ./internal/port ./internal/sweepd ./internal/rtlc ./internal/prof \
-		./internal/rtlobject ./internal/nvdla
+		./internal/rtlobject ./internal/nvdla ./internal/pmu
 	$(GO) run ./cmd/doccheck -flags README.md,EXPERIMENTS.md,PERFORMANCE.md \
 		./cmd/gem5rtl ./cmd/nvdla-dse ./cmd/rtlsim ./cmd/pmurun \
 		./cmd/sweepd ./cmd/sweepctl ./cmd/faultcamp ./cmd/overhead

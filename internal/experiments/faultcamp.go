@@ -418,6 +418,9 @@ func pmuRun(ctx context.Context, c PMUCampaign, f *guard.Fault) (faultRunResult,
 		pick := f.Pick
 		s.Queue.ScheduleOneShotOwned("guard.rtl-state-flip", f.Tick,
 			s.Queue.Owner("guard", "fault-inject"), func() {
+				// The flip is a back door into a model that may be asleep:
+				// wake it first, so the cycles before the flip run without it.
+				s.PMU.Wake()
 				s.PMUWrapper.Model().InjectStateFlip(pick)
 				res.fired = true
 			})
@@ -440,6 +443,8 @@ func pmuRun(ctx context.Context, c PMUCampaign, f *guard.Fault) (faultRunResult,
 	}
 	// Signature: the 20 PMU counters plus the core's committed-instruction
 	// count — a flipped counter or a derailed measurement both surface here.
+	// RunUntil has settled the PMU, so the counters are the ones ticking
+	// every cycle would show, however the run ended.
 	h := fnv.New64a()
 	var buf [8]byte
 	for i := 0; i < pmu.NumCounters; i++ {

@@ -230,6 +230,7 @@ func RunFigure5Ctx(ctx context.Context, p Fig5Params) (*Fig5Result, error) {
 		lastPMU = cur
 		lastGem5 = nowGem5
 	}
+	// Stop settles: the counters read below are the per-cycle machine's.
 	s.PMU.Stop()
 	res.HostTime = time.Since(start)
 	res.SimTicks = s.Queue.Now()

@@ -2,12 +2,15 @@ package experiments
 
 import (
 	"context"
+	"sort"
 	"testing"
 
+	"gem5rtl/internal/pmu"
 	"gem5rtl/internal/port"
 	"gem5rtl/internal/rtlobject"
 	"gem5rtl/internal/sim"
 	"gem5rtl/internal/soc"
+	"gem5rtl/internal/workload"
 )
 
 // sleepSplitSpecs are the machines the sleep differential splits: ideal
@@ -138,5 +141,146 @@ func checkMostlyElided(t *testing.T, spec RunSpec, s *soc.System) {
 	t.Logf("%v: %d of %d accelerator cycles elided (%.1f%%)", spec, elided, ticks, 100*float64(elided)/float64(ticks))
 	if elided*100 < ticks*85 {
 		t.Errorf("%v: only %d of %d accelerator cycles elided, under 85%%", spec, elided, ticks)
+	}
+}
+
+// pmuSortSystem builds the Table 2 machine — one core, the PMU programmed
+// over AXI with every event line enabled and the threshold on the cycle
+// counter at thresh (0 disables it) — with a small sort benchmark started.
+// oracle builds the per-cycle machine.
+func pmuSortSystem(t *testing.T, thresh uint32, oracle bool) *soc.System {
+	t.Helper()
+	port.SetPacketIDForTest(0)
+	cfg := soc.DefaultConfig()
+	cfg.Cores = 1
+	cfg.WithPMU = true
+	rtlobject.IgnoreSleepersForTest(oracle)
+	s, err := soc.Build(cfg)
+	rtlobject.IgnoreSleepersForTest(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	host := NewAXIHost(s.Queue)
+	port.Bind(host.p, s.PMU.CPUPort(0))
+	s.PMU.Start()
+	host.Write(pmu.RegEnable, 0x3F)
+	host.Write(pmu.RegThreshSel, pmu.EvCycle)
+	host.Write(pmu.RegThreshVal, thresh)
+	if err := s.LoadProgram(0, workload.SortBenchmark(workload.SortParams{N: 16, SleepUs: 12})); err != nil {
+		t.Fatal(err)
+	}
+	s.Cores[0].OnExit = func(int64) { s.Queue.ExitSimLoop("exit") }
+	s.StartCores(0)
+	return s
+}
+
+// pmuSleepStarts runs the benchmark once and returns the ticks at which the
+// core goes to sleep: the last commit before each gap of 6 µs or more.
+func pmuSleepStarts(t *testing.T) []sim.Tick {
+	t.Helper()
+	s := pmuSortSystem(t, 0, true)
+	var last sim.Tick
+	var starts []sim.Tick
+	tap := s.Cores[0].OnCommit
+	s.Cores[0].OnCommit = func(n int) {
+		if n > 0 {
+			if now := s.Queue.Now(); now-last >= 6*sim.Microsecond {
+				starts = append(starts, last)
+			}
+			last = s.Queue.Now()
+		}
+		tap(n)
+	}
+	s.Queue.RunUntil(sim.MaxTick)
+	if len(starts) != 3 {
+		t.Fatalf("found %d sleeps in the sort benchmark, want 3", len(starts))
+	}
+	return starts
+}
+
+func mustStateHash(t *testing.T, s *soc.System) uint64 {
+	t.Helper()
+	h, err := s.StateHash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
+// TestPMUSleepingMatchesPerCycleAtEverySplit is the split differential for
+// the PMU's closed forms: at three thresholds (0, off: the stretch has no
+// end; 1 000 and 10 000 cycles), split at every save tick of the ladder
+// after each of four offsets — the start of the run and the start of each
+// of the core's three sleeps, where the PMU is asleep — the machine whose
+// PMU sleeps serialises to the per-cycle machine's bytes at the split and at
+// exit. A save wakes the PMU, so each split is a separate run.
+func TestPMUSleepingMatchesPerCycleAtEverySplit(t *testing.T) {
+	if testing.Short() {
+		t.Skip("3 thresholds x 176 splits")
+	}
+	base := port.PacketIDMark()
+	defer port.SetPacketIDForTest(base)
+	var splits []sim.Tick
+	for _, off := range append([]sim.Tick{0}, pmuSleepStarts(t)...) {
+		for _, at := range sleepSplitTicks() {
+			splits = append(splits, off+at)
+		}
+	}
+	sort.Slice(splits, func(i, j int) bool { return splits[i] < splits[j] })
+	for _, thresh := range []uint32{0, 1000, 10000} {
+		// The per-cycle machine is never asleep, so saving it changes
+		// nothing: one run hashes it at every split.
+		or := pmuSortSystem(t, thresh, true)
+		want := make([]uint64, len(splits))
+		for i, at := range splits {
+			or.Queue.RunUntil(at)
+			want[i] = mustStateHash(t, or)
+		}
+		or.Queue.RunUntil(sim.MaxTick)
+		wantEnd := mustStateHash(t, or)
+		var elided, ticks uint64
+		for i, at := range splits {
+			s := pmuSortSystem(t, thresh, false)
+			s.Queue.RunUntil(at)
+			if got := mustStateHash(t, s); got != want[i] {
+				t.Errorf("threshold %d, split at %d: state hash %016x, per-cycle %016x", thresh, at, got, want[i])
+			}
+			s.Queue.RunUntil(sim.MaxTick)
+			if got := mustStateHash(t, s); got != wantEnd {
+				t.Errorf("threshold %d, split at %d: final state hash %016x, per-cycle %016x", thresh, at, got, wantEnd)
+			}
+			elided += s.Queue.Elided()
+			ticks += s.PMU.Stats().Ticks
+		}
+		t.Logf("threshold %d: %d of %d PMU cycles applied in closed form", thresh, elided, ticks)
+		if elided == 0 {
+			t.Errorf("threshold %d: nothing was elided: the differential compared the oracle with itself", thresh)
+		}
+	}
+}
+
+// TestPMUFaultCampaignMatchesPerCycle: a state flip is a back door into a
+// PMU that is asleep through the core's sleeps as often as not. Every fault
+// of a campaign must be classified, with the same evidence, as it is on the
+// machine that ticks the PMU every cycle.
+func TestPMUFaultCampaignMatchesPerCycle(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two PMU campaigns")
+	}
+	c := PMUCampaign{Seed: 5, Count: 8}
+	got, err := Runner{Workers: 1}.PMUFaultCampaign(context.Background(), c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rtlobject.IgnoreSleepersForTest(true)
+	want, err := Runner{Workers: 1}.PMUFaultCampaign(context.Background(), c)
+	rtlobject.IgnoreSleepersForTest(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("fault %d:\n sleeping  %+v\n per-cycle %+v", i, got[i], want[i])
+		}
 	}
 }

@@ -12,11 +12,18 @@
 // recorded with a one-cycle delay (events register), and when a threshold
 // interrupt fires the counter resets, losing any event arriving in the reset
 // cycle — the discrepancies §6.1 quantifies against gem5's own statistics.
+//
+// The wrapper is an rtlobject.Sleeper, and knows nothing of the netlist to
+// be one: while it has no event or AXI transaction to drive, the stretch of
+// cycles the RTLObject may apply without dispatching them is the one the
+// compiled netlist reports (rtl.Model.Quiet) — for the programmed PMU, up to
+// the cycle the monitored counter reaches its threshold.
 package pmu
 
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"gem5rtl/internal/obs"
 	"gem5rtl/internal/rtl"
@@ -133,26 +140,73 @@ endmodule
 	return b.String()
 }
 
-// CompileModelEngine runs the Verilog toolflow on the generated PMU source
-// and instantiates the circuit on the named evaluator. Its signature and
-// NewWrapperEngine's are pinned by bench/probes.go (see rtl.Engine); tests
-// use the pair to build the reference beside the VM.
-func CompileModelEngine(nc int, engine rtl.Engine) (*rtl.Model, error) {
+// elaborate runs the Verilog front end on the generated PMU source.
+func elaborate(nc int) (*rtl.Circuit, error) {
 	f, err := verilog.Parse(VerilogSource(nc))
 	if err != nil {
 		return nil, err
 	}
-	c, err := verilog.Elaborate(f, "pmu", nil)
+	return verilog.Elaborate(f, "pmu", nil)
+}
+
+// CompileModelEngine runs the Verilog toolflow on the generated PMU source
+// and instantiates the circuit on the named evaluator, from scratch on every
+// call. Its signature and NewWrapperEngine's are pinned by bench/probes.go
+// (see rtl.Engine), which times this one as the compile cost; tests use the
+// pair to build the reference beside the VM.
+func CompileModelEngine(nc int, engine rtl.Engine) (*rtl.Model, error) {
+	c, err := elaborate(nc)
 	if err != nil {
 		return nil, err
 	}
+	return instantiate(c, nil, engine)
+}
+
+// instantiate builds a model of c on the named evaluator; on the VM it runs
+// p when p is not nil and compiles c otherwise.
+func instantiate(c *rtl.Circuit, p *rtlc.Program, engine rtl.Engine) (*rtl.Model, error) {
 	switch engine {
 	case rtl.EngineBytecode:
+		if p != nil {
+			return rtlc.Instantiate(c, p)
+		}
 		return rtlc.NewModel(c)
 	case rtl.EngineReference:
 		return rtl.Compile(c)
 	}
 	return nil, fmt.Errorf("pmu: unknown RTL engine %q", engine)
+}
+
+// compiled is the PMU for one counter count, elaborated and compiled once
+// per process. Neither the circuit nor the program is written after it is
+// built, so every wrapper shares them; each Model and VM holds its own state.
+type compiled struct {
+	once sync.Once
+	c    *rtl.Circuit
+	p    *rtlc.Program
+	err  error
+}
+
+var (
+	compiledMu sync.Mutex
+	compiledBy = map[int]*compiled{}
+)
+
+// compiledPMU returns the shared circuit and program for nc counters.
+func compiledPMU(nc int) (*rtl.Circuit, *rtlc.Program, error) {
+	compiledMu.Lock()
+	e := compiledBy[nc]
+	if e == nil {
+		e = &compiled{}
+		compiledBy[nc] = e
+	}
+	compiledMu.Unlock()
+	e.once.Do(func() {
+		if e.c, e.err = elaborate(nc); e.err == nil {
+			e.p, e.err = rtlc.Compile(e.c)
+		}
+	})
+	return e.c, e.p, e.err
 }
 
 // Wrapper is the shared-library wrapper of Figure 3: it drives the PMU
@@ -184,12 +238,25 @@ type Wrapper struct {
 	inflightRead rtlobject.CPURequest
 	reading      bool
 
+	// quietRun counts the consecutive Ticks that drove a quiet cycle's
+	// inputs: the cycle event line alone and no AXI transaction. It is a
+	// host-side policy, not state: while the core runs it commits on most
+	// model cycles, and its quiet runs are one cycle long — parking the tick
+	// event to be woken by the next commit costs more than ticking — so Quiet
+	// reports nothing before the second quiet cycle, which costs one real
+	// tick per idle window.
+	quietRun int
+
 	// out and rbuf are the Output handed back by Tick and its read payload,
 	// reused every cycle: valid until the next Tick, like the Input.
 	out  rtlobject.Output
 	rbuf [4]byte
 
-	// TickHook runs after every model tick (used by tests/tracing).
+	// TickHook runs after every model tick (used by tests/tracing). While it
+	// is set the wrapper reports no quiet cycles, so every cycle ticks. Set it
+	// on a running PMU only after waking its RTLObject (RTLObject.Wake):
+	// cycles the object has not yet applied would pass the hook by, and
+	// applying them with a hook set panics.
 	TickHook func(m *rtl.Model)
 
 	// trace is the PMU debug-flag logger (nil = off; see AttachTracer).
@@ -212,7 +279,8 @@ func UseReferenceModelForTest(on bool) {
 	referenceMode = on
 }
 
-// NewWrapper compiles the PMU RTL and builds its wrapper.
+// NewWrapper builds a PMU wrapper over a fresh model of the PMU RTL, which
+// is compiled on the first call for nc counters only.
 func NewWrapper(nc int) (*Wrapper, error) {
 	if referenceMode {
 		return NewWrapperEngine(nc, rtl.EngineReference)
@@ -223,7 +291,11 @@ func NewWrapper(nc int) (*Wrapper, error) {
 // NewWrapperEngine is NewWrapper on the named evaluator (see
 // CompileModelEngine).
 func NewWrapperEngine(nc int, engine rtl.Engine) (*Wrapper, error) {
-	m, err := CompileModelEngine(nc, engine)
+	c, p, err := compiledPMU(nc)
+	if err != nil {
+		return nil, err
+	}
+	m, err := instantiate(c, p, engine)
 	if err != nil {
 		return nil, err
 	}
@@ -257,6 +329,7 @@ func (w *Wrapper) Reset() {
 	w.pendingMisses = 0
 	w.axiQ = w.axiQ[:0]
 	w.reading = false
+	w.quietRun = 0
 }
 
 // AddCommits accumulates committed-instruction events from the core tap.
@@ -288,11 +361,13 @@ func (w *Wrapper) Tick(in *rtlobject.Input) *rtlobject.Output {
 	}
 	ev |= 1 << EvCycle
 	w.model.SetInputID(w.inEvents, ev)
+	quiet := ev == 1<<EvCycle
 
 	// Drive at most one AXI transaction per cycle.
 	w.model.SetInputID(w.inAwvalid, 0)
 	w.model.SetInputID(w.inArvalid, 0)
 	if !w.reading && len(w.axiQ) > 0 {
+		quiet = false
 		req := w.axiQ[0]
 		n := copy(w.axiQ, w.axiQ[1:])
 		w.axiQ[n] = rtlobject.CPURequest{} // drop the Data reference
@@ -314,6 +389,11 @@ func (w *Wrapper) Tick(in *rtlobject.Input) *rtlobject.Output {
 			w.model.SetInputID(w.inAraddr, req.Addr&0xFF)
 			w.inflightRead, w.reading = req, true
 		}
+	}
+	if quiet {
+		w.quietRun++
+	} else {
+		w.quietRun = 0
 	}
 
 	w.model.Tick()
@@ -343,6 +423,30 @@ func (w *Wrapper) Tick(in *rtlobject.Input) *rtlobject.Output {
 		w.prevIrq = out.Interrupt
 	}
 	return out
+}
+
+// Quiet implements rtlobject.Sleeper. A quiet cycle of the wrapper drives
+// the cycle event line alone and no AXI transaction; while the wrapper has
+// nothing else to drive and drove exactly that last cycle (and the one
+// before, see quietRun), its quiet cycles are the model's with the inputs
+// held, and the horizon is the compiled netlist's own (rtl.Model.Quiet,
+// whose ^uint64(0) is rtlobject.Forever). No memory response wakes it: the
+// PMU issues no memory requests.
+func (w *Wrapper) Quiet() (uint64, rtlobject.InputKind) {
+	if w.quietRun < 2 || w.pendingCommits != 0 || w.pendingMisses != 0 ||
+		len(w.axiQ) != 0 || w.reading || w.TickHook != nil {
+		return 0, 0
+	}
+	return w.model.Quiet(), 0
+}
+
+// Advance implements rtlobject.Sleeper: n quiet cycles of the wrapper are n
+// cycles of the model with its inputs held.
+func (w *Wrapper) Advance(n uint64, _ []rtlobject.MemResponse) {
+	if w.TickHook != nil {
+		panic("pmu: TickHook set while the PMU was asleep; wake its RTLObject before setting it")
+	}
+	w.model.Advance(n)
 }
 
 // Counter peeks counter i directly in the RTL model (testbench backdoor).

@@ -240,6 +240,53 @@ func TestRespQueueOrdering(t *testing.T) {
 	}
 }
 
+// echoRequestor answers the first response it receives by scheduling another
+// into the sender's queue for the same tick, and records every delivery.
+type echoRequestor struct {
+	q    *sim.EventQueue
+	rq   *RespQueue
+	echo *Packet
+	got  []uint64
+}
+
+func (r *echoRequestor) RecvTimingResp(pkt *Packet) bool {
+	r.got = append(r.got, pkt.Addr)
+	if e := r.echo; e != nil {
+		r.echo = nil
+		r.rq.Schedule(e, r.q.Now())
+	}
+	return true
+}
+
+func (r *echoRequestor) RecvReqRetry() {}
+
+// TestRespQueueZeroLatencyReschedule: a response scheduled for now by an
+// event that orders after the queue's drain wakes the drain as a same-tick
+// child, so a response the receiver schedules from inside the delivery
+// carries the drain's lower stamp and sorts ahead of the entry being
+// delivered. Each must still be delivered exactly once, in that order.
+func TestRespQueueZeroLatencyReschedule(t *testing.T) {
+	q := sim.NewEventQueue()
+	resp := newFakeResponder(q, 1, 0)
+	req := &echoRequestor{q: q, rq: resp.rq}
+	req.echo = NewReadPacket(2, 8)
+	req.echo.MakeResponse()
+	port := NewRequestPort("echo", req)
+	BindUnchecked(port, resp.port)
+	first := NewReadPacket(1, 8)
+	first.MakeResponse()
+	q.Schedule(sim.NewEventPri("late-sender", sim.PriDefault+1, func() {
+		resp.rq.Schedule(first, q.Now())
+	}), 100)
+	q.Run()
+	if len(req.got) != 2 || req.got[0] != 1 || req.got[1] != 2 {
+		t.Fatalf("delivered %v, want [1 2]", req.got)
+	}
+	if !resp.rq.Empty() {
+		t.Fatalf("%d responses left queued", resp.rq.Len())
+	}
+}
+
 // Property: with any responder capacity and request count, every request
 // eventually gets exactly one response, and packet conservation holds.
 func TestQuickConservation(t *testing.T) {

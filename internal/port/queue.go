@@ -166,15 +166,22 @@ func (rq *RespQueue) Empty() bool { return rq.pending.len() == 0 }
 // Len returns the number of queued responses.
 func (rq *RespQueue) Len() int { return rq.pending.len() }
 
+// drain delivers the ready responses in order. Each is taken off the list
+// before it is sent: the receiver may schedule a zero-latency response into
+// this queue from inside the delivery, and that one can sort ahead of the
+// entry being delivered, so "the head" after the send need not be it.
 func (rq *RespQueue) drain() {
 	p := &rq.pending
 	for p.len() > 0 && p.ents[p.head].when <= rq.q.Now() {
-		if !rq.port.SendTimingResp(p.ents[p.head].pkt) {
-			// Peer refused: hold everything until RecvRespRetry.
+		e := p.ents[p.head]
+		p.remove(p.head)
+		if !rq.port.SendTimingResp(e.pkt) {
+			// Peer refused: put it back where it was and hold everything
+			// until RecvRespRetry.
+			p.insert(e)
 			rq.blocked = true
 			return
 		}
-		p.remove(p.head)
 	}
 	rq.arm()
 }

@@ -55,6 +55,23 @@ type Backend interface {
 	Skipped() uint64
 }
 
+// ClosedForm is an optional Backend capability: a backend that can find, in
+// the state a Tick left, a stretch of coming cycles it can apply without
+// running them. The VM has it (rtlc.VM.Quiet); the reference does not, and
+// is the per-cycle machine tests hold it to.
+//
+//   - Quiet returns k: with every input held at its current value, the next
+//     k Ticks change no output and nothing Advance does not reproduce. k is
+//     ^uint64(0) when only an input can end the stretch, 0 when the backend
+//     cannot say.
+//   - Advance(n), 1 <= n <= what is left of the last Quiet's k, has exactly
+//     the effect on values, memories and activity state of n such Ticks. Any
+//     evaluation (Eval, Tick) or Invalidate ends the stretch.
+type ClosedForm interface {
+	Quiet() uint64
+	Advance(n uint64)
+}
+
 // EngineBuilder constructs a Backend for a validated circuit. mems is the
 // Model's memory storage (one word slice per circuit memory), which the
 // backend must share — memory state, like Vals, has a single copy.

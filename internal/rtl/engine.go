@@ -19,6 +19,7 @@ type Model struct {
 	cycle uint64
 
 	backend Backend
+	closed  ClosedForm // backend's capability, nil without it
 
 	inputs  map[string]SigID
 	outputs map[string]SigID
@@ -83,6 +84,7 @@ func CompileWith(c *Circuit, build EngineBuilder) (*Model, error) {
 		return nil, fmt.Errorf("rtl: backend returned %d value slots for %d signals", got, len(c.Signals))
 	}
 	m.vals, m.backend = be.Vals(), be
+	m.closed, _ = be.(ClosedForm)
 	m.Reset()
 	return m, nil
 }
@@ -313,4 +315,29 @@ func (m *Model) Tick() {
 	if m.vcd != nil && m.vcd.enabled {
 		m.vcd.dump(m)
 	}
+}
+
+// Quiet reports how many of the coming cycles, with every input held at its
+// current value, Advance can apply without running them (see ClosedForm):
+// ^uint64(0) when only an input can change the model, 0 when they must run.
+// Call it after a Tick. It answers 0 on a backend without the capability —
+// the reference evaluator — and while an enabled VCD writer is attached,
+// which must see every cycle's values.
+func (m *Model) Quiet() uint64 {
+	if m.closed == nil || (m.vcd != nil && m.vcd.enabled) {
+		return 0
+	}
+	return m.closed.Quiet()
+}
+
+// Advance applies n cycles of the stretch the last Quiet reported, as n
+// Ticks with the inputs held would, cycle counter included. A VCD writer
+// enabled since that Quiet would miss their dumps, so Advance refuses to run
+// under one.
+func (m *Model) Advance(n uint64) {
+	if m.vcd != nil && m.vcd.enabled {
+		panic(fmt.Sprintf("rtl: %s: Advance with a VCD writer enabled", m.c.Name))
+	}
+	m.closed.Advance(n)
+	m.cycle += n
 }

@@ -52,11 +52,38 @@ func (l *Lockstep) Tick() {
 	l.compare("Tick")
 }
 
+// Quiet asks the model under test how many coming cycles it can apply in
+// closed form (Model.Quiet).
+func (l *Lockstep) Quiet() uint64 { return l.m.Quiet() }
+
+// Advance applies n cycles to the model under test in closed form and runs
+// n real cycles of the reference with the inputs held, then compares the
+// two. On the way it holds the reference to the rest of the promise: no
+// output changes during the stretch.
+func (l *Lockstep) Advance(n uint64) {
+	c := l.ref.c
+	held := append([]uint64(nil), l.ref.vals...)
+	l.m.Advance(n)
+	for i := uint64(0); i < n; i++ {
+		l.ref.Tick()
+		for id, s := range c.Signals {
+			if s.Kind == SigOutput && l.ref.vals[id] != held[id] {
+				l.fail("%s: Advance(%d): output %q moved in cycle %d of the stretch: %#x, before it %#x",
+					c.Name, n, s.Name, i+1, l.ref.vals[id], held[id])
+			}
+		}
+	}
+	l.compare("Advance")
+}
+
 // Peek reads a signal of the model under test.
 func (l *Lockstep) Peek(name string) uint64 { return l.m.Peek(name) }
 
 func (l *Lockstep) compare(after string) {
 	c := l.m.c
+	if l.m.cycle != l.ref.cycle {
+		l.fail("%s: after %s: cycle %d, reference %d", c.Name, after, l.m.cycle, l.ref.cycle)
+	}
 	for i, s := range c.Signals {
 		if got, want := l.m.vals[i], l.ref.vals[i]; got != want {
 			l.fail("%s: after %s, cycle %d: signal %q = %#x, reference %#x", c.Name, after, l.m.cycle, s.Name, got, want)

@@ -1,0 +1,359 @@
+package rtlc_test
+
+import (
+	"fmt"
+	"testing"
+
+	"gem5rtl/internal/pmu"
+	"gem5rtl/internal/rtl"
+	"gem5rtl/internal/rtlc"
+	"gem5rtl/internal/verilog"
+)
+
+// lockstepVM builds c on the VM beside the reference.
+func lockstepVM(t testing.TB, c *rtl.Circuit) *rtl.Lockstep {
+	t.Helper()
+	m, err := rtlc.NewModel(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rtl.NewLockstep(m, t.Fatalf)
+}
+
+// TestPMUSleepsBetweenThresholds drives the PMU netlist as the Table 2 runs
+// program it — every event line enabled, the threshold on the cycle counter
+// — with only the cycle line high, and applies every stretch Quiet finds
+// against the reference ticking each cycle. The stretches are what the
+// netlist says they are: up to, not including, the cycle the compare on the
+// selected counter flips, so the interrupt still comes from a real cycle.
+func TestPMUSleepsBetweenThresholds(t *testing.T) {
+	ref, err := pmu.CompileModelEngine(pmu.NumCounters, rtl.EngineReference)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := lockstepVM(t, ref.Circuit())
+	l.SetInput("rst", 1)
+	l.Tick()
+	l.SetInput("rst", 0)
+	const thresh = 1000
+	for _, wr := range [][2]uint64{
+		{pmu.RegEnable, 0x3F}, {pmu.RegThreshSel, pmu.EvCycle}, {pmu.RegThreshVal, thresh},
+	} {
+		l.SetInput("awvalid", 1)
+		l.SetInput("awaddr", wr[0])
+		l.SetInput("wdata", wr[1])
+		l.Tick()
+	}
+	l.SetInput("awvalid", 0)
+	l.SetInput("events", 1<<pmu.EvCycle)
+	var ran, applied, irqs uint64
+	prevIrq := uint64(0)
+	for ran+applied < 5*thresh {
+		l.Tick()
+		ran++
+		if irq := l.Peek("irq"); irq != prevIrq {
+			irqs += irq
+			prevIrq = irq
+		}
+		if k := l.Quiet(); k > 0 {
+			if k == ^uint64(0) {
+				t.Fatalf("after %d cycles: no end to the stretch with the threshold armed", ran+applied)
+			}
+			l.Advance(k)
+			applied += k
+		}
+	}
+	t.Logf("%d cycles run, %d applied in closed form, %d interrupts", ran, applied, irqs)
+	if irqs < 4 {
+		t.Errorf("%d interrupts in %d cycles at threshold %d", irqs, ran+applied, thresh)
+	}
+	if applied*100 < (ran+applied)*99 {
+		t.Errorf("only %d of %d cycles applied in closed form", applied, ran+applied)
+	}
+}
+
+// timerSrc is a netlist the analysis was not written for: a down-counter
+// with a reload and a sticky fire flag set the cycle after it reaches one.
+const timerSrc = `
+module timer (
+    input  wire clk,
+    input  wire load,
+    input  wire [15:0] period,
+    output wire fire
+);
+  reg [15:0] left;
+  reg fired;
+  assign fire = fired;
+  always @(posedge clk) begin
+    if (load) begin
+      left <= period;
+      fired <= 1'b0;
+    end else begin
+      if (left != 16'd0) left <= left - 16'd1;
+      if (left == 16'd1) fired <= 1'b1;
+    end
+  end
+endmodule
+`
+
+// TestClosedFormOnAnotherNetlist: the same analysis sleeps a timer — a
+// decrementing register, equality and inequality compares — and ends each
+// stretch one cycle before the compare that raises the output flips.
+func TestClosedFormOnAnotherNetlist(t *testing.T) {
+	c, err := verilog.Compile(timerSrc, "timer", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := lockstepVM(t, c.Circuit())
+	for _, period := range []uint64{1000, 3, 2, 1, 0, 77} {
+		l.SetInput("load", 1)
+		l.SetInput("period", period)
+		l.Tick()
+		l.SetInput("load", 0)
+		l.Tick()
+		k := l.Quiet()
+		// left = period-1 now (0 for period 0, and the flag already set
+		// for period 1: fixed points); the compare left == 1 flips period-2
+		// cycles on.
+		want := uint64(0)
+		switch {
+		case period <= 1:
+			want = ^uint64(0)
+		case period > 3:
+			want = period - 3
+		}
+		if k != want {
+			t.Fatalf("period %d: Quiet = %d, want %d", period, k, want)
+		}
+		if k > 0 && k != ^uint64(0) {
+			l.Advance(k)
+		}
+		for i := 0; i < 4; i++ {
+			l.Tick()
+		}
+		if fire := l.Peek("fire"); fire != 1 && period != 0 {
+			t.Fatalf("period %d: timer did not fire", period)
+		}
+		if k := l.Quiet(); k != ^uint64(0) {
+			t.Errorf("period %d: a fired timer is quiet for %d cycles, want forever", period, k)
+		}
+	}
+}
+
+// genCounterCircuit builds, from the byte stream, the kind of netlist closed
+// forms are about: counters stepping by 1, 3 or 2^w-1 from near the top of
+// their range (so they wrap), compares of them against constants near their
+// values and against a register loaded from an input, muxes and selects on
+// those compares, sticky flags and captures, a memory write a compare
+// enables, and random logic over all of it. Outputs read any of them.
+func genCounterCircuit(f *fz) (*rtl.Circuit, error) {
+	b := rtl.NewBuilder("cf")
+	in0 := b.Ref(b.Input("in0", 1+int(f.b()%8)))
+	in1 := b.Ref(b.Input("in1", 1))
+	var pool, cmps, cnts []rtl.Expr
+	n := 1 + int(f.b()%3)
+	for i := 0; i < n; i++ {
+		w := 2 + int(f.b()%10)
+		mask := rtl.Mask(w)
+		init := mask - uint64(f.b()%6)
+		if f.b()&3 == 0 {
+			init = f.u64() & mask
+		}
+		id := b.Reg(fmt.Sprintf("cnt%d", i), w, init)
+		cnt := b.Ref(id)
+		step := [3]uint64{1, 3, mask}[f.b()%3]
+		next := rtl.Add(cnt, rtl.C(step, w))
+		switch f.b() % 4 {
+		case 1:
+			next = rtl.MuxE(in1, rtl.C(0, w), next)
+		case 2:
+			next = rtl.Sub(cnt, rtl.C(1, w))
+		}
+		b.Seq(id, next)
+		cnts = append(cnts, cnt)
+		pool = append(pool, cnt)
+	}
+	lim := b.Reg("lim", 8, f.u64())
+	b.Seq(lim, rtl.MuxE(in1, rtl.Resize(in0, 8), b.Ref(lim)))
+	pool = append(pool, b.Ref(lim))
+	ops := []func(x, y rtl.Expr) rtl.Expr{rtl.Lt, rtl.Le, rtl.Gt, rtl.Ge, rtl.Eq, rtl.Ne}
+	for i, nc := 0, 1+int(f.b()%4); i < nc; i++ {
+		cnt := cnts[int(f.b())%len(cnts)]
+		w := cnt.Width()
+		var other rtl.Expr = rtl.C(f.u64()&rtl.Mask(w), w)
+		switch f.b() % 3 {
+		case 0:
+			other = rtl.Resize(b.Ref(lim), w)
+		case 1:
+			// Near where the counter starts, so the compare flips soon.
+			other = rtl.C((uint64(f.b()%8)-4)&rtl.Mask(w), w)
+		}
+		x, y := cnt, other
+		if f.b()&1 == 1 {
+			x, y = y, x
+		}
+		id := b.Wire(fmt.Sprintf("cmp%d", i), 1)
+		b.Assign(id, ops[int(f.b())%len(ops)](x, y))
+		cmps = append(cmps, b.Ref(id))
+		pool = append(pool, b.Ref(id))
+	}
+	pick := func(from []rtl.Expr) rtl.Expr { return from[int(f.b())%len(from)] }
+	for i, nx := 0, int(f.b()%5); i < nx; i++ {
+		switch f.b() % 7 {
+		case 0: // a mux on a compare
+			x, y := pick(pool), pick(pool)
+			id := b.Wire(fmt.Sprintf("mux%d", i), 8)
+			b.Assign(id, rtl.MuxE(pick(cmps), rtl.Resize(x, 8), rtl.Resize(y, 8)))
+			pool = append(pool, b.Ref(id))
+		case 6: // a mux on a counter: true until it reaches zero
+			x, y := pick(pool), pick(pool)
+			id := b.Wire(fmt.Sprintf("muxc%d", i), 8)
+			b.Assign(id, rtl.MuxE(pick(cnts), rtl.Resize(x, 8), rtl.Resize(y, 8)))
+			pool = append(pool, b.Ref(id))
+		case 1: // a register-file read: a select over a held selector
+			sel := rtl.Resize(in0, 2)
+			var e rtl.Expr = rtl.Resize(pick(pool), 8)
+			for k := 2; k >= 0; k-- {
+				e = rtl.MuxE(rtl.Eq(sel, rtl.C(uint64(k), 2)), rtl.Resize(pick(pool), 8), e)
+			}
+			id := b.Wire(fmt.Sprintf("sel%d", i), 8)
+			b.Assign(id, e)
+			pool = append(pool, b.Ref(id))
+		case 2: // a sticky flag
+			id := b.Reg(fmt.Sprintf("flag%d", i), 1, 0)
+			b.Seq(id, rtl.MuxE(pick(cmps), rtl.C(1, 1), b.Ref(id)))
+			pool = append(pool, b.Ref(id))
+		case 3: // a capture of a counter while a compare holds
+			cnt := pick(cnts)
+			id := b.Reg(fmt.Sprintf("cap%d", i), cnt.Width(), f.u64())
+			b.Seq(id, rtl.MuxE(pick(cmps), cnt, b.Ref(id)))
+			pool = append(pool, b.Ref(id))
+		case 4: // random logic
+			id := b.Wire(fmt.Sprintf("rnd%d", i), 8)
+			b.Assign(id, rtl.Resize(genExpr(f, pool, 0, 0, false, 1), 8))
+			pool = append(pool, b.Ref(id))
+		default: // a memory word written when a compare holds
+			m := b.Mem(fmt.Sprintf("m%d", i), 8, 4)
+			b.MemWr(m, rtl.C(uint64(f.b()%4), 2), rtl.Resize(pick(pool), 8), pick(cmps))
+			id := b.Wire(fmt.Sprintf("rd%d", i), 8)
+			b.Assign(id, rtl.MemRd(m, rtl.C(uint64(f.b()%4), 2), 8))
+			pool = append(pool, b.Ref(id))
+		}
+	}
+	for i, no := 0, 1+int(f.b()%2); i < no; i++ {
+		o := b.Output(fmt.Sprintf("out%d", i), 8)
+		b.Assign(o, rtl.Resize(pick(pool), 8))
+	}
+	return b.Build()
+}
+
+// FuzzClosedForm holds Quiet and Advance to the reference. At every point of
+// a random run where the VM reports a stretch of k cycles, Advance(k') for
+// every k' <= k (up to 24, and k itself up to 1024) is checked, from that
+// same point, against k' real cycles of the reference through rtl.Lockstep:
+// every signal, memory word and the cycle count after, and every output
+// unchanged during.
+func FuzzClosedForm(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{2, 9, 0, 0, 1, 0, 0, 3, 4, 5, 0, 0, 0, 0, 0, 0, 0, 0, 7, 7, 1, 1, 2, 2})
+	seed := make([]byte, 300)
+	s := uint64(0x2545f4914f6cdd1d)
+	for i := range seed {
+		s ^= s << 13
+		s ^= s >> 7
+		s ^= s << 17
+		seed[i] = byte(s)
+	}
+	f.Add(seed)
+	f.Add(seed[7:200])
+	f.Add([]byte{3, 1, 1, 1, 9, 255, 5, 1, 1, 0, 8, 2, 9, 0, 3, 0, 4, 1, 1, 0, 2, 0, 5, 3, 2, 2, 4})
+
+	f.Fuzz(func(t *testing.T, data []byte) { checkClosedForm(t, data) })
+}
+
+// checkClosedForm runs one FuzzClosedForm input and returns how many
+// stretches it checked.
+func checkClosedForm(t *testing.T, data []byte) (stretches int) {
+	fr := &fz{data: data}
+	c, err := genCounterCircuit(fr)
+	if err != nil {
+		return 0
+	}
+	p, err := rtlc.Compile(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := func() *rtl.Lockstep {
+		m, err := rtlc.Instantiate(c, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rtl.NewLockstep(m, t.Fatalf)
+	}
+	// A run is a log of steps: drive the inputs and tick (or only drive
+	// them: a stretch asked for then must see them), or apply a stretch the
+	// VM found. Replaying it on a fresh pair returns to any point of the run.
+	type step struct {
+		in0, in1 uint64
+		hold     bool
+		advance  uint64
+	}
+	apply := func(l *rtl.Lockstep, s step) {
+		if s.advance > 0 {
+			if k := l.Quiet(); k < s.advance {
+				t.Fatalf("replay: Quiet = %d, the run applied %d", k, s.advance)
+			}
+			l.Advance(s.advance)
+			return
+		}
+		l.SetInput("in0", s.in0)
+		l.SetInput("in1", s.in1)
+		if !s.hold {
+			l.Tick()
+		}
+	}
+	var log []step
+	l := fresh()
+	var cur step
+	for i := 0; i < 16; i++ {
+		if fr.b()&1 == 0 {
+			cur = step{in0: fr.u64(), in1: uint64(fr.b() & 1)}
+		}
+		apply(l, cur)
+		log = append(log, cur)
+		if fr.b()&3 == 0 {
+			cur = step{in0: fr.u64(), in1: uint64(fr.b() & 1)}
+			s := cur
+			s.hold = true
+			apply(l, s)
+			log = append(log, s)
+		}
+		k := l.Quiet()
+		if k == 0 {
+			continue
+		}
+		stretches++
+		most := min(k, 24)
+		ks := make([]uint64, 0, most+1)
+		for kp := uint64(1); kp <= most; kp++ {
+			ks = append(ks, kp)
+		}
+		if k > most && k <= 1024 {
+			ks = append(ks, k)
+		}
+		for _, kp := range ks {
+			r := fresh()
+			for _, s := range log {
+				apply(r, s)
+			}
+			if got := r.Quiet(); got != k {
+				t.Fatalf("step %d: Quiet = %d on the run, %d on its replay", i, k, got)
+			}
+			r.Advance(kp)
+		}
+		adv := 1 + uint64(fr.b())%most
+		l.Advance(adv)
+		log = append(log, step{advance: adv})
+	}
+	return stretches
+}

@@ -142,8 +142,9 @@ func Compile(c *rtl.Circuit) (*Program, error) {
 	for i := range c.Seqs {
 		sq := &c.Seqs[i]
 		cc.beginSegment()
-		out := cc.port(sq.Next, rtl.Mask(c.Signals[sq.Dst].Width))
-		p.Seqs = append(p.Seqs, SeqProg{Dst: sq.Dst, Out: out, Code: cc.code})
+		mask := rtl.Mask(c.Signals[sq.Dst].Width)
+		out := cc.port(sq.Next, mask)
+		p.Seqs = append(p.Seqs, SeqProg{Dst: sq.Dst, Out: out, Code: cc.code, Mask: mask})
 	}
 
 	// Memory write ports: enable and address are raw expression values,
@@ -162,8 +163,11 @@ func Compile(c *rtl.Circuit) (*Program, error) {
 	}
 
 	for i, s := range c.Signals {
-		if s.Kind == rtl.SigInput {
+		switch s.Kind {
+		case rtl.SigInput:
 			p.Inputs = append(p.Inputs, rtl.SigID(i))
+		case rtl.SigOutput:
+			p.Outputs = append(p.Outputs, rtl.SigID(i))
 		}
 	}
 

@@ -202,6 +202,8 @@ type SeqProg struct {
 	Out uint32
 	// Code computes the next value from current (pre-edge) state.
 	Code []Inst
+	// Mask is the register's width mask: Code's result never exceeds it.
+	Mask uint64
 }
 
 // MemWProg is the compiled write port of one memory: Code computes the
@@ -283,6 +285,9 @@ type Program struct {
 	// Inputs lists the circuit's input signals; the VM snapshots them to
 	// detect externally driven changes.
 	Inputs []rtl.SigID
+	// Outputs lists the circuit's output signals, which a closed form must
+	// hold constant (VM.Quiet).
+	Outputs []rtl.SigID
 	// Fanout[s] lists the segments whose code reads signal s directly —
 	// wires included: activity propagates through combinational logic one
 	// changed value at a time, never through precomputed transitive cones.

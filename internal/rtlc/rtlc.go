@@ -17,11 +17,18 @@ import "gem5rtl/internal/rtl"
 
 // NewModel compiles a circuit to bytecode and instantiates it on a VM.
 func NewModel(c *rtl.Circuit) (*rtl.Model, error) {
-	return rtl.CompileWith(c, func(c *rtl.Circuit, mems [][]uint64) (rtl.Backend, error) {
-		p, err := Compile(c)
-		if err != nil {
-			return nil, err
-		}
+	p, err := Compile(c)
+	if err != nil {
+		return nil, err
+	}
+	return Instantiate(c, p)
+}
+
+// Instantiate builds a model of c on a VM running p, a program Compile made
+// from c. Nothing writes a Program once it is compiled, so any number of
+// models may run one at the same time; each VM has its own register file.
+func Instantiate(c *rtl.Circuit, p *Program) (*rtl.Model, error) {
+	return rtl.CompileWith(c, func(_ *rtl.Circuit, mems [][]uint64) (rtl.Backend, error) {
 		return NewVM(p, mems)
 	})
 }

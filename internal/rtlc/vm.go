@@ -45,6 +45,10 @@ type VM struct {
 	skipped  uint64
 	executed uint64
 
+	// cf is the closed-form analysis (closed.go), allocated by the first
+	// Quiet.
+	cf *closedForm
+
 	// Self-profiler phase attribution (AttachProfiler). Nil when off.
 	prof    *sim.Profiler
 	ownComb sim.OwnerID
@@ -94,6 +98,7 @@ func (v *VM) Vals() []uint64 { return v.regs[:v.p.NSig] }
 // Eval settles the combinational logic against the current inputs: the
 // segments a changed input (or an Invalidate) woke, in levelised order.
 func (v *VM) Eval() {
+	v.endStretch()
 	v.scanInputs()
 	v.settle()
 }
@@ -101,6 +106,7 @@ func (v *VM) Eval() {
 // Invalidate wakes every segment: the next Eval settles all combinational
 // logic and the next Tick evaluates every sequential program and write port.
 func (v *VM) Invalidate() {
+	v.endStretch()
 	wakeAll := func(ws []uint64, n int) {
 		for i := range ws {
 			ws[i] = ^uint64(0)
@@ -211,6 +217,7 @@ func (v *VM) settle() {
 // Commits that change a value wake that value's readers: wires for the
 // trailing settle, registers and write ports for the next cycle.
 func (v *VM) Tick() {
+	v.endStretch()
 	v.scanInputs()
 	v.settle()
 

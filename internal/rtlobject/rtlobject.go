@@ -139,8 +139,10 @@ const Forever = ^uint64(0)
 // with Advance when the next input, reader or checkpoint needs them — so
 // that at every instant the model and the object are in the state ticking
 // every edge would have left them in, while the queue dispatches only the
-// ticks that issue or retire work. A Verilated netlist has no closed form
-// and does not implement it; a cycle-level model usually does.
+// ticks that issue or retire work. A cycle-level model usually knows its
+// closed form outright (the NVDLA); a compiled netlist has one only in
+// stretches, which the RTL engine finds in the compiled code (rtl.Model.Quiet,
+// behind the PMU's wrapper).
 //
 // The contract, with "quiet cycle" meaning a Tick whose Input carries no CPU
 // request and no memory response of a kind in wake:
@@ -313,7 +315,7 @@ func New(cfg Config, coreDom *sim.ClockDomain, w Wrapper) *RTLObject {
 	r.ticker.SetOwner(r.q.Owner(cfg.Name, "tick"))
 	if sl, ok := w.(Sleeper); ok && !ignoreSleepers {
 		r.sleeper = sl
-		r.q.RegisterBeforeSave(r)
+		r.q.RegisterSettler(r)
 	}
 	return r
 }
@@ -370,10 +372,12 @@ func (r *RTLObject) Stop() {
 
 // Settle applies the model cycles a sleeping object owes: every clock edge
 // since it fell asleep that ticking per cycle would have run by now. The
-// object stays asleep. The soc run primitives settle before they return and
-// Stats, GuardDetail and the checkpoint path settle on their own, so only
-// code that drives the queue by hand and then reads the wrapped model
-// through a back door needs to call it. A no-op on an object that is awake.
+// object stays asleep. It implements sim.Settler: the queue's run loops
+// settle the object when they return, and Stats, GuardDetail and the
+// checkpoint path settle on their own, so only code that reads the wrapped
+// model through a back door from inside an event, or between two
+// EventQueue.Step calls, needs to call it. A no-op on an object that is
+// awake.
 func (r *RTLObject) Settle() {
 	if r.asleep {
 		r.settle()
@@ -393,9 +397,9 @@ func (r *RTLObject) Wake() {
 	}
 }
 
-// BeforeSave implements sim.BeforeSaver: a checkpoint is always that of an
-// awake object, so the stream needs no notion of sleep and a restored object
-// simply ticks.
+// BeforeSave implements sim.Settler: a checkpoint is always that of an awake
+// object, so the stream needs no notion of sleep and a restored object simply
+// ticks.
 func (r *RTLObject) BeforeSave() { r.Wake() }
 
 // settle pays the edges owed since sleepFrom and returns how many there were.

@@ -8,30 +8,43 @@ import (
 	"gem5rtl/internal/ckpt"
 )
 
-// BeforeSaver is a component whose host-side execution state can differ from
-// the machine state a checkpoint describes — a clocked object asleep between
-// its inputs, with cycles it has not yet accounted for. The queue calls
-// BeforeSave on every registered component at the start of SaveState, before
-// anything is written, so the stream is always that of a machine whose
-// pending events and counters are the ones the per-cycle machine would have.
-type BeforeSaver interface {
+// Settler is a component whose host-side execution state can lag the machine
+// it models — a clocked object asleep between its inputs, with cycles it has
+// not yet accounted for. The queue brings every registered one up to date at
+// the two points where the machine is read from outside a run:
+//
+//   - Settle, when a run loop (Run, RunUntil) returns, so the statistics,
+//     dispatch count and back doors a caller reads next are the per-cycle
+//     machine's. A loop driven by Step settles nothing.
+//   - BeforeSave, at the start of SaveState before anything is written, which
+//     must also put the component's pending events where the per-cycle
+//     machine has them, so the stream is always that of that machine.
+type Settler interface {
+	Settle()
 	BeforeSave()
 }
 
-// RegisterBeforeSave adds c to the components SaveState settles first. The
-// queue is the first thing any checkpoint writes, which makes its save the
-// one place every rig passes through, whether it saves a whole system or a
-// queue and one component by hand.
-func (q *EventQueue) RegisterBeforeSave(c BeforeSaver) {
-	q.beforeSave = &saveHook{c: c, next: q.beforeSave}
+// RegisterSettler adds c to the components the run loops settle and
+// SaveState wakes. The queue is the first thing any checkpoint writes, which
+// makes its save the one place every rig passes through, whether it saves a
+// whole system or a queue and one component by hand.
+func (q *EventQueue) RegisterSettler(c Settler) {
+	q.settlers = &settlerHook{c: c, next: q.settlers}
 }
 
-// saveHook is one registered BeforeSaver. A list, not a slice: a slice header
+// settlerHook is one registered Settler. A list, not a slice: a slice header
 // is two words more in a queue struct that has none to spare (see orderKey),
 // and a system has at most a handful of these.
-type saveHook struct {
-	c    BeforeSaver
-	next *saveHook
+type settlerHook struct {
+	c    Settler
+	next *settlerHook
+}
+
+// settle settles every registered Settler.
+func (q *EventQueue) settle() {
+	for h := q.settlers; h != nil; h = h.next {
+		h.c.Settle()
+	}
 }
 
 // SaveState serialises the queue as one "sim.eventq" section: clock,
@@ -40,10 +53,10 @@ type saveHook struct {
 // deliberately not serialised here: events hold closures, which cannot cross
 // a process boundary. Instead every component saves the scheduling state of
 // the events it owns (SaveEvent) and re-materialises them during its own
-// RestoreState (RestoreEvent). Components registered with RegisterBeforeSave
-// are settled first.
+// RestoreState (RestoreEvent). Components registered with RegisterSettler
+// are woken first (BeforeSave).
 func (q *EventQueue) SaveState(w *ckpt.Writer) error {
-	for h := q.beforeSave; h != nil; h = h.next {
+	for h := q.settlers; h != nil; h = h.next {
 		h.c.BeforeSave()
 	}
 	n := q.canonicalizeSeqs()

@@ -289,8 +289,9 @@ type EventQueue struct {
 	far          eventHeap
 	farScheduled uint64
 
-	// beforeSave lists the components SaveState settles first (BeforeSave).
-	beforeSave *saveHook
+	// settlers lists the components the run loops settle on return and
+	// SaveState wakes first (RegisterSettler).
+	settlers *settlerHook
 
 	// freeEvents recycles one-shot events dispatched via ScheduleOneShot.
 	freeEvents *Event
@@ -722,11 +723,13 @@ func (q *EventQueue) ExitReason() string { return q.exitReason }
 // ClearExit re-arms the queue after an exit so simulation can be resumed.
 func (q *EventQueue) ClearExit() { q.exitSet = false; q.exitReason = "" }
 
-// Run dispatches events until the queue drains or ExitSimLoop is called.
-// It returns the exit reason ("" if the queue simply drained).
+// Run dispatches events until the queue drains or ExitSimLoop is called,
+// then settles the registered Settlers. It returns the exit reason ("" if
+// the queue simply drained).
 func (q *EventQueue) Run() string {
 	for q.Step() {
 	}
+	q.settle()
 	return q.exitReason
 }
 
@@ -748,7 +751,8 @@ func (q *EventQueue) PendingSummaries(max int) []string {
 
 // RunUntil dispatches events with tick <= limit (further capped by
 // SetStopAfter when armed). Time advances to the effective limit if the
-// queue drains earlier. Returns the exit reason ("" if none).
+// queue drains earlier. The registered Settlers are settled before it
+// returns. Returns the exit reason ("" if none).
 func (q *EventQueue) RunUntil(limit Tick) string {
 	for !q.exitSet {
 		eff := limit
@@ -779,6 +783,7 @@ func (q *EventQueue) RunUntil(limit Tick) string {
 			q.sameTick = orderKey{eff, math.MaxUint64, math.MaxInt32}
 		}
 	}
+	q.settle()
 	return q.exitReason
 }
 

@@ -60,6 +60,10 @@ func (s *System) AttachWatchdog(cfg guard.Config) *guard.Watchdog {
 		wd.AddProgress(fmt.Sprintf("spm%d.retired", i), spm.Retired)
 	}
 	if s.PMU != nil {
+		// Progress needs no settling: a sleeping PMU owes only cycles that
+		// change no output, and its interrupts, like its CPU requests, come
+		// from real ticks, so the probe reads the per-cycle machine's count
+		// at every check.
 		wd.Watch(s.PMU)
 		wd.AddProgress("pmu.progress", s.PMU.Progress)
 	}

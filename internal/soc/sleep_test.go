@@ -9,7 +9,6 @@ import (
 	"gem5rtl/internal/rtlobject"
 	"gem5rtl/internal/sim"
 	"gem5rtl/internal/trace"
-	"gem5rtl/internal/workload"
 )
 
 // buildSleepPair builds the guard-test system twice: as it runs, and as the
@@ -118,31 +117,5 @@ func TestRunPrimitivesReturnSettled(t *testing.T) {
 		if a, b := nap.Queue.Dispatched(), or.Queue.Dispatched(); a != b {
 			t.Errorf("at %d: dispatched %d events, per-cycle %d", at, a, b)
 		}
-	}
-}
-
-// TestPMUNeverElides: the PMU is a compiled netlist with no closed form; its
-// wrapper is not a Sleeper and every one of its cycles is dispatched.
-func TestPMUNeverElides(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Cores = 1
-	cfg.Memory = "ideal"
-	cfg.WithPMU = true
-	s := MustBuild(cfg)
-	if err := s.LoadProgram(0, workload.MemoryStream(0x400000, 300)); err != nil {
-		t.Fatal(err)
-	}
-	s.PMU.Start()
-	s.Cores[0].OnExit = func(int64) { s.Queue.ExitSimLoop("exit") }
-	s.StartCores(0)
-	s.Queue.RunUntil(50 * sim.Millisecond)
-	if exited, _ := s.Cores[0].Exited(); !exited {
-		t.Fatal("program did not exit")
-	}
-	if s.PMU.Stats().Ticks == 0 {
-		t.Fatal("PMU never ticked")
-	}
-	if n := s.Queue.Elided(); n != 0 {
-		t.Errorf("a +PMU run elided %d events", n)
 	}
 }

@@ -218,15 +218,28 @@ func Build(cfg Config) (*System, error) {
 			}
 			w.Model().AttachVCD(cfg.PMUWaveOut, 1)
 		}
-		s.PMU = rtlobject.New(rtlobject.Config{
+		obj := rtlobject.New(rtlobject.Config{
 			Name: "pmu", ClockDivider: 2,
 		}, s.Clock, w)
+		s.PMU = obj
 		// RTL devices mint packet IDs from per-device namespaces so a
 		// device's ID stream depends only on its own allocations (space 0 is
 		// the global pool).
-		s.PMU.SetPacketIDSpace(1)
-		s.Cores[0].OnCommit = w.AddCommits
-		s.L1Ds[0].OnMiss = w.AddMiss
+		obj.SetPacketIDSpace(1)
+		// The event taps drive the model behind the object's back, like a
+		// register poke: a PMU asleep on its quiet cycles is woken first, so
+		// the edges before the event are applied without it and the one that
+		// would have seen it ticks.
+		s.Cores[0].OnCommit = func(n int) {
+			if n > 0 {
+				obj.Wake()
+				w.AddCommits(n)
+			}
+		}
+		s.L1Ds[0].OnMiss = func() {
+			obj.Wake()
+			w.AddMiss()
+		}
 	}
 
 	// NVDLAs (Figure 2c): CSB on a CPU-side port, DBBIF/SRAMIF on the
@@ -415,11 +428,10 @@ func (s *System) RunUntilNVDLAsDoneCtx(ctx context.Context, limit sim.Tick) (sim
 // completion tick with remaining == 0 and leaving the queue on the last tick
 // of that tick's completion window (see windowEnd).
 //
-// Before it returns from running the queue it settles every accelerator: the
-// cycles a sleeping RTLObject applies in closed form are all applied, so the
-// wrappers' own Stats and Done, the queue's Dispatched and an attached
-// profiler read what the per-cycle machine would show, with no call the
-// reader must remember.
+// The queue's RunUntil settles every sleeping RTLObject before it returns:
+// the cycles applied in closed form are all applied, so the wrappers' own
+// Stats and Done, the queue's Dispatched and an attached profiler read what
+// the per-cycle machine would show, with no call the reader must remember.
 func (s *System) RunNVDLAPhase(ctx context.Context, limit sim.Tick) (sim.Tick, int, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, 0, err
@@ -452,9 +464,6 @@ func (s *System) RunNVDLAPhase(ctx context.Context, limit sim.Tick) (sim.Tick, i
 	defer stop()
 	s.Queue.RunUntil(limit)
 	s.Queue.ClearStopAfter()
-	for _, o := range s.NVDLAs {
-		o.Settle()
-	}
 	if err := ctx.Err(); err != nil {
 		return 0, remaining, err
 	}
