@@ -26,7 +26,6 @@ bench-smoke:
 # in the user-facing docs (see cmd/doccheck -flags).
 doccheck:
 	$(GO) run ./cmd/doccheck ./internal/sim ./internal/port ./internal/sweepd ./internal/rtlc ./internal/prof \
-		./internal/rtlobject ./internal/nvdla ./internal/pmu
+		./internal/rtlobject ./internal/nvdla ./internal/pmu ./internal/cli
 	$(GO) run ./cmd/doccheck -flags README.md,EXPERIMENTS.md,PERFORMANCE.md \
-		./cmd/gem5rtl ./cmd/nvdla-dse ./cmd/rtlsim ./cmd/pmurun \
-		./cmd/sweepd ./cmd/sweepctl ./cmd/faultcamp ./cmd/overhead
+		./cmd/gem5rtl ./cmd/rtlsim ./cmd/sweepd ./cmd/sweepctl ./internal/cli

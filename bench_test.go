@@ -86,7 +86,7 @@ func dsePoint(b *testing.B, workload string, n int, mem string, inflight int) {
 
 // BenchmarkFigure6_GoogleNet regenerates representative cells of Figure 6:
 // the GoogleNet DSE across accelerator counts, memory technologies and
-// in-flight caps (cmd/nvdla-dse prints the complete grid).
+// in-flight caps (gem5rtl dse prints the complete grid).
 func BenchmarkFigure6_GoogleNet(b *testing.B) {
 	for _, n := range []int{1, 2, 4} {
 		for _, mem := range []string{"DDR4-1ch", "DDR4-4ch", "HBM"} {

@@ -9,12 +9,12 @@
 // block satisfies every name the block declares.
 //
 // With -flags it switches to the flag-reference audit: every command-line
-// flag registered by the named command directories (flag.String and friends,
-// including flags on subcommand FlagSets) must be mentioned as -name in at
-// least one of the listed documentation files, so a binary cannot grow an
-// undocumented knob:
+// flag registered by the named package directories (flag.String and friends,
+// including flags on subcommand FlagSets and the shared families in
+// internal/cli) must be mentioned as -name in at least one of the listed
+// documentation files, so a binary cannot grow an undocumented knob:
 //
-//	go run ./cmd/doccheck -flags README.md,EXPERIMENTS.md ./cmd/gem5rtl ./cmd/rtlsim
+//	go run ./cmd/doccheck -flags README.md,EXPERIMENTS.md ./cmd/gem5rtl ./internal/cli
 package main
 
 import (

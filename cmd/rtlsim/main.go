@@ -18,7 +18,7 @@ import (
 	"strconv"
 	"strings"
 
-	"gem5rtl/internal/obs"
+	"gem5rtl/internal/cli"
 	"gem5rtl/internal/prof"
 	"gem5rtl/internal/rtl"
 	"gem5rtl/internal/sim"
@@ -32,29 +32,23 @@ func main() {
 	vcdPath := flag.String("vcd", "", "write a VCD waveform to this file")
 	ckptPath := flag.String("checkpoint", "", "save model state here after the run")
 	restPath := flag.String("restore", "", "restore model state from here before the run")
-	selfProf := flag.Int("self-profile", 0, "profile the model's comb/seq/memw phases with this clock-read cadence (64 is a good default; 0 = off)")
-	selfProfOut := flag.String("self-profile-out", "", "self-profile export file: .pb.gz = pprof protobuf, else folded stacks (default: print a table to stderr)")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	var sets multiFlag
 	flag.Var(&sets, "set", "drive input: name=value (repeatable)")
+	// -self-profile splits the model's time into its comb/seq/memw phases.
+	fl := cli.Register(flag.CommandLine, cli.SelfProfile|cli.SelfProfileOut|cli.Pprof)
 	flag.Parse()
 
-	if *pprofAddr != "" {
-		stop, err := obs.StartPprof(*pprofAddr)
-		if err != nil {
-			fatal(err)
-		}
-		defer stop()
-	}
 	if flag.NArg() != 1 || *top == "" {
 		fmt.Fprintln(os.Stderr, "usage: rtlsim -top NAME [flags] design.{v,sv,vhd,vhdl}")
 		flag.PrintDefaults()
 		os.Exit(2)
 	}
+	defer cli.Cleanup()
+	fl.Setup()
 	path := flag.Arg(0)
 	src, err := os.ReadFile(path)
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 
 	var model *rtl.Model
@@ -67,16 +61,16 @@ func main() {
 		err = fmt.Errorf("unknown HDL extension on %q (want .v/.sv/.vhd/.vhdl)", path)
 	}
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 
 	// A standalone model has no event queue; a fresh one hosts the profiler
 	// so the model's phonebook of phase owners and the export formats are the
 	// same ones the full-system binaries use.
 	var profQ *sim.EventQueue
-	if *selfProf > 0 {
+	if fl.SelfProfile > 0 {
 		profQ = sim.NewEventQueue()
-		p := profQ.AttachProfiler(*selfProf)
+		p := profQ.AttachProfiler(fl.SelfProfile)
 		model.AttachProfiler(p,
 			profQ.Owner(*top, "rtl-comb"),
 			profQ.Owner(*top, "rtl-seq"),
@@ -86,10 +80,10 @@ func main() {
 	if *restPath != "" {
 		f, err := os.Open(*restPath)
 		if err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 		if err := model.RestoreCheckpoint(f); err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 		f.Close()
 	}
@@ -98,18 +92,18 @@ func main() {
 	if *vcdPath != "" {
 		vcdFile, err = os.Create(*vcdPath)
 		if err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 		vcd = model.AttachVCD(vcdFile, 1)
 	}
 	for _, s := range sets {
 		name, val, ok := strings.Cut(s, "=")
 		if !ok {
-			fatal(fmt.Errorf("bad -set %q (want name=value)", s))
+			cli.Fatal(fmt.Errorf("bad -set %q (want name=value)", s))
 		}
 		v, err := strconv.ParseUint(strings.TrimPrefix(val, "0x"), base(val), 64)
 		if err != nil {
-			fatal(fmt.Errorf("bad value in -set %q: %v", s, err))
+			cli.Fatal(fmt.Errorf("bad value in -set %q: %v", s, err))
 		}
 		model.SetInput(name, v)
 	}
@@ -131,29 +125,23 @@ func main() {
 		// The writer buffers: without the flush the file ends at the last
 		// full 4 KiB block.
 		if err := vcd.Flush(); err != nil {
-			fatal(fmt.Errorf("writing %s: %w", *vcdPath, err))
+			cli.Fatal(fmt.Errorf("writing %s: %w", *vcdPath, err))
 		}
 		if err := vcdFile.Close(); err != nil {
-			fatal(fmt.Errorf("writing %s: %w", *vcdPath, err))
+			cli.Fatal(fmt.Errorf("writing %s: %w", *vcdPath, err))
 		}
 	}
 	if profQ != nil {
-		if rep := prof.FromQueue(profQ); rep != nil {
-			if err := rep.Export(*selfProfOut, os.Stderr); err != nil {
-				fatal(err)
-			}
-			if *selfProfOut != "" {
-				fmt.Fprintf(os.Stderr, "# self-profile written to %s\n", *selfProfOut)
-			}
-		}
+		fl.Attribute(prof.FromQueue(profQ))
+		fl.ExportProfile()
 	}
 	if *ckptPath != "" {
 		f, err := os.Create(*ckptPath)
 		if err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 		if err := model.SaveCheckpoint(f); err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 		f.Close()
 	}
@@ -170,8 +158,3 @@ type multiFlag []string
 
 func (m *multiFlag) String() string     { return strings.Join(*m, ",") }
 func (m *multiFlag) Set(s string) error { *m = append(*m, s); return nil }
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "rtlsim:", err)
-	os.Exit(1)
-}

@@ -41,6 +41,7 @@ import (
 	"strings"
 	"time"
 
+	"gem5rtl/internal/cli"
 	"gem5rtl/internal/experiments"
 	"gem5rtl/internal/prof"
 	"gem5rtl/internal/sim"
@@ -130,6 +131,13 @@ func cmdGrid(args []string) error {
 	return nil
 }
 
+// serverFlags starts the flag set of a subcommand that talks to a server,
+// with the -addr every such subcommand takes.
+func serverFlags(name string) (*flag.FlagSet, *string) {
+	fs := flag.NewFlagSet(name, flag.ExitOnError)
+	return fs, fs.String("addr", "http://localhost:8080", "sweepd base URL")
+}
+
 // readSpecs parses a strict spec batch from stdin.
 func readSpecs() ([]experiments.RunSpec, error) {
 	data, err := io.ReadAll(os.Stdin)
@@ -142,8 +150,7 @@ func readSpecs() ([]experiments.RunSpec, error) {
 // cmdSubmit posts a batch; with -wait it polls to completion and prints the
 // canonical results document (byte-identical to `sweepctl local`).
 func cmdSubmit(args []string) error {
-	fs := flag.NewFlagSet("submit", flag.ExitOnError)
-	addr := fs.String("addr", "http://localhost:8080", "sweepd base URL")
+	fs, addr := serverFlags("submit")
 	client := fs.String("client", "", "client name for quota accounting")
 	priority := fs.Int("priority", 0, "queue priority (higher runs first)")
 	wait := fs.Bool("wait", false, "poll until the job finishes, then print its results")
@@ -203,8 +210,7 @@ func fetchStatus(addr, id string) (sweepd.JobStatus, error) {
 // cmdJobGet streams one job GET endpoint ("" status, "/results", "/stream")
 // to stdout.
 func cmdJobGet(args []string, suffix, name string) error {
-	fs := flag.NewFlagSet(name, flag.ExitOnError)
-	addr := fs.String("addr", "http://localhost:8080", "sweepd base URL")
+	fs, addr := serverFlags(name)
 	fs.Parse(args)
 	if fs.NArg() != 1 {
 		return fmt.Errorf("usage: sweepctl %s [-addr URL] <job-id>", name)
@@ -213,8 +219,7 @@ func cmdJobGet(args []string, suffix, name string) error {
 }
 
 func cmdCancel(args []string) error {
-	fs := flag.NewFlagSet("cancel", flag.ExitOnError)
-	addr := fs.String("addr", "http://localhost:8080", "sweepd base URL")
+	fs, addr := serverFlags("cancel")
 	fs.Parse(args)
 	if fs.NArg() != 1 {
 		return fmt.Errorf("usage: sweepctl cancel [-addr URL] <job-id>")
@@ -240,7 +245,7 @@ func cmdCancel(args []string) error {
 // against.
 func cmdLocal(args []string) error {
 	fs := flag.NewFlagSet("local", flag.ExitOnError)
-	parallel := fs.Int("parallel", 0, "worker goroutines (0 = all CPUs)")
+	parallel := cli.Parallel(fs, 0)
 	fs.Parse(args)
 	specs, err := readSpecs()
 	if err != nil {
@@ -255,8 +260,7 @@ func cmdLocal(args []string) error {
 }
 
 func cmdServer(args []string, method, path, name string) error {
-	fs := flag.NewFlagSet(name, flag.ExitOnError)
-	addr := fs.String("addr", "http://localhost:8080", "sweepd base URL")
+	fs, addr := serverFlags(name)
 	fs.Parse(args)
 	req, err := http.NewRequest(method, *addr+path, nil)
 	if err != nil {
@@ -294,8 +298,7 @@ func printBody(url string) error {
 // per-component attribution table sorted by host-time share (populated only
 // when the server runs with -self-profile).
 func cmdTop(args []string) error {
-	fs := flag.NewFlagSet("top", flag.ExitOnError)
-	addr := fs.String("addr", "http://localhost:8080", "sweepd base URL")
+	fs, addr := serverFlags("top")
 	k := fs.Int("k", 15, "attribution rows to show (0 = all)")
 	fs.Parse(args)
 
@@ -416,8 +419,7 @@ func unquotePrefix(s string) string {
 // cmdUnquarantine clears one point's quarantine record by fingerprint; the
 // next submission of the point simulates it with a fresh attempt budget.
 func cmdUnquarantine(args []string) error {
-	fs := flag.NewFlagSet("unquarantine", flag.ExitOnError)
-	addr := fs.String("addr", "http://localhost:8080", "sweepd base URL")
+	fs, addr := serverFlags("unquarantine")
 	fs.Parse(args)
 	if fs.NArg() != 1 {
 		return fmt.Errorf("usage: sweepctl unquarantine [-addr URL] <fingerprint>")

@@ -28,7 +28,7 @@ import (
 	"syscall"
 	"time"
 
-	"gem5rtl/internal/sim"
+	"gem5rtl/internal/cli"
 	"gem5rtl/internal/sweepd"
 )
 
@@ -36,25 +36,23 @@ func main() {
 	addr := flag.String("addr", "localhost:8080", "listen address (use :0 for an ephemeral port; the bound address is printed)")
 	workers := flag.Int("workers", 0, "simulation worker pool size (0 = all CPUs)")
 	storeDir := flag.String("store-dir", "", "persist results as <fingerprint>.json here (empty = in-memory only)")
-	ckptDir := flag.String("checkpoint-dir", "", "shared warm-start checkpoint directory (requires -checkpoint-at)")
-	ckptAt := flag.Duration("checkpoint-at", 0, "warm-start: snapshot each point at this simulated time (0 = cold runs)")
 	quota := flag.Int("quota", 0, "max live (queued+running) points per client (0 = unlimited)")
 	maxQueue := flag.Int("max-queue", 0, "max waiting points (pending + retry-wait); excess submissions shed with 429 (0 = unbounded)")
 	retryMax := flag.Int("retry-max", 0, "total execution attempts per point before quarantine (0 = default 3, 1 disables retries)")
 	retryBase := flag.Duration("retry-base", 0, "first retry backoff, doubling per attempt (0 = default 100ms)")
 	retrySeed := flag.Uint64("retry-seed", 0, "seed for the deterministic retry jitter schedule")
 	pointDeadline := flag.Duration("point-deadline", 0, "wall-clock budget per execution attempt; a blown deadline retries the point (0 = none)")
-	watchdog := flag.Bool("watchdog", false, "attach a liveness watchdog to every point so hangs fail fast")
-	selfProfile := flag.Int("self-profile", 0, "attach the event-kernel self-profiler to every point with this clock-read cadence (64 is a good default; 0 = off); attribution aggregates on GET /v1/metrics")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Minute, "how long a signal-triggered drain may run before abandoning the queue")
+	// -self-profile's attribution aggregates on GET /v1/metrics.
+	fl := cli.Register(flag.CommandLine, cli.Watchdog|cli.SelfProfile|cli.WarmStart)
 	flag.Parse()
 
 	srv, err := sweepd.New(sweepd.Config{
 		Workers:  *workers,
 		StoreDir: *storeDir,
-		CkptDir:  *ckptDir,
-		Warmup:   sim.Tick(ckptAt.Nanoseconds()) * sim.Nanosecond,
-		Guard:    *watchdog,
+		CkptDir:  fl.CheckpointDir,
+		Warmup:   fl.Warmup(),
+		Guard:    fl.Watchdog,
 		Quota:    *quota,
 		MaxQueue: *maxQueue,
 		Retry: sweepd.RetryPolicy{
@@ -63,7 +61,7 @@ func main() {
 			Seed:        *retrySeed,
 		},
 		PointDeadline: *pointDeadline,
-		SelfProfile:   *selfProfile,
+		SelfProfile:   fl.SelfProfile,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sweepd:", err)

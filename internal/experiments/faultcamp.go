@@ -11,7 +11,6 @@ import (
 	"gem5rtl/internal/nvdla"
 	"gem5rtl/internal/pmu"
 	"gem5rtl/internal/port"
-	"gem5rtl/internal/prof"
 	"gem5rtl/internal/sim"
 	"gem5rtl/internal/soc"
 	"gem5rtl/internal/trace"
@@ -32,13 +31,6 @@ type FaultCampaign struct {
 	// Guard tunes the per-run watchdog that reaps hung injections. The zero
 	// value selects the guard defaults.
 	Guard guard.Config
-	// SelfProfile, when > 0, attaches the event-kernel self-profiler to every
-	// run (reference and injections) with this clock-read cadence. Profiling
-	// is observational: the classification table is unchanged.
-	SelfProfile int
-	// AttrSink receives each profiled run's attribution report. It is called
-	// from worker goroutines and must be safe for concurrent use.
-	AttrSink func(*prof.Report)
 }
 
 // FaultResult is the classified outcome of one injection.
@@ -101,7 +93,7 @@ type faultRunResult struct {
 // faultRun builds and runs one point with an optional injected fault and a
 // watchdog, returning the output signature and hang state. A nil fault is the
 // reference run.
-func faultRun(ctx context.Context, c FaultCampaign, f *guard.Fault, outs []memRegion) (faultRunResult, error) {
+func (r Runner) faultRun(ctx context.Context, c FaultCampaign, f *guard.Fault, outs []memRegion) (faultRunResult, error) {
 	var res faultRunResult
 	if err := ctx.Err(); err != nil {
 		return res, err
@@ -111,9 +103,7 @@ func faultRun(ctx context.Context, c FaultCampaign, f *guard.Fault, outs []memRe
 	if err != nil {
 		return res, err
 	}
-	if c.SelfProfile > 0 {
-		s.AttachSelfProfiler(c.SelfProfile)
-	}
+	deliver := r.profile(s)
 	wd := s.AttachWatchdog(c.Guard)
 	defer wd.Stop()
 	var tap *guard.PacketFaultTap
@@ -155,11 +145,7 @@ func faultRun(ctx context.Context, c FaultCampaign, f *guard.Fault, outs []memRe
 		res.fired = true
 	}
 	res.sig = outputSignature(s, outs)
-	if c.AttrSink != nil {
-		if rep := prof.FromQueue(s.Queue); rep != nil {
-			c.AttrSink(rep)
-		}
-	}
+	deliver()
 	return res, nil
 }
 
@@ -277,7 +263,7 @@ func (r Runner) FaultCampaign(ctx context.Context, c FaultCampaign) ([]FaultResu
 			outsAbs = append(outsAbs, memRegion{base + reg.addr, reg.size})
 		}
 	}
-	ref, err := faultRun(ctx, c, nil, outsAbs)
+	ref, err := r.faultRun(ctx, c, nil, outsAbs)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: fault-campaign reference run: %w", err)
 	}
@@ -290,7 +276,7 @@ func (r Runner) FaultCampaign(ctx context.Context, c FaultCampaign) ([]FaultResu
 		results[i] = FaultResult{Index: i, Fault: faults[i]}
 	}
 	ferr := r.ForEach(ctx, len(faults), func(ctx context.Context, i int) error {
-		results[i] = runFault(ctx, c, i, faults[i], ref, outsAbs)
+		results[i] = r.runFault(ctx, c, i, faults[i], ref, outsAbs)
 		return ctx.Err()
 	})
 	return results, ferr
@@ -299,7 +285,7 @@ func (r Runner) FaultCampaign(ctx context.Context, c FaultCampaign) ([]FaultResu
 // runFault executes and classifies one injection. Its own panic recovery maps
 // an integrity-check abort (a simulator panic caused by the fault) to
 // Detected, so a campaign never crashes on a fault the simulator caught.
-func runFault(ctx context.Context, c FaultCampaign, i int, f guard.Fault, ref faultRunResult, outs []memRegion) (res FaultResult) {
+func (r Runner) runFault(ctx context.Context, c FaultCampaign, i int, f guard.Fault, ref faultRunResult, outs []memRegion) (res FaultResult) {
 	res = FaultResult{Index: i, Fault: f}
 	defer func() {
 		if p := recover(); p != nil {
@@ -308,7 +294,7 @@ func runFault(ctx context.Context, c FaultCampaign, i int, f guard.Fault, ref fa
 			res.Err = nil
 		}
 	}()
-	run, err := faultRun(ctx, c, &f, outs)
+	run, err := r.faultRun(ctx, c, &f, outs)
 	if err != nil {
 		res.Err = err
 		return res
@@ -376,15 +362,10 @@ type PMUCampaign struct {
 	// Limit bounds one run's simulated time (0 = 1 s).
 	Limit sim.Tick
 	Guard guard.Config
-	// SelfProfile and AttrSink mirror FaultCampaign: cadence > 0 attaches the
-	// self-profiler to every run, and AttrSink (called from worker goroutines;
-	// must be concurrency-safe) receives each run's attribution report.
-	SelfProfile int
-	AttrSink    func(*prof.Report)
 }
 
 // pmuRun executes the PMU workload once with an optional RTL state flip.
-func pmuRun(ctx context.Context, c PMUCampaign, f *guard.Fault) (faultRunResult, error) {
+func (r Runner) pmuRun(ctx context.Context, c PMUCampaign, f *guard.Fault) (faultRunResult, error) {
 	var res faultRunResult
 	if err := ctx.Err(); err != nil {
 		return res, err
@@ -396,9 +377,7 @@ func pmuRun(ctx context.Context, c PMUCampaign, f *guard.Fault) (faultRunResult,
 	if err != nil {
 		return res, err
 	}
-	if c.SelfProfile > 0 {
-		s.AttachSelfProfiler(c.SelfProfile)
-	}
+	deliver := r.profile(s)
 	host := NewAXIHost(s.Queue)
 	port.Bind(host.Port(), s.PMU.CPUPort(0))
 	s.PMU.Start()
@@ -458,11 +437,7 @@ func pmuRun(ctx context.Context, c PMUCampaign, f *guard.Fault) (faultRunResult,
 	}
 	h.Write(buf[:])
 	res.sig = h.Sum64()
-	if c.AttrSink != nil {
-		if rep := prof.FromQueue(s.Queue); rep != nil {
-			c.AttrSink(rep)
-		}
-	}
+	deliver()
 	return res, nil
 }
 
@@ -482,7 +457,7 @@ func (r Runner) PMUFaultCampaign(ctx context.Context, c PMUCampaign) ([]FaultRes
 	if c.Limit <= 0 {
 		c.Limit = 1 * sim.Second
 	}
-	ref, err := pmuRun(ctx, c, nil)
+	ref, err := r.pmuRun(ctx, c, nil)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: PMU fault-campaign reference run: %w", err)
 	}
@@ -508,7 +483,7 @@ func (r Runner) PMUFaultCampaign(ctx context.Context, c PMUCampaign) ([]FaultRes
 					res.Detail = fmt.Sprintf("panic: %v", p)
 				}
 			}()
-			run, err := pmuRun(ctx, c, &f)
+			run, err := r.pmuRun(ctx, c, &f)
 			if err != nil {
 				res.Err = err
 				return

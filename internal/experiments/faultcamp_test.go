@@ -38,7 +38,7 @@ func campOutputs(t *testing.T) []memRegion {
 // refRun executes the fault-free reference once for the targeted tests.
 func refRun(t *testing.T, outs []memRegion) faultRunResult {
 	t.Helper()
-	ref, err := faultRun(context.Background(), FaultCampaign{Spec: campSpec()}, nil, outs)
+	ref, err := Runner{}.faultRun(context.Background(), FaultCampaign{Spec: campSpec()}, nil, outs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestFaultDropRespClassifiesHung(t *testing.T) {
 	outs := campOutputs(t)
 	ref := refRun(t, outs)
 	f := guard.Fault{Kind: guard.DropResp, Link: 0, PktIndex: 0}
-	run, err := faultRun(context.Background(), FaultCampaign{Spec: campSpec()}, &f, outs)
+	run, err := Runner{}.faultRun(context.Background(), FaultCampaign{Spec: campSpec()}, &f, outs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestFaultWritePayloadFlipClassifiesCorrupted(t *testing.T) {
 	outs := campOutputs(t)
 	ref := refRun(t, outs)
 	f := guard.Fault{Kind: guard.WritePayloadFlip, Link: 0, PktIndex: 0, Byte: 5, Bit: 2}
-	run, err := faultRun(context.Background(), FaultCampaign{Spec: campSpec()}, &f, outs)
+	run, err := Runner{}.faultRun(context.Background(), FaultCampaign{Spec: campSpec()}, &f, outs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestFaultReadPayloadFlipClassifiesMasked(t *testing.T) {
 	outs := campOutputs(t)
 	ref := refRun(t, outs)
 	f := guard.Fault{Kind: guard.ReadPayloadFlip, Link: 0, PktIndex: 0, Byte: 0, Bit: 7}
-	run, err := faultRun(context.Background(), FaultCampaign{Spec: campSpec()}, &f, outs)
+	run, err := Runner{}.faultRun(context.Background(), FaultCampaign{Spec: campSpec()}, &f, outs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestFaultUnreachedReportsNeverReached(t *testing.T) {
 	outs := campOutputs(t)
 	ref := refRun(t, outs)
 	f := guard.Fault{Kind: guard.DropResp, Link: 0, PktIndex: 1 << 40}
-	run, err := faultRun(context.Background(), FaultCampaign{Spec: campSpec()}, &f, outs)
+	run, err := Runner{}.faultRun(context.Background(), FaultCampaign{Spec: campSpec()}, &f, outs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -296,7 +296,7 @@ func (r Runner) Table2(ctx context.Context, sizes []int, sleepUs int) ([]Table2C
 	}
 	cells := make([]Table2Cell, len(jobs))
 	err := r.ForEach(ctx, len(jobs), func(ctx context.Context, i int) error {
-		cell, err := runSortOnce(ctx, jobs[i].n, sleepUs, jobs[i].cfg.PMU, jobs[i].cfg.Waveform)
+		cell, err := r.runSortOnce(ctx, jobs[i].n, sleepUs, jobs[i].cfg.PMU, jobs[i].cfg.Waveform)
 		if err != nil {
 			return err
 		}
@@ -330,13 +330,13 @@ func DefaultTable2Sizes() []int { return []int{60, 600, 1200} }
 // RunTable2Config runs a single Table 2 configuration at one size,
 // returning the host time (benchmark entry point).
 func RunTable2Config(cfg Table2Config, n, sleepUs int) (time.Duration, error) {
-	cell, err := runSortOnce(context.Background(), n, sleepUs, cfg.PMU, cfg.Waveform)
+	cell, err := Runner{}.runSortOnce(context.Background(), n, sleepUs, cfg.PMU, cfg.Waveform)
 	return cell.HostTime, err
 }
 
 // runSortOnce runs the sort benchmark once and returns its host time and
 // work counts; the caller names the cell.
-func runSortOnce(ctx context.Context, n, sleepUs int, withPMU, waveform bool) (Table2Cell, error) {
+func (r Runner) runSortOnce(ctx context.Context, n, sleepUs int, withPMU, waveform bool) (Table2Cell, error) {
 	var cell Table2Cell
 	if err := ctx.Err(); err != nil {
 		return cell, err
@@ -353,6 +353,7 @@ func runSortOnce(ctx context.Context, n, sleepUs int, withPMU, waveform bool) (T
 	if err != nil {
 		return cell, err
 	}
+	deliver := r.profile(s)
 	start := time.Now()
 	if withPMU {
 		host := NewAXIHost(s.Queue)
@@ -386,6 +387,7 @@ func runSortOnce(ctx context.Context, n, sleepUs int, withPMU, waveform bool) (T
 		cell.ModelTicks = s.PMU.Stats().Ticks
 	}
 	cell.VCDBytes = sink.n
+	deliver()
 	return cell, nil
 }
 

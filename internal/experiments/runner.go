@@ -11,6 +11,7 @@ import (
 	"gem5rtl/internal/obs"
 	"gem5rtl/internal/prof"
 	"gem5rtl/internal/sim"
+	"gem5rtl/internal/soc"
 )
 
 // Result is the outcome of one RunSpec.
@@ -62,16 +63,34 @@ type Runner struct {
 	// each Sweep or ForEach. The caller owns the monitor's output writer.
 	Monitor *obs.HostMonitor
 	// SelfProfile, when > 0, attaches the event-kernel self-profiler to
-	// every non-ideal point (clock-read cadence in dispatches; use
+	// every non-ideal Sweep point (clock-read cadence in dispatches; use
 	// sim.DefaultProfileEvery) and stores each point's attribution report
 	// in Result.Attr. Ideal-memory baseline runs are shared across points
-	// and are never profiled. Ignored when Run is set.
+	// and are never profiled. Ignored when Run is set. The other methods —
+	// Table2 and the fault campaigns — profile every run they make and hand
+	// the reports to AttrSink only. Profiling is observational: no table
+	// changes but the host-time columns.
 	SelfProfile int
 	// AttrSink, when non-nil, additionally receives every profiled point's
 	// attribution report as it completes — the aggregation hook for CLIs
 	// whose table helpers discard the raw Results. It is called from worker
 	// goroutines and must be safe for concurrent use.
 	AttrSink func(*prof.Report)
+}
+
+// profile attaches the self-profiler to a system a Runner method built by
+// hand when SelfProfile is on, and returns the call that hands the run's
+// report to AttrSink once the run is over.
+func (r Runner) profile(s *soc.System) (deliver func()) {
+	if r.SelfProfile <= 0 {
+		return func() {}
+	}
+	s.AttachSelfProfiler(r.SelfProfile)
+	return func() {
+		if rep := prof.FromQueue(s.Queue); rep != nil && r.AttrSink != nil {
+			r.AttrSink(rep)
+		}
+	}
 }
 
 // pointRun executes one point with extra per-point options.

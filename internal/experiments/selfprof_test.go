@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"reflect"
+	"sync"
 	"testing"
 
 	"gem5rtl/internal/prof"
@@ -165,5 +166,52 @@ func TestAttributionDeterministicAcrossWorkers(t *testing.T) {
 	}
 	if profiled == 0 {
 		t.Fatal("sweep profiled no points")
+	}
+}
+
+// collectReports returns an AttrSink that keeps every report it is handed.
+func collectReports(dst *[]*prof.Report) func(*prof.Report) {
+	var mu sync.Mutex
+	return func(rep *prof.Report) {
+		mu.Lock()
+		*dst = append(*dst, rep)
+		mu.Unlock()
+	}
+}
+
+// TestTable2HonoursSelfProfile: the runner's profiling knob reaches Table 2 as
+// it reaches a sweep — every cell runs profiled and hands its report to
+// AttrSink.
+func TestTable2HonoursSelfProfile(t *testing.T) {
+	var reps []*prof.Report
+	r := Runner{Workers: 1, SelfProfile: 16, AttrSink: collectReports(&reps)}
+	if _, err := r.Table2(context.Background(), []int{20}, 10); err != nil {
+		t.Fatal(err)
+	}
+	if len(reps) != len(Table2Configs()) {
+		t.Fatalf("%d attribution reports for %d Table 2 cells", len(reps), len(Table2Configs()))
+	}
+	for i, rep := range reps {
+		if rep.TotalEvents() == 0 {
+			t.Fatalf("report %d has zero events", i)
+		}
+	}
+}
+
+// TestPMUCampaignHonoursSelfProfile: the fault campaigns read the same knob —
+// the reference run and every injection are profiled.
+func TestPMUCampaignHonoursSelfProfile(t *testing.T) {
+	var reps []*prof.Report
+	r := Runner{Workers: 1, SelfProfile: 16, AttrSink: collectReports(&reps)}
+	if _, err := r.PMUFaultCampaign(context.Background(), PMUCampaign{Seed: 3, Count: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if len(reps) != 3 {
+		t.Fatalf("%d attribution reports, want 3 (reference and two injections)", len(reps))
+	}
+	for i, rep := range reps {
+		if rep.TotalEvents() == 0 {
+			t.Fatalf("report %d has zero events", i)
+		}
 	}
 }

@@ -47,7 +47,7 @@ func buildPoint(spec RunSpec) (*soc.System, error) {
 // Warmup tick); every later run of the same point restores it into a fresh
 // build and simulates only the remainder. Entries live in memory; setting
 // Dir additionally persists them as files so the warm start survives across
-// processes (cmd/nvdla-dse -checkpoint-dir). The zero value is not usable —
+// processes (gem5rtl dse -checkpoint-dir). The zero value is not usable —
 // construct with NewCheckpointCache.
 type CheckpointCache struct {
 	dir string

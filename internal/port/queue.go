@@ -313,34 +313,37 @@ func (rq *ReqQueue) drain() {
 			}
 			continue
 		}
-		// The list's ready head. Its class matters once a class has been
-		// refused in this walk — a packet of a refused class is parked without
-		// being offered — or when it is refused itself.
+		// The list's ready head, taken off the list before it is offered: the
+		// peer may schedule a request into this queue from inside the offer,
+		// and that one can sort ahead of it (see RespQueue.drain). Its class
+		// matters once a class has been refused in this walk — a packet of a
+		// refused class is parked without being offered — or when it is
+		// refused itself.
+		head := *e
+		rq.pending.remove(rq.pending.head)
 		class := 0
 		if refused {
-			class = classOf(e.pkt)
+			class = classOf(head.pkt)
 		}
 		if !refused || rq.lane(class).refusedIn != rq.walk {
-			if rq.port.SendTimingReq(e.pkt) {
-				rq.pending.remove(rq.pending.head)
+			if rq.port.SendTimingReq(head.pkt) {
 				continue
 			}
 			if classOf != nil {
 				if !refused {
-					class = classOf(e.pkt)
+					class = classOf(head.pkt)
 					refused = true
 				}
 				open -= rq.lane(class).skip(rq.walk)
 			}
 		}
-		// What the walk has taken from the lane sorts ahead of e and what it
-		// has yet to take behind, so e lands at the cursor or (in a passed-over
-		// stretch) ahead of it, and the cursor moves on by one.
+		// What the walk has taken from the lane sorts ahead of the packet and
+		// what it has yet to take behind, so it lands at the cursor or (in a
+		// passed-over stretch) ahead of it, and the cursor moves on by one.
 		l := rq.lane(class)
-		l.insert(rq.pending.ents[rq.pending.head])
+		l.insert(head)
 		l.cur++
 		rq.parked++
-		rq.pending.remove(rq.pending.head)
 	}
 	if rq.parked > 0 {
 		rq.blocked = true

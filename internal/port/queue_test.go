@@ -506,6 +506,71 @@ func TestReqQueueLaterPacketAcceptedAfterRefusal(t *testing.T) {
 	}
 }
 
+// echoResponder records every offer; the first request it is offered it
+// answers by scheduling another into the sender's queue for the same tick,
+// and with refuseFirst it also refuses that first offer and signals a retry
+// later.
+type echoResponder struct {
+	q           *sim.EventQueue
+	port        *ResponsePort
+	rq          *ReqQueue
+	echo        *Packet
+	refuseFirst bool
+	offered     []uint64
+}
+
+func (r *echoResponder) RecvTimingReq(pkt *Packet) bool {
+	r.offered = append(r.offered, pkt.Addr)
+	if e := r.echo; e != nil {
+		r.echo = nil
+		r.rq.Schedule(e, r.q.Now())
+		if r.refuseFirst {
+			r.q.ScheduleFunc("retry", r.q.Now()+10, r.port.SendRetryReq)
+			return false
+		}
+	}
+	return true
+}
+
+func (r *echoResponder) RecvRespRetry() {}
+
+// TestReqQueueSameTickReschedule: a request scheduled for now by an event that
+// orders after the queue's drain wakes the drain as a same-tick child, so a
+// request the responder schedules from inside the offer carries the drain's
+// lower stamp and sorts ahead of the one being offered. Each must still be
+// offered in that order and accepted exactly once, whether the first offer is
+// accepted or refused and parked.
+func TestReqQueueSameTickReschedule(t *testing.T) {
+	for _, tc := range []struct {
+		refuseFirst bool
+		want        string
+	}{
+		{false, "[1 2]"},
+		{true, "[1 2 1]"},
+	} {
+		q := sim.NewEventQueue()
+		owner := &queueOwner{}
+		reqP := NewRequestPort("sender", owner)
+		resp := &echoResponder{q: q, refuseFirst: tc.refuseFirst}
+		resp.port = NewResponsePort("echo", resp)
+		BindUnchecked(reqP, resp.port)
+		rq := NewReqQueue("sender", q, reqP)
+		owner.rq, resp.rq = rq, rq
+		resp.echo = &Packet{ID: 2, Cmd: ReadReq, Addr: 2, Size: 64}
+		first := &Packet{ID: 1, Cmd: ReadReq, Addr: 1, Size: 64}
+		q.Schedule(sim.NewEventPri("late-sender", sim.PriDefault+1, func() {
+			rq.Schedule(first, q.Now())
+		}), 100)
+		q.Run()
+		if got := fmt.Sprint(resp.offered); got != tc.want {
+			t.Fatalf("refuseFirst=%v: offered %s, want %s", tc.refuseFirst, got, tc.want)
+		}
+		if !rq.Empty() || rq.isBlocked() {
+			t.Fatalf("refuseFirst=%v: %d requests left queued, blocked %v", tc.refuseFirst, rq.Len(), rq.isBlocked())
+		}
+	}
+}
+
 // TestInterposeWithdrawsAdmissionClasses: a tap may change what is accepted
 // and must see every offer, so the link goes back to offering everything.
 func TestInterposeWithdrawsAdmissionClasses(t *testing.T) {

@@ -102,7 +102,7 @@ func TestPMUIntegration(t *testing.T) {
 	}
 	s.PMU.Start()
 	// Enable commit counters + miss + cycle directly via the wrapper
-	// (harnesses use the AXI port; see cmd/pmurun).
+	// (harnesses use the AXI port; see experiments.RunFigure5Ctx).
 	w := s.PMUWrapper
 	s.Cores[0].OnExit = func(int64) { s.Queue.ExitSimLoop("exit") }
 	s.StartCores(0)
