@@ -26,6 +26,6 @@ bench-smoke:
 # in the user-facing docs (see cmd/doccheck -flags).
 doccheck:
 	$(GO) run ./cmd/doccheck ./internal/sim ./internal/port ./internal/sweepd ./internal/rtlc ./internal/prof \
-		./internal/rtlobject ./internal/nvdla ./internal/pmu ./internal/cli
+		./internal/rtlobject ./internal/nvdla ./internal/pmu ./internal/cli ./internal/hdl
 	$(GO) run ./cmd/doccheck -flags README.md,EXPERIMENTS.md,PERFORMANCE.md \
 		./cmd/gem5rtl ./cmd/rtlsim ./cmd/sweepd ./cmd/sweepctl ./internal/cli

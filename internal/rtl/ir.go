@@ -1,6 +1,7 @@
 // Package rtl implements gem5rtl's register-transfer-level model engine: the
-// role Verilator and GHDL play in the paper. HDL frontends (internal/verilog,
-// internal/vhdl) elaborate source text into this package's intermediate
+// role Verilator and GHDL play in the paper. The HDL front ends
+// (internal/verilog, internal/vhdl, sharing internal/hdl's elaborator)
+// elaborate source text into this package's intermediate
 // representation (a Circuit of signals, combinational assignments, registers
 // and memories); the engine then levelises the combinational logic and
 // evaluates the model cycle by cycle, exactly like a Verilated C++ model's
@@ -276,8 +277,16 @@ func SignExtend(v uint64, w int) int64 {
 	return int64(v<<shift) >> shift
 }
 
-// Validate checks structural well-formedness: widths in range, single
-// drivers, kinds consistent with drivers, and expression references in range.
+// MaxMemWords bounds the words a circuit's memories may hold between them
+// (8 MiB of state per model). Every model allocates its memories whole, so
+// without a bound one declaration such as reg [7:0] m [0:2**35-1] passes
+// every other check and then exhausts the host's memory, which a Go process
+// cannot recover from.
+const MaxMemWords = 1 << 20
+
+// Validate checks structural well-formedness: widths in range, memories
+// within MaxMemWords, single drivers, kinds consistent with drivers, and
+// expression references in range.
 func (c *Circuit) Validate() error {
 	for i, s := range c.Signals {
 		if s.Width < 1 || s.Width > 64 {
@@ -285,9 +294,13 @@ func (c *Circuit) Validate() error {
 		}
 		_ = i
 	}
+	words := 0
 	for _, m := range c.Mems {
 		if m.Width < 1 || m.Width > 64 || m.Depth < 1 {
 			return fmt.Errorf("rtl: mem %q has bad shape %dx%d", m.Name, m.Depth, m.Width)
+		}
+		if words += m.Depth; m.Depth > MaxMemWords || words > MaxMemWords {
+			return fmt.Errorf("rtl: mem %q takes the circuit's memories past %d words", m.Name, MaxMemWords)
 		}
 		if len(m.Init) > m.Depth {
 			return fmt.Errorf("rtl: mem %q init longer than depth", m.Name)

@@ -1,9 +1,11 @@
-// Package verilog implements gem5rtl's Verilog toolflow: a lexer, parser and
-// elaborator for a synthesisable subset of Verilog-2001 (with a few
-// SystemVerilog conveniences such as always_ff/always_comb and logic). It
-// plays the role Verilator plays in the paper — converting RTL source into a
-// compiled, tickable model — by elaborating source text into the
-// internal/rtl intermediate representation.
+// Package verilog implements gem5rtl's Verilog toolflow: a lexer and parser
+// for a synthesisable subset of Verilog-2001 (with a few SystemVerilog
+// conveniences such as always_ff/always_comb and logic). It plays the role
+// Verilator plays in the paper — converting RTL source into a compiled,
+// tickable model: the parser builds the language-neutral internal/hdl design
+// tree, which internal/hdl elaborates into the internal/rtl intermediate
+// representation. A combinational always block is the one process whose
+// reads see its own earlier (blocking) assignments.
 //
 // Supported subset: ANSI-style module headers, parameters/localparams,
 // wire/reg/logic declarations with vector ranges, memory arrays, continuous

@@ -4,27 +4,55 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"gem5rtl/internal/hdl"
+	"gem5rtl/internal/rtl"
 )
 
-// Parse scans and parses Verilog source into a SourceFile AST.
-func Parse(src string) (*SourceFile, error) {
+// Parse scans and parses Verilog source into a design tree.
+func Parse(src string) (*hdl.Design, error) {
 	toks, err := lex(src)
 	if err != nil {
 		return nil, err
 	}
 	p := &parser{toks: toks}
-	file := &SourceFile{}
+	d := &hdl.Design{}
 	for !p.atEOF() {
 		m, err := p.parseModule()
 		if err != nil {
 			return nil, err
 		}
-		file.Modules = append(file.Modules, m)
+		d.Modules = append(d.Modules, m)
 	}
-	if len(file.Modules) == 0 {
+	if len(d.Modules) == 0 {
 		return nil, fmt.Errorf("verilog: no modules in source")
 	}
-	return file, nil
+	return d, nil
+}
+
+// Elaborate flattens the named top module of a parsed design into an
+// rtl.Circuit (see hdl.Elaborate). overrides replaces top-level parameter
+// values.
+func Elaborate(d *hdl.Design, top string, overrides map[string]int64) (*rtl.Circuit, error) {
+	c, err := hdl.Elaborate(d, top, overrides)
+	if err != nil {
+		return nil, fmt.Errorf("verilog: %w", err)
+	}
+	return c, nil
+}
+
+// Compile parses, elaborates and compiles source in one call — the
+// equivalent of invoking Verilator on a file with a given top module.
+func Compile(src, top string, overrides map[string]int64) (*rtl.Model, error) {
+	d, err := Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	m, err := hdl.Compile(d, top, overrides)
+	if err != nil {
+		return nil, fmt.Errorf("verilog: %w", err)
+	}
+	return m, nil
 }
 
 type parser struct {
@@ -92,8 +120,7 @@ func (p *parser) expectIdent() (string, error) {
 }
 
 // parseModule parses: module name [#(params)] (ports); items endmodule
-func (p *parser) parseModule() (*ModuleDecl, error) {
-	line := p.cur().line
+func (p *parser) parseModule() (*hdl.Module, error) {
 	if err := p.expectKw("module"); err != nil {
 		return nil, err
 	}
@@ -101,32 +128,18 @@ func (p *parser) parseModule() (*ModuleDecl, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &ModuleDecl{Name: name, Line: line}
+	m := &hdl.Module{Name: name}
 	if p.acceptPunct("#") {
 		if err := p.expectPunct("("); err != nil {
 			return nil, err
 		}
 		for {
 			p.acceptKw("parameter") // optional repeated keyword
-			// optional type/range, e.g. parameter integer N or [7:0]
-			p.acceptKw("integer")
-			if p.isPunct("[") {
-				if _, _, err := p.parseRange(); err != nil {
-					return nil, err
-				}
-			}
-			pname, err := p.expectIdent()
+			prm, err := p.parseParam(false)
 			if err != nil {
 				return nil, err
 			}
-			if err := p.expectPunct("="); err != nil {
-				return nil, err
-			}
-			val, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			m.Params = append(m.Params, &ParamDecl{Name: pname, Value: val, Line: line})
+			m.Params = append(m.Params, prm)
 			if !p.acceptPunct(",") {
 				break
 			}
@@ -140,30 +153,23 @@ func (p *parser) parseModule() (*ModuleDecl, error) {
 	}
 	if !p.isPunct(")") {
 		// ANSI port declarations.
-		var dir Dir
-		var isReg bool
-		var msb, lsb Expr
-		haveDir := false
+		var in, haveDir bool
+		var rng *hdl.Range
 		for {
 			for {
 				if p.acceptKw("input") {
-					dir, isReg, msb, lsb, haveDir = DirInput, false, nil, nil, true
+					in = true
 				} else if p.acceptKw("output") {
-					dir, isReg, msb, lsb, haveDir = DirOutput, false, nil, nil, true
-				} else if p.acceptKw("inout") {
+					in = false
+				} else if p.isKw("inout") {
 					return nil, p.errf("inout ports are not supported")
 				} else {
 					break
 				}
-				if p.acceptKw("reg") || p.acceptKw("logic") || p.acceptKw("wire") {
-					if dir == DirOutput && (p.toks[p.pos-1].text == "reg" || p.toks[p.pos-1].text == "logic") {
-						isReg = true
-					}
-				}
+				haveDir, rng = true, nil
+				_ = p.acceptKw("reg") || p.acceptKw("logic") || p.acceptKw("wire")
 				if p.isPunct("[") {
-					var err error
-					msb, lsb, err = p.parseRange()
-					if err != nil {
+					if rng, err = p.parseRange(); err != nil {
 						return nil, err
 					}
 				}
@@ -171,12 +177,12 @@ func (p *parser) parseModule() (*ModuleDecl, error) {
 			if !haveDir {
 				return nil, p.errf("expected port direction")
 			}
-			pline := p.cur().line
+			line := p.cur().line
 			pname, err := p.expectIdent()
 			if err != nil {
 				return nil, err
 			}
-			m.Ports = append(m.Ports, &PortDecl{Name: pname, Dir: dir, IsReg: isReg, MSB: msb, LSB: lsb, Line: pline})
+			m.Ports = append(m.Ports, hdl.Port{Name: pname, In: in, Range: rng, Line: line})
 			if !p.acceptPunct(",") {
 				break
 			}
@@ -188,173 +194,163 @@ func (p *parser) parseModule() (*ModuleDecl, error) {
 	if err := p.expectPunct(";"); err != nil {
 		return nil, err
 	}
+	var inits []hdl.Item
 	for !p.acceptKw("endmodule") {
 		if p.atEOF() {
 			return nil, p.errf("unexpected EOF inside module %q", name)
 		}
-		item, err := p.parseItem()
-		if err != nil {
+		if err := p.parseItem(m, &inits); err != nil {
 			return nil, err
 		}
-		if item != nil {
-			m.Items = append(m.Items, item)
-		}
 	}
+	// A wire's initialiser is a continuous assign, elaborated ahead of the
+	// module's other items.
+	m.Items = append(inits, m.Items...)
 	return m, nil
 }
 
-// parseRange parses [msb:lsb].
-func (p *parser) parseRange() (msb, lsb Expr, err error) {
-	if err = p.expectPunct("["); err != nil {
-		return
+// parseParam parses [integer] [range] name = value, after any keyword.
+func (p *parser) parseParam(local bool) (hdl.Param, error) {
+	p.acceptKw("integer")
+	if p.isPunct("[") {
+		if _, err := p.parseRange(); err != nil {
+			return hdl.Param{}, err
+		}
 	}
-	msb, err = p.parseExpr()
+	name, err := p.expectIdent()
 	if err != nil {
-		return
+		return hdl.Param{}, err
 	}
-	if err = p.expectPunct(":"); err != nil {
-		return
+	if err := p.expectPunct("="); err != nil {
+		return hdl.Param{}, err
 	}
-	lsb, err = p.parseExpr()
-	if err != nil {
-		return
-	}
-	err = p.expectPunct("]")
-	return
+	val, err := p.parseExpr()
+	return hdl.Param{Name: name, Value: val, Local: local}, err
 }
 
-func (p *parser) parseItem() (Item, error) {
+// parseRange parses [msb:lsb].
+func (p *parser) parseRange() (*hdl.Range, error) {
+	if err := p.expectPunct("["); err != nil {
+		return nil, err
+	}
+	msb, err := p.parseExpr()
+	if err != nil {
+		return nil, err
+	}
+	if err := p.expectPunct(":"); err != nil {
+		return nil, err
+	}
+	lsb, err := p.parseExpr()
+	if err != nil {
+		return nil, err
+	}
+	return &hdl.Range{MSB: msb, LSB: lsb}, p.expectPunct("]")
+}
+
+// parseItem parses one module item into m; wire initialisers go to inits.
+func (p *parser) parseItem(m *hdl.Module, inits *[]hdl.Item) error {
 	line := p.cur().line
 	switch {
 	case p.isKw("wire") || p.isKw("reg") || p.isKw("logic") || p.isKw("integer"):
-		return p.parseNetDecl()
-	case p.isKw("assign"):
-		p.pos++
-		lhs, err := p.parseLValue()
+		return p.parseNetDecl(m, inits)
+	case p.acceptKw("assign"):
+		lhs, err := p.parsePostfix()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if err := p.expectPunct("="); err != nil {
-			return nil, err
+			return err
 		}
 		rhs, err := p.parseExpr()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if err := p.expectPunct(";"); err != nil {
-			return nil, err
-		}
-		return &AssignItem{LHS: lhs, RHS: rhs, Line: line}, nil
+		m.Items = append(m.Items, &hdl.Assign{LHS: lhs, RHS: rhs, Line: line})
+		return p.expectPunct(";")
 	case p.isKw("always") || p.isKw("always_ff") || p.isKw("always_comb"):
-		return p.parseAlways()
+		pr, err := p.parseAlways()
+		if err != nil {
+			return err
+		}
+		m.Items = append(m.Items, pr)
 	case p.isKw("parameter") || p.isKw("localparam"):
-		local := p.cur().text == "localparam"
-		p.pos++
-		p.acceptKw("integer")
-		if p.isPunct("[") {
-			if _, _, err := p.parseRange(); err != nil {
-				return nil, err
-			}
-		}
-		name, err := p.expectIdent()
+		prm, err := p.parseParam(p.next().text == "localparam")
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if err := p.expectPunct("="); err != nil {
-			return nil, err
-		}
-		val, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectPunct(";"); err != nil {
-			return nil, err
-		}
-		return &ParamDecl{Name: name, Value: val, Local: local, Line: line}, nil
+		m.Params = append(m.Params, prm)
+		return p.expectPunct(";")
 	case p.isKw("initial") || p.isKw("genvar") || p.isKw("generate"):
-		return nil, p.errf("%q blocks are not supported by the gem5rtl subset", p.cur().text)
+		return p.errf("%q blocks are not supported by the gem5rtl subset", p.cur().text)
 	case p.cur().kind == tokIdent:
-		return p.parseInstance()
-	case p.acceptPunct(";"):
-		return nil, nil
+		inst, err := p.parseInstance()
+		if err != nil {
+			return err
+		}
+		m.Items = append(m.Items, inst)
+	case !p.acceptPunct(";"):
+		return p.errf("unexpected token at module level")
 	}
-	return nil, p.errf("unexpected token at module level")
+	return nil
 }
 
-func (p *parser) parseNetDecl() (Item, error) {
+func (p *parser) parseNetDecl(m *hdl.Module, inits *[]hdl.Item) error {
 	line := p.cur().line
 	kw := p.next().text
-	isReg := kw == "reg" || kw == "logic" || kw == "integer"
-	var msb, lsb Expr
+	var rng *hdl.Range
 	if kw == "integer" {
-		msb, lsb = &NumExpr{Val: 31, Width: 0, Line: line}, &NumExpr{Val: 0, Width: 0, Line: line}
+		rng = &hdl.Range{MSB: &hdl.Num{Val: 31}, LSB: &hdl.Num{}}
 	}
+	var err error
 	if p.isPunct("[") {
-		var err error
-		msb, lsb, err = p.parseRange()
-		if err != nil {
-			return nil, err
+		if rng, err = p.parseRange(); err != nil {
+			return err
 		}
 	}
-	d := &NetDecl{IsReg: isReg, MSB: msb, LSB: lsb, Line: line}
 	for {
 		name, err := p.expectIdent()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		nn := NetName{Name: name}
+		n := hdl.Net{Name: name, Range: rng, Line: line}
 		if p.isPunct("[") {
-			nn.ArrayMSB, nn.ArrayLSB, err = p.parseRange()
-			if err != nil {
-				return nil, err
+			if n.Array, err = p.parseRange(); err != nil {
+				return err
 			}
 		}
 		if p.acceptPunct("=") {
-			nn.Init, err = p.parseExpr()
-			if err != nil {
-				return nil, err
+			if n.Init, err = p.parseExpr(); err != nil {
+				return err
+			}
+			if kw == "wire" {
+				*inits = append(*inits, &hdl.Assign{LHS: &hdl.Ident{Name: name, Line: line}, RHS: n.Init, Line: line})
+				n.Init = nil
 			}
 		}
-		d.Names = append(d.Names, nn)
+		m.Nets = append(m.Nets, n)
 		if !p.acceptPunct(",") {
 			break
 		}
 	}
-	if err := p.expectPunct(";"); err != nil {
-		return nil, err
-	}
-	return d, nil
+	return p.expectPunct(";")
 }
 
-func (p *parser) parseAlways() (Item, error) {
-	line := p.cur().line
+// parseAlways parses an always block. A posedge/negedge term in the
+// sensitivity list, or always_ff, makes it clocked; otherwise it is
+// combinational, and its blocking reads see its own earlier assignments.
+func (p *parser) parseAlways() (*hdl.Process, error) {
 	kw := p.next().text
-	kind := AlwaysComb
-	if kw == "always" || kw == "always_ff" {
+	clocked := kw == "always_ff"
+	if kw != "always_comb" {
 		if p.acceptPunct("@") {
-			if p.acceptPunct("*") {
-				kind = AlwaysComb
-			} else if p.acceptPunct("(") {
-				if p.acceptPunct("*") {
-					kind = AlwaysComb
-				} else {
-					// Sensitivity list: posedge/negedge terms make it
-					// sequential; plain signals make it combinational.
+			if p.acceptPunct("(") {
+				if !p.acceptPunct("*") {
 					for {
-						if p.acceptKw("posedge") {
-							kind = AlwaysSeq
-							if _, err := p.expectIdent(); err != nil {
-								return nil, err
-							}
-						} else if p.acceptKw("negedge") {
-							kind = AlwaysSeq
-							if _, err := p.expectIdent(); err != nil {
-								return nil, err
-							}
-						} else {
-							if _, err := p.expectIdent(); err != nil {
-								return nil, err
-							}
+						if p.acceptKw("posedge") || p.acceptKw("negedge") {
+							clocked = true
+						}
+						if _, err := p.expectIdent(); err != nil {
+							return nil, err
 						}
 						if !p.acceptKw("or") && !p.acceptPunct(",") {
 							break
@@ -364,67 +360,55 @@ func (p *parser) parseAlways() (Item, error) {
 				if err := p.expectPunct(")"); err != nil {
 					return nil, err
 				}
-			} else {
+			} else if !p.acceptPunct("*") {
 				return nil, p.errf("expected sensitivity list after @")
 			}
 		} else if kw == "always" {
 			return nil, p.errf("always without sensitivity list is not supported")
-		} else {
-			// always_ff requires @(...); tolerate missing for robustness.
-			kind = AlwaysSeq
-		}
-		if kw == "always_ff" {
-			kind = AlwaysSeq
 		}
 	}
 	body, err := p.parseStmtOrBlock()
 	if err != nil {
 		return nil, err
 	}
-	return &AlwaysItem{Kind: kind, Body: body, Line: line}, nil
+	return &hdl.Process{Clocked: clocked, ReadsOwnWrites: !clocked, Body: body}, nil
 }
 
 // parseStmtOrBlock parses either a begin..end block or a single statement.
-func (p *parser) parseStmtOrBlock() ([]Stmt, error) {
-	if p.acceptKw("begin") {
-		// optional block label
-		if p.acceptPunct(":") {
-			if _, err := p.expectIdent(); err != nil {
-				return nil, err
-			}
+func (p *parser) parseStmtOrBlock() ([]hdl.Stmt, error) {
+	if !p.acceptKw("begin") {
+		s, err := p.parseStmt()
+		if err != nil {
+			return nil, err
 		}
-		var stmts []Stmt
-		for !p.acceptKw("end") {
-			if p.atEOF() {
-				return nil, p.errf("unexpected EOF in begin/end block")
-			}
-			s, err := p.parseStmt()
-			if err != nil {
-				return nil, err
-			}
-			if s != nil {
-				stmts = append(stmts, s)
-			}
+		return []hdl.Stmt{s}, nil
+	}
+	// optional block label
+	if p.acceptPunct(":") {
+		if _, err := p.expectIdent(); err != nil {
+			return nil, err
 		}
-		return stmts, nil
 	}
-	s, err := p.parseStmt()
-	if err != nil {
-		return nil, err
+	var stmts []hdl.Stmt
+	for !p.acceptKw("end") {
+		if p.atEOF() {
+			return nil, p.errf("unexpected EOF in begin/end block")
+		}
+		s, err := p.parseStmt()
+		if err != nil {
+			return nil, err
+		}
+		stmts = append(stmts, s)
 	}
-	if s == nil {
-		return nil, nil
-	}
-	return []Stmt{s}, nil
+	return stmts, nil
 }
 
-func (p *parser) parseStmt() (Stmt, error) {
+func (p *parser) parseStmt() (hdl.Stmt, error) {
 	line := p.cur().line
 	switch {
 	case p.acceptPunct(";"):
-		return &NullStmt{}, nil
-	case p.isKw("if"):
-		p.pos++
+		return &hdl.Null{}, nil
+	case p.acceptKw("if"):
 		if err := p.expectPunct("("); err != nil {
 			return nil, err
 		}
@@ -435,18 +419,16 @@ func (p *parser) parseStmt() (Stmt, error) {
 		if err := p.expectPunct(")"); err != nil {
 			return nil, err
 		}
-		then, err := p.parseStmtOrBlock()
-		if err != nil {
+		s := &hdl.If{Cond: cond}
+		if s.Then, err = p.parseStmtOrBlock(); err != nil {
 			return nil, err
 		}
-		var els []Stmt
 		if p.acceptKw("else") {
-			els, err = p.parseStmtOrBlock()
-			if err != nil {
+			if s.Else, err = p.parseStmtOrBlock(); err != nil {
 				return nil, err
 			}
 		}
-		return &IfStmt{Cond: cond, Then: then, Else: els, Line: line}, nil
+		return s, nil
 	case p.isKw("case") || p.isKw("casez") || p.isKw("casex"):
 		p.pos++
 		if err := p.expectPunct("("); err != nil {
@@ -459,12 +441,12 @@ func (p *parser) parseStmt() (Stmt, error) {
 		if err := p.expectPunct(")"); err != nil {
 			return nil, err
 		}
-		cs := &CaseStmt{Subject: subj, Line: line}
+		cs := &hdl.Case{Subject: subj, Line: line}
 		for !p.acceptKw("endcase") {
 			if p.atEOF() {
 				return nil, p.errf("unexpected EOF in case")
 			}
-			var item CaseItem
+			var arm hdl.Arm
 			if p.acceptKw("default") {
 				p.acceptPunct(":")
 			} else {
@@ -473,7 +455,7 @@ func (p *parser) parseStmt() (Stmt, error) {
 					if err != nil {
 						return nil, err
 					}
-					item.Matches = append(item.Matches, m)
+					arm.Match = append(arm.Match, m)
 					if !p.acceptPunct(",") {
 						break
 					}
@@ -482,167 +464,105 @@ func (p *parser) parseStmt() (Stmt, error) {
 					return nil, err
 				}
 			}
-			item.Body, err = p.parseStmtOrBlock()
-			if err != nil {
+			if arm.Body, err = p.parseStmtOrBlock(); err != nil {
 				return nil, err
 			}
-			cs.Items = append(cs.Items, item)
+			cs.Arms = append(cs.Arms, arm)
 		}
 		return cs, nil
 	case p.cur().kind == tokSysIdent:
 		// $display and friends: parse and discard.
 		p.pos++
 		if p.acceptPunct("(") {
-			depth := 1
-			for depth > 0 {
+			for depth := 1; depth > 0; {
 				if p.atEOF() {
 					return nil, p.errf("unexpected EOF in system task")
 				}
-				t := p.next()
-				if t.kind == tokPunct && t.text == "(" {
+				switch t := p.next(); {
+				case t.kind == tokPunct && t.text == "(":
 					depth++
-				}
-				if t.kind == tokPunct && t.text == ")" {
+				case t.kind == tokPunct && t.text == ")":
 					depth--
 				}
 			}
 		}
 		p.acceptPunct(";")
-		return &NullStmt{}, nil
+		return &hdl.Null{}, nil
 	case p.isKw("for") || p.isKw("while") || p.isKw("repeat") || p.isKw("forever"):
 		return nil, p.errf("procedural %q loops are not supported by the gem5rtl subset", p.cur().text)
-	default:
-		lhs, err := p.parseLValue()
-		if err != nil {
-			return nil, err
-		}
-		blocking := true
-		if p.acceptPunct("<=") {
-			blocking = false
-		} else if !p.acceptPunct("=") {
-			return nil, p.errf("expected assignment operator")
-		}
-		rhs, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectPunct(";"); err != nil {
-			return nil, err
-		}
-		return &AssignStmt{LHS: lhs, RHS: rhs, Blocking: blocking, Line: line}, nil
 	}
-}
-
-func (p *parser) parseLValue() (*LValue, error) {
-	line := p.cur().line
-	name, err := p.expectIdent()
+	// Blocking (=) and non-blocking (<=) assignments elaborate alike: which
+	// values a read sees is the process's property.
+	lhs, err := p.parsePostfix()
 	if err != nil {
 		return nil, err
 	}
-	lv := &LValue{Name: name, Line: line}
-	if p.acceptPunct("[") {
-		first, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		if p.acceptPunct(":") {
-			lv.MSB = first
-			lv.LSB, err = p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			lv.Index = first
-		}
-		if err := p.expectPunct("]"); err != nil {
-			return nil, err
-		}
+	if !p.acceptPunct("<=") && !p.acceptPunct("=") {
+		return nil, p.errf("expected assignment operator")
 	}
-	return lv, nil
+	rhs, err := p.parseExpr()
+	if err != nil {
+		return nil, err
+	}
+	return &hdl.Assign{LHS: lhs, RHS: rhs, Line: line}, p.expectPunct(";")
 }
 
-func (p *parser) parseInstance() (Item, error) {
+func (p *parser) parseInstance() (*hdl.Instance, error) {
 	line := p.cur().line
 	modName, err := p.expectIdent()
 	if err != nil {
 		return nil, err
 	}
-	inst := &InstanceItem{ModName: modName, Line: line,
-		Params: map[string]Expr{}, Conns: map[string]Expr{}}
+	inst := &hdl.Instance{Module: modName, Line: line,
+		Params: map[string]hdl.Expr{}, Conns: map[string]hdl.Expr{}}
 	if p.acceptPunct("#") {
 		if err := p.expectPunct("("); err != nil {
 			return nil, err
 		}
-		for {
-			if err := p.expectPunct("."); err != nil {
-				return nil, err
-			}
-			pname, err := p.expectIdent()
-			if err != nil {
-				return nil, err
-			}
-			if err := p.expectPunct("("); err != nil {
-				return nil, err
-			}
-			val, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			if err := p.expectPunct(")"); err != nil {
-				return nil, err
-			}
-			inst.Params[pname] = val
-			if !p.acceptPunct(",") {
-				break
-			}
-		}
-		if err := p.expectPunct(")"); err != nil {
+		if err := p.parseNamed(inst.Params); err != nil {
 			return nil, err
 		}
 	}
-	inst.InstName, err = p.expectIdent()
-	if err != nil {
+	if inst.Name, err = p.expectIdent(); err != nil {
 		return nil, err
 	}
 	if err := p.expectPunct("("); err != nil {
 		return nil, err
 	}
-	if !p.isPunct(")") {
-		for {
-			if err := p.expectPunct("."); err != nil {
-				return nil, p.errf("only named port connections are supported")
-			}
-			pname, err := p.expectIdent()
-			if err != nil {
-				return nil, err
-			}
-			if err := p.expectPunct("("); err != nil {
-				return nil, err
-			}
-			if p.isPunct(")") {
-				inst.Conns[pname] = nil
-			} else {
-				val, err := p.parseExpr()
-				if err != nil {
-					return nil, err
-				}
-				inst.Conns[pname] = val
-			}
-			if err := p.expectPunct(")"); err != nil {
-				return nil, err
-			}
-			if !p.acceptPunct(",") {
-				break
-			}
+	if !p.acceptPunct(")") {
+		if err := p.parseNamed(inst.Conns); err != nil {
+			return nil, err
 		}
 	}
-	if err := p.expectPunct(")"); err != nil {
-		return nil, err
+	return inst, p.expectPunct(";")
+}
+
+// parseNamed parses .name(expr), ... ) into out; an empty .name() is nil.
+func (p *parser) parseNamed(out map[string]hdl.Expr) error {
+	for {
+		if err := p.expectPunct("."); err != nil {
+			return p.errf("only named connections are supported")
+		}
+		name, err := p.expectIdent()
+		if err != nil {
+			return err
+		}
+		if err := p.expectPunct("("); err != nil {
+			return err
+		}
+		out[name] = nil
+		if !p.isPunct(")") {
+			if out[name], err = p.parseExpr(); err != nil {
+				return err
+			}
+		}
+		if err := p.expectPunct(")"); err != nil {
+			return err
+		}
+		if !p.acceptPunct(",") {
+			return p.expectPunct(")")
+		}
 	}
-	if err := p.expectPunct(";"); err != nil {
-		return nil, err
-	}
-	return inst, nil
 }
 
 // Expression parsing: precedence climbing. Verilog precedence, high to low:
@@ -661,34 +581,26 @@ var binPrec = map[string]int{
 	"||": 1,
 }
 
-func (p *parser) parseExpr() (Expr, error) {
-	return p.parseTernary()
-}
-
-func (p *parser) parseTernary() (Expr, error) {
-	line := p.cur().line
+func (p *parser) parseExpr() (hdl.Expr, error) {
 	cond, err := p.parseBinary(1)
+	if err != nil || !p.acceptPunct("?") {
+		return cond, err
+	}
+	t, err := p.parseExpr()
 	if err != nil {
 		return nil, err
 	}
-	if p.acceptPunct("?") {
-		t, err := p.parseTernary()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectPunct(":"); err != nil {
-			return nil, err
-		}
-		f, err := p.parseTernary()
-		if err != nil {
-			return nil, err
-		}
-		return &CondExpr{Cond: cond, T: t, F: f, Line: line}, nil
+	if err := p.expectPunct(":"); err != nil {
+		return nil, err
 	}
-	return cond, nil
+	f, err := p.parseExpr()
+	if err != nil {
+		return nil, err
+	}
+	return &hdl.Cond{Cond: cond, T: t, F: f}, nil
 }
 
-func (p *parser) parseBinary(minPrec int) (Expr, error) {
+func (p *parser) parseBinary(minPrec int) (hdl.Expr, error) {
 	lhs, err := p.parseUnary()
 	if err != nil {
 		return nil, err
@@ -702,18 +614,16 @@ func (p *parser) parseBinary(minPrec int) (Expr, error) {
 		if !ok || prec < minPrec {
 			return lhs, nil
 		}
-		op := t.text
-		line := t.line
 		p.pos++
 		rhs, err := p.parseBinary(prec + 1)
 		if err != nil {
 			return nil, err
 		}
-		lhs = &BinaryExpr{Op: op, X: lhs, Y: rhs, Line: line}
+		lhs = &hdl.Binary{Op: t.text, X: lhs, Y: rhs, Line: t.line}
 	}
 }
 
-func (p *parser) parseUnary() (Expr, error) {
+func (p *parser) parseUnary() (hdl.Expr, error) {
 	t := p.cur()
 	if t.kind == tokPunct {
 		switch t.text {
@@ -735,29 +645,26 @@ func (p *parser) parseUnary() (Expr, error) {
 			if op == "+" {
 				return x, nil
 			}
-			return &UnaryExpr{Op: op, X: x, Line: t.line}, nil
+			return &hdl.Unary{Op: op, X: x, Line: t.line}, nil
 		}
 	}
 	return p.parsePostfix()
 }
 
-func (p *parser) parsePostfix() (Expr, error) {
+func (p *parser) parsePostfix() (hdl.Expr, error) {
 	base, err := p.parsePrimary()
 	if err != nil {
 		return nil, err
 	}
 	for p.isPunct("[") {
-		line := p.cur().line
-		p.pos++
+		sel := &hdl.Select{Base: base, Line: p.next().line}
 		first, err := p.parseExpr()
 		if err != nil {
 			return nil, err
 		}
-		sel := &SelectExpr{Base: base, Line: line}
 		if p.acceptPunct(":") {
 			sel.MSB = first
-			sel.LSB, err = p.parseExpr()
-			if err != nil {
+			if sel.LSB, err = p.parseExpr(); err != nil {
 				return nil, err
 			}
 		} else {
@@ -771,7 +678,7 @@ func (p *parser) parsePostfix() (Expr, error) {
 	return base, nil
 }
 
-func (p *parser) parsePrimary() (Expr, error) {
+func (p *parser) parsePrimary() (hdl.Expr, error) {
 	t := p.cur()
 	switch {
 	case t.kind == tokNumber:
@@ -779,26 +686,20 @@ func (p *parser) parsePrimary() (Expr, error) {
 		return decodeNumber(t)
 	case t.kind == tokIdent:
 		p.pos++
-		return &IdentExpr{Name: t.text, Line: t.line}, nil
+		return &hdl.Ident{Name: t.text, Line: t.line}, nil
 	case p.acceptPunct("("):
 		e, err := p.parseExpr()
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expectPunct(")"); err != nil {
-			return nil, err
-		}
-		return e, nil
-	case p.isPunct("{"):
-		line := t.line
-		p.pos++
+		return e, p.expectPunct(")")
+	case p.acceptPunct("{"):
 		first, err := p.parseExpr()
 		if err != nil {
 			return nil, err
 		}
 		// {n{expr}} replication?
-		if p.isPunct("{") {
-			p.pos++
+		if p.acceptPunct("{") {
 			inner, err := p.parseExpr()
 			if err != nil {
 				return nil, err
@@ -806,12 +707,9 @@ func (p *parser) parsePrimary() (Expr, error) {
 			if err := p.expectPunct("}"); err != nil {
 				return nil, err
 			}
-			if err := p.expectPunct("}"); err != nil {
-				return nil, err
-			}
-			return &RepeatExpr{Count: first, X: inner, Line: line}, nil
+			return &hdl.Repeat{Count: first, X: inner, Line: t.line}, p.expectPunct("}")
 		}
-		cat := &ConcatExpr{Parts: []Expr{first}, Line: line}
+		cat := &hdl.Concat{Parts: []hdl.Expr{first}}
 		for p.acceptPunct(",") {
 			e, err := p.parseExpr()
 			if err != nil {
@@ -819,16 +717,13 @@ func (p *parser) parsePrimary() (Expr, error) {
 			}
 			cat.Parts = append(cat.Parts, e)
 		}
-		if err := p.expectPunct("}"); err != nil {
-			return nil, err
-		}
-		return cat, nil
+		return cat, p.expectPunct("}")
 	}
 	return nil, p.errf("expected expression")
 }
 
 // decodeNumber parses Verilog literal text into value and width.
-func decodeNumber(t token) (Expr, error) {
+func decodeNumber(t token) (hdl.Expr, error) {
 	s := strings.ReplaceAll(t.text, "_", "")
 	q := strings.IndexByte(s, '\'')
 	if q < 0 {
@@ -836,7 +731,7 @@ func decodeNumber(t token) (Expr, error) {
 		if err != nil {
 			return nil, fmt.Errorf("verilog: line %d: bad number %q", t.line, t.text)
 		}
-		return &NumExpr{Val: v, Width: 0, Line: t.line}, nil
+		return &hdl.Num{Val: v}, nil
 	}
 	width := 0
 	if q > 0 {
@@ -859,25 +754,20 @@ func decodeNumber(t token) (Expr, error) {
 		base = 2
 	case 'o', 'O':
 		base = 8
-	case 'd', 'D':
-		base = 10
 	case 'h', 'H':
 		base = 16
 	}
-	digits := rest[1:]
-	if strings.ContainsAny(digits, "xXzZ") {
-		// x/z bits are not supported in the two-state engine; treat as 0,
-		// matching Verilator's default two-state conversion.
-		digits = strings.Map(func(r rune) rune {
-			if r == 'x' || r == 'X' || r == 'z' || r == 'Z' {
-				return '0'
-			}
-			return r
-		}, digits)
-	}
+	// x/z bits are not supported in the two-state engine; they read as 0,
+	// matching Verilator's default two-state conversion.
+	digits := strings.Map(func(r rune) rune {
+		if r == 'x' || r == 'X' || r == 'z' || r == 'Z' {
+			return '0'
+		}
+		return r
+	}, rest[1:])
 	v, err := strconv.ParseUint(digits, base, 64)
 	if err != nil {
 		return nil, fmt.Errorf("verilog: line %d: bad literal %q", t.line, t.text)
 	}
-	return &NumExpr{Val: v, Width: width, Line: t.line}, nil
+	return &hdl.Num{Val: v, Width: width}, nil
 }

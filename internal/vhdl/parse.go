@@ -3,17 +3,19 @@ package vhdl
 import (
 	"fmt"
 	"strconv"
+
+	"gem5rtl/internal/hdl"
 )
 
-// Parse scans and parses VHDL source into a Design.
-func Parse(src string) (*Design, error) {
+// Parse scans and parses VHDL source into a design tree: one module per
+// entity, holding its architecture's body.
+func Parse(src string) (*hdl.Design, error) {
 	toks, err := lex(src)
 	if err != nil {
 		return nil, err
 	}
 	p := &parser{toks: toks}
-	d := &Design{}
-	entities := map[string]*Entity{}
+	d := &hdl.Design{}
 	for !p.atEOF() {
 		switch {
 		case p.isKw("library"), p.isKw("use"):
@@ -23,32 +25,33 @@ func Parse(src string) (*Design, error) {
 			}
 			p.acceptPunct(";")
 		case p.isKw("entity"):
-			e, err := p.parseEntity()
+			m, err := p.parseEntity()
 			if err != nil {
 				return nil, err
 			}
-			if _, dup := entities[e.Name]; dup {
-				return nil, fmt.Errorf("vhdl: duplicate entity %q", e.Name)
+			if d.Module(m.Name) != nil {
+				return nil, fmt.Errorf("vhdl: duplicate entity %q", m.Name)
 			}
-			entities[e.Name] = e
-			d.Entities = append(d.Entities, e)
+			d.Modules = append(d.Modules, m)
 		case p.isKw("architecture"):
-			if err := p.parseArchitecture(entities); err != nil {
+			if err := p.parseArchitecture(d); err != nil {
 				return nil, err
 			}
 		default:
 			return nil, p.errf("expected entity, architecture, library or use")
 		}
 	}
-	if len(d.Entities) == 0 {
+	if len(d.Modules) == 0 {
 		return nil, fmt.Errorf("vhdl: no entities in source")
 	}
 	return d, nil
 }
 
 type parser struct {
-	toks []token
-	pos  int
+	toks    []token
+	pos     int
+	edges   int  // rising_edge/falling_edge calls parsed so far
+	clocked bool // the process being parsed has a clock gate
 }
 
 func (p *parser) cur() token  { return p.toks[p.pos] }
@@ -100,16 +103,22 @@ func (p *parser) expectIdent() (string, error) {
 	return s, nil
 }
 
-var vhdlKeywords = map[string]bool{
-	"when": true, "else": true, "then": true, "elsif": true, "end": true,
-	"and": true, "or": true, "xor": true, "nand": true, "nor": true, "xnor": true,
-	"not": true, "downto": true, "to": true, "is": true, "begin": true,
-	"process": true, "case": true, "if": true, "others": true, "sll": true,
-	"srl": true, "mod": true, "rem": true, "loop": true, "generate": true,
+// parseNames parses name {, name} :
+func (p *parser) parseNames() ([]string, error) {
+	var names []string
+	for {
+		n, err := p.expectIdent()
+		if err != nil {
+			return nil, err
+		}
+		names = append(names, n)
+		if !p.acceptPunct(",") {
+			return names, p.expectPunct(":")
+		}
+	}
 }
 
-func (p *parser) parseEntity() (*Entity, error) {
-	line := p.cur().line
+func (p *parser) parseEntity() (*hdl.Module, error) {
 	if err := p.expectKw("entity"); err != nil {
 		return nil, err
 	}
@@ -120,7 +129,7 @@ func (p *parser) parseEntity() (*Entity, error) {
 	if err := p.expectKw("is"); err != nil {
 		return nil, err
 	}
-	e := &Entity{Name: name, Line: line}
+	m := &hdl.Module{Name: name}
 	if p.acceptKw("generic") {
 		if err := p.expectPunct("("); err != nil {
 			return nil, err
@@ -136,14 +145,13 @@ func (p *parser) parseEntity() (*Entity, error) {
 			if _, err := p.expectIdent(); err != nil { // type (integer etc.)
 				return nil, err
 			}
-			var def expr
+			g := hdl.Param{Name: gname}
 			if p.acceptPunct(":=") {
-				def, err = p.parseExpr()
-				if err != nil {
+				if g.Value, err = p.parseExpr(); err != nil {
 					return nil, err
 				}
 			}
-			e.Generics = append(e.Generics, genericDecl{gname, def})
+			m.Params = append(m.Params, g)
 			if !p.acceptPunct(";") {
 				break
 			}
@@ -160,38 +168,24 @@ func (p *parser) parseEntity() (*Entity, error) {
 			return nil, err
 		}
 		for {
-			pline := p.cur().line
-			// name {, name} : in|out type
-			var names []string
-			for {
-				n, err := p.expectIdent()
-				if err != nil {
-					return nil, err
-				}
-				names = append(names, n)
-				if !p.acceptPunct(",") {
-					break
-				}
-			}
-			if err := p.expectPunct(":"); err != nil {
+			line := p.cur().line
+			names, err := p.parseNames()
+			if err != nil {
 				return nil, err
 			}
-			isIn := false
-			if p.acceptKw("in") {
-				isIn = true
-			} else if p.acceptKw("out") || p.acceptKw("buffer") {
-				isIn = false
-			} else if p.acceptKw("inout") {
-				return nil, p.errf("inout ports are not supported")
-			} else {
+			in := p.acceptKw("in")
+			if !in && !p.acceptKw("out") && !p.acceptKw("buffer") {
+				if p.isKw("inout") {
+					return nil, p.errf("inout ports are not supported")
+				}
 				return nil, p.errf("expected port direction")
 			}
-			typ, err := p.parseType()
+			rng, err := p.parseType()
 			if err != nil {
 				return nil, err
 			}
 			for _, n := range names {
-				e.Ports = append(e.Ports, portDecl{name: n, isIn: isIn, typ: typ, line: pline})
+				m.Ports = append(m.Ports, hdl.Port{Name: n, In: in, Range: rng, Line: line})
 			}
 			if !p.acceptPunct(";") {
 				break
@@ -211,44 +205,47 @@ func (p *parser) parseEntity() (*Entity, error) {
 	if p.cur().kind == tokIdent {
 		p.pos++
 	}
-	if err := p.expectPunct(";"); err != nil {
-		return nil, err
-	}
-	return e, nil
+	return m, p.expectPunct(";")
 }
 
-func (p *parser) parseType() (typeRef, error) {
-	line := p.cur().line
+// parseType parses a type mark into its [msb:0] range, nil for one bit.
+func (p *parser) parseType() (*hdl.Range, error) {
+	t := p.cur()
 	name, err := p.expectIdent()
 	if err != nil {
-		return typeRef{}, err
+		return nil, err
 	}
-	t := typeRef{name: name, line: line}
-	if p.acceptPunct("(") {
-		msb, err := p.parseExpr()
-		if err != nil {
-			return t, err
-		}
-		if !p.acceptKw("downto") {
-			return t, p.errf("only (N downto 0) ranges are supported")
-		}
-		lsbTok := p.cur()
-		lsb, err := p.parseExpr()
-		if err != nil {
-			return t, err
-		}
-		if n, ok := lsb.(*numLit); !ok || n.val != 0 {
-			return t, fmt.Errorf("vhdl: line %d: only (N downto 0) ranges are supported", lsbTok.line)
-		}
-		t.msb = msb
-		if err := p.expectPunct(")"); err != nil {
-			return t, err
-		}
+	switch name {
+	case "std_logic", "std_ulogic", "bit", "boolean":
+		return nil, nil
+	case "integer", "natural", "positive":
+		return &hdl.Range{MSB: &hdl.Num{Val: 31}, LSB: &hdl.Num{}}, nil
+	case "std_logic_vector", "std_ulogic_vector", "unsigned", "signed", "bit_vector":
+	default:
+		return nil, fmt.Errorf("vhdl: line %d: unsupported type %q", t.line, name)
 	}
-	return t, nil
+	if !p.acceptPunct("(") {
+		return nil, fmt.Errorf("vhdl: line %d: %s requires a (N downto 0) range", t.line, name)
+	}
+	msb, err := p.parseExpr()
+	if err != nil {
+		return nil, err
+	}
+	if !p.acceptKw("downto") {
+		return nil, p.errf("only (N downto 0) ranges are supported")
+	}
+	lsbTok := p.cur()
+	lsb, err := p.parseExpr()
+	if err != nil {
+		return nil, err
+	}
+	if n, ok := lsb.(*hdl.Num); !ok || n.Val != 0 {
+		return nil, fmt.Errorf("vhdl: line %d: only (N downto 0) ranges are supported", lsbTok.line)
+	}
+	return &hdl.Range{MSB: msb, LSB: lsb}, p.expectPunct(")")
 }
 
-func (p *parser) parseArchitecture(entities map[string]*Entity) error {
+func (p *parser) parseArchitecture(d *hdl.Design) error {
 	if err := p.expectKw("architecture"); err != nil {
 		return err
 	}
@@ -262,78 +259,49 @@ func (p *parser) parseArchitecture(entities map[string]*Entity) error {
 	if err != nil {
 		return err
 	}
-	e, ok := entities[ename]
-	if !ok {
+	m := d.Module(ename)
+	if m == nil {
 		return p.errf("architecture for unknown entity %q", ename)
 	}
 	if err := p.expectKw("is"); err != nil {
 		return err
 	}
-	// Declarative part: signal declarations (components are ignored in favour
-	// of direct entity instantiation; constants become generics-like).
+	// Declarative part: signals and constants (components are ignored in
+	// favour of direct entity instantiation).
 	for !p.isKw("begin") {
 		if p.atEOF() {
 			return p.errf("unexpected EOF in architecture")
 		}
-		switch {
-		case p.acceptKw("signal"):
-			line := p.cur().line
-			var names []string
-			for {
-				n, err := p.expectIdent()
-				if err != nil {
-					return err
-				}
-				names = append(names, n)
-				if !p.acceptPunct(",") {
-					break
-				}
-			}
-			if err := p.expectPunct(":"); err != nil {
-				return err
-			}
-			typ, err := p.parseType()
-			if err != nil {
-				return err
-			}
-			var init expr
-			if p.acceptPunct(":=") {
-				init, err = p.parseExpr()
-				if err != nil {
-					return err
-				}
-			}
-			if err := p.expectPunct(";"); err != nil {
-				return err
-			}
-			for _, n := range names {
-				e.Signals = append(e.Signals, signalDecl{name: n, typ: typ, init: init, line: line})
-			}
-		case p.acceptKw("constant"):
-			// constant NAME : type := value;  -> treated as a generic default.
-			n, err := p.expectIdent()
-			if err != nil {
-				return err
-			}
-			if err := p.expectPunct(":"); err != nil {
-				return err
-			}
-			if _, err := p.parseType(); err != nil {
-				return err
-			}
-			if err := p.expectPunct(":="); err != nil {
-				return err
-			}
-			v, err := p.parseExpr()
-			if err != nil {
-				return err
-			}
-			if err := p.expectPunct(";"); err != nil {
-				return err
-			}
-			e.Generics = append(e.Generics, genericDecl{n, v})
-		default:
+		line := p.cur().line
+		signal := p.acceptKw("signal")
+		if !signal && !p.acceptKw("constant") {
 			return p.errf("unsupported architecture declaration")
+		}
+		names, err := p.parseNames()
+		if err != nil {
+			return err
+		}
+		rng, err := p.parseType()
+		if err != nil {
+			return err
+		}
+		var init hdl.Expr
+		if p.acceptPunct(":=") {
+			if init, err = p.parseExpr(); err != nil {
+				return err
+			}
+		} else if !signal {
+			return p.errf("expected \":=\"")
+		}
+		if err := p.expectPunct(";"); err != nil {
+			return err
+		}
+		for _, n := range names {
+			if signal {
+				m.Nets = append(m.Nets, hdl.Net{Name: n, Range: rng, Init: init, Line: line})
+			} else {
+				m.Params = append(m.Params, hdl.Param{Name: n, Value: init, Local: true})
+			}
 		}
 	}
 	p.pos++ // begin
@@ -341,11 +309,11 @@ func (p *parser) parseArchitecture(entities map[string]*Entity) error {
 		if p.atEOF() {
 			return p.errf("unexpected EOF in architecture body")
 		}
-		c, err := p.parseConcurrent()
+		it, err := p.parseConcurrent()
 		if err != nil {
 			return err
 		}
-		e.Concs = append(e.Concs, c)
+		m.Items = append(m.Items, it)
 	}
 	p.pos++ // end
 	p.acceptKw("architecture")
@@ -355,7 +323,7 @@ func (p *parser) parseArchitecture(entities map[string]*Entity) error {
 	return p.expectPunct(";")
 }
 
-func (p *parser) parseConcurrent() (conc, error) {
+func (p *parser) parseConcurrent() (hdl.Item, error) {
 	line := p.cur().line
 	if p.isKw("process") {
 		return p.parseProcess()
@@ -367,76 +335,72 @@ func (p *parser) parseConcurrent() (conc, error) {
 		if p.isKw("process") {
 			return p.parseProcess()
 		}
-		if p.acceptKw("entity") {
-			if p.acceptKw("work") {
-				if err := p.expectPunct("."); err != nil {
-					return nil, err
-				}
-			}
-			ename, err := p.expectIdent()
-			if err != nil {
-				return nil, err
-			}
-			inst := &instance{label: label, entity: ename, line: line,
-				generics: map[string]expr{}, ports: map[string]expr{}}
-			if p.acceptKw("generic") {
-				if err := p.expectKw("map"); err != nil {
-					return nil, err
-				}
-				if err := p.parseMap(inst.generics); err != nil {
-					return nil, err
-				}
-			}
-			if p.acceptKw("port") {
-				if err := p.expectKw("map"); err != nil {
-					return nil, err
-				}
-				if err := p.parseMap(inst.ports); err != nil {
-					return nil, err
-				}
-			}
-			if err := p.expectPunct(";"); err != nil {
-				return nil, err
-			}
-			return inst, nil
+		if !p.acceptKw("entity") {
+			return nil, p.errf("unsupported labelled concurrent statement")
 		}
-		return nil, p.errf("unsupported labelled concurrent statement")
+		if p.acceptKw("work") {
+			if err := p.expectPunct("."); err != nil {
+				return nil, err
+			}
+		}
+		ename, err := p.expectIdent()
+		if err != nil {
+			return nil, err
+		}
+		inst := &hdl.Instance{Module: ename, Name: label, Line: line,
+			Params: map[string]hdl.Expr{}, Conns: map[string]hdl.Expr{}}
+		if err := p.parseMap("generic", inst.Params); err != nil {
+			return nil, err
+		}
+		if err := p.parseMap("port", inst.Conns); err != nil {
+			return nil, err
+		}
+		return inst, p.expectPunct(";")
 	}
 	// Concurrent (possibly conditional) signal assignment.
-	target, err := p.parseLValue()
+	target, err := p.parsePrimary()
 	if err != nil {
 		return nil, err
 	}
 	if err := p.expectPunct("<="); err != nil {
 		return nil, err
 	}
-	ca := &concAssign{target: target, line: line}
-	for {
-		v, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		ca.vals = append(ca.vals, v)
-		if p.acceptKw("when") {
-			cond, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			ca.conds = append(ca.conds, cond)
-			if err := p.expectKw("else"); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		break
-	}
-	if err := p.expectPunct(";"); err != nil {
+	rhs, err := p.parseWhenElse()
+	if err != nil {
 		return nil, err
 	}
-	return ca, nil
+	return &hdl.Assign{LHS: target, RHS: rhs, Line: line}, p.expectPunct(";")
 }
 
-func (p *parser) parseMap(out map[string]expr) error {
+// parseWhenElse parses v [when c else ...] into a chain of conditionals.
+func (p *parser) parseWhenElse() (hdl.Expr, error) {
+	v, err := p.parseExpr()
+	if err != nil || !p.acceptKw("when") {
+		return v, err
+	}
+	c, err := p.parseExpr()
+	if err != nil {
+		return nil, err
+	}
+	if err := p.expectKw("else"); err != nil {
+		return nil, err
+	}
+	f, err := p.parseWhenElse()
+	if err != nil {
+		return nil, err
+	}
+	return &hdl.Cond{Cond: c, T: v, F: f}, nil
+}
+
+// parseMap parses an optional "kw map (name => expr | open, ...)" clause
+// into out; open is nil.
+func (p *parser) parseMap(kw string, out map[string]hdl.Expr) error {
+	if !p.acceptKw(kw) {
+		return nil
+	}
+	if err := p.expectKw("map"); err != nil {
+		return err
+	}
 	if err := p.expectPunct("("); err != nil {
 		return err
 	}
@@ -448,24 +412,19 @@ func (p *parser) parseMap(out map[string]expr) error {
 		if err := p.expectPunct("=>"); err != nil {
 			return err
 		}
-		if p.acceptKw("open") {
-			out[name] = nil
-		} else {
-			v, err := p.parseExpr()
-			if err != nil {
+		out[name] = nil
+		if !p.acceptKw("open") {
+			if out[name], err = p.parseExpr(); err != nil {
 				return err
 			}
-			out[name] = v
 		}
 		if !p.acceptPunct(",") {
-			break
+			return p.expectPunct(")")
 		}
 	}
-	return p.expectPunct(")")
 }
 
-func (p *parser) parseProcess() (conc, error) {
-	line := p.cur().line
+func (p *parser) parseProcess() (hdl.Item, error) {
 	if err := p.expectKw("process"); err != nil {
 		return nil, err
 	}
@@ -484,6 +443,7 @@ func (p *parser) parseProcess() (conc, error) {
 	if err := p.expectKw("begin"); err != nil {
 		return nil, err
 	}
+	p.clocked = false
 	body, err := p.parseStmts()
 	if err != nil {
 		return nil, err
@@ -497,75 +457,33 @@ func (p *parser) parseProcess() (conc, error) {
 	if p.cur().kind == tokIdent {
 		p.pos++
 	}
-	if err := p.expectPunct(";"); err != nil {
-		return nil, err
-	}
-	pr := &process{body: body, line: line}
-	pr.seq = containsRisingEdge(body)
-	return pr, nil
+	return &hdl.Process{Clocked: p.clocked, Body: body}, p.expectPunct(";")
 }
 
 // parseStmts parses statements until end/elsif/else/when.
-func (p *parser) parseStmts() ([]stmtNode, error) {
-	var out []stmtNode
-	for {
-		if p.isKw("end") || p.isKw("elsif") || p.isKw("else") || p.isKw("when") || p.atEOF() {
-			return out, nil
-		}
+func (p *parser) parseStmts() ([]hdl.Stmt, error) {
+	var out []hdl.Stmt
+	for !p.isKw("end") && !p.isKw("elsif") && !p.isKw("else") && !p.isKw("when") && !p.atEOF() {
 		s, err := p.parseStmt()
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, s)
+		out = append(out, s...)
 	}
+	return out, nil
 }
 
-func (p *parser) parseStmt() (stmtNode, error) {
+// parseStmt parses one statement; a clock-gated if yields its branch's
+// statements.
+func (p *parser) parseStmt() ([]hdl.Stmt, error) {
 	line := p.cur().line
 	switch {
 	case p.acceptKw("null"):
-		if err := p.expectPunct(";"); err != nil {
-			return nil, err
-		}
-		return &nullNode{}, nil
-	case p.isKw("if"):
-		p.pos++
-		cond, err := p.parseExpr()
+		return []hdl.Stmt{&hdl.Null{}}, p.expectPunct(";")
+	case p.acceptKw("if"):
+		s, err := p.parseIf()
 		if err != nil {
 			return nil, err
-		}
-		if err := p.expectKw("then"); err != nil {
-			return nil, err
-		}
-		then, err := p.parseStmts()
-		if err != nil {
-			return nil, err
-		}
-		node := &ifNode{cond: cond, then: then, line: line}
-		cur := node
-		for p.isKw("elsif") {
-			p.pos++
-			c2, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			if err := p.expectKw("then"); err != nil {
-				return nil, err
-			}
-			b2, err := p.parseStmts()
-			if err != nil {
-				return nil, err
-			}
-			nxt := &ifNode{cond: c2, then: b2, line: line}
-			cur.els = []stmtNode{nxt}
-			cur = nxt
-		}
-		if p.acceptKw("else") {
-			els, err := p.parseStmts()
-			if err != nil {
-				return nil, err
-			}
-			cur.els = els
 		}
 		if err := p.expectKw("end"); err != nil {
 			return nil, err
@@ -573,12 +491,8 @@ func (p *parser) parseStmt() (stmtNode, error) {
 		if err := p.expectKw("if"); err != nil {
 			return nil, err
 		}
-		if err := p.expectPunct(";"); err != nil {
-			return nil, err
-		}
-		return node, nil
-	case p.isKw("case"):
-		p.pos++
+		return s, p.expectPunct(";")
+	case p.acceptKw("case"):
 		subj, err := p.parseExpr()
 		if err != nil {
 			return nil, err
@@ -586,18 +500,16 @@ func (p *parser) parseStmt() (stmtNode, error) {
 		if err := p.expectKw("is"); err != nil {
 			return nil, err
 		}
-		cn := &caseNode{subject: subj, line: line}
+		cs := &hdl.Case{Subject: subj, Line: line}
 		for p.acceptKw("when") {
-			var arm caseArm
-			if p.acceptKw("others") {
-				// choices stays empty
-			} else {
+			var arm hdl.Arm
+			if !p.acceptKw("others") {
 				for {
 					ch, err := p.parseExpr()
 					if err != nil {
 						return nil, err
 					}
-					arm.choices = append(arm.choices, ch)
+					arm.Match = append(arm.Match, ch)
 					if !p.acceptPunct("|") {
 						break
 					}
@@ -606,11 +518,10 @@ func (p *parser) parseStmt() (stmtNode, error) {
 			if err := p.expectPunct("=>"); err != nil {
 				return nil, err
 			}
-			arm.body, err = p.parseStmts()
-			if err != nil {
+			if arm.Body, err = p.parseStmts(); err != nil {
 				return nil, err
 			}
-			cn.arms = append(cn.arms, arm)
+			cs.Arms = append(cs.Arms, arm)
 		}
 		if err := p.expectKw("end"); err != nil {
 			return nil, err
@@ -618,263 +529,154 @@ func (p *parser) parseStmt() (stmtNode, error) {
 		if err := p.expectKw("case"); err != nil {
 			return nil, err
 		}
-		if err := p.expectPunct(";"); err != nil {
-			return nil, err
-		}
-		return cn, nil
+		return []hdl.Stmt{cs}, p.expectPunct(";")
 	case p.isKw("for") || p.isKw("while") || p.isKw("loop"):
 		return nil, p.errf("loops are not supported by the gem5rtl VHDL subset")
-	default:
-		target, err := p.parseLValue()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectPunct("<="); err != nil {
-			return nil, err
-		}
-		rhs, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectPunct(";"); err != nil {
-			return nil, err
-		}
-		return &sigAssign{target: target, rhs: rhs, line: line}, nil
 	}
-}
-
-func (p *parser) parseLValue() (lvalue, error) {
-	line := p.cur().line
-	name, err := p.expectIdent()
+	target, err := p.parsePrimary()
 	if err != nil {
-		return lvalue{}, err
+		return nil, err
 	}
-	lv := lvalue{name: name, line: line}
-	if p.acceptPunct("(") {
-		first, err := p.parseExpr()
-		if err != nil {
-			return lv, err
-		}
-		if p.acceptKw("downto") {
-			lv.msb = first
-			lv.lsb, err = p.parseExpr()
-			if err != nil {
-				return lv, err
-			}
-		} else {
-			lv.index = first
-		}
-		if err := p.expectPunct(")"); err != nil {
-			return lv, err
-		}
+	if err := p.expectPunct("<="); err != nil {
+		return nil, err
 	}
-	return lv, nil
+	rhs, err := p.parseExpr()
+	if err != nil {
+		return nil, err
+	}
+	return []hdl.Stmt{&hdl.Assign{LHS: target, RHS: rhs, Line: line}}, p.expectPunct(";")
 }
 
-// containsRisingEdge reports whether any condition in the statement tree
-// calls rising_edge (making the process clocked).
-func containsRisingEdge(stmts []stmtNode) bool {
-	for _, s := range stmts {
-		if n, ok := s.(*ifNode); ok {
-			if exprHasRisingEdge(n.cond) || containsRisingEdge(n.then) || containsRisingEdge(n.els) {
-				return true
-			}
-		}
-		if n, ok := s.(*caseNode); ok {
-			for _, a := range n.arms {
-				if containsRisingEdge(a.body) {
-					return true
-				}
-			}
-		}
+// parseIf parses the rest of an if (or elsif) up to its end if. A condition
+// that tests a clock edge is the clock gate: every Tick of the engine's
+// single clock is a posedge, so its branch is kept without the test, any
+// branch after it is dropped, and the process is clocked.
+func (p *parser) parseIf() ([]hdl.Stmt, error) {
+	edges := p.edges
+	cond, err := p.parseExpr()
+	if err != nil {
+		return nil, err
 	}
-	return false
-}
-
-func exprHasRisingEdge(e expr) bool {
-	switch v := e.(type) {
-	case *callExpr:
-		if v.fn == "rising_edge" || v.fn == "falling_edge" {
-			return true
-		}
-		for _, a := range v.args {
-			if exprHasRisingEdge(a) {
-				return true
-			}
-		}
-	case *binE:
-		return exprHasRisingEdge(v.x) || exprHasRisingEdge(v.y)
-	case *unaryE:
-		return exprHasRisingEdge(v.x)
+	gate := p.edges != edges
+	if err := p.expectKw("then"); err != nil {
+		return nil, err
 	}
-	return false
+	then, err := p.parseStmts()
+	if err != nil {
+		return nil, err
+	}
+	var els []hdl.Stmt
+	if p.acceptKw("elsif") {
+		els, err = p.parseIf()
+	} else if p.acceptKw("else") {
+		els, err = p.parseStmts()
+	}
+	if err != nil {
+		return nil, err
+	}
+	if gate {
+		p.clocked = true
+		return then, nil
+	}
+	return []hdl.Stmt{&hdl.If{Cond: cond, Then: then, Else: els}}, nil
 }
 
 // ---------------------------------------------------------------------------
 // Expression parsing. VHDL precedence (low to high): logical (and/or/...),
-// relational, shift, adding, multiplying, misc (**, not).
+// relational, shift, adding, multiplying, unary (not, -).
 
-func (p *parser) parseExpr() (expr, error) {
-	return p.parseLogical()
+// binOps respells VHDL's binary operators in the design tree's vocabulary;
+// a leading ~ negates the result.
+var binOps = map[string]string{
+	"and": "&", "or": "|", "xor": "^", "nand": "~&", "nor": "~|", "xnor": "~^",
+	"=": "==", "/=": "!=", "mod": "%", "rem": "%", "sll": "<<", "srl": ">>", "sra": ">>>",
 }
 
-func (p *parser) parseLogical() (expr, error) {
-	lhs, err := p.parseRelational()
+// binary builds x op y; & is concatenation.
+func binary(op string, x, y hdl.Expr, line int) hdl.Expr {
+	if op == "&" {
+		return &hdl.Concat{Parts: []hdl.Expr{x, y}}
+	}
+	if s, ok := binOps[op]; ok {
+		op = s
+	}
+	if op[0] == '~' {
+		return &hdl.Unary{Op: "~", X: &hdl.Binary{Op: op[1:], X: x, Y: y, Line: line}, Line: line}
+	}
+	return &hdl.Binary{Op: op, X: x, Y: y, Line: line}
+}
+
+// levels lists each binary precedence level's operators, loosest first;
+// relational operators do not associate.
+var levels = []map[string]bool{
+	{"and": true, "or": true, "xor": true, "nand": true, "nor": true, "xnor": true},
+	{"=": true, "/=": true, "<": true, "<=": true, ">": true, ">=": true},
+	{"sll": true, "srl": true, "sra": true},
+	{"+": true, "-": true, "&": true},
+	{"*": true, "/": true, "mod": true, "rem": true},
+}
+
+func (p *parser) parseExpr() (hdl.Expr, error) { return p.parseLevel(0) }
+
+func (p *parser) parseLevel(n int) (hdl.Expr, error) {
+	if n == len(levels) {
+		return p.parseUnary()
+	}
+	lhs, err := p.parseLevel(n + 1)
 	if err != nil {
 		return nil, err
 	}
 	for {
 		t := p.cur()
-		if t.kind != tokIdent {
-			return lhs, nil
-		}
-		switch t.text {
-		case "and", "or", "xor", "nand", "nor", "xnor":
-			p.pos++
-			rhs, err := p.parseRelational()
-			if err != nil {
-				return nil, err
-			}
-			lhs = &binE{op: t.text, x: lhs, y: rhs, line: t.line}
-		default:
-			return lhs, nil
-		}
-	}
-}
-
-func (p *parser) parseRelational() (expr, error) {
-	lhs, err := p.parseShift()
-	if err != nil {
-		return nil, err
-	}
-	t := p.cur()
-	if t.kind == tokPunct {
-		switch t.text {
-		case "=", "/=", "<", "<=", ">", ">=":
-			p.pos++
-			rhs, err := p.parseShift()
-			if err != nil {
-				return nil, err
-			}
-			return &binE{op: t.text, x: lhs, y: rhs, line: t.line}, nil
-		}
-	}
-	return lhs, nil
-}
-
-func (p *parser) parseShift() (expr, error) {
-	lhs, err := p.parseAdding()
-	if err != nil {
-		return nil, err
-	}
-	for p.isKw("sll") || p.isKw("srl") || p.isKw("sra") {
-		op := p.cur().text
-		line := p.cur().line
-		p.pos++
-		rhs, err := p.parseAdding()
-		if err != nil {
-			return nil, err
-		}
-		lhs = &binE{op: op, x: lhs, y: rhs, line: line}
-	}
-	return lhs, nil
-}
-
-func (p *parser) parseAdding() (expr, error) {
-	lhs, err := p.parseMul()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		t := p.cur()
-		if t.kind == tokPunct && (t.text == "+" || t.text == "-" || t.text == "&") {
-			p.pos++
-			rhs, err := p.parseMul()
-			if err != nil {
-				return nil, err
-			}
-			lhs = &binE{op: t.text, x: lhs, y: rhs, line: t.line}
-			continue
-		}
-		return lhs, nil
-	}
-}
-
-func (p *parser) parseMul() (expr, error) {
-	lhs, err := p.parseUnary()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		t := p.cur()
-		isMul := t.kind == tokPunct && (t.text == "*" || t.text == "/")
-		isMod := t.kind == tokIdent && (t.text == "mod" || t.text == "rem")
-		if !isMul && !isMod {
+		if (t.kind != tokIdent && t.kind != tokPunct) || !levels[n][t.text] {
 			return lhs, nil
 		}
 		p.pos++
-		rhs, err := p.parseUnary()
+		rhs, err := p.parseLevel(n + 1)
 		if err != nil {
 			return nil, err
 		}
-		lhs = &binE{op: t.text, x: lhs, y: rhs, line: t.line}
+		lhs = binary(t.text, lhs, rhs, t.line)
+		if n == 1 {
+			return lhs, nil
+		}
 	}
 }
 
-func (p *parser) parseUnary() (expr, error) {
+func (p *parser) parseUnary() (hdl.Expr, error) {
 	t := p.cur()
-	if t.kind == tokIdent && t.text == "not" {
+	if (t.kind == tokIdent && t.text == "not") || (t.kind == tokPunct && t.text == "-") {
 		p.pos++
 		x, err := p.parseUnary()
 		if err != nil {
 			return nil, err
 		}
-		return &unaryE{op: "not", x: x, line: t.line}, nil
-	}
-	if t.kind == tokPunct && t.text == "-" {
-		p.pos++
-		x, err := p.parseUnary()
-		if err != nil {
-			return nil, err
+		op := "-"
+		if t.text == "not" {
+			op = "~"
 		}
-		return &unaryE{op: "-", x: x, line: t.line}, nil
+		return &hdl.Unary{Op: op, X: x, Line: t.line}, nil
 	}
-	return p.parsePostfix()
+	return p.parsePrimary()
 }
 
-func (p *parser) parsePostfix() (expr, error) {
-	base, err := p.parsePrimary()
-	if err != nil {
-		return nil, err
-	}
-	// name(args) is either an index/slice or a call; disambiguated at
-	// elaboration by the callExpr produced in parsePrimary.
-	return base, nil
-}
-
-func (p *parser) parsePrimary() (expr, error) {
+func (p *parser) parsePrimary() (hdl.Expr, error) {
 	t := p.cur()
+	p.pos++
 	switch t.kind {
 	case tokNumber:
-		p.pos++
 		v, err := strconv.ParseUint(t.text, 10, 64)
 		if err != nil {
 			return nil, fmt.Errorf("vhdl: line %d: bad number %q", t.line, t.text)
 		}
-		return &numLit{val: v, w: 0, line: t.line}, nil
+		return &hdl.Num{Val: v}, nil
 	case tokChar:
-		p.pos++
-		switch t.text {
-		case "0":
-			return &numLit{val: 0, w: 1, line: t.line}, nil
-		case "1":
-			return &numLit{val: 1, w: 1, line: t.line}, nil
-		default:
-			// 'X', 'Z', 'U' etc. collapse to 0 in the two-state engine.
-			return &numLit{val: 0, w: 1, line: t.line}, nil
+		// 'X', 'Z', 'U' etc. collapse to 0 in the two-state engine.
+		if t.text == "1" {
+			return &hdl.Num{Val: 1, Width: 1}, nil
 		}
+		return &hdl.Num{Width: 1}, nil
 	case tokBits:
-		p.pos++
 		if len(t.text) == 0 || len(t.text) > 64 {
 			return nil, fmt.Errorf("vhdl: line %d: bit string length %d unsupported", t.line, len(t.text))
 		}
@@ -885,81 +687,108 @@ func (p *parser) parsePrimary() (expr, error) {
 				v |= 1
 			}
 		}
-		return &numLit{val: v, w: len(t.text), line: t.line}, nil
+		return &hdl.Num{Val: v, Width: len(t.text)}, nil
 	case tokHex:
-		p.pos++
 		v, err := strconv.ParseUint(t.text, 16, 64)
 		if err != nil {
 			return nil, fmt.Errorf("vhdl: line %d: bad hex literal %q", t.line, t.text)
 		}
-		return &numLit{val: v, w: 4 * len(t.text), line: t.line}, nil
+		return &hdl.Num{Val: v, Width: 4 * len(t.text)}, nil
 	case tokIdent:
-		name := t.text
-		line := t.line
-		p.pos++
 		if p.acceptPunct("(") {
-			// others aggregate? (others => '0')
-			if name == "" {
-				return nil, p.errf("internal: empty name")
-			}
-			var args []expr
-			var msb, lsb expr
-			isSlice := false
-			for {
-				a, err := p.parseExpr()
-				if err != nil {
-					return nil, err
-				}
-				if p.acceptKw("downto") {
-					msb = a
-					lsb, err = p.parseExpr()
-					if err != nil {
-						return nil, err
-					}
-					isSlice = true
-					break
-				}
-				args = append(args, a)
-				if !p.acceptPunct(",") {
-					break
-				}
-			}
-			if err := p.expectPunct(")"); err != nil {
+			return p.parseCall(t)
+		}
+		switch t.text {
+		case "true":
+			return &hdl.Num{Val: 1, Width: 1}, nil
+		case "false":
+			return &hdl.Num{Width: 1}, nil
+		}
+		return &hdl.Ident{Name: t.text, Line: t.line}, nil
+	case tokPunct:
+		if t.text != "(" {
+			break
+		}
+		// (others => '0') aggregate?
+		if p.acceptKw("others") {
+			if err := p.expectPunct("=>"); err != nil {
 				return nil, err
 			}
-			if isSlice {
-				return &selectE{base: &identRef{name: name, line: line}, msb: msb, lsb: lsb, line: line}, nil
+			bit := p.cur()
+			if bit.kind != tokChar {
+				return nil, p.errf("expected '0' or '1' in others aggregate")
 			}
-			return &callExpr{fn: name, args: args, line: line}, nil
-		}
-		return &identRef{name: name, line: line}, nil
-	case tokPunct:
-		if t.text == "(" {
 			p.pos++
-			// (others => '0') aggregate?
-			if p.acceptKw("others") {
-				if err := p.expectPunct("=>"); err != nil {
-					return nil, err
-				}
-				bitTok := p.cur()
-				if bitTok.kind != tokChar {
-					return nil, p.errf("expected '0' or '1' in others aggregate")
-				}
-				p.pos++
-				if err := p.expectPunct(")"); err != nil {
-					return nil, err
-				}
-				return &othersE{bit: bitTok.text[0], line: t.line}, nil
-			}
-			e, err := p.parseExpr()
+			return &hdl.Fill{One: bit.text == "1", Line: t.line}, p.expectPunct(")")
+		}
+		e, err := p.parseExpr()
+		if err != nil {
+			return nil, err
+		}
+		return e, p.expectPunct(")")
+	}
+	p.pos--
+	return nil, p.errf("expected expression")
+}
+
+// arity is the argument count of each function the subset knows; any other
+// name(arg) indexes a signal.
+var arity = map[string]int{
+	"std_logic_vector": 1, "std_ulogic_vector": 1, "unsigned": 1, "signed": 1, "to_integer": 1,
+	"resize": 2, "to_unsigned": 2, "to_signed": 2, "shift_left": 2, "shift_right": 2,
+	"rising_edge": 1, "falling_edge": 1,
+}
+
+// parseCall parses the rest of name(...): a slice, a function call or an
+// index, lowered into the design tree.
+func (p *parser) parseCall(name token) (hdl.Expr, error) {
+	var args []hdl.Expr
+	for {
+		a, err := p.parseExpr()
+		if err != nil {
+			return nil, err
+		}
+		if p.acceptKw("downto") {
+			lsb, err := p.parseExpr()
 			if err != nil {
 				return nil, err
 			}
-			if err := p.expectPunct(")"); err != nil {
-				return nil, err
-			}
-			return e, nil
+			return &hdl.Select{Base: &hdl.Ident{Name: name.text, Line: name.line}, MSB: a, LSB: lsb, Line: name.line},
+				p.expectPunct(")")
+		}
+		args = append(args, a)
+		if !p.acceptPunct(",") {
+			break
 		}
 	}
-	return nil, p.errf("expected expression")
+	if err := p.expectPunct(")"); err != nil {
+		return nil, err
+	}
+	want, known := arity[name.text]
+	if !known {
+		want = 1
+	}
+	if len(args) != want {
+		return nil, fmt.Errorf("vhdl: line %d: %s takes %d argument(s), not %d", name.line, name.text, want, len(args))
+	}
+	switch name.text {
+	case "std_logic_vector", "std_ulogic_vector", "unsigned", "signed":
+		return args[0], nil // width-preserving over two-state vectors
+	case "to_integer":
+		return &hdl.Width{X: args[0], W: &hdl.Num{Val: 32}, Line: name.line}, nil
+	case "resize", "to_unsigned", "to_signed":
+		return &hdl.Width{X: args[0], W: args[1], Line: name.line}, nil
+	case "shift_left":
+		return &hdl.Binary{Op: "<<", X: args[0], Y: args[1], Line: name.line}, nil
+	case "shift_right":
+		return &hdl.Binary{Op: ">>", X: args[0], Y: args[1], Line: name.line}, nil
+	case "rising_edge", "falling_edge":
+		// Outside a clock gate's test: every Tick is a posedge.
+		p.edges++
+		if name.text == "rising_edge" {
+			return &hdl.Num{Val: 1, Width: 1}, nil
+		}
+		return &hdl.Num{Width: 1}, nil
+	}
+	return &hdl.Select{Base: &hdl.Ident{Name: name.text, Line: name.line}, Index: args[0], Line: name.line}, nil
 }

@@ -1,29 +1,75 @@
-// Package vhdl implements gem5rtl's VHDL toolflow: a lexer, parser and
-// elaborator for a synthesisable VHDL subset, playing the role GHDL plays in
-// the paper — the first time (per the paper) a VHDL flow is interfaced with
-// a gem5-style simulator. Source text elaborates into the same internal/rtl
-// intermediate representation as the Verilog frontend, so VHDL designs plug
-// into RTLObject identically.
+// Package vhdl implements gem5rtl's VHDL toolflow, playing the role GHDL
+// plays in the paper — the first time (per the paper) a VHDL flow is
+// interfaced with a gem5-style simulator. It is a lexer and a parser for a
+// synthesisable VHDL subset; the parser builds the same language-neutral
+// internal/hdl design tree the Verilog front end builds, and internal/hdl
+// elaborates it into the internal/rtl intermediate representation, so VHDL
+// designs plug into RTLObject identically.
 //
 // Supported subset: entity with generics and in/out ports of std_logic,
 // std_logic_vector/unsigned/signed (N downto 0) and integer; architecture
-// with signal declarations and initialisers; concurrent simple and
-// conditional ("when/else") assignments; processes with sensitivity lists,
-// rising_edge clocking (including the async-reset idiom, approximated as
-// synchronous), if/elsif/else, case/when; entity instantiation with generic
-// and port maps; the usual operators; (others => '0'/'1') aggregates;
-// bit-string and hex literals; and the numeric_std casts
-// (std_logic_vector, unsigned, signed, resize, to_unsigned, to_integer),
-// which are width-preserving no-ops over the engine's two-state vectors.
+// with signal and constant declarations and initialisers; concurrent simple
+// and conditional ("when/else") assignments; processes with sensitivity
+// lists, rising_edge clocking (including the async-reset idiom, approximated
+// as synchronous), if/elsif/else, case/when; entity instantiation with
+// generic and port maps; the usual operators; (others => '0'/'1')
+// aggregates; bit-string and hex literals; and the numeric_std functions
+// (std_logic_vector, unsigned, signed, resize, to_unsigned, to_integer,
+// shift_left, shift_right) over the engine's two-state vectors.
+//
+// The parser does the VHDL-only work, so nothing about the language reaches
+// the elaborator but data: operators are respelled in the tree's vocabulary
+// (and → &, /= → !=, mod/rem → %, sll → <<, nand → ~(&), & → concatenation,
+// …); a when/else chain becomes a Cond chain; an if that tests rising_edge
+// or falling_edge is the clock gate, so its test is stripped, its branch
+// kept, and its process marked Clocked; the casts become Width nodes or
+// vanish; types become [msb:0] ranges; (others => b) becomes a Fill node,
+// sized by the elaborator from the assignment target; and name(arg) is an
+// index unless name is one of the functions above. A process never reads
+// its own pending assignments (signal semantics). Identifiers are
+// case-insensitive: the lexer lower-cases them, and Elaborate and Compile
+// lower-case the top name and the generic overrides.
 package vhdl
 
 import (
 	"fmt"
 	"strings"
+
+	"gem5rtl/internal/hdl"
+	"gem5rtl/internal/rtl"
 )
 
-// ---------------------------------------------------------------------------
-// Lexer
+// Elaborate flattens the named top entity of a parsed design into an
+// rtl.Circuit (see hdl.Elaborate). overrides replaces generic values.
+func Elaborate(d *hdl.Design, top string, overrides map[string]int64) (*rtl.Circuit, error) {
+	c, err := hdl.Elaborate(d, strings.ToLower(top), lower(overrides))
+	if err != nil {
+		return nil, fmt.Errorf("vhdl: %w", err)
+	}
+	return c, nil
+}
+
+// Compile parses, elaborates and compiles VHDL source in one call — the
+// equivalent of the paper's GHDL flow producing a tickable model.
+func Compile(src, top string, overrides map[string]int64) (*rtl.Model, error) {
+	d, err := Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	m, err := hdl.Compile(d, strings.ToLower(top), lower(overrides))
+	if err != nil {
+		return nil, fmt.Errorf("vhdl: %w", err)
+	}
+	return m, nil
+}
+
+func lower(overrides map[string]int64) map[string]int64 {
+	out := make(map[string]int64, len(overrides))
+	for name, v := range overrides {
+		out[strings.ToLower(name)] = v
+	}
+	return out
+}
 
 type tokKind int
 
@@ -123,172 +169,3 @@ func isIdentStart(c byte) bool {
 func isIdentChar(c byte) bool {
 	return isIdentStart(c) || c >= '0' && c <= '9'
 }
-
-// ---------------------------------------------------------------------------
-// AST
-
-// Design is a parsed VHDL file: entities paired with their architectures.
-type Design struct {
-	Entities []*Entity
-}
-
-// EntityByName returns the named entity or nil (names are lower-cased).
-func (d *Design) EntityByName(name string) *Entity {
-	name = strings.ToLower(name)
-	for _, e := range d.Entities {
-		if e.Name == name {
-			return e
-		}
-	}
-	return nil
-}
-
-// Entity is an entity declaration plus its (single) architecture body.
-type Entity struct {
-	Name     string
-	Generics []genericDecl
-	Ports    []portDecl
-	Signals  []signalDecl
-	Concs    []conc
-	Line     int
-}
-
-type genericDecl struct {
-	name string
-	def  expr
-}
-
-type portDecl struct {
-	name string
-	isIn bool
-	typ  typeRef
-	line int
-}
-
-type signalDecl struct {
-	name string
-	typ  typeRef
-	init expr
-	line int
-}
-
-type typeRef struct {
-	name string // std_logic, std_logic_vector, unsigned, signed, integer, boolean
-	msb  expr   // nil for scalar
-	line int
-}
-
-// conc is a concurrent statement.
-type conc interface{ conc() }
-
-type concAssign struct {
-	target lvalue
-	// arms: value when cond, ..., final else value (conds[i] guards vals[i];
-	// vals[len(conds)] is the unconditional tail).
-	vals  []expr
-	conds []expr
-	line  int
-}
-
-type process struct {
-	seq  bool // clocked by rising_edge
-	body []stmtNode
-	line int
-}
-
-type instance struct {
-	label    string
-	entity   string
-	generics map[string]expr
-	ports    map[string]expr
-	line     int
-}
-
-func (*concAssign) conc() {}
-func (*process) conc()    {}
-func (*instance) conc()   {}
-
-type stmtNode interface{ stmtNode() }
-
-type sigAssign struct {
-	target lvalue
-	rhs    expr
-	line   int
-}
-
-type ifNode struct {
-	cond expr
-	then []stmtNode
-	els  []stmtNode
-	line int
-}
-
-type caseNode struct {
-	subject expr
-	arms    []caseArm
-	line    int
-}
-
-type caseArm struct {
-	choices []expr // empty = others
-	body    []stmtNode
-}
-
-type nullNode struct{}
-
-func (*sigAssign) stmtNode() {}
-func (*ifNode) stmtNode()    {}
-func (*caseNode) stmtNode()  {}
-func (*nullNode) stmtNode()  {}
-
-type lvalue struct {
-	name     string
-	index    expr // single index (bit or memory-free; memories unsupported)
-	msb, lsb expr // slice (msb downto lsb)
-	line     int
-}
-
-type expr interface{ expr() }
-
-type numLit struct {
-	val  uint64
-	w    int // 0 = unsized
-	line int
-}
-type identRef struct {
-	name string
-	line int
-}
-type callExpr struct {
-	fn   string
-	args []expr
-	line int
-}
-type unaryE struct {
-	op   string
-	x    expr
-	line int
-}
-type binE struct {
-	op   string
-	x, y expr
-	line int
-}
-type selectE struct {
-	base     expr
-	index    expr
-	msb, lsb expr
-	line     int
-}
-type othersE struct {
-	bit  byte // '0' or '1'
-	line int
-}
-
-func (*numLit) expr()   {}
-func (*identRef) expr() {}
-func (*callExpr) expr() {}
-func (*unaryE) expr()   {}
-func (*binE) expr()     {}
-func (*selectE) expr()  {}
-func (*othersE) expr()  {}
