@@ -301,8 +301,6 @@ func fullSystem() (*flag.FlagSet, func()) {
 				if err := s.Watchdog.Err(); err != nil {
 					cli.Fatal(err)
 				}
-				// The check event is host-side and not serialisable.
-				s.Watchdog.Stop()
 			}
 			if err := flushObs(); err != nil {
 				cli.Fatal(err)

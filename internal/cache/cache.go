@@ -121,6 +121,7 @@ func New(cfg Config, q *sim.EventQueue) *Cache {
 		panic(fmt.Sprintf("cache %s: bad geometry", cfg.Name))
 	}
 	c := &Cache{cfg: cfg, q: q, nsets: nsets, mshrs: map[uint64]*mshr{}}
+	c.pool.ShareIDs(q)
 	// Only the set-pointer tables are eager; way arrays and data slabs
 	// materialise per touched set in victim(). Cache construction used to
 	// dominate the allocation profile of cold DSE sweeps.

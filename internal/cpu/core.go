@@ -111,8 +111,9 @@ type Core struct {
 
 	// pool recycles the core's timing read packets (ifetch and load touches);
 	// lsFree recycles their loadState tags. Write packets stay individually
-	// allocated: a posted write's packet is retained by the DRAM write queue
-	// (and by checkpoints) after its response retires here.
+	// allocated, with IDs minted from the pool: a posted write's packet is
+	// retained by the DRAM write queue (and by checkpoints) after its
+	// response retires here.
 	pool   port.PacketPool
 	lsFree []*loadState
 	// fnRead/fnWrite are reusable scratch packets for the functional
@@ -170,6 +171,7 @@ func New(cfg Config, dom *sim.ClockDomain) *Core {
 		fetchBlock: ^uint64(0),
 	}
 	c.regs[2] = cfg.StackTop
+	c.pool.ShareIDs(c.q)
 	c.iPort = port.NewRequestPort(cfg.Name+".icache", (*coreIFace)(c))
 	c.dPort = port.NewRequestPort(cfg.Name+".dcache", (*coreDFace)(c))
 	c.ticker = sim.NewTicker(cfg.Name+".tick", dom, sim.PriCPU, c.cycle)
@@ -361,7 +363,9 @@ func (c *Core) step(committed *int) bool {
 		}
 		c.fnWrite = port.Packet{Cmd: port.WriteReq, Addr: addr, Size: n, Data: buf}
 		c.dPort.SendFunctional(&c.fnWrite)
-		t := port.NewWritePacket(addr, buf)
+		// A plain packet, not NewWrite's: it carries one sender state, this
+		// core's, so NewWrite's room for two would only add bytes.
+		t := &port.Packet{ID: c.pool.MintID(), Cmd: port.WriteReq, Addr: addr, Size: n, Data: buf}
 		t.RequestorID = c.cfg.ID
 		t.PushSenderState(c.getLoadState(false, false, 0))
 		if !c.dPort.SendTimingReq(t) {

@@ -5,6 +5,7 @@ import (
 
 	"gem5rtl/internal/port"
 	"gem5rtl/internal/sim"
+	"gem5rtl/internal/soc"
 )
 
 // offerCounter counts the requests offered on a link. It passes everything.
@@ -31,7 +32,7 @@ func TestContendedDRAMOffersTrackAccepts(t *testing.T) {
 
 	run := func(classified bool) (offers, accepts uint64, done sim.Tick) {
 		t.Helper()
-		s, err := buildPoint(spec)
+		s, err := buildPoint(spec, soc.Oracles{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"gem5rtl/internal/sim"
+	"gem5rtl/internal/soc"
 )
 
 // TestLoadedDRAMStaysInCalendarRing holds the calendar window to what it is
@@ -24,7 +25,7 @@ func TestLoadedDRAMStaysInCalendarRing(t *testing.T) {
 		{"4xNVDLA DDR4-1ch scale 32", DSEParams{Scale: 32, Limit: 4 * sim.Second}.Spec("sanity3", 4, "DDR4-1ch", 240), 21357000},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s, err := buildPoint(tc.spec)
+			s, err := buildPoint(tc.spec, soc.Oracles{})
 			if err != nil {
 				t.Fatal(err)
 			}

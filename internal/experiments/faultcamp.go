@@ -99,13 +99,12 @@ func (r Runner) faultRun(ctx context.Context, c FaultCampaign, f *guard.Fault, o
 		return res, err
 	}
 	spec := c.Spec
-	s, err := buildPoint(spec)
+	s, err := buildPoint(spec, r.oracles)
 	if err != nil {
 		return res, err
 	}
 	deliver := r.profile(s)
-	wd := s.AttachWatchdog(c.Guard)
-	defer wd.Stop()
+	s.AttachWatchdog(c.Guard)
 	var tap *guard.PacketFaultTap
 	if f != nil {
 		switch f.Kind {
@@ -373,7 +372,7 @@ func (r Runner) pmuRun(ctx context.Context, c PMUCampaign, f *guard.Fault) (faul
 	cfg := soc.DefaultConfig()
 	cfg.Cores = 1
 	cfg.WithPMU = true
-	s, err := soc.Build(cfg)
+	s, err := soc.BuildWithOracles(cfg, r.oracles)
 	if err != nil {
 		return res, err
 	}
@@ -392,7 +391,6 @@ func (r Runner) pmuRun(ctx context.Context, c PMUCampaign, f *guard.Fault) (faul
 	s.Cores[0].OnExit = func(int64) { done = true; s.Queue.ExitSimLoop("exit") }
 	s.StartCores(0)
 	wd := s.AttachWatchdog(c.Guard)
-	defer wd.Stop()
 	if f != nil {
 		pick := f.Pick
 		s.Queue.ScheduleOneShotOwned("guard.rtl-state-flip", f.Tick,

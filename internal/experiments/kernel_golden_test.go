@@ -9,8 +9,8 @@ import (
 	"path/filepath"
 	"testing"
 
-	"gem5rtl/internal/port"
 	"gem5rtl/internal/sim"
+	"gem5rtl/internal/soc"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
@@ -34,12 +34,11 @@ type kernelGoldenEntry struct {
 	Hash  string   `json:"state_hash"`
 }
 
-// runKernelGoldenPoint executes one grid point from a deterministic packet-ID
-// origin and digests the full post-run system state.
-func runKernelGoldenPoint(t *testing.T, spec RunSpec) kernelGoldenEntry {
+// runKernelGoldenPoint executes one grid point on the given oracles and
+// digests the full post-run system state.
+func runKernelGoldenPoint(t *testing.T, spec RunSpec, o soc.Oracles) kernelGoldenEntry {
 	t.Helper()
-	port.SetPacketIDForTest(0)
-	s, err := buildPoint(spec)
+	s, err := buildPoint(spec, o)
 	if err != nil {
 		t.Fatalf("%v: build: %v", spec, err)
 	}
@@ -66,12 +65,10 @@ func TestKernelGoldenStateHash(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full 12-config grid is not -short friendly")
 	}
-	base := port.PacketIDMark()
-	defer port.SetPacketIDForTest(base)
-
+	t.Parallel()
 	var got []kernelGoldenEntry
 	for _, spec := range kernelGoldenSpecs() {
-		got = append(got, runKernelGoldenPoint(t, spec))
+		got = append(got, runKernelGoldenPoint(t, spec, soc.Oracles{}))
 	}
 
 	path := filepath.Join("testdata", "kernel_golden.json")
@@ -119,11 +116,7 @@ func TestReferenceQueueMatchesGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full 12-config grid is not -short friendly")
 	}
-	base := port.PacketIDMark()
-	defer port.SetPacketIDForTest(base)
-	sim.UseReferenceQueueForTest(true)
-	defer sim.UseReferenceQueueForTest(false)
-
+	t.Parallel()
 	buf, err := os.ReadFile(filepath.Join("testdata", "kernel_golden.json"))
 	if err != nil {
 		t.Fatalf("missing golden file (run TestKernelGoldenStateHash -update to capture): %v", err)
@@ -137,7 +130,7 @@ func TestReferenceQueueMatchesGolden(t *testing.T) {
 		t.Fatalf("golden file has %d entries, grid has %d", len(want), len(specs))
 	}
 	for i, spec := range specs {
-		got := runKernelGoldenPoint(t, spec)
+		got := runKernelGoldenPoint(t, spec, soc.Oracles{ReferenceQueue: true})
 		if got != want[i] {
 			t.Errorf("reference queue diverged on %s:\n  got  ticks=%d hash=%s\n  want ticks=%d hash=%s",
 				got.Spec, got.Ticks, got.Hash, want[i].Ticks, want[i].Hash)

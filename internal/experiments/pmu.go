@@ -26,13 +26,16 @@ import (
 type AXIHost struct {
 	q     *sim.EventQueue
 	p     *port.RequestPort
+	pool  port.PacketPool
 	reads map[uint64]chan uint32 // packet ID -> result
 }
 
-// NewAXIHost creates a host master; bind its Port to the PMU's CPU port.
+// NewAXIHost creates a host master on q's system, minting its packet IDs
+// from the system's counter; bind its Port to the PMU's CPU port.
 func NewAXIHost(q *sim.EventQueue) *AXIHost {
 	h := &AXIHost{q: q, reads: map[uint64]chan uint32{}}
 	h.p = port.NewRequestPort("axihost", h)
+	h.pool.ShareIDs(q)
 	return h
 }
 
@@ -57,7 +60,7 @@ func (h *AXIHost) RecvReqRetry() {}
 
 // Write posts a register write (fire and forget; the response is dropped).
 func (h *AXIHost) Write(addr uint64, val uint32) {
-	pkt := port.NewWritePacket(addr, []byte{
+	pkt := h.pool.NewWrite(addr, []byte{
 		byte(val), byte(val >> 8), byte(val >> 16), byte(val >> 24)})
 	if !h.p.SendTimingReq(pkt) {
 		panic("experiments: PMU refused AXI write")
@@ -66,7 +69,7 @@ func (h *AXIHost) Write(addr uint64, val uint32) {
 
 // Read issues a register read and runs the simulation until it completes.
 func (h *AXIHost) Read(addr uint64) uint32 {
-	pkt := port.NewReadPacket(addr, 4)
+	pkt := h.pool.GetRead(addr, 4)
 	ch := make(chan uint32, 1)
 	h.reads[pkt.ID] = ch
 	if !h.p.SendTimingReq(pkt) {

@@ -45,16 +45,9 @@ func WithWarmStart(warmup sim.Tick, cache *CheckpointCache) Option {
 
 // WithWatchdog attaches a liveness watchdog with the given configuration, so
 // a hung point surfaces as a *guard.HangError instead of idling to the time
-// limit. Composes with WithWarmStart: the watchdog is detached around the
-// snapshot save/restore (its check event is host-side and not serialisable)
-// and re-attached for the simulated remainder.
-//
-// An untripped watchdog never perturbs simulated behaviour — component events
-// dispatch at the same ticks and the run finishes at the same time — but its
-// periodic check event does consume event-queue sequence numbers and dispatch
-// counts, which the checkpoint format serialises. A guarded run's StateHash
-// therefore differs from an unguarded one even though the simulated machine
-// is identical; compare hashes only between runs with the same guard setting.
+// limit. The watchdog polls the run loop instead of scheduling events, so an
+// untripped guarded run is the bare run's machine: same ticks, dispatch
+// count, StateHash and warm-start snapshot.
 func WithWatchdog(cfg guard.Config) Option {
 	return func(o *runOpts) { o.guard = &cfg }
 }
@@ -125,21 +118,22 @@ func Run(ctx context.Context, spec RunSpec, opts ...Option) (sim.Tick, error) {
 }
 
 // attach wires the pre-run observability and guarding options into a built
-// system. It returns the attached watchdog (nil when unguarded) so callers
-// can detach it around checkpoint saves.
-func (o *runOpts) attach(s *soc.System) (*guard.Watchdog, error) {
+// system.
+func (o *runOpts) attach(s *soc.System) error {
 	if o.trace != nil {
 		if _, err := s.AttachTracer(*o.trace); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	if o.profSink != nil {
+		// Attached before a restore, the profiler folds the snapshot's
+		// attribution counts straight in.
 		s.AttachSelfProfiler(o.profEvery)
 	}
 	if o.guard != nil {
-		return s.AttachWatchdog(*o.guard), nil
+		s.AttachWatchdog(*o.guard)
 	}
-	return nil, nil
+	return nil
 }
 
 // finish runs the post-run option sinks.
@@ -163,24 +157,10 @@ func (o *runOpts) finish(s *soc.System) error {
 	return nil
 }
 
-// runCold executes the point from tick 0 with no checkpointing.
-func runCold(ctx context.Context, spec RunSpec, o *runOpts) (sim.Tick, error) {
-	s, err := buildPoint(spec)
-	if err != nil {
-		// A point that cannot build will not build on a retry either.
-		return 0, Permanent(err)
-	}
-	wd, err := o.attach(s)
-	if err != nil {
-		return 0, Permanent(err)
-	}
-	done, err := s.RunUntilNVDLAsDoneCtx(ctx, spec.Limit)
+// complete runs s to the end of the point and then the post-run sinks.
+func (o *runOpts) complete(ctx context.Context, s *soc.System, limit sim.Tick) (sim.Tick, error) {
+	done, err := s.RunUntilNVDLAsDoneCtx(ctx, limit)
 	obs.CountEvents(s.Queue.Dispatched())
-	// Stop before the finish sinks: the watchdog's host-side check event must
-	// not be scheduled while StateHash serialises the queue.
-	if wd != nil {
-		wd.Stop()
-	}
 	if err != nil {
 		return done, err
 	}
@@ -190,99 +170,63 @@ func runCold(ctx context.Context, spec RunSpec, o *runOpts) (sim.Tick, error) {
 	return done, nil
 }
 
+// runCold executes the point from tick 0 with no checkpointing.
+func runCold(ctx context.Context, spec RunSpec, o *runOpts) (sim.Tick, error) {
+	s, err := buildPoint(spec, soc.Oracles{})
+	if err != nil {
+		// A point that cannot build will not build on a retry either.
+		return 0, Permanent(err)
+	}
+	if err := o.attach(s); err != nil {
+		return 0, Permanent(err)
+	}
+	return o.complete(ctx, s, spec.Limit)
+}
+
 // runWarm executes the point with warm-start checkpointing. On a cache hit
 // it builds a fresh system, restores the snapshot and simulates only the
 // remainder; on a miss it runs the warm-up prefix from tick 0, snapshots the
-// full system at the warmup tick (watchdog detached around the save — its
-// check event is host-side), then finishes the run. A snapshot that fails to
-// restore (a stale file persisted by an older build) is dropped and the
-// point transparently falls back to a cold run.
+// full system at the warmup tick, then finishes the run. A snapshot that
+// fails to restore (a stale file persisted by an older build) is dropped and
+// the point transparently falls back to a cold run.
 func runWarm(ctx context.Context, spec RunSpec, o *runOpts) (sim.Tick, error) {
 	if blob, ok := o.cache.load(spec, o.warmup); ok {
 		s, err := soc.Build(specConfig(spec))
 		if err != nil {
 			return 0, Permanent(err)
 		}
-		if o.trace != nil {
-			if _, err := s.AttachTracer(*o.trace); err != nil {
-				return 0, Permanent(err)
-			}
-		}
-		if o.profSink != nil {
-			// Attach before the restore so the snapshot's attribution
-			// counts fold straight into the live profiler.
-			s.AttachSelfProfiler(o.profEvery)
+		if err := o.attach(s); err != nil {
+			return 0, Permanent(err)
 		}
 		if _, err := s.Restore(bytes.NewReader(blob)); err == nil {
 			o.cache.countHit()
-			var wd *guard.Watchdog
-			if o.guard != nil {
-				wd = s.AttachWatchdog(*o.guard)
-			}
-			done, err := s.RunUntilNVDLAsDoneCtx(ctx, spec.Limit)
-			obs.CountEvents(s.Queue.Dispatched())
-			if wd != nil {
-				wd.Stop()
-			}
-			if err != nil {
-				return done, err
-			}
-			if ferr := o.finish(s); ferr != nil {
-				return 0, ferr
-			}
-			return done, nil
+			return o.complete(ctx, s, spec.Limit)
 		}
 		o.cache.countStale()
 		o.cache.drop(spec, o.warmup)
 	}
-	s, err := buildPoint(spec)
+	s, err := buildPoint(spec, soc.Oracles{})
 	if err != nil {
 		return 0, Permanent(err)
 	}
-	wd, err := o.attach(s)
-	if err != nil {
+	if err := o.attach(s); err != nil {
 		return 0, Permanent(err)
 	}
 	done, remaining, err := s.RunNVDLAPhase(ctx, o.warmup)
 	if err != nil {
-		if wd != nil {
-			wd.Stop()
-		}
 		return 0, err
 	}
 	if remaining == 0 {
 		// Finished inside the warm-up window; nothing worth snapshotting.
-		if wd != nil {
-			wd.Stop()
-		}
 		if ferr := o.finish(s); ferr != nil {
 			return 0, ferr
 		}
 		return done, nil
-	}
-	// The watchdog's check event is host-side and not serialisable; detach
-	// it around the save and re-attach for the remainder.
-	if wd != nil {
-		wd.Stop()
 	}
 	var buf bytes.Buffer
 	if err := s.Save(&buf); err != nil {
 		return 0, fmt.Errorf("experiments: warm-start snapshot for %v: %w", spec, err)
 	}
 	o.cache.store(spec, o.warmup, buf.Bytes())
-	if o.guard != nil {
-		wd = s.AttachWatchdog(*o.guard)
-	}
-	total, err := s.RunUntilNVDLAsDoneCtx(ctx, spec.Limit)
-	obs.CountEvents(s.Queue.Dispatched())
-	if wd != nil {
-		wd.Stop()
-	}
-	if err != nil {
-		return total, err
-	}
-	if ferr := o.finish(s); ferr != nil {
-		return 0, ferr
-	}
-	return total, nil
+	return o.complete(ctx, s, spec.Limit)
 }

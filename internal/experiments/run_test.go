@@ -8,10 +8,10 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"gem5rtl/internal/guard"
 	"gem5rtl/internal/obs"
-	"gem5rtl/internal/port"
 	"gem5rtl/internal/sim"
 	"gem5rtl/internal/stats"
 )
@@ -54,15 +54,13 @@ func TestRunMatchesLegacyGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	base := port.PacketIDMark()
-	defer port.SetPacketIDForTest(base)
+	t.Parallel()
 	ctx := context.Background()
 	const warmup = 1 * sim.Microsecond
 
 	for _, entry := range want {
 		spec := parseSpecString(t, entry.Spec)
 
-		port.SetPacketIDForTest(0)
 		cold, err := Run(ctx, spec)
 		if err != nil {
 			t.Fatalf("%v: cold: %v", spec, err)
@@ -72,12 +70,10 @@ func TestRunMatchesLegacyGolden(t *testing.T) {
 		}
 
 		cache := NewCheckpointCache("")
-		port.SetPacketIDForTest(0)
 		populate, err := Run(ctx, spec, WithWarmStart(warmup, cache))
 		if err != nil {
 			t.Fatalf("%v: warm populate: %v", spec, err)
 		}
-		port.SetPacketIDForTest(0)
 		restore, err := Run(ctx, spec, WithWarmStart(warmup, cache))
 		if err != nil {
 			t.Fatalf("%v: warm restore: %v", spec, err)
@@ -87,7 +83,6 @@ func TestRunMatchesLegacyGolden(t *testing.T) {
 				spec, populate, restore, entry.WarmTicks)
 		}
 
-		port.SetPacketIDForTest(0)
 		guarded, err := Run(ctx, spec, WithWatchdog(guard.Config{}))
 		if err != nil {
 			t.Fatalf("%v: guarded: %v", spec, err)
@@ -100,25 +95,17 @@ func TestRunMatchesLegacyGolden(t *testing.T) {
 }
 
 // TestRunOptionComposition exercises the full warm × guard × observability
-// matrix on one point: every option subset must produce the same tick count
-// as the bare run, warm-start and observability must also preserve the bare
-// run's state hash, and every combination must hash identically across its
-// own passes (the warm restore-equivalence witness). Guarded combinations are
-// excluded from the bare-hash comparison only because the watchdog's check
-// event consumes serialised queue sequence/dispatch counters (see
-// WithWatchdog); the simulated machine — and hence the tick count — is
-// unchanged.
+// × deadline-context matrix on one point: every option subset, run bare or
+// under a deadline as every sweep-service point is, must reproduce the bare
+// run's tick count and state hash, and every combination must hash
+// identically across its own passes (the warm restore-equivalence witness).
+// The watchdog and the context watch poll the run loop instead of
+// scheduling events, so neither leaves a mark on the machine.
 func TestRunOptionComposition(t *testing.T) {
+	t.Parallel()
 	spec := DSEParams{Scale: 64, Limit: 8 * sim.Second}.Spec("sanity3", 1, "DDR4-1ch", 16)
-	ctx := context.Background()
-	const warmup = 1 * sim.Microsecond
-
-	base := port.PacketIDMark()
-	defer port.SetPacketIDForTest(base)
-
-	port.SetPacketIDForTest(0)
 	var refHash uint64
-	refTicks, err := Run(ctx, spec, WithStateHash(&refHash))
+	refTicks, err := Run(context.Background(), spec, WithStateHash(&refHash))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,57 +118,67 @@ func TestRunOptionComposition(t *testing.T) {
 			for _, observed := range []bool{false, true} {
 				name := fmt.Sprintf("warm=%v/guard=%v/obs=%v", warm, guarded, observed)
 				t.Run(name, func(t *testing.T) {
-					var cache *CheckpointCache
-					if warm {
-						cache = NewCheckpointCache("")
-					}
-					var passHash [2]uint64
-					// Two passes so the warm configurations cover both the
-					// populating (miss) and restoring (hit) paths.
-					for pass := 0; pass < 2; pass++ {
-						var opts []Option
-						if warm {
-							opts = append(opts, WithWarmStart(warmup, cache))
-						}
-						if guarded {
-							opts = append(opts, WithWatchdog(guard.Config{}))
-						}
-						var samples []stats.Sample
-						if observed {
-							opts = append(opts, WithTracer(obs.Config{}),
-								WithStats(func(s []stats.Sample) { samples = s }))
-						}
-						var hash uint64
-						opts = append(opts, WithStateHash(&hash))
-
-						port.SetPacketIDForTest(0)
-						ticks, err := Run(ctx, spec, opts...)
-						if err != nil {
-							t.Fatalf("pass %d: %v", pass, err)
-						}
-						if ticks != refTicks {
-							t.Errorf("pass %d: ticks %d, bare run gave %d", pass, ticks, refTicks)
-						}
-						passHash[pass] = hash
-						if !guarded && hash != refHash {
-							t.Errorf("pass %d: state hash %016x, bare run gave %016x", pass, hash, refHash)
-						}
-						if observed && len(samples) == 0 {
-							t.Errorf("pass %d: WithStats sink received no samples", pass)
-						}
-					}
-					if passHash[0] != passHash[1] {
-						t.Errorf("state hash diverged between passes: %016x vs %016x",
-							passHash[0], passHash[1])
-					}
-					if warm {
-						cs := cache.Stats()
-						if cs.Misses != 1 || cs.Hits != 1 {
-							t.Errorf("cache stats %+v, want exactly one miss then one hit", cs)
-						}
+					t.Parallel()
+					for _, deadline := range []bool{false, true} {
+						t.Run(fmt.Sprintf("deadline=%v", deadline), func(t *testing.T) {
+							ctx := context.Background()
+							if deadline {
+								c, cancel := context.WithTimeout(ctx, time.Hour)
+								defer cancel()
+								ctx = c
+							}
+							runComposed(t, ctx, spec, warm, guarded, observed, refTicks, refHash)
+						})
 					}
 				})
 			}
+		}
+	}
+}
+
+// runComposed is one cell of TestRunOptionComposition: two passes of spec
+// under the given options, so the warm configurations cover both the
+// populating (miss) and restoring (hit) paths.
+func runComposed(t *testing.T, ctx context.Context, spec RunSpec, warm, guarded, observed bool, refTicks sim.Tick, refHash uint64) {
+	const warmup = 1 * sim.Microsecond
+	var cache *CheckpointCache
+	if warm {
+		cache = NewCheckpointCache("")
+	}
+	for pass := 0; pass < 2; pass++ {
+		var opts []Option
+		if warm {
+			opts = append(opts, WithWarmStart(warmup, cache))
+		}
+		if guarded {
+			opts = append(opts, WithWatchdog(guard.Config{}))
+		}
+		var samples []stats.Sample
+		if observed {
+			opts = append(opts, WithTracer(obs.Config{}),
+				WithStats(func(s []stats.Sample) { samples = s }))
+		}
+		var hash uint64
+		opts = append(opts, WithStateHash(&hash))
+
+		ticks, err := Run(ctx, spec, opts...)
+		if err != nil {
+			t.Fatalf("pass %d: %v", pass, err)
+		}
+		if ticks != refTicks {
+			t.Errorf("pass %d: ticks %d, bare run gave %d", pass, ticks, refTicks)
+		}
+		if hash != refHash {
+			t.Errorf("pass %d: state hash %016x, bare run gave %016x", pass, hash, refHash)
+		}
+		if observed && len(samples) == 0 {
+			t.Errorf("pass %d: WithStats sink received no samples", pass)
+		}
+	}
+	if warm {
+		cs := cache.Stats()
+		if cs.Misses != 1 || cs.Hits != 1 {
+			t.Errorf("cache stats %+v, want exactly one miss then one hit", cs)
 		}
 	}
 }

@@ -76,6 +76,10 @@ type Runner struct {
 	// whose table helpers discard the raw Results. It is called from worker
 	// goroutines and must be safe for concurrent use.
 	AttrSink func(*prof.Report)
+
+	// oracles builds the fault campaigns' systems on test oracles; only this
+	// package's tests set it.
+	oracles soc.Oracles
 }
 
 // profile attaches the self-profiler to a system a Runner method built by

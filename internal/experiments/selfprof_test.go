@@ -40,9 +40,7 @@ func diffCounts(t *testing.T, label string, got, want map[string]uint64) {
 // the final simulated statistics — the simulated machine cannot see the
 // profiler. (StateHash is excluded from the on/off comparison by design:
 // with profiling on the checkpoint stream additionally carries the exact
-// attribution table, which the digest covers — and the stream's packet-ID
-// high-water mark is process-global, so hashes only compare within one
-// save/restore pair, never across independent runs.)
+// attribution table, which the digest covers.)
 func TestSelfProfileObservational(t *testing.T) {
 	spec := DSEParams{Scale: 64, Limit: 8 * sim.Second}.Spec("sanity3", 1, "DDR4-1ch", 64)
 	ctx := context.Background()

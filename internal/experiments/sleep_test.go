@@ -7,7 +7,6 @@ import (
 
 	"gem5rtl/internal/pmu"
 	"gem5rtl/internal/port"
-	"gem5rtl/internal/rtlobject"
 	"gem5rtl/internal/sim"
 	"gem5rtl/internal/soc"
 	"gem5rtl/internal/workload"
@@ -58,10 +57,7 @@ type splitWitness struct {
 // completion and hashes it again. oracle builds the per-cycle machine.
 func runSplit(t *testing.T, spec RunSpec, split sim.Tick, oracle bool) (splitWitness, *soc.System) {
 	t.Helper()
-	port.SetPacketIDForTest(0)
-	rtlobject.IgnoreSleepersForTest(oracle)
-	s, err := buildPoint(spec)
-	rtlobject.IgnoreSleepersForTest(false)
+	s, err := buildPoint(spec, soc.Oracles{PerCycle: oracle})
 	if err != nil {
 		t.Fatalf("%v: build: %v", spec, err)
 	}
@@ -93,8 +89,7 @@ func TestSleepingMatchesPerCycleAtEverySplit(t *testing.T) {
 	if testing.Short() {
 		t.Skip("7 specs x 44 splits x 2 machines")
 	}
-	base := port.PacketIDMark()
-	defer port.SetPacketIDForTest(base)
+	t.Parallel()
 	for _, spec := range sleepSplitSpecs() {
 		var elided, ticks uint64
 		for _, split := range sleepSplitTicks() {
@@ -119,7 +114,7 @@ func TestSleepingMatchesPerCycleAtEverySplit(t *testing.T) {
 // count: at least 85% of the accelerators' cycles credited, not dispatched.
 func requireMostlyElided(t *testing.T, spec RunSpec) {
 	t.Helper()
-	s, err := buildPoint(spec)
+	s, err := buildPoint(spec, soc.Oracles{})
 	if err != nil {
 		t.Fatalf("%v: build: %v", spec, err)
 	}
@@ -150,13 +145,10 @@ func checkMostlyElided(t *testing.T, spec RunSpec, s *soc.System) {
 // oracle builds the per-cycle machine.
 func pmuSortSystem(t *testing.T, thresh uint32, oracle bool) *soc.System {
 	t.Helper()
-	port.SetPacketIDForTest(0)
 	cfg := soc.DefaultConfig()
 	cfg.Cores = 1
 	cfg.WithPMU = true
-	rtlobject.IgnoreSleepersForTest(oracle)
-	s, err := soc.Build(cfg)
-	rtlobject.IgnoreSleepersForTest(false)
+	s, err := soc.BuildWithOracles(cfg, soc.Oracles{PerCycle: oracle})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,8 +210,7 @@ func TestPMUSleepingMatchesPerCycleAtEverySplit(t *testing.T) {
 	if testing.Short() {
 		t.Skip("3 thresholds x 176 splits")
 	}
-	base := port.PacketIDMark()
-	defer port.SetPacketIDForTest(base)
+	t.Parallel()
 	var splits []sim.Tick
 	for _, off := range append([]sim.Tick{0}, pmuSleepStarts(t)...) {
 		for _, at := range sleepSplitTicks() {
@@ -267,14 +258,13 @@ func TestPMUFaultCampaignMatchesPerCycle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two PMU campaigns")
 	}
+	t.Parallel()
 	c := PMUCampaign{Seed: 5, Count: 8}
 	got, err := Runner{Workers: 1}.PMUFaultCampaign(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rtlobject.IgnoreSleepersForTest(true)
-	want, err := Runner{Workers: 1}.PMUFaultCampaign(context.Background(), c)
-	rtlobject.IgnoreSleepersForTest(false)
+	want, err := Runner{Workers: 1, oracles: soc.Oracles{PerCycle: true}}.PMUFaultCampaign(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}

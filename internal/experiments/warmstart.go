@@ -25,9 +25,10 @@ func specConfig(spec RunSpec) soc.Config {
 }
 
 // buildPoint builds and fully sets up one simulation point: accelerators
-// started and each playing its own copy of the workload trace.
-func buildPoint(spec RunSpec) (*soc.System, error) {
-	s, err := soc.Build(specConfig(spec))
+// started and each playing its own copy of the workload trace. Only tests
+// pass oracles other than the zero value.
+func buildPoint(spec RunSpec, o soc.Oracles) (*soc.System, error) {
+	s, err := soc.BuildWithOracles(specConfig(spec), o)
 	if err != nil {
 		return nil, err
 	}

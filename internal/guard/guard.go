@@ -9,9 +9,9 @@
 // misbehaving RTL model corrupts results without tripping anything. The
 // watchdog closes the first gap: components expose their occupancy through
 // the small Probe interface, the watchdog samples forward-progress counters
-// on a periodic event, and a wedge is converted into a structured HangError
-// carrying pending events, in-flight packet IDs and per-component occupancy
-// instead of a hang.
+// from a periodic host-side poll of the run loop (sim.EventQueue.Poll), and a
+// wedge is converted into a structured HangError carrying pending events,
+// in-flight packet IDs and per-component occupancy instead of a hang.
 package guard
 
 import (
@@ -92,13 +92,15 @@ type progressSrc struct {
 }
 
 // Watchdog is an EventQueue-attached liveness monitor. Register components
-// with Watch and forward-progress counters with AddProgress, then Start it;
+// with Watch and forward-progress counters with AddProgress before running;
 // a trip latches a HangError (see Err) and ends the simulation loop via
 // ExitSimLoop, so the driving code regains control with full diagnostics.
+// Its checks are polls, not events: an untripped watchdog leaves the
+// simulated machine, its dispatch count and its checkpoint bytes exactly as
+// an unwatched run's, so it needs no detaching around a save.
 type Watchdog struct {
 	q   *sim.EventQueue
 	cfg Config
-	ev  *sim.Event
 
 	probes   []Probe
 	progress []progressSrc
@@ -113,7 +115,8 @@ type Watchdog struct {
 	err       *HangError
 }
 
-// NewWatchdog creates an unstarted watchdog on q.
+// NewWatchdog creates a watchdog on q, its first check due one Interval
+// from now.
 func NewWatchdog(q *sim.EventQueue, cfg Config) *Watchdog {
 	if cfg.Interval == 0 {
 		cfg.Interval = DefaultInterval
@@ -125,9 +128,9 @@ func NewWatchdog(q *sim.EventQueue, cfg Config) *Watchdog {
 		cfg.MaxDumpEvents = DefaultMaxDumpEvents
 	}
 	w := &Watchdog{q: q, cfg: cfg}
-	// PriStats: the check observes the post-update state of its tick, after
-	// component events have run.
-	w.ev = sim.NewEventPri("guard.watchdog", sim.PriStats, w.check).SetOwner(q.Owner("guard", "watchdog"))
+	// A poll observes the post-update state of its tick: every component
+	// event at or before the deadline has run.
+	q.Poll(q.Now()+cfg.Interval, w.check)
 	return w
 }
 
@@ -153,20 +156,6 @@ func (w *Watchdog) AddProgress(name string, fn func() uint64) {
 	w.progress = append(w.progress, progressSrc{name, fn})
 }
 
-// Start schedules the first liveness check.
-func (w *Watchdog) Start() {
-	w.q.Schedule(w.ev, w.q.Now()+w.cfg.Interval)
-}
-
-// Stop deschedules the check event. Required before checkpointing the system
-// (the watchdog's event is host-side and not serialisable) and before
-// reusing the queue without liveness monitoring.
-func (w *Watchdog) Stop() {
-	if w.ev.Scheduled() {
-		w.q.Deschedule(w.ev)
-	}
-}
-
 // Err returns the latched HangError, or nil if the watchdog never tripped.
 func (w *Watchdog) Err() error {
 	if w.err == nil {
@@ -175,8 +164,8 @@ func (w *Watchdog) Err() error {
 	return w.err
 }
 
-// check is the periodic liveness event.
-func (w *Watchdog) check() {
+// check is the periodic liveness poll; it returns the tick of the next one.
+func (w *Watchdog) check() sim.Tick {
 	work := 0
 	for _, p := range w.probes {
 		work += p.InFlight()
@@ -191,18 +180,16 @@ func (w *Watchdog) check() {
 	case work == 0:
 		// Quiescent: nothing to wait on. Reset the stall count so idle
 		// stretches (sleeping cores, drained accelerators) never accumulate
-		// toward a trip, and let the queue drain naturally if this check was
-		// the last pending event.
+		// toward a trip, and stop checking once the queue has drained.
 		w.stalls = 0
 		if w.q.Empty() {
-			return
+			return sim.MaxTick
 		}
 	case w.q.Empty():
-		// The check event was the last thing scheduled, yet components still
-		// hold in-flight work: the simulation lost the events that would have
-		// completed it.
+		// Nothing is left to dispatch, yet components still hold in-flight
+		// work: the simulation lost the events that would have completed it.
 		w.trip("event queue drained with in-flight work")
-		return
+		return sim.MaxTick
 	case progressed:
 		w.stalls = 0
 	default:
@@ -210,10 +197,10 @@ func (w *Watchdog) check() {
 		if w.stalls >= w.cfg.MaxStalls {
 			w.trip(fmt.Sprintf("no forward progress for %d checks (%d ns simulated) with in-flight work",
 				w.stalls, uint64(w.cfg.Interval)*uint64(w.stalls)/uint64(sim.Nanosecond)))
-			return
+			return sim.MaxTick
 		}
 	}
-	w.q.Schedule(w.ev, w.q.Now()+w.cfg.Interval)
+	return w.q.Now() + w.cfg.Interval
 }
 
 // trip latches the diagnostic and ends the simulation loop.

@@ -18,8 +18,8 @@ func (p *fakeProbe) GuardName() string   { return p.name }
 func (p *fakeProbe) InFlight() int       { return p.n }
 func (p *fakeProbe) GuardDetail() string { return fmt.Sprintf("n=%d", p.n) }
 
-// A quiescent system lets the watchdog stop rescheduling itself so the queue
-// drains, and never trips.
+// A quiescent system lets the watchdog stop polling once the queue drains,
+// and never trips.
 func TestWatchdogQuiescentDrains(t *testing.T) {
 	q := sim.NewEventQueue()
 	wd := NewWatchdog(q, Config{})
@@ -27,7 +27,6 @@ func TestWatchdogQuiescentDrains(t *testing.T) {
 	wd.Watch(p)
 	// The component finishes its work before the first check.
 	q.ScheduleFunc("finish", 10*sim.Microsecond, func() { p.n = 0 })
-	wd.Start()
 	q.RunUntil(sim.Second)
 	if err := wd.Err(); err != nil {
 		t.Fatalf("quiescent run tripped: %v", err)
@@ -43,7 +42,6 @@ func TestWatchdogDrainedWithWork(t *testing.T) {
 	q := sim.NewEventQueue()
 	wd := NewWatchdog(q, Config{})
 	wd.Watch(&fakeProbe{name: "stuck.cache", n: 3})
-	wd.Start()
 	q.RunUntil(sim.Second)
 	err := wd.Err()
 	if err == nil {
@@ -85,7 +83,6 @@ func TestWatchdogStallTrip(t *testing.T) {
 	wd.Watch(&fakeProbe{name: "rtl.dla0", n: 1})
 	wd.AddProgress("retired", func() uint64 { return 42 }) // frozen
 	tick(q, sim.Microsecond, nil)
-	wd.Start()
 	q.RunUntil(sim.Second)
 	err := wd.Err()
 	if err == nil {
@@ -118,27 +115,9 @@ func TestWatchdogProgressResetsStalls(t *testing.T) {
 	// Progress once per check interval: always exactly one retirement between
 	// checks, so the stall counter can never reach MaxStalls.
 	tick(q, 10*sim.Microsecond, func() { retired++ })
-	wd.Start()
 	q.RunUntil(500 * sim.Microsecond)
 	if err := wd.Err(); err != nil {
 		t.Fatalf("advancing run tripped: %v", err)
-	}
-}
-
-// Stop deschedules the check so a stopped watchdog can never trip (required
-// before checkpointing).
-func TestWatchdogStop(t *testing.T) {
-	q := sim.NewEventQueue()
-	wd := NewWatchdog(q, Config{})
-	wd.Watch(&fakeProbe{name: "comp", n: 1})
-	wd.Start()
-	wd.Stop()
-	q.RunUntil(sim.Second)
-	if err := wd.Err(); err != nil {
-		t.Fatalf("stopped watchdog tripped: %v", err)
-	}
-	if !q.Empty() {
-		t.Fatal("stopped watchdog left its event scheduled")
 	}
 }
 
@@ -203,7 +182,6 @@ func TestHangDiagnosticIncludesTraceTail(t *testing.T) {
 		}
 		return []string{"100: stuck.cache: miss addr=0x40", "200: stuck.cache: MSHR full"}
 	})
-	wd.Start()
 	q.RunUntil(sim.Second)
 	var hang *HangError
 	if !errors.As(wd.Err(), &hang) {

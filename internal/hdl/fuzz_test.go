@@ -38,7 +38,7 @@ func FuzzVHDL(f *testing.F) {
 }
 
 func addCrashInputs(f *testing.F, lang string) {
-	for _, c := range crashInputs {
+	for _, c := range append(crashInputs, deepInputs()...) {
 		if c.lang == lang {
 			f.Add(c.src)
 		}

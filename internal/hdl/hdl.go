@@ -14,6 +14,12 @@
 // for a Verilog combinational always block; it too is a field, not a branch.
 package hdl
 
+// MaxNesting bounds how deeply either parser lets a source nest: brackets,
+// unary operators, conditional arms and nested statements each count a level.
+// Real designs nest a handful deep; the bound turns a hostile source into an
+// error instead of a goroutine stack overflow, which no recover can catch.
+const MaxNesting = 256
+
 // Design is a parsed source file: its modules (VHDL: entities, each with
 // its architecture), in source order.
 type Design struct {

@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"testing"
 	"time"
 
+	"gem5rtl/internal/hdl"
 	"gem5rtl/internal/pmu"
 	"gem5rtl/internal/rtl"
 	"gem5rtl/internal/rtlc"
@@ -97,6 +99,67 @@ endmodule`},
 	{"verilog-repeat", "verilog", `module m (input wire [3:0] a, output wire [7:0] y);
   assign y = {64'h4000000000000000{a}};
 endmodule`},
+}
+
+// deepInputs nest past hdl.MaxNesting: 10 MB of parentheses around one
+// operand, which once overflowed the goroutine stack, and — to reach each
+// parser's own bound behind its lexer's bracket count — chains of unary
+// operators, conditionals and statements a level too deep.
+func deepInputs() []struct{ name, lang, src string } {
+	const parens = 5_000_000 // 10 MB of brackets
+	over := hdl.MaxNesting + 1
+	rep := strings.Repeat
+	vlog := func(body string) string {
+		return "module m (input wire a, output reg y);\n" + body + "\nendmodule\n"
+	}
+	vhd := func(body string) string {
+		return "entity m is port (a : in std_logic; y : out std_logic); end entity;\n" +
+			"architecture r of m is begin\n" + body + "\nend architecture;\n"
+	}
+	return []struct{ name, lang, src string }{
+		{"verilog-parens", "verilog", vlog("assign y = " + rep("(", parens) + "a" + rep(")", parens) + ";")},
+		{"verilog-unary", "verilog", vlog("assign y = " + rep("~", over) + "a;")},
+		{"verilog-cond", "verilog", vlog("assign y = " + rep("a ? a : ", over) + "a;")},
+		{"verilog-if", "verilog", vlog("always @* begin " + rep("if (a) ", over) + "y = a; end")},
+		{"vhdl-parens", "vhdl", vhd("y <= " + rep("(", parens) + "a" + rep(")", parens) + ";")},
+		{"vhdl-unary", "vhdl", vhd("y <= " + rep("not ", over) + "a;")},
+		{"vhdl-when", "vhdl", vhd("y <= " + rep("a when a = '1' else ", over) + "a;")},
+		{"vhdl-if", "vhdl", vhd("process (a) begin " + rep("if a = '1' then ", over) + "y <= a;" +
+			rep(" end if;", over) + " end process;")},
+	}
+}
+
+// TestDeepNestingReturnsErrors feeds each parser sources nested past
+// hdl.MaxNesting, the 10 MB bracket nests among them: each must be refused
+// with an error within a second. A design nested well inside the bound still
+// compiles.
+func TestDeepNestingReturnsErrors(t *testing.T) {
+	for _, tc := range deepInputs() {
+		done := make(chan error, 1)
+		go func() {
+			if tc.lang == "vhdl" {
+				_, err := vhdl.Parse(tc.src)
+				done <- err
+				return
+			}
+			_, err := verilog.Parse(tc.src)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), "nested deeper than") {
+				t.Errorf("%s: err = %v, want a nesting error", tc.name, err)
+			}
+		case <-time.After(time.Second):
+			t.Fatalf("%s: no result within a second", tc.name)
+		}
+	}
+	const depth = 100
+	src := "module m (input wire a, output wire y);\n  assign y = " +
+		strings.Repeat("~(", depth) + "a" + strings.Repeat(")", depth) + ";\nendmodule\n"
+	if _, err := compileAs("verilog", src, "m"); err != nil {
+		t.Errorf("nesting %d deep refused: %v", depth, err)
+	}
 }
 
 func compileAs(lang, src, top string) (*rtl.Model, error) {

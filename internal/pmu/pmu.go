@@ -265,26 +265,9 @@ type Wrapper struct {
 	prevIrq bool
 }
 
-// referenceMode makes NewWrapper build its model on the reference evaluator
-// for code paths that construct the PMU internally (soc.Build). Test-only;
-// see UseReferenceModelForTest.
-var referenceMode bool
-
-// UseReferenceModelForTest makes every subsequent NewWrapper run the PMU on
-// the rtl reference evaluator while on. It is NOT safe to toggle while
-// systems are being built on other goroutines and exists solely for
-// differential tests that build full systems through constructors they do
-// not control.
-func UseReferenceModelForTest(on bool) {
-	referenceMode = on
-}
-
 // NewWrapper builds a PMU wrapper over a fresh model of the PMU RTL, which
 // is compiled on the first call for nc counters only.
 func NewWrapper(nc int) (*Wrapper, error) {
-	if referenceMode {
-		return NewWrapperEngine(nc, rtl.EngineReference)
-	}
 	return NewWrapperEngine(nc, rtl.EngineBytecode)
 }
 

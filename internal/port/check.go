@@ -4,38 +4,7 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"sync"
-	"sync/atomic"
 )
-
-// restoreMarks holds, per packet-ID space (see PacketPool.SetIDSpace; space 0
-// is the process-global counter), the highest local counter value handed to
-// noteRestoredID by a checkpoint restore in this process. Checkers are
-// attached at Bind time, before RestoreState repopulates queues and
-// transaction tables, so handshakes belonging to pre-checkpoint packets (ID
-// at or below the mark *of its own space*) are adopted rather than flagged:
-// the refusal or request they answer happened in the checkpointed process.
-// Post-restore traffic mints IDs above its space's mark and stays fully
-// checked. Marks are per-space so a restored namespaced packet (whose raw ID
-// is numerically huge) does not grandfather the entire global ID sequence.
-var (
-	restoreMu    sync.Mutex
-	restoreMarks = map[uint64]uint64{}
-	everRestored atomic.Bool
-)
-
-// adoptable reports whether an unknown handshake for id belongs to
-// pre-checkpoint traffic restored in this process.
-func adoptable(id uint64) bool {
-	if !everRestored.Load() {
-		return false
-	}
-	space, local := id>>IDSpaceShift, id&IDSpaceLocalMask
-	restoreMu.Lock()
-	mark := restoreMarks[space]
-	restoreMu.Unlock()
-	return local <= mark
-}
 
 // Checking, when true, makes every Bind attach a protocol Checker to the
 // link, turning the whole test suite (and any run with -check-ports) into a
@@ -68,6 +37,10 @@ type Checker struct {
 	refused map[uint64]bool
 	// respBlocked is set while a refused response awaits RecvRespRetry.
 	respBlocked bool
+	// restored is set once the link's response port is restored from a
+	// checkpoint: a retry with no refusal on record then answers one made
+	// before the checkpoint, and is adopted.
+	restored bool
 
 	seq  uint64
 	hist []string
@@ -103,6 +76,7 @@ func attachChecker(req *RequestPort, resp *ResponsePort) *Checker {
 	}
 	req.owner = &checkedRequestor{c: c, inner: req.owner}
 	resp.owner = &checkedResponder{c: c, inner: resp.owner, port: resp}
+	resp.checker = c
 	return c
 }
 
@@ -179,7 +153,7 @@ func (r *checkedResponder) RecvTimingReq(pkt *Packet) bool {
 func (r *checkedResponder) RecvRespRetry() {
 	c := r.c
 	if !c.respBlocked {
-		if everRestored.Load() {
+		if c.restored {
 			c.record("resp-retry pre-checkpoint (adopted)")
 			r.inner.RecvRespRetry()
 			return
@@ -219,7 +193,7 @@ func (r *checkedRequestor) RecvTimingResp(pkt *Packet) bool {
 	}
 	req, known := c.outstanding[id]
 	if !known {
-		if adoptable(id) {
+		if pkt.restored {
 			// The request was accepted before the checkpoint; adopt its
 			// response and skip the kind cross-check (the request command was
 			// never observed on this side of the restore).
@@ -251,7 +225,7 @@ func (r *checkedRequestor) RecvTimingResp(pkt *Packet) bool {
 func (r *checkedRequestor) RecvReqRetry() {
 	c := r.c
 	if len(c.refused) == 0 {
-		if everRestored.Load() {
+		if c.restored {
 			// A refusal checkpointed as a restored needReqRetry flag fires its
 			// retry in this process; the refusal itself predates the checker.
 			c.record("req-retry pre-checkpoint (adopted)")

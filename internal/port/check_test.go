@@ -1,8 +1,11 @@
 package port
 
 import (
+	"bytes"
 	"strings"
 	"testing"
+
+	"gem5rtl/internal/ckpt"
 )
 
 // testRequestor is a scriptable requestor endpoint.
@@ -44,37 +47,6 @@ func checkedLink(reqOwner Requestor, respOwner Responder) (*RequestPort, *Respon
 	resp := NewResponsePort("test.resp", respOwner)
 	c := BindChecked(req, resp)
 	return req, resp, c
-}
-
-// pinNoRestore clears the process-global restore marks for tests asserting
-// no-waiter violations, which a prior restore (e.g. the ckpt tests' packet-ID
-// fast-forward) would legitimately relax.
-func pinNoRestore(t *testing.T) {
-	t.Helper()
-	snapshotRestoreMarks(t)
-	restoreMu.Lock()
-	restoreMarks = map[uint64]uint64{}
-	restoreMu.Unlock()
-	everRestored.Store(false)
-}
-
-// snapshotRestoreMarks restores the process-global restore-mark state when
-// the test finishes.
-func snapshotRestoreMarks(t *testing.T) {
-	t.Helper()
-	restoreMu.Lock()
-	old := make(map[uint64]uint64, len(restoreMarks))
-	for k, v := range restoreMarks {
-		old[k] = v
-	}
-	restoreMu.Unlock()
-	oldEver := everRestored.Load()
-	t.Cleanup(func() {
-		restoreMu.Lock()
-		restoreMarks = old
-		restoreMu.Unlock()
-		everRestored.Store(oldEver)
-	})
 }
 
 func mustPanic(t *testing.T, substr string, fn func()) {
@@ -184,7 +156,6 @@ func TestCheckedDoubleRefusalThenRetry(t *testing.T) {
 // (needReqRetry) normally prevents it, so the test drives the owner directly,
 // modelling a responder that bypasses its own bookkeeping.
 func TestCheckedRetryWithNoWaiterPanics(t *testing.T) {
-	pinNoRestore(t)
 	rq := &testRequestor{}
 	rs := &testResponder{accept: true}
 	req, _, _ := checkedLink(rq, rs)
@@ -194,7 +165,6 @@ func TestCheckedRetryWithNoWaiterPanics(t *testing.T) {
 }
 
 func TestCheckedRespRetryWithNoWaiterPanics(t *testing.T) {
-	pinNoRestore(t)
 	rq := &testRequestor{}
 	rs := &testResponder{accept: true}
 	_, resp, _ := checkedLink(rq, rs)
@@ -277,18 +247,31 @@ func TestCheckedDuplicateRequestIDPanics(t *testing.T) {
 
 // After a checkpoint restore, traffic belonging to pre-checkpoint packets is
 // adopted: the fresh checker never saw the request (or the refusal behind a
-// restored retry flag), so rejecting it would be a false positive. New
-// packets mint IDs above the mark and stay fully checked.
+// restored retry flag), so rejecting it would be a false positive. Packets
+// minted after the restore, and links whose port was not restored, stay
+// fully checked.
 func TestCheckedRestoreAdoptsPreCheckpointTraffic(t *testing.T) {
 	rq := &testRequestor{acceptResp: true}
 	rs := &testResponder{accept: true}
 	req, resp, c := checkedLink(rq, rs)
+	_, fresh, _ := checkedLink(&testRequestor{acceptResp: true}, &testResponder{accept: true})
 
-	// A packet "from the checkpointed process": minted before the restore's
-	// fast-forward, so its ID sits at the mark.
-	old := NewReadPacket(0x400, 64)
-	snapshotRestoreMarks(t)
-	FastForwardPacketID(old.ID)
+	// A packet "from the checkpointed process", and the link's restored
+	// retry flags.
+	var buf bytes.Buffer
+	w := ckpt.NewWriter(&buf)
+	SavePacket(w, NewReadPacket(0x400, 64))
+	if err := (&ResponsePort{}).SaveState(w); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	r := ckpt.NewReader(&buf)
+	old := LoadPacket(r)
+	if err := resp.RestoreState(r); err != nil {
+		t.Fatal(err)
+	}
 
 	old.MakeResponse()
 	if !resp.SendTimingResp(old) {
@@ -313,6 +296,10 @@ func TestCheckedRestoreAdoptsPreCheckpointTraffic(t *testing.T) {
 	if err := c.CheckQuiescent(); err != nil {
 		t.Fatalf("adopted traffic left bookkeeping dirty: %v", err)
 	}
+	// A link whose port was not restored adopts no retry.
+	mustPanic(t, "RecvRespRetry with no refused response waiting", func() {
+		fresh.owner.RecvRespRetry()
+	})
 }
 
 // Bind attaches a checker when the package Checking flag is set, and exactly

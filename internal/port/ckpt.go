@@ -42,12 +42,11 @@ func SavePacket(w *ckpt.Writer, p *Packet) {
 // packet pointers across the save boundary, so identity is carried entirely
 // by the ID and the sender-state stack.
 func LoadPacket(r *ckpt.Reader) *Packet {
-	p := &Packet{}
+	// A restored packet is pre-checkpoint traffic by definition: its
+	// remaining handshakes (a response to a request the fresh checker never
+	// saw) are adopted, not flagged.
+	p := &Packet{restored: true}
 	p.ID = r.U64()
-	// A restored packet is pre-checkpoint traffic by definition: move the
-	// checker grandfather line so its remaining handshakes (a response to a
-	// request the fresh checker never saw) are adopted, not flagged.
-	noteRestoredID(p.ID)
 	p.Cmd = Cmd(r.I64())
 	p.Addr = r.U64()
 	p.Size = r.Int()
@@ -79,11 +78,16 @@ func (p *ResponsePort) SaveState(w *ckpt.Writer) error {
 	return w.Err()
 }
 
-// RestoreState reinstates the retry flags.
+// RestoreState reinstates the retry flags. A retry they fire answers a
+// refusal made before the checkpoint, so the link's checker, if any, is told
+// to adopt one it has no record of.
 func (p *ResponsePort) RestoreState(r *ckpt.Reader) error {
 	r.Section("port.resp")
 	p.needReqRetry = r.Bool()
 	p.needRespRetry = r.Bool()
+	if p.checker != nil {
+		p.checker.restored = true
+	}
 	return r.Err()
 }
 
@@ -205,51 +209,3 @@ func (rq *ReqQueue) RestoreState(r *ckpt.Reader) error {
 	rq.lanes, rq.parked = nil, 0
 	return r.Err()
 }
-
-// PacketIDMark returns the current value of the process-global packet-ID
-// counter: the high-water mark a checkpoint must record.
-func PacketIDMark() uint64 { return packetID.Load() }
-
-// FastForwardPacketID advances the global packet-ID counter to at least mark.
-// Restore paths call this with the checkpoint's recorded mark so a resumed
-// run never mints an ID that collides with a packet already in flight inside
-// the restored state. Lock-free and monotonic: concurrent restores and
-// running simulations only ever move the counter forward.
-func FastForwardPacketID(mark uint64) {
-	for {
-		cur := packetID.Load()
-		if cur >= mark {
-			break
-		}
-		if packetID.CompareAndSwap(cur, mark) {
-			break
-		}
-	}
-	// A restore also moves the checker grandfather line: packets at or below
-	// the mark were minted before the checkpoint, so a fresh process's
-	// checkers (attached at Bind time, before RestoreState repopulates the
-	// queues) must adopt rather than reject their traffic.
-	noteRestoredID(mark)
-}
-
-// noteRestoredID raises the checker grandfather line of id's ID space to at
-// least id's local counter value (see restoreMarks).
-func noteRestoredID(id uint64) {
-	if id == 0 {
-		return
-	}
-	space, local := id>>IDSpaceShift, id&IDSpaceLocalMask
-	restoreMu.Lock()
-	if restoreMarks[space] < local {
-		restoreMarks[space] = local
-	}
-	restoreMu.Unlock()
-	everRestored.Store(true)
-}
-
-// SetPacketIDForTest sets the counter to an absolute value, including
-// backwards. Restore-equivalence tests use it to replay the ID sequence a
-// fresh process would see when comparing in-process runs. Rewinding is only
-// safe while no other simulation is allocating packets — production restore
-// paths must use FastForwardPacketID.
-func SetPacketIDForTest(v uint64) { packetID.Store(v) }

@@ -99,15 +99,20 @@ type Packet struct {
 	// pool, when non-nil, is the freelist this packet returns to on Release.
 	pool   *PacketPool
 	inPool bool
+	// restored marks a packet loaded from a checkpoint (LoadPacket): traffic
+	// the checkpointed run started, which a checker that never saw its
+	// request adopts instead of flagging.
+	restored bool
 }
 
 // PacketPool is a freelist of Packets for a single simulation's hot path.
 // Unlike sync.Pool it is deterministic (no GC-driven eviction), single-
 // threaded like the event queue that drives it, and checkpoint-safe: Get
-// mints a fresh ID from the same global counter as NewPacket (or from the
-// pool's own counter when SetIDSpace namespaced it), so the ID sequence of a
-// pooled run is bit-identical to an unpooled one, and restored packets
-// (LoadPacket) are simply unpooled.
+// mints a fresh ID from the space the pool was given — its own counter
+// under a SetIDSpace tag, or the system's space-0 counter after ShareIDs —
+// so a system's ID sequence depends only on its own run, and restored
+// packets (LoadPacket) are simply unpooled. A pool given neither counts in
+// space 0 on its own, which suits a rig with a single minter.
 //
 // Pooled packets own their Data buffer: the capacity survives recycling, and
 // AllocateData zero-fills reused capacity so observable contents match a
@@ -118,42 +123,50 @@ type PacketPool struct {
 	free []*Packet
 
 	// space, when non-zero, namespaces the pool's IDs: minted IDs are
-	// space<<IDSpaceShift | ctr with a pool-local counter instead of draws
-	// from the process-global counter. A namespaced allocator's ID sequence
-	// depends only on its own allocation order — not on what any other
-	// component, or another simulation in the same process, allocates in
-	// between — so a device's packet IDs, and the checkpoint bytes that hold
-	// them, are the same in every run of the same system. The counter is
-	// component state: owners persist it via SaveCounter/RestoreCounter in
-	// their own checkpoints.
+	// space<<IDSpaceShift | ctr with a pool-local counter. A namespaced
+	// allocator's ID sequence depends only on its own allocation order — not
+	// on what any other component allocates in between — so a device's
+	// packet IDs are the same in every run of the same system. The counter
+	// is component state: owners persist it via SaveCounter/RestoreCounter
+	// in their own checkpoints.
 	space uint64
 	ctr   uint64
+	// q, when set (ShareIDs), supplies space-0 IDs from the system's one
+	// counter; the system's checkpoint persists it.
+	q *sim.EventQueue
 }
 
 // IDSpaceShift positions a PacketPool ID-space tag in the top bits of a
 // packet ID; the low bits hold the pool-local counter.
 const IDSpaceShift = 48
 
-// IDSpaceLocalMask masks the pool-local counter out of a namespaced ID.
-const IDSpaceLocalMask = (uint64(1) << IDSpaceShift) - 1
-
 // SetIDSpace namespaces the pool's packet IDs under the given non-zero space
 // tag (see PacketPool). Must be set before the first Get and never changed.
 func (pl *PacketPool) SetIDSpace(space uint64) {
-	if space == 0 || space > ^uint64(0)>>IDSpaceShift {
+	if space == 0 || space >= looseSpace {
 		panic("port: PacketPool ID space out of range")
 	}
-	if pl.ctr != 0 {
-		panic("port: SetIDSpace after packets were minted")
+	if pl.ctr != 0 || pl.q != nil {
+		panic("port: SetIDSpace after packets were minted or IDs shared")
 	}
 	pl.space = space
 }
 
-// mintID draws the next packet ID: pool-local when namespaced, process-global
-// otherwise.
-func (pl *PacketPool) mintID() uint64 {
-	if pl.space == 0 {
-		return packetID.Add(1)
+// ShareIDs makes the pool mint space-0 IDs from q's counter
+// (sim.EventQueue.MintPacketID), the one every space-0 minter of a system
+// shares. Must be called before the first Get.
+func (pl *PacketPool) ShareIDs(q *sim.EventQueue) {
+	if pl.ctr != 0 || pl.space != 0 {
+		panic("port: ShareIDs after packets were minted or on a namespaced pool")
+	}
+	pl.q = q
+}
+
+// MintID draws the next packet ID from the pool's space, for a packet its
+// owner allocates itself.
+func (pl *PacketPool) MintID() uint64 {
+	if pl.q != nil {
+		return pl.q.MintPacketID()
 	}
 	pl.ctr++
 	return pl.space<<IDSpaceShift | pl.ctr
@@ -172,13 +185,13 @@ func (pl *PacketPool) RestoreCounter(v uint64) { pl.ctr = v }
 func (pl *PacketPool) Get(cmd Cmd, addr uint64, size int) *Packet {
 	n := len(pl.free)
 	if n == 0 {
-		return &Packet{ID: pl.mintID(), Cmd: cmd, Addr: addr, Size: size, pool: pl}
+		return &Packet{ID: pl.MintID(), Cmd: cmd, Addr: addr, Size: size, pool: pl}
 	}
 	p := pl.free[n-1]
 	pl.free[n-1] = nil
 	pl.free = pl.free[:n-1]
 	p.inPool = false
-	p.ID = pl.mintID()
+	p.ID = pl.MintID()
 	p.Cmd = cmd
 	p.Addr = addr
 	p.Size = size
@@ -189,15 +202,14 @@ func (pl *PacketPool) Get(cmd Cmd, addr uint64, size int) *Packet {
 }
 
 // NewWrite allocates an unpooled write packet (the slice is not copied) with
-// an ID minted from the pool's namespace. It exists so a namespaced
-// component's writes draw from the same deterministic per-component ID
-// sequence as its pooled reads instead of the process-global counter.
+// an ID minted from the pool's space, so a component's writes draw from the
+// same deterministic ID sequence as its pooled reads.
 //
 // The packet comes in one allocation with room for two sender states — the
 // issuing bridge's and one crossbar's — because, unlike a pooled read, it has
 // no recycled stack to push onto and would otherwise grow one twice.
 func (pl *PacketPool) NewWrite(addr uint64, data []byte) *Packet {
-	w := &writePacket{Packet: Packet{ID: pl.mintID(), Cmd: WriteReq, Addr: addr, Size: len(data), Data: data}}
+	w := &writePacket{Packet: Packet{ID: pl.MintID(), Cmd: WriteReq, Addr: addr, Size: len(data), Data: data}}
 	w.senderState = w.stack[:0]
 	return &w.Packet
 }
@@ -236,17 +248,20 @@ func (p *Packet) Release() {
 	p.pool.free = append(p.pool.free, p)
 }
 
-// packetID is process-global and atomic: concurrent simulations (the
-// parallel sweep runner drives one event queue per goroutine) allocate from
-// the same counter without racing. IDs are used only for identity — matching
-// responses to requests and tracing — never for ordering or timing
-// decisions, so the interleaving-dependent values cannot perturb simulated
-// behaviour.
-var packetID atomic.Uint64
+// looseSpace is the ID space of packets made by NewPacket and its
+// shorthands: packets built by hand outside any system — test rigs,
+// examples. No PacketPool mints in it, so a loose packet's ID can never
+// collide with a system's.
+const looseSpace = ^uint64(0) >> IDSpaceShift
 
-// NewPacket allocates a packet with a fresh ID.
+// looseID counts loose packets. It is atomic because rigs may run
+// concurrently; no system reads it.
+var looseID atomic.Uint64
+
+// NewPacket allocates a loose packet with a fresh ID (see looseSpace).
+// Components of a system mint from a PacketPool instead.
 func NewPacket(cmd Cmd, addr uint64, size int) *Packet {
-	return &Packet{ID: packetID.Add(1), Cmd: cmd, Addr: addr, Size: size}
+	return &Packet{ID: looseSpace<<IDSpaceShift | looseID.Add(1), Cmd: cmd, Addr: addr, Size: size}
 }
 
 // NewWritePacket allocates a write carrying data (the slice is not copied).
@@ -261,9 +276,9 @@ func NewReadPacket(addr uint64, size int) *Packet {
 	return NewPacket(ReadReq, addr, size)
 }
 
-// NewFunctionalRead builds a read that does NOT consume a global packet ID
-// (ID 0). Functional accesses complete synchronously inside a single call
-// and never enter checkpointed state; minting IDs for them would make the
+// NewFunctionalRead builds a read that does NOT consume a packet ID (ID 0).
+// Functional accesses complete synchronously inside a single call and never
+// enter checkpointed state; minting IDs for them would make the
 // ID sequence depend on host-side memoisation (for example the core's
 // decode cache, which a restored run rebuilds lazily) and break bit-exact
 // checkpoint/restore equivalence.
@@ -271,8 +286,8 @@ func NewFunctionalRead(addr uint64, size int) *Packet {
 	return &Packet{Cmd: ReadReq, Addr: addr, Size: size}
 }
 
-// NewFunctionalWrite builds a write that does NOT consume a global packet
-// ID (ID 0); see NewFunctionalRead. The data slice is not copied.
+// NewFunctionalWrite builds a write that does NOT consume a packet ID (ID
+// 0); see NewFunctionalRead. The data slice is not copied.
 func NewFunctionalWrite(addr uint64, data []byte) *Packet {
 	return &Packet{Cmd: WriteReq, Addr: addr, Size: len(data), Data: data}
 }

@@ -49,6 +49,9 @@ type ResponsePort struct {
 	needReqRetry bool
 	// needRespRetry is the symmetric flag on the requestor side.
 	needRespRetry bool
+	// checker is the link's protocol Checker, nil when unchecked; a restore
+	// of the retry flags above tells it to adopt the retries they fire.
+	checker *Checker
 
 	// classes and classOf are the owner's admission-class declaration (see
 	// DeclareAdmissionClasses); classOf is nil when it made none.

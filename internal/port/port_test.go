@@ -305,3 +305,31 @@ func TestQuickConservation(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPoolsMintFromTheirSpace: pools that share a queue's IDs draw one
+// sequence between them, whatever another system's pools mint meanwhile; a
+// namespaced pool counts on its own; loose packets keep to their own space.
+func TestPoolsMintFromTheirSpace(t *testing.T) {
+	q1, q2 := sim.NewEventQueue(), sim.NewEventQueue()
+	var a, b, c, d PacketPool
+	a.ShareIDs(q1)
+	b.ShareIDs(q1)
+	c.ShareIDs(q2)
+	d.SetIDSpace(3)
+	got := []uint64{
+		a.GetRead(0, 8).ID, c.GetRead(0, 8).ID, b.GetRead(0, 8).ID,
+		a.NewWrite(0, []byte{1}).ID, d.GetRead(0, 8).ID, c.GetRead(0, 8).ID,
+	}
+	want := []uint64{1, 1, 2, 3, 3<<IDSpaceShift | 1, 2}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("ID %d = %#x, want %#x", i, got[i], want[i])
+		}
+	}
+	if q1.PacketIDs() != 3 || q2.PacketIDs() != 2 {
+		t.Errorf("queue marks %d and %d, want 3 and 2", q1.PacketIDs(), q2.PacketIDs())
+	}
+	if id := NewReadPacket(0, 8).ID; id>>IDSpaceShift != looseSpace {
+		t.Errorf("loose packet ID %#x outside the loose space", id)
+	}
+}

@@ -12,8 +12,8 @@ import (
 // transactions), never with Stats().Ticks: a wedged model is still clocked,
 // whether its ticks are dispatched or, for a Sleeper, credited. What the
 // watchdog can no longer rely on is that clock keeping the queue busy — a
-// Sleeper wedged on a lost response schedules nothing, the queue is left to
-// the watchdog's own check event, and the trip reads "event queue drained
+// Sleeper wedged on a lost response schedules nothing, the queue drains
+// before the watchdog's next poll, and the trip reads "event queue drained
 // with in-flight work" where a per-cycle wrapper's reads "no forward
 // progress". Without a watchdog the run ends at its limit with accelerators
 // still running, as it always did (TestLostResponseEndsAtLimit in soc).

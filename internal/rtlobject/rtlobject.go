@@ -162,17 +162,6 @@ type Sleeper interface {
 	Advance(cycles uint64, held []MemResponse)
 }
 
-// ignoreSleepers makes New treat every wrapper as one without the Sleeper
-// capability. Test-only; see IgnoreSleepersForTest.
-var ignoreSleepers bool
-
-// IgnoreSleepersForTest makes every subsequently constructed RTLObject tick
-// its wrapper on every clock edge, whether or not the wrapper is a Sleeper,
-// while on. That per-cycle machine is the oracle the differential tests hold
-// the sleeping one to; nothing but tests may call this, and like
-// sim.UseReferenceQueueForTest it must not be toggled while simulations run.
-func IgnoreSleepersForTest(on bool) { ignoreSleepers = on }
-
 // Config parameterises an RTLObject.
 type Config struct {
 	Name string
@@ -184,6 +173,10 @@ type Config struct {
 	MaxInflight int
 	// TLB, when non-nil, translates model addresses before issue.
 	TLB TLB
+	// PerCycle ticks the wrapper on every clock edge even when it is a
+	// Sleeper: the per-cycle machine the differential tests hold the
+	// sleeping one to.
+	PerCycle bool
 }
 
 // Stats aggregates RTLObject activity counters.
@@ -260,7 +253,7 @@ type RTLObject struct {
 	irqFn    func(level bool)
 
 	// Closed-form cycles. sleeper is the wrapper's Sleeper capability, nil
-	// when it has none (or tests switched it off). While asleep the tick
+	// when it has none (or the object is PerCycle). While asleep the tick
 	// event is parked at the end of the quiet horizon (nowhere, on Forever)
 	// and the object owes every model edge from sleepFrom that the dispatch
 	// order has passed; settle pays them. Responses of kinds outside wakeOn
@@ -313,7 +306,7 @@ func New(cfg Config, coreDom *sim.ClockDomain, w Wrapper) *RTLObject {
 	}
 	r.ticker = sim.NewTicker(cfg.Name+".tick", r.dom, sim.PriDefault, r.tick)
 	r.ticker.SetOwner(r.q.Owner(cfg.Name, "tick"))
-	if sl, ok := w.(Sleeper); ok && !ignoreSleepers {
+	if sl, ok := w.(Sleeper); ok && !cfg.PerCycle {
 		r.sleeper = sl
 		r.q.RegisterSettler(r)
 	}

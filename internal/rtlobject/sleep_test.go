@@ -13,7 +13,7 @@ import (
 
 // The sleep differential drives two rigs through one seeded script: one whose
 // RTLObject sleeps between its model's inputs, and the oracle — the same
-// code, built while IgnoreSleepersForTest is on, ticking the same model on
+// code, built with Config.PerCycle set, ticking the same model on
 // every clock edge. After every action the two must be indistinguishable:
 // same bridge Stats, ticker cycle, model counters (which fold in the cycle
 // each input was consumed on), dispatch count and, at save points, the same
@@ -369,10 +369,8 @@ func (h *napHost) RecvReqRetry()                    {}
 // so both machines' checkpoints carry the same one.
 func (h *napHost) send() {
 	h.sent++
-	keep := port.PacketIDMark()
-	port.SetPacketIDForTest(1<<40 + h.sent)
 	pkt := port.NewReadPacket(0x40+h.sent%4*4, 4)
-	port.SetPacketIDForTest(keep)
+	pkt.ID = 1<<40 + h.sent
 	if !h.p.SendTimingReq(pkt) {
 		panic("rtlobject refused a CPU-side request")
 	}
@@ -438,9 +436,7 @@ func napProgram(seed uint64) []napStep {
 func newNapRig(seed uint64, oracle bool) *napRig {
 	r := &napRig{q: sim.NewEventQueue(), m: &napModel{prog: napProgram(seed)}}
 	core := sim.NewClockDomain("cpu", r.q, 2_000_000_000)
-	IgnoreSleepersForTest(oracle)
-	r.obj = New(Config{Name: "dev", ClockDivider: 2, MaxInflight: 3}, core, r.m)
-	IgnoreSleepersForTest(false)
+	r.obj = New(Config{Name: "dev", ClockDivider: 2, MaxInflight: 3, PerCycle: oracle}, core, r.m)
 	r.obj.SetPacketIDSpace(1)
 	lo, hi := straddle("dev.tick", "mem", ".drain")
 	for i, name := range []string{lo, hi} {
@@ -705,9 +701,7 @@ func TestSameTickChildOrdersAgainstTheElidedTick(t *testing.T) {
 		// One read on port 0, then wait for its data, then idle for good.
 		r.m = &napModel{prog: []napStep{{kind: napBurst, a: 1}, {kind: napAwait}, {kind: napIdle}}, nextID: 1}
 		core := sim.NewClockDomain("cpu", r.q, 2_000_000_000)
-		IgnoreSleepersForTest(oracle)
-		r.obj = New(Config{Name: "dev", ClockDivider: 2, MaxInflight: 3}, core, r.m)
-		IgnoreSleepersForTest(false)
+		r.obj = New(Config{Name: "dev", ClockDivider: 2, MaxInflight: 3, PerCycle: oracle}, core, r.m)
 		r.mem.p = port.NewResponsePort("mem", r.mem)
 		port.Bind(r.obj.MemPort(0), r.mem.p)
 		r.obj.Start()

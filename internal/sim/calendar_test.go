@@ -205,16 +205,10 @@ func TestPendingSummariesAcrossWindow(t *testing.T) {
 	}
 }
 
-// TestUseReferenceQueueForTest checks the soc-facing toggle actually switches
-// dispatcher implementations for queues built through NewEventQueue.
-func TestUseReferenceQueueForTest(t *testing.T) {
-	UseReferenceQueueForTest(true)
-	defer UseReferenceQueueForTest(false)
-	q := NewEventQueue()
-	if !q.ref {
-		t.Fatal("NewEventQueue ignored UseReferenceQueueForTest(true)")
-	}
-	// The reference queue must still honour the full API surface.
+// TestReferenceQueueHonoursAPI checks the reference queue a system can be
+// built on (soc's oracle path) still honours the full API surface.
+func TestReferenceQueueHonoursAPI(t *testing.T) {
+	q := NewReferenceEventQueue()
 	var order []Tick
 	q.ScheduleOneShot("a", 10, func() { order = append(order, q.Now()) })
 	q.ScheduleOneShot("b", 5, func() { order = append(order, q.Now()) })

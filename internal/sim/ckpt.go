@@ -29,23 +29,23 @@ type Settler interface {
 // makes its save the one place every rig passes through, whether it saves a
 // whole system or a queue and one component by hand.
 func (q *EventQueue) RegisterSettler(c Settler) {
-	q.settlers = &settlerHook{c: c, next: q.settlers}
+	h := q.hook()
+	h.settlers = append(h.settlers, c)
 }
 
-// settlerHook is one registered Settler. A list, not a slice: a slice header
-// is two words more in a queue struct that has none to spare (see orderKey),
-// and a system has at most a handful of these.
-type settlerHook struct {
-	c    Settler
-	next *settlerHook
+// eachSettler calls fn on every registered Settler, latest registration
+// first.
+func (q *EventQueue) eachSettler(fn func(Settler)) {
+	if q.hooks == nil {
+		return
+	}
+	for i := len(q.hooks.settlers) - 1; i >= 0; i-- {
+		fn(q.hooks.settlers[i])
+	}
 }
 
 // settle settles every registered Settler.
-func (q *EventQueue) settle() {
-	for h := q.settlers; h != nil; h = h.next {
-		h.c.Settle()
-	}
-}
+func (q *EventQueue) settle() { q.eachSettler(Settler.Settle) }
 
 // SaveState serialises the queue as one "sim.eventq" section: clock,
 // canonical sequence space (canonicalizeSeqs), dispatch count and exit latch,
@@ -56,9 +56,7 @@ func (q *EventQueue) settle() {
 // RestoreState (RestoreEvent). Components registered with RegisterSettler
 // are woken first (BeforeSave).
 func (q *EventQueue) SaveState(w *ckpt.Writer) error {
-	for h := q.settlers; h != nil; h = h.next {
-		h.c.BeforeSave()
-	}
+	q.eachSettler(Settler.BeforeSave)
 	n := q.canonicalizeSeqs()
 	w.Section("sim.eventq")
 	w.U64(uint64(q.now))

@@ -22,10 +22,13 @@
 //     working in stays cache-resident between dispatches, and the window
 //     (CalendarWindow, 4.19 µs) covers the distance at which a loaded DRAM
 //     controller schedules its read completions.
-//   - Far-future events — sleep syscall wake-ups, periodic context checks,
-//     watchdog deadlines — sit in a conventional binary heap and are
-//     dispatched straight from it when they come due; FarScheduled counts
-//     them.
+//   - Far-future events — sleep syscall wake-ups, delayed fault
+//     injections — sit in a conventional binary heap and are dispatched
+//     straight from it when they come due; FarScheduled counts them.
+//
+// Host-side checks (context cancellation, the liveness watchdog) are not
+// events: RunUntil polls them between dispatches (Poll), so they take no
+// part in the dispatch order or the checkpoint.
 //
 // Both structures order events identically, so the dispatch order is
 // bit-identical to a pure-heap queue; TestCalendarScripts, FuzzCalendar,
@@ -234,7 +237,12 @@ type EventQueue struct {
 	seq        uint64
 	exitReason string
 	exitSet    bool
-	stopSet    bool // arms stopAfter, below; kept here so the two flags share a word
+	stopSet    bool // arms stopAfter, below; kept here so the flags share a word
+	// nearDirty forces a bitmap rescan after the cached nearBucket (below)
+	// empties; ref selects the reference pure-heap dispatcher
+	// (NewReferenceEventQueue).
+	nearDirty bool
+	ref       bool
 	// dispatched is a plain counter on the Step hot path; the queue is
 	// strictly single-threaded, so read it only from the sim goroutine
 	// (host-side monitors aggregate it post-run via obs.CountEvents).
@@ -275,13 +283,10 @@ type EventQueue struct {
 	bits      [calWords]uint64
 	nearCount int
 	// nearBucket caches the earliest non-empty bucket (its absolute number,
-	// not its ring index); nearDirty forces a bitmap rescan after that bucket
-	// empties. The next ring event is always the head of nearBucket's list,
-	// so no cached tick can go stale when a head is popped or descheduled.
+	// not its ring index); nearDirty marks it stale. The next ring event is
+	// always the head of nearBucket's list, so no cached tick can go stale
+	// when a head is popped or descheduled.
 	nearBucket uint64
-	nearDirty  bool
-	// ref selects the reference pure-heap dispatcher (NewReferenceEventQueue).
-	ref bool
 
 	// far holds events calBuckets or more buckets ahead (and everything when
 	// ref is set); they are dispatched straight from the heap when due.
@@ -289,9 +294,12 @@ type EventQueue struct {
 	far          eventHeap
 	farScheduled uint64
 
-	// settlers lists the components the run loops settle on return and
-	// SaveState wakes first (RegisterSettler).
-	settlers *settlerHook
+	// hooks holds what the run loops call besides events: the Settlers and
+	// the host-side polls. Nil until the first registration.
+	hooks *hooks
+
+	// packetIDs is the machine's space-0 packet-ID counter (MintPacketID).
+	packetIDs uint64
 
 	// freeEvents recycles one-shot events dispatched via ScheduleOneShot.
 	freeEvents *Event
@@ -307,9 +315,6 @@ type EventQueue struct {
 
 // NewEventQueue returns an empty queue positioned at tick 0.
 func NewEventQueue() *EventQueue {
-	if referenceMode {
-		return NewReferenceEventQueue()
-	}
 	return &EventQueue{slots: new([calBuckets]*Event)}
 }
 
@@ -322,18 +327,21 @@ func NewReferenceEventQueue() *EventQueue {
 	return &EventQueue{ref: true}
 }
 
-// referenceMode switches NewEventQueue-constructed queues to reference
-// dispatch for code paths that build their own queues internally (soc.Build).
-// Test-only; see UseReferenceQueueForTest.
-var referenceMode bool
-
-// UseReferenceQueueForTest makes every subsequently constructed EventQueue a
-// reference (pure-heap) queue while on. It is NOT safe to toggle while
-// simulations are running and exists solely for differential determinism
-// tests that drive full systems through constructors they do not control.
-func UseReferenceQueueForTest(on bool) {
-	referenceMode = on
+// MintPacketID returns the next ID of the machine's space-0 packet-ID
+// counter: one per queue, so one per simulated system, shared by every
+// component of it that does not mint from an ID space of its own. A
+// system's packet IDs therefore depend on nothing but its own run.
+func (q *EventQueue) MintPacketID() uint64 {
+	q.packetIDs++
+	return q.packetIDs
 }
+
+// PacketIDs returns how many space-0 packet IDs the queue has minted: the
+// mark a checkpoint records so a restored run mints past every ID in flight.
+func (q *EventQueue) PacketIDs() uint64 { return q.packetIDs }
+
+// SetPacketIDs reinstates a mark read from a checkpoint (see PacketIDs).
+func (q *EventQueue) SetPacketIDs(n uint64) { q.packetIDs = n }
 
 // Now returns the current simulated time.
 func (q *EventQueue) Now() Tick { return q.now }
@@ -750,17 +758,25 @@ func (q *EventQueue) PendingSummaries(max int) []string {
 }
 
 // RunUntil dispatches events with tick <= limit (further capped by
-// SetStopAfter when armed). Time advances to the effective limit if the
-// queue drains earlier. The registered Settlers are settled before it
-// returns. Returns the exit reason ("" if none).
+// SetStopAfter when armed), calling the registered polls as their deadlines
+// pass (Poll). Time advances to the effective limit if the queue drains
+// earlier. The registered Settlers are settled before it returns. Returns
+// the exit reason ("" if none).
 func (q *EventQueue) RunUntil(limit Tick) string {
 	for !q.exitSet {
 		eff := limit
 		if q.stopSet && q.stopAfter < eff {
 			eff = q.stopAfter
 		}
+		bound := eff
+		if h := q.hooks; h != nil && h.pollAt < bound {
+			bound = h.pollAt
+		}
 		e := q.peek()
-		if e == nil || e.when > eff {
+		if e == nil || e.when > bound {
+			if q.poll(eff) {
+				continue
+			}
 			break
 		}
 		if q.ref {

@@ -23,7 +23,6 @@ import (
 	"os"
 
 	"gem5rtl/internal/ckpt"
-	"gem5rtl/internal/port"
 )
 
 // fingerprint hashes the Config fields that determine simulated behaviour.
@@ -74,10 +73,10 @@ func (s *System) components() []ckpt.Checkpointable {
 func (s *System) Save(out io.Writer) error {
 	w := ckpt.NewWriter(out)
 	w.Header(s.Cfg.fingerprint(), uint64(s.Queue.Now()))
-	// The global packet-ID high-water mark: restore fast-forwards the
-	// counter past it so IDs allocated after resume never collide with
-	// checkpointed in-flight packets.
-	w.U64(port.PacketIDMark())
+	// The system's space-0 packet-ID counter: restore reinstates it so IDs
+	// allocated after resume never collide with checkpointed in-flight
+	// packets.
+	w.U64(s.Queue.PacketIDs())
 	for _, c := range s.components() {
 		if err := c.SaveState(w); err != nil {
 			return err
@@ -107,7 +106,7 @@ func (s *System) Restore(in io.Reader) (uint64, error) {
 	if err := r.Err(); err != nil {
 		return 0, err
 	}
-	port.FastForwardPacketID(r.U64())
+	s.Queue.SetPacketIDs(r.U64())
 	for _, c := range s.components() {
 		if err := c.RestoreState(r); err != nil {
 			return 0, err

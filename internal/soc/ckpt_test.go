@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 
 	"gem5rtl/internal/experiments"
@@ -58,6 +59,7 @@ func runDigest(t testing.TB, s *soc.System) string {
 // (here: a fresh Build) yields bit-identical final state and statistics to
 // the uninterrupted run.
 func TestCheckpointRestoreEquivalenceNVDLA(t *testing.T) {
+	t.Parallel()
 	memories := []string{"ideal", "DDR4-1ch", "DDR4-2ch", "DDR4-4ch", "GDDR5", "HBM"}
 	workloads := []string{"sanity3", "googlenet"}
 	if testing.Short() {
@@ -69,12 +71,7 @@ func TestCheckpointRestoreEquivalenceNVDLA(t *testing.T) {
 	for _, wl := range workloads {
 		for _, memory := range memories {
 			t.Run(wl+"/"+memory, func(t *testing.T) {
-				// Packet IDs come from a process-global counter; pin it so
-				// the reference and split runs see the ID sequence a fresh
-				// process would (the test is sequential, so rewinding is
-				// safe).
-				base := port.PacketIDMark()
-
+				t.Parallel()
 				// Uninterrupted reference run.
 				cold := nvdlaSystem(t, memory, wl)
 				coldDone, err := cold.RunUntilNVDLAsDone(limit)
@@ -84,7 +81,6 @@ func TestCheckpointRestoreEquivalenceNVDLA(t *testing.T) {
 				coldDigest := runDigest(t, cold)
 
 				// Same run split at the halfway tick.
-				port.SetPacketIDForTest(base)
 				split := nvdlaSystem(t, memory, wl)
 				mid := sim.Tick(coldDone / 2)
 				if _, _, err := split.RunNVDLAPhase(ctx, mid); err != nil {
@@ -124,13 +120,17 @@ func TestCheckpointRestoreEquivalenceNVDLA(t *testing.T) {
 
 // cpuSystem builds the gem5rtl-style CPU+PMU system (sort workload on core
 // 0, PMU on core 0's commit/miss taps).
-func cpuSystem(t testing.TB) (*soc.System, *experiments.AXIHost) {
+// o selects the oracles to build on.
+func cpuSystem(t testing.TB, o soc.Oracles) (*soc.System, *experiments.AXIHost) {
 	t.Helper()
 	cfg := soc.DefaultConfig()
 	cfg.Cores = 1
 	cfg.Memory = "DDR4-1ch"
 	cfg.WithPMU = true
-	s := soc.MustBuild(cfg)
+	s, err := soc.BuildWithOracles(cfg, o)
+	if err != nil {
+		t.Fatal(err)
+	}
 	host := experiments.NewAXIHost(s.Queue)
 	port.Bind(host.Port(), s.PMU.CPUPort(0))
 	return s, host
@@ -142,6 +142,7 @@ func cpuSystem(t testing.TB) (*soc.System, *experiments.AXIHost) {
 // and statistics. The restore path performs none of the live-run setup —
 // no Start, no LoadProgram, no PMU register writes.
 func TestCheckpointRestoreEquivalenceCPU(t *testing.T) {
+	t.Parallel()
 	src := workload.SortBenchmark(workload.SortParams{N: 60, SleepUs: 20})
 	const limit = 100 * sim.Millisecond
 	setup := func(s *soc.System, host *experiments.AXIHost) {
@@ -154,8 +155,7 @@ func TestCheckpointRestoreEquivalenceCPU(t *testing.T) {
 		s.StartCores(0)
 	}
 
-	base := port.PacketIDMark() // see TestCheckpointRestoreEquivalenceNVDLA
-	cold, coldHost := cpuSystem(t)
+	cold, coldHost := cpuSystem(t, soc.Oracles{})
 	setup(cold, coldHost)
 	cold.Queue.RunUntil(limit)
 	if exited, _ := cold.Cores[0].Exited(); !exited {
@@ -163,8 +163,7 @@ func TestCheckpointRestoreEquivalenceCPU(t *testing.T) {
 	}
 	coldDigest := runDigest(t, cold)
 
-	port.SetPacketIDForTest(base)
-	split, splitHost := cpuSystem(t)
+	split, splitHost := cpuSystem(t, soc.Oracles{})
 	setup(split, splitHost)
 	split.Queue.RunUntil(cold.Queue.Now() / 2)
 	var snap bytes.Buffer
@@ -172,12 +171,9 @@ func TestCheckpointRestoreEquivalenceCPU(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	warm, _ := cpuSystem(t)
+	warm, _ := cpuSystem(t, soc.Oracles{})
 	// Exit handlers are host-side closures, re-registered after restore.
 	warm.Cores[0].OnExit = func(int64) { warm.Queue.ExitSimLoop("program exit") }
-	// Building the warm system may itself allocate packet IDs; rewind so the
-	// restore's fast-forward lands exactly on the checkpoint mark.
-	port.SetPacketIDForTest(base)
 	if _, err := warm.Restore(bytes.NewReader(snap.Bytes())); err != nil {
 		t.Fatal(err)
 	}
@@ -196,21 +192,13 @@ func TestCheckpointRestoreEquivalenceCPU(t *testing.T) {
 	}
 }
 
-// cpuSystemEngine is cpuSystem with the PMU on the reference evaluator when
-// reference is set, on the VM otherwise.
-func cpuSystemEngine(t testing.TB, reference bool) (*soc.System, *experiments.AXIHost) {
-	t.Helper()
-	pmu.UseReferenceModelForTest(reference)
-	defer pmu.UseReferenceModelForTest(false)
-	return cpuSystem(t)
-}
-
 // TestCheckpointCrossEngine checks that a whole-system checkpoint holds the
 // RTL model's architectural state and nothing of how it is evaluated: a run
 // saved with the PMU on one evaluator restores on the other and finishes with
 // the digest (final tick, event count, StateHash, full stats dump) of an
 // uninterrupted run — in both directions.
 func TestCheckpointCrossEngine(t *testing.T) {
+	t.Parallel()
 	src := workload.SortBenchmark(workload.SortParams{N: 60, SleepUs: 20})
 	const limit = 100 * sim.Millisecond
 	setup := func(s *soc.System, host *experiments.AXIHost) {
@@ -230,8 +218,8 @@ func TestCheckpointCrossEngine(t *testing.T) {
 		{"bytecode-to-closure", false, true},
 	} {
 		t.Run(dir.name, func(t *testing.T) {
-			base := port.PacketIDMark() // see TestCheckpointRestoreEquivalenceNVDLA
-			cold, coldHost := cpuSystemEngine(t, dir.save)
+			t.Parallel()
+			cold, coldHost := cpuSystem(t, soc.Oracles{ReferencePMU: dir.save})
 			setup(cold, coldHost)
 			cold.Queue.RunUntil(limit)
 			if exited, _ := cold.Cores[0].Exited(); !exited {
@@ -239,8 +227,7 @@ func TestCheckpointCrossEngine(t *testing.T) {
 			}
 			coldDigest := runDigest(t, cold)
 
-			port.SetPacketIDForTest(base)
-			split, splitHost := cpuSystemEngine(t, dir.save)
+			split, splitHost := cpuSystem(t, soc.Oracles{ReferencePMU: dir.save})
 			setup(split, splitHost)
 			split.Queue.RunUntil(cold.Queue.Now() / 2)
 			var snap bytes.Buffer
@@ -248,9 +235,8 @@ func TestCheckpointCrossEngine(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			warm, _ := cpuSystemEngine(t, dir.load)
+			warm, _ := cpuSystem(t, soc.Oracles{ReferencePMU: dir.load})
 			warm.Cores[0].OnExit = func(int64) { warm.Queue.ExitSimLoop("program exit") }
-			port.SetPacketIDForTest(base)
 			if _, err := warm.Restore(bytes.NewReader(snap.Bytes())); err != nil {
 				t.Fatalf("cross-engine restore: %v", err)
 			}
@@ -273,6 +259,7 @@ func TestCheckpointCrossEngine(t *testing.T) {
 // TestCheckpointFingerprintMismatch ensures a checkpoint refuses to restore
 // into a behaviourally different system configuration.
 func TestCheckpointFingerprintMismatch(t *testing.T) {
+	t.Parallel()
 	cfg := soc.DefaultConfig()
 	cfg.Cores = 1
 	cfg.Memory = "ideal"
@@ -301,4 +288,59 @@ func TestCheckpointFingerprintMismatch(t *testing.T) {
 	if _, err := used.Restore(bytes.NewReader(snap.Bytes())); err == nil {
 		t.Fatal("restore into a live run not refused")
 	}
+}
+
+// TestRestoreAdoptsOnlyItsOwnTraffic: with port checking on, a checkpoint
+// restored into one system relaxes no checker of another in the same
+// process. System A is split and restored, which adopts A's pre-checkpoint
+// traffic; an unknown response delivered on system B's L1D link, carrying an
+// ID that A minted before its checkpoint, is still a protocol violation.
+func TestRestoreAdoptsOnlyItsOwnTraffic(t *testing.T) {
+	// Not parallel: port.Checking is read by every Bind.
+	defer func(was bool) { port.Checking = was }(port.Checking)
+	port.Checking = true
+	src := workload.SortBenchmark(workload.SortParams{N: 20, SleepUs: 5})
+	start := func(s *soc.System, host *experiments.AXIHost) {
+		s.PMU.Start()
+		host.Write(pmu.RegEnable, 0x3F)
+		if err := s.LoadProgram(0, src); err != nil {
+			t.Fatal(err)
+		}
+		s.Cores[0].OnExit = func(int64) { s.Queue.ExitSimLoop("program exit") }
+		s.StartCores(0)
+	}
+	a, aHost := cpuSystem(t, soc.Oracles{})
+	start(a, aHost)
+	a.Queue.RunUntil(20 * sim.Microsecond)
+	var snap bytes.Buffer
+	if err := a.Save(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if a.Queue.PacketIDs() == 0 {
+		t.Fatal("system A minted no packet IDs before its checkpoint")
+	}
+	b, bHost := cpuSystem(t, soc.Oracles{})
+	start(b, bHost)
+	b.Queue.RunUntil(20 * sim.Microsecond)
+
+	restored, _ := cpuSystem(t, soc.Oracles{})
+	restored.Cores[0].OnExit = func(int64) { restored.Queue.ExitSimLoop("program exit") }
+	if _, err := restored.Restore(bytes.NewReader(snap.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	restored.Queue.RunUntil(100 * sim.Millisecond)
+	if exited, _ := restored.Cores[0].Exited(); !exited {
+		t.Fatal("restored program did not finish under port checking")
+	}
+
+	ghost := port.NewReadPacket(0x1000, 8)
+	ghost.ID = 1 // minted by A (and by B) long before A's checkpoint
+	ghost.MakeResponse()
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "matches no outstanding request") {
+			t.Fatalf("unknown response on system B was not flagged (panic: %q)", msg)
+		}
+	}()
+	b.L1Ds[0].CPUPort().SendTimingResp(ghost)
 }

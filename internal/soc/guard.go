@@ -6,17 +6,17 @@ import (
 	"gem5rtl/internal/guard"
 )
 
-// AttachWatchdog installs a started liveness watchdog over every component
-// of the system: caches, crossbars, memory controllers, cores and RTL
-// objects register as occupancy probes, and retirement/commit counters feed
-// the forward-progress check. The watchdog's events observe but never touch
-// simulated state, so an untripped run dispatches the exact same component
-// events at the exact same ticks as an unwatched one.
+// AttachWatchdog installs a liveness watchdog over every component of the
+// system: caches, crossbars, memory controllers, cores and RTL objects
+// register as occupancy probes, and retirement/commit counters feed the
+// forward-progress check. The watchdog polls the run loop rather than
+// scheduling events, so an untripped run is the same machine — dispatch
+// count, StateHash and checkpoint bytes included — as an unwatched one, and
+// the system may be saved with it attached.
 //
 // A trip ends the simulation loop and surfaces a *guard.HangError from
 // RunNVDLAPhase / RunUntilNVDLAsDoneCtx (or via Watchdog.Err for manual
-// RunUntil loops). Call Watchdog.Stop before Save: the check event is
-// host-side and not serialisable.
+// RunUntil loops).
 func (s *System) AttachWatchdog(cfg guard.Config) *guard.Watchdog {
 	wd := guard.NewWatchdog(s.Queue, cfg)
 	for i, c := range s.Cores {
@@ -82,7 +82,6 @@ func (s *System) AttachWatchdog(cfg guard.Config) *guard.Watchdog {
 	if s.Tracer != nil {
 		wd.SetTraceTail(s.Tracer.Tail)
 	}
-	wd.Start()
 	s.Watchdog = wd
 	return wd
 }

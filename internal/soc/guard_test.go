@@ -10,29 +10,34 @@ import (
 	"gem5rtl/internal/sim"
 )
 
-func buildGuardTestSystem(t *testing.T) *System {
+func buildGuardTestSystem(t *testing.T, o Oracles) *System {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.Cores = 1
 	cfg.Memory = "ideal"
 	cfg.NVDLAs = 1
 	cfg.NVDLAMaxInflight = 64
-	s := MustBuild(cfg)
+	s, err := BuildWithOracles(cfg, o)
+	if err != nil {
+		t.Fatal(err)
+	}
 	s.NVDLAs[0].Start()
 	s.PlayTrace(0, smallTrace(0x1000_0000))
 	return s
 }
 
 // The watchdog observes but never perturbs: a clean run with it attached
-// completes at the exact tick of an unwatched run, with a nil Err.
+// completes at the exact tick of an unwatched run, with a nil Err, the same
+// dispatch count and the same StateHash.
 func TestWatchdogTransparentOnCleanRun(t *testing.T) {
-	plain := buildGuardTestSystem(t)
+	t.Parallel()
+	plain := buildGuardTestSystem(t, Oracles{})
 	wantDone, err := plain.RunUntilNVDLAsDone(100 * sim.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	s := buildGuardTestSystem(t)
+	s := buildGuardTestSystem(t, Oracles{})
 	wd := s.AttachWatchdog(guard.Config{})
 	done, err := s.RunUntilNVDLAsDone(100 * sim.Millisecond)
 	if err != nil {
@@ -43,6 +48,12 @@ func TestWatchdogTransparentOnCleanRun(t *testing.T) {
 	}
 	if done != wantDone {
 		t.Fatalf("watched run finished at %d, unwatched at %d", done, wantDone)
+	}
+	if a, b := s.Queue.Dispatched(), plain.Queue.Dispatched(); a != b {
+		t.Errorf("watched run dispatched %d events, unwatched %d", a, b)
+	}
+	if a, b := mustHash(t, s), mustHash(t, plain); a != b {
+		t.Errorf("watched state hash %016x, unwatched %016x", a, b)
 	}
 }
 
@@ -56,7 +67,8 @@ func (dropAllResponses) TapResp(*port.Packet) port.TapAction { return port.TapDr
 // A wedged run is converted into a structured HangError by RunNVDLAPhase
 // instead of idling to the time limit.
 func TestWatchdogReapsLostResponses(t *testing.T) {
-	s := buildGuardTestSystem(t)
+	t.Parallel()
+	s := buildGuardTestSystem(t, Oracles{})
 	s.AttachWatchdog(guard.Config{})
 	port.Interpose(s.NVDLAs[0].MemPort(0), dropAllResponses{})
 
@@ -82,7 +94,8 @@ func TestWatchdogReapsLostResponses(t *testing.T) {
 // AttachWatchdog wires every major component; a trip's diagnostic therefore
 // names the stuck accelerator's transaction table.
 func TestWatchdogDiagnosticNamesComponents(t *testing.T) {
-	s := buildGuardTestSystem(t)
+	t.Parallel()
+	s := buildGuardTestSystem(t, Oracles{})
 	wd := s.AttachWatchdog(guard.Config{})
 	port.Interpose(s.NVDLAs[0].MemPort(0), dropAllResponses{})
 	_, _, err := s.RunNVDLAPhase(context.Background(), sim.Second)

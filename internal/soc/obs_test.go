@@ -19,6 +19,7 @@ import (
 )
 
 func TestAttachTracerRejectsUnknownFlag(t *testing.T) {
+	t.Parallel()
 	cfg := soc.DefaultConfig()
 	cfg.Cores = 1
 	s := soc.MustBuild(cfg)
@@ -56,12 +57,7 @@ func startPMUSort(t testing.TB, s *soc.System) {
 // The simulation is deterministic, so any drift here is a real behaviour or
 // format change. Regenerate with OBS_GOLDEN_UPDATE=1.
 func TestTraceGoldenPMUFirst1000Ticks(t *testing.T) {
-	base := port.PacketIDMark()
-	defer port.SetPacketIDForTest(base)
-	// Packet IDs appear in Port-flag trace lines; rewind the process-global
-	// allocator so the trace matches what a fresh process emits.
-	port.SetPacketIDForTest(0)
-
+	t.Parallel()
 	s := pmuTraceSystem(t)
 	var buf bytes.Buffer
 	if _, err := s.AttachTracer(obs.Config{Flags: "all", Out: &buf, End: 1000}); err != nil {
@@ -91,14 +87,12 @@ func TestTraceGoldenPMUFirst1000Ticks(t *testing.T) {
 // must not perturb the simulation — final tick, event count, state hash and
 // every statistic match an untraced run exactly.
 func TestTracingIsTransparent(t *testing.T) {
-	base := port.PacketIDMark()
-
+	t.Parallel()
 	plain := pmuTraceSystem(t)
 	startPMUSort(t, plain)
 	plain.Queue.RunUntil(100 * sim.Microsecond)
 	plainDigest := runDigest(t, plain)
 
-	port.SetPacketIDForTest(base)
 	traced := pmuTraceSystem(t)
 	var sinkBuf bytes.Buffer
 	if _, err := traced.AttachTracer(obs.Config{Flags: "all", Out: &sinkBuf}); err != nil {
@@ -121,9 +115,9 @@ func TestTracingIsTransparent(t *testing.T) {
 // uninterrupted run bit-for-bit, and packets straddling the checkpoint
 // produce sane (non-wrapped) latencies.
 func TestLatencyProfileCheckpointEquivalence(t *testing.T) {
+	t.Parallel()
 	const limit = 8 * sim.Second
 	ctx := context.Background()
-	base := port.PacketIDMark()
 
 	cold := nvdlaSystem(t, "DDR4-1ch", "sanity3")
 	cold.AttachLatencyProfile(nil)
@@ -133,7 +127,6 @@ func TestLatencyProfileCheckpointEquivalence(t *testing.T) {
 	}
 	coldDigest := runDigest(t, cold)
 
-	port.SetPacketIDForTest(base)
 	split := nvdlaSystem(t, "DDR4-1ch", "sanity3")
 	split.AttachLatencyProfile(nil)
 	if _, _, err := split.RunNVDLAPhase(ctx, coldDone/2); err != nil {
@@ -180,6 +173,7 @@ func TestLatencyProfileCheckpointEquivalence(t *testing.T) {
 // refuses to restore into a system without one (the stream has the
 // obs.latency section where soc.end is expected).
 func TestLatencyProfileMissingOnRestore(t *testing.T) {
+	t.Parallel()
 	s := nvdlaSystem(t, "ideal", "sanity3")
 	s.AttachLatencyProfile(nil)
 	if _, _, err := s.RunNVDLAPhase(context.Background(), 10*sim.Microsecond); err != nil {
@@ -204,6 +198,7 @@ func (dropResponses) TapResp(*port.Packet) port.TapAction { return port.TapDrop 
 // TestWatchdogDiagnosticIncludesTraceTail: with a tracer attached, a hang
 // diagnostic carries the tripped components' recent trace lines.
 func TestWatchdogDiagnosticIncludesTraceTail(t *testing.T) {
+	t.Parallel()
 	s := nvdlaSystem(t, "ideal", "sanity3")
 	if _, err := s.AttachTracer(obs.Config{Flags: "NVDLA,RTL"}); err != nil {
 		t.Fatal(err)

@@ -7,7 +7,6 @@ import (
 	"gem5rtl/internal/experiments"
 	"gem5rtl/internal/pmu"
 	"gem5rtl/internal/port"
-	"gem5rtl/internal/rtlobject"
 	"gem5rtl/internal/sim"
 	"gem5rtl/internal/soc"
 	"gem5rtl/internal/workload"
@@ -16,8 +15,8 @@ import (
 // runPMUSort runs the Table 2 configuration — one core, the PMU programmed
 // over AXI with every event line enabled and the threshold on the cycle
 // counter — through the sort benchmark to its exit. edit adjusts the config;
-// oracle builds the per-cycle machine.
-func runPMUSort(t *testing.T, n, sleepUs int, edit func(*soc.Config), oracle bool) *soc.System {
+// o selects the oracles to build on.
+func runPMUSort(t *testing.T, n, sleepUs int, edit func(*soc.Config), o soc.Oracles) *soc.System {
 	t.Helper()
 	cfg := soc.DefaultConfig()
 	cfg.Cores = 1
@@ -25,9 +24,7 @@ func runPMUSort(t *testing.T, n, sleepUs int, edit func(*soc.Config), oracle boo
 	if edit != nil {
 		edit(&cfg)
 	}
-	rtlobject.IgnoreSleepersForTest(oracle)
-	s, err := soc.Build(cfg)
-	rtlobject.IgnoreSleepersForTest(false)
+	s, err := soc.BuildWithOracles(cfg, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,13 +53,11 @@ func runPMUSort(t *testing.T, n, sleepUs int, edit func(*soc.Config), oracle boo
 // Where every cycle must be seen (a waveform) or the evaluator has no closed
 // form (the reference), nothing is elided.
 func TestPMUElidesIdleWindows(t *testing.T) {
-	base := port.PacketIDMark()
-	defer port.SetPacketIDForTest(base)
+	t.Parallel()
 	var hash [2]uint64
 	var sys [2]*soc.System
 	for i, oracle := range []bool{false, true} {
-		port.SetPacketIDForTest(base)
-		sys[i] = runPMUSort(t, 200, 100, nil, oracle)
+		sys[i] = runPMUSort(t, 200, 100, nil, soc.Oracles{PerCycle: oracle})
 		h, err := sys[i].StateHash()
 		if err != nil {
 			t.Fatal(err)
@@ -91,13 +86,11 @@ func TestPMUElidesIdleWindows(t *testing.T) {
 
 	wave := runPMUSort(t, 60, 20, func(c *soc.Config) {
 		c.PMUWaveform, c.PMUWaveOut = true, io.Discard
-	}, false)
+	}, soc.Oracles{})
 	if n := wave.Queue.Elided(); n != 0 {
 		t.Errorf("with the waveform on, %d events elided", n)
 	}
-	pmu.UseReferenceModelForTest(true)
-	defer pmu.UseReferenceModelForTest(false)
-	ref := runPMUSort(t, 60, 20, nil, false)
+	ref := runPMUSort(t, 60, 20, nil, soc.Oracles{ReferencePMU: true})
 	if n := ref.Queue.Elided(); n != 0 {
 		t.Errorf("on the reference evaluator, %d events elided", n)
 	}
@@ -109,17 +102,13 @@ func TestPMUElidesIdleWindows(t *testing.T) {
 // edges and between them, from events ordered before and after its tick —
 // must each land in the cycle the per-cycle machine counts it in.
 func TestPMUTapsWakeItsSleep(t *testing.T) {
-	base := port.PacketIDMark()
-	defer port.SetPacketIDForTest(base)
+	t.Parallel()
 	taps := []sim.Tick{20000, 20500, 21000, 33333, 50000, 50001, 70999, 90000, 90500}
 	run := func(oracle bool) (*soc.System, []uint64) {
-		port.SetPacketIDForTest(base)
 		cfg := soc.DefaultConfig()
 		cfg.Cores = 1
 		cfg.WithPMU = true
-		rtlobject.IgnoreSleepersForTest(oracle)
-		s, err := soc.Build(cfg)
-		rtlobject.IgnoreSleepersForTest(false)
+		s, err := soc.BuildWithOracles(cfg, soc.Oracles{PerCycle: oracle})
 		if err != nil {
 			t.Fatal(err)
 		}

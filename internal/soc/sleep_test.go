@@ -15,10 +15,7 @@ import (
 // per-cycle oracle whose RTLObjects ignore the Sleeper capability.
 func buildSleepPair(t *testing.T) (sleeping, oracle *System) {
 	t.Helper()
-	sleeping = buildGuardTestSystem(t)
-	rtlobject.IgnoreSleepersForTest(true)
-	defer rtlobject.IgnoreSleepersForTest(false)
-	return sleeping, buildGuardTestSystem(t)
+	return buildGuardTestSystem(t, Oracles{}), buildGuardTestSystem(t, Oracles{PerCycle: true})
 }
 
 func mustHash(t *testing.T, s *System) uint64 {
@@ -35,6 +32,7 @@ func mustHash(t *testing.T, s *System) uint64 {
 // run must still end at its limit with the accelerator reported as running,
 // in the state the per-cycle machine idles to.
 func TestLostResponseEndsAtLimit(t *testing.T) {
+	t.Parallel()
 	const limit = 300 * sim.Microsecond
 	nap, or := buildSleepPair(t)
 	for _, s := range []*System{nap, or} {
@@ -71,6 +69,7 @@ func TestLostResponseEndsAtLimit(t *testing.T) {
 // finished and gone to sleep for good, between two model edges, the second
 // workload must start on the edge it starts on when ticking per cycle.
 func TestPlayTraceWakesIdleAccelerator(t *testing.T) {
+	t.Parallel()
 	nap, or := buildSleepPair(t)
 	var done [2]sim.Tick
 	for i, s := range []*System{nap, or} {
@@ -104,6 +103,7 @@ func TestPlayTraceWakesIdleAccelerator(t *testing.T) {
 // per-cycle machine's, at a split tick and after completion, without the
 // reader settling anything.
 func TestRunPrimitivesReturnSettled(t *testing.T) {
+	t.Parallel()
 	nap, or := buildSleepPair(t)
 	for _, at := range []sim.Tick{3 * sim.Microsecond, 3*sim.Microsecond + 1, 7777777} {
 		for _, s := range []*System{nap, or} {

@@ -21,6 +21,7 @@ import (
 	"gem5rtl/internal/obs"
 	"gem5rtl/internal/pmu"
 	"gem5rtl/internal/port"
+	"gem5rtl/internal/rtl"
 	"gem5rtl/internal/rtlobject"
 	"gem5rtl/internal/sim"
 	"gem5rtl/internal/stats"
@@ -119,8 +120,29 @@ const (
 // clip the DSE's 240-in-flight sweep point.
 const memXbarMaxOutstanding = 512
 
+// Oracles names the test oracles a system can be built on in place of its
+// production parts: slower, simpler implementations the differential tests
+// hold the production machine to, byte for byte. The zero value is the
+// production machine.
+type Oracles struct {
+	// ReferenceQueue runs the system on the pure-heap event queue
+	// (sim.NewReferenceEventQueue) instead of the calendar queue.
+	ReferenceQueue bool
+	// ReferencePMU runs the PMU on the tree-walking reference evaluator
+	// instead of the bytecode VM.
+	ReferencePMU bool
+	// PerCycle ticks every RTL object on every model edge, applying no
+	// cycle in closed form (rtlobject.Config.PerCycle).
+	PerCycle bool
+}
+
 // Build wires a system from the configuration.
-func Build(cfg Config) (*System, error) {
+func Build(cfg Config) (*System, error) { return BuildWithOracles(cfg, Oracles{}) }
+
+// BuildWithOracles is Build with the named test oracles in place of the
+// production parts. It is the one way to build an oracle machine, and only
+// tests take it.
+func BuildWithOracles(cfg Config, o Oracles) (*System, error) {
 	if cfg.Cores <= 0 {
 		cfg.Cores = 1
 	}
@@ -128,6 +150,9 @@ func Build(cfg Config) (*System, error) {
 		cfg.CoreFreqHz = 2_000_000_000
 	}
 	s := &System{Cfg: cfg, Queue: sim.NewEventQueue(), Stats: stats.NewRegistry()}
+	if o.ReferenceQueue {
+		s.Queue = sim.NewReferenceEventQueue()
+	}
 	s.Clock = sim.NewClockDomain("cpu_clk", s.Queue, cfg.CoreFreqHz)
 	s.Store = mem.NewStorage()
 	s.ShardQueues = []*sim.EventQueue{s.Queue}
@@ -207,7 +232,11 @@ func Build(cfg Config) (*System, error) {
 	// PMU (Figure 2b): events from core 0's commit tap and L1D misses,
 	// clocked at 1 GHz (divider 2 from the 2 GHz cores).
 	if cfg.WithPMU {
-		w, err := pmu.NewWrapper(pmu.NumCounters)
+		engine := rtl.EngineBytecode
+		if o.ReferencePMU {
+			engine = rtl.EngineReference
+		}
+		w, err := pmu.NewWrapperEngine(pmu.NumCounters, engine)
 		if err != nil {
 			return nil, err
 		}
@@ -219,12 +248,12 @@ func Build(cfg Config) (*System, error) {
 			w.Model().AttachVCD(cfg.PMUWaveOut, 1)
 		}
 		obj := rtlobject.New(rtlobject.Config{
-			Name: "pmu", ClockDivider: 2,
+			Name: "pmu", ClockDivider: 2, PerCycle: o.PerCycle,
 		}, s.Clock, w)
 		s.PMU = obj
 		// RTL devices mint packet IDs from per-device namespaces so a
 		// device's ID stream depends only on its own allocations (space 0 is
-		// the global pool).
+		// the queue's counter, which the cores and caches share).
 		obj.SetPacketIDSpace(1)
 		// The event taps drive the model behind the object's back, like a
 		// register poke: a PMU asleep on its quiet cycles is woken first, so
@@ -251,6 +280,7 @@ func Build(cfg Config) (*System, error) {
 			ClockDivider: 2,
 			MaxInflight:  cfg.NVDLAMaxInflight,
 			TLB:          rtlobject.IdentityTLB{}, // paper bypasses the IOMMU
+			PerCycle:     o.PerCycle,
 		}, s.Clock, w)
 		obj.SetPacketIDSpace(uint64(2 + i))
 		port.Bind(obj.MemPort(nvdla.PortDBBIF), s.MemXbar.FrontPort(1+2*i))
@@ -401,10 +431,10 @@ func (s *System) RunUntilNVDLAsDone(limit sim.Tick) (sim.Tick, error) {
 }
 
 // RunUntilNVDLAsDoneCtx is RunUntilNVDLAsDone with host-side cancellation:
-// a periodic check event (see sim.WatchContext) ends the simulation loop
+// a periodic poll of the run loop (see sim.WatchContext) ends the simulation
 // and returns ctx.Err() once ctx is cancelled or its deadline passes. The
-// watcher only observes the context, so an uncancelled run completes at
-// tick-identical times to RunUntilNVDLAsDone.
+// watcher only observes the context, so an uncancelled run is the same
+// machine, checkpoint bytes included, as RunUntilNVDLAsDone's.
 func (s *System) RunUntilNVDLAsDoneCtx(ctx context.Context, limit sim.Tick) (sim.Tick, error) {
 	done, remaining, err := s.RunNVDLAPhase(ctx, limit)
 	if err != nil {

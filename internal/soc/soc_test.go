@@ -11,6 +11,7 @@ import (
 )
 
 func TestBuildDefaultConfigMatchesTable1(t *testing.T) {
+	t.Parallel()
 	s := MustBuild(DefaultConfig())
 	if len(s.Cores) != 8 {
 		t.Fatalf("cores = %d, want 8", len(s.Cores))
@@ -36,6 +37,7 @@ func TestBuildDefaultConfigMatchesTable1(t *testing.T) {
 }
 
 func TestUnknownMemoryRejected(t *testing.T) {
+	t.Parallel()
 	cfg := DefaultConfig()
 	cfg.Memory = "SDRAM-66"
 	if _, err := Build(cfg); err == nil {
@@ -44,6 +46,7 @@ func TestUnknownMemoryRejected(t *testing.T) {
 }
 
 func TestProgramRunsThroughFullHierarchy(t *testing.T) {
+	t.Parallel()
 	cfg := DefaultConfig()
 	cfg.Cores = 1
 	s := MustBuild(cfg)
@@ -64,6 +67,7 @@ func TestProgramRunsThroughFullHierarchy(t *testing.T) {
 }
 
 func TestMultiCoreIndependentPrograms(t *testing.T) {
+	t.Parallel()
 	cfg := DefaultConfig()
 	cfg.Cores = 4
 	cfg.Memory = "DDR4-2ch"
@@ -92,6 +96,7 @@ func TestMultiCoreIndependentPrograms(t *testing.T) {
 }
 
 func TestPMUIntegration(t *testing.T) {
+	t.Parallel()
 	cfg := DefaultConfig()
 	cfg.Cores = 1
 	cfg.Memory = "ideal"
@@ -125,6 +130,7 @@ func TestPMUIntegration(t *testing.T) {
 }
 
 func TestStatsRegistryDump(t *testing.T) {
+	t.Parallel()
 	cfg := DefaultConfig()
 	cfg.Cores = 2
 	s := MustBuild(cfg)
@@ -140,6 +146,7 @@ func TestStatsRegistryDump(t *testing.T) {
 }
 
 func TestNVDLATraceOnIdealMemory(t *testing.T) {
+	t.Parallel()
 	cfg := DefaultConfig()
 	cfg.Cores = 1
 	cfg.Memory = "ideal"
@@ -188,6 +195,7 @@ func TestNVDLATraceOnIdealMemory(t *testing.T) {
 }
 
 func TestWindowEnd(t *testing.T) {
+	t.Parallel()
 	cases := []struct{ t, want sim.Tick }{
 		{0, 999}, {1, 999}, {999, 999}, {1000, 1999}, {1500, 1999}, {1999, 1999}, {2000, 2999},
 	}
@@ -214,6 +222,7 @@ func smallTrace(base uint64) *trace.Trace {
 }
 
 func TestNVDLAFasterOnIdealThanDDR1ch(t *testing.T) {
+	t.Parallel()
 	run := func(memName string, inflight int) sim.Tick {
 		cfg := DefaultConfig()
 		cfg.Cores = 1
@@ -242,6 +251,7 @@ func TestNVDLAFasterOnIdealThanDDR1ch(t *testing.T) {
 }
 
 func TestMultipleNVDLAsContend(t *testing.T) {
+	t.Parallel()
 	run := func(n int) sim.Tick {
 		cfg := DefaultConfig()
 		cfg.Cores = 1
@@ -267,6 +277,7 @@ func TestMultipleNVDLAsContend(t *testing.T) {
 }
 
 func TestScratchpadExtensionSpeedsUpSRAMIF(t *testing.T) {
+	t.Parallel()
 	// §4.2's proposed extension: hooking the SRAMIF to an on-chip scratchpad
 	// offloads the weight stream from main memory, so a bandwidth-starved
 	// configuration must get faster with the scratchpad enabled.
@@ -299,6 +310,7 @@ func TestScratchpadExtensionSpeedsUpSRAMIF(t *testing.T) {
 }
 
 func TestScratchpadHoldsPreloadedData(t *testing.T) {
+	t.Parallel()
 	cfg := DefaultConfig()
 	cfg.Cores = 1
 	cfg.Memory = "ideal"

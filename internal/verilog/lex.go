@@ -20,6 +20,8 @@ package verilog
 import (
 	"fmt"
 	"strings"
+
+	"gem5rtl/internal/hdl"
 )
 
 type tokKind int
@@ -58,11 +60,12 @@ var punct2 = []string{
 }
 
 type lexer struct {
-	src  string
-	pos  int
-	line int
-	col  int
-	toks []token
+	src   string
+	pos   int
+	line  int
+	col   int
+	toks  []token
+	depth int // open brackets
 }
 
 // lex scans src into tokens, stripping comments.
@@ -114,7 +117,9 @@ func lex(src string) ([]token, error) {
 				return nil, err
 			}
 		default:
-			l.scanPunct()
+			if err := l.scanPunct(); err != nil {
+				return nil, err
+			}
 		}
 	}
 	l.toks = append(l.toks, token{kind: tokEOF, line: l.line, col: l.col})
@@ -209,23 +214,34 @@ func isHexDigit(c byte) bool {
 	return c >= '0' && c <= '9' || c >= 'a' && c <= 'f' || c >= 'A' && c <= 'F'
 }
 
-func (l *lexer) scanPunct() {
+// scanPunct scans one punctuation token. It refuses brackets nested past
+// hdl.MaxNesting here, before a hostile source is tokenised whole.
+func (l *lexer) scanPunct() error {
 	line, col := l.line, l.col
 	rest := l.src[l.pos:]
 	for _, p := range punct3 {
 		if strings.HasPrefix(rest, p) {
 			l.advance(3)
 			l.emit(tokPunct, p, line, col)
-			return
+			return nil
 		}
 	}
 	for _, p := range punct2 {
 		if strings.HasPrefix(rest, p) {
 			l.advance(2)
 			l.emit(tokPunct, p, line, col)
-			return
+			return nil
 		}
+	}
+	switch rest[0] {
+	case '(', '[', '{':
+		if l.depth++; l.depth > hdl.MaxNesting {
+			return &lexError{fmt.Sprintf("brackets nested deeper than %d", hdl.MaxNesting), line, col}
+		}
+	case ')', ']', '}':
+		l.depth--
 	}
 	l.advance(1)
 	l.emit(tokPunct, rest[:1], line, col)
+	return nil
 }

@@ -56,13 +56,25 @@ func Compile(src, top string, overrides map[string]int64) (*rtl.Model, error) {
 }
 
 type parser struct {
-	toks []token
-	pos  int
+	toks  []token
+	pos   int
+	depth int // expression and statement nesting (enter)
 }
 
 func (p *parser) cur() token  { return p.toks[p.pos] }
 func (p *parser) next() token { t := p.toks[p.pos]; p.pos++; return t }
 func (p *parser) atEOF() bool { return p.cur().kind == tokEOF }
+
+// enter counts one more level of nesting, refusing to go past
+// hdl.MaxNesting; a caller that gets nil must call leave on its way out.
+func (p *parser) enter() error {
+	if p.depth++; p.depth > hdl.MaxNesting {
+		return p.errf("nested deeper than %d levels", hdl.MaxNesting)
+	}
+	return nil
+}
+
+func (p *parser) leave() { p.depth-- }
 
 func (p *parser) errf(format string, args ...any) error {
 	t := p.cur()
@@ -404,6 +416,10 @@ func (p *parser) parseStmtOrBlock() ([]hdl.Stmt, error) {
 }
 
 func (p *parser) parseStmt() (hdl.Stmt, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	line := p.cur().line
 	switch {
 	case p.acceptPunct(";"):
@@ -582,6 +598,10 @@ var binPrec = map[string]int{
 }
 
 func (p *parser) parseExpr() (hdl.Expr, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	cond, err := p.parseBinary(1)
 	if err != nil || !p.acceptPunct("?") {
 		return cond, err
@@ -638,7 +658,11 @@ func (p *parser) parseUnary() (hdl.Expr, error) {
 					p.pos++
 				}
 			}
+			if err := p.enter(); err != nil {
+				return nil, err
+			}
 			x, err := p.parseUnary()
+			p.leave()
 			if err != nil {
 				return nil, err
 			}

@@ -52,10 +52,22 @@ type parser struct {
 	pos     int
 	edges   int  // rising_edge/falling_edge calls parsed so far
 	clocked bool // the process being parsed has a clock gate
+	depth   int  // expression and statement nesting (enter)
 }
 
 func (p *parser) cur() token  { return p.toks[p.pos] }
 func (p *parser) atEOF() bool { return p.cur().kind == tokEOF }
+
+// enter counts one more level of nesting, refusing to go past
+// hdl.MaxNesting; a caller that gets nil must call leave on its way out.
+func (p *parser) enter() error {
+	if p.depth++; p.depth > hdl.MaxNesting {
+		return p.errf("nested deeper than %d levels", hdl.MaxNesting)
+	}
+	return nil
+}
+
+func (p *parser) leave() { p.depth-- }
 
 func (p *parser) errf(format string, args ...any) error {
 	t := p.cur()
@@ -374,6 +386,10 @@ func (p *parser) parseConcurrent() (hdl.Item, error) {
 
 // parseWhenElse parses v [when c else ...] into a chain of conditionals.
 func (p *parser) parseWhenElse() (hdl.Expr, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	v, err := p.parseExpr()
 	if err != nil || !p.acceptKw("when") {
 		return v, err
@@ -476,6 +492,10 @@ func (p *parser) parseStmts() ([]hdl.Stmt, error) {
 // parseStmt parses one statement; a clock-gated if yields its branch's
 // statements.
 func (p *parser) parseStmt() ([]hdl.Stmt, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	line := p.cur().line
 	switch {
 	case p.acceptKw("null"):
@@ -552,6 +572,10 @@ func (p *parser) parseStmt() ([]hdl.Stmt, error) {
 // single clock is a posedge, so its branch is kept without the test, any
 // branch after it is dropped, and the process is clocked.
 func (p *parser) parseIf() ([]hdl.Stmt, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	edges := p.edges
 	cond, err := p.parseExpr()
 	if err != nil {
@@ -616,7 +640,13 @@ var levels = []map[string]bool{
 	{"*": true, "/": true, "mod": true, "rem": true},
 }
 
-func (p *parser) parseExpr() (hdl.Expr, error) { return p.parseLevel(0) }
+func (p *parser) parseExpr() (hdl.Expr, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
+	return p.parseLevel(0)
+}
 
 func (p *parser) parseLevel(n int) (hdl.Expr, error) {
 	if n == len(levels) {
@@ -647,7 +677,11 @@ func (p *parser) parseUnary() (hdl.Expr, error) {
 	t := p.cur()
 	if (t.kind == tokIdent && t.text == "not") || (t.kind == tokPunct && t.text == "-") {
 		p.pos++
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
 		x, err := p.parseUnary()
+		p.leave()
 		if err != nil {
 			return nil, err
 		}

@@ -92,6 +92,7 @@ type token struct {
 func lex(src string) ([]token, error) {
 	var toks []token
 	line := 1
+	depth := 0 // open parentheses, refused past hdl.MaxNesting before the rest is tokenised
 	i := 0
 	for i < len(src) {
 		c := src[i]
@@ -153,6 +154,14 @@ func lex(src string) ([]token, error) {
 				toks = append(toks, token{tokPunct, two, line})
 				i += 2
 			default:
+				switch c {
+				case '(':
+					if depth++; depth > hdl.MaxNesting {
+						return nil, fmt.Errorf("vhdl: line %d: parentheses nested deeper than %d", line, hdl.MaxNesting)
+					}
+				case ')':
+					depth--
+				}
 				toks = append(toks, token{tokPunct, string(c), line})
 				i++
 			}
