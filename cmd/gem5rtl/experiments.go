@@ -23,12 +23,11 @@ func fig5() (*flag.FlagSet, func()) {
 	return fs, func() {
 		ctx := fl.Setup()
 		fl.StartMonitor()
-		res, err := experiments.RunFigure5Ctx(ctx, experiments.Fig5Params{
-			N: *n, SleepUs: *sleepUs, IntervalCycles: *interval, SelfProfile: fl.SelfProfile})
+		res, err := fl.Runner(1).Figure5(ctx, experiments.Fig5Params{
+			N: *n, SleepUs: *sleepUs, IntervalCycles: *interval})
 		if err != nil {
 			cli.Fatal(err)
 		}
-		fl.Attribute(res.Attr)
 		fl.ExportProfile()
 		fmt.Println("# Figure 5: IPC/MPKI over time, PMU counters vs gem5 statistics")
 		fmt.Println("# time_ms  pmu_ipc  gem5_ipc  pmu_mpki  gem5_mpki")

@@ -246,12 +246,12 @@ func fullSystem() (*flag.FlagSet, func()) {
 			d.Start()
 			dumper = d
 		}
-		// flushObs drains the host-side observability sinks; run it before a
-		// checkpoint save (the interval event is host-side and not
-		// serialisable) and before the final stats dump. It is idempotent and
-		// on the exit-cleanup stack, so even an aborted run (watchdog trip,
-		// blown -timeout) leaves a complete, parseable trace and
-		// interval-stats file behind.
+		// flushObs drains the host-side observability sinks; run it before the
+		// final stats dump. The interval dumper polls rather than scheduling
+		// events, so a checkpoint may be saved with it running. flushObs is
+		// idempotent and on the exit-cleanup stack, so even an aborted run
+		// (watchdog trip, blown -timeout) or a checkpointing one leaves a
+		// complete, parseable trace and interval-stats file behind.
 		flushed := false
 		flushObs := func() error {
 			if flushed {
@@ -282,55 +282,40 @@ func fullSystem() (*flag.FlagSet, func()) {
 		}
 		cli.Defer(func() { _ = flushObs() })
 
+		// Run to the checkpoint tick or the time limit; an accelerator run to
+		// the limit ends with the last accelerator.
 		limit := sim.Tick(*limitMs) * sim.Millisecond
 		if *ckptAt > 0 {
-			at := cli.SimTime(*ckptAt)
-			if *nvdlas > 0 {
-				if _, _, err := s.RunNVDLAPhase(ctx, at); err != nil {
-					cli.Fatal(err)
-				}
-			} else {
-				stop := s.Queue.WatchContext(ctx, 0)
-				s.Queue.RunUntil(at)
-				stop()
-				if err := ctx.Err(); err != nil {
-					cli.Fatal(err)
-				}
+			limit = cli.SimTime(*ckptAt)
+		}
+		switch {
+		case *nvdlas > 0 && *ckptAt > 0:
+			_, _, err = s.RunNVDLAPhase(ctx, limit)
+		case *nvdlas > 0:
+			var done sim.Tick
+			if done, err = s.RunUntilNVDLAsDoneCtx(ctx, limit); err == nil {
+				fmt.Printf("# accelerators finished at %.3f ms simulated\n",
+					float64(done)/float64(sim.Millisecond))
 			}
-			if s.Watchdog != nil {
-				if err := s.Watchdog.Err(); err != nil {
-					cli.Fatal(err)
-				}
-			}
-			if err := flushObs(); err != nil {
-				cli.Fatal(err)
-			}
+		default:
+			stop := s.Queue.WatchContext(ctx, 0)
+			s.Queue.RunUntil(limit)
+			stop()
+			err = ctx.Err()
+		}
+		if err == nil && s.Watchdog != nil {
+			err = s.Watchdog.Err()
+		}
+		if err != nil {
+			cli.Fatal(err)
+		}
+		if *ckptAt > 0 {
 			if err := s.SaveFile(*ckptOut); err != nil {
 				cli.Fatal(err)
 			}
 			fmt.Fprintf(os.Stderr, "# checkpoint at %.3f ms simulated written to %s\n",
 				float64(s.Queue.Now())/float64(sim.Millisecond), *ckptOut)
 			return
-		}
-		if *nvdlas > 0 {
-			done, err := s.RunUntilNVDLAsDoneCtx(ctx, limit)
-			if err != nil {
-				cli.Fatal(err)
-			}
-			fmt.Printf("# accelerators finished at %.3f ms simulated\n",
-				float64(done)/float64(sim.Millisecond))
-		} else {
-			stop := s.Queue.WatchContext(ctx, 0)
-			s.Queue.RunUntil(limit)
-			stop()
-			if err := ctx.Err(); err != nil {
-				cli.Fatal(err)
-			}
-		}
-		if s.Watchdog != nil {
-			if err := s.Watchdog.Err(); err != nil {
-				cli.Fatal(err)
-			}
 		}
 
 		if err := flushObs(); err != nil {

@@ -35,10 +35,12 @@ func TestInterruptedRunLeavesValidOutputFiles(t *testing.T) {
 	tracePath := filepath.Join(dir, "trace.json")
 	statsPath := filepath.Join(dir, "stats.jsonl")
 
-	// A full-scale googlenet run takes far longer than the 150ms budget, so
-	// the run is reliably cut off mid-flight.
+	// Four full-scale googlenet accelerators take seconds of host time, far
+	// longer than the 150ms budget, so the run is reliably cut off
+	// mid-flight. (One finishes 0.28 ms of simulated time in about the
+	// budget, with only two context checks, so it sometimes ran to the end.)
 	cmd := exec.Command(bin,
-		"-nvdla", "1", "-dla-workload", "googlenet", "-dla-scale", "1",
+		"-nvdla", "4", "-dla-workload", "googlenet", "-dla-scale", "1",
 		"-cores", "1", "-program", "none", "-limit-ms", "60000",
 		"-timeout", "150ms",
 		"-trace-out", tracePath,

@@ -30,6 +30,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
@@ -60,13 +61,13 @@ func main() {
 	case "submit":
 		err = cmdSubmit(args)
 	case "status":
-		err = cmdJobGet(args, "", "status")
+		err = cmdJob(args, "status", http.MethodGet, "/v1/jobs/", "", "job-id")
 	case "results":
-		err = cmdJobGet(args, "/results", "results")
+		err = cmdJob(args, "results", http.MethodGet, "/v1/jobs/", "/results", "job-id")
 	case "watch":
-		err = cmdJobGet(args, "/stream", "watch")
+		err = cmdJob(args, "watch", http.MethodGet, "/v1/jobs/", "/stream", "job-id")
 	case "cancel":
-		err = cmdCancel(args)
+		err = cmdJob(args, "cancel", http.MethodDelete, "/v1/jobs/", "", "job-id")
 	case "local":
 		err = cmdLocal(args)
 	case "server-status":
@@ -80,15 +81,16 @@ func main() {
 	case "quarantine":
 		err = cmdServer(args, http.MethodGet, "/v1/quarantine", "quarantine")
 	case "unquarantine":
-		err = cmdUnquarantine(args)
+		// The next submission of the point simulates it with a fresh attempt
+		// budget.
+		err = cmdJob(args, "unquarantine", http.MethodDelete, "/v1/quarantine/", "", "fingerprint")
 	case "drain":
 		err = cmdServer(args, http.MethodPost, "/v1/drain", "drain")
 	default:
 		usage()
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "sweepctl:", err)
-		os.Exit(1)
+		cli.Fatal(err)
 	}
 }
 
@@ -164,14 +166,11 @@ func cmdSubmit(args []string) error {
 	if err != nil {
 		return err
 	}
-	resp, err := http.Post(*addr+"/v1/jobs", "application/json", strings.NewReader(string(body)))
+	resp, err := call("submit", http.MethodPost, *addr+"/v1/jobs", bytes.NewReader(body), http.StatusAccepted)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		return httpError("submit", resp)
-	}
 	var sub sweepd.SubmitResponse
 	if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil {
 		return err
@@ -190,54 +189,29 @@ func cmdSubmit(args []string) error {
 		}
 		time.Sleep(100 * time.Millisecond)
 	}
-	return printBody(*addr + "/v1/jobs/" + sub.ID + "/results")
+	return printCall("results", http.MethodGet, *addr+"/v1/jobs/"+sub.ID+"/results")
 }
 
 func fetchStatus(addr, id string) (sweepd.JobStatus, error) {
 	var st sweepd.JobStatus
-	resp, err := http.Get(addr + "/v1/jobs/" + id)
+	resp, err := call("status", http.MethodGet, addr+"/v1/jobs/"+id, nil, http.StatusOK)
 	if err != nil {
 		return st, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return st, httpError("status", resp)
-	}
 	err = json.NewDecoder(resp.Body).Decode(&st)
 	return st, err
 }
 
-// cmdJobGet streams one job GET endpoint ("" status, "/results", "/stream")
-// to stdout.
-func cmdJobGet(args []string, suffix, name string) error {
+// cmdJob calls the endpoint prefix+<arg>+suffix for the one argument an
+// operation on a single job or point takes, and prints the response body.
+func cmdJob(args []string, name, method, prefix, suffix, arg string) error {
 	fs, addr := serverFlags(name)
 	fs.Parse(args)
 	if fs.NArg() != 1 {
-		return fmt.Errorf("usage: sweepctl %s [-addr URL] <job-id>", name)
+		return fmt.Errorf("usage: sweepctl %s [-addr URL] <%s>", name, arg)
 	}
-	return printBody(*addr + "/v1/jobs/" + fs.Arg(0) + suffix)
-}
-
-func cmdCancel(args []string) error {
-	fs, addr := serverFlags("cancel")
-	fs.Parse(args)
-	if fs.NArg() != 1 {
-		return fmt.Errorf("usage: sweepctl cancel [-addr URL] <job-id>")
-	}
-	req, err := http.NewRequest(http.MethodDelete, *addr+"/v1/jobs/"+fs.Arg(0), nil)
-	if err != nil {
-		return err
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return httpError("cancel", resp)
-	}
-	_, err = io.Copy(os.Stdout, resp.Body)
-	return err
+	return printCall(name, method, *addr+prefix+fs.Arg(0)+suffix)
 }
 
 // cmdLocal runs a batch in-process through experiments.Runner and prints the
@@ -259,36 +233,43 @@ func cmdLocal(args []string) error {
 	return err
 }
 
+// cmdServer calls a server-wide endpoint and prints the response body.
 func cmdServer(args []string, method, path, name string) error {
 	fs, addr := serverFlags(name)
 	fs.Parse(args)
-	req, err := http.NewRequest(method, *addr+path, nil)
+	return printCall(name, method, *addr+path)
+}
+
+// call sends one request to the server and returns its response if the
+// status is want; any other status becomes the server's error (see
+// httpError). The caller closes the body.
+func call(name, method, url string, body io.Reader, want int) (*http.Response, error) {
+	req, err := http.NewRequest(method, url, body)
 	if err != nil {
-		return err
+		return nil, err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return httpError(name, resp)
+	if resp.StatusCode != want {
+		defer resp.Body.Close()
+		return nil, httpError(name, resp)
 	}
-	_, err = io.Copy(os.Stdout, resp.Body)
-	return err
+	return resp, nil
 }
 
-// printBody GETs a URL and copies the body to stdout (streaming, so `watch`
-// follows a live JSONL stream).
-func printBody(url string) error {
-	resp, err := http.Get(url)
+// printCall makes a bodiless call that must answer 200 and copies the body
+// to stdout (streaming, so `watch` follows a live JSONL stream).
+func printCall(name, method, url string) error {
+	resp, err := call(name, method, url, nil, http.StatusOK)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return httpError("get", resp)
-	}
 	_, err = io.Copy(os.Stdout, resp.Body)
 	return err
 }
@@ -302,14 +283,11 @@ func cmdTop(args []string) error {
 	k := fs.Int("k", 15, "attribution rows to show (0 = all)")
 	fs.Parse(args)
 
-	resp, err := http.Get(*addr + "/v1/metrics")
+	resp, err := call("top", http.MethodGet, *addr+"/v1/metrics", nil, http.StatusOK)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return httpError("top", resp)
-	}
 	body, err := io.ReadAll(resp.Body)
 	if err != nil {
 		return err
@@ -414,30 +392,6 @@ func unquotePrefix(s string) string {
 		}
 	}
 	return s
-}
-
-// cmdUnquarantine clears one point's quarantine record by fingerprint; the
-// next submission of the point simulates it with a fresh attempt budget.
-func cmdUnquarantine(args []string) error {
-	fs, addr := serverFlags("unquarantine")
-	fs.Parse(args)
-	if fs.NArg() != 1 {
-		return fmt.Errorf("usage: sweepctl unquarantine [-addr URL] <fingerprint>")
-	}
-	req, err := http.NewRequest(http.MethodDelete, *addr+"/v1/quarantine/"+fs.Arg(0), nil)
-	if err != nil {
-		return err
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return httpError("unquarantine", resp)
-	}
-	_, err = io.Copy(os.Stdout, resp.Body)
-	return err
 }
 
 // httpError decodes the server's JSON error body into a CLI error. A shed

@@ -50,9 +50,7 @@ func main() {
 	srv, err := sweepd.New(sweepd.Config{
 		Workers:  *workers,
 		StoreDir: *storeDir,
-		CkptDir:  fl.CheckpointDir,
-		Warmup:   fl.Warmup(),
-		Guard:    fl.Watchdog,
+		Options:  fl.Options(),
 		Quota:    *quota,
 		MaxQueue: *maxQueue,
 		Retry: sweepd.RetryPolicy{
@@ -64,15 +62,13 @@ func main() {
 		SelfProfile:   fl.SelfProfile,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "sweepd:", err)
-		os.Exit(1)
+		cli.Fatal(err)
 	}
 	srv.Start()
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "sweepd:", err)
-		os.Exit(1)
+		cli.Fatal(err)
 	}
 	// Printed (not logged) so scripts can capture the ephemeral port.
 	fmt.Printf("sweepd: listening on http://%s\n", ln.Addr())
@@ -97,8 +93,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "sweepd: drained, exiting")
 	case err := <-errc:
 		if err != nil && err != http.ErrServerClosed {
-			fmt.Fprintln(os.Stderr, "sweepd:", err)
-			os.Exit(1)
+			cli.Fatal(err)
 		}
 	}
 }

@@ -62,6 +62,7 @@ type Flags struct {
 	CheckpointDir  string
 
 	mon   *obs.HostMonitor
+	opts  []experiments.Option
 	cache *experiments.CheckpointCache
 
 	mu   sync.Mutex
@@ -149,24 +150,34 @@ func (f *Flags) StartMonitor() {
 
 // Runner returns a runner on workers goroutines that carries the flags: the
 // host monitor, the self-profiler with Attribute as its AttrSink, and the
-// warm-start and watchdog options.
+// run options.
 func (f *Flags) Runner(workers int) experiments.Runner {
-	r := experiments.Runner{Workers: workers, Monitor: f.mon}
+	r := experiments.Runner{Workers: workers, Monitor: f.mon, Options: f.Options()}
 	if f.SelfProfile > 0 {
 		r.SelfProfile = f.SelfProfile
 		r.AttrSink = f.Attribute
 	}
-	if f.CheckpointAt > 0 {
-		f.cache = experiments.NewCheckpointCache(f.CheckpointDir)
-		r.Options = append(r.Options, experiments.WithWarmStart(f.Warmup(), f.cache))
-	}
-	if f.Watchdog {
-		r.Options = append(r.Options, experiments.WithWatchdog(guard.Config{}))
-	}
 	return r
 }
 
-// WarmCache returns the warm-start cache Runner made, or nil without
+// Options returns the run options the warm-start and watchdog flags select,
+// built on the first call and shared by every later one, so every run of the
+// command warms from one checkpoint cache.
+func (f *Flags) Options() []experiments.Option {
+	if f.opts == nil {
+		f.opts = []experiments.Option{}
+		if f.CheckpointAt > 0 {
+			f.cache = experiments.NewCheckpointCache(f.CheckpointDir)
+			f.opts = append(f.opts, experiments.WithWarmStart(f.Warmup(), f.cache))
+		}
+		if f.Watchdog {
+			f.opts = append(f.opts, experiments.WithWatchdog(guard.Config{}))
+		}
+	}
+	return f.opts
+}
+
+// WarmCache returns the warm-start cache Options made, or nil without
 // -checkpoint-at.
 func (f *Flags) WarmCache() *experiments.CheckpointCache { return f.cache }
 

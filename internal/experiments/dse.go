@@ -43,12 +43,6 @@ func DefaultDSEParams() DSEParams {
 	return DSEParams{Scale: 8, Limit: 4 * sim.Second}
 }
 
-// buildTrace regenerates the named workload with its footprint divided by
-// scale (ratios between baseline and subject runs are unaffected).
-func buildTrace(workload string, base uint64, scale int) (*trace.Trace, error) {
-	return trace.Scaled(workload, base, scale)
-}
-
 // DSESpecs builds the full Figure 6/7 grid for workload in output order:
 // for each accelerator count and in-flight cap, the ideal baseline followed
 // by each memory technology.
@@ -135,7 +129,7 @@ func (r Runner) Table3(ctx context.Context, p DSEParams) ([]Table3Row, error) {
 				return nil, fmt.Errorf("%v: %w", res.Spec, res.Err)
 			}
 			name := "gem5+NVDLA+perfect-memory"
-			if !res.Spec.isIdeal() {
+			if !res.Spec.IsIdeal() {
 				name = "gem5+NVDLA+DDR4"
 			}
 			rows = append(rows, Table3Row{Config: name, Workload: wl,

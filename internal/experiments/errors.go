@@ -1,6 +1,10 @@
 package experiments
 
-import "errors"
+import (
+	"errors"
+	"fmt"
+	"runtime/debug"
+)
 
 // PermanentError marks a Run failure that retrying cannot fix: an invalid
 // spec, an impossible SoC configuration, a workload trace that does not
@@ -34,4 +38,37 @@ func Permanent(err error) error {
 func IsPermanent(err error) bool {
 	var p *PermanentError
 	return errors.As(err, &p)
+}
+
+// PanicError is a panic recovered from one run or work item: a diverging
+// simulation, an integrity check the simulator tripped, a fault the chaos
+// harness injected. The fault campaigns classify it as Detected; the sweep
+// service retries it as transient, like any failure that is not Permanent.
+type PanicError struct {
+	// What names the run or item that panicked (a RunSpec, "item 5"); it is
+	// formatted only when the error is.
+	What any
+	// Value is what was passed to panic.
+	Value any
+	// Stack is the panicking goroutine's stack at the recovery point.
+	Stack []byte
+}
+
+// Error renders the failing item, the panic value and the stack, so a
+// diverging point deep in a sweep is diagnosable from its error alone.
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("experiments: %v panicked: %v\n%s", e.What, e.Value, e.Stack)
+}
+
+// Recover runs fn and returns its error, or a *PanicError naming what if fn
+// panics. It is the one place a run's panic is recovered: the worker pool,
+// the ideal-baseline cache, the fault campaigns and the sweep service's
+// workers all go through it.
+func Recover(what any, fn func() error) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = &PanicError{What: what, Value: p, Stack: debug.Stack()}
+		}
+	}()
+	return fn()
 }

@@ -90,9 +90,9 @@ type faultRunResult struct {
 	fired bool
 }
 
-// faultRun builds and runs one point with an optional injected fault and a
-// watchdog, returning the output signature and hang state. A nil fault is the
-// reference run.
+// faultRun builds and runs one point with an optional injected fault under
+// the campaign's watchdog, returning the output signature and hang state. A
+// nil fault is the reference run.
 func (r Runner) faultRun(ctx context.Context, c FaultCampaign, f *guard.Fault, outs []memRegion) (faultRunResult, error) {
 	var res faultRunResult
 	if err := ctx.Err(); err != nil {
@@ -103,49 +103,45 @@ func (r Runner) faultRun(ctx context.Context, c FaultCampaign, f *guard.Fault, o
 	if err != nil {
 		return res, err
 	}
-	deliver := r.profile(s)
-	s.AttachWatchdog(c.Guard)
-	var tap *guard.PacketFaultTap
-	if f != nil {
-		switch f.Kind {
-		case guard.ReadPayloadFlip, guard.WritePayloadFlip, guard.DropResp, guard.DupResp, guard.DelayResp:
-			tap = &guard.PacketFaultTap{F: *f}
-			dla, pi := f.Link/2, f.Link%2
-			inj := port.Interpose(s.NVDLAs[dla].MemPort(pi), tap)
-			tap.BindDelay(s.Queue, inj)
-		case guard.DRAMBitFlip:
-			addr, bit := f.Addr, f.Bit%8
-			s.Queue.ScheduleOneShotOwned("guard.dram-bit-flip", f.Tick,
-				s.Queue.Owner("guard", "fault-inject"), func() {
-					var b [1]byte
-					s.Store.Read(addr, b[:])
-					b[0] ^= 1 << bit
-					s.Store.Write(addr, b[:])
-					res.fired = true
-				})
+	err = r.handRun(s, func() error {
+		var tap *guard.PacketFaultTap
+		if f != nil {
+			switch f.Kind {
+			case guard.ReadPayloadFlip, guard.WritePayloadFlip, guard.DropResp, guard.DupResp, guard.DelayResp:
+				tap = &guard.PacketFaultTap{F: *f}
+				dla, pi := f.Link/2, f.Link%2
+				inj := port.Interpose(s.NVDLAs[dla].MemPort(pi), tap)
+				tap.BindDelay(s.Queue, inj)
+			case guard.DRAMBitFlip:
+				addr, bit := f.Addr, f.Bit%8
+				s.Queue.ScheduleOneShotOwned("guard.dram-bit-flip", f.Tick,
+					s.Queue.Owner("guard", "fault-inject"), func() {
+						var b [1]byte
+						s.Store.Read(addr, b[:])
+						b[0] ^= 1 << bit
+						s.Store.Write(addr, b[:])
+						res.fired = true
+					})
+			}
 		}
-	}
-	_, remaining, runErr := s.RunNVDLAPhase(ctx, spec.Limit)
-	res.end = s.Queue.Now()
-	if runErr != nil {
-		var h *guard.HangError
-		if !errors.As(runErr, &h) {
-			return res, runErr
+		_, remaining, runErr := s.RunNVDLAPhase(ctx, spec.Limit)
+		res.end = s.Queue.Now()
+		if runErr != nil && !errors.As(runErr, &res.hang) {
+			return runErr
 		}
-		res.hang = h
-	}
-	if res.hang == nil && remaining > 0 {
-		res.hang = &guard.HangError{Tick: res.end,
-			Reason: fmt.Sprintf("time limit with %d accelerators still running", remaining)}
-	}
-	if tap != nil {
-		res.fired = tap.Fired
-	} else if f == nil {
-		res.fired = true
-	}
-	res.sig = outputSignature(s, outs)
-	deliver()
-	return res, nil
+		if res.hang == nil && remaining > 0 {
+			res.hang = &guard.HangError{Tick: res.end,
+				Reason: fmt.Sprintf("time limit with %d accelerators still running", remaining)}
+		}
+		if tap != nil {
+			res.fired = tap.Fired
+		} else if f == nil {
+			res.fired = true
+		}
+		res.sig = outputSignature(s, outs)
+		return nil
+	}, WithWatchdog(c.Guard))
+	return res, err
 }
 
 // outputSignature hashes what the run architecturally produced: each
@@ -238,19 +234,14 @@ func genFaults(c FaultCampaign, tr *trace.Trace, loads, outs []memRegion, refEnd
 
 // FaultCampaign runs the configured campaign on the runner's worker pool:
 // one fault-free reference run, then Count single-fault runs classified
-// against it. A hung injection is reaped by the per-run watchdog and reported
-// as an Outcome, not an error; a panicking injection (e.g. a duplicated
-// response hitting an integrity check) classifies as Detected. The returned
-// error is non-nil only for campaign-level failures: a failing reference run
-// or context cancellation (partial results are still returned).
+// against it (see campaign). The returned error is non-nil only for
+// campaign-level failures: a failing reference run or context cancellation
+// (partial results are still returned).
 func (r Runner) FaultCampaign(ctx context.Context, c FaultCampaign) ([]FaultResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if c.Spec.NVDLAs <= 0 {
 		return nil, fmt.Errorf("experiments: fault campaign needs at least one accelerator")
 	}
-	tr, err := buildTrace(c.Spec.Workload, 0, c.Spec.Scale)
+	tr, err := trace.Scaled(c.Spec.Workload, 0, c.Spec.Scale)
 	if err != nil {
 		return nil, err
 	}
@@ -262,44 +253,58 @@ func (r Runner) FaultCampaign(ctx context.Context, c FaultCampaign) ([]FaultResu
 			outsAbs = append(outsAbs, memRegion{base + reg.addr, reg.size})
 		}
 	}
-	ref, err := r.faultRun(ctx, c, nil, outsAbs)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: fault-campaign reference run: %w", err)
-	}
-	if ref.hang != nil {
-		return nil, fmt.Errorf("experiments: fault-campaign reference run hung: %s", ref.hang.Reason)
-	}
-	faults := genFaults(c, tr, loads, outs, ref.end)
-	results := make([]FaultResult, len(faults))
-	for i := range results {
-		results[i] = FaultResult{Index: i, Fault: faults[i]}
-	}
-	ferr := r.ForEach(ctx, len(faults), func(ctx context.Context, i int) error {
-		results[i] = r.runFault(ctx, c, i, faults[i], ref, outsAbs)
-		return ctx.Err()
-	})
-	return results, ferr
+	return r.campaign(ctx, "fault-campaign",
+		func(ctx context.Context, f *guard.Fault) (faultRunResult, error) {
+			return r.faultRun(ctx, c, f, outsAbs)
+		},
+		func(ref faultRunResult) []guard.Fault { return genFaults(c, tr, loads, outs, ref.end) })
 }
 
-// runFault executes and classifies one injection. Its own panic recovery maps
-// an integrity-check abort (a simulator panic caused by the fault) to
+// campaign is the skeleton both fault campaigns share. run executes the
+// system once, with the given fault or, for nil, fault-free; faults derives
+// the fault list from the reference run. The reference run must finish
+// without hanging. Every fault then runs on the worker pool and is
+// classified against the reference: a hung injection is reaped by the
+// per-run watchdog and reported as an Outcome, not an error, and a panicking
+// one (a duplicated response hitting an integrity check, say) classifies as
 // Detected, so a campaign never crashes on a fault the simulator caught.
-func (r Runner) runFault(ctx context.Context, c FaultCampaign, i int, f guard.Fault, ref faultRunResult, outs []memRegion) (res FaultResult) {
-	res = FaultResult{Index: i, Fault: f}
-	defer func() {
-		if p := recover(); p != nil {
-			res.Outcome = guard.Detected
-			res.Detail = fmt.Sprintf("panic: %v", p)
-			res.Err = nil
-		}
-	}()
-	run, err := r.faultRun(ctx, c, &f, outs)
-	if err != nil {
-		res.Err = err
-		return res
+func (r Runner) campaign(ctx context.Context, what string,
+	run func(ctx context.Context, f *guard.Fault) (faultRunResult, error),
+	faults func(ref faultRunResult) []guard.Fault) ([]FaultResult, error) {
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	res.Outcome, res.Detail = classify(run, ref)
-	return res
+	ref, err := run(ctx, nil)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: %s reference run: %w", what, err)
+	}
+	if ref.hang != nil {
+		return nil, fmt.Errorf("experiments: %s reference run hung: %s", what, ref.hang.Reason)
+	}
+	fs := faults(ref)
+	results := make([]FaultResult, len(fs))
+	for i := range results {
+		results[i] = FaultResult{Index: i, Fault: fs[i]}
+	}
+	err = r.ForEach(ctx, len(fs), func(ctx context.Context, i int) error {
+		res := &results[i]
+		var got faultRunResult
+		err := Recover(item(i), func() (err error) {
+			got, err = run(ctx, &res.Fault)
+			return err
+		})
+		var p *PanicError
+		switch {
+		case errors.As(err, &p):
+			res.Outcome, res.Detail = guard.Detected, fmt.Sprintf("panic: %v", p.Value)
+		case err != nil:
+			res.Err = err
+		default:
+			res.Outcome, res.Detail = classify(got, ref)
+		}
+		return ctx.Err()
+	})
+	return results, err
 }
 
 // classify maps a faulted run against the reference.
@@ -363,89 +368,62 @@ type PMUCampaign struct {
 	Guard guard.Config
 }
 
-// pmuRun executes the PMU workload once with an optional RTL state flip.
+// pmuRun executes the PMU workload once with an optional RTL state flip
+// under the campaign's watchdog.
 func (r Runner) pmuRun(ctx context.Context, c PMUCampaign, f *guard.Fault) (faultRunResult, error) {
 	var res faultRunResult
 	if err := ctx.Err(); err != nil {
 		return res, err
 	}
-	cfg := soc.DefaultConfig()
-	cfg.Cores = 1
-	cfg.WithPMU = true
-	s, err := soc.BuildWithOracles(cfg, r.oracles)
-	if err != nil {
-		return res, err
-	}
-	deliver := r.profile(s)
-	host := NewAXIHost(s.Queue)
-	port.Bind(host.Port(), s.PMU.CPUPort(0))
-	s.PMU.Start()
-	host.Write(pmu.RegEnable, 0x3F)
-	host.Write(pmu.RegThreshSel, pmu.EvCycle)
-	host.Write(pmu.RegThreshVal, 10000)
-	if err := s.LoadProgram(0, workload.SortBenchmark(workload.SortParams{
-		N: c.SortN, SleepUs: c.SleepUs})); err != nil {
-		return res, err
-	}
-	done := false
-	s.Cores[0].OnExit = func(int64) { done = true; s.Queue.ExitSimLoop("exit") }
-	s.StartCores(0)
-	wd := s.AttachWatchdog(c.Guard)
-	if f != nil {
-		pick := f.Pick
-		s.Queue.ScheduleOneShotOwned("guard.rtl-state-flip", f.Tick,
-			s.Queue.Owner("guard", "fault-inject"), func() {
-				// The flip is a back door into a model that may be asleep:
-				// wake it first, so the cycles before the flip run without it.
-				s.PMU.Wake()
-				s.PMUWrapper.Model().InjectStateFlip(pick)
-				res.fired = true
-			})
-	} else {
-		res.fired = true
-	}
-	stop := s.Queue.WatchContext(ctx, 0)
-	defer stop()
-	s.Queue.RunUntil(c.Limit)
-	if err := ctx.Err(); err != nil {
-		return res, err
-	}
-	res.end = s.Queue.Now()
-	if werr := wd.Err(); werr != nil {
-		var h *guard.HangError
-		errors.As(werr, &h)
-		res.hang = h
-	} else if !done {
-		res.hang = &guard.HangError{Tick: res.end, Reason: "time limit before guest exit"}
-	}
-	// Signature: the 20 PMU counters plus the core's committed-instruction
-	// count — a flipped counter or a derailed measurement both surface here.
-	// RunUntil has settled the PMU, so the counters are the ones ticking
-	// every cycle would show, however the run ended.
-	h := fnv.New64a()
-	var buf [8]byte
-	for i := 0; i < pmu.NumCounters; i++ {
-		v := s.PMUWrapper.Counter(i)
-		buf[0], buf[1], buf[2], buf[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-		h.Write(buf[:4])
-	}
-	committed := s.Cores[0].Stats().Committed
-	for i := 0; i < 8; i++ {
-		buf[i] = byte(committed >> (8 * i))
-	}
-	h.Write(buf[:])
-	res.sig = h.Sum64()
-	deliver()
-	return res, nil
+	sp := sortRun{SortParams: workload.SortParams{N: c.SortN, SleepUs: c.SleepUs}, PMU: true, Interval: 10000}
+	err := r.runSort(sp, func(s *sortSystem) error {
+		if f != nil {
+			pick := f.Pick
+			s.Queue.ScheduleOneShotOwned("guard.rtl-state-flip", f.Tick,
+				s.Queue.Owner("guard", "fault-inject"), func() {
+					// The flip is a back door into a model that may be
+					// asleep: wake it first, so the cycles before the flip
+					// run without it.
+					s.PMU.Wake()
+					s.PMUWrapper.Model().InjectStateFlip(pick)
+					res.fired = true
+				})
+		} else {
+			res.fired = true
+		}
+		if err := runFor(ctx, s.System, c.Limit); err != nil {
+			return err
+		}
+		res.end = s.Queue.Now()
+		if !errors.As(s.Watchdog.Err(), &res.hang) && !s.exited {
+			res.hang = &guard.HangError{Tick: res.end, Reason: "time limit before guest exit"}
+		}
+		// Signature: the 20 PMU counters plus the core's committed-instruction
+		// count — a flipped counter or a derailed measurement both surface
+		// here. RunUntil has settled the PMU, so the counters are the ones
+		// ticking every cycle would show, however the run ended.
+		h := fnv.New64a()
+		var buf [8]byte
+		for i := 0; i < pmu.NumCounters; i++ {
+			v := s.PMUWrapper.Counter(i)
+			buf[0], buf[1], buf[2], buf[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
+			h.Write(buf[:4])
+		}
+		committed := s.Cores[0].Stats().Committed
+		for i := 0; i < 8; i++ {
+			buf[i] = byte(committed >> (8 * i))
+		}
+		h.Write(buf[:])
+		res.sig = h.Sum64()
+		return nil
+	}, WithWatchdog(c.Guard))
+	return res, err
 }
 
 // PMUFaultCampaign runs the configured PMU campaign on the runner's worker
 // pool. Semantics mirror FaultCampaign: one reference run, Count classified
 // single-fault runs, hangs reaped by the watchdog, same seed, same table.
 func (r Runner) PMUFaultCampaign(ctx context.Context, c PMUCampaign) ([]FaultResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if c.SortN <= 0 {
 		c.SortN = 60
 	}
@@ -455,41 +433,18 @@ func (r Runner) PMUFaultCampaign(ctx context.Context, c PMUCampaign) ([]FaultRes
 	if c.Limit <= 0 {
 		c.Limit = 1 * sim.Second
 	}
-	ref, err := r.pmuRun(ctx, c, nil)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: PMU fault-campaign reference run: %w", err)
-	}
-	if ref.hang != nil {
-		return nil, fmt.Errorf("experiments: PMU fault-campaign reference run hung: %s", ref.hang.Reason)
-	}
-	results := make([]FaultResult, c.Count)
-	for i := range results {
-		rng := guard.NewRNG(guard.DeriveSeed(c.Seed, i))
-		results[i] = FaultResult{Index: i, Fault: guard.Fault{
-			Kind: guard.RTLStateFlip,
-			Pick: rng.Uint64(),
-			Tick: 1 + sim.Tick(rng.Uint64n(uint64(ref.end))),
-		}}
-	}
-	ferr := r.ForEach(ctx, len(results), func(ctx context.Context, i int) error {
-		f := results[i].Fault
-		res := FaultResult{Index: i, Fault: f}
-		func() {
-			defer func() {
-				if p := recover(); p != nil {
-					res.Outcome = guard.Detected
-					res.Detail = fmt.Sprintf("panic: %v", p)
+	return r.campaign(ctx, "PMU fault-campaign",
+		func(ctx context.Context, f *guard.Fault) (faultRunResult, error) { return r.pmuRun(ctx, c, f) },
+		func(ref faultRunResult) []guard.Fault {
+			faults := make([]guard.Fault, c.Count)
+			for i := range faults {
+				rng := guard.NewRNG(guard.DeriveSeed(c.Seed, i))
+				faults[i] = guard.Fault{
+					Kind: guard.RTLStateFlip,
+					Pick: rng.Uint64(),
+					Tick: 1 + sim.Tick(rng.Uint64n(uint64(ref.end))),
 				}
-			}()
-			run, err := r.pmuRun(ctx, c, &f)
-			if err != nil {
-				res.Err = err
-				return
 			}
-			res.Outcome, res.Detail = classify(run, ref)
-		}()
-		results[i] = res
-		return ctx.Err()
-	})
-	return results, ferr
+			return faults
+		})
 }

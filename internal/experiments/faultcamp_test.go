@@ -8,6 +8,7 @@ import (
 
 	"gem5rtl/internal/guard"
 	"gem5rtl/internal/sim"
+	"gem5rtl/internal/trace"
 )
 
 // campSpec is the small deterministic point every fault-campaign test runs.
@@ -20,7 +21,7 @@ func campSpec() RunSpec {
 // what FaultCampaign derives before classifying.
 func campOutputs(t *testing.T) []memRegion {
 	t.Helper()
-	tr, err := buildTrace("sanity3", 0, 64)
+	tr, err := trace.Scaled("sanity3", 0, 64)
 	if err != nil {
 		t.Fatal(err)
 	}

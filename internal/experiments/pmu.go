@@ -12,10 +12,8 @@ import (
 	"io"
 	"time"
 
-	"gem5rtl/internal/obs"
 	"gem5rtl/internal/pmu"
 	"gem5rtl/internal/port"
-	"gem5rtl/internal/prof"
 	"gem5rtl/internal/sim"
 	"gem5rtl/internal/soc"
 	"gem5rtl/internal/workload"
@@ -97,6 +95,67 @@ type Fig5Sample struct {
 	Gem5MPKI float64
 }
 
+// sortRun configures the Table 2 sort system that Figure 5, Table 2 and the
+// PMU fault campaign all run: one core running the sort benchmark, with or
+// without the PMU RTL model on core 0.
+type sortRun struct {
+	workload.SortParams
+	// PMU attaches the PMU, programmed to interrupt every Interval PMU cycles.
+	PMU      bool
+	Interval int
+	// Waveform traces the PMU model's VCD into WaveOut.
+	Waveform bool
+	WaveOut  io.Writer
+}
+
+// sortSystem is a sortRun built and brought up.
+type sortSystem struct {
+	*soc.System
+	// host programs and reads the PMU over AXI; nil without the PMU.
+	host *AXIHost
+	// start is when the bring-up began: a run's host time is measured from
+	// here, so it leaves out the build.
+	start time.Time
+	// exited reports that core 0 ran the benchmark to its exit.
+	exited bool
+}
+
+// runSort builds the sort system sp describes and runs it through the
+// runner's lifecycle (handRun): the options attach, the system comes up, and
+// drive runs it. Bring-up is the same for every caller: the PMU started and
+// programmed over AXI — commit lines 0-3, the L1D miss line and the cycle
+// line enabled, an interrupt every Interval cycle events — then the benchmark
+// loaded on core 0, whose exit ends the simulation loop, and the core started.
+func (r Runner) runSort(sp sortRun, drive func(s *sortSystem) error, extra ...Option) error {
+	cfg := soc.DefaultConfig()
+	cfg.Cores = 1
+	cfg.WithPMU = sp.PMU
+	cfg.PMUWaveform = sp.Waveform
+	cfg.PMUWaveOut = sp.WaveOut
+	sys, err := soc.BuildWithOracles(cfg, r.oracles)
+	if err != nil {
+		return err
+	}
+	s := &sortSystem{System: sys}
+	return r.handRun(sys, func() error {
+		s.start = time.Now()
+		if sp.PMU {
+			s.host = NewAXIHost(s.Queue)
+			port.Bind(s.host.Port(), s.PMU.CPUPort(0))
+			s.PMU.Start()
+			s.host.Write(pmu.RegEnable, 0x3F)
+			s.host.Write(pmu.RegThreshSel, pmu.EvCycle)
+			s.host.Write(pmu.RegThreshVal, uint32(sp.Interval))
+		}
+		if err := s.LoadProgram(0, workload.SortBenchmark(sp.SortParams)); err != nil {
+			return err
+		}
+		s.Cores[0].OnExit = func(int64) { s.exited = true; s.Queue.ExitSimLoop("exit") }
+		s.StartCores(0)
+		return drive(s)
+	}, extra...)
+}
+
 // Fig5Params configures the PMU functional experiment.
 type Fig5Params struct {
 	// N sizes the Selection/Bubble arrays (QuickSort gets 10N). The paper
@@ -109,11 +168,6 @@ type Fig5Params struct {
 	// Waveform enables PMU VCD tracing into WaveOut.
 	Waveform bool
 	WaveOut  io.Writer
-	// SelfProfile, when > 0, attaches the event-kernel self-profiler (with
-	// this clock-read cadence) and fills Fig5Result.Attr, sub-attributing the
-	// PMU model's comb/seq/memw phases. Profiling is observational: the
-	// sampled series is identical either way.
-	SelfProfile int
 }
 
 // DefaultFig5Params returns a scaled-down configuration (see EXPERIMENTS.md
@@ -130,122 +184,95 @@ type Fig5Result struct {
 	Gem5TotalInsts uint64
 	HostTime       time.Duration
 	SimTicks       sim.Tick
-	// Attr is the self-profiler attribution report (nil unless
-	// Fig5Params.SelfProfile was set).
-	Attr *prof.Report
 }
 
-// RunFigure5Ctx reproduces Figure 5: the sort benchmark runs on core 0 with
-// the PMU RTL model attached; every threshold interrupt the harness reads
-// the PMU counters over AXI and snapshots gem5-side statistics over the
-// same window, yielding paired IPC/MPKI series. Cancelling ctx aborts the
-// simulation promptly and returns ctx.Err().
+// RunFigure5Ctx reproduces Figure 5 on a default Runner (see
+// Runner.Figure5).
 func RunFigure5Ctx(ctx context.Context, p Fig5Params) (*Fig5Result, error) {
+	return Runner{}.Figure5(ctx, p)
+}
+
+// Figure5 reproduces Figure 5: the sort benchmark runs on core 0 with the PMU
+// RTL model attached; every threshold interrupt the harness reads the PMU
+// counters over AXI and snapshots gem5-side statistics over the same window,
+// yielding paired IPC/MPKI series. The run carries the runner's options and
+// self-profiler. Cancelling ctx aborts the simulation promptly and returns
+// ctx.Err().
+func (r Runner) Figure5(ctx context.Context, p Fig5Params) (*Fig5Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	cfg := soc.DefaultConfig()
-	cfg.Cores = 1
-	cfg.WithPMU = true
-	cfg.PMUWaveform = p.Waveform
-	cfg.PMUWaveOut = p.WaveOut
-	s, err := soc.Build(cfg)
+	res := &Fig5Result{}
+	err := r.runSort(sortRun{
+		SortParams: workload.SortParams{N: p.N, SleepUs: p.SleepUs},
+		PMU:        true, Interval: p.IntervalCycles,
+		Waveform: p.Waveform, WaveOut: p.WaveOut,
+	}, func(s *sortSystem) error {
+		// Interval sampling on the PMU interrupt.
+		var lastPMU [6]uint32
+		lastGem5 := s.Stats.Snapshot()
+		irqPending := false
+		s.PMU.OnInterrupt(func(level bool) {
+			if level {
+				irqPending = true
+				s.Queue.ExitSimLoop("pmu irq")
+			}
+		})
+		for !s.exited {
+			if err := runFor(ctx, s.System, sim.MaxTick); err != nil {
+				return err
+			}
+			s.Queue.ClearExit()
+			if !irqPending {
+				continue
+			}
+			irqPending = false
+			// Interrupt handler: read the six counters over AXI (timing).
+			var cur [6]uint32
+			for i := 0; i < 6; i++ {
+				cur[i] = s.host.Read(pmu.RegCounterBase + uint64(4*i))
+			}
+			nowGem5 := s.Stats.Snapshot()
+			commits := float64(0)
+			for i := pmu.EvCommit0; i <= pmu.EvCommit3; i++ {
+				commits += float64(cur[i] - lastPMU[i])
+			}
+			misses := float64(cur[pmu.EvL1DMiss] - lastPMU[pmu.EvL1DMiss])
+			// The cycle counter resets at the threshold; the window is the
+			// configured interval in PMU (1 GHz) cycles = 2x core cycles.
+			pmuCoreCycles := float64(p.IntervalCycles) * 2
+			gem5Insts := nowGem5["system.cpu0.committedInsts"] - lastGem5["system.cpu0.committedInsts"]
+			gem5Misses := nowGem5["system.cpu0.dcache.misses"] - lastGem5["system.cpu0.dcache.misses"]
+			sample := Fig5Sample{
+				TimeMs:  float64(s.Queue.Now()) / float64(sim.Millisecond),
+				PMUIPC:  commits / pmuCoreCycles,
+				Gem5IPC: gem5Insts / pmuCoreCycles,
+			}
+			if commits > 0 {
+				sample.PMUMPKI = misses / commits * 1000
+			}
+			if gem5Insts > 0 {
+				sample.Gem5MPKI = gem5Misses / gem5Insts * 1000
+			}
+			res.Samples = append(res.Samples, sample)
+			lastPMU = cur
+			lastGem5 = nowGem5
+		}
+		// Stop settles: the counters read below are the per-cycle machine's.
+		s.PMU.Stop()
+		res.HostTime = time.Since(s.start)
+		res.SimTicks = s.Queue.Now()
+		// Counters were snapshot-read cumulatively; totals = final counter
+		// reads.
+		for i := pmu.EvCommit0; i <= pmu.EvCommit3; i++ {
+			res.PMUTotalInsts += uint64(s.PMUWrapper.Counter(i))
+		}
+		res.Gem5TotalInsts = s.Cores[0].Stats().Committed
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	if p.SelfProfile > 0 {
-		s.AttachSelfProfiler(p.SelfProfile)
-	}
-	host := NewAXIHost(s.Queue)
-	port.Bind(host.p, s.PMU.CPUPort(0))
-
-	start := time.Now()
-	s.PMU.Start()
-	// Program the PMU: enable commit lines 0-3, the L1D miss line and the
-	// cycle line; interrupt every IntervalCycles cycle events.
-	host.Write(pmu.RegEnable, 0x3F)
-	host.Write(pmu.RegThreshSel, pmu.EvCycle)
-	host.Write(pmu.RegThreshVal, uint32(p.IntervalCycles))
-
-	if err := s.LoadProgram(0, workload.SortBenchmark(workload.SortParams{
-		N: p.N, SleepUs: p.SleepUs})); err != nil {
-		return nil, err
-	}
-	res := &Fig5Result{}
-	finished := false
-	s.Cores[0].OnExit = func(int64) { finished = true; s.Queue.ExitSimLoop("exit") }
-
-	// Interval sampling on the PMU interrupt.
-	var lastPMU [6]uint32
-	lastGem5 := s.Stats.Snapshot()
-	irqPending := false
-	s.PMU.OnInterrupt(func(level bool) {
-		if level {
-			irqPending = true
-			s.Queue.ExitSimLoop("pmu irq")
-		}
-	})
-	s.StartCores(0)
-
-	stop := s.Queue.WatchContext(ctx, 0)
-	defer stop()
-	for !finished {
-		s.Queue.RunUntil(sim.MaxTick)
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		s.Queue.ClearExit()
-		if !irqPending {
-			if finished {
-				break
-			}
-			continue
-		}
-		irqPending = false
-		// Interrupt handler: read the six counters over AXI (timing).
-		var cur [6]uint32
-		for i := 0; i < 6; i++ {
-			cur[i] = host.Read(pmu.RegCounterBase + uint64(4*i))
-		}
-		nowGem5 := s.Stats.Snapshot()
-		commits := float64(0)
-		for i := pmu.EvCommit0; i <= pmu.EvCommit3; i++ {
-			commits += float64(cur[i] - lastPMU[i])
-		}
-		misses := float64(cur[pmu.EvL1DMiss] - lastPMU[pmu.EvL1DMiss])
-		// The cycle counter resets at the threshold; the window is the
-		// configured interval in PMU (1 GHz) cycles = 2x core cycles.
-		pmuCoreCycles := float64(p.IntervalCycles) * 2
-		gem5Insts := nowGem5["system.cpu0.committedInsts"] - lastGem5["system.cpu0.committedInsts"]
-		gem5Misses := nowGem5["system.cpu0.dcache.misses"] - lastGem5["system.cpu0.dcache.misses"]
-		sample := Fig5Sample{
-			TimeMs:  float64(s.Queue.Now()) / float64(sim.Millisecond),
-			PMUIPC:  commits / pmuCoreCycles,
-			Gem5IPC: gem5Insts / pmuCoreCycles,
-		}
-		if commits > 0 {
-			sample.PMUMPKI = misses / commits * 1000
-		}
-		if gem5Insts > 0 {
-			sample.Gem5MPKI = gem5Misses / gem5Insts * 1000
-		}
-		res.Samples = append(res.Samples, sample)
-		lastPMU = cur
-		lastGem5 = nowGem5
-	}
-	// Stop settles: the counters read below are the per-cycle machine's.
-	s.PMU.Stop()
-	res.HostTime = time.Since(start)
-	res.SimTicks = s.Queue.Now()
-	var pmuTotal uint64
-	for i := pmu.EvCommit0; i <= pmu.EvCommit3; i++ {
-		pmuTotal += uint64(s.PMUWrapper.Counter(i))
-	}
-	// Counters were snapshot-read cumulatively; totals = final counter reads.
-	res.PMUTotalInsts = pmuTotal
-	st := s.Cores[0].Stats()
-	res.Gem5TotalInsts = st.Committed
-	res.Attr = prof.FromQueue(s.Queue)
 	return res, nil
 }
 
@@ -344,54 +371,28 @@ func (r Runner) runSortOnce(ctx context.Context, n, sleepUs int, withPMU, wavefo
 	if err := ctx.Err(); err != nil {
 		return cell, err
 	}
-	cfg := soc.DefaultConfig()
-	cfg.Cores = 1
-	cfg.WithPMU = withPMU
 	var sink countingWriter
+	sp := sortRun{SortParams: workload.SortParams{N: n, SleepUs: sleepUs}, PMU: withPMU, Interval: 10000}
 	if waveform {
-		cfg.PMUWaveform = true
-		cfg.PMUWaveOut = &sink
+		sp.Waveform, sp.WaveOut = true, &sink
 	}
-	s, err := soc.Build(cfg)
-	if err != nil {
-		return cell, err
-	}
-	deliver := r.profile(s)
-	start := time.Now()
-	if withPMU {
-		host := NewAXIHost(s.Queue)
-		port.Bind(host.p, s.PMU.CPUPort(0))
-		s.PMU.Start()
-		host.Write(pmu.RegEnable, 0x3F)
-		host.Write(pmu.RegThreshSel, pmu.EvCycle)
-		host.Write(pmu.RegThreshVal, 10000)
-	}
-	if err := s.LoadProgram(0, workload.SortBenchmark(workload.SortParams{
-		N: n, SleepUs: sleepUs})); err != nil {
-		return cell, err
-	}
-	done := false
-	s.Cores[0].OnExit = func(int64) { done = true; s.Queue.ExitSimLoop("exit") }
-	s.StartCores(0)
-	watchStop := s.Queue.WatchContext(ctx, 0)
-	defer watchStop()
-	s.Queue.RunUntil(sim.MaxTick)
-	obs.CountEvents(s.Queue.Dispatched())
-	if err := ctx.Err(); err != nil {
-		return cell, err
-	}
-	if !done {
-		return cell, fmt.Errorf("experiments: sort benchmark (n=%d) did not finish", n)
-	}
-	cell.HostTime = time.Since(start)
-	cell.Events = s.Queue.Dispatched()
-	cell.Committed = s.Cores[0].Stats().Committed
-	if withPMU {
-		cell.ModelTicks = s.PMU.Stats().Ticks
-	}
+	err := r.runSort(sp, func(s *sortSystem) error {
+		if err := runFor(ctx, s.System, sim.MaxTick); err != nil {
+			return err
+		}
+		if !s.exited {
+			return fmt.Errorf("experiments: sort benchmark (n=%d) did not finish", n)
+		}
+		cell.HostTime = time.Since(s.start)
+		cell.Events = s.Queue.Dispatched()
+		cell.Committed = s.Cores[0].Stats().Committed
+		if withPMU {
+			cell.ModelTicks = s.PMU.Stats().Ticks
+		}
+		return nil
+	})
 	cell.VCDBytes = sink.n
-	deliver()
-	return cell, nil
+	return cell, err
 }
 
 // countingWriter discards VCD output while paying realistic formatting cost.

@@ -103,22 +103,76 @@ func withEvents(dst *uint64) Option {
 // event loop promptly and returns ctx.Err(). Options layer warm-start
 // checkpointing, liveness guarding and observability onto the same run; see
 // WithWarmStart, WithWatchdog, WithTracer, WithStateHash, WithStats.
+//
+// Under warm start a cache hit builds a fresh system, restores the snapshot
+// and simulates only the remainder; a miss runs the warm-up prefix from tick
+// 0, snapshots the full system at the warmup tick, then finishes the run. A
+// snapshot that fails to restore (a stale file persisted by an older build)
+// is dropped and the point transparently falls back to a cold run.
 func Run(ctx context.Context, spec RunSpec, opts ...Option) (sim.Tick, error) {
-	var o runOpts
-	for _, opt := range opts {
-		opt(&o)
-	}
+	o := resolve(opts)
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	if o.warmup > 0 && o.cache != nil {
-		return runWarm(ctx, spec, &o)
+	warm := o.warmup > 0 && o.cache != nil
+	if warm {
+		if blob, ok := o.cache.load(spec, o.warmup); ok {
+			s, err := soc.Build(specConfig(spec))
+			if err == nil {
+				err = o.attach(s)
+			}
+			if err != nil {
+				return 0, Permanent(err)
+			}
+			if _, err := s.Restore(bytes.NewReader(blob)); err == nil {
+				o.cache.countHit()
+				return o.complete(ctx, s, spec.Limit)
+			}
+			o.cache.countStale()
+			o.cache.drop(spec, o.warmup)
+		}
 	}
-	return runCold(ctx, spec, &o)
+	s, err := buildPoint(spec, soc.Oracles{})
+	if err == nil {
+		err = o.attach(s)
+	}
+	if err != nil {
+		// A point that cannot build will not build on a retry either.
+		return 0, Permanent(err)
+	}
+	if warm {
+		done, remaining, err := s.RunNVDLAPhase(ctx, o.warmup)
+		if err != nil || remaining == 0 {
+			// A failed prefix, or one that finished inside the warm-up
+			// window: nothing worth snapshotting.
+			if err := o.finish(s, err); err != nil {
+				return 0, err
+			}
+			return done, nil
+		}
+		var buf bytes.Buffer
+		if err := s.Save(&buf); err != nil {
+			return 0, fmt.Errorf("experiments: warm-start snapshot for %v: %w", spec, err)
+		}
+		o.cache.store(spec, o.warmup, buf.Bytes())
+	}
+	return o.complete(ctx, s, spec.Limit)
+}
+
+// resolve applies the option lists in order; a later option overrides an
+// earlier one on the same axis.
+func resolve(lists ...[]Option) *runOpts {
+	o := &runOpts{}
+	for _, opts := range lists {
+		for _, opt := range opts {
+			opt(o)
+		}
+	}
+	return o
 }
 
 // attach wires the pre-run observability and guarding options into a built
-// system.
+// system. It is the one place a run's self-profiler and watchdog attach.
 func (o *runOpts) attach(s *soc.System) error {
 	if o.trace != nil {
 		if _, err := s.AttachTracer(*o.trace); err != nil {
@@ -136,8 +190,14 @@ func (o *runOpts) attach(s *soc.System) error {
 	return nil
 }
 
-// finish runs the post-run option sinks.
-func (o *runOpts) finish(s *soc.System) error {
+// finish closes a run that ended with err: its dispatched events join the
+// host-wide count whatever the outcome, and a run that succeeded feeds the
+// post-run sinks. It returns err, or the first sink failure.
+func (o *runOpts) finish(s *soc.System, err error) error {
+	obs.CountEvents(s.Queue.Dispatched())
+	if err != nil {
+		return err
+	}
 	if o.stateHash != nil {
 		h, err := s.StateHash()
 		if err != nil {
@@ -157,76 +217,34 @@ func (o *runOpts) finish(s *soc.System) error {
 	return nil
 }
 
-// complete runs s to the end of the point and then the post-run sinks.
+// complete runs s to the end of the point and finishes the run.
 func (o *runOpts) complete(ctx context.Context, s *soc.System, limit sim.Tick) (sim.Tick, error) {
 	done, err := s.RunUntilNVDLAsDoneCtx(ctx, limit)
-	obs.CountEvents(s.Queue.Dispatched())
-	if err != nil {
-		return done, err
-	}
-	if ferr := o.finish(s); ferr != nil {
-		return 0, ferr
+	if err := o.finish(s, err); err != nil {
+		return 0, err
 	}
 	return done, nil
 }
 
-// runCold executes the point from tick 0 with no checkpointing.
-func runCold(ctx context.Context, spec RunSpec, o *runOpts) (sim.Tick, error) {
-	s, err := buildPoint(spec, soc.Oracles{})
-	if err != nil {
-		// A point that cannot build will not build on a retry either.
-		return 0, Permanent(err)
-	}
+// handRun is Run's lifecycle for a system a Runner method built by hand
+// rather than from a RunSpec: the runner's options (see Runner.options, plus
+// extra) attach to s, drive brings the system up and runs it, and the run
+// finishes whatever drive returns. Warm start does not apply: there is no
+// spec to key a snapshot by.
+func (r Runner) handRun(s *soc.System, drive func() error, extra ...Option) error {
+	o := resolve(r.options(), extra)
 	if err := o.attach(s); err != nil {
-		return 0, Permanent(err)
+		return err
 	}
-	return o.complete(ctx, s, spec.Limit)
+	return o.finish(s, drive())
 }
 
-// runWarm executes the point with warm-start checkpointing. On a cache hit
-// it builds a fresh system, restores the snapshot and simulates only the
-// remainder; on a miss it runs the warm-up prefix from tick 0, snapshots the
-// full system at the warmup tick, then finishes the run. A snapshot that
-// fails to restore (a stale file persisted by an older build) is dropped and
-// the point transparently falls back to a cold run.
-func runWarm(ctx context.Context, spec RunSpec, o *runOpts) (sim.Tick, error) {
-	if blob, ok := o.cache.load(spec, o.warmup); ok {
-		s, err := soc.Build(specConfig(spec))
-		if err != nil {
-			return 0, Permanent(err)
-		}
-		if err := o.attach(s); err != nil {
-			return 0, Permanent(err)
-		}
-		if _, err := s.Restore(bytes.NewReader(blob)); err == nil {
-			o.cache.countHit()
-			return o.complete(ctx, s, spec.Limit)
-		}
-		o.cache.countStale()
-		o.cache.drop(spec, o.warmup)
-	}
-	s, err := buildPoint(spec, soc.Oracles{})
-	if err != nil {
-		return 0, Permanent(err)
-	}
-	if err := o.attach(s); err != nil {
-		return 0, Permanent(err)
-	}
-	done, remaining, err := s.RunNVDLAPhase(ctx, o.warmup)
-	if err != nil {
-		return 0, err
-	}
-	if remaining == 0 {
-		// Finished inside the warm-up window; nothing worth snapshotting.
-		if ferr := o.finish(s); ferr != nil {
-			return 0, ferr
-		}
-		return done, nil
-	}
-	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
-		return 0, fmt.Errorf("experiments: warm-start snapshot for %v: %w", spec, err)
-	}
-	o.cache.store(spec, o.warmup, buf.Bytes())
-	return o.complete(ctx, s, spec.Limit)
+// runFor runs a hand-built system to limit while watching ctx (see
+// sim.EventQueue.WatchContext), and returns ctx.Err() if the context ended
+// the run.
+func runFor(ctx context.Context, s *soc.System, limit sim.Tick) error {
+	stop := s.Queue.WatchContext(ctx, 0)
+	s.Queue.RunUntil(limit)
+	stop()
+	return ctx.Err()
 }

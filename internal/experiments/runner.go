@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"runtime/debug"
 	"sync"
 	"time"
 
@@ -53,10 +52,11 @@ type Runner struct {
 	// Run overrides the per-point executor; nil means Run with Options.
 	// Tests use this to inject failures and count baseline executions.
 	Run func(ctx context.Context, spec RunSpec) (sim.Tick, error)
-	// Options configure every point's Run call (warm-start, watchdog,
-	// tracing — see the Option constructors). Points execute concurrently,
-	// so per-point sinks like WithStateHash must not be used here; compose
-	// them on direct Run calls instead. Ignored when Run is set.
+	// Options configure every run the runner makes (warm-start, watchdog,
+	// tracing — see the Option constructors); warm start applies to Sweep
+	// points only. Points execute concurrently, so per-point sinks like
+	// WithStateHash must not be used here; compose them on direct Run calls
+	// instead. Ignored by Sweep when Run is set.
 	Options []Option
 	// Monitor, when non-nil, samples host runtime metrics (wall time,
 	// goroutines, heap, aggregate simulated events/sec) for the duration of
@@ -67,9 +67,9 @@ type Runner struct {
 	// sim.DefaultProfileEvery) and stores each point's attribution report
 	// in Result.Attr. Ideal-memory baseline runs are shared across points
 	// and are never profiled. Ignored when Run is set. The other methods —
-	// Table2 and the fault campaigns — profile every run they make and hand
-	// the reports to AttrSink only. Profiling is observational: no table
-	// changes but the host-time columns.
+	// Figure5, Table2 and the fault campaigns — profile every run they make
+	// when AttrSink is set and hand the reports to it only. Profiling is
+	// observational: no table changes but the host-time columns.
 	SelfProfile int
 	// AttrSink, when non-nil, additionally receives every profiled point's
 	// attribution report as it completes — the aggregation hook for CLIs
@@ -77,63 +77,29 @@ type Runner struct {
 	// goroutines and must be safe for concurrent use.
 	AttrSink func(*prof.Report)
 
-	// oracles builds the fault campaigns' systems on test oracles; only this
-	// package's tests set it.
+	// oracles builds the systems the methods build by hand on test oracles;
+	// only this package's tests set it.
 	oracles soc.Oracles
 }
 
-// profile attaches the self-profiler to a system a Runner method built by
-// hand when SelfProfile is on, and returns the call that hands the run's
-// report to AttrSink once the run is over.
-func (r Runner) profile(s *soc.System) (deliver func()) {
-	if r.SelfProfile <= 0 {
-		return func() {}
+// options is the option list of a run a Runner method builds by hand: the
+// runner's Options, then the self-profiler feeding AttrSink when SelfProfile
+// is on. Sweep points compose their own profiler sink (see runOne), and the
+// shared ideal baselines are never profiled.
+func (r Runner) options() []Option {
+	if r.SelfProfile <= 0 || r.AttrSink == nil {
+		return r.Options
 	}
-	s.AttachSelfProfiler(r.SelfProfile)
-	return func() {
-		if rep := prof.FromQueue(s.Queue); rep != nil && r.AttrSink != nil {
-			r.AttrSink(rep)
-		}
-	}
+	return append(r.Options[:len(r.Options):len(r.Options)], WithSelfProfile(r.SelfProfile, r.AttrSink))
 }
 
-// pointRun executes one point with extra per-point options.
-type pointRun func(ctx context.Context, spec RunSpec, extra ...Option) (sim.Tick, error)
-
-// executor resolves the per-point run function: an explicit override, which
-// takes no options, or the unified Run entry point with the runner's options.
-func (r Runner) executor() pointRun {
+// exec runs one point: the Run override when it is set, which takes no
+// options, else Run with the runner's options and extra.
+func (r Runner) exec(ctx context.Context, spec RunSpec, extra ...Option) (sim.Tick, error) {
 	if r.Run != nil {
-		return func(ctx context.Context, spec RunSpec, _ ...Option) (sim.Tick, error) {
-			return r.Run(ctx, spec)
-		}
+		return r.Run(ctx, spec)
 	}
-	opts := r.Options
-	return func(ctx context.Context, spec RunSpec, extra ...Option) (sim.Tick, error) {
-		return Run(ctx, spec, append(opts[:len(opts):len(opts)], extra...)...)
-	}
-}
-
-// panicError wraps a recovered panic with the failing work item and the
-// goroutine stack at the recovery point, so a diverging simulation deep in a
-// sweep is diagnosable from Result.Err alone.
-func panicError(what string, p any) error {
-	return fmt.Errorf("experiments: %s panicked: %v\n%s", what, p, debug.Stack())
-}
-
-// poolSize resolves the effective worker count for n queued items.
-func (r Runner) poolSize(n int) int {
-	w := r.Workers
-	if w <= 0 {
-		w = runtime.NumCPU()
-	}
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return Run(ctx, spec, append(r.Options[:len(r.Options):len(r.Options)], extra...)...)
 }
 
 // Sweep runs every spec and returns one Result per spec, in input order
@@ -151,37 +117,20 @@ func (r Runner) Sweep(ctx context.Context, specs []RunSpec) ([]Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	run := r.executor()
-	if r.Monitor != nil {
-		r.Monitor.Start()
-		defer r.Monitor.Stop()
-	}
 	results := make([]Result, len(specs))
-	cache := &baselineCache{run: run, entries: map[RunSpec]*baselineEntry{}}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < r.poolSize(len(specs)); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				results[i] = r.runOne(ctx, specs[i], cache)
-			}
-		}()
-	}
-	var unfed []int
-	for i := range specs {
-		select {
-		case idx <- i:
-		case <-ctx.Done():
-			unfed = append(unfed, i)
-		}
-	}
-	close(idx)
-	wg.Wait()
+	cache := &baselineCache{r: r, entries: map[RunSpec]*baselineEntry{}}
+	// An item never fails — runOne records each point's error in its Result
+	// — so the pool's error is the context's, handled below.
+	_ = r.ForEach(ctx, len(specs), func(ctx context.Context, i int) error {
+		results[i] = r.runOne(ctx, specs[i], cache)
+		return nil
+	})
 	if err := ctx.Err(); err != nil {
-		for _, i := range unfed {
-			results[i] = Result{Spec: specs[i], Err: err}
+		for i := range results {
+			if results[i] == (Result{}) {
+				// Never started: the pool stopped feeding at cancellation.
+				results[i] = Result{Spec: specs[i], Err: err}
+			}
 		}
 		return results, err
 	}
@@ -189,22 +138,27 @@ func (r Runner) Sweep(ctx context.Context, specs []RunSpec) ([]Result, error) {
 }
 
 // runOne executes a single point with panic recovery and normalisation.
-func (r Runner) runOne(ctx context.Context, spec RunSpec, cache *baselineCache) (res Result) {
-	res.Spec = spec
-	defer func() {
-		if p := recover(); p != nil {
-			res.Ticks, res.Perf = 0, 0
-			res.Err = panicError(spec.String(), p)
+func (r Runner) runOne(ctx context.Context, spec RunSpec, cache *baselineCache) Result {
+	res := Result{Spec: spec}
+	if err := Recover(spec, func() error { return r.point(ctx, cache, &res) }); err != nil {
+		res.Ticks, res.Perf, res.Err = 0, 0, err
+	}
+	r.say(&res)
+	return res
+}
+
+// point simulates res.Spec, or reads it from the baseline cache when it is
+// an ideal point, and normalises it against its ideal baseline.
+func (r Runner) point(ctx context.Context, cache *baselineCache, res *Result) error {
+	spec := res.Spec
+	if spec.IsIdeal() {
+		e := cache.get(ctx, spec.Baseline())
+		res.HostTime, res.Events = e.hostTime, e.events
+		if e.err != nil {
+			return e.err
 		}
-		r.say(&res)
-	}()
-	if spec.isIdeal() {
-		e := cache.get(ctx, spec.baseline())
-		res.Ticks, res.HostTime, res.Events, res.Err = e.ticks, e.hostTime, e.events, e.err
-		if res.Err == nil {
-			res.Perf = 1
-		}
-		return res
+		res.Ticks, res.Perf = e.ticks, 1
+		return nil
 	}
 	// Per-point sinks are composed here, so the shared r.Options slice stays
 	// free of them.
@@ -218,20 +172,17 @@ func (r Runner) runOne(ctx context.Context, spec RunSpec, cache *baselineCache) 
 		}))
 	}
 	start := time.Now()
-	t, err := cache.run(ctx, spec, extra...)
+	t, err := r.exec(ctx, spec, extra...)
 	res.HostTime = time.Since(start)
 	if err != nil {
-		res.Err = err
-		return res
+		return err
 	}
-	res.Ticks = t
-	ideal := cache.get(ctx, spec.baseline())
+	ideal := cache.get(ctx, spec.Baseline())
 	if ideal.err != nil {
-		res.Err = fmt.Errorf("ideal baseline for %v: %w", spec, ideal.err)
-		return res
+		return fmt.Errorf("ideal baseline for %v: %w", spec, ideal.err)
 	}
-	res.Perf = float64(ideal.ticks) / float64(t)
-	return res
+	res.Ticks, res.Perf = t, float64(ideal.ticks)/float64(t)
+	return nil
 }
 
 // say emits one progress line for a finished point.
@@ -249,12 +200,16 @@ func (r Runner) say(res *Result) {
 		res.Perf, res.HostTime.Round(time.Millisecond)))
 }
 
-// ForEach runs fn(ctx, i) for every i in [0, n) on the worker pool, with
-// the same per-item panic recovery as Sweep. It is the generic counterpart
-// to Sweep for experiment loops whose points are not RunSpec simulations
-// (e.g. the PMU sort-benchmark overhead matrix). It returns the first error
-// in index order (including ctx.Err() for items skipped after
-// cancellation); fn stores its own results by index.
+// item names a ForEach work item in a recovered panic.
+type item int
+
+func (i item) String() string { return fmt.Sprintf("item %d", int(i)) }
+
+// ForEach runs fn(ctx, i) for every i in [0, n) on the runner's worker pool,
+// each item under Recover. It is the runner's one pool: Sweep, Table 2 and
+// the fault campaigns all run on it. It returns the first error in index
+// order (including ctx.Err() for items skipped after cancellation); fn
+// stores its own results by index.
 func (r Runner) ForEach(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -263,23 +218,19 @@ func (r Runner) ForEach(ctx context.Context, n int, fn func(ctx context.Context,
 		r.Monitor.Start()
 		defer r.Monitor.Stop()
 	}
-	errs := make([]error, n)
-	runItem := func(i int) (err error) {
-		defer func() {
-			if p := recover(); p != nil {
-				err = panicError(fmt.Sprintf("item %d", i), p)
-			}
-		}()
-		return fn(ctx, i)
+	workers := r.Workers
+	if workers <= 0 {
+		workers = runtime.NumCPU()
 	}
+	errs := make([]error, n)
 	idx := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < r.poolSize(n); w++ {
+	for w := 0; w < min(workers, n); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				errs[i] = runItem(i)
+				errs[i] = Recover(item(i), func() error { return fn(ctx, i) })
 			}
 		}()
 	}
@@ -305,7 +256,7 @@ func (r Runner) ForEach(ctx context.Context, n int, fn func(ctx context.Context,
 // diverging baseline surfaces as an error on every dependent point rather
 // than a crash); concurrent getters block until the result is ready.
 type baselineCache struct {
-	run     pointRun
+	r       Runner
 	mu      sync.Mutex
 	entries map[RunSpec]*baselineEntry
 }
@@ -327,13 +278,11 @@ func (c *baselineCache) get(ctx context.Context, spec RunSpec) *baselineEntry {
 	}
 	c.mu.Unlock()
 	e.once.Do(func() {
-		defer func() {
-			if p := recover(); p != nil {
-				e.err = panicError(spec.String(), p)
-			}
-		}()
 		start := time.Now()
-		e.ticks, e.err = c.run(ctx, spec, withEvents(&e.events))
+		e.err = Recover(spec, func() (err error) {
+			e.ticks, err = c.r.exec(ctx, spec, withEvents(&e.events))
+			return err
+		})
 		e.hostTime = time.Since(start)
 	})
 	return e

@@ -144,7 +144,7 @@ func TestSweepBaselinePanicPropagates(t *testing.T) {
 		p.Spec("sanity3", 1, "HBM", 8),
 	}
 	fake := func(ctx context.Context, spec RunSpec) (sim.Tick, error) {
-		if spec.isIdeal() {
+		if spec.IsIdeal() {
 			panic("baseline diverged")
 		}
 		return 2000, nil
@@ -177,7 +177,7 @@ func TestSweepBaselineCacheDedup(t *testing.T) {
 		mu.Lock()
 		calls[spec]++
 		mu.Unlock()
-		if spec.isIdeal() {
+		if spec.IsIdeal() {
 			return 1000, nil
 		}
 		return 4000, nil
@@ -200,7 +200,7 @@ func TestSweepBaselineCacheDedup(t *testing.T) {
 			t.Fatalf("%v: %v", res.Spec, res.Err)
 		}
 		want := 1.0
-		if !res.Spec.isIdeal() {
+		if !res.Spec.IsIdeal() {
 			want = 0.25
 		}
 		if res.Perf != want {

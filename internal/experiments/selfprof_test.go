@@ -147,7 +147,7 @@ func TestAttributionDeterministicAcrossWorkers(t *testing.T) {
 		if seq[i].Err != nil || par[i].Err != nil {
 			t.Fatalf("point %v failed: seq=%v par=%v", specs[i], seq[i].Err, par[i].Err)
 		}
-		if specs[i].isIdeal() {
+		if specs[i].IsIdeal() {
 			// Ideal baseline points share the normalisation cache and stay
 			// unprofiled by design.
 			if seq[i].Attr != nil || par[i].Attr != nil {

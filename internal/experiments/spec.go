@@ -35,23 +35,17 @@ func (s RunSpec) String() string {
 	return fmt.Sprintf("%s n=%d %s inflight=%d scale=%d", s.Workload, s.NVDLAs, s.Memory, s.Inflight, s.Scale)
 }
 
-// baseline returns the ideal-memory spec this spec is normalised against.
-func (s RunSpec) baseline() RunSpec {
+// Baseline returns the ideal-memory spec this spec is normalised against
+// (itself for an ideal spec). The sweep service uses it to schedule the
+// baseline run a submitted point's Perf depends on.
+func (s RunSpec) Baseline() RunSpec {
 	s.Memory = "ideal"
 	return s
 }
 
-// Baseline returns the ideal-memory spec this spec is normalised against
-// (itself for an ideal spec). The sweep service uses it to schedule the
-// baseline run a submitted point's Perf depends on.
-func (s RunSpec) Baseline() RunSpec { return s.baseline() }
-
-// isIdeal reports whether the spec is itself a normalisation baseline.
-func (s RunSpec) isIdeal() bool { return s.Memory == "" || s.Memory == "ideal" }
-
-// IsIdeal reports whether the spec is a normalisation baseline (ideal
-// memory). Exported for the sweep service's Perf computation.
-func (s RunSpec) IsIdeal() bool { return s.isIdeal() }
+// IsIdeal reports whether the spec is itself a normalisation baseline (ideal
+// memory).
+func (s RunSpec) IsIdeal() bool { return s.Memory == "" || s.Memory == "ideal" }
 
 // Workloads lists the valid RunSpec workload names.
 func Workloads() []string { return []string{"sanity3", "googlenet"} }

@@ -12,6 +12,7 @@ import (
 	"gem5rtl/internal/obs"
 	"gem5rtl/internal/sim"
 	"gem5rtl/internal/soc"
+	"gem5rtl/internal/trace"
 )
 
 // specConfig maps a sweep point to its SoC configuration.
@@ -34,7 +35,7 @@ func buildPoint(spec RunSpec, o soc.Oracles) (*soc.System, error) {
 	}
 	for i := 0; i < spec.NVDLAs; i++ {
 		s.NVDLAs[i].Start()
-		tr, err := buildTrace(spec.Workload, uint64(i+1)<<32, spec.Scale)
+		tr, err := trace.Scaled(spec.Workload, uint64(i+1)<<32, spec.Scale)
 		if err != nil {
 			return nil, err
 		}

@@ -2,8 +2,6 @@ package obs
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"time"
@@ -31,9 +29,7 @@ type HostIntervalStreamer struct {
 	// snapshot) in the record's Extra field.
 	Annotate func(*IntervalRecord)
 
-	names   []string
-	prev    []float64
-	n       int
+	out     deltaWriter
 	started time.Time
 }
 
@@ -46,8 +42,8 @@ func (h *HostIntervalStreamer) Run(ctx context.Context) error {
 	if period == 0 {
 		period = time.Second
 	}
-	h.names = h.Reg.Names()
-	h.prev = h.sample()
+	h.out = deltaWriter{reg: h.Reg, w: h.W}
+	h.out.start()
 	h.started = time.Now()
 	t := time.NewTicker(period)
 	defer t.Stop()
@@ -63,40 +59,12 @@ func (h *HostIntervalStreamer) Run(ctx context.Context) error {
 	}
 }
 
-func (h *HostIntervalStreamer) sample() []float64 {
-	out := make([]float64, len(h.names))
-	for i, name := range h.names {
-		v, _ := h.Reg.Get(name)
-		out[i] = v
-	}
-	return out
-}
-
 func (h *HostIntervalStreamer) emit() error {
-	cur := h.sample()
-	deltas := make(map[string]float64, len(h.names))
-	for i, name := range h.names {
-		deltas[name] = cur[i] - h.prev[i]
-	}
-	rec := IntervalRecord{
-		Tick:     uint64(time.Since(h.started).Milliseconds()),
-		Interval: h.n,
-		Stats:    deltas,
-	}
-	if h.Annotate != nil {
-		h.Annotate(&rec)
-	}
-	b, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(h.W, "%s\n", b); err != nil {
+	if err := h.out.emit(uint64(time.Since(h.started).Milliseconds()), h.Annotate); err != nil {
 		return err
 	}
 	if f, ok := h.W.(http.Flusher); ok {
 		f.Flush()
 	}
-	h.prev = cur
-	h.n++
 	return nil
 }

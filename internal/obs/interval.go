@@ -23,23 +23,90 @@ type IntervalRecord struct {
 	Extra    any                `json:"extra,omitempty"`
 }
 
-// IntervalDumper periodically samples a stats.Registry on the event queue
-// and writes delta records — the per-interval counterpart of the end-of-run
+// deltaWriter is the sample-and-delta core both interval producers share:
+// it fixes a registry's stat-name set (sorted), remembers the previous
+// sample, and writes one record per call with every stat's change since
+// then, as JSONL or CSV. Records telescope: the per-name column sums equal
+// the change between the first and the last sample exactly.
+type deltaWriter struct {
+	reg   *stats.Registry
+	w     io.Writer
+	csv   bool
+	names []string
+	prev  []float64
+	n     int
+}
+
+// start takes the baseline sample and writes the CSV header.
+func (d *deltaWriter) start() {
+	d.names = d.reg.Names()
+	d.prev = d.sample()
+	if d.csv {
+		fmt.Fprintf(d.w, "tick,interval,%s\n", strings.Join(d.names, ","))
+	}
+}
+
+func (d *deltaWriter) sample() []float64 {
+	out := make([]float64, len(d.names))
+	for i, name := range d.names {
+		v, _ := d.reg.Get(name)
+		out[i] = v
+	}
+	return out
+}
+
+// emit writes the record of the interval ending at tick — annotate, when
+// non-nil, may fill its Extra — and starts the next interval.
+func (d *deltaWriter) emit(tick uint64, annotate func(*IntervalRecord)) error {
+	cur := d.sample()
+	var err error
+	if d.csv {
+		var sb strings.Builder
+		sb.WriteString(strconv.FormatUint(tick, 10))
+		sb.WriteByte(',')
+		sb.WriteString(strconv.Itoa(d.n))
+		for i := range d.names {
+			sb.WriteByte(',')
+			sb.WriteString(strconv.FormatFloat(cur[i]-d.prev[i], 'g', -1, 64))
+		}
+		_, err = fmt.Fprintln(d.w, sb.String())
+	} else {
+		deltas := make(map[string]float64, len(d.names))
+		for i, name := range d.names {
+			deltas[name] = cur[i] - d.prev[i]
+		}
+		rec := IntervalRecord{Tick: tick, Interval: d.n, Stats: deltas}
+		if annotate != nil {
+			annotate(&rec)
+		}
+		var b []byte
+		if b, err = json.Marshal(rec); err == nil { // map keys marshal sorted
+			_, err = fmt.Fprintf(d.w, "%s\n", b)
+		}
+	}
+	d.prev = cur
+	d.n++
+	return err
+}
+
+// IntervalDumper periodically samples a stats.Registry in simulated time and
+// writes delta records — the per-interval counterpart of the end-of-run
 // Dump, enabling Figure-5-style counter-vs-stats validation per window.
 //
 // Records telescope: every interval's delta is (current - previous), and
 // Close emits the final partial interval, so the per-name column sums of a
 // full run equal the end-of-run totals exactly.
+//
+// The dumper polls the run loop (sim.EventQueue.Poll) rather than scheduling
+// events, so a dumped run is the same machine as a bare one — dispatch
+// count, StateHash and checkpoint bytes included — and may be saved at any
+// point with the dumper running. A record observes the post-update state of
+// its boundary tick: every event at or before it has run.
 type IntervalDumper struct {
 	q        *sim.EventQueue
-	reg      *stats.Registry
-	w        io.Writer
-	format   string // "jsonl" or "csv"
+	out      deltaWriter
 	interval sim.Tick
-	names    []string
-	prev     []float64
-	ev       *sim.Event
-	n        int
+	stop     func()
 	lastTick sim.Tick
 	started  bool
 	closed   bool
@@ -56,33 +123,22 @@ func NewIntervalDumper(q *sim.EventQueue, reg *stats.Registry, w io.Writer, inte
 	if interval == 0 {
 		return nil, fmt.Errorf("obs: interval stats period must be > 0")
 	}
-	return &IntervalDumper{q: q, reg: reg, w: w, format: format, interval: interval}, nil
+	return &IntervalDumper{q: q, out: deltaWriter{reg: reg, w: w, csv: format == "csv"}, interval: interval}, nil
 }
 
 // Start fixes the stat-name set (sorted), takes the baseline sample, and
-// schedules the first dump. Stats run at PriStats so each record observes
-// the post-update state of its boundary tick.
+// registers the poll that dumps every interval from now on.
 func (d *IntervalDumper) Start() {
 	if d.started {
 		return
 	}
 	d.started = true
-	d.names = d.reg.Names()
-	d.prev = d.sample()
+	d.out.start()
 	d.lastTick = d.q.Now()
-	if d.format == "csv" {
-		fmt.Fprintf(d.w, "tick,interval,%s\n", strings.Join(d.names, ","))
-	}
-	d.ev = sim.NewEventPri("obs.interval", sim.PriStats, d.tick).SetOwner(d.q.Owner("obs", "interval"))
-	d.q.Schedule(d.ev, d.q.Now()+d.interval)
-}
-
-// Stop deschedules the pending dump event without emitting a final record;
-// use it before checkpointing (host-side events are not serialisable).
-func (d *IntervalDumper) Stop() {
-	if d.ev != nil && d.ev.Scheduled() {
-		d.q.Deschedule(d.ev)
-	}
+	d.stop = d.q.Poll(d.q.Now()+d.interval, func() sim.Tick {
+		d.emit()
+		return d.q.Now() + d.interval
+	})
 }
 
 // Close emits the final partial interval (if simulated time has advanced
@@ -93,53 +149,16 @@ func (d *IntervalDumper) Close() error {
 		return nil
 	}
 	d.closed = true
-	d.Stop()
+	d.stop()
 	if d.q.Now() > d.lastTick {
 		d.emit()
 	}
 	return nil
 }
 
-func (d *IntervalDumper) tick() {
-	d.emit()
-	d.q.Schedule(d.ev, d.q.Now()+d.interval)
-}
-
-func (d *IntervalDumper) sample() []float64 {
-	out := make([]float64, len(d.names))
-	for i, name := range d.names {
-		v, _ := d.reg.Get(name)
-		out[i] = v
-	}
-	return out
-}
-
+// emit writes the interval ending now. A failed write does not stop the
+// run: the dumper is an observer.
 func (d *IntervalDumper) emit() {
-	cur := d.sample()
-	switch d.format {
-	case "jsonl":
-		deltas := make(map[string]float64, len(d.names))
-		for i, name := range d.names {
-			deltas[name] = cur[i] - d.prev[i]
-		}
-		rec := IntervalRecord{Tick: uint64(d.q.Now()), Interval: d.n, Stats: deltas}
-		b, err := json.Marshal(rec) // map keys marshal sorted
-		if err == nil {
-			_, err = fmt.Fprintf(d.w, "%s\n", b)
-		}
-		_ = err
-	case "csv":
-		var sb strings.Builder
-		sb.WriteString(strconv.FormatUint(uint64(d.q.Now()), 10))
-		sb.WriteByte(',')
-		sb.WriteString(strconv.Itoa(d.n))
-		for i := range d.names {
-			sb.WriteByte(',')
-			sb.WriteString(strconv.FormatFloat(cur[i]-d.prev[i], 'g', -1, 64))
-		}
-		fmt.Fprintln(d.w, sb.String())
-	}
-	d.prev = cur
+	_ = d.out.emit(uint64(d.q.Now()), nil)
 	d.lastTick = d.q.Now()
-	d.n++
 }

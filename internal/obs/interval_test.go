@@ -39,8 +39,8 @@ func TestIntervalDeltasSumToTotals(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.Start()
-	// The dump event reschedules itself, so run to a bound (just past the
-	// last workload tick, mid-interval) rather than draining the queue.
+	// Polls run up to RunUntil's bound, so run just past the last workload
+	// tick, mid-interval, to leave a partial interval for Close.
 	q.RunUntil(25*137 + 30)
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
@@ -120,16 +120,42 @@ func TestIntervalDumperRejectsBadConfig(t *testing.T) {
 	}
 }
 
-func TestIntervalStopIsCheckpointSafe(t *testing.T) {
-	q := sim.NewEventQueue()
-	reg := stats.NewRegistry()
-	d, err := NewIntervalDumper(q, reg, &bytes.Buffer{}, 100, "jsonl")
-	if err != nil {
-		t.Fatal(err)
+// TestIntervalDumperIsCheckpointSafe: the dumper polls, so a dumped run
+// schedules and dispatches nothing a bare run does not, and its records
+// still land on every boundary.
+func TestIntervalDumperIsCheckpointSafe(t *testing.T) {
+	run := func(dump bool) (*sim.EventQueue, string) {
+		q := sim.NewEventQueue()
+		reg := stats.NewRegistry()
+		var x uint64
+		reg.RegisterCounter("x", "", &x)
+		for at := sim.Tick(30); at <= 330; at += 60 {
+			q.ScheduleFunc("work", at, func() { x++ })
+		}
+		var buf bytes.Buffer
+		d, err := NewIntervalDumper(q, reg, &buf, 100, "csv")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dump {
+			d.Start()
+			if q.Pending() != 6 {
+				t.Fatalf("Start scheduled an event: %d pending, want the 6 workload events", q.Pending())
+			}
+		}
+		q.RunUntil(350)
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return q, buf.String()
 	}
-	d.Start()
-	d.Stop()
-	if !q.Empty() {
-		t.Fatal("Stop left the dump event scheduled")
+	bare, _ := run(false)
+	dumped, out := run(true)
+	if bare.Dispatched() != dumped.Dispatched() || bare.Now() != dumped.Now() {
+		t.Fatalf("dumped run dispatched %d events to tick %d, bare run %d to %d",
+			dumped.Dispatched(), dumped.Now(), bare.Dispatched(), bare.Now())
+	}
+	if want := "tick,interval,x\n100,0,2\n200,1,1\n300,2,2\n350,3,1\n"; out != want {
+		t.Fatalf("records = %q, want %q", out, want)
 	}
 }

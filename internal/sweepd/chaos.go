@@ -30,7 +30,7 @@ type Chaos struct {
 	// and probabilities inject identical faults per (point, attempt).
 	Seed uint64
 	// PanicProb is the per-attempt probability of panicking mid-execution
-	// (exercises runPoint's recovery and the retry loop).
+	// (exercises the worker's panic recovery and the retry loop).
 	PanicProb float64
 	// HangProb is the per-attempt probability of hanging until the
 	// per-point deadline (or HangMax, whichever first) instead of running.
@@ -127,39 +127,37 @@ func (c *Chaos) Wrap(next func(ctx context.Context, spec experiments.RunSpec) (s
 // torn write that slipped past the process (firmware lies, media rot). The
 // damage is exercised by the next boot's integrity scan.
 func (c *Chaos) tearStoreFile(rng *guard.RNG) {
-	name, ok := pickFile(rng, c.StoreDir, ".json")
-	if !ok {
-		return
-	}
-	path := filepath.Join(c.StoreDir, name)
-	buf, err := os.ReadFile(path)
-	if err != nil || len(buf) == 0 {
-		return
-	}
-	if rng.Uint64n(2) == 0 {
-		buf = buf[:int(rng.Uint64n(uint64(len(buf))))]
-	} else {
+	c.corrupt(rng, c.StoreDir, ".json", func(buf []byte) []byte {
+		if rng.Uint64n(2) == 0 {
+			return buf[:int(rng.Uint64n(uint64(len(buf))))]
+		}
 		buf[rng.Intn(len(buf))] ^= 0xff
-	}
-	if os.WriteFile(path, buf, 0o644) == nil {
-		c.injected.Add(1)
-	}
+		return buf
+	})
 }
 
 // flipCkptFile flips one bit in one persisted checkpoint file; the snapshot
 // CRC trailer must catch it and degrade the affected point to a cold run.
 func (c *Chaos) flipCkptFile(rng *guard.RNG) {
-	name, ok := pickFile(rng, c.CkptDir, "")
+	c.corrupt(rng, c.CkptDir, "", func(buf []byte) []byte {
+		buf[rng.Intn(len(buf))] ^= 1 << rng.Uint64n(8)
+		return buf
+	})
+}
+
+// corrupt rewrites one non-empty file drawn from dir (see pickFile) with
+// damage applied, and counts the injection.
+func (c *Chaos) corrupt(rng *guard.RNG, dir, suffix string, damage func([]byte) []byte) {
+	name, ok := pickFile(rng, dir, suffix)
 	if !ok {
 		return
 	}
-	path := filepath.Join(c.CkptDir, name)
+	path := filepath.Join(dir, name)
 	buf, err := os.ReadFile(path)
 	if err != nil || len(buf) == 0 {
 		return
 	}
-	buf[rng.Intn(len(buf))] ^= 1 << rng.Uint64n(8)
-	if os.WriteFile(path, buf, 0o644) == nil {
+	if os.WriteFile(path, damage(buf), 0o644) == nil {
 		c.injected.Add(1)
 	}
 }

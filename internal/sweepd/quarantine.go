@@ -1,13 +1,7 @@
 package sweepd
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
-	"strings"
-	"sync"
 
 	"gem5rtl/internal/experiments"
 )
@@ -48,129 +42,32 @@ func (r PoisonRecord) Err() error {
 		r.Class, r.Attempts, r.Fingerprint, last)
 }
 
-// PoisonStore persists quarantine records as <fingerprint>.json files under
-// its directory, mirroring the result store's layout (a memory map in front
-// of a directory, write-then-rename-then-fsync commits). dir may be "" for a
-// memory-only store that dies with the process.
+// PoisonStore persists quarantine records as <fingerprint>.json files: a
+// record directory like the result store, booted the same way (temp files
+// removed, a record that does not parse or whose fingerprint disagrees with
+// its file name quarantined and counted — an unreadable quarantine record
+// must never block a point from running). dir may be "" for a memory-only
+// store that dies with the process.
 type PoisonStore struct {
-	dir string
-	mu  sync.Mutex
-	mem map[string]PoisonRecord
+	*records[PoisonRecord]
 }
 
 // OpenPoisonStore opens (creating if needed) a poison store rooted at dir,
-// loading every parseable record. A record that does not parse or whose
-// fingerprint disagrees with its file name is skipped — an unreadable
-// quarantine record must never block a point from running.
+// loading every valid record.
 func OpenPoisonStore(dir string) (*PoisonStore, error) {
-	ps := &PoisonStore{dir: dir, mem: map[string]PoisonRecord{}}
-	if dir == "" {
-		return ps, nil
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("sweepd: poison store: %w", err)
-	}
-	entries, err := os.ReadDir(dir)
+	d, err := openRecords(dir, "poison", func(fp string, rec PoisonRecord) bool {
+		return rec.Fingerprint == fp
+	})
 	if err != nil {
-		return nil, fmt.Errorf("sweepd: poison store: %w", err)
+		return nil, err
 	}
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".json") {
-			continue
-		}
-		fp := strings.TrimSuffix(name, ".json")
-		buf, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			continue
-		}
-		var rec PoisonRecord
-		if json.Unmarshal(buf, &rec) != nil || rec.Fingerprint != fp {
-			continue
-		}
-		ps.mem[fp] = rec
-	}
-	return ps, nil
-}
-
-// Get returns the quarantine record for a fingerprint.
-func (ps *PoisonStore) Get(fp string) (PoisonRecord, bool) {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	rec, ok := ps.mem[fp]
-	return rec, ok
-}
-
-// Len reports how many points are quarantined.
-func (ps *PoisonStore) Len() int {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	return len(ps.mem)
-}
-
-// List returns every quarantine record, sorted by fingerprint so the
-// quarantine endpoint's output is deterministic.
-func (ps *PoisonStore) List() []PoisonRecord {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	out := make([]PoisonRecord, 0, len(ps.mem))
-	for _, rec := range ps.mem {
-		out = append(out, rec)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Fingerprint < out[j].Fingerprint })
-	return out
+	return &PoisonStore{d}, nil
 }
 
 // Put records a quarantined point in memory and, for a directory-backed
-// store, durably on disk (same temp-fsync-rename-fsync discipline as
-// Store.Put), before the scheduler publishes the point as quarantined.
+// store, durably on disk, before the scheduler publishes the point as
+// quarantined.
 func (ps *PoisonStore) Put(fp string, rec PoisonRecord) error {
 	rec.Fingerprint = fp
-	ps.mu.Lock()
-	ps.mem[fp] = rec
-	ps.mu.Unlock()
-	if ps.dir == "" {
-		return nil
-	}
-	buf, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(ps.dir, ".poison-*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(append(buf, '\n')); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(ps.dir, fp+".json")); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return syncDir(ps.dir)
-}
-
-// Remove un-quarantines a fingerprint: the record is deleted from memory and
-// disk, so the next submission of the point simulates it fresh with a reset
-// attempt budget. It reports whether the fingerprint was quarantined.
-func (ps *PoisonStore) Remove(fp string) bool {
-	ps.mu.Lock()
-	_, ok := ps.mem[fp]
-	delete(ps.mem, fp)
-	ps.mu.Unlock()
-	if ok && ps.dir != "" {
-		os.Remove(filepath.Join(ps.dir, fp+".json"))
-	}
-	return ok
+	return ps.put(fp, rec)
 }

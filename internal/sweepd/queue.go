@@ -2,10 +2,8 @@ package sweepd
 
 import (
 	"container/heap"
-	"context"
 	"errors"
 	"fmt"
-	"runtime/debug"
 	"sync"
 	"time"
 
@@ -605,18 +603,4 @@ func (s *scheduler) close() {
 	}
 	s.cond.Broadcast()
 	s.mu.Unlock()
-}
-
-// runPoint executes one point with the same panic recovery as the in-process
-// runner: a diverging simulation (or a chaos-injected panic) fails its point
-// as a transient error — the point is evicted back to the retry loop, the
-// worker survives, the job keeps going.
-func runPoint(ctx context.Context, run func(context.Context, experiments.RunSpec) (sim.Tick, error),
-	spec experiments.RunSpec) (ticks sim.Tick, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			ticks, err = 0, fmt.Errorf("sweepd: %v panicked: %v\n%s", spec, p, debug.Stack())
-		}
-	}()
-	return run(ctx, spec)
 }

@@ -97,7 +97,11 @@ const (
 // that timed out on a loaded worker may finish on a quiet one; if it never
 // does, the attempt budget converts it into quarantine.
 func classify(err error) failureClass {
+	var panicked *experiments.PanicError
 	switch {
+	case errors.As(err, &panicked):
+		// A recovered panic is a diverging run, not a verdict on the spec.
+		return classTransient
 	case errors.Is(err, context.Canceled):
 		return classCancelled
 	case experiments.IsPermanent(err):

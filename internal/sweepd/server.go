@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"gem5rtl/internal/experiments"
-	"gem5rtl/internal/guard"
 	"gem5rtl/internal/obs"
 	"gem5rtl/internal/prof"
 	"gem5rtl/internal/sim"
@@ -34,17 +33,14 @@ type Config struct {
 	// poison records live in its poison/ subdirectory, corrupt files moved
 	// aside by the boot scan in quarantine/.
 	StoreDir string
-	// CkptDir is the shared warm-start checkpoint directory; with Warmup > 0
-	// every worker populates and restores snapshots from it, so workers warm
-	// each other and a restarted server inherits the previous one's prefixes.
-	CkptDir string
-	// Warmup enables warm-start checkpointing at this simulated tick
-	// (0 = cold runs).
-	Warmup sim.Tick
-	// Guard attaches a default liveness watchdog to every point, so a hung
-	// simulation fails its point with a diagnostic instead of stalling a
-	// worker until the simulated time limit.
-	Guard bool
+	// Options configure every point's experiments.Run call: warm start
+	// against a shared checkpoint cache (workers warm each other, and with a
+	// checkpoint directory a restarted server inherits the previous one's
+	// prefixes) and a liveness watchdog, so a hung simulation fails its
+	// point with a diagnostic instead of stalling a worker until the
+	// simulated time limit. cli.Flags.Options builds them from sweepd's
+	// flags. Points run concurrently, so no per-point sink belongs here.
+	Options []experiments.Option
 	// Quota bounds any one client's live (queued or running) points;
 	// 0 = unlimited. Joining an in-flight point or reading the store is
 	// always free — the quota prices new simulation work only.
@@ -61,8 +57,7 @@ type Config struct {
 	// the point is evicted back to the retry loop. 0 = no deadline.
 	PointDeadline time.Duration
 	// RunPoint overrides the per-point executor; nil means experiments.Run
-	// with the options implied by Warmup/CkptDir/Guard. Tests use it to
-	// count executions and inject failures.
+	// with Options. Tests use it to count executions and inject failures.
 	RunPoint func(ctx context.Context, spec experiments.RunSpec) (sim.Tick, error)
 	// Chaos, when non-nil, wraps the composed executor (including a custom
 	// RunPoint) with seeded fault injection. Soak tests only.
@@ -97,9 +92,8 @@ type Server struct {
 	live   atomic.Int64 // worker goroutines alive
 	busy   atomic.Int64 // workers executing a point right now
 
-	mu       sync.Mutex
-	draining bool
-	started  bool
+	draining atomic.Bool // intake stopped (Drain, Close or POST /v1/drain)
+	started  atomic.Bool
 
 	// attr aggregates per-point self-profiler attribution (Config.SelfProfile)
 	// across every simulated point since boot, for /v1/metrics.
@@ -132,22 +126,14 @@ func New(cfg Config) (*Server, error) {
 	s.ctx, s.cancel = context.WithCancel(context.Background())
 	s.run = cfg.RunPoint
 	if s.run == nil {
-		var opts []experiments.Option
-		if cfg.Warmup > 0 {
-			opts = append(opts, experiments.WithWarmStart(cfg.Warmup, experiments.NewCheckpointCache(cfg.CkptDir)))
-		}
-		if cfg.Guard {
-			opts = append(opts, experiments.WithWatchdog(guard.Config{}))
+		opts := cfg.Options
+		if cfg.SelfProfile > 0 {
+			// The sink merges under the server's own mutex, so one option
+			// serves every concurrent point.
+			opts = append(opts[:len(opts):len(opts)], experiments.WithSelfProfile(cfg.SelfProfile, s.recordAttr))
 		}
 		s.run = func(ctx context.Context, spec experiments.RunSpec) (sim.Tick, error) {
-			ropts := opts
-			if cfg.SelfProfile > 0 {
-				// Per-call option composition keeps the shared opts slice free
-				// of per-point sinks; the sink merges under the server mutex.
-				ropts = append(append([]experiments.Option{}, opts...),
-					experiments.WithSelfProfile(cfg.SelfProfile, s.recordAttr))
-			}
-			return experiments.Run(ctx, spec, ropts...)
+			return experiments.Run(ctx, spec, opts...)
 		}
 	}
 	if cfg.Chaos != nil {
@@ -209,14 +195,15 @@ func (s *Server) Attr() *prof.Report {
 	return s.attr.Clone()
 }
 
+// corruptFiles counts the files the boot scans of the result and poison
+// stores moved to their quarantine/ subdirectories.
+func (s *Server) corruptFiles() int { return s.store.Quarantined() + s.poison.Quarantined() }
+
 // Start launches the worker pool. Idempotent.
 func (s *Server) Start() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.started {
+	if s.started.Swap(true) {
 		return
 	}
-	s.started = true
 	for w := 0; w < s.cfg.Workers; w++ {
 		s.wg.Add(1)
 		s.live.Add(1)
@@ -240,7 +227,14 @@ func (s *Server) worker() {
 		if s.cfg.PointDeadline > 0 {
 			ctx, cancel = context.WithTimeout(s.ctx, s.cfg.PointDeadline)
 		}
-		ticks, err := runPoint(ctx, s.run, p.spec)
+		// A diverging simulation (or a chaos-injected panic) fails its
+		// attempt as a transient error: the worker survives and the point
+		// goes back to the retry loop.
+		var ticks sim.Tick
+		err := experiments.Recover(p.spec, func() (err error) {
+			ticks, err = s.run(ctx, p.spec)
+			return err
+		})
 		cancel()
 		s.busy.Add(-1)
 		s.sched.settle(s.store, p, ticks, err)
@@ -258,10 +252,7 @@ func (s *Server) Poison() *PoisonStore { return s.poison }
 // returns when the pool has exited or ctx ends (in which case the remaining
 // work is abandoned as in Close).
 func (s *Server) Drain(ctx context.Context) error {
-	s.mu.Lock()
-	s.draining = true
-	s.mu.Unlock()
-	s.sched.close()
+	s.stopIntake()
 	done := make(chan struct{})
 	go func() { s.wg.Wait(); close(done) }()
 	select {
@@ -274,14 +265,19 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 }
 
+// stopIntake stops accepting jobs and closes the scheduler, and reports
+// whether the intake was already stopped.
+func (s *Server) stopIntake() (already bool) {
+	already = s.draining.Swap(true)
+	s.sched.close()
+	return already
+}
+
 // Close abandons the queue: in-flight points are cancelled through their
 // context (failing without retry or quarantine — a resubmission after
 // restart simulates them fresh) and the worker pool is awaited.
 func (s *Server) Close() {
-	s.mu.Lock()
-	s.draining = true
-	s.mu.Unlock()
-	s.sched.close()
+	s.stopIntake()
 	s.cancel()
 	s.wg.Wait()
 }
@@ -320,10 +316,7 @@ const (
 )
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	draining := s.draining
-	s.mu.Unlock()
-	if draining {
+	if s.draining.Load() {
 		w.Header().Set("Retry-After", retryAfterDrain)
 		writeJSON(w, http.StatusServiceUnavailable, errorf("%v", ErrDraining))
 		return
@@ -364,19 +357,27 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, SubmitResponse{ID: j.id, Points: len(j.points), Cached: j.cached})
 }
 
-func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
+// job looks up the job the request's {id} names, answering 404 if there is
+// none.
+func (s *Server) job(w http.ResponseWriter, r *http.Request) (*job, bool) {
 	j, ok := s.sched.get(r.PathValue("id"))
 	if !ok {
 		writeJSON(w, http.StatusNotFound, errorf("no such job %q", r.PathValue("id")))
+	}
+	return j, ok
+}
+
+func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
+	j, ok := s.job(w, r)
+	if !ok {
 		return
 	}
 	writeJSON(w, http.StatusOK, s.sched.status(j))
 }
 
 func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.sched.get(r.PathValue("id"))
+	j, ok := s.job(w, r)
 	if !ok {
-		writeJSON(w, http.StatusNotFound, errorf("no such job %q", r.PathValue("id")))
 		return
 	}
 	results, done := s.sched.results(j)
@@ -406,9 +407,8 @@ func EncodeResults(results []PointResult) []byte {
 }
 
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.sched.get(r.PathValue("id"))
+	j, ok := s.job(w, r)
 	if !ok {
-		writeJSON(w, http.StatusNotFound, errorf("no such job %q", r.PathValue("id")))
 		return
 	}
 	w.Header().Set("Content-Type", "application/jsonl")
@@ -448,16 +448,13 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleServerStatus(w http.ResponseWriter, r *http.Request) {
 	c := s.sched.counts()
 	hits, misses, stale, corrupt := obs.CkptCacheCounts()
-	s.mu.Lock()
-	draining := s.draining
-	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, ServerStatus{
 		Jobs: c.jobs, ActiveJobs: c.active,
 		PointsPending: c.pending, PointsRunning: c.running,
 		PointsRetrying: c.delayed, Retries: c.retries,
 		StoreLen:    s.store.Len(),
-		Quarantined: s.poison.Len(), StoreQuarantined: s.store.Quarantined(),
-		Draining: draining, Workers: s.cfg.Workers,
+		Quarantined: s.poison.Len(), StoreQuarantined: s.corruptFiles(),
+		Draining: s.draining.Load(), Workers: s.cfg.Workers,
 		CkptCache: CkptCacheCounts{Hits: hits, Misses: misses, Stale: stale, Corrupt: corrupt},
 	})
 }
@@ -481,17 +478,15 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	c := s.sched.counts()
-	s.mu.Lock()
-	draining, started := s.draining, s.started
-	s.mu.Unlock()
+	draining := s.draining.Load()
 	live := int(s.live.Load())
 	h := HealthStatus{
 		Draining:    draining,
 		WorkersLive: live, WorkersBusy: int(s.busy.Load()),
 		QueueDepth: c.pending + c.delayed, Retrying: c.delayed,
-		Quarantined: s.poison.Len(), StoreQuarantined: s.store.Quarantined(),
+		Quarantined: s.poison.Len(), StoreQuarantined: s.corruptFiles(),
 	}
-	h.OK = !draining && started && live == s.cfg.Workers
+	h.OK = !draining && s.started.Load() && live == s.cfg.Workers
 	code := http.StatusOK
 	if !h.OK {
 		code = http.StatusServiceUnavailable
@@ -502,7 +497,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleQuarantineList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, QuarantineList{
 		Points:     s.poison.List(),
-		StoreFiles: s.store.Quarantined(),
+		StoreFiles: s.corruptFiles(),
 	})
 }
 
@@ -516,11 +511,7 @@ func (s *Server) handleUnquarantine(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	already := s.draining
-	s.draining = true
-	s.mu.Unlock()
-	s.sched.close()
+	already := s.stopIntake()
 	c := s.sched.counts()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"draining":       true,

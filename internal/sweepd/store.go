@@ -1,13 +1,6 @@
 package sweepd
 
 import (
-	"encoding/json"
-	"fmt"
-	"os"
-	"path/filepath"
-	"strings"
-	"sync"
-
 	"gem5rtl/internal/experiments"
 	"gem5rtl/internal/sim"
 )
@@ -21,183 +14,33 @@ type storeEntry struct {
 	Ticks sim.Tick            `json:"ticks"`
 }
 
-// StoreQuarantineDir is the subdirectory of a result store where the boot
-// integrity scan moves files it cannot trust, preserving them for a
-// post-mortem instead of silently ignoring (or deleting) evidence of
-// corruption.
-const StoreQuarantineDir = "quarantine"
-
-// Store is the persistent result store: a memory map in front of a directory
-// of <fingerprint>.json files. The fingerprint is the hex SHA-256 of the
-// spec's canonical JSON (experiments.RunSpec.Fingerprint), so two servers
-// pointed at the same directory agree on keys byte-for-byte, and a restarted
-// server recovers every previously simulated point at boot.
+// Store is the persistent result store: a record directory of
+// <fingerprint>.json files. The fingerprint is the hex SHA-256 of the spec's
+// canonical JSON (experiments.RunSpec.Fingerprint), so two servers pointed at
+// the same directory agree on keys byte-for-byte, and a restarted server
+// recovers every previously simulated point at boot.
 type Store struct {
-	dir string
-	// quarantined counts the corrupt/mismatched files the boot integrity
-	// scan moved aside; surfaced through /v1/status so operators learn about
-	// corruption instead of it being silently dropped.
-	quarantined int
-	mu          sync.Mutex
-	mem         map[string]storeEntry
+	*records[storeEntry]
 }
 
 // OpenStore opens (and on first use creates) a store rooted at dir, loading
 // every valid persisted result. dir may be "" for a purely in-memory store
-// that does not survive restarts.
-//
-// The boot integrity scan trusts nothing: a file whose content does not
-// parse, whose stored spec does not validate, or whose spec does not hash to
-// the file's fingerprint name — a torn write from a power loss, on-disk bit
-// rot, a hand-edited entry — is moved to the quarantine/ subdirectory and
-// counted (see Quarantined), never loaded. Leftover temp files from a Put
-// interrupted before its rename were never committed and are removed.
+// that does not survive restarts. A file whose content does not parse, whose
+// stored spec does not validate, or whose spec does not hash to the file's
+// fingerprint name is quarantined at boot (see Quarantined), never loaded.
 func OpenStore(dir string) (*Store, error) {
-	st := &Store{dir: dir, mem: map[string]storeEntry{}}
-	if dir == "" {
-		return st, nil
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("sweepd: result store: %w", err)
-	}
-	entries, err := os.ReadDir(dir)
+	d, err := openRecords(dir, "result", func(fp string, ent storeEntry) bool {
+		return ent.Spec.Fingerprint() == fp && ent.Spec.Validate() == nil
+	})
 	if err != nil {
-		return nil, fmt.Errorf("sweepd: result store: %w", err)
+		return nil, err
 	}
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() {
-			continue
-		}
-		if strings.HasPrefix(name, ".result-") {
-			// An uncommitted temp file: the rename is the commit point, so a
-			// crash before it leaves data that was never promised to anyone.
-			os.Remove(filepath.Join(dir, name))
-			continue
-		}
-		if !strings.HasSuffix(name, ".json") {
-			continue
-		}
-		fp := strings.TrimSuffix(name, ".json")
-		ent, ok := readEntry(filepath.Join(dir, name), fp)
-		if !ok {
-			st.quarantineFile(name)
-			continue
-		}
-		st.mem[fp] = ent
-	}
-	return st, nil
-}
-
-// readEntry loads and integrity-checks one persisted result file.
-func readEntry(path, fp string) (storeEntry, bool) {
-	var ent storeEntry
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return ent, false
-	}
-	if err := json.Unmarshal(buf, &ent); err != nil {
-		return ent, false
-	}
-	// Integrity gate: the stored spec must hash to the file's name.
-	if ent.Spec.Fingerprint() != fp || ent.Spec.Validate() != nil {
-		return ent, false
-	}
-	return ent, true
-}
-
-// quarantineFile moves a corrupt file into the quarantine/ subdirectory and
-// counts it. If the move itself fails the file is left in place — still
-// counted, still never loaded.
-func (st *Store) quarantineFile(name string) {
-	st.quarantined++
-	qdir := filepath.Join(st.dir, StoreQuarantineDir)
-	if err := os.MkdirAll(qdir, 0o755); err != nil {
-		return
-	}
-	_ = os.Rename(filepath.Join(st.dir, name), filepath.Join(qdir, name))
-}
-
-// Quarantined reports how many corrupt files the boot integrity scan moved
-// to the quarantine/ subdirectory.
-func (st *Store) Quarantined() int {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.quarantined
-}
-
-// Get returns the stored result for a fingerprint.
-func (st *Store) Get(fp string) (storeEntry, bool) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	e, ok := st.mem[fp]
-	return e, ok
-}
-
-// Len reports how many results the store holds.
-func (st *Store) Len() int {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return len(st.mem)
+	return &Store{d}, nil
 }
 
 // Put records a result in memory and, for a directory-backed store, durably
-// on disk.
-//
-// Crash-consistency guarantee: the entry is written to a temp file, the temp
-// file is fsynced, atomically renamed onto its final fingerprint name, and
-// the directory is fsynced. The rename is the commit point — a crash at any
-// earlier moment leaves only an uncommitted temp file (removed at the next
-// boot), never a half-written <fingerprint>.json. The two fsyncs extend the
-// guarantee from process crash to power loss: the data blocks are on disk
-// before the name appears, and the directory entry is on disk before Put
-// returns. A result the scheduler has published as done therefore survives
-// anything short of media failure, and anything that slips through anyway
-// (bit rot) is caught by the boot integrity scan.
+// on disk before it returns: a result the scheduler has published as done
+// survives a crash or power loss (see records.put).
 func (st *Store) Put(spec experiments.RunSpec, ticks sim.Tick) error {
-	fp := spec.Fingerprint()
-	ent := storeEntry{Spec: spec, Ticks: ticks}
-	st.mu.Lock()
-	st.mem[fp] = ent
-	st.mu.Unlock()
-	if st.dir == "" {
-		return nil
-	}
-	buf, err := json.Marshal(ent)
-	if err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(st.dir, ".result-*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(append(buf, '\n')); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(st.dir, fp+".json")); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return syncDir(st.dir)
-}
-
-// syncDir fsyncs a directory so a just-renamed entry survives power loss.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
+	return st.put(spec.Fingerprint(), storeEntry{Spec: spec, Ticks: ticks})
 }

@@ -45,15 +45,7 @@ func TestStoreCrashRestartNoLoss(t *testing.T) {
 	}
 	wg.Wait()
 
-	// Simulated crash debris: Put's commit point is the rename, so temp
-	// files are uncommitted garbage; torn and mismatched .json files are
-	// corruption the next boot must quarantine.
-	if err := os.WriteFile(filepath.Join(dir, ".result-crashed"), []byte(`{"spec":{"work`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, strings.Repeat("a", 64)+".json"), []byte(`{"spec":{"workload":"sa`), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	plantCrashDebris(t, dir, ".result-crashed")
 
 	re, err := OpenStore(dir)
 	if err != nil {
@@ -68,12 +60,68 @@ func TestStoreCrashRestartNoLoss(t *testing.T) {
 			t.Errorf("result %s: got (%d, %v), want (%d, true)", fp[:8], e.Ticks, ok, ticks)
 		}
 	}
-	if re.Quarantined() != 1 {
-		t.Errorf("quarantined %d files, want 1 (the torn json)", re.Quarantined())
+	checkBootScan(t, dir, ".result-crashed", re.Quarantined())
+}
+
+// tornName is the fingerprint-style name plantCrashDebris gives its torn
+// record.
+var tornName = strings.Repeat("a", 64) + ".json"
+
+// plantCrashDebris leaves in dir what a crashed server leaves in a record
+// directory: an uncommitted temp file (Put's commit point is the rename)
+// and a torn record, which the next boot must quarantine.
+func plantCrashDebris(t *testing.T, dir, temp string) {
+	t.Helper()
+	if err := os.WriteFile(filepath.Join(dir, temp), []byte(`{"spec":{"work`), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, ".result-crashed")); !os.IsNotExist(err) {
+	if err := os.WriteFile(filepath.Join(dir, tornName), []byte(`{"spec":{"workload":"sa`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// checkBootScan asserts that a reopened record directory removed the
+// planted temp file and moved the torn record to quarantine/, counting it.
+func checkBootScan(t *testing.T, dir, temp string, quarantined int) {
+	t.Helper()
+	if quarantined != 1 {
+		t.Errorf("quarantined %d files, want 1 (the torn json)", quarantined)
+	}
+	if _, err := os.Stat(filepath.Join(dir, temp)); !os.IsNotExist(err) {
 		t.Error("uncommitted temp file survived the boot scan")
 	}
+	if _, err := os.Stat(filepath.Join(dir, tornName)); !os.IsNotExist(err) {
+		t.Error("torn record still sits in the directory root")
+	}
+	if _, err := os.Stat(filepath.Join(dir, StoreQuarantineDir, tornName)); err != nil {
+		t.Errorf("torn record was not moved to quarantine/: %v", err)
+	}
+}
+
+// TestPoisonStoreBootScan: the poison store boots like the result store — a
+// leftover temp file is removed and a record that does not parse is moved
+// aside and counted, while a committed record survives the restart.
+func TestPoisonStoreBootScan(t *testing.T) {
+	dir := t.TempDir()
+	ps, err := OpenPoisonStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := testSpec("HBM", 16).Fingerprint()
+	if err := ps.Put(fp, PoisonRecord{Spec: testSpec("HBM", 16), Attempts: 3,
+		Class: "retries-exhausted", Errors: []string{"a", "b", "c"}}); err != nil {
+		t.Fatal(err)
+	}
+	plantCrashDebris(t, dir, ".poison-123")
+
+	re, err := OpenPoisonStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec, ok := re.Get(fp); re.Len() != 1 || !ok || rec.Fingerprint != fp || rec.Attempts != 3 {
+		t.Fatalf("reopened poison store: len %d, record %+v ok=%v; want the committed record only", re.Len(), rec, ok)
+	}
+	checkBootScan(t, dir, ".poison-123", re.Quarantined())
 }
 
 // FuzzStore feeds arbitrary bytes to the boot integrity scan as a plausibly

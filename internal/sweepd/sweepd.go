@@ -5,11 +5,11 @@
 // jobs, clients and server restarts — simulate once and cache-hit forever.
 //
 // The service is a thin deterministic shell around the same primitives the
-// in-process tools use: points execute through experiments.Run with the
-// server's composed options (warm-start against a shared checkpoint
-// directory, liveness watchdog), results are normalised exactly like
-// experiments.Runner.Sweep (an ideal-memory baseline is scheduled
-// automatically for every technology point), and the canonical result
+// in-process tools use: points execute through experiments.Run with
+// Config.Options (the warm-start and watchdog options a gem5rtl runner
+// takes, built by the same cli.Flags.Options), results are normalised
+// exactly like experiments.Runner.Sweep (an ideal-memory baseline is
+// scheduled automatically for every technology point), and the canonical result
 // encoding is shared with the sweepctl client so a served sweep diffs
 // byte-identical against an in-process one.
 //
@@ -116,8 +116,8 @@ type ServerStatus struct {
 	Retries  uint64 `json:"retries"`
 	StoreLen int    `json:"store_len"`
 	// Quarantined counts poison points (see /v1/quarantine);
-	// StoreQuarantined counts corrupt result files the boot integrity scan
-	// moved to the store's quarantine/ subdirectory.
+	// StoreQuarantined counts corrupt result and poison files the boot
+	// integrity scans moved to their quarantine/ subdirectories.
 	Quarantined      int             `json:"quarantined"`
 	StoreQuarantined int             `json:"store_quarantined"`
 	Draining         bool            `json:"draining"`
@@ -147,8 +147,8 @@ type HealthStatus struct {
 type QuarantineList struct {
 	// Points are the poison records, sorted by fingerprint.
 	Points []PoisonRecord `json:"points"`
-	// StoreFiles counts corrupt result files moved aside by the boot scan
-	// (kept in the store's quarantine/ subdirectory for post-mortems).
+	// StoreFiles counts corrupt result and poison files moved aside by the
+	// boot scans (kept in quarantine/ subdirectories for post-mortems).
 	StoreFiles int `json:"store_files"`
 }
 
