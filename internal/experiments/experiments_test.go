@@ -76,6 +76,11 @@ func TestTable2OverheadOrdering(t *testing.T) {
 	if base.ModelTicks != 0 || pmu.ModelTicks == 0 || wave.ModelTicks != pmu.ModelTicks {
 		t.Fatalf("model ticks: gem5 %d, +PMU %d, +waveform %d", base.ModelTicks, pmu.ModelTicks, wave.ModelTicks)
 	}
+	// The closed-form column: +PMU applies most of its model cycles without
+	// a tick; the waveform must see every one.
+	if pmu.Elided*10 < pmu.ModelTicks*9 || pmu.Elided > pmu.ModelTicks || base.Elided != 0 || wave.Elided != 0 {
+		t.Fatalf("closed-form cycles: gem5 %d, +PMU %d of %d, +waveform %d", base.Elided, pmu.Elided, pmu.ModelTicks, wave.Elided)
+	}
 	if pmu.Events <= base.Events {
 		t.Fatalf("+PMU dispatched %d events, not above gem5's %d", pmu.Events, base.Events)
 	}

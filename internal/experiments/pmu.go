@@ -303,6 +303,10 @@ type Table2Cell struct {
 	// events the queue dispatched, instructions core 0 committed, cycles the
 	// PMU model was ticked and waveform bytes written.
 	Events, Committed, ModelTicks, VCDBytes uint64
+	// Elided is how many of the ModelTicks were applied in closed form
+	// instead of dispatched (sim.EventQueue.Elided: the PMU is the system's
+	// only sleeper).
+	Elided uint64
 }
 
 // Table2 reproduces Table 2: host wall-clock of the sorting benchmark
@@ -388,6 +392,7 @@ func (r Runner) runSortOnce(ctx context.Context, n, sleepUs int, withPMU, wavefo
 		cell.Committed = s.Cores[0].Stats().Committed
 		if withPMU {
 			cell.ModelTicks = s.PMU.Stats().Ticks
+			cell.Elided = s.Queue.Elided()
 		}
 		return nil
 	})

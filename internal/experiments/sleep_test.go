@@ -7,6 +7,7 @@ import (
 
 	"gem5rtl/internal/pmu"
 	"gem5rtl/internal/port"
+	"gem5rtl/internal/rtl"
 	"gem5rtl/internal/sim"
 	"gem5rtl/internal/soc"
 	"gem5rtl/internal/workload"
@@ -166,28 +167,67 @@ func pmuSortSystem(t *testing.T, thresh uint32, oracle bool) *soc.System {
 	return s
 }
 
-// pmuSleepStarts runs the benchmark once and returns the ticks at which the
-// core goes to sleep: the last commit before each gap of 6 µs or more.
-func pmuSleepStarts(t *testing.T) []sim.Tick {
+// pmuPhases runs the benchmark once and returns the ticks at which the core
+// goes to sleep — the last commit before each gap of 6 µs or more — and the
+// midpoint of each of its busy phases, the stretches of commits around
+// those gaps.
+func pmuPhases(t *testing.T) (sleeps, mids []sim.Tick) {
 	t.Helper()
 	s := pmuSortSystem(t, 0, true)
-	var last sim.Tick
-	var starts []sim.Tick
+	var first, last sim.Tick
+	var wakes []sim.Tick
 	tap := s.Cores[0].OnCommit
 	s.Cores[0].OnCommit = func(n int) {
 		if n > 0 {
-			if now := s.Queue.Now(); now-last >= 6*sim.Microsecond {
-				starts = append(starts, last)
+			now := s.Queue.Now()
+			switch {
+			case first == 0:
+				first = now
+			case now-last >= 6*sim.Microsecond:
+				sleeps = append(sleeps, last)
+				wakes = append(wakes, now)
 			}
-			last = s.Queue.Now()
+			last = now
 		}
 		tap(n)
 	}
 	s.Queue.RunUntil(sim.MaxTick)
-	if len(starts) != 3 {
-		t.Fatalf("found %d sleeps in the sort benchmark, want 3", len(starts))
+	if len(sleeps) != 3 {
+		t.Fatalf("found %d sleeps in the sort benchmark, want 3", len(sleeps))
 	}
-	return starts
+	from := first
+	for i, to := range append(sleeps, last) {
+		mids = append(mids, from+(to-from)/2)
+		if i < len(wakes) {
+			from = wakes[i]
+		}
+	}
+	return sleeps, mids
+}
+
+// pmuIRQEdges runs the per-cycle machine once at the given threshold and
+// returns up to four of the ticks its PMU raises the interrupt at, spread
+// over the run.
+func pmuIRQEdges(t *testing.T, thresh uint32) []sim.Tick {
+	t.Helper()
+	s := pmuSortSystem(t, thresh, true)
+	var edges []sim.Tick
+	var prev uint64
+	irq := s.PMUWrapper.Model().OutputID("irq")
+	s.PMUWrapper.TickHook = func(m *rtl.Model) {
+		if v := m.PeekID(irq); v != prev {
+			if v == 1 {
+				edges = append(edges, s.Queue.Now())
+			}
+			prev = v
+		}
+	}
+	s.Queue.RunUntil(sim.MaxTick)
+	var picked []sim.Tick
+	for i := 0; i < len(edges); i += (len(edges) + 3) / 4 {
+		picked = append(picked, edges[i])
+	}
+	return picked
 }
 
 func mustStateHash(t *testing.T, s *soc.System) uint64 {
@@ -203,22 +243,38 @@ func mustStateHash(t *testing.T, s *soc.System) uint64 {
 // the PMU's closed forms: at three thresholds (0, off: the stretch has no
 // end; 1 000 and 10 000 cycles), split at every save tick of the ladder
 // after each of four offsets — the start of the run and the start of each
-// of the core's three sleeps, where the PMU is asleep — the machine whose
-// PMU sleeps serialises to the per-cycle machine's bytes at the split and at
-// exit. A save wakes the PMU, so each split is a separate run.
+// of the core's three sleeps, where the PMU is asleep — and its first 50 ns
+// after the midpoint of each of the core's four busy phases, where the PMU
+// is asleep with commits folding into its sleep, and at the ticks one PMU edge before and after some of its
+// interrupt edges, the machine whose PMU sleeps serialises to the per-cycle
+// machine's bytes at the split and at exit. A save wakes the PMU, so each
+// split is a separate run.
 func TestPMUSleepingMatchesPerCycleAtEverySplit(t *testing.T) {
 	if testing.Short() {
-		t.Skip("3 thresholds x 176 splits")
+		t.Skip("3 thresholds x 248 splits")
 	}
 	t.Parallel()
-	var splits []sim.Tick
-	for _, off := range append([]sim.Tick{0}, pmuSleepStarts(t)...) {
+	sleeps, mids := pmuPhases(t)
+	var ladder []sim.Tick
+	for _, off := range append([]sim.Tick{0}, sleeps...) {
 		for _, at := range sleepSplitTicks() {
-			splits = append(splits, off+at)
+			ladder = append(ladder, off+at)
 		}
 	}
-	sort.Slice(splits, func(i, j int) bool { return splits[i] < splits[j] })
+	// In a busy phase, the ladder's first 50 ns: the edges around the
+	// midpoint and the primes between them.
+	for _, off := range mids {
+		for _, at := range sleepSplitTicks()[:16] {
+			ladder = append(ladder, off+at)
+		}
+	}
 	for _, thresh := range []uint32{0, 1000, 10000} {
+		const pmuEdge = sim.Tick(1000) // the PMU's clock period, 1 GHz
+		splits := append([]sim.Tick(nil), ladder...)
+		for _, at := range pmuIRQEdges(t, thresh) {
+			splits = append(splits, at-pmuEdge, at+pmuEdge)
+		}
+		sort.Slice(splits, func(i, j int) bool { return splits[i] < splits[j] })
 		// The per-cycle machine is never asleep, so saving it changes
 		// nothing: one run hashes it at every split.
 		or := pmuSortSystem(t, thresh, true)

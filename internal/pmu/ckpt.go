@@ -44,6 +44,7 @@ func (w *Wrapper) RestoreState(r *ckpt.Reader) error {
 	}
 	w.pendingCommits = r.Len()
 	w.pendingMisses = r.Len()
+	w.settled()
 	n := r.Len()
 	w.axiQ = w.axiQ[:0]
 	for i := 0; i < n && r.Err() == nil; i++ {

@@ -27,8 +27,8 @@ func savePMU(t *testing.T, w *Wrapper) []byte {
 func TestPMURoundTrip(t *testing.T) {
 	w := newPMU(t)
 	axiWrite(w, RegEnable, 0x3F)
-	w.AddCommits(7) // more than one cycle can drain
-	w.AddMiss()
+	w.AddCommits(7, 0) // more than one cycle can drain
+	w.AddMiss(0)
 	tickN(w, 3)
 	// Issue a read plus a write: one AXI transaction per cycle, so the write
 	// is still queued in the wrapper when we checkpoint.

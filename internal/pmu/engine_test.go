@@ -67,12 +67,12 @@ func TestEngineEquivalence(t *testing.T) {
 			}
 		}
 		if n := rng.Intn(7); n > 0 {
-			wr.AddCommits(n)
-			wb.AddCommits(n)
+			wr.AddCommits(n, 0)
+			wb.AddCommits(n, 0)
 		}
 		if rng.Intn(3) == 0 {
-			wr.AddMiss()
-			wb.AddMiss()
+			wr.AddMiss(0)
+			wb.AddMiss(0)
 		}
 		or := wr.Tick(in)
 		ob := wb.Tick(in)

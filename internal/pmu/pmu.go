@@ -22,6 +22,7 @@ package pmu
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 	"sync"
 
@@ -214,9 +215,12 @@ func compiledPMU(nc int) (*rtl.Circuit, *rtlc.Program, error) {
 // AXI read data and the interrupt line in the output struct.
 //
 // SoC glue (the CPU commit tap, cache miss tap) accumulates events between
-// model ticks via AddCommits/AddMiss; each Tick drains the accumulators onto
-// the event wires (up to four commit lines per cycle, carrying any remainder
-// into following cycles).
+// model ticks via AddCommits/AddMiss; each cycle drains the accumulators onto
+// the event wires (up to four commit lines and one miss line per cycle,
+// carrying any remainder into following cycles). While the RTLObject sleeps
+// the taps do not wake it: each arrival is folded into the cycles before it
+// by that same drain rule, as counts per event line, and Advance hands the
+// counts to the model's closed form.
 type Wrapper struct {
 	model *rtl.Model
 	nc    int
@@ -227,8 +231,21 @@ type Wrapper struct {
 	inArvalid, inAraddr          rtl.SigID
 	outRdata, outRvalid, outIrq  rtl.SigID
 
+	// pendingCommits and pendingMisses are the events not yet driven, as of
+	// cycle at of those the wrapper has not yet ticked or advanced through;
+	// at is 0 except while its object sleeps. counts holds, per varying
+	// event line, how many of the cycles before at drove it, and last the
+	// lines cycle at-1 drove.
 	pendingCommits int
 	pendingMisses  int
+	at             uint64
+	counts         [EvL1DMiss + 1]uint64
+	last           uint64
+
+	// vary names the event lines the taps drive (the commit and miss lines)
+	// to the model's closed form; lastIn carries last to it.
+	vary   [1]rtl.Vary
+	lastIn [1]uint64
 
 	// One AXI transaction in flight at a time; extras queue here. The queue
 	// is a request or two deep, so the head is removed by shifting down and
@@ -237,15 +254,6 @@ type Wrapper struct {
 	// Read issued on an earlier tick and not yet answered (reading is set).
 	inflightRead rtlobject.CPURequest
 	reading      bool
-
-	// quietRun counts the consecutive Ticks that drove a quiet cycle's
-	// inputs: the cycle event line alone and no AXI transaction. It is a
-	// host-side policy, not state: while the core runs it commits on most
-	// model cycles, and its quiet runs are one cycle long — parking the tick
-	// event to be woken by the next commit costs more than ticking — so Quiet
-	// reports nothing before the second quiet cycle, which costs one real
-	// tick per idle window.
-	quietRun int
 
 	// out and rbuf are the Output handed back by Tick and its read payload,
 	// reused every cycle: valid until the next Tick, like the Input.
@@ -293,6 +301,7 @@ func NewWrapperEngine(nc int, engine rtl.Engine) (*Wrapper, error) {
 	w.outRdata = m.OutputID("rdata")
 	w.outRvalid = m.OutputID("rvalid")
 	w.outIrq = m.OutputID("irq")
+	w.vary[0] = rtl.Vary{In: w.inEvents, Bits: (1<<(EvL1DMiss+1) - 1) & (1<<nc - 1)}
 	return w, nil
 }
 
@@ -310,16 +319,69 @@ func (w *Wrapper) Reset() {
 	w.model.SetInputID(w.inRst, 0)
 	w.pendingCommits = 0
 	w.pendingMisses = 0
+	w.settled()
 	w.axiQ = w.axiQ[:0]
 	w.reading = false
-	w.quietRun = 0
 }
 
-// AddCommits accumulates committed-instruction events from the core tap.
-func (w *Wrapper) AddCommits(n int) { w.pendingCommits += n }
+// AddCommits accumulates n committed-instruction events from the core tap.
+// edge is the cycle they arrive in, counted from the next one the wrapper
+// will tick or advance through: RTLObject.Owed, 0 while the object is awake.
+func (w *Wrapper) AddCommits(n int, edge uint64) {
+	w.drainTo(edge)
+	w.pendingCommits += n
+}
 
-// AddMiss accumulates one L1D miss event from the cache tap.
-func (w *Wrapper) AddMiss() { w.pendingMisses++ }
+// AddMiss accumulates one L1D miss event from the cache tap; edge is as for
+// AddCommits.
+func (w *Wrapper) AddMiss(edge uint64) {
+	w.drainTo(edge)
+	w.pendingMisses++
+}
+
+// drainTo runs the drain rule over the cycles from at to e, in O(1): each
+// drives up to four commit lines and one miss line from what is pending, and
+// carries the rest.
+func (w *Wrapper) drainTo(e uint64) {
+	if e <= w.at {
+		return
+	}
+	m := e - w.at
+	p, q := uint64(w.pendingCommits), uint64(w.pendingMisses)
+	for b := uint64(0); b < 4; b++ {
+		if p > b {
+			w.counts[EvCommit0+b] += min(m, (p-b+3)/4)
+		}
+	}
+	w.counts[EvL1DMiss] += min(m, q)
+	// The last of the m cycles drives what the m-1 before it left.
+	w.last = lines(after(p, 4, m-1), after(q, 1, m-1))
+	w.pendingCommits, w.pendingMisses = int(after(p, 4, m)), int(after(q, 1, m))
+	w.at = e
+}
+
+// after is what is left of p once m cycles have each drained per of it.
+func after(p, per, m uint64) uint64 {
+	if m >= (p+per-1)/per {
+		return 0
+	}
+	return p - per*m
+}
+
+// lines is the event lines a cycle drives with p commits and q misses
+// pending: the commit lines up to four, the miss line, the cycle line.
+func lines(p, q uint64) uint64 {
+	ev := uint64(1)<<min(p, 4) - 1
+	if q > 0 {
+		ev |= 1 << EvL1DMiss
+	}
+	return ev | 1<<EvCycle
+}
+
+// settled forgets the fold: the cycles before at have been applied.
+func (w *Wrapper) settled() {
+	w.at, w.counts = 0, [EvL1DMiss + 1]uint64{}
+}
 
 // Tick implements rtlobject.Wrapper. The returned Output and its slices are
 // reused by the next Tick.
@@ -329,28 +391,14 @@ func (w *Wrapper) Tick(in *rtlobject.Input) *rtlobject.Output {
 	w.axiQ = append(w.axiQ, in.CPURequests...)
 
 	// Event wires for this cycle.
-	var ev uint64
-	c := w.pendingCommits
-	if c > 4 {
-		c = 4
-	}
-	w.pendingCommits -= c
-	for i := 0; i < c; i++ {
-		ev |= 1 << (EvCommit0 + i)
-	}
-	if w.pendingMisses > 0 {
-		w.pendingMisses--
-		ev |= 1 << EvL1DMiss
-	}
-	ev |= 1 << EvCycle
-	w.model.SetInputID(w.inEvents, ev)
-	quiet := ev == 1<<EvCycle
+	w.drainTo(1)
+	w.model.SetInputID(w.inEvents, w.last)
+	w.settled()
 
 	// Drive at most one AXI transaction per cycle.
 	w.model.SetInputID(w.inAwvalid, 0)
 	w.model.SetInputID(w.inArvalid, 0)
 	if !w.reading && len(w.axiQ) > 0 {
-		quiet = false
 		req := w.axiQ[0]
 		n := copy(w.axiQ, w.axiQ[1:])
 		w.axiQ[n] = rtlobject.CPURequest{} // drop the Data reference
@@ -373,12 +421,6 @@ func (w *Wrapper) Tick(in *rtlobject.Input) *rtlobject.Output {
 			w.inflightRead, w.reading = req, true
 		}
 	}
-	if quiet {
-		w.quietRun++
-	} else {
-		w.quietRun = 0
-	}
-
 	w.model.Tick()
 	if w.TickHook != nil {
 		w.TickHook(w.model)
@@ -409,27 +451,35 @@ func (w *Wrapper) Tick(in *rtlobject.Input) *rtlobject.Output {
 }
 
 // Quiet implements rtlobject.Sleeper. A quiet cycle of the wrapper drives
-// the cycle event line alone and no AXI transaction; while the wrapper has
-// nothing else to drive and drove exactly that last cycle (and the one
-// before, see quietRun), its quiet cycles are the model's with the inputs
-// held, and the horizon is the compiled netlist's own (rtl.Model.Quiet,
-// whose ^uint64(0) is rtlobject.Forever). No memory response wakes it: the
-// PMU issues no memory requests.
+// the cycle line, what the commit and miss lines drain, and no AXI
+// transaction; while the wrapper has no AXI work and drove none last cycle,
+// its quiet cycles are the model's with the commit and miss lines free to
+// vary and every other input held, and the horizon is the compiled
+// netlist's own (rtl.Model.Quiet, whose ^uint64(0) is rtlobject.Forever):
+// events arriving through the taps cannot end it. No memory response wakes
+// it: the PMU issues no memory requests.
 func (w *Wrapper) Quiet() (uint64, rtlobject.InputKind) {
-	if w.quietRun < 2 || w.pendingCommits != 0 || w.pendingMisses != 0 ||
-		len(w.axiQ) != 0 || w.reading || w.TickHook != nil {
+	if len(w.axiQ) != 0 || w.reading || w.TickHook != nil ||
+		w.model.PeekID(w.inAwvalid) != 0 || w.model.PeekID(w.inArvalid) != 0 {
 		return 0, 0
 	}
-	return w.model.Quiet(), 0
+	return w.model.Quiet(w.vary[:]), 0
 }
 
 // Advance implements rtlobject.Sleeper: n quiet cycles of the wrapper are n
-// cycles of the model with its inputs held.
+// cycles of the model with the event lines the drain rule drove, which the
+// fold has counted.
 func (w *Wrapper) Advance(n uint64, _ []rtlobject.MemResponse) {
 	if w.TickHook != nil {
 		panic("pmu: TickHook set while the PMU was asleep; wake its RTLObject before setting it")
 	}
-	w.model.Advance(n)
+	if w.at > n {
+		panic(fmt.Sprintf("pmu: an event folded into cycle %d of a %d-cycle advance", w.at, n))
+	}
+	w.drainTo(n)
+	w.lastIn[0] = w.last
+	w.model.Advance(n, w.counts[:bits.OnesCount64(w.vary[0].Bits)], w.lastIn[:])
+	w.settled()
 }
 
 // Counter peeks counter i directly in the RTL model (testbench backdoor).

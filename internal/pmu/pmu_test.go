@@ -77,7 +77,7 @@ func TestCycleCounterCounts(t *testing.T) {
 func TestDisabledEventsNotCounted(t *testing.T) {
 	w := newPMU(t)
 	// No enables: commits must not count.
-	w.AddCommits(50)
+	w.AddCommits(50, 0)
 	tickN(w, 60)
 	if got := w.Counter(EvCommit0); got != 0 {
 		t.Fatalf("disabled counter counted %d", got)
@@ -88,7 +88,7 @@ func TestCommitEventLines(t *testing.T) {
 	w := newPMU(t)
 	axiWrite(w, RegEnable, 0xF) // commit lines 0-3
 	// 10 commits: with up to 4 lines per cycle the counters must total 10.
-	w.AddCommits(10)
+	w.AddCommits(10, 0)
 	tickN(w, 10)
 	total := uint32(0)
 	for i := EvCommit0; i <= EvCommit3; i++ {
@@ -107,7 +107,7 @@ func TestMissEvents(t *testing.T) {
 	w := newPMU(t)
 	axiWrite(w, RegEnable, 1<<EvL1DMiss)
 	for i := 0; i < 7; i++ {
-		w.AddMiss()
+		w.AddMiss(0)
 	}
 	tickN(w, 10)
 	if got := w.Counter(EvL1DMiss); got != 7 {
@@ -227,7 +227,7 @@ func BenchmarkPMUTick(b *testing.B) {
 	in := &rtlobject.Input{}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w.AddCommits(3)
+		w.AddCommits(3, 0)
 		w.Tick(in)
 	}
 }
@@ -251,8 +251,8 @@ func TestTickAllocsPerRun(t *testing.T) {
 		}
 		responses := 0
 		allocs := testing.AllocsPerRun(200, func() {
-			w.AddCommits(3)
-			w.AddMiss()
+			w.AddCommits(3, 0)
+			w.AddMiss(0)
 			in.CPURequests = reqs
 			responses += len(w.Tick(in).CPUResponses)
 			in.CPURequests = nil
@@ -264,5 +264,82 @@ func TestTickAllocsPerRun(t *testing.T) {
 		if responses == 0 {
 			t.Errorf("engine %s: no AXI response seen", engine)
 		}
+	}
+}
+
+// TestTapsFoldIntoASleep holds the fold to ticking: a wrapper that is
+// asleep takes commits and misses at random cycles of a stretch and applies
+// them with Advance; a twin ticks every cycle and takes each in the cycle it
+// arrives in. Both models, and the events still pending, must agree at the
+// end of every stretch — including events that arrive on the stretch's last
+// edge, which the next tick drives.
+func TestTapsFoldIntoASleep(t *testing.T) {
+	nap, tick := newPMU(t), newPMU(t)
+	for _, w := range []*Wrapper{nap, tick} {
+		axiWrite(w, RegEnable, 0x3F)
+		axiWrite(w, RegThreshSel, EvCycle)
+		axiWrite(w, RegThreshVal, 3000)
+		tickN(w, 1)
+	}
+	rng := uint64(0x2545f4914f6cdd1d)
+	rand := func(n uint64) uint64 {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		return rng % n
+	}
+	type arrival struct {
+		edge, commits uint64 // commits 0: a miss
+	}
+	stretches := 0
+	for cycles := 0; cycles < 20000; {
+		k, _ := nap.Quiet()
+		if k == 0 {
+			nap.Tick(&rtlobject.Input{})
+			tick.Tick(&rtlobject.Input{})
+			cycles++
+			continue
+		}
+		n := 1 + rand(min(k, 400))
+		// A burst, a trickle, or nothing: arrivals in edge order.
+		var arr []arrival
+		for e, dense := uint64(0), rand(3); e <= n && dense > 0; e += 1 + rand(8/dense*4) {
+			arr = append(arr, arrival{e, rand(9)})
+		}
+		i := 0
+		for e := uint64(0); e <= n; e++ {
+			for ; i < len(arr) && arr[i].edge == e; i++ {
+				if c := arr[i].commits; c > 0 {
+					nap.AddCommits(int(c), e)
+					tick.AddCommits(int(c), 0)
+				} else {
+					nap.AddMiss(e)
+					tick.AddMiss(0)
+				}
+			}
+			if e < n {
+				tick.Tick(&rtlobject.Input{})
+			}
+		}
+		nap.Advance(n, nil)
+		stretches++
+		cycles += int(n)
+		c := nap.Model().Circuit()
+		for id, sg := range c.Signals {
+			if a, b := nap.Model().PeekID(rtl.SigID(id)), tick.Model().PeekID(rtl.SigID(id)); a != b {
+				t.Fatalf("stretch %d (%d cycles): %s = %#x, ticking %#x", stretches, n, sg.Name, a, b)
+			}
+		}
+		if nap.pendingCommits != tick.pendingCommits || nap.pendingMisses != tick.pendingMisses {
+			t.Fatalf("stretch %d: pending %d/%d, ticking %d/%d", stretches,
+				nap.pendingCommits, nap.pendingMisses, tick.pendingCommits, tick.pendingMisses)
+		}
+		nap.Tick(&rtlobject.Input{})
+		tick.Tick(&rtlobject.Input{})
+		cycles++
+	}
+	t.Logf("%d stretches", stretches)
+	if stretches < 50 {
+		t.Fatalf("only %d stretches", stretches)
 	}
 }

@@ -60,16 +60,27 @@ type Backend interface {
 // running them. The VM has it (rtlc.VM.Quiet); the reference does not, and
 // is the per-cycle machine tests hold it to.
 //
-//   - Quiet returns k: with every input held at its current value, the next
-//     k Ticks change no output and nothing Advance does not reproduce. k is
-//     ^uint64(0) when only an input can end the stretch, 0 when the backend
-//     cannot say.
-//   - Advance(n), 1 <= n <= what is left of the last Quiet's k, has exactly
-//     the effect on values, memories and activity state of n such Ticks. Any
-//     evaluation (Eval, Tick) or Invalidate ends the stretch.
+//   - Quiet(vary) returns k: with every input held at its current value
+//     except the bits vary names, which may take any value on any cycle, the
+//     next k Ticks change no output and nothing Advance does not reproduce.
+//     k is ^uint64(0) when only an input can end the stretch, 0 when the
+//     backend cannot say. An empty vary is the stretch with every input held.
+//   - Advance(n, counts, last), 1 <= n <= what is left of the last Quiet's k,
+//     has exactly the effect on values, memories and activity state of n such
+//     Ticks, given for each varying bit (in vary's order, each entry's bits
+//     from the lowest up) the number of the n cycles it was set, and in
+//     last[i] the value vary[i].In had on the last of them. Any evaluation
+//     (Eval, Tick) or Invalidate ends the stretch.
 type ClosedForm interface {
-	Quiet() uint64
-	Advance(n uint64)
+	Quiet(vary []Vary) uint64
+	Advance(n uint64, counts, last []uint64)
+}
+
+// Vary names the bits of one input that may change from cycle to cycle
+// during a closed-form stretch (ClosedForm.Quiet).
+type Vary struct {
+	In   SigID
+	Bits uint64
 }
 
 // EngineBuilder constructs a Backend for a validated circuit. mems is the

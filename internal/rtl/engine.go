@@ -318,26 +318,34 @@ func (m *Model) Tick() {
 }
 
 // Quiet reports how many of the coming cycles, with every input held at its
-// current value, Advance can apply without running them (see ClosedForm):
-// ^uint64(0) when only an input can change the model, 0 when they must run.
-// Call it after a Tick. It answers 0 on a backend without the capability —
-// the reference evaluator — and while an enabled VCD writer is attached,
-// which must see every cycle's values.
-func (m *Model) Quiet() uint64 {
+// current value except the bits vary names, Advance can apply without running
+// them (see ClosedForm): ^uint64(0) when only an input can change the model,
+// 0 when they must run. Call it after a Tick. It answers 0 on a backend
+// without the capability — the reference evaluator — and while an enabled
+// VCD writer is attached, which must see every cycle's values. Each entry of
+// vary names an input and bits within its width.
+func (m *Model) Quiet(vary []Vary) uint64 {
 	if m.closed == nil || (m.vcd != nil && m.vcd.enabled) {
 		return 0
 	}
-	return m.closed.Quiet()
+	for _, v := range vary {
+		if m.c.Signals[v.In].Kind != SigInput || v.Bits&^m.masks[v.In] != 0 {
+			panic(fmt.Sprintf("rtl: %s: Quiet: bits %#x of %q cannot vary", m.c.Name, v.Bits, m.c.Signals[v.In].Name))
+		}
+	}
+	return m.closed.Quiet(vary)
 }
 
 // Advance applies n cycles of the stretch the last Quiet reported, as n
-// Ticks with the inputs held would, cycle counter included. A VCD writer
-// enabled since that Quiet would miss their dumps, so Advance refuses to run
-// under one.
-func (m *Model) Advance(n uint64) {
+// Ticks would, cycle counter included: counts and last say what the varying
+// input bits did over them (ClosedForm.Advance; both nil when nothing
+// varied), and the inputs are left at their last cycle's values. A VCD
+// writer enabled since that Quiet would miss their dumps, so Advance refuses
+// to run under one.
+func (m *Model) Advance(n uint64, counts, last []uint64) {
 	if m.vcd != nil && m.vcd.enabled {
 		panic(fmt.Sprintf("rtl: %s: Advance with a VCD writer enabled", m.c.Name))
 	}
-	m.closed.Advance(n)
+	m.closed.Advance(n, counts, last)
 	m.cycle += n
 }

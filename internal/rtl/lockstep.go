@@ -53,26 +53,48 @@ func (l *Lockstep) Tick() {
 }
 
 // Quiet asks the model under test how many coming cycles it can apply in
-// closed form (Model.Quiet).
-func (l *Lockstep) Quiet() uint64 { return l.m.Quiet() }
+// closed form with the bits vary names free to change (Model.Quiet).
+func (l *Lockstep) Quiet(vary []Vary) uint64 { return l.m.Quiet(vary) }
 
 // Advance applies n cycles to the model under test in closed form and runs
-// n real cycles of the reference with the inputs held, then compares the
-// two. On the way it holds the reference to the rest of the promise: no
-// output changes during the stretch.
-func (l *Lockstep) Advance(n uint64) {
+// n real cycles of the reference, then compares the two. The inputs hold,
+// except that on cycle j+1 of the stretch the varying bits of vary[i].In take
+// their value from in[j][i] (in is nil when vary is empty); the model is
+// given the per-bit counts and last values of that sequence. On the way it
+// holds the reference to the rest of the promise: no output changes during
+// the stretch.
+func (l *Lockstep) Advance(n uint64, vary []Vary, in [][]uint64) {
 	c := l.ref.c
 	held := append([]uint64(nil), l.ref.vals...)
-	l.m.Advance(n)
-	for i := uint64(0); i < n; i++ {
+	var counts, last []uint64
+	for i := range vary {
+		last = append(last, l.ref.vals[vary[i].In])
+		for b := vary[i].Bits; b != 0; b &= b - 1 {
+			counts = append(counts, 0)
+		}
+	}
+	for j := uint64(0); j < n; j++ {
+		k := 0
+		for i, v := range vary {
+			val := l.ref.vals[v.In]&^v.Bits | in[j][i]&v.Bits
+			l.ref.SetInputID(v.In, val)
+			last[i] = val
+			for b := v.Bits; b != 0; b &= b - 1 {
+				if val&b&-b != 0 {
+					counts[k]++
+				}
+				k++
+			}
+		}
 		l.ref.Tick()
 		for id, s := range c.Signals {
 			if s.Kind == SigOutput && l.ref.vals[id] != held[id] {
 				l.fail("%s: Advance(%d): output %q moved in cycle %d of the stretch: %#x, before it %#x",
-					c.Name, n, s.Name, i+1, l.ref.vals[id], held[id])
+					c.Name, n, s.Name, j+1, l.ref.vals[id], held[id])
 			}
 		}
 	}
+	l.m.Advance(n, counts, last)
 	l.compare("Advance")
 }
 

@@ -3,6 +3,8 @@ package rtlc
 import (
 	"fmt"
 	"math/bits"
+
+	"gem5rtl/internal/rtl"
 )
 
 // Closed forms. A netlist in general has none: its next cycle is whatever
@@ -10,35 +12,56 @@ import (
 // are, a compiled netlist often sits in a stretch where nothing moves except
 // a few registers that add a constant every cycle — a free-running cycle
 // counter — until one of them crosses a value something compares it with.
-// Quiet finds such a stretch in the compiled code itself, by abstract
-// evaluation over the same opcodes exec runs; Advance applies n of its
-// cycles at once. The simulator still cannot see inside the RTL: nothing
-// here names a register of any particular circuit.
+// Some inputs need not even hold: a register that only counts how often an
+// input bit was set moves by at most one a cycle, so a comparison on it
+// cannot flip before its worst case could make it. Quiet finds such a
+// stretch in the compiled code itself, by abstract evaluation over the same
+// opcodes exec runs; Advance applies n of its cycles at once. The simulator
+// still cannot see inside the RTL: nothing here names a register of any
+// particular circuit.
 //
 // Each register-file slot holds one of
 //
 //   - a known value, the same every cycle of the stretch;
 //   - an affine value (base + j·step) mod 2^w after j cycles;
+//   - a varying value, computed afresh each cycle from that cycle's varying
+//     input bits (or from a pipelined register) and known values;
+//   - a counted value: a register that adds a sum of 1-bit terms every cycle,
+//     each a varying input bit or a bit of a pipelined register, so that it
+//     rises by at most the number of terms a cycle;
 //   - unknown.
 //
 // The registers the next Tick would change are seeded as affine with the
-// difference their next-state programs compute. Then the fan-out cone of
-// those registers, and only that cone, is evaluated abstractly in levelised
-// order: an affine value plus or minus a known one stays affine; a mux or
-// select whose selector is known picks its arm; a comparison of an affine
-// value with a known one is known up to the cycle it first flips or the
-// affine value first wraps, which bounds the stretch; any other use of an
-// affine value is unknown. The seeds hold up when
+// difference their next-state programs compute, and the varying input bits
+// as varying. Then the fan-out cone of the seeds, and only that cone, is
+// evaluated abstractly in levelised order: an affine value plus or minus a
+// known one stays affine; a varying value stays varying under a mask, a
+// shift or any operation with known or varying operands; a mux or select
+// whose selector is known picks its arm; a comparison of an affine or
+// counted value with a known one is known up to the first cycle it could
+// flip or the value could wrap, which bounds the stretch; any other use of
+// an affine or counted value is unknown. A register of the cone is then
+//
+//   - pipelined when its program reads only varying inputs and known values
+//     (its value at the end is its program's on the last cycle's inputs), or
+//   - counted when its program computes itself plus a sum of terms,
+//
+// and its readers are evaluated again, until no register changes kind. The
+// seeds hold up when
 //
 //   - every seeded register's program computes itself plus its step,
-//   - every other register in the cone recomputes its own value, and every
-//     memory write in it rewrites what the array already holds,
+//   - every other register in the cone recomputes its own value, is
+//     pipelined or counted, and every memory write in it rewrites what the
+//     array already holds,
 //   - and every output is outside the cone (it stays known).
 //
 // Otherwise, or when anything the walk needs is unknown, the answer is 0.
 
 // forever is the horizon of a stretch only an input can end.
 const forever = ^uint64(0)
+
+// noSrc is the src of a varying value that is no bit range of one slot.
+const noSrc = ^uint32(0)
 
 // absKind is what the abstract evaluation knows about a slot.
 type absKind uint8
@@ -51,11 +74,25 @@ const (
 	absKnown
 	// absAffine: (base + j·step) & mask after j cycles; mask is 2^w - 1.
 	absAffine
+	// absVary: each cycle's own value. The bits outside step are base's;
+	// those under step vary, and are (r[src] >> sh) & step when src names
+	// a slot. late marks a value read from a pipelined register, one cycle
+	// behind the inputs.
+	absVary
+	// absCount: a counted register as its readers see it: base now, then up
+	// by at most step a cycle, mod mask + 1.
+	absCount
+	// absSum: a register's next state inside its own program: itself plus
+	// the n terms cf.terms[src:src+n], mod mask + 1.
+	absSum
 	absUnknown
 )
 
 type absVal struct {
 	kind             absKind
+	late             bool
+	sh               uint8
+	src, n           uint32
 	base, step, mask uint64
 }
 
@@ -68,25 +105,43 @@ func affine(base, step, mask uint64) absVal {
 	if step&mask == 0 {
 		return known(base & mask)
 	}
-	return absVal{absAffine, base & mask, step & mask, mask}
+	return absVal{kind: absAffine, base: base & mask, step: step & mask, mask: mask}
+}
+
+// vary normalises a varying value: with no bit varying it is known.
+func vary(x absVal, base, step uint64) absVal {
+	if step == 0 {
+		return known(base)
+	}
+	x.kind, x.base, x.step, x.mask = absVary, base&^step, step, 0
+	return x
 }
 
 // lowMask reports whether m is 2^w - 1 for some w.
 func lowMask(m uint64) bool { return m&(m+1) == 0 }
 
-// masked is x & m. An affine value stays affine under a mask that keeps all
-// its bits or cuts it to fewer low bits, which is arithmetic modulo a
-// smaller power of two.
+// masked is x & m. An affine or counted value stays so under a mask that
+// keeps all its bits or cuts it to fewer low bits, which is arithmetic
+// modulo a smaller power of two; a register's running sum only under one
+// that keeps it whole.
 func masked(x absVal, m uint64) absVal {
 	switch x.kind {
 	case absKnown:
 		return known(x.base & m)
-	case absAffine:
+	case absVary:
+		return vary(x, x.base&m, x.step&m)
+	case absAffine, absCount, absSum:
 		if m&x.mask == x.mask {
 			return x
 		}
 		if lowMask(m) && m&x.mask == m {
-			return affine(x.base, x.step, m)
+			if x.kind == absAffine {
+				return affine(x.base, x.step, m)
+			}
+			if x.kind == absCount {
+				x.base, x.mask = x.base&m, m
+				return x
+			}
 		}
 	}
 	return unknown
@@ -101,10 +156,45 @@ func plus(x absVal, k, m uint64) absVal {
 	return affine(x.base+k, x.step, m)
 }
 
-// affReg is one register Advance moves.
+// isTerm reports whether x is one bit of one slot: bit x.sh of x.src.
+func isTerm(x absVal) bool {
+	return x.kind == absVary && x.src != noSrc && x.step == 1 && x.base == 0
+}
+
+// affReg is one register Advance moves by a fixed step.
 type affReg struct {
 	slot       uint32
 	step, mask uint64
+}
+
+// term is one bit a counted register adds: bit bit of slot, a varying input
+// or a pipelined register.
+type term struct {
+	slot uint32
+	bit  uint8
+}
+
+// cntReg is one counted register: it adds the terms cf.res[start:start+n].
+type cntReg struct {
+	slot, start, n uint32
+	mask           uint64
+}
+
+// resTerm is a term resolved to the varying input bit behind it: count k of
+// Advance's counts, bit bit of last[in]. A term read through a pipelined
+// register (pipe, bit pbit) lags a cycle: it adds the register's bit on the
+// first cycle and misses the input's on the last.
+type resTerm struct {
+	k, in, pipe uint32
+	bit, pbit   uint8
+}
+
+// pipeReg is one pipelined register: Advance runs its program, Seqs[seq],
+// on the last cycle's inputs. res is what the program evaluated to.
+type pipeReg struct {
+	slot uint32
+	seq  int
+	res  absVal
 }
 
 // closedForm is the analysis state a VM keeps between Quiet and Advance.
@@ -118,10 +208,19 @@ type closedForm struct {
 	// and memw alias its ranges as in the VM.
 	cone            []uint64
 	comb, seq, memw []uint64
-	// aff are the moving registers of the stretch found; horizon is the
-	// first cycle a comparison in the cone flips, or forever.
+	// vary is the set of varying input bits the last Quiet was asked about.
+	vary []rtl.Vary
+	// aff, cnt and pipe are the moving registers of the stretch found, res
+	// the counted registers' terms and terms their unresolved form; horizon
+	// is the first cycle a comparison in the cone can flip, or forever.
 	aff     []affReg
+	cnt     []cntReg
+	pipe    []pipeReg
+	terms   []term
+	res     []resTerm
 	horizon uint64
+	// bad records a failed check of the current pass.
+	bad bool
 	// left is how much of the stretch Advance may still apply.
 	left uint64
 }
@@ -151,10 +250,12 @@ func (cf *closedForm) put(r uint32, a absVal, nsig int) {
 	cf.ab[r] = a
 }
 
-// spread adds the readers of signal s to the cone.
-func (cf *closedForm) spread(p *Program, s uint32) {
+// spread adds the readers of the given bits of signal s to the cone.
+func (cf *closedForm) spread(p *Program, s uint32, bits uint64) {
 	for _, f := range p.Fanout[s] {
-		cf.cone[f.Seg>>6] |= 1 << (f.Seg & 63)
+		if f.Bits&bits != 0 {
+			cf.cone[f.Seg>>6] |= 1 << (f.Seg & 63)
+		}
 	}
 }
 
@@ -167,17 +268,18 @@ func (v *VM) endStretch() {
 }
 
 // Quiet implements rtl.ClosedForm: it reports how many of the coming cycles,
-// with every input held at its current value, Advance can apply in closed
-// form — ^uint64(0) when only an input can move the model, 0 when the
-// analysis cannot tell. It reads the state a Tick left and changes nothing.
-func (v *VM) Quiet() uint64 {
+// with every input held at its current value but the bits vary names,
+// Advance can apply in closed form — ^uint64(0) when only an input can move
+// the model, 0 when the analysis cannot tell. It reads the state a Tick left
+// and changes nothing.
+func (v *VM) Quiet(vary []rtl.Vary) uint64 {
 	cf := v.cf
 	if cf == nil {
 		cf = newClosedForm(v.p)
 		v.cf = cf
 	}
+	cf.vary = append(cf.vary[:0], vary...)
 	cf.aff = cf.aff[:0]
-	cf.horizon = forever
 	k := v.quiet(cf)
 	for _, s := range cf.touched {
 		cf.ab[s] = absVal{}
@@ -208,53 +310,37 @@ func (v *VM) quiet(cf *closedForm) uint64 {
 			if cur, nv := v.regs[sq.Dst], v.regs[sq.Out]; nv != cur {
 				step := (nv - cur) & sq.Mask
 				cf.aff = append(cf.aff, affReg{uint32(sq.Dst), step, sq.Mask})
-				cf.put(uint32(sq.Dst), absVal{absAffine, cur, step, sq.Mask}, p.NSig)
+				cf.put(uint32(sq.Dst), absVal{kind: absAffine, base: cur, step: step, mask: sq.Mask}, p.NSig)
 				cf.seq[w] |= 1 << (j & 63)
-				cf.spread(p, uint32(sq.Dst))
+				cf.spread(p, uint32(sq.Dst), ^uint64(0))
 			}
 		}
 	}
 	for w := range v.memw {
 		cf.memw[w] |= v.memw[w]
 	}
-	// The combinational cone, in levelised order: a segment reading an
-	// affine wire joins the walk after the one that produced it.
-	for w := range cf.comb {
-		for cf.comb[w] != 0 {
-			b := bits.TrailingZeros64(cf.comb[w])
-			cf.comb[w] &^= 1 << b
-			sg := &p.CombSegs[w<<6+b]
-			v.absRun(cf, p.Comb[sg.Start:sg.End])
-			switch r := cf.ab[sg.Dst]; r.kind {
-			case absKnown:
-				if r.base != v.regs[sg.Dst] {
-					return 0
-				}
-				cf.ab[sg.Dst] = absVal{}
-			case absAffine:
-				cf.spread(p, uint32(sg.Dst))
-			default:
-				return 0
-			}
+	for _, vr := range cf.vary {
+		in := uint32(vr.In)
+		cf.put(in, vary(absVal{src: in}, v.regs[in], vr.Bits), p.NSig)
+		cf.spread(p, in, vr.Bits)
+	}
+	// Walk the cone until no register changes kind: the last pass saw every
+	// value as the stretch has it. A register only ever moves up, from held
+	// or affine to pipelined or counted, or to more terms.
+	for pass := 0; ; pass++ {
+		if pass > 2*len(p.Seqs)+2 {
+			return 0
 		}
+		if !v.absPass(cf) {
+			break
+		}
+	}
+	if cf.bad {
+		return 0
 	}
 	for _, o := range p.Outputs {
 		if cf.ab[o].kind != absHeld {
 			return 0
-		}
-	}
-	for w, m := range cf.seq {
-		for ; m != 0; m &= m - 1 {
-			sq := &p.Seqs[w<<6+bits.TrailingZeros64(m)]
-			v.absRun(cf, sq.Code)
-			r := cf.get(v.regs, sq.Out)
-			if seed := cf.ab[sq.Dst]; seed.kind == absAffine {
-				if r != affine(seed.base+seed.step, seed.step, seed.mask) {
-					return 0
-				}
-			} else if r.kind != absKnown || r.base != v.regs[sq.Dst] {
-				return 0
-			}
 		}
 	}
 	for w, m := range cf.memw {
@@ -283,25 +369,219 @@ func (v *VM) quiet(cf *closedForm) uint64 {
 			}
 		}
 	}
-	if len(cf.aff) == 0 || cf.horizon == forever {
+	// Seeds that turned out to count leave the affine list.
+	n := 0
+	for _, a := range cf.aff {
+		if cf.ab[a.slot].kind == absAffine {
+			cf.aff[n] = a
+			n++
+		}
+	}
+	cf.aff = cf.aff[:n]
+	if !cf.resolve() {
+		return 0
+	}
+	if len(cf.aff)+len(cf.cnt)+len(cf.pipe) == 0 || cf.horizon == forever {
 		return forever
 	}
-	// Cycles 1..horizon-1 run on comparisons that have not flipped yet.
+	// Cycles 1..horizon-1 run on comparisons that cannot have flipped yet.
 	return cf.horizon - 1
 }
 
+// absPass evaluates the cone once, in levelised order, and then every
+// register program in it, and reports whether a register changed kind. A
+// failed check sets cf.bad; only the last pass's verdict counts, because a
+// register that changes kind leaves values before it stale.
+func (v *VM) absPass(cf *closedForm) (grew bool) {
+	p := v.p
+	cf.bad, cf.horizon = false, forever
+	cf.cnt, cf.pipe, cf.terms = cf.cnt[:0], cf.pipe[:0], cf.terms[:0]
+	// The combinational cone: a segment reading a moving wire joins the walk
+	// after the one that produced it.
+	for w := range cf.comb {
+		for done := uint64(0); cf.comb[w]&^done != 0; {
+			b := bits.TrailingZeros64(cf.comb[w] &^ done)
+			done |= 1 << b
+			sg := &p.CombSegs[w<<6+b]
+			v.absRun(cf, p.Comb[sg.Start:sg.End])
+			switch r := cf.ab[sg.Dst]; r.kind {
+			case absKnown:
+				if r.base != v.regs[sg.Dst] {
+					cf.bad = true
+				}
+				cf.ab[sg.Dst] = absVal{}
+			case absAffine, absCount:
+				cf.spread(p, uint32(sg.Dst), ^uint64(0))
+			case absVary:
+				cf.spread(p, uint32(sg.Dst), r.step)
+			default:
+				cf.bad = true
+			}
+		}
+	}
+	for w := range cf.seq {
+		for done := uint64(0); cf.seq[w]&^done != 0; {
+			b := bits.TrailingZeros64(cf.seq[w] &^ done)
+			done |= 1 << b
+			j := w<<6 + b
+			if v.absSeq(cf, j) {
+				grew = true
+			}
+		}
+	}
+	return grew
+}
+
+// absSeq evaluates register program j of the cone and reports whether the
+// register changed kind.
+func (v *VM) absSeq(cf *closedForm, j int) bool {
+	p := v.p
+	sq := &p.Seqs[j]
+	d := uint32(sq.Dst)
+	cur := v.regs[d]
+	was := cf.ab[d]
+	switch was.kind {
+	case absAffine:
+		v.absRun(cf, sq.Code)
+		if cf.get(v.regs, sq.Out) == affine(was.base+was.step, was.step, was.mask) {
+			return false
+		}
+	case absHeld:
+		v.absRun(cf, sq.Code)
+		if r := cf.get(v.regs, sq.Out); r.kind == absKnown {
+			if r.base != cur {
+				cf.bad = true
+			}
+			return false
+		}
+	}
+	// Read the register as itself plus nothing yet: its program either adds
+	// terms to that, or does not read it at all.
+	cf.put(d, absVal{kind: absSum, src: uint32(len(cf.terms)), mask: sq.Mask}, p.NSig)
+	v.absRun(cf, sq.Code)
+	r := cf.get(v.regs, sq.Out)
+	var now absVal
+	switch {
+	case r.kind == absSum && r.n > 0 && r.mask == sq.Mask:
+		now = absVal{kind: absCount, base: cur, step: uint64(r.n), mask: sq.Mask}
+		cf.cnt = append(cf.cnt, cntReg{slot: d, start: r.src, n: r.n, mask: sq.Mask})
+	case r.kind == absVary && !r.late && r.base == cur&^r.step:
+		now = absVal{kind: absVary, late: true, src: d, base: r.base, step: r.step}
+		cf.pipe = append(cf.pipe, pipeReg{slot: d, seq: j, res: r})
+	default:
+		cf.ab[d] = was
+		cf.bad = true
+		return false
+	}
+	cf.ab[d] = now
+	if now == was {
+		return false
+	}
+	if now.kind == absVary {
+		cf.spread(p, d, now.step)
+	} else {
+		cf.spread(p, d, ^uint64(0))
+	}
+	return true
+}
+
+// resolve maps every counted register's terms to the varying input bits
+// behind them, into cf.res, and reports whether each has one.
+func (cf *closedForm) resolve() bool {
+	cf.res = cf.res[:0]
+	for i := range cf.cnt {
+		c := &cf.cnt[i]
+		start := uint32(len(cf.res))
+		for _, t := range cf.terms[c.start : c.start+c.n] {
+			rt := resTerm{pipe: noSrc}
+			in, bit := t.slot, uint(t.bit)
+			if cf.ab[in].late {
+				pr := cf.pipeOf(in)
+				if pr == nil || pr.res.src == noSrc || pr.res.step>>bit&1 == 0 {
+					return false
+				}
+				rt.pipe, rt.pbit = in, uint8(bit)
+				in, bit = pr.res.src, uint(pr.res.sh)+bit
+			}
+			if !cf.countIndex(in, bit, &rt) {
+				return false
+			}
+			cf.res = append(cf.res, rt)
+		}
+		c.start = start
+	}
+	return true
+}
+
+// pipeOf returns the pipelined register at slot s.
+func (cf *closedForm) pipeOf(s uint32) *pipeReg {
+	for i := range cf.pipe {
+		if cf.pipe[i].slot == s {
+			return &cf.pipe[i]
+		}
+	}
+	return nil
+}
+
+// countIndex finds bit bit of input in among the varying bits: its index in
+// Advance's counts and its place in last.
+func (cf *closedForm) countIndex(in uint32, bit uint, rt *resTerm) bool {
+	k := 0
+	for i, vr := range cf.vary {
+		if uint32(vr.In) == in && vr.Bits>>bit&1 == 1 {
+			rt.k = uint32(k + bits.OnesCount64(vr.Bits&(1<<bit-1)))
+			rt.in, rt.bit = uint32(i), uint8(bit)
+			return true
+		}
+		k += bits.OnesCount64(vr.Bits)
+	}
+	return false
+}
+
 // Advance implements rtl.ClosedForm: it applies n cycles of the stretch the
-// last Quiet found, n no more than what is left of it — each moving register
-// takes n steps at once and the logic reading them is settled — leaving the
-// VM as n Ticks with the inputs held would have, up to segments woken that
-// will recompute what they hold.
-func (v *VM) Advance(n uint64) {
+// last Quiet found, n no more than what is left of it — each affine register
+// takes n steps at once, each counted one its terms' counts, each pipelined
+// one its program's value on the last cycle's inputs, and the logic reading
+// them is settled — leaving the VM as n Ticks over those inputs would have,
+// up to segments woken that will recompute what they hold.
+func (v *VM) Advance(n uint64, counts, last []uint64) {
 	cf := v.cf
 	if cf == nil || n > cf.left {
 		panic(fmt.Sprintf("rtlc: Advance(%d) beyond the quiet stretch", n))
 	}
 	if cf.left != forever {
 		cf.left -= n
+	}
+	// Counted registers first: a lagging term reads its pipelined register
+	// as the stretch found it. What a counted or pipelined register holds
+	// after the stretch may step again on the next Tick: its readers are
+	// woken whatever it moved.
+	for _, c := range cf.cnt {
+		sum := v.regs[c.slot]
+		for _, t := range cf.res[c.start : c.start+c.n] {
+			sum += counts[t.k]
+			if t.pipe != noSrc {
+				sum += v.regs[t.pipe]>>t.pbit&1 - last[t.in]>>t.bit&1
+			}
+		}
+		v.regs[c.slot] = sum & c.mask
+		v.wake(c.slot, c.mask)
+	}
+	// The varying inputs take their last cycle's values, and the pipelined
+	// registers what their programs compute from them (no pipelined
+	// register reads another).
+	if len(cf.vary) > 0 {
+		for i, vr := range cf.vary {
+			v.regs[vr.In] = v.regs[vr.In]&^vr.Bits | last[i]&vr.Bits
+		}
+		v.scanInputs()
+		v.settle()
+		for _, pr := range cf.pipe {
+			sq := &v.p.Seqs[pr.seq]
+			exec(sq.Code, v.regs, v.mems, v.p.Tables)
+			v.regs[pr.slot] = v.regs[sq.Out]
+			v.wake(pr.slot, ^uint64(0))
+		}
 	}
 	for _, a := range cf.aff {
 		old := v.regs[a.slot]
@@ -333,32 +613,60 @@ func (v *VM) absInst(cf *closedForm, in *Inst) absVal {
 		if a.kind == absKnown {
 			return v.fold(in, a.base, 0)
 		}
-		return unknown
+		if in.Op == OpShrC && a.kind == absVary {
+			a.sh += in.WA
+			return vary(a, a.base>>in.WA&in.Mask, a.step>>in.WA&in.Mask)
+		}
 	case OpSelect:
-		if a.kind != absKnown {
-			return unknown
+		if a.kind == absKnown {
+			src := in.C
+			if t := v.p.Tables[in.B]; a.base < uint64(len(t)) {
+				src = t[a.base]
+			}
+			return masked(cf.get(v.regs, src), in.Mask)
 		}
-		src := in.C
-		if t := v.p.Tables[in.B]; a.base < uint64(len(t)) {
-			src = t[a.base]
-		}
-		return masked(cf.get(v.regs, src), in.Mask)
 	case OpMux:
-		return v.pick(cf, in, cf.compare(OpNe, a, known(0)), in.B, in.C)
+		if c := cf.compare(OpNe, a, known(0)); c.kind == absKnown {
+			return v.pick(cf, in, c, in.B, in.C)
+		}
 	case OpMuxEq, OpMuxNe, OpMuxLt, OpMuxGe:
-		return v.pick(cf, in, cf.compare(muxCmp[in.Op], a, cf.get(v.regs, in.B)), in.C, in.D)
+		if c := cf.compare(muxCmp[in.Op], a, cf.get(v.regs, in.B)); c.kind == absKnown {
+			return v.pick(cf, in, c, in.C, in.D)
+		}
+	default:
+		b := cf.get(v.regs, in.B)
+		if a.kind == absKnown && b.kind == absKnown {
+			return v.fold(in, a.base, b.base)
+		}
+		if r := cf.binary(in, a, b); r.kind != absUnknown {
+			return r
+		}
 	}
-	b := cf.get(v.regs, in.B)
-	if a.kind == absKnown && b.kind == absKnown {
-		return v.fold(in, a.base, b.base)
-	}
+	return v.varying(cf, in)
+}
+
+// binary is the abstract value of a two-operand instruction with an operand
+// that is not known, or unknown.
+func (cf *closedForm) binary(in *Inst, a, b absVal) absVal {
 	switch in.Op {
 	case OpAdd:
-		if a.kind == absAffine && b.kind == absKnown {
-			return plus(a, b.base, in.Mask)
+		if a.kind == absKnown {
+			a, b = b, a
 		}
-		if a.kind == absKnown && b.kind == absAffine {
-			return plus(b, a.base, in.Mask)
+		switch {
+		case a.kind == absAffine && b.kind == absKnown:
+			return plus(a, b.base, in.Mask)
+		case a.kind == absSum && b.kind == absKnown && b.base == 0:
+			// A term its known gate turned off.
+			return masked(a, in.Mask)
+		case a.kind == absSum && isTerm(b) || b.kind == absSum && isTerm(a):
+			if b.kind == absSum {
+				a, b = b, a
+			}
+			if in.Mask&a.mask != a.mask {
+				return unknown
+			}
+			return cf.addTerm(a, term{b.src, b.sh})
 		}
 	case OpSub:
 		if a.kind == absAffine && b.kind == absKnown {
@@ -367,10 +675,58 @@ func (v *VM) absInst(cf *closedForm, in *Inst) absVal {
 		if a.kind == absKnown && b.kind == absAffine {
 			return plus(affine(-b.base, -b.step, b.mask), a.base, in.Mask)
 		}
+	case OpAnd:
+		if a.kind == absKnown {
+			a, b = b, a
+		}
+		if a.kind == absVary && b.kind == absKnown {
+			return masked(a, b.base&in.Mask)
+		}
 	case OpEq, OpNe, OpLt, OpLe, OpGt, OpGe:
 		return cf.compare(in.Op, a, b)
 	}
 	return unknown
+}
+
+// addTerm is a running sum with one more term.
+func (cf *closedForm) addTerm(s absVal, t term) absVal {
+	if int(s.src+s.n) != len(cf.terms) {
+		cf.terms = append(cf.terms, cf.terms[s.src:s.src+s.n]...)
+		s.src = uint32(len(cf.terms)) - s.n
+	}
+	cf.terms = append(cf.terms, t)
+	s.n++
+	return s
+}
+
+// varying is the value of an instruction whose operands are all known or
+// varying, at least one of them varying: that cycle's own value, whatever
+// it computes. Any other is unknown.
+func (v *VM) varying(cf *closedForm, in *Inst) absVal {
+	r := absVal{kind: absVary, src: noSrc}
+	ok, any := true, false
+	in.eachSrc(v.p.Tables, func(s *uint32) {
+		switch x := cf.get(v.regs, *s); x.kind {
+		case absKnown:
+		case absVary:
+			any = true
+			r.late = r.late || x.late
+		default:
+			ok = false
+		}
+	})
+	if !ok || !any {
+		return unknown
+	}
+	switch {
+	case opUsesMask(in.Op):
+		r.step = in.Mask
+	case in.Op == OpShlOr:
+		r.step = ^uint64(0)
+	default:
+		r.step = 1
+	}
+	return r
 }
 
 // fold runs a unary or binary instruction on known operands through exec.
@@ -387,9 +743,6 @@ func (v *VM) fold(in *Inst, a, b uint64) absVal {
 
 // pick is a mux: the arm its known condition selects, masked.
 func (v *VM) pick(cf *closedForm, in *Inst, cond absVal, t, f uint32) absVal {
-	if cond.kind != absKnown {
-		return unknown
-	}
 	if cond.base == 0 {
 		t = f
 	}
@@ -414,23 +767,29 @@ func cmp(op Op, x, y uint64) bool {
 }
 
 // compare is an unsigned comparison over the abstract domain. With one side
-// affine and the other known its value is the one it has now, and the cycle
-// it first changes, or the affine side first wraps, bounds the horizon.
+// affine or counted and the other known its value is the one it has now,
+// and the first cycle it could change, or the moving side first wrap,
+// bounds the horizon.
 func (cf *closedForm) compare(op Op, a, b absVal) absVal {
 	switch {
 	case a.kind == absKnown && b.kind == absKnown:
 		return known(b2u(cmp(op, a.base, b.base)))
-	case a.kind == absAffine && b.kind == absKnown:
+	case (a.kind == absAffine || a.kind == absCount) && b.kind == absKnown:
 		return cf.flip(op, a, b.base, true)
-	case a.kind == absKnown && b.kind == absAffine:
+	case a.kind == absKnown && (b.kind == absAffine || b.kind == absCount):
 		return cf.flip(op, b, a.base, false)
 	}
 	return unknown
 }
 
-// flip compares affine x with k (x on the left when left is set), lowers the
-// horizon to the first cycle j >= 1 the result differs from cycle 0's, or to
-// the first cycle x wraps, and returns cycle 0's result.
+// flip compares moving x with k (x on the left when left is set), lowers the
+// horizon to the first cycle j >= 1 the result can differ from cycle 0's, or
+// to the first cycle x can wrap, and returns cycle 0's result.
+//
+// An affine x walks one path. A counted x climbs by anything from 0 to its
+// step a cycle, so after j cycles it may hold any value from its base up to
+// the worst case base + j·step: that is the walk the horizon is taken on,
+// and an equality can flip at any value of it, not only the walk's own.
 func (cf *closedForm) flip(op Op, x absVal, k uint64, left bool) absVal {
 	pred := func(val uint64) bool {
 		if left {
@@ -439,7 +798,7 @@ func (cf *closedForm) flip(op Op, x absVal, k uint64, left bool) absVal {
 		return cmp(op, k, val)
 	}
 	// Until it wraps, x moves monotonically: up by s, or down by d.
-	up := x.step <= x.mask>>1
+	up := x.kind == absCount || x.step <= x.mask>>1
 	s, d := x.step, -x.step&x.mask
 	var q uint64 // the last cycle before the wrap
 	if up {
@@ -460,11 +819,13 @@ func (cf *closedForm) flip(op Op, x absVal, k uint64, left bool) absVal {
 	}
 	switch op {
 	case OpEq, OpNe:
-		// True at one point of the walk at most.
+		// True at one value of the walk at most.
 		var j uint64
 		switch {
 		case k == x.base:
 			j = 1
+		case x.kind == absCount && k > x.base:
+			j = (k - x.base + s - 1) / s
 		case up && k > x.base && (k-x.base)%s == 0:
 			j = (k - x.base) / s
 		case !up && k < x.base && (x.base-k)%d == 0:

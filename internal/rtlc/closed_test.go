@@ -55,11 +55,11 @@ func TestPMUSleepsBetweenThresholds(t *testing.T) {
 			irqs += irq
 			prevIrq = irq
 		}
-		if k := l.Quiet(); k > 0 {
+		if k := l.Quiet(nil); k > 0 {
 			if k == ^uint64(0) {
 				t.Fatalf("after %d cycles: no end to the stretch with the threshold armed", ran+applied)
 			}
-			l.Advance(k)
+			l.Advance(k, nil, nil)
 			applied += k
 		}
 	}
@@ -69,6 +69,91 @@ func TestPMUSleepsBetweenThresholds(t *testing.T) {
 	}
 	if applied*100 < (ran+applied)*99 {
 		t.Errorf("only %d of %d cycles applied in closed form", applied, ran+applied)
+	}
+}
+
+// TestPMUCountsWhileItSleeps drives the PMU netlist as the SoC does while
+// the core works: the commit and miss lines change every cycle, the cycle
+// line is held. With the threshold on the cycle counter the stretches are
+// the held-input ones; with it on a commit counter the horizon is the worst
+// case, every line set on every cycle. Each stretch is applied against the
+// reference driven by a random event sequence, and with the threshold on a
+// commit counter also by all lines set, which must reach the interrupt on
+// the cycle after the stretch and not before.
+func TestPMUCountsWhileItSleeps(t *testing.T) {
+	ref, err := pmu.CompileModelEngine(pmu.NumCounters, rtl.EngineReference)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := ref.Circuit()
+	events := rtl.SigID(-1)
+	for i, sg := range c.Signals {
+		if sg.Name == "events" {
+			events = rtl.SigID(i)
+		}
+	}
+	vary := []rtl.Vary{{In: events, Bits: 1<<(pmu.EvL1DMiss+1) - 1}}
+	rng := uint64(0x9e3779b97f4a7c15)
+	rand := func() uint64 {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		return rng
+	}
+	for _, sel := range []uint64{pmu.EvCycle, pmu.EvCommit0, pmu.EvL1DMiss} {
+		l := lockstepVM(t, c)
+		l.SetInput("rst", 1)
+		l.Tick()
+		l.SetInput("rst", 0)
+		const thresh = 1000
+		for _, wr := range [][2]uint64{
+			{pmu.RegEnable, 0x3F}, {pmu.RegThreshSel, sel}, {pmu.RegThreshVal, thresh},
+		} {
+			l.SetInput("awvalid", 1)
+			l.SetInput("awaddr", wr[0])
+			l.SetInput("wdata", wr[1])
+			l.Tick()
+		}
+		l.SetInput("awvalid", 0)
+		var ran, applied, stretches uint64
+		for ran+applied < 20*thresh {
+			l.SetInput("events", rand()&0x1F|1<<pmu.EvCycle)
+			l.Tick()
+			ran++
+			k := l.Quiet(vary)
+			if k == 0 {
+				continue
+			}
+			if k == ^uint64(0) {
+				t.Fatalf("threshold on line %d, after %d cycles: no end to the stretch", sel, ran+applied)
+			}
+			stretches++
+			in := make([][]uint64, k)
+			worst := sel != pmu.EvCycle && stretches%2 == 0
+			for j := range in {
+				in[j] = []uint64{rand()}
+				if worst {
+					in[j][0] = ^uint64(0)
+				}
+			}
+			l.Advance(k, vary, in)
+			applied += k
+			// The counter reaches the threshold on the next edge at the
+			// latest (one later if the first cycle's line was not yet
+			// recorded), and the registered interrupt follows it.
+			for j := 0; worst && l.Peek("irq") == 0; j++ {
+				if j == 3 {
+					t.Fatalf("threshold on line %d: all lines set through a %d-cycle stretch, and no interrupt 3 cycles after it", sel, k)
+				}
+				l.SetInput("events", 0x1F|1<<pmu.EvCycle)
+				l.Tick()
+				ran++
+			}
+		}
+		t.Logf("threshold on line %d: %d cycles run, %d applied in %d stretches", sel, ran, applied, stretches)
+		if applied*10 < (ran+applied)*9 {
+			t.Errorf("threshold on line %d: only %d of %d cycles applied in closed form", sel, applied, ran+applied)
+		}
 	}
 }
 
@@ -111,7 +196,7 @@ func TestClosedFormOnAnotherNetlist(t *testing.T) {
 		l.Tick()
 		l.SetInput("load", 0)
 		l.Tick()
-		k := l.Quiet()
+		k := l.Quiet(nil)
 		// left = period-1 now (0 for period 0, and the flag already set
 		// for period 1: fixed points); the compare left == 1 flips period-2
 		// cycles on.
@@ -126,7 +211,7 @@ func TestClosedFormOnAnotherNetlist(t *testing.T) {
 			t.Fatalf("period %d: Quiet = %d, want %d", period, k, want)
 		}
 		if k > 0 && k != ^uint64(0) {
-			l.Advance(k)
+			l.Advance(k, nil, nil)
 		}
 		for i := 0; i < 4; i++ {
 			l.Tick()
@@ -134,7 +219,7 @@ func TestClosedFormOnAnotherNetlist(t *testing.T) {
 		if fire := l.Peek("fire"); fire != 1 && period != 0 {
 			t.Fatalf("period %d: timer did not fire", period)
 		}
-		if k := l.Quiet(); k != ^uint64(0) {
+		if k := l.Quiet(nil); k != ^uint64(0) {
 			t.Errorf("period %d: a fired timer is quiet for %d cycles, want forever", period, k)
 		}
 	}
@@ -197,6 +282,47 @@ func genCounterCircuit(f *fz) (*rtl.Circuit, error) {
 		cmps = append(cmps, b.Ref(id))
 		pool = append(pool, b.Ref(id))
 	}
+	// Counters of a varying input, as the PMU's event counters are: each
+	// adds one bit of ev a cycle, gated by a known enable, either directly
+	// or through a pipelined register, and compares itself with a threshold
+	// (>= or ==) on which it may reset.
+	if nv := int(f.b() % 4); nv > 0 {
+		we := 1 + int(f.b()%4)
+		ev := b.Ref(b.Input("ev", we))
+		en := b.Reg("en", we, f.u64())
+		b.Seq(en, rtl.MuxE(in1, rtl.Resize(in0, we), b.Ref(en)))
+		piped := f.b()&1 == 1
+		src := ev
+		if piped {
+			evr := b.Reg("evr", we, f.u64())
+			b.Seq(evr, rtl.AndE(ev, b.Ref(en)))
+			src = b.Ref(evr)
+		}
+		for i := 0; i < nv; i++ {
+			w := 2 + int(f.b()%10)
+			id := b.Reg(fmt.Sprintf("cv%d", i), w, uint64(f.b()%16))
+			cv := b.Ref(id)
+			bit := int(f.b()) % we
+			t := rtl.Bit(src, bit)
+			if !piped {
+				t = rtl.AndE(t, rtl.Bit(b.Ref(en), bit))
+			}
+			hit := b.Wire(fmt.Sprintf("hit%d", i), 1)
+			if thr := rtl.C(uint64(f.b()%16), w); f.b()&1 == 0 {
+				b.Assign(hit, rtl.Ge(cv, thr))
+			} else {
+				b.Assign(hit, rtl.Eq(cv, thr))
+			}
+			next := rtl.Add(cv, t)
+			if f.b()&1 == 0 {
+				next = rtl.MuxE(b.Ref(hit), rtl.C(0, w), next)
+			}
+			b.Seq(id, next)
+			cnts = append(cnts, cv)
+			cmps = append(cmps, b.Ref(hit))
+			pool = append(pool, b.Ref(hit))
+		}
+	}
 	pick := func(from []rtl.Expr) rtl.Expr { return from[int(f.b())%len(from)] }
 	for i, nx := 0, int(f.b()%5); i < nx; i++ {
 		switch f.b() % 7 {
@@ -248,11 +374,13 @@ func genCounterCircuit(f *fz) (*rtl.Circuit, error) {
 }
 
 // FuzzClosedForm holds Quiet and Advance to the reference. At every point of
-// a random run where the VM reports a stretch of k cycles, Advance(k') for
+// a random run where the VM reports a stretch of k cycles, with the bits of
+// the circuit's ev input (when it has one) free to vary, Advance(k') for
 // every k' <= k (up to 24, and k itself up to 1024) is checked, from that
-// same point, against k' real cycles of the reference through rtl.Lockstep:
-// every signal, memory word and the cycle count after, and every output
-// unchanged during.
+// same point, against k' real cycles of the reference through rtl.Lockstep
+// driven by a random sequence of ev values, and k itself also by ev at all
+// ones on every cycle, the worst case the horizon is taken on: every signal,
+// memory word and the cycle count after, and every output unchanged during.
 func FuzzClosedForm(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{2, 9, 0, 0, 1, 0, 0, 3, 4, 5, 0, 0, 0, 0, 0, 0, 0, 0, 7, 7, 1, 1, 2, 2})
@@ -283,6 +411,12 @@ func checkClosedForm(t *testing.T, data []byte) (stretches int) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var vary []rtl.Vary
+	for i, sg := range c.Signals {
+		if sg.Name == "ev" {
+			vary = []rtl.Vary{{In: rtl.SigID(i), Bits: rtl.Mask(sg.Width)}}
+		}
+	}
 	fresh := func() *rtl.Lockstep {
 		m, err := rtlc.Instantiate(c, p)
 		if err != nil {
@@ -290,70 +424,99 @@ func checkClosedForm(t *testing.T, data []byte) (stretches int) {
 		}
 		return rtl.NewLockstep(m, t.Fatalf)
 	}
+	// evs is a stretch's ev sequence: n values from the byte stream, or all
+	// ones.
+	evs := func(n uint64, ones bool) [][]uint64 {
+		if vary == nil {
+			return nil
+		}
+		in := make([][]uint64, n)
+		for j := range in {
+			v := ^uint64(0)
+			if !ones {
+				v = uint64(fr.b())
+			}
+			in[j] = []uint64{v}
+		}
+		return in
+	}
 	// A run is a log of steps: drive the inputs and tick (or only drive
 	// them: a stretch asked for then must see them), or apply a stretch the
 	// VM found. Replaying it on a fresh pair returns to any point of the run.
 	type step struct {
-		in0, in1 uint64
-		hold     bool
-		advance  uint64
+		in0, in1, ev uint64
+		hold         bool
+		advance      uint64
+		evs          [][]uint64
 	}
 	apply := func(l *rtl.Lockstep, s step) {
 		if s.advance > 0 {
-			if k := l.Quiet(); k < s.advance {
+			if k := l.Quiet(vary); k < s.advance {
 				t.Fatalf("replay: Quiet = %d, the run applied %d", k, s.advance)
 			}
-			l.Advance(s.advance)
+			l.Advance(s.advance, vary, s.evs)
 			return
 		}
 		l.SetInput("in0", s.in0)
 		l.SetInput("in1", s.in1)
+		if vary != nil {
+			l.SetInput("ev", s.ev&vary[0].Bits)
+		}
 		if !s.hold {
 			l.Tick()
 		}
 	}
+	next := func() step { return step{in0: fr.u64(), in1: uint64(fr.b() & 1), ev: uint64(fr.b())} }
 	var log []step
 	l := fresh()
 	var cur step
 	for i := 0; i < 16; i++ {
 		if fr.b()&1 == 0 {
-			cur = step{in0: fr.u64(), in1: uint64(fr.b() & 1)}
+			cur = next()
 		}
 		apply(l, cur)
 		log = append(log, cur)
 		if fr.b()&3 == 0 {
-			cur = step{in0: fr.u64(), in1: uint64(fr.b() & 1)}
+			cur = next()
 			s := cur
 			s.hold = true
 			apply(l, s)
 			log = append(log, s)
 		}
-		k := l.Quiet()
+		k := l.Quiet(vary)
 		if k == 0 {
 			continue
 		}
 		stretches++
 		most := min(k, 24)
-		ks := make([]uint64, 0, most+1)
+		type trial struct {
+			n    uint64
+			ones bool
+		}
+		var trials []trial
 		for kp := uint64(1); kp <= most; kp++ {
-			ks = append(ks, kp)
+			trials = append(trials, trial{kp, false})
 		}
-		if k > most && k <= 1024 {
-			ks = append(ks, k)
+		if k <= 1024 {
+			trials = append(trials, trial{k, vary != nil})
+			if k > most {
+				trials = append(trials, trial{k, false})
+			}
 		}
-		for _, kp := range ks {
+		for _, tr := range trials {
 			r := fresh()
 			for _, s := range log {
 				apply(r, s)
 			}
-			if got := r.Quiet(); got != k {
+			if got := r.Quiet(vary); got != k {
 				t.Fatalf("step %d: Quiet = %d on the run, %d on its replay", i, k, got)
 			}
-			r.Advance(kp)
+			r.Advance(tr.n, vary, evs(tr.n, tr.ones))
 		}
 		adv := 1 + uint64(fr.b())%most
-		l.Advance(adv)
-		log = append(log, step{advance: adv})
+		s := step{advance: adv, evs: evs(adv, false)}
+		l.Advance(adv, vary, s.evs)
+		log = append(log, s)
 	}
 	return stretches
 }

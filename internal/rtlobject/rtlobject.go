@@ -155,8 +155,13 @@ const Forever = ^uint64(0)
 //   - Advance(n, held) has exactly the effect of n consecutive quiet Ticks,
 //     1 <= n <= k, the first of which was handed held (responses of kinds
 //     outside wake, in arrival order; valid during the call like an Input's).
-//   - Nothing else may change the model while it is quiet: a back door into
-//     it (a register poke, a fault injection) calls RTLObject.Wake first.
+//   - Nothing else may change the model while it is quiet, with one
+//     exception: an input the wrapper takes besides the Input struct (the
+//     PMU's event taps) may reach it while it sleeps if its k already holds
+//     whatever that input does, and the wrapper absorbs it into the cycle
+//     RTLObject.Owed names, for Advance to apply. Any other back door into
+//     the model (a register poke, a fault injection) calls RTLObject.Wake
+//     first.
 type Sleeper interface {
 	Quiet() (cycles uint64, wake InputKind)
 	Advance(cycles uint64, held []MemResponse)
@@ -388,6 +393,18 @@ func (r *RTLObject) Wake() {
 		r.asleep = false
 		r.ticker.MoveTo(r.sleepFrom)
 	}
+}
+
+// Owed reports how many model edges a sleeping object owes now, 0 for one
+// that is awake: an input that reaches the wrapper at this instant without
+// waking it is first seen by that edge of the ones Advance will apply (0 is
+// the next edge settled or ticked). It counts what Settle would pay and
+// changes nothing.
+func (r *RTLObject) Owed() uint64 {
+	if !r.asleep {
+		return 0
+	}
+	return r.ticker.Owed(r.sleepFrom)
 }
 
 // BeforeSave implements sim.Settler: a checkpoint is always that of an awake

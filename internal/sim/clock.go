@@ -135,18 +135,17 @@ func (t *Ticker) Stop() {
 // pending one if there is one.
 func (t *Ticker) MoveTo(when Tick) { t.dom.q.Reschedule(t.ev, when) }
 
-// Credit accounts for the clock edges from the one at tick from onwards that
-// a free-running ticker would have run by now, without running them: it
-// advances the cycle count, counts them on the queue as events applied in
-// closed form (EventQueue.Credit, under the ticker's owner) and returns how
-// many there were. from must be an edge of this ticker, one period after the
-// last edge it ran or credited; the caller applies the cycles' effects.
+// Owed reports how many clock edges, from the one at tick from onwards, a
+// free-running ticker would have run by now. It changes nothing: Credit
+// accounts for the same edges. from must be an edge of this ticker, one
+// period after the last edge it ran or credited.
 //
 // An edge at the current tick counts when the dispatch order has moved past
 // the ticker's own event key — the order a pending edge event would have
 // been held to, including against same-tick children of later events — and
 // never from inside the ticker's own callback, which is that edge running.
-func (t *Ticker) Credit(from Tick) uint64 {
+// So an input arriving now is first seen by edge from + Owed(from) periods.
+func (t *Ticker) Owed(from Tick) uint64 {
 	q := t.dom.q
 	if from > q.now {
 		return 0
@@ -155,9 +154,18 @@ func (t *Ticker) Credit(from Tick) uint64 {
 	if from+Tick(n-1)*t.dom.period == q.now && !q.passed(t.ev) {
 		n--
 	}
+	return n
+}
+
+// Credit accounts for the edges Owed(from) reports without running them: it
+// advances the cycle count, counts them on the queue as events applied in
+// closed form (EventQueue.Credit, under the ticker's owner) and returns how
+// many there were. The caller applies the cycles' effects.
+func (t *Ticker) Credit(from Tick) uint64 {
+	n := t.Owed(from)
 	if n > 0 {
 		t.cycle += n
-		q.Credit(t.ev.owner, n)
+		t.dom.q.Credit(t.ev.owner, n)
 	}
 	return n
 }

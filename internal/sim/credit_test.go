@@ -42,7 +42,8 @@ func parkedTicker(t *testing.T, q *EventQueue) *Ticker {
 // case by case: whether the edge at the current tick is owed depends on
 // whether a pending edge event would already have been dispatched — read off
 // the executing event's key, corrected for same-tick children and for a tick
-// RunUntil has finished.
+// RunUntil has finished. Owed, asked first, reports the same count and moves
+// neither the cycle count nor the queue's.
 func TestTickerCreditOrdersAgainstTheTick(t *testing.T) {
 	lo, hi := straddleNames("dev.tick")
 	const edge = 5000 // edges 1000..5000 are owed: four before it, and itself
@@ -95,11 +96,18 @@ func TestTickerCreditOrdersAgainstTheTick(t *testing.T) {
 				q = NewReferenceEventQueue()
 			}
 			tk := parkedTicker(t, q)
-			got := ^uint64(0)
-			tc.arm(q, func() { got = tk.Credit(1000) })
+			got, owed := ^uint64(0), ^uint64(0)
+			tc.arm(q, func() {
+				cycle, dispatched := tk.Cycle(), q.Dispatched()
+				owed = tk.Owed(1000)
+				if tk.Cycle() != cycle || q.Dispatched() != dispatched {
+					t.Errorf("%s: Owed moved the counts", tc.name)
+				}
+				got = tk.Credit(1000)
+			})
 			q.RunUntil(edge + 999)
-			if got != tc.want {
-				t.Errorf("%s (reference queue %v): credited %d edges, want %d", tc.name, ref, got, tc.want)
+			if got != tc.want || owed != tc.want {
+				t.Errorf("%s (reference queue %v): owed %d, credited %d edges, want %d", tc.name, ref, owed, got, tc.want)
 			}
 		}
 	}

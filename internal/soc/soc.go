@@ -255,19 +255,17 @@ func BuildWithOracles(cfg Config, o Oracles) (*System, error) {
 		// device's ID stream depends only on its own allocations (space 0 is
 		// the queue's counter, which the cores and caches share).
 		obj.SetPacketIDSpace(1)
-		// The event taps drive the model behind the object's back, like a
-		// register poke: a PMU asleep on its quiet cycles is woken first, so
-		// the edges before the event are applied without it and the one that
-		// would have seen it ticks.
+		// The event taps drive the model's event lines beside the object's
+		// Input. A PMU asleep on its quiet cycles stays asleep: its horizon
+		// holds whatever the lines do, and the wrapper folds each event into
+		// the edge the per-cycle machine would first drive it on.
 		s.Cores[0].OnCommit = func(n int) {
 			if n > 0 {
-				obj.Wake()
-				w.AddCommits(n)
+				w.AddCommits(n, obj.Owed())
 			}
 		}
 		s.L1Ds[0].OnMiss = func() {
-			obj.Wake()
-			w.AddMiss()
+			w.AddMiss(obj.Owed())
 		}
 	}
 
