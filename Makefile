@@ -12,12 +12,13 @@ build:
 test:
 	$(GO) test ./...
 
-# Three short ledger runs whose golden-tick checks cover the PMU co-simulation
-# path, the contended DRAM request queue and the RTLObject DMA exchange at
-# full scale end to end (bench/README.md); timings are printed, only
-# correctness fails the target.
+# Four short ledger runs whose golden-tick checks cover the PMU co-simulation
+# path with and without its waveform, the contended DRAM request queue and the
+# RTLObject DMA exchange at full scale end to end (bench/README.md); timings
+# are printed, only correctness fails the target.
 bench-smoke:
 	$(GO) run ./bench --workload pmu-cosim --seconds 2
+	$(GO) run ./bench --workload pmu-waveform --seconds 2
 	$(GO) run ./bench --workload dse-grid --seconds 2
 	$(GO) run ./bench --workload nvdla-cosim --seconds 2
 

@@ -109,16 +109,17 @@ type Core struct {
 
 	decoded map[uint64]isa.Inst
 
-	// pool recycles the core's timing read packets (ifetch and load touches);
-	// lsFree recycles their loadState tags. Write packets stay individually
-	// allocated, with IDs minted from the pool: a posted write's packet is
-	// retained by the DRAM write queue (and by checkpoints) after its
-	// response retires here.
+	// pool recycles every timing packet the core sends (ifetches, load
+	// touches and stores); lsFree recycles their loadState tags. A store's
+	// packet can be pooled because the data port binds only to an L1D,
+	// which answers every write itself (it is write-allocate), so no
+	// component downstream holds the packet once its response arrives here.
 	pool   port.PacketPool
 	lsFree []*loadState
 	// fnRead/fnWrite are reusable scratch packets for the functional
-	// backbone; fnBuf backs their payloads. Functional accesses complete
-	// synchronously and nothing downstream retains the packet or buffer.
+	// backbone; fnBuf backs fnRead's payload, and fnWrite carries the store
+	// packet's own. Functional accesses complete synchronously and nothing
+	// downstream retains the packet or buffer.
 	fnRead  port.Packet
 	fnWrite port.Packet
 	fnBuf   [16]byte
@@ -352,24 +353,22 @@ func (c *Core) step(committed *int) bool {
 		}
 		addr := c.regs[in.Rs1] + uint64(int64(in.Imm))
 		n := in.Op.MemBytes()
-		// The write payload must be individually allocated: the timing packet
-		// below aliases it, and a posted write's packet (and thus the buffer)
-		// can be retained by the DRAM write queue and by checkpoints long
-		// after this store retires.
-		buf := make([]byte, n)
+		// The payload goes straight into the timing packet's recycled
+		// capacity; the functional write below aliases it, which is safe
+		// because that access completes inside the call.
+		t := c.pool.Get(port.WriteReq, addr, n)
+		t.AllocateData()
 		v := c.regs[in.Rs2]
 		for i := 0; i < n; i++ {
-			buf[i] = byte(v >> (8 * i))
+			t.Data[i] = byte(v >> (8 * i))
 		}
-		c.fnWrite = port.Packet{Cmd: port.WriteReq, Addr: addr, Size: n, Data: buf}
+		c.fnWrite = port.Packet{Cmd: port.WriteReq, Addr: addr, Size: n, Data: t.Data}
 		c.dPort.SendFunctional(&c.fnWrite)
-		// A plain packet, not NewWrite's: it carries one sender state, this
-		// core's, so NewWrite's room for two would only add bytes.
-		t := &port.Packet{ID: c.pool.MintID(), Cmd: port.WriteReq, Addr: addr, Size: n, Data: buf}
 		t.RequestorID = c.cfg.ID
 		t.PushSenderState(c.getLoadState(false, false, 0))
 		if !c.dPort.SendTimingReq(t) {
 			c.putLoadState(t.PopSenderState().(*loadState))
+			t.Release()
 			c.stats.QueueStalls++
 			return false
 		}
@@ -577,8 +576,8 @@ func (cd *coreDFace) RecvTimingResp(pkt *port.Packet) bool {
 		c.outStores--
 	}
 	c.putLoadState(st)
-	// Loads and fetches are pool-owned by this core; for store responses
-	// (never pooled) this is a no-op.
+	// Every timing packet is pool-owned by this core (a restored one is
+	// unpooled, and Release leaves it be).
 	pkt.Release()
 	return true
 }

@@ -1,6 +1,8 @@
 package mem
 
 import (
+	"fmt"
+
 	"gem5rtl/internal/obs"
 	"gem5rtl/internal/port"
 	"gem5rtl/internal/sim"
@@ -209,6 +211,12 @@ func (d *DRAMCtrl) RecvTimingReq(pkt *port.Packet) bool {
 		}
 	} else if len(ch.readQ) >= d.cfg.ReadQueueDepth {
 		return false
+	}
+	if isWrite && pkt.Pooled() && pkt.NeedsResponse() {
+		// The queued entry keeps the packet after its response has gone
+		// back, and the requestor recycles a pooled packet on that response.
+		panic(fmt.Sprintf("mem: pooled posted write %s id=%d addr=%#x: the write queue would retain a packet its requestor recycles",
+			pkt.Cmd, pkt.ID, pkt.Addr))
 	}
 	bank, row := d.bankRow(pkt.Addr)
 	var req *dramRequest

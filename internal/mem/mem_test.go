@@ -2,6 +2,8 @@ package mem
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -388,4 +390,37 @@ func TestDRAMRefusalIsFree(t *testing.T) {
 	if len(seen) > cfg.ReadQueueDepth+cfg.WriteQueueDepth {
 		t.Fatalf("%d request records made for queues of %d+%d", len(seen), cfg.ReadQueueDepth, cfg.WriteQueueDepth)
 	}
+}
+
+// TestPooledPostedWritePanics: a posted write's queued entry outlives its
+// response, so a pooled WriteReq, which its requestor recycles on that
+// response, is refused loudly, naming the packet. A pooled writeback owes no
+// response and the controller releases it itself; an unpooled write is the
+// ordinary case.
+func TestPooledPostedWritePanics(t *testing.T) {
+	q := sim.NewEventQueue()
+	d := NewDRAMCtrl(DDR4Config(1), q, NewStorage())
+	tst := newMemTester(q)
+	port.Bind(tst.p, d.Port())
+
+	var pool port.PacketPool
+	wb := pool.Get(port.WritebackDirty, 0x40, 64)
+	wb.AllocateData()
+	tst.send(wb)
+	tst.send(port.NewWritePacket(0x80, make([]byte, 64)))
+	q.Run()
+	if st := d.Stats(); st.Writes != 2 {
+		t.Fatalf("writes = %d, want the writeback and the unpooled write", st.Writes)
+	}
+
+	w := pool.Get(port.WriteReq, 0xc0, 8)
+	w.AllocateData()
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, fmt.Sprintf("id=%d", w.ID)) {
+			t.Fatalf("pooled posted write: recovered %q, want a panic naming id=%d", msg, w.ID)
+		}
+	}()
+	tst.send(w)
+	t.Fatal("a pooled posted write was accepted")
 }

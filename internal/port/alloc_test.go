@@ -74,3 +74,26 @@ func TestRespQueueSteadyStateAllocs(t *testing.T) {
 		t.Fatal("no responses delivered")
 	}
 }
+
+// TestDoubleReleasePanics: only a PacketPool's packets are Pooled, Release
+// on any other is a no-op, and releasing a pooled packet twice panics.
+func TestDoubleReleasePanics(t *testing.T) {
+	var pool PacketPool
+	loose := NewWritePacket(0x40, []byte{1})
+	if loose.Pooled() {
+		t.Fatal("a loose packet reports Pooled")
+	}
+	loose.Release()
+	loose.Release()
+	pkt := pool.Get(WriteReq, 0x40, 1)
+	if !pkt.Pooled() {
+		t.Fatal("a pool's packet does not report Pooled")
+	}
+	pkt.Release()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a second Release of a pooled packet did not panic")
+		}
+	}()
+	pkt.Release()
+}

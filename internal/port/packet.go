@@ -162,9 +162,8 @@ func (pl *PacketPool) ShareIDs(q *sim.EventQueue) {
 	pl.q = q
 }
 
-// MintID draws the next packet ID from the pool's space, for a packet its
-// owner allocates itself.
-func (pl *PacketPool) MintID() uint64 {
+// mintID draws the next packet ID from the pool's space.
+func (pl *PacketPool) mintID() uint64 {
 	if pl.q != nil {
 		return pl.q.MintPacketID()
 	}
@@ -185,13 +184,13 @@ func (pl *PacketPool) RestoreCounter(v uint64) { pl.ctr = v }
 func (pl *PacketPool) Get(cmd Cmd, addr uint64, size int) *Packet {
 	n := len(pl.free)
 	if n == 0 {
-		return &Packet{ID: pl.MintID(), Cmd: cmd, Addr: addr, Size: size, pool: pl}
+		return &Packet{ID: pl.mintID(), Cmd: cmd, Addr: addr, Size: size, pool: pl}
 	}
 	p := pl.free[n-1]
 	pl.free[n-1] = nil
 	pl.free = pl.free[:n-1]
 	p.inPool = false
-	p.ID = pl.MintID()
+	p.ID = pl.mintID()
 	p.Cmd = cmd
 	p.Addr = addr
 	p.Size = size
@@ -209,7 +208,7 @@ func (pl *PacketPool) Get(cmd Cmd, addr uint64, size int) *Packet {
 // issuing bridge's and one crossbar's — because, unlike a pooled read, it has
 // no recycled stack to push onto and would otherwise grow one twice.
 func (pl *PacketPool) NewWrite(addr uint64, data []byte) *Packet {
-	w := &writePacket{Packet: Packet{ID: pl.MintID(), Cmd: WriteReq, Addr: addr, Size: len(data), Data: data}}
+	w := &writePacket{Packet: Packet{ID: pl.mintID(), Cmd: WriteReq, Addr: addr, Size: len(data), Data: data}}
 	w.senderState = w.stack[:0]
 	return &w.Packet
 }
@@ -247,6 +246,11 @@ func (p *Packet) Release() {
 	p.inPool = true
 	p.pool.free = append(p.pool.free, p)
 }
+
+// Pooled reports whether the packet came from a PacketPool, and so returns
+// to it on Release: a component that would retain the packet past its
+// response must not accept a pooled one.
+func (p *Packet) Pooled() bool { return p.pool != nil }
 
 // looseSpace is the ID space of packets made by NewPacket and its
 // shorthands: packets built by hand outside any system — test rigs,

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math/bits"
 	"strconv"
 )
 
@@ -45,6 +46,9 @@ func (m *Model) AttachVCD(w io.Writer, period uint64) *VCDWriter {
 	v.writeHeader(m)
 	return v
 }
+
+// VCD returns the waveform writer attached to the model, nil if none.
+func (m *Model) VCD() *VCDWriter { return m.vcd }
 
 // SetEnabled toggles waveform dumping at runtime.
 func (v *VCDWriter) SetEnabled(on bool) { v.enabled = on }
@@ -121,12 +125,38 @@ func (v *VCDWriter) appendValue(width int, val uint64, id string) {
 		v.buf = append(v.buf, '0'+byte(val&1))
 	} else {
 		v.buf = append(v.buf, 'b')
-		v.buf = strconv.AppendUint(v.buf, val, 2)
+		v.buf = appendBin(v.buf, val)
 		v.buf = append(v.buf, ' ')
 	}
 	v.buf = append(v.buf, id...)
 	v.buf = append(v.buf, '\n')
 	v.changes++
+}
+
+// binDigits holds each byte value's eight binary digits, most significant
+// first.
+var binDigits = func() (t [256][8]byte) {
+	for b := range t {
+		for i := range t[b] {
+			t[b][i] = '0' + byte(b>>(7-i)&1)
+		}
+	}
+	return t
+}()
+
+// appendBin appends x in binary without leading zeros ("0" for zero), the
+// digits strconv.AppendUint(dst, x, 2) gives, a byte of digits at a time.
+func appendBin(dst []byte, x uint64) []byte {
+	if x == 0 {
+		return append(dst, '0')
+	}
+	n := bits.Len64(x)
+	top := (n - 1) / 8
+	dst = append(dst, binDigits[byte(x>>(8*top))][8*top+8-n:]...)
+	for i := top - 1; i >= 0; i-- {
+		dst = append(dst, binDigits[byte(x>>(8*i))][:]...)
+	}
+	return dst
 }
 
 // appendAll adds every signal's current value and refreshes the snapshot.
