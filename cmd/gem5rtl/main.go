@@ -32,7 +32,6 @@ import (
 	"gem5rtl/internal/guard"
 	"gem5rtl/internal/obs"
 	"gem5rtl/internal/pmu"
-	"gem5rtl/internal/port"
 	"gem5rtl/internal/prof"
 	"gem5rtl/internal/sim"
 	"gem5rtl/internal/soc"
@@ -169,7 +168,7 @@ func fullSystem() (*flag.FlagSet, func()) {
 		if *withPMU && !restoring {
 			s.PMU.Start()
 			host := experiments.NewAXIHost(s.Queue)
-			port.Bind(host.Port(), s.PMU.CPUPort(0))
+			s.Bind(host.Port(), s.PMU.CPUPort(0))
 			// Enable commit lines 0-3, the L1D miss line and the cycle line.
 			host.Write(pmu.RegEnable, 0x3F)
 		}

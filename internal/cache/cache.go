@@ -90,9 +90,9 @@ type Cache struct {
 	reqQ    *port.ReqQueue
 
 	mshrs map[uint64]*mshr
-	// mshrFree recycles retired MSHRs (and their target slices); pool
+	// mshrPool recycles retired MSHRs (and their target slices); pool
 	// recycles the block fetches and writebacks this cache originates.
-	mshrFree []*mshr
+	mshrPool sim.Freelist[mshr]
 	pool     port.PacketPool
 
 	// Stride prefetcher state.
@@ -241,16 +241,9 @@ func (c *Cache) handleRequest(pkt *port.Packet) bool {
 
 // allocateMiss registers an MSHR and issues the block fetch downstream.
 func (c *Cache) allocateMiss(blockAddr uint64, pkt *port.Packet, isPref bool) {
-	var m *mshr
-	if n := len(c.mshrFree); n > 0 {
-		m = c.mshrFree[n-1]
-		c.mshrFree[n-1] = nil
-		c.mshrFree = c.mshrFree[:n-1]
-		m.blockAddr = blockAddr
-		m.isPref = isPref
-	} else {
-		m = &mshr{blockAddr: blockAddr, isPref: isPref}
-	}
+	m := c.mshrPool.Get()
+	m.blockAddr = blockAddr
+	m.isPref = isPref
 	if pkt != nil {
 		m.targets = append(m.targets, pkt)
 	}
@@ -336,7 +329,7 @@ func (c *Cache) handleFill(pkt *port.Packet) bool {
 		m.targets[i] = nil
 	}
 	m.targets = m.targets[:0]
-	c.mshrFree = append(c.mshrFree, m)
+	c.mshrPool.Put(m)
 	// MSHR freed: admit a deferred request and wake refused senders.
 	c.cpuPort.SendRetryReq()
 	return true

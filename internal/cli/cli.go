@@ -112,7 +112,10 @@ func Parallel(fs *flag.FlagSet, def int) *int {
 // -timeout. What it opens is closed by Cleanup or Fatal.
 func (f *Flags) Setup() context.Context {
 	if f.CheckPorts {
-		port.Checking = true
+		// The default of every system the command builds (soc.Oracles.Ports).
+		if err := os.Setenv(port.CheckPortsEnv, "1"); err != nil {
+			Fatal(err)
+		}
 	}
 	ctx := context.Background()
 	if f.Timeout > 0 {

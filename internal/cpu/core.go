@@ -110,12 +110,12 @@ type Core struct {
 	decoded map[uint64]isa.Inst
 
 	// pool recycles every timing packet the core sends (ifetches, load
-	// touches and stores); lsFree recycles their loadState tags. A store's
+	// touches and stores); tags recycles their loadState tags. A store's
 	// packet can be pooled because the data port binds only to an L1D,
 	// which answers every write itself (it is write-allocate), so no
 	// component downstream holds the packet once its response arrives here.
-	pool   port.PacketPool
-	lsFree []*loadState
+	pool port.PacketPool
+	tags sim.Freelist[loadState]
 	// fnRead/fnWrite are reusable scratch packets for the functional
 	// backbone; fnBuf backs fnRead's payload, and fnWrite carries the store
 	// packet's own. Functional accesses complete synchronously and nothing
@@ -145,20 +145,15 @@ type loadState struct {
 	rd      uint8
 }
 
-// getLoadState recycles a tag from the freelist (or allocates one). Tags are
-// returned by putLoadState once popped from a response or a refused send.
+// getLoadState recycles a tag from the freelist. Tags are returned by
+// putLoadState once popped from a response or a refused send.
 func (c *Core) getLoadState(isLoad, isFetch bool, rd uint8) *loadState {
-	if n := len(c.lsFree); n > 0 {
-		st := c.lsFree[n-1]
-		c.lsFree[n-1] = nil
-		c.lsFree = c.lsFree[:n-1]
-		st.isLoad, st.isFetch, st.rd = isLoad, isFetch, rd
-		return st
-	}
-	return &loadState{isLoad: isLoad, isFetch: isFetch, rd: rd}
+	st := c.tags.Get()
+	st.isLoad, st.isFetch, st.rd = isLoad, isFetch, rd
+	return st
 }
 
-func (c *Core) putLoadState(st *loadState) { c.lsFree = append(c.lsFree, st) }
+func (c *Core) putLoadState(st *loadState) { c.tags.Put(st) }
 
 // New creates a core on the given clock domain. Bind IPort/DPort before
 // Start.

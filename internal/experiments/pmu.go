@@ -58,8 +58,11 @@ func (h *AXIHost) RecvReqRetry() {}
 
 // Write posts a register write (fire and forget; the response is dropped).
 func (h *AXIHost) Write(addr uint64, val uint32) {
-	pkt := h.pool.NewWrite(addr, []byte{
-		byte(val), byte(val >> 8), byte(val >> 16), byte(val >> 24)})
+	pkt := h.pool.Get(port.WriteReq, addr, 4)
+	pkt.AllocateData()
+	for i := range pkt.Data {
+		pkt.Data[i] = byte(val >> (8 * i))
+	}
 	if !h.p.SendTimingReq(pkt) {
 		panic("experiments: PMU refused AXI write")
 	}
@@ -126,6 +129,8 @@ type sortSystem struct {
 // programmed over AXI — commit lines 0-3, the L1D miss line and the cycle
 // line enabled, an interrupt every Interval cycle events — then the benchmark
 // loaded on core 0, whose exit ends the simulation loop, and the core started.
+// Once drive returns, the waveform, if the run writes one, is flushed to its
+// sink.
 func (r Runner) runSort(sp sortRun, drive func(s *sortSystem) error, extra ...Option) error {
 	cfg := soc.DefaultConfig()
 	cfg.Cores = 1
@@ -141,7 +146,7 @@ func (r Runner) runSort(sp sortRun, drive func(s *sortSystem) error, extra ...Op
 		s.start = time.Now()
 		if sp.PMU {
 			s.host = NewAXIHost(s.Queue)
-			port.Bind(s.host.Port(), s.PMU.CPUPort(0))
+			s.Bind(s.host.Port(), s.PMU.CPUPort(0))
 			s.PMU.Start()
 			s.host.Write(pmu.RegEnable, 0x3F)
 			s.host.Write(pmu.RegThreshSel, pmu.EvCycle)
@@ -152,7 +157,13 @@ func (r Runner) runSort(sp sortRun, drive func(s *sortSystem) error, extra ...Op
 		}
 		s.Cores[0].OnExit = func(int64) { s.exited = true; s.Queue.ExitSimLoop("exit") }
 		s.StartCores(0)
-		return drive(s)
+		err := drive(s)
+		if sp.Waveform {
+			if ferr := s.PMUWrapper.Model().VCD().Flush(); err == nil {
+				err = ferr
+			}
+		}
+		return err
 	}, extra...)
 }
 

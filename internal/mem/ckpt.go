@@ -22,7 +22,11 @@ func (s *Storage) SaveState(w *ckpt.Writer) error {
 	w.Int(len(pns))
 	for _, pn := range pns {
 		w.U64(pn)
-		w.Bytes(s.pages[pn])
+		if p := s.pages[pn]; p != nil {
+			w.Bytes(p)
+		} else {
+			w.Bytes(zeroPage[:1<<s.pageBits])
+		}
 	}
 	return w.Err()
 }
@@ -110,7 +114,7 @@ func (d *DRAMCtrl) SaveState(w *ckpt.Writer) error {
 	for _, pr := range d.inflightReads() {
 		port.SavePacket(w, pr.pkt)
 		w.U64(uint64(pr.arrived))
-		sim.SaveEvent(w, pr.ev)
+		sim.SaveEvent(w, &pr.ev)
 	}
 	w.Int(len(d.chans))
 	for _, ch := range d.chans {
@@ -142,10 +146,15 @@ func (d *DRAMCtrl) RestoreState(r *ckpt.Reader) error {
 	n := r.Len()
 	d.pendingReads, d.prHead = nil, 0
 	for i := 0; i < n && r.Err() == nil; i++ {
-		pr := &dramPendingRead{pkt: port.LoadPacket(r), arrived: sim.Tick(r.U64())}
-		pr.ev = sim.NewEvent(d.cfg.Name+".readDone", func() { d.readDone(pr) }).SetOwner(d.ownReadDone)
+		pkt := port.LoadPacket(r)
+		pr := d.tracker(pkt, sim.Tick(r.U64()))
 		d.pendingReads = append(d.pendingReads, pr)
-		d.q.RestoreEvent(r, pr.ev)
+		d.q.RestoreEvent(r, &pr.ev)
+		if r.Err() == nil && !pr.ev.Scheduled() {
+			// readDone finds the retiring read as the one whose event has
+			// just fired, so every tracked read must have one pending.
+			return fmt.Errorf("mem %s: checkpoint tracks a read with no completion pending", d.cfg.Name)
+		}
 	}
 	if nc := r.Len(); r.Err() == nil && nc != len(d.chans) {
 		return fmt.Errorf("mem %s: checkpoint has %d channels, controller has %d", d.cfg.Name, nc, len(d.chans))
@@ -184,7 +193,9 @@ func (d *DRAMCtrl) restoreDRAMQueue(r *ckpt.Reader) []*dramRequest {
 		_, bank, row := d.route(pkt.Addr)
 		// A restored posted write's packet already carries its response
 		// command, for which IsRead() is false — matching the write it models.
-		q = append(q, &dramRequest{pkt: pkt, bank: bank, row: row, arrived: arrived, isRead: pkt.Cmd.IsRead()})
+		req := d.reqs.Get()
+		*req = dramRequest{pkt: pkt, bank: bank, row: row, arrived: arrived, isRead: pkt.Cmd.IsRead()}
+		q = append(q, req)
 	}
 	return q
 }

@@ -1,8 +1,6 @@
 package mem
 
 import (
-	"fmt"
-
 	"gem5rtl/internal/obs"
 	"gem5rtl/internal/port"
 	"gem5rtl/internal/sim"
@@ -26,20 +24,23 @@ type DRAMCtrl struct {
 	// pendingReads[prHead:] tracks issued reads whose data has not returned
 	// yet, in issue order. Each entry owns its completion event, so in-flight
 	// reads are explicit state (checkpointable) rather than anonymous closures
-	// on the event queue. Reads retire oldest first or nearly so, so a retired
-	// entry is closed over from the front (see readDone) and the consumed
-	// prefix is reclaimed when the array would otherwise grow.
+	// on the event queue; every entry's event is pending until it fires.
+	// Reads retire oldest first or nearly so, so a retired entry is closed
+	// over from the front (see readDone) and the consumed prefix is
+	// reclaimed when the array would otherwise grow.
 	pendingReads []*dramPendingRead
 	prHead       int
 
 	// writeHi and writeLo are the write-drain watermarks in queue entries.
 	writeHi, writeLo int
 
-	// reqFree and prFree recycle the per-access bookkeeping records; each
-	// dramPendingRead keeps its completion event (and the closure binding it)
-	// across reuses, so steady-state reads schedule zero allocations.
-	reqFree []*dramRequest
-	prFree  []*dramPendingRead
+	// reqs and trackers recycle the per-access bookkeeping records. A
+	// tracker carries its completion event inline, a copy of readDoneEv
+	// made the first time the slab slot is used and kept across reuses, so
+	// steady-state reads schedule zero allocations.
+	reqs       sim.Freelist[dramRequest]
+	trackers   sim.Freelist[dramPendingRead]
+	readDoneEv sim.Event
 
 	// trace is the Mem debug-flag logger (nil = off; see AttachTracer).
 	trace *obs.Logger
@@ -56,7 +57,7 @@ type DRAMCtrl struct {
 type dramPendingRead struct {
 	pkt     *port.Packet
 	arrived sim.Tick
-	ev      *sim.Event
+	ev      sim.Event
 }
 
 // DRAMStats aggregates controller activity.
@@ -95,8 +96,8 @@ type dramRequest struct {
 	row     uint64
 	arrived sim.Tick
 	// isRead is latched at enqueue: a posted write's packet is mutated into
-	// its response (and may later be recycled) while the queue entry still
-	// models the bank/bus cost, so the entry must not consult pkt.Cmd.
+	// its response while the queue entry still models the bank/bus cost, so
+	// the entry must not consult pkt.Cmd.
 	isRead bool
 }
 
@@ -120,6 +121,7 @@ type dramChannel struct {
 func NewDRAMCtrl(cfg DRAMConfig, q *sim.EventQueue, store *Storage) *DRAMCtrl {
 	d := &DRAMCtrl{cfg: cfg, q: q, store: store}
 	d.ownReadDone = q.Owner(cfg.Name, "readDone")
+	d.readDoneEv = *sim.NewEvent(cfg.Name+".readDone", d.readDone).SetOwner(d.ownReadDone)
 	d.ownIssue = q.Owner(cfg.Name, "issue")
 	d.writeHi = int(float64(cfg.WriteQueueDepth) * cfg.WriteHighWatermark)
 	d.writeLo = int(float64(cfg.WriteQueueDepth) * cfg.WriteLowWatermark)
@@ -212,22 +214,9 @@ func (d *DRAMCtrl) RecvTimingReq(pkt *port.Packet) bool {
 	} else if len(ch.readQ) >= d.cfg.ReadQueueDepth {
 		return false
 	}
-	if isWrite && pkt.Pooled() && pkt.NeedsResponse() {
-		// The queued entry keeps the packet after its response has gone
-		// back, and the requestor recycles a pooled packet on that response.
-		panic(fmt.Sprintf("mem: pooled posted write %s id=%d addr=%#x: the write queue would retain a packet its requestor recycles",
-			pkt.Cmd, pkt.ID, pkt.Addr))
-	}
 	bank, row := d.bankRow(pkt.Addr)
-	var req *dramRequest
-	if n := len(d.reqFree); n > 0 {
-		req = d.reqFree[n-1]
-		d.reqFree[n-1] = nil
-		d.reqFree = d.reqFree[:n-1]
-		*req = dramRequest{pkt: pkt, bank: bank, row: row, arrived: d.q.Now(), isRead: pkt.Cmd.IsRead()}
-	} else {
-		req = &dramRequest{pkt: pkt, bank: bank, row: row, arrived: d.q.Now(), isRead: pkt.Cmd.IsRead()}
-	}
+	req := d.reqs.Get()
+	*req = dramRequest{pkt: pkt, bank: bank, row: row, arrived: d.q.Now(), isRead: pkt.Cmd.IsRead()}
 	if d.trace.On() {
 		d.trace.Logf("%s addr=%#x ch=%d bank=%d row=%#x", pkt.Cmd, pkt.Addr, chIdx, bank, row)
 	}
@@ -236,12 +225,14 @@ func (d *DRAMCtrl) RecvTimingReq(pkt *port.Packet) bool {
 		d.stats.Writes++
 		d.stats.BytesWrit += uint64(pkt.Size)
 		// Posted write: data lands in storage now, ack after the frontend
-		// pipeline; the queued entry models the bandwidth/bank cost.
+		// pipeline; the queued entry models the bandwidth/bank cost. The
+		// entry keeps the packet past its response, so it holds the packet
+		// beside the requestor until the write drains (issue).
 		d.store.Write(pkt.Addr, pkt.Data)
 		if pkt.NeedsResponse() {
-			resp := pkt
-			resp.MakeResponse()
-			d.rq.Schedule(resp, d.q.Now()+d.cfg.FrontendLatency)
+			pkt.Retain()
+			pkt.MakeResponse()
+			d.rq.Schedule(pkt, d.q.Now()+d.cfg.FrontendLatency)
 		}
 	} else {
 		ch.readQ = append(ch.readQ, req)
@@ -347,13 +338,14 @@ func (ch *dramChannel) issue() {
 
 	if req.isRead {
 		d.scheduleReadDone(req.pkt, req.arrived, done+cfg.TCL+cfg.BackendLatency)
-	} else if req.pkt.Cmd == port.WritebackDirty {
-		// Writeback retire: the data was stored at enqueue and no response is
-		// owed, so this controller is the packet's final owner.
+	} else {
+		// The write drains: its data was stored at enqueue, so the queue
+		// lets go of the packet — the last holder of a writeback, and of a
+		// posted write whose requestor has had its response.
 		req.pkt.Release()
 	}
 	req.pkt = nil
-	d.reqFree = append(d.reqFree, req)
+	d.reqs.Put(req)
 	// A queue slot freed: let a refused sender retry. The retry may re-enter
 	// RecvTimingReq and kick(), scheduling issueEv — the re-arm below must
 	// therefore tolerate an already-scheduled event.
@@ -384,19 +376,20 @@ func (ch *dramChannel) issue() {
 	}
 }
 
+// tracker returns a recycled (or new) tracker for an issued read, with its
+// completion event unscheduled.
+func (d *DRAMCtrl) tracker(pkt *port.Packet, arrived sim.Tick) *dramPendingRead {
+	pr := d.trackers.Get()
+	if pr.ev.Name() == "" {
+		pr.ev = d.readDoneEv
+	}
+	pr.pkt, pr.arrived = pkt, arrived
+	return pr
+}
+
 // scheduleReadDone registers an issued read and arms its completion event.
 func (d *DRAMCtrl) scheduleReadDone(pkt *port.Packet, arrived sim.Tick, when sim.Tick) {
-	var pr *dramPendingRead
-	if n := len(d.prFree); n > 0 {
-		pr = d.prFree[n-1]
-		d.prFree[n-1] = nil
-		d.prFree = d.prFree[:n-1]
-		pr.pkt = pkt
-		pr.arrived = arrived
-	} else {
-		pr = &dramPendingRead{pkt: pkt, arrived: arrived}
-		pr.ev = sim.NewEvent(d.cfg.Name+".readDone", func() { d.readDone(pr) }).SetOwner(d.ownReadDone)
-	}
+	pr := d.tracker(pkt, arrived)
 	if d.prHead > 0 && len(d.pendingReads) == cap(d.pendingReads) {
 		n := copy(d.pendingReads, d.pendingReads[d.prHead:])
 		clear(d.pendingReads[n:])
@@ -404,22 +397,24 @@ func (d *DRAMCtrl) scheduleReadDone(pkt *port.Packet, arrived sim.Tick, when sim
 		d.prHead = 0
 	}
 	d.pendingReads = append(d.pendingReads, pr)
-	d.q.Schedule(pr.ev, when)
+	d.q.Schedule(&pr.ev, when)
 }
 
 // inflightReads returns the tracked reads in issue order.
 func (d *DRAMCtrl) inflightReads() []*dramPendingRead { return d.pendingReads[d.prHead:] }
 
-// readDone retires a tracked read: fills the packet from storage and hands
-// it to the response queue.
-func (d *DRAMCtrl) readDone(pr *dramPendingRead) {
+// readDone retires the tracked read whose completion event is being
+// dispatched — the one entry whose event is no longer pending: it fills the
+// packet from storage and hands it to the response queue.
+func (d *DRAMCtrl) readDone() {
 	// Close the gap from the front: the retiring read is the oldest or (with
 	// several channels completing out of issue order) a few entries behind it,
 	// so this moves nothing or next to nothing and keeps issue order.
 	i := d.prHead
-	for d.pendingReads[i] != pr {
+	for d.pendingReads[i].ev.Scheduled() {
 		i++
 	}
+	pr := d.pendingReads[i]
 	copy(d.pendingReads[d.prHead+1:i+1], d.pendingReads[d.prHead:i])
 	d.pendingReads[d.prHead] = nil
 	d.prHead++
@@ -437,10 +432,25 @@ func (d *DRAMCtrl) readDone(pr *dramPendingRead) {
 		d.trace.Logf("read done addr=%#x latency=%d", pkt.Addr, uint64(d.q.Now()-pr.arrived))
 	}
 	d.rq.Schedule(pkt, d.q.Now())
-	// The tracker (with its event and closure) is reusable the moment the
-	// response leaves; the packet itself lives on in the response queue.
+	// The tracker (with its event) is reusable the moment the response
+	// leaves; the packet itself lives on in the response queue.
 	pr.pkt = nil
-	d.prFree = append(d.prFree, pr)
+	d.trackers.Put(pr)
+}
+
+// AnsweredWrites reports the queued posted writes whose requestors already
+// have their responses: the packets the write queues alone still hold (for
+// tests).
+func (d *DRAMCtrl) AnsweredWrites() int {
+	n := 0
+	for _, ch := range d.chans {
+		for _, req := range ch.writeQ {
+			if req.pkt.Cmd == port.WriteResp && req.pkt.SenderStateDepth() == 0 {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // QueueOccupancy reports total queued reads and writes across channels

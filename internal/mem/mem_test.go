@@ -2,8 +2,6 @@ package mem
 
 import (
 	"bytes"
-	"fmt"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -348,7 +346,14 @@ func TestDRAMRefusalIsFree(t *testing.T) {
 				hold(r)
 			}
 		}
-		for _, r := range d.reqFree {
+		free := make([]*dramRequest, d.reqs.Len())
+		for i := range free {
+			free[i] = d.reqs.Get()
+		}
+		for i := len(free) - 1; i >= 0; i-- {
+			d.reqs.Put(free[i])
+		}
+		for _, r := range free {
 			hold(r)
 		}
 		if len(held) != len(seen) {
@@ -384,43 +389,88 @@ func TestDRAMRefusalIsFree(t *testing.T) {
 		}
 	}
 	conserved("drained")
-	if reads, writes := d.QueueOccupancy(); reads != 0 || writes != 0 || len(d.reqFree) != len(seen) {
-		t.Fatalf("drained: %d reads and %d writes queued, %d of %d records free", reads, writes, len(d.reqFree), len(seen))
+	if reads, writes := d.QueueOccupancy(); reads != 0 || writes != 0 || d.reqs.Len() != len(seen) {
+		t.Fatalf("drained: %d reads and %d writes queued, %d of %d records free", reads, writes, d.reqs.Len(), len(seen))
 	}
 	if len(seen) > cfg.ReadQueueDepth+cfg.WriteQueueDepth {
 		t.Fatalf("%d request records made for queues of %d+%d", len(seen), cfg.ReadQueueDepth, cfg.WriteQueueDepth)
 	}
 }
 
-// TestPooledPostedWritePanics: a posted write's queued entry outlives its
-// response, so a pooled WriteReq, which its requestor recycles on that
-// response, is refused loudly, naming the packet. A pooled writeback owes no
-// response and the controller releases it itself; an unpooled write is the
-// ordinary case.
-func TestPooledPostedWritePanics(t *testing.T) {
+// TestPooledPostedWriteHandOff: a posted write's queued entry outlives its
+// response, so the write queue holds a pooled WriteReq beside its requestor.
+// A requestor that releases the response before the write drains leaves the
+// packet with the queue, which returns it to the pool when the write issues;
+// a third Release panics. A pooled writeback, which owes no response, has the
+// queue as its only holder.
+func TestPooledPostedWriteHandOff(t *testing.T) {
 	q := sim.NewEventQueue()
-	d := NewDRAMCtrl(DDR4Config(1), q, NewStorage())
-	tst := newMemTester(q)
-	port.Bind(tst.p, d.Port())
+	store := NewStorage()
+	d := NewDRAMCtrl(DDR4Config(1), q, store)
+	rel := &releaser{}
+	req := port.NewRequestPort("releaser", rel)
+	port.Bind(req, d.Port())
 
 	var pool port.PacketPool
-	wb := pool.Get(port.WritebackDirty, 0x40, 64)
-	wb.AllocateData()
-	tst.send(wb)
-	tst.send(port.NewWritePacket(0x80, make([]byte, 64)))
-	q.Run()
-	if st := d.Stats(); st.Writes != 2 {
-		t.Fatalf("writes = %d, want the writeback and the unpooled write", st.Writes)
+	send := func(pkt *port.Packet) {
+		t.Helper()
+		if !req.SendTimingReq(pkt) {
+			t.Fatalf("%s %#x refused", pkt.Cmd, pkt.Addr)
+		}
 	}
-
+	// Reads queued first keep the write waiting behind them: the controller
+	// serves reads before a write queue below its high watermark.
+	for i := 0; i < 16; i++ {
+		rd := pool.GetRead(uint64(0x10000+i*64), 64)
+		send(rd)
+	}
 	w := pool.Get(port.WriteReq, 0xc0, 8)
 	w.AllocateData()
+	copy(w.Data, "posted!!")
+	send(w)
+	wb := pool.Get(port.WritebackDirty, 0x100, 8)
+	wb.AllocateData()
+	send(wb)
+
+	for rel.writes == 0 && q.Step() {
+	}
+	if rel.writes != 1 {
+		t.Fatal("the posted write was never answered")
+	}
+	if _, writes := d.QueueOccupancy(); writes != 2 {
+		t.Fatalf("%d writes queued when the response was released, want the posted write and the writeback", writes)
+	}
+	if probe := pool.Get(port.ReadReq, 0, 8); probe == w || probe == wb {
+		t.Fatal("a packet the write queue holds was recycled")
+	} else {
+		probe.Release()
+	}
+
+	q.Run()
+	if _, writes := d.QueueOccupancy(); writes != 0 {
+		t.Fatalf("%d writes still queued", writes)
+	}
+	got := make([]byte, 8)
+	store.Read(0xc0, got)
+	if string(got) != "posted!!" {
+		t.Fatalf("stored %q", got)
+	}
+	// Both writes drained: the queue's releases were the last, so the pool
+	// hands their packets out again among the ones it holds.
+	back := map[*port.Packet]bool{}
+	for i := 0; i < 19; i++ {
+		back[pool.Get(port.ReadReq, 0, 8)] = true
+	}
+	if !back[w] || !back[wb] {
+		t.Fatal("the drained writes did not return to the pool")
+	}
+	for p := range back {
+		p.Release()
+	}
 	defer func() {
-		msg, _ := recover().(string)
-		if !strings.Contains(msg, fmt.Sprintf("id=%d", w.ID)) {
-			t.Fatalf("pooled posted write: recovered %q, want a panic naming id=%d", msg, w.ID)
+		if recover() == nil {
+			t.Fatal("a third Release of the posted write did not panic")
 		}
 	}()
-	tst.send(w)
-	t.Fatal("a pooled posted write was accepted")
+	w.Release()
 }

@@ -10,39 +10,31 @@ package mem
 
 // Storage is sparse byte-addressable backing store shared by a controller's
 // channels. Timing is handled by the controllers; Storage only moves data.
+//
+// A page is touched by its first write and is part of the store (and of its
+// checkpoint) from then on, but it is backed by memory only once it holds a
+// non-zero byte: a page that has only been written with zeros — the NVDLA's
+// output regions — is a nil entry that reads as zeros.
 type Storage struct {
 	pageBits uint
 	pages    map[uint64][]byte
 }
+
+// zeroPage is what an unbacked page holds.
+var zeroPage [1 << 16]byte
 
 // NewStorage creates an empty store with 64 KiB pages.
 func NewStorage() *Storage {
 	return &Storage{pageBits: 16, pages: map[uint64][]byte{}}
 }
 
-func (s *Storage) page(addr uint64, alloc bool) ([]byte, uint64) {
-	pn := addr >> s.pageBits
-	off := addr & ((1 << s.pageBits) - 1)
-	p, ok := s.pages[pn]
-	if !ok && alloc {
-		p = make([]byte, 1<<s.pageBits)
-		s.pages[pn] = p
-	}
-	return p, off
-}
-
 // Read copies len(buf) bytes at addr into buf; unwritten memory reads zero.
 func (s *Storage) Read(addr uint64, buf []byte) {
 	for n := 0; n < len(buf); {
-		p, off := s.page(addr+uint64(n), false)
-		chunk := int(uint64(1)<<s.pageBits - off)
-		if chunk > len(buf)-n {
-			chunk = len(buf) - n
-		}
-		if p == nil {
-			for i := 0; i < chunk; i++ {
-				buf[n+i] = 0
-			}
+		pn, off := s.split(addr + uint64(n))
+		chunk := s.chunk(off, len(buf)-n)
+		if p := s.pages[pn]; p == nil {
+			clear(buf[n : n+chunk])
 		} else {
 			copy(buf[n:n+chunk], p[off:])
 		}
@@ -53,14 +45,44 @@ func (s *Storage) Read(addr uint64, buf []byte) {
 // Write copies buf into memory at addr.
 func (s *Storage) Write(addr uint64, buf []byte) {
 	for n := 0; n < len(buf); {
-		p, off := s.page(addr+uint64(n), true)
-		chunk := int(uint64(1)<<s.pageBits - off)
-		if chunk > len(buf)-n {
-			chunk = len(buf) - n
+		pn, off := s.split(addr + uint64(n))
+		chunk := s.chunk(off, len(buf)-n)
+		data := buf[n : n+chunk]
+		p, touched := s.pages[pn]
+		if p == nil && !allZero(data) {
+			p = make([]byte, 1<<s.pageBits)
+			s.pages[pn] = p
+		} else if !touched {
+			s.pages[pn] = nil
 		}
-		copy(p[off:], buf[n:n+chunk])
+		if p != nil {
+			copy(p[off:], data)
+		}
 		n += chunk
 	}
+}
+
+// split returns the page number and offset of addr.
+func (s *Storage) split(addr uint64) (uint64, uint64) {
+	return addr >> s.pageBits, addr & (1<<s.pageBits - 1)
+}
+
+// chunk is how many of n bytes from page offset off lie in that page.
+func (s *Storage) chunk(off uint64, n int) int {
+	if c := int(uint64(1)<<s.pageBits - off); c < n {
+		return c
+	}
+	return n
+}
+
+// allZero reports whether b holds only zero bytes.
+func allZero(b []byte) bool {
+	for _, v := range b {
+		if v != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // AllocatedBytes reports how much backing store has been touched.

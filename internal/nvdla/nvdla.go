@@ -126,13 +126,6 @@ type Wrapper struct {
 	// out is the Output returned from every Tick, reused with its slices
 	// reset: the RTLObject copies the elements out before the next tick.
 	out rtlobject.Output
-	// wbuf is a grow-only arena for output-write payloads. Write packets
-	// (and DRAM posted-write queues, and checkpoints) may retain payload
-	// slices indefinitely, so carved slices are never recycled — the arena
-	// only batches many small allocations into one large one. Slices are
-	// full (three-index) so neighbours can't be scribbled by append, and
-	// fault-injection bit flips stay confined to one write's payload.
-	wbuf []byte
 
 	// trace is the NVDLA debug-flag logger (nil = off; see AttachTracer).
 	// It is preserved across Reset.
@@ -243,7 +236,12 @@ func (w *Wrapper) beginLayer() {
 	if ntiles == 0 {
 		ntiles = 1
 	}
-	w.tiles = make([]tileState, ntiles)
+	if cap(w.tiles) < ntiles {
+		w.tiles = make([]tileState, ntiles)
+	} else {
+		w.tiles = w.tiles[:ntiles]
+		clear(w.tiles)
+	}
 	for i := range w.tiles {
 		need := tb
 		if i == ntiles-1 {
@@ -501,7 +499,7 @@ func (w *Wrapper) finishTile(out *rtlobject.Output) {
 		w.nextID++
 		w.pendWrites = append(w.pendWrites, rtlobject.MemRequest{
 			ID: w.nextID, Addr: w.outCur, Size: n, Write: true,
-			Data: w.carve(n), Port: PortDBBIF,
+			Data: outputPayload[:n:n], Port: PortDBBIF,
 		})
 		w.outCur += uint64(n)
 		w.writesOut++
@@ -510,13 +508,7 @@ func (w *Wrapper) finishTile(out *rtlobject.Output) {
 	w.computeTile++
 }
 
-// carve returns a fresh zeroed n-byte payload from the write arena.
-func (w *Wrapper) carve(n int) []byte {
-	if len(w.wbuf)+n > cap(w.wbuf) {
-		const chunk = 64 << 10
-		w.wbuf = make([]byte, 0, chunk)
-	}
-	off := len(w.wbuf)
-	w.wbuf = w.wbuf[:off+n]
-	return w.wbuf[off : off+n : off+n]
-}
+// outputPayload is every output write's payload: the model computes traffic,
+// not values, so each write stores zeros. The writes share it read-only; the
+// RTLObject copies a write's payload into the packet it sends.
+var outputPayload [64]byte

@@ -75,21 +75,30 @@ func TestRespQueueSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestDoubleReleasePanics: only a PacketPool's packets are Pooled, Release
-// on any other is a no-op, and releasing a pooled packet twice panics.
+// TestDoubleReleasePanics: Release (and Retain) on a packet no PacketPool
+// made is a no-op, a retained packet goes back to its pool on its second
+// Release only, and releasing a pooled packet more often than it was held
+// panics.
 func TestDoubleReleasePanics(t *testing.T) {
 	var pool PacketPool
 	loose := NewWritePacket(0x40, []byte{1})
-	if loose.Pooled() {
-		t.Fatal("a loose packet reports Pooled")
-	}
+	loose.Retain()
 	loose.Release()
 	loose.Release()
 	pkt := pool.Get(WriteReq, 0x40, 1)
-	if !pkt.Pooled() {
-		t.Fatal("a pool's packet does not report Pooled")
+	pkt.Retain()
+	pkt.Release()
+	if other := pool.Get(ReadReq, 0, 8); other == pkt {
+		t.Fatal("a packet with a holder left was recycled")
+	} else {
+		other.Release()
 	}
 	pkt.Release()
+	if again := pool.Get(ReadReq, 0, 8); again != pkt {
+		t.Fatal("the last Release did not recycle the packet")
+	} else {
+		again.Release()
+	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("a second Release of a pooled packet did not panic")

@@ -6,12 +6,43 @@ import (
 	"strings"
 )
 
-// Checking, when true, makes every Bind attach a protocol Checker to the
-// link, turning the whole test suite (and any run with -check-ports) into a
-// timing-port conformance test. It is initialised from the GEM5RTL_CHECK_PORTS
-// environment variable and may be set programmatically before any Bind; it
-// must not be toggled while simulations are running.
-var Checking = os.Getenv("GEM5RTL_CHECK_PORTS") != ""
+// CheckPortsEnv names the environment variable that, when set, makes
+// protocol checking the default (CheckFromEnv): the whole test suite, and
+// any run with -check-ports, becomes a timing-port conformance test.
+const CheckPortsEnv = "GEM5RTL_CHECK_PORTS"
+
+// Checking selects whether the links a system binds get protocol Checkers.
+// Each system makes its own choice (soc.Oracles), so runs that differ in it
+// can share a process.
+type Checking uint8
+
+// The checking choices.
+const (
+	// CheckFromEnv, the zero value, checks when CheckPortsEnv is set.
+	CheckFromEnv Checking = iota
+	// CheckOn always attaches checkers.
+	CheckOn
+	// CheckOff never does: allocation rigs bind unchecked, because a
+	// checker records every packet it sees.
+	CheckOff
+)
+
+// On reports whether c attaches checkers.
+func (c Checking) On() bool {
+	if c == CheckFromEnv {
+		return os.Getenv(CheckPortsEnv) != ""
+	}
+	return c == CheckOn
+}
+
+// Bind connects a request port to a response port, both unbound, and
+// interposes a protocol Checker on the link when c is on.
+func (c Checking) Bind(req *RequestPort, resp *ResponsePort) {
+	bindRaw(req, resp)
+	if c.On() {
+		attachChecker(req, resp)
+	}
+}
 
 // Checker enforces the gem5 timing-port contract on one bound link:
 //
@@ -50,14 +81,14 @@ const checkerHistLen = 32
 
 // BindChecked binds req to resp with a protocol Checker interposed, and
 // returns the checker for quiescence assertions in tests. Exactly one
-// checker is attached regardless of the package Checking flag.
+// checker is attached whatever CheckPortsEnv says.
 func BindChecked(req *RequestPort, resp *ResponsePort) *Checker {
 	bindRaw(req, resp)
 	return attachChecker(req, resp)
 }
 
-// BindUnchecked binds req to resp with no checker even when the package
-// Checking flag is set. It exists for white-box test rigs that inject traffic
+// BindUnchecked binds req to resp with no checker even when CheckPortsEnv
+// is set. It exists for white-box test rigs that inject traffic
 // around the port API (calling RecvTimingReq on a component directly, or
 // scheduling fabricated responses into a queue): a checker would flag their
 // responses as unanswered requests. Simulation wiring should use Bind.

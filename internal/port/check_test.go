@@ -2,6 +2,7 @@ package port
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 
@@ -302,18 +303,15 @@ func TestCheckedRestoreAdoptsPreCheckpointTraffic(t *testing.T) {
 	})
 }
 
-// Bind attaches a checker when the package Checking flag is set, and exactly
-// one checker even when BindChecked is used with the flag on.
+// A Checking choice attaches a checker exactly when it is on, BindChecked
+// attaches exactly one, and CheckFromEnv follows the environment.
 func TestCheckingFlagAttachesChecker(t *testing.T) {
-	old := Checking
-	defer func() { Checking = old }()
-
-	Checking = true
+	t.Parallel()
 	req := NewRequestPort("flag.req", &testRequestor{})
 	resp := NewResponsePort("flag.resp", &testResponder{accept: true})
-	Bind(req, resp)
+	CheckOn.Bind(req, resp)
 	if _, ok := req.owner.(*checkedRequestor); !ok {
-		t.Fatal("Checking=true Bind did not attach a checker")
+		t.Fatal("CheckOn.Bind did not attach a checker")
 	}
 
 	req2 := NewRequestPort("flag2.req", &testRequestor{})
@@ -324,14 +322,17 @@ func TestCheckingFlagAttachesChecker(t *testing.T) {
 		t.Fatal("BindChecked did not attach a checker")
 	}
 	if _, double := cr.inner.(*checkedRequestor); double {
-		t.Fatal("BindChecked under Checking=true attached two checkers")
+		t.Fatal("BindChecked attached two checkers")
 	}
 
-	Checking = false
 	req3 := NewRequestPort("flag3.req", &testRequestor{})
 	resp3 := NewResponsePort("flag3.resp", &testResponder{accept: true})
-	Bind(req3, resp3)
+	CheckOff.Bind(req3, resp3)
 	if _, ok := req3.owner.(*checkedRequestor); ok {
-		t.Fatal("Checking=false Bind attached a checker")
+		t.Fatal("CheckOff.Bind attached a checker")
+	}
+
+	if want := os.Getenv(CheckPortsEnv) != ""; CheckFromEnv.On() != want {
+		t.Fatalf("CheckFromEnv.On() = %v with %s=%q", !want, CheckPortsEnv, os.Getenv(CheckPortsEnv))
 	}
 }

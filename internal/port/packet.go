@@ -69,15 +69,18 @@ func (c Cmd) NeedsResponse() bool { return c == ReadReq || c == WriteReq || c ==
 // turned into its response in place by MakeResponse, preserving identity so
 // senders can match responses to outstanding requests by pointer or ID.
 //
-// Ownership contract (see PERFORMANCE.md for the full model): a packet is
-// owned by whoever created it until it is delivered; delivery of a response
-// (or acceptance of a no-response request such as WritebackDirty) transfers
-// ownership to the receiver, who must copy out any payload it wants to keep
-// before returning. Packets obtained from a PacketPool are returned to their
-// pool with Release by the final owner — the creating requestor once it has
-// consumed the response, or the memory-side terminus for no-response
-// commands. Release on a non-pooled packet is a no-op, so termini may
-// release unconditionally.
+// Ownership contract (DESIGN.md §6.3 has the full model): a packet has one
+// or more holders, and the last of them releases it. It is held by whoever
+// created it until it is delivered; delivery of a response (or acceptance of
+// a no-response request such as WritebackDirty) transfers it to the
+// receiver, who must copy out any payload it wants to keep before returning.
+// A component that keeps a packet after handing it on — a DRAM write queue
+// keeps the posted write it has already answered — becomes one more holder
+// with Retain. Packets obtained from a PacketPool go back to their pool on
+// the last holder's Release: the creating requestor's once it has consumed
+// the response, the memory-side terminus's for a no-response command, or
+// the retaining component's when it is done. Release on a non-pooled packet
+// is a no-op, so holders may release unconditionally.
 type Packet struct {
 	// ID is a unique (per PacketAllocator) identifier, handy for tracing.
 	ID uint64
@@ -96,23 +99,35 @@ type Packet struct {
 
 	senderState []any
 
-	// pool, when non-nil, is the freelist this packet returns to on Release.
-	pool   *PacketPool
-	inPool bool
+	// slot, when non-nil, is the pool allocation this packet lives in; it
+	// returns there when holders drops to zero.
+	slot    *pooledPacket
+	holders int32
 	// restored marks a packet loaded from a checkpoint (LoadPacket): traffic
 	// the checkpointed run started, which a checker that never saw its
 	// request adopts instead of flagging.
 	restored bool
 }
 
+// pooledPacket is a PacketPool's allocation: the packet, the first backing
+// array of its sender-state stack — room for the issuing component's state
+// and one crossbar's — and the payload of a block-sized access, so a packet
+// in steady use never grows either.
+type pooledPacket struct {
+	Packet
+	pool  *PacketPool
+	stack [2]any
+	buf   [64]byte
+}
+
 // PacketPool is a freelist of Packets for a single simulation's hot path.
-// Unlike sync.Pool it is deterministic (no GC-driven eviction), single-
-// threaded like the event queue that drives it, and checkpoint-safe: Get
-// mints a fresh ID from the space the pool was given — its own counter
-// under a SetIDSpace tag, or the system's space-0 counter after ShareIDs —
-// so a system's ID sequence depends only on its own run, and restored
-// packets (LoadPacket) are simply unpooled. A pool given neither counts in
-// space 0 on its own, which suits a rig with a single minter.
+// Like every sim.Freelist it is deterministic, single-threaded and grows in
+// slabs. It is checkpoint-safe: Get mints a fresh ID from the space the pool
+// was given — its own counter under a SetIDSpace tag, or the system's
+// space-0 counter after ShareIDs — so a system's ID sequence depends only on
+// its own run, and restored packets (LoadPacket) are simply unpooled. A pool
+// given neither counts in space 0 on its own, which suits a rig with a
+// single minter.
 //
 // Pooled packets own their Data buffer: the capacity survives recycling, and
 // AllocateData zero-fills reused capacity so observable contents match a
@@ -120,7 +135,7 @@ type Packet struct {
 // slice to a component that retains it past the packet's release — copy out
 // instead, which is what every delivery path in this codebase already does.
 type PacketPool struct {
-	free []*Packet
+	free sim.Freelist[pooledPacket]
 
 	// space, when non-zero, namespaces the pool's IDs: minted IDs are
 	// space<<IDSpaceShift | ctr with a pool-local counter. A namespaced
@@ -134,6 +149,9 @@ type PacketPool struct {
 	// q, when set (ShareIDs), supplies space-0 IDs from the system's one
 	// counter; the system's checkpoint persists it.
 	q *sim.EventQueue
+	// idsFrom, when set (MintFrom), is the pool whose space supplies this
+	// pool's IDs.
+	idsFrom *PacketPool
 }
 
 // IDSpaceShift positions a PacketPool ID-space tag in the top bits of a
@@ -162,8 +180,17 @@ func (pl *PacketPool) ShareIDs(q *sim.EventQueue) {
 	pl.q = q
 }
 
+// MintFrom makes the pool draw its IDs from src's space, whatever src is
+// given later: a component that keeps two freelists — so that packets of one
+// kind never recycle those of another — still mints one ID sequence. Must be
+// called before the first Get.
+func (pl *PacketPool) MintFrom(src *PacketPool) { pl.idsFrom = src }
+
 // mintID draws the next packet ID from the pool's space.
 func (pl *PacketPool) mintID() uint64 {
+	if pl.idsFrom != nil {
+		return pl.idsFrom.mintID()
+	}
 	if pl.q != nil {
 		return pl.q.MintPacketID()
 	}
@@ -178,18 +205,20 @@ func (pl *PacketPool) SaveCounter() uint64 { return pl.ctr }
 // RestoreCounter reinstates a counter saved by SaveCounter.
 func (pl *PacketPool) RestoreCounter(v uint64) { pl.ctr = v }
 
-// Get returns a packet with a fresh ID, either recycled or newly allocated.
-// The packet's Data is empty (length 0); use AllocateData or append to fill
-// it. The caller owns the packet until delivery transfers it (see Packet).
+// Get returns a packet with a fresh ID and one holder, the caller, who owns
+// it until delivery transfers it (see Packet). The packet's Data is empty
+// (length 0); use AllocateData or append to fill it.
 func (pl *PacketPool) Get(cmd Cmd, addr uint64, size int) *Packet {
-	n := len(pl.free)
-	if n == 0 {
-		return &Packet{ID: pl.mintID(), Cmd: cmd, Addr: addr, Size: size, pool: pl}
+	s := pl.free.Get()
+	if s.pool == nil {
+		// A packet's first use. Its Data stays nil until AllocateData:
+		// a checkpoint tells a nil payload from an empty one.
+		s.pool = pl
+		s.slot = s
+		s.senderState = s.stack[:0]
 	}
-	p := pl.free[n-1]
-	pl.free[n-1] = nil
-	pl.free = pl.free[:n-1]
-	p.inPool = false
+	p := &s.Packet
+	p.holders = 1
 	p.ID = pl.mintID()
 	p.Cmd = cmd
 	p.Addr = addr
@@ -200,57 +229,50 @@ func (pl *PacketPool) Get(cmd Cmd, addr uint64, size int) *Packet {
 	return p
 }
 
-// NewWrite allocates an unpooled write packet (the slice is not copied) with
-// an ID minted from the pool's space, so a component's writes draw from the
-// same deterministic ID sequence as its pooled reads.
-//
-// The packet comes in one allocation with room for two sender states — the
-// issuing bridge's and one crossbar's — because, unlike a pooled read, it has
-// no recycled stack to push onto and would otherwise grow one twice.
-func (pl *PacketPool) NewWrite(addr uint64, data []byte) *Packet {
-	w := &writePacket{Packet: Packet{ID: pl.mintID(), Cmd: WriteReq, Addr: addr, Size: len(data), Data: data}}
-	w.senderState = w.stack[:0]
-	return &w.Packet
-}
-
-// writePacket is NewWrite's allocation: a Packet and its sender-state stack's
-// first backing array. Only these packets carry the extra words.
-type writePacket struct {
-	Packet
-	stack [2]any
-}
-
 // GetRead is shorthand for Get(ReadReq, addr, size).
 func (pl *PacketPool) GetRead(addr uint64, size int) *Packet {
 	return pl.Get(ReadReq, addr, size)
 }
 
-// Release returns a pooled packet to its freelist; it is a no-op for packets
-// not obtained from a PacketPool (NewPacket, LoadPacket), so termini can call
-// it unconditionally. Only the current owner may release, and the packet must
-// not be referenced afterwards: its ID, command and payload are reused by a
-// future Get. Releasing twice panics — that always indicates an ownership
-// bug. A packet whose pointer was captured by a checkpoint writer has already
-// been serialised by value, so releasing it afterwards is safe.
+// Release gives up the caller's hold on a pooled packet; the last holder's
+// Release returns it to its pool. It is a no-op for packets not obtained
+// from a PacketPool (NewPacket, LoadPacket), so holders can call it
+// unconditionally. The caller must not reference the packet afterwards: once
+// it is back in the pool, its ID, command and payload are reused by a future
+// Get. Releasing more often than the packet was held panics — that always
+// indicates an ownership bug. A packet whose pointer was captured by a
+// checkpoint writer has already been serialised by value, so releasing it
+// afterwards is safe.
 func (p *Packet) Release() {
-	if p.pool == nil {
+	s := p.slot
+	if s == nil {
 		return
 	}
-	if p.inPool {
-		panic("port: double Release of pooled packet")
+	if p.holders <= 0 {
+		panic("port: Release of a pooled packet with no holder left")
 	}
-	for i := range p.senderState {
-		p.senderState[i] = nil
+	p.holders--
+	if p.holders > 0 {
+		return
 	}
+	clear(p.senderState)
 	p.senderState = p.senderState[:0]
-	p.inPool = true
-	p.pool.free = append(p.pool.free, p)
+	s.pool.free.Put(s)
 }
 
-// Pooled reports whether the packet came from a PacketPool, and so returns
-// to it on Release: a component that would retain the packet past its
-// response must not accept a pooled one.
-func (p *Packet) Pooled() bool { return p.pool != nil }
+// Retain adds a holder to a pooled packet (see Packet): a component that
+// keeps the packet after handing it on calls it before the hand-off, and
+// Release when it is done with it. A no-op for packets not obtained from a
+// PacketPool.
+func (p *Packet) Retain() {
+	if p.slot == nil {
+		return
+	}
+	if p.holders <= 0 {
+		panic("port: Retain of a released packet")
+	}
+	p.holders++
+}
 
 // looseSpace is the ID space of packets made by NewPacket and its
 // shorthands: packets built by hand outside any system — test rigs,
@@ -336,20 +358,24 @@ func (p *Packet) IsResponse() bool { return p.Cmd.IsResponse() }
 func (p *Packet) NeedsResponse() bool { return p.Cmd.NeedsResponse() }
 
 // AllocateData ensures p.Data has Size bytes of zeroed-or-filled storage
-// (for reads being filled). Pooled packets reuse their recycled capacity,
-// zeroing it so contents are indistinguishable from a fresh allocation;
-// non-pooled packets keep the historical make() behaviour because their Data
-// may alias a caller's buffer that must not be scribbled on.
+// (for reads being filled). Pooled packets reuse their recycled capacity, or
+// the payload buffer they carry, zeroing it so contents are
+// indistinguishable from a fresh allocation; non-pooled packets keep the
+// historical make() behaviour because their Data may alias a caller's buffer
+// that must not be scribbled on.
 func (p *Packet) AllocateData() {
 	if len(p.Data) == p.Size {
 		return
 	}
-	if p.pool != nil && cap(p.Data) >= p.Size {
-		p.Data = p.Data[:p.Size]
-		for i := range p.Data {
-			p.Data[i] = 0
+	if s := p.slot; s != nil {
+		if cap(p.Data) < p.Size && p.Size <= len(s.buf) {
+			p.Data = s.buf[:0]
 		}
-		return
+		if cap(p.Data) >= p.Size {
+			p.Data = p.Data[:p.Size]
+			clear(p.Data)
+			return
+		}
 	}
 	p.Data = make([]byte, p.Size)
 }

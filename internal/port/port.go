@@ -70,14 +70,9 @@ func NewResponsePort(name string, r Responder) *ResponsePort {
 }
 
 // Bind connects a request port to a response port. Both must be unbound.
-// When the package-level Checking flag is set, a protocol Checker is
-// interposed on the link (see BindChecked).
-func Bind(req *RequestPort, resp *ResponsePort) {
-	bindRaw(req, resp)
-	if Checking {
-		attachChecker(req, resp)
-	}
-}
+// When CheckPortsEnv is set, a protocol Checker is interposed on the link
+// (CheckFromEnv.Bind); a system binds with its own choice instead.
+func Bind(req *RequestPort, resp *ResponsePort) { CheckFromEnv.Bind(req, resp) }
 
 // bindRaw links the ports without any checker interposition.
 func bindRaw(req *RequestPort, resp *ResponsePort) {

@@ -318,7 +318,7 @@ func TestPoolsMintFromTheirSpace(t *testing.T) {
 	d.SetIDSpace(3)
 	got := []uint64{
 		a.GetRead(0, 8).ID, c.GetRead(0, 8).ID, b.GetRead(0, 8).ID,
-		a.NewWrite(0, []byte{1}).ID, d.GetRead(0, 8).ID, c.GetRead(0, 8).ID,
+		a.Get(WriteReq, 0, 1).ID, d.GetRead(0, 8).ID, c.GetRead(0, 8).ID,
 	}
 	want := []uint64{1, 1, 2, 3, 3<<IDSpaceShift | 1, 2}
 	for i := range want {

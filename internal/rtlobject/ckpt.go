@@ -180,8 +180,9 @@ func (r *RTLObject) RestoreState(rd *ckpt.Reader) error {
 	n = rd.Len()
 	r.inflight = nil
 	for i := 0; i < n && rd.Err() == nil; i++ {
-		req := LoadMemRequest(rd)
-		r.inflight = append(r.inflight, &memTxn{req: req, issued: sim.Tick(rd.U64()), slot: i})
+		txn := r.txns.Get()
+		*txn = memTxn{req: LoadMemRequest(rd), issued: sim.Tick(rd.U64()), slot: i}
+		r.inflight = append(r.inflight, txn)
 	}
 	n = rd.Len()
 	r.sendQ = nil

@@ -243,15 +243,17 @@ type RTLObject struct {
 	// transactions in no particular order (each knows its slot); the record
 	// itself rides on the packet as sender state, so a response finds it
 	// without a lookup. sendQ drains from sendHead instead of re-slicing so
-	// the backing array is reused; txnFree recycles memTxn records and pool
-	// recycles DMA read packets (write packets stay unpooled: their Data
-	// aliases the wrapper's request buffer, which checkpoints and
-	// posted-write queues may retain).
+	// the backing array is reused; txns recycles memTxn records, pool the
+	// DMA reads and posted the DMA writes, on one ID sequence. The two
+	// packet freelists stay apart because a checkpoint tells a read's
+	// recycled (empty) payload from a fresh (nil) one, so a read is only
+	// ever recycled from an earlier read.
 	inflight []*memTxn
 	sendQ    []MemRequest
 	sendHead int
-	txnFree  []*memTxn
+	txns     sim.Freelist[memTxn]
 	pool     port.PacketPool
+	posted   port.PacketPool
 	blocked  [NumMemPorts]bool
 
 	irqLevel bool
@@ -299,6 +301,7 @@ func New(cfg Config, coreDom *sim.ClockDomain, w Wrapper) *RTLObject {
 		cpuPkts:    map[uint64]*port.Packet{},
 		cpuPktPort: map[uint64]int{},
 	}
+	r.posted.MintFrom(&r.pool)
 	for i := 0; i < NumCPUPorts; i++ {
 		name := fmt.Sprintf("%s.cpu_side[%d]", cfg.Name, i)
 		r.cpuPorts[i] = port.NewResponsePort(name, &cpuSide{r, i})
@@ -528,21 +531,14 @@ func (r *RTLObject) pumpMem() {
 		}
 		var pkt *port.Packet
 		if req.Write {
-			// Unpooled (the packet aliases the wrapper's payload buffer) but
-			// minted from the pool's ID space so reads and writes share one
-			// deterministic per-object sequence.
-			pkt = r.pool.NewWrite(addr, req.Data)
+			pkt = r.posted.Get(port.WriteReq, addr, len(req.Data))
+			pkt.AllocateData()
+			copy(pkt.Data, req.Data)
 		} else {
 			pkt = r.pool.GetRead(addr, req.Size)
 		}
 		pkt.ReqTick = r.q.Now()
-		var txn *memTxn
-		if n := len(r.txnFree); n > 0 {
-			txn = r.txnFree[n-1]
-			r.txnFree = r.txnFree[:n-1]
-		} else {
-			txn = &memTxn{}
-		}
+		txn := r.txns.Get()
 		*txn = memTxn{req: req, issued: r.q.Now(), slot: len(r.inflight)}
 		pkt.PushSenderState(txn)
 		if !r.memPorts[req.Port].SendTimingReq(pkt) {
@@ -670,8 +666,8 @@ func (m *memSide) RecvTimingResp(pkt *port.Packet) bool {
 		resp.Data = r.respData[n:len(r.respData):len(r.respData)]
 	}
 	r.recycleTxn(txn)
-	// The payload has been copied out; recycle the pooled read packet
-	// (no-op for unpooled write packets).
+	// The payload has been copied out: this object's hold on the packet
+	// ends (a write queue may still hold a posted write).
 	pkt.Release()
 	r.pendingResp = append(r.pendingResp, resp)
 	// Retiring a request may unblock the overflow queue immediately.
@@ -705,7 +701,7 @@ func (r *RTLObject) retire(state any) *memTxn {
 // recycleTxn returns a record to the free list, dropping its Data reference.
 func (r *RTLObject) recycleTxn(txn *memTxn) {
 	txn.req = MemRequest{}
-	r.txnFree = append(r.txnFree, txn)
+	r.txns.Put(txn)
 }
 
 func (m *memSide) RecvReqRetry() {

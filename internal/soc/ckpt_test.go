@@ -132,7 +132,7 @@ func cpuSystem(t testing.TB, o soc.Oracles) (*soc.System, *experiments.AXIHost) 
 		t.Fatal(err)
 	}
 	host := experiments.NewAXIHost(s.Queue)
-	port.Bind(host.Port(), s.PMU.CPUPort(0))
+	s.Bind(host.Port(), s.PMU.CPUPort(0))
 	return s, host
 }
 
@@ -296,9 +296,8 @@ func TestCheckpointFingerprintMismatch(t *testing.T) {
 // traffic; an unknown response delivered on system B's L1D link, carrying an
 // ID that A minted before its checkpoint, is still a protocol violation.
 func TestRestoreAdoptsOnlyItsOwnTraffic(t *testing.T) {
-	// Not parallel: port.Checking is read by every Bind.
-	defer func(was bool) { port.Checking = was }(port.Checking)
-	port.Checking = true
+	t.Parallel()
+	checked := soc.Oracles{Ports: port.CheckOn}
 	src := workload.SortBenchmark(workload.SortParams{N: 20, SleepUs: 5})
 	start := func(s *soc.System, host *experiments.AXIHost) {
 		s.PMU.Start()
@@ -309,7 +308,7 @@ func TestRestoreAdoptsOnlyItsOwnTraffic(t *testing.T) {
 		s.Cores[0].OnExit = func(int64) { s.Queue.ExitSimLoop("program exit") }
 		s.StartCores(0)
 	}
-	a, aHost := cpuSystem(t, soc.Oracles{})
+	a, aHost := cpuSystem(t, checked)
 	start(a, aHost)
 	a.Queue.RunUntil(20 * sim.Microsecond)
 	var snap bytes.Buffer
@@ -319,11 +318,11 @@ func TestRestoreAdoptsOnlyItsOwnTraffic(t *testing.T) {
 	if a.Queue.PacketIDs() == 0 {
 		t.Fatal("system A minted no packet IDs before its checkpoint")
 	}
-	b, bHost := cpuSystem(t, soc.Oracles{})
+	b, bHost := cpuSystem(t, checked)
 	start(b, bHost)
 	b.Queue.RunUntil(20 * sim.Microsecond)
 
-	restored, _ := cpuSystem(t, soc.Oracles{})
+	restored, _ := cpuSystem(t, checked)
 	restored.Cores[0].OnExit = func(int64) { restored.Queue.ExitSimLoop("program exit") }
 	if _, err := restored.Restore(bytes.NewReader(snap.Bytes())); err != nil {
 		t.Fatal(err)

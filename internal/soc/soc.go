@@ -106,7 +106,14 @@ type System struct {
 	// doneWindow is the length of the completion window (see windowEnd): the
 	// memory crossbar's latency.
 	doneWindow sim.Tick
+	// ports is the system's protocol-checking choice (Oracles.Ports).
+	ports port.Checking
 }
+
+// Bind connects a request port to a response port of the system — its own
+// links, or an outside agent such as the host that programs the PMU — with
+// or without a protocol checker, as the system was built to choose.
+func (s *System) Bind(req *port.RequestPort, resp *port.ResponsePort) { s.ports.Bind(req, resp) }
 
 // Table 1 cache latencies at 2 GHz (2/9/20 cycles).
 const (
@@ -134,6 +141,9 @@ type Oracles struct {
 	// PerCycle ticks every RTL object on every model edge, applying no
 	// cycle in closed form (rtlobject.Config.PerCycle).
 	PerCycle bool
+	// Ports chooses the protocol checkers on the system's links (System.Bind).
+	// The zero value follows port.CheckPortsEnv; -check-ports sets that.
+	Ports port.Checking
 }
 
 // Build wires a system from the configuration.
@@ -149,7 +159,7 @@ func BuildWithOracles(cfg Config, o Oracles) (*System, error) {
 	if cfg.CoreFreqHz == 0 {
 		cfg.CoreFreqHz = 2_000_000_000
 	}
-	s := &System{Cfg: cfg, Queue: sim.NewEventQueue(), Stats: stats.NewRegistry()}
+	s := &System{Cfg: cfg, Queue: sim.NewEventQueue(), Stats: stats.NewRegistry(), ports: o.Ports}
 	if o.ReferenceQueue {
 		s.Queue = sim.NewReferenceEventQueue()
 	}
@@ -193,9 +203,9 @@ func BuildWithOracles(cfg Config, o Oracles) (*System, error) {
 		Name: "llc", SizeBytes: 16 << 20, Assoc: 16,
 		Latency: llcLatency, MSHRs: 8 * 32,
 	}, s.Queue)
-	port.Bind(s.CPUXbar.DownPort(0), s.LLC.CPUPort())
-	port.Bind(s.LLC.MemPort(), s.MemXbar.FrontPort(0))
-	port.Bind(s.MemXbar.DownPort(0), memPort)
+	s.Bind(s.CPUXbar.DownPort(0), s.LLC.CPUPort())
+	s.Bind(s.LLC.MemPort(), s.MemXbar.FrontPort(0))
+	s.Bind(s.MemXbar.DownPort(0), memPort)
 
 	// Cores and private hierarchies.
 	for i := 0; i < cfg.Cores; i++ {
@@ -216,12 +226,12 @@ func BuildWithOracles(cfg Config, o Oracles) (*System, error) {
 		mux := noc.New(noc.Config{
 			Name: fmt.Sprintf("cpu%d.l2mux", i), Latency: 0, MaxOutstanding: 64,
 		}, s.Queue, 2, 1)
-		port.Bind(core.IPort(), l1i.CPUPort())
-		port.Bind(core.DPort(), l1d.CPUPort())
-		port.Bind(l1i.MemPort(), mux.FrontPort(0))
-		port.Bind(l1d.MemPort(), mux.FrontPort(1))
-		port.Bind(mux.DownPort(0), l2.CPUPort())
-		port.Bind(l2.MemPort(), s.CPUXbar.FrontPort(i))
+		s.Bind(core.IPort(), l1i.CPUPort())
+		s.Bind(core.DPort(), l1d.CPUPort())
+		s.Bind(l1i.MemPort(), mux.FrontPort(0))
+		s.Bind(l1d.MemPort(), mux.FrontPort(1))
+		s.Bind(mux.DownPort(0), l2.CPUPort())
+		s.Bind(l2.MemPort(), s.CPUXbar.FrontPort(i))
 		s.Cores = append(s.Cores, core)
 		s.L1Is = append(s.L1Is, l1i)
 		s.L1Ds = append(s.L1Ds, l1d)
@@ -281,14 +291,14 @@ func BuildWithOracles(cfg Config, o Oracles) (*System, error) {
 			PerCycle:     o.PerCycle,
 		}, s.Clock, w)
 		obj.SetPacketIDSpace(uint64(2 + i))
-		port.Bind(obj.MemPort(nvdla.PortDBBIF), s.MemXbar.FrontPort(1+2*i))
+		s.Bind(obj.MemPort(nvdla.PortDBBIF), s.MemXbar.FrontPort(1+2*i))
 		if cfg.NVDLAScratchpad {
 			spm := mem.NewScratchpad(mem.DefaultScratchpadConfig(
 				fmt.Sprintf("nvdla%d.spm", i)), s.Queue, s.Store)
-			port.Bind(obj.MemPort(nvdla.PortSRAMIF), spm.Port())
+			s.Bind(obj.MemPort(nvdla.PortSRAMIF), spm.Port())
 			s.Scratchpads = append(s.Scratchpads, spm)
 		} else {
-			port.Bind(obj.MemPort(nvdla.PortSRAMIF), s.MemXbar.FrontPort(2+2*i))
+			s.Bind(obj.MemPort(nvdla.PortSRAMIF), s.MemXbar.FrontPort(2+2*i))
 		}
 		s.NVDLAs = append(s.NVDLAs, obj)
 		s.NVDLAWrappers = append(s.NVDLAWrappers, w)
