@@ -1,9 +1,11 @@
 // Command rtlsim is gem5rtl's standalone HDL simulator — the "Verilator /
 // GHDL" entry point of the toolflow. It compiles a Verilog (.v/.sv) or VHDL
 // (.vhd/.vhdl) source file into a cycle-accurate model, optionally drives
-// constant input values, simulates N cycles, and prints the final outputs.
-// With -vcd it writes a waveform file; with -checkpoint/-restore it saves
-// and resumes model state.
+// constant input values, simulates N cycles, and prints the final outputs
+// and how many of the cycles were applied in closed form: with its inputs
+// held, a model often only counts, and such stretches are applied without
+// running them, waveform records included. With -vcd it writes a waveform
+// file; with -checkpoint/-restore it saves and resumes model state.
 //
 // Examples:
 //
@@ -108,9 +110,7 @@ func main() {
 		model.SetInput(name, v)
 	}
 
-	for i := 0; i < *cycles; i++ {
-		model.Tick()
-	}
+	applied := simulate(model, uint64(max(*cycles, 0)))
 	model.Eval()
 
 	fmt.Printf("# %s after %d cycles\n", *top, model.Cycle())
@@ -120,6 +120,7 @@ func main() {
 			fmt.Printf("%-24s = 0x%x (%d)\n", sig.Name, model.Peek(sig.Name), model.Peek(sig.Name))
 		}
 	}
+	fmt.Printf("%d of %d cycles applied in closed form\n", applied, max(*cycles, 0))
 
 	if vcdFile != nil {
 		// The writer buffers: without the flush the file ends at the last
@@ -145,6 +146,23 @@ func main() {
 		}
 		f.Close()
 	}
+}
+
+// simulate runs the model for cycles clock cycles with its inputs held:
+// after each real Tick it asks for the stretch the held inputs leave
+// (rtl.Model.Quiet) and applies as much of it as the run has left in closed
+// form. It returns how many cycles it applied so.
+func simulate(m *rtl.Model, cycles uint64) (applied uint64) {
+	for left := cycles; left > 0; {
+		m.Tick()
+		left--
+		if k := min(m.Quiet(nil), left); k > 0 {
+			m.Advance(k, nil, nil)
+			left -= k
+			applied += k
+		}
+	}
+	return applied
 }
 
 func base(val string) int {

@@ -1,12 +1,18 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
+
+	"gem5rtl/internal/pmu"
+	"gem5rtl/internal/rtl"
+	"gem5rtl/internal/verilog"
+	"gem5rtl/internal/vhdl"
 )
 
 // TestVCDIsComplete is the regression test for the truncated waveform: rtlsim
@@ -95,6 +101,144 @@ func TestVCDIsComplete(t *testing.T) {
 	for name, want := range map[string]uint64{"out_lo": 0x04030201, "out_hi": 0x08070605} {
 		if got, _ := strconv.ParseUint(last[name], 2, 64); got != want {
 			t.Errorf("last value of %s in the waveform is %#x, want %#x", name, got, want)
+		}
+	}
+}
+
+// counterV and counterVHDL are the front-end suites' counters.
+const counterV = `
+module counter (
+    input  wire clk,
+    input  wire rst,
+    input  wire en,
+    output reg [7:0] q
+);
+  always @(posedge clk) begin
+    if (rst)
+      q <= 8'd0;
+    else if (en)
+      q <= q + 8'd1;
+  end
+endmodule
+`
+
+const counterVHDL = `
+library ieee;
+use ieee.std_logic_1164.all;
+use ieee.numeric_std.all;
+
+entity counter is
+  generic ( W : integer := 8 );
+  port (
+    clk : in  std_logic;
+    rst : in  std_logic;
+    en  : in  std_logic;
+    q   : out std_logic_vector(W-1 downto 0)
+  );
+end entity;
+
+architecture rtl of counter is
+  signal count : unsigned(W-1 downto 0) := (others => '0');
+begin
+  q <= std_logic_vector(count);
+  process(clk)
+  begin
+    if rising_edge(clk) then
+      if rst = '1' then
+        count <= (others => '0');
+      elsif en = '1' then
+        count <= count + 1;
+      end if;
+    end if;
+  end process;
+end architecture;
+`
+
+// TestSleepingMatchesPerCycle: rtlsim applies the stretches a model's held
+// inputs leave in closed form. On the committed designs — the bitonic
+// sorter, the PMU (programming its enable register every cycle, so that the
+// cycle counter counts) and the front-end suites' counters — the run must
+// end with the outputs, VCD bytes and checkpoint bytes of the run that ticks
+// every cycle, with and without a waveform.
+func TestSleepingMatchesPerCycle(t *testing.T) {
+	sorter, err := os.ReadFile(filepath.Join("..", "..", "examples", "bitonic-vhdl", "sorter.vhd"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	designs := []struct {
+		name, top, src string
+		vhdl           bool
+		set            map[string]uint64
+		cycles         uint64
+	}{
+		{"sorter", "bitonic8", string(sorter), true, map[string]uint64{"in_lo": 0x01020304, "in_hi": 0x05060708}, 200},
+		{"pmu", "pmu", pmu.VerilogSource(pmu.NumCounters), false,
+			map[string]uint64{"events": 0x3F, "awvalid": 1, "awaddr": pmu.RegEnable, "wdata": 0x3F, "araddr": 4 * pmu.EvCycle}, 5000},
+		{"pmu-reset", "pmu", pmu.VerilogSource(pmu.NumCounters), false, map[string]uint64{"rst": 1, "events": 0x20}, 300},
+		{"counter-v", "counter", counterV, false, map[string]uint64{"en": 1}, 300},
+		{"counter-v-idle", "counter", counterV, false, nil, 300},
+		{"counter-vhdl", "counter", counterVHDL, true, map[string]uint64{"en": 1}, 300},
+	}
+	compile := func(vhdlSrc bool, src, top string) *rtl.Model {
+		var m *rtl.Model
+		var err error
+		if vhdlSrc {
+			m, err = vhdl.Compile(src, top, nil)
+		} else {
+			m, err = verilog.Compile(src, top, nil)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	for _, d := range designs {
+		for _, wave := range []bool{false, true} {
+			var vcd, ckpt [2]bytes.Buffer
+			var models [2]*rtl.Model
+			var applied uint64
+			for i := range models {
+				m := compile(d.vhdl, d.src, d.top)
+				var v *rtl.VCDWriter
+				if wave {
+					v = m.AttachVCD(&vcd[i], 1)
+				}
+				for name, val := range d.set {
+					m.SetInput(name, val)
+				}
+				if i == 0 {
+					applied = simulate(m, d.cycles)
+				} else {
+					for c := uint64(0); c < d.cycles; c++ {
+						m.Tick()
+					}
+				}
+				m.Eval()
+				if v != nil {
+					if err := v.Flush(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := m.SaveCheckpoint(&ckpt[i]); err != nil {
+					t.Fatal(err)
+				}
+				models[i] = m
+			}
+			t.Logf("%s, waveform %v: %d of %d cycles applied in closed form", d.name, wave, applied, d.cycles)
+			for id, sg := range models[0].Circuit().Signals {
+				if a, b := models[0].PeekID(rtl.SigID(id)), models[1].PeekID(rtl.SigID(id)); a != b {
+					t.Errorf("%s, waveform %v: %s = %#x, per-cycle %#x", d.name, wave, sg.Name, a, b)
+				}
+			}
+			if !bytes.Equal(vcd[0].Bytes(), vcd[1].Bytes()) {
+				t.Errorf("%s: VCD of %d bytes, per-cycle %d, not the same", d.name, vcd[0].Len(), vcd[1].Len())
+			}
+			if !bytes.Equal(ckpt[0].Bytes(), ckpt[1].Bytes()) {
+				t.Errorf("%s, waveform %v: checkpoint differs from the per-cycle run's", d.name, wave)
+			}
+			if d.name == "pmu" && applied < d.cycles*9/10 {
+				t.Errorf("pmu: only %d of %d cycles applied in closed form", applied, d.cycles)
+			}
 		}
 	}
 }

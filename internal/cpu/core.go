@@ -69,13 +69,14 @@ type Stats struct {
 	Syscalls    uint64
 }
 
-// IPC returns committed instructions per non-sleep cycle.
+// IPC returns committed instructions per awake cycle. Cycles counts only
+// the cycles the core ticked, so a sleep, which SleepCycles counts, is
+// already outside it.
 func (s *Stats) IPC() float64 {
-	busy := s.Cycles - s.SleepCycles
-	if busy == 0 {
+	if s.Cycles == 0 {
 		return 0
 	}
-	return float64(s.Committed) / float64(busy)
+	return float64(s.Committed) / float64(s.Cycles)
 }
 
 // Core is one timing core.

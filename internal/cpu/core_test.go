@@ -117,6 +117,37 @@ main:
 	}
 }
 
+// TestIPCCountsAwakeCycles: IPC is per cycle the core ticked. Cycles leaves
+// a sleep out already, so a run that sleeps longer than it works must still
+// report an IPC within the issue width, not one of a cycle count that
+// wrapped below zero.
+func TestIPCCountsAwakeCycles(t *testing.T) {
+	r := newRig(t)
+	src := `
+main:
+    li t0, 0
+    li t1, 200
+loop:
+    addi t0, t0, 1
+    blt t0, t1, loop
+    li a7, 1000
+    li a0, 50      ; 50 us
+    ecall
+    li a7, 93
+    li a0, 0
+    ecall
+`
+	r.run(t, src, 10*sim.Millisecond)
+	st := r.core.Stats()
+	if st.SleepCycles <= st.Cycles {
+		t.Fatalf("%d sleep cycles, %d awake: the run must sleep longer than it works", st.SleepCycles, st.Cycles)
+	}
+	// A tight loop commits far more than an instruction in twenty cycles.
+	if ipc, width := st.IPC(), float64(r.core.cfg.IssueWidth); ipc < 0.05 || ipc > width {
+		t.Errorf("IPC %g for %d instructions in %d awake cycles, want it in [0.05, %g]", ipc, st.Committed, st.Cycles, width)
+	}
+}
+
 func TestPrintSyscalls(t *testing.T) {
 	r := newRig(t)
 	src := `

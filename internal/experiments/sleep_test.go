@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
+	"io"
 	"sort"
 	"testing"
 
@@ -143,12 +145,14 @@ func checkMostlyElided(t *testing.T, spec RunSpec, s *soc.System) {
 // pmuSortSystem builds the Table 2 machine — one core, the PMU programmed
 // over AXI with every event line enabled and the threshold on the cycle
 // counter at thresh (0 disables it) — with a small sort benchmark started.
-// oracle builds the per-cycle machine.
-func pmuSortSystem(t *testing.T, thresh uint32, oracle bool) *soc.System {
+// oracle builds the per-cycle machine; a non-nil wave receives the PMU's
+// waveform.
+func pmuSortSystem(t *testing.T, thresh uint32, oracle bool, wave io.Writer) *soc.System {
 	t.Helper()
 	cfg := soc.DefaultConfig()
 	cfg.Cores = 1
 	cfg.WithPMU = true
+	cfg.PMUWaveform, cfg.PMUWaveOut = wave != nil, wave
 	s, err := soc.BuildWithOracles(cfg, soc.Oracles{PerCycle: oracle})
 	if err != nil {
 		t.Fatal(err)
@@ -173,7 +177,7 @@ func pmuSortSystem(t *testing.T, thresh uint32, oracle bool) *soc.System {
 // those gaps.
 func pmuPhases(t *testing.T) (sleeps, mids []sim.Tick) {
 	t.Helper()
-	s := pmuSortSystem(t, 0, true)
+	s := pmuSortSystem(t, 0, true, nil)
 	var first, last sim.Tick
 	var wakes []sim.Tick
 	tap := s.Cores[0].OnCommit
@@ -210,7 +214,7 @@ func pmuPhases(t *testing.T) (sleeps, mids []sim.Tick) {
 // over the run.
 func pmuIRQEdges(t *testing.T, thresh uint32) []sim.Tick {
 	t.Helper()
-	s := pmuSortSystem(t, thresh, true)
+	s := pmuSortSystem(t, thresh, true, nil)
 	var edges []sim.Tick
 	var prev uint64
 	irq := s.PMUWrapper.Model().OutputID("irq")
@@ -239,19 +243,59 @@ func mustStateHash(t *testing.T, s *soc.System) uint64 {
 	return h
 }
 
+// pmuHeldStretches runs the per-cycle machine with its waveform on at the
+// given threshold and returns, for up to four of the stretches a PMU under a
+// waveform may sleep through — from the second of two cycles whose event
+// lines carry nothing but the cycle line, to the next cycle that carries
+// more — the ticks of the stretch's first and last cycle.
+func pmuHeldStretches(t *testing.T, thresh uint32) []sim.Tick {
+	t.Helper()
+	const pmuEdge = sim.Tick(1000)
+	s := pmuSortSystem(t, thresh, true, io.Discard)
+	var bounds []sim.Tick
+	idle := 0
+	events := s.PMUWrapper.Model().InputID("events")
+	s.PMUWrapper.TickHook = func(m *rtl.Model) {
+		now := s.Queue.Now()
+		if m.PeekID(events) != 1<<pmu.EvCycle {
+			if idle >= 2 {
+				bounds = append(bounds, now-pmuEdge)
+			}
+			idle = 0
+			return
+		}
+		if idle++; idle == 2 {
+			bounds = append(bounds, now+pmuEdge)
+		}
+	}
+	s.Queue.RunUntil(sim.MaxTick)
+	var picked []sim.Tick
+	for i := 0; i+1 < len(bounds); i += 2 * ((len(bounds)/2 + 3) / 4) {
+		picked = append(picked, bounds[i], bounds[i+1])
+	}
+	return picked
+}
+
 // TestPMUSleepingMatchesPerCycleAtEverySplit is the split differential for
 // the PMU's closed forms: at three thresholds (0, off: the stretch has no
 // end; 1 000 and 10 000 cycles), split at every save tick of the ladder
 // after each of four offsets — the start of the run and the start of each
 // of the core's three sleeps, where the PMU is asleep — and its first 50 ns
 // after the midpoint of each of the core's four busy phases, where the PMU
-// is asleep with commits folding into its sleep, and at the ticks one PMU edge before and after some of its
-// interrupt edges, the machine whose PMU sleeps serialises to the per-cycle
-// machine's bytes at the split and at exit. A save wakes the PMU, so each
-// split is a separate run.
+// is asleep with commits folding into its sleep, and at the ticks one PMU
+// edge before and after some of its interrupt edges, the machine whose PMU
+// sleeps serialises to the per-cycle machine's bytes at the split and at
+// exit. A save wakes the PMU, so each split is a separate run.
+//
+// With the waveform on, where the PMU sleeps only through held stretches
+// and the taps wake it, the splits also fall on the first and last cycle of
+// some of those stretches, and the sleeping machine must have written the
+// per-cycle machine's VCD bytes at the split and at exit. That half runs at
+// threshold 1 000 alone, whose interrupts cut the most stretches short: a
+// waveform run costs three of the others.
 func TestPMUSleepingMatchesPerCycleAtEverySplit(t *testing.T) {
 	if testing.Short() {
-		t.Skip("3 thresholds x 248 splits")
+		t.Skip("4 thresholds x 248 splits")
 	}
 	t.Parallel()
 	sleeps, mids := pmuPhases(t)
@@ -268,42 +312,82 @@ func TestPMUSleepingMatchesPerCycleAtEverySplit(t *testing.T) {
 			ladder = append(ladder, off+at)
 		}
 	}
-	for _, thresh := range []uint32{0, 1000, 10000} {
-		const pmuEdge = sim.Tick(1000) // the PMU's clock period, 1 GHz
-		splits := append([]sim.Tick(nil), ladder...)
-		for _, at := range pmuIRQEdges(t, thresh) {
-			splits = append(splits, at-pmuEdge, at+pmuEdge)
-		}
-		sort.Slice(splits, func(i, j int) bool { return splits[i] < splits[j] })
-		// The per-cycle machine is never asleep, so saving it changes
-		// nothing: one run hashes it at every split.
-		or := pmuSortSystem(t, thresh, true)
-		want := make([]uint64, len(splits))
-		for i, at := range splits {
-			or.Queue.RunUntil(at)
-			want[i] = mustStateHash(t, or)
-		}
-		or.Queue.RunUntil(sim.MaxTick)
-		wantEnd := mustStateHash(t, or)
-		var elided, ticks uint64
-		for i, at := range splits {
-			s := pmuSortSystem(t, thresh, false)
-			s.Queue.RunUntil(at)
-			if got := mustStateHash(t, s); got != want[i] {
-				t.Errorf("threshold %d, split at %d: state hash %016x, per-cycle %016x", thresh, at, got, want[i])
+	for _, wave := range []bool{false, true} {
+		for _, thresh := range []uint32{0, 1000, 10000} {
+			if wave && thresh != 1000 {
+				continue
 			}
-			s.Queue.RunUntil(sim.MaxTick)
-			if got := mustStateHash(t, s); got != wantEnd {
-				t.Errorf("threshold %d, split at %d: final state hash %016x, per-cycle %016x", thresh, at, got, wantEnd)
+			const pmuEdge = sim.Tick(1000) // the PMU's clock period, 1 GHz
+			splits := append([]sim.Tick(nil), ladder...)
+			for _, at := range pmuIRQEdges(t, thresh) {
+				splits = append(splits, at-pmuEdge, at, at+pmuEdge)
 			}
-			elided += s.Queue.Elided()
-			ticks += s.PMU.Stats().Ticks
-		}
-		t.Logf("threshold %d: %d of %d PMU cycles applied in closed form", thresh, elided, ticks)
-		if elided == 0 {
-			t.Errorf("threshold %d: nothing was elided: the differential compared the oracle with itself", thresh)
+			if wave {
+				splits = append(splits, pmuHeldStretches(t, thresh)...)
+			}
+			sort.Slice(splits, func(i, j int) bool { return splits[i] < splits[j] })
+			// The per-cycle machine is never asleep, so saving it changes
+			// nothing: one run hashes it, and marks its waveform, at every
+			// split.
+			var orVCD bytes.Buffer
+			var orOut io.Writer
+			if wave {
+				orOut = &orVCD
+			}
+			or := pmuSortSystem(t, thresh, true, orOut)
+			want := make([]uint64, len(splits))
+			wantVCD := make([]int, len(splits))
+			for i, at := range splits {
+				or.Queue.RunUntil(at)
+				want[i] = mustStateHash(t, or)
+				wantVCD[i] = flushedVCD(t, or, &orVCD)
+			}
+			or.Queue.RunUntil(sim.MaxTick)
+			wantEnd := mustStateHash(t, or)
+			flushedVCD(t, or, &orVCD)
+			var elided, ticks uint64
+			for i, at := range splits {
+				var vcd bytes.Buffer
+				var out io.Writer
+				if wave {
+					out = &vcd
+				}
+				s := pmuSortSystem(t, thresh, false, out)
+				s.Queue.RunUntil(at)
+				if got := flushedVCD(t, s, &vcd); !bytes.Equal(vcd.Bytes(), orVCD.Bytes()[:wantVCD[i]]) {
+					t.Errorf("waveform, threshold %d, split at %d: %d VCD bytes, per-cycle %d, not the same", thresh, at, got, wantVCD[i])
+				}
+				if got := mustStateHash(t, s); got != want[i] {
+					t.Errorf("waveform %v, threshold %d, split at %d: state hash %016x, per-cycle %016x", wave, thresh, at, got, want[i])
+				}
+				s.Queue.RunUntil(sim.MaxTick)
+				if got := mustStateHash(t, s); got != wantEnd {
+					t.Errorf("waveform %v, threshold %d, split at %d: final state hash %016x, per-cycle %016x", wave, thresh, at, got, wantEnd)
+				}
+				if flushedVCD(t, s, &vcd); !bytes.Equal(vcd.Bytes(), orVCD.Bytes()) {
+					t.Errorf("waveform, threshold %d, split at %d: final VCD %d bytes, per-cycle %d, not the same", thresh, at, vcd.Len(), orVCD.Len())
+				}
+				elided += s.Queue.Elided()
+				ticks += s.PMU.Stats().Ticks
+			}
+			t.Logf("waveform %v, threshold %d: %d of %d PMU cycles applied in closed form", wave, thresh, elided, ticks)
+			if elided == 0 {
+				t.Errorf("waveform %v, threshold %d: nothing was elided: the differential compared the oracle with itself", wave, thresh)
+			}
 		}
 	}
+}
+
+// flushedVCD flushes the PMU waveform of s, if it writes one, into buf and
+// returns the bytes written so far.
+func flushedVCD(t *testing.T, s *soc.System, buf *bytes.Buffer) int {
+	t.Helper()
+	if v := s.PMUWrapper.Model().VCD(); v != nil {
+		if err := v.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return buf.Len()
 }
 
 // TestPMUFaultCampaignMatchesPerCycle: a state flip is a back door into a

@@ -220,7 +220,9 @@ func compiledPMU(nc int) (*rtl.Circuit, *rtlc.Program, error) {
 // carrying any remainder into following cycles). While the RTLObject sleeps
 // the taps do not wake it: each arrival is folded into the cycles before it
 // by that same drain rule, as counts per event line, and Advance hands the
-// counts to the model's closed form.
+// counts to the model's closed form. A waveform is the exception: it records
+// every counter value, so the taps wake the object (see Waveform), and its
+// sleeps are the stretches with every input held.
 type Wrapper struct {
 	model *rtl.Model
 	nc    int
@@ -243,9 +245,15 @@ type Wrapper struct {
 	last           uint64
 
 	// vary names the event lines the taps drive (the commit and miss lines)
-	// to the model's closed form; lastIn carries last to it.
+	// to the model's closed form; lastIn carries last to it. held records
+	// that the stretch last asked for was the one with every input held.
 	vary   [1]rtl.Vary
 	lastIn [1]uint64
+	held   bool
+
+	// idle counts the last ticked cycles, up to two, that drove no commit or
+	// miss line.
+	idle uint8
 
 	// One AXI transaction in flight at a time; extras queue here. The queue
 	// is a request or two deep, so the head is removed by shifting down and
@@ -319,6 +327,7 @@ func (w *Wrapper) Reset() {
 	w.model.SetInputID(w.inRst, 0)
 	w.pendingCommits = 0
 	w.pendingMisses = 0
+	w.idle = 0
 	w.settled()
 	w.axiQ = w.axiQ[:0]
 	w.reading = false
@@ -394,6 +403,11 @@ func (w *Wrapper) Tick(in *rtlobject.Input) *rtlobject.Output {
 	w.drainTo(1)
 	w.model.SetInputID(w.inEvents, w.last)
 	w.settled()
+	if w.last != lines(0, 0) {
+		w.idle = 0
+	} else if w.idle < 2 {
+		w.idle++
+	}
 
 	// Drive at most one AXI transaction per cycle.
 	w.model.SetInputID(w.inAwvalid, 0)
@@ -450,6 +464,15 @@ func (w *Wrapper) Tick(in *rtlobject.Input) *rtlobject.Output {
 	return out
 }
 
+// Waveform reports whether the model is writing an enabled waveform. While it
+// is, the SoC's taps wake the RTLObject before they add an event, instead of
+// having the wrapper fold it into a sleep; enable or disable the writer of a
+// running PMU only after waking its RTLObject.
+func (w *Wrapper) Waveform() bool {
+	v := w.model.VCD()
+	return v != nil && v.Enabled()
+}
+
 // Quiet implements rtlobject.Sleeper. A quiet cycle of the wrapper drives
 // the cycle line, what the commit and miss lines drain, and no AXI
 // transaction; while the wrapper has no AXI work and drove none last cycle,
@@ -458,12 +481,27 @@ func (w *Wrapper) Tick(in *rtlobject.Input) *rtlobject.Output {
 // netlist's own (rtl.Model.Quiet, whose ^uint64(0) is rtlobject.Forever):
 // events arriving through the taps cannot end it. No memory response wakes
 // it: the PMU issues no memory requests.
+//
+// Under a waveform the taps wake the object, so a quiet cycle drives the
+// cycle line alone and the stretch is the one with every input held: the
+// wrapper's quiet cycles only once the last tick drove the cycle line alone
+// too, and the netlist's only once the event register has caught up, two
+// idle cycles after the last event. Until then the wrapper does not ask,
+// which also keeps the analysis off the short gaps between a working core's
+// commits.
 func (w *Wrapper) Quiet() (uint64, rtlobject.InputKind) {
 	if len(w.axiQ) != 0 || w.reading || w.TickHook != nil ||
 		w.model.PeekID(w.inAwvalid) != 0 || w.model.PeekID(w.inArvalid) != 0 {
 		return 0, 0
 	}
-	return w.model.Quiet(w.vary[:]), 0
+	w.held = w.Waveform()
+	if !w.held {
+		return w.model.Quiet(w.vary[:]), 0
+	}
+	if w.idle < 2 || w.pendingCommits != 0 || w.pendingMisses != 0 {
+		return 0, 0
+	}
+	return w.model.Quiet(nil), 0
 }
 
 // Advance implements rtlobject.Sleeper: n quiet cycles of the wrapper are n
@@ -476,9 +514,16 @@ func (w *Wrapper) Advance(n uint64, _ []rtlobject.MemResponse) {
 	if w.at > n {
 		panic(fmt.Sprintf("pmu: an event folded into cycle %d of a %d-cycle advance", w.at, n))
 	}
+	if w.held && (w.at != 0 || w.pendingCommits != 0 || w.pendingMisses != 0) {
+		panic("pmu: an event reached a PMU asleep under a waveform; wake its RTLObject first")
+	}
 	w.drainTo(n)
-	w.lastIn[0] = w.last
-	w.model.Advance(n, w.counts[:bits.OnesCount64(w.vary[0].Bits)], w.lastIn[:])
+	if w.held {
+		w.model.Advance(n, nil, nil)
+	} else {
+		w.lastIn[0] = w.last
+		w.model.Advance(n, w.counts[:bits.OnesCount64(w.vary[0].Bits)], w.lastIn[:])
+	}
 	w.settled()
 }
 

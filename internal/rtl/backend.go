@@ -42,6 +42,12 @@ const (
 //     elided through activity gating (0 for an ungated backend). Skipping
 //     must never change results — it is observable only through this counter
 //     and wall-clock time.
+//   - Changed returns a bitset over the signals, bit i of word i/64 for
+//     signal i, in which every signal whose value changed since its bit was
+//     last cleared — by evaluation, by Advance, by an Invalidate — has its
+//     bit set; a set bit need not mean a change. The caller clears the bits
+//     it has handled. The VCD writer walks it instead of comparing every
+//     signal: the VM's names what it changed, the reference's every signal.
 type Backend interface {
 	// Vals returns the backing signal-value slice (len == number of signals).
 	Vals() []uint64
@@ -53,6 +59,8 @@ type Backend interface {
 	Invalidate()
 	// Skipped counts sequential updates elided by activity gating.
 	Skipped() uint64
+	// Changed is the set of signals that may have changed.
+	Changed() []uint64
 }
 
 // ClosedForm is an optional Backend capability: a backend that can find, in
@@ -60,11 +68,16 @@ type Backend interface {
 // running them. The VM has it (rtlc.VM.Quiet); the reference does not, and
 // is the per-cycle machine tests hold it to.
 //
-//   - Quiet(vary) returns k: with every input held at its current value
-//     except the bits vary names, which may take any value on any cycle, the
-//     next k Ticks change no output and nothing Advance does not reproduce.
-//     k is ^uint64(0) when only an input can end the stretch, 0 when the
-//     backend cannot say. An empty vary is the stretch with every input held.
+//   - Quiet(vary, trace) returns k: with every input held at its current
+//     value except the bits vary names, which may take any value on any
+//     cycle, the next k Ticks change no output and nothing Advance does not
+//     reproduce. k is ^uint64(0) when only an input can end the stretch, 0
+//     when the backend cannot say. An empty vary is the stretch with every
+//     input held. With trace set, k is also 0 unless every signal the
+//     stretch moves is one Drifts can describe, as a waveform must record it.
+//   - Drifts, after a Quiet with trace set, lists in signal-index order the
+//     signals the stretch moves, as they stand at the next cycle Advance
+//     applies.
 //   - Advance(n, counts, last), 1 <= n <= what is left of the last Quiet's k,
 //     has exactly the effect on values, memories and activity state of n such
 //     Ticks, given for each varying bit (in vary's order, each entry's bits
@@ -72,8 +85,16 @@ type Backend interface {
 //     last[i] the value vary[i].In had on the last of them. Any evaluation
 //     (Eval, Tick) or Invalidate ends the stretch.
 type ClosedForm interface {
-	Quiet(vary []Vary) uint64
+	Quiet(vary []Vary, trace bool) uint64
+	Drifts() []Drift
 	Advance(n uint64, counts, last []uint64)
+}
+
+// Drift is one signal a closed-form stretch moves: j cycles into it the
+// signal holds (Base + j·Step) & Mask, a new value every cycle.
+type Drift struct {
+	Sig              SigID
+	Base, Step, Mask uint64
 }
 
 // Vary names the bits of one input that may change from cycle to cycle

@@ -20,6 +20,8 @@ type Model struct {
 
 	backend Backend
 	closed  ClosedForm // backend's capability, nil without it
+	// traced records that the last Quiet was asked for a waveform.
+	traced bool
 
 	inputs  map[string]SigID
 	outputs map[string]SigID
@@ -103,6 +105,10 @@ func MustCompile(c *Circuit) *Model {
 // reference). Skips are a pure performance effect; they never change
 // simulation results.
 func (m *Model) SeqSkips() uint64 { return m.backend.Skipped() }
+
+// Backend returns the evaluator the model runs on, for counters a particular
+// backend keeps (rtlc.VM.Analyses).
+func (m *Model) Backend() Backend { return m.backend }
 
 // levelize orders combinational assignments so every assignment runs after
 // the assignments producing the signals it reads. Registers and inputs are
@@ -321,11 +327,14 @@ func (m *Model) Tick() {
 // current value except the bits vary names, Advance can apply without running
 // them (see ClosedForm): ^uint64(0) when only an input can change the model,
 // 0 when they must run. Call it after a Tick. It answers 0 on a backend
-// without the capability — the reference evaluator — and while an enabled
-// VCD writer is attached, which must see every cycle's values. Each entry of
-// vary names an input and bits within its width.
+// without the capability — the reference evaluator. While an enabled VCD
+// writer is attached the stretch must also be one whose records Advance can
+// write: the writer has recorded every value the model holds, and every
+// signal the stretch moves steps by a constant (ClosedForm.Drifts), which
+// rules out a varying input. Each entry of vary names an input and bits
+// within its width.
 func (m *Model) Quiet(vary []Vary) uint64 {
-	if m.closed == nil || (m.vcd != nil && m.vcd.enabled) {
+	if m.closed == nil {
 		return 0
 	}
 	for _, v := range vary {
@@ -333,18 +342,22 @@ func (m *Model) Quiet(vary []Vary) uint64 {
 			panic(fmt.Sprintf("rtl: %s: Quiet: bits %#x of %q cannot vary", m.c.Name, v.Bits, m.c.Signals[v.In].Name))
 		}
 	}
-	return m.closed.Quiet(vary)
+	m.traced = m.vcd != nil && m.vcd.enabled
+	if m.traced && !m.vcd.synced(m) {
+		return 0
+	}
+	return m.closed.Quiet(vary, m.traced)
 }
 
 // Advance applies n cycles of the stretch the last Quiet reported, as n
-// Ticks would, cycle counter included: counts and last say what the varying
-// input bits did over them (ClosedForm.Advance; both nil when nothing
-// varied), and the inputs are left at their last cycle's values. A VCD
-// writer enabled since that Quiet would miss their dumps, so Advance refuses
-// to run under one.
+// Ticks would, cycle counter and waveform records included: counts and last
+// say what the varying input bits did over them (ClosedForm.Advance; both
+// nil when nothing varied), and the inputs are left at their last cycle's
+// values. A writer enabled since that Quiet starts recording where the
+// stretch ends, as one enabled then would.
 func (m *Model) Advance(n uint64, counts, last []uint64) {
-	if m.vcd != nil && m.vcd.enabled {
-		panic(fmt.Sprintf("rtl: %s: Advance with a VCD writer enabled", m.c.Name))
+	if m.traced && m.vcd.enabled {
+		m.vcd.stretch(m, n, m.closed.Drifts())
 	}
 	m.closed.Advance(n, counts, last)
 	m.cycle += n

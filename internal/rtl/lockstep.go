@@ -1,5 +1,7 @@
 package rtl
 
+import "bytes"
+
 // Lockstep runs a Model beside the reference evaluator of the same circuit:
 // stimulus goes to both, and after every Reset, Eval and Tick every signal
 // and memory word is compared. The front-end test suites drive their models
@@ -9,6 +11,10 @@ package rtl
 type Lockstep struct {
 	m, ref *Model
 	fail   func(format string, args ...any)
+	// vcd holds the two models' waveforms once AttachVCD is called; the
+	// first vcdAt bytes have been compared.
+	vcd   *[2]bytes.Buffer
+	vcdAt int
 }
 
 // NewLockstep builds the reference for m's circuit and compares the two
@@ -98,6 +104,17 @@ func (l *Lockstep) Advance(n uint64, vary []Vary, in [][]uint64) {
 	l.compare("Advance")
 }
 
+// AttachVCD attaches a VCD writer to each model: from then on every
+// comparison also holds the model's waveform to the reference's, byte for
+// byte, and the model's Quiet asks for stretches whose records Advance can
+// write.
+func (l *Lockstep) AttachVCD() {
+	l.vcd = &[2]bytes.Buffer{}
+	l.m.AttachVCD(&l.vcd[0], 1)
+	l.ref.AttachVCD(&l.vcd[1], 1)
+	l.compare("AttachVCD")
+}
+
 // Peek reads a signal of the model under test.
 func (l *Lockstep) Peek(name string) uint64 { return l.m.Peek(name) }
 
@@ -110,6 +127,20 @@ func (l *Lockstep) compare(after string) {
 		if got, want := l.m.vals[i], l.ref.vals[i]; got != want {
 			l.fail("%s: after %s, cycle %d: signal %q = %#x, reference %#x", c.Name, after, l.m.cycle, s.Name, got, want)
 		}
+	}
+	if l.vcd != nil {
+		if err := l.m.vcd.Flush(); err != nil {
+			l.fail("%s: VCD: %v", c.Name, err)
+		}
+		if err := l.ref.vcd.Flush(); err != nil {
+			l.fail("%s: reference VCD: %v", c.Name, err)
+		}
+		got, want := l.vcd[0].Bytes()[min(l.vcdAt, l.vcd[0].Len()):], l.vcd[1].Bytes()[l.vcdAt:]
+		if !bytes.Equal(got, want) {
+			l.fail("%s: after %s, cycle %d: VCD not the reference's after byte %d:\n%.400s\nreference:\n%.400s",
+				c.Name, after, l.m.cycle, l.vcdAt, got, want)
+		}
+		l.vcdAt = l.vcd[1].Len()
 	}
 	for i, mem := range c.Mems {
 		for a, want := range l.ref.mems[i] {

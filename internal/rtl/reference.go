@@ -17,6 +17,9 @@ type reference struct {
 	order []int // indices into c.Combs in levelised order
 	next  []uint64
 	memw  []pendingMemWrite
+	// all is every signal's bit: the reference tracks no changes, so its
+	// change set names every signal and a VCD dump compares them all.
+	all []uint64
 }
 
 // pendingMemWrite is a memory write captured with pre-edge values, applied
@@ -41,12 +44,23 @@ func newReference(c *Circuit, mems [][]uint64) (Backend, error) {
 		order: order,
 		next:  make([]uint64, len(c.Seqs)),
 		memw:  make([]pendingMemWrite, 0, len(c.MemWrites)),
+		all:   make([]uint64, (len(c.Signals)+63)/64),
 	}, nil
 }
 
 func (r *reference) Vals() []uint64  { return r.vals }
 func (r *reference) Invalidate()     {}
 func (r *reference) Skipped() uint64 { return 0 }
+
+func (r *reference) Changed() []uint64 {
+	for i := range r.all {
+		r.all[i] = ^uint64(0)
+	}
+	if n := len(r.c.Signals) & 63; n != 0 {
+		r.all[len(r.all)-1] = 1<<n - 1
+	}
+	return r.all
+}
 
 func (r *reference) Eval() {
 	for _, i := range r.order {

@@ -174,19 +174,68 @@ func (v *VCDWriter) writeBuf() {
 	v.buf = v.buf[:0]
 }
 
-// dump writes changed signals at the current cycle's timestamp.
+// dump writes changed signals at the current cycle's timestamp: those of the
+// backend's change set whose value differs from the last record. It clears
+// the set.
 func (v *VCDWriter) dump(m *Model) {
-	for i := range m.c.Signals {
-		if m.vals[i] == v.last[i] {
-			continue
+	stamped := false
+	set := m.backend.Changed()
+	for w := range set {
+		for ; set[w] != 0; set[w] &= set[w] - 1 {
+			i := w<<6 + bits.TrailingZeros64(set[w])
+			if m.vals[i] == v.last[i] {
+				continue
+			}
+			if !stamped {
+				v.appendTime(m.cycle)
+				stamped = true
+			}
+			v.appendValue(m.c.Signals[i].Width, m.vals[i], v.ids[i])
+			v.last[i] = m.vals[i]
 		}
-		if len(v.buf) == 0 {
-			v.appendTime(m.cycle)
-		}
-		v.appendValue(m.c.Signals[i].Width, m.vals[i], v.ids[i])
-		v.last[i] = m.vals[i]
 	}
-	if len(v.buf) != 0 {
+	if stamped {
 		v.writeBuf()
 	}
+}
+
+// synced reports whether the records written so far end on the values the
+// model holds. A closed-form stretch records only what it moves, so it may
+// start only from a model the writer is in step with: not after an input
+// poke or an Eval the next Tick's dump would have recorded. Bits of the
+// change set whose signals hold their last record are cleared on the way.
+func (v *VCDWriter) synced(m *Model) bool {
+	set := m.backend.Changed()
+	for w := range set {
+		for ; set[w] != 0; set[w] &= set[w] - 1 {
+			if i := w<<6 + bits.TrailingZeros64(set[w]); m.vals[i] != v.last[i] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// stretch writes the records of the next n cycles, a closed-form stretch
+// whose moving signals ds lists: on each cycle its timestamp and, in
+// signal-index order, every signal of ds, each of which takes a new value
+// every cycle — exactly what n dumps would write. Signals ds does not list
+// hold what the writer last recorded (Model.Quiet saw to that). The records
+// leave in blocks, so a long stretch does not grow the buffer.
+func (v *VCDWriter) stretch(m *Model, n uint64, ds []Drift) {
+	if len(ds) == 0 {
+		return
+	}
+	for j := uint64(1); j <= n; j++ {
+		v.appendTime(m.cycle + j)
+		for _, d := range ds {
+			val := (d.Base + j*d.Step) & d.Mask
+			v.appendValue(m.c.Signals[d.Sig].Width, val, v.ids[d.Sig])
+			v.last[d.Sig] = val
+		}
+		if len(v.buf) >= 4096 {
+			v.writeBuf()
+		}
+	}
+	v.writeBuf()
 }

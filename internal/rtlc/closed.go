@@ -223,6 +223,8 @@ type closedForm struct {
 	bad bool
 	// left is how much of the stretch Advance may still apply.
 	left uint64
+	// drifts is the signals a traced stretch moves (rtl.ClosedForm.Drifts).
+	drifts []rtl.Drift
 }
 
 func newClosedForm(p *Program) *closedForm {
@@ -271,16 +273,23 @@ func (v *VM) endStretch() {
 // with every input held at its current value but the bits vary names,
 // Advance can apply in closed form — ^uint64(0) when only an input can move
 // the model, 0 when the analysis cannot tell. It reads the state a Tick left
-// and changes nothing.
-func (v *VM) Quiet(vary []rtl.Vary) uint64 {
+// and changes nothing. With trace set it also lists what a waveform records
+// of the stretch, and answers 0 unless every signal of the cone is held or
+// affine: a varying or counted value has no record to write.
+func (v *VM) Quiet(vary []rtl.Vary, trace bool) uint64 {
 	cf := v.cf
 	if cf == nil {
 		cf = newClosedForm(v.p)
 		v.cf = cf
 	}
+	v.analyses++
 	cf.vary = append(cf.vary[:0], vary...)
 	cf.aff = cf.aff[:0]
+	cf.drifts = cf.drifts[:0]
 	k := v.quiet(cf)
+	if trace && k != 0 && !v.drift(cf) {
+		k = 0
+	}
 	for _, s := range cf.touched {
 		cf.ab[s] = absVal{}
 	}
@@ -289,6 +298,41 @@ func (v *VM) Quiet(vary []rtl.Vary) uint64 {
 	cf.left = k
 	return k
 }
+
+// drift lists the affine signals of the cone in cf.drifts, in signal-index
+// order, and reports whether every other signal of the cone is held. A
+// signal the walk found known holds its current value (the walk rejects any
+// other), so it has no record to write.
+func (v *VM) drift(cf *closedForm) bool {
+	for _, s := range cf.touched {
+		a := cf.ab[s]
+		switch a.kind {
+		case absHeld:
+			continue
+		case absAffine:
+		default:
+			return false
+		}
+		// touched can name a slot twice; insertion keeps the list sorted
+		// and single.
+		d := rtl.Drift{Sig: rtl.SigID(s), Base: a.base, Step: a.step, Mask: a.mask}
+		i := len(cf.drifts)
+		for i > 0 && cf.drifts[i-1].Sig > d.Sig {
+			i--
+		}
+		if i > 0 && cf.drifts[i-1].Sig == d.Sig {
+			continue
+		}
+		cf.drifts = append(cf.drifts, d)
+		copy(cf.drifts[i+1:], cf.drifts[i:])
+		cf.drifts[i] = d
+	}
+	return true
+}
+
+// Drifts implements rtl.ClosedForm: the signals the stretch the last traced
+// Quiet found moves, from the next cycle Advance applies.
+func (v *VM) Drifts() []rtl.Drift { return v.cf.drifts }
 
 func (v *VM) quiet(cf *closedForm) uint64 {
 	p := v.p
@@ -591,6 +635,10 @@ func (v *VM) Advance(n uint64, counts, last []uint64) {
 		}
 	}
 	v.settle()
+	for i := range cf.drifts {
+		d := &cf.drifts[i]
+		d.Base = (d.Base + n*d.Step) & d.Mask
+	}
 }
 
 // absRun evaluates a code segment abstractly.

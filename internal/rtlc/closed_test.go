@@ -26,12 +26,15 @@ func lockstepVM(t testing.TB, c *rtl.Circuit) *rtl.Lockstep {
 // against the reference ticking each cycle. The stretches are what the
 // netlist says they are: up to, not including, the cycle the compare on the
 // selected counter flips, so the interrupt still comes from a real cycle.
+// Both sides write a waveform, and the records of every stretch are the
+// reference's.
 func TestPMUSleepsBetweenThresholds(t *testing.T) {
 	ref, err := pmu.CompileModelEngine(pmu.NumCounters, rtl.EngineReference)
 	if err != nil {
 		t.Fatal(err)
 	}
 	l := lockstepVM(t, ref.Circuit())
+	l.AttachVCD()
 	l.SetInput("rst", 1)
 	l.Tick()
 	l.SetInput("rst", 0)
@@ -180,6 +183,52 @@ module timer (
   end
 endmodule
 `
+
+// TestWaveformStretchStartsInStep: a stretch writes only the records of what
+// it moves, so under a writer it may start only where the waveform has
+// recorded every value the model holds. An input driven and settled with
+// Eval after a Tick is not recorded until the next Tick's dump: Quiet
+// answers 0 there, and after that Tick the stretch writes the reference's
+// bytes — its records in signal order, though the analysis meets the two
+// counters, and the wire that follows one, in another, and the second piece
+// of a stretch applied in two going on where the first ended.
+func TestWaveformStretchStartsInStep(t *testing.T) {
+	m, err := verilog.Compile(`
+module drift (input wire clk, input wire [7:0] a, output wire [7:0] o);
+  reg [7:0] lo;
+  reg [7:0] hi;
+  wire [7:0] w = a + 8'd1;
+  wire [7:0] x = lo + 8'd2;
+  always @(posedge clk) begin
+    hi <= hi + 8'd3;
+    lo <= lo + 8'd5;
+  end
+  assign o = 8'd5;
+endmodule
+`, "drift", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := lockstepVM(t, m.Circuit())
+	l.AttachVCD()
+	l.Tick()
+	l.Tick()
+	l.SetInput("a", 7)
+	l.Eval()
+	if k := l.Quiet(nil); k != 0 {
+		t.Fatalf("Quiet = %d with a settled input the waveform has not recorded, want 0", k)
+	}
+	l.Tick()
+	k := l.Quiet(nil)
+	if k != ^uint64(0) {
+		t.Fatalf("Quiet = %d after the Tick that recorded it, want no end", k)
+	}
+	// One stretch, applied in two pieces, as a settle between two events
+	// does.
+	l.Advance(300, nil, nil)
+	l.Advance(7, nil, nil)
+	l.Tick()
+}
 
 // TestClosedFormOnAnotherNetlist: the same analysis sleeps a timer — a
 // decrementing register, equality and inequality compares — and ends each
@@ -381,6 +430,9 @@ func genCounterCircuit(f *fz) (*rtl.Circuit, error) {
 // driven by a random sequence of ev values, and k itself also by ev at all
 // ones on every cycle, the worst case the horizon is taken on: every signal,
 // memory word and the cycle count after, and every output unchanged during.
+// Each input runs a second time with a VCD writer on both sides, on the
+// stretches with every input held, which are the ones a waveform sleeps
+// through: the records Advance writes must be the reference's bytes.
 func FuzzClosedForm(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{2, 9, 0, 0, 1, 0, 0, 3, 4, 5, 0, 0, 0, 0, 0, 0, 0, 0, 7, 7, 1, 1, 2, 2})
@@ -396,12 +448,15 @@ func FuzzClosedForm(f *testing.F) {
 	f.Add(seed[7:200])
 	f.Add([]byte{3, 1, 1, 1, 9, 255, 5, 1, 1, 0, 8, 2, 9, 0, 3, 0, 4, 1, 1, 0, 2, 0, 5, 3, 2, 2, 4})
 
-	f.Fuzz(func(t *testing.T, data []byte) { checkClosedForm(t, data) })
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkClosedForm(t, data, false)
+		checkClosedForm(t, data, true)
+	})
 }
 
-// checkClosedForm runs one FuzzClosedForm input and returns how many
-// stretches it checked.
-func checkClosedForm(t *testing.T, data []byte) (stretches int) {
+// checkClosedForm runs one FuzzClosedForm input, with VCD writers attached
+// when wave is set, and returns how many stretches it checked.
+func checkClosedForm(t *testing.T, data []byte, wave bool) (stretches int) {
 	fr := &fz{data: data}
 	c, err := genCounterCircuit(fr)
 	if err != nil {
@@ -413,7 +468,7 @@ func checkClosedForm(t *testing.T, data []byte) (stretches int) {
 	}
 	var vary []rtl.Vary
 	for i, sg := range c.Signals {
-		if sg.Name == "ev" {
+		if sg.Name == "ev" && !wave {
 			vary = []rtl.Vary{{In: rtl.SigID(i), Bits: rtl.Mask(sg.Width)}}
 		}
 	}
@@ -422,7 +477,11 @@ func checkClosedForm(t *testing.T, data []byte) (stretches int) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rtl.NewLockstep(m, t.Fatalf)
+		l := rtl.NewLockstep(m, t.Fatalf)
+		if wave {
+			l.AttachVCD()
+		}
+		return l
 	}
 	// evs is a stretch's ev sequence: n values from the byte stream, or all
 	// ones.

@@ -1,6 +1,7 @@
 package rtlc_test
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -182,7 +183,8 @@ func genCircuit(f *fz) (*rtl.Circuit, error) {
 // FuzzEngines is the differential fuzz target: for every generated circuit
 // it runs the reference evaluator, the bytecode VM, and the iterative
 // fixpoint evaluator in lockstep — including under fault-injection bit flips
-// — and requires bit-identical signals, memories, and flip-site reports.
+// — and requires bit-identical signals, memories, flip-site reports and
+// waveforms.
 func FuzzEngines(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
@@ -219,7 +221,14 @@ func FuzzEngines(f *testing.F) {
 				inputs = append(inputs, rtl.SigID(i))
 			}
 		}
+		// Both write a waveform: the VM's dump walks its change set, the
+		// reference's compares every signal.
+		var wr, wb bytes.Buffer
+		vr, vb := mr.AttachVCD(&wr, 1), mb.AttachVCD(&wb, 1)
 		check := func(tag string) {
+			if vr.Flush() != nil || vb.Flush() != nil || !bytes.Equal(wr.Bytes(), wb.Bytes()) {
+				t.Fatalf("%s: VCD differs: reference %d bytes, bytecode %d", tag, wr.Len(), wb.Len())
+			}
 			for i := range c.Signals {
 				if gr, gb := mr.PeekID(rtl.SigID(i)), mb.PeekID(rtl.SigID(i)); gr != gb {
 					t.Fatalf("%s: signal %q: reference %#x bytecode %#x", tag, c.Signals[i].Name, gr, gb)

@@ -42,8 +42,13 @@ type VM struct {
 	evald   []int32
 	memwBuf []memWrite
 
+	// changed is the change set over the signals (rtl.Backend.Changed):
+	// wake marks every signal it is called for, Invalidate all of them.
+	changed []uint64
+
 	skipped  uint64
 	executed uint64
+	analyses uint64
 
 	// cf is the closed-form analysis (closed.go), allocated by the first
 	// Quiet.
@@ -80,6 +85,7 @@ func NewVM(p *Program, mems [][]uint64) (*VM, error) {
 		mems:    mems,
 		active:  make([]uint64, p.NSeg/64),
 		inSnap:  make([]uint64, len(p.Inputs)),
+		changed: make([]uint64, (p.NSig+63)/64),
 		next:    make([]uint64, len(p.Seqs)),
 		evald:   make([]int32, 0, len(p.Seqs)),
 		memwBuf: make([]memWrite, 0, len(p.MemWs)),
@@ -118,7 +124,12 @@ func (v *VM) Invalidate() {
 	wakeAll(v.comb, len(v.p.CombSegs))
 	wakeAll(v.seq, len(v.p.Seqs))
 	wakeAll(v.memw, len(v.mems))
+	wakeAll(v.changed, v.p.NSig)
 }
+
+// Changed implements rtl.Backend: the signals the VM has changed since their
+// bits were last cleared.
+func (v *VM) Changed() []uint64 { return v.changed }
 
 // Skipped reports how many sequential next-state evaluations were elided.
 func (v *VM) Skipped() uint64 { return v.skipped }
@@ -126,6 +137,9 @@ func (v *VM) Skipped() uint64 { return v.skipped }
 // Executed reports how many bytecode instructions have run, over all code
 // segments: the engine's work in units that do not depend on the host.
 func (v *VM) Executed() uint64 { return v.executed }
+
+// Analyses reports how many times Quiet has run the closed-form analysis.
+func (v *VM) Analyses() uint64 { return v.analyses }
 
 // AttachProfiler implements rtl.PhaseProfiled: Tick sub-attributes its comb
 // settles, sequential captures/commits and memory write-port passes to the
@@ -166,8 +180,10 @@ func (v *VM) run(code []Inst) {
 	v.executed += uint64(len(code))
 }
 
-// wake activates the readers of the bits of signal s that changed.
+// wake records that signal s changed and activates the readers of the bits
+// that did.
 func (v *VM) wake(s uint32, changed uint64) {
+	v.changed[s>>6] |= 1 << (s & 63)
 	for _, f := range v.p.Fanout[s] {
 		if f.Bits&changed != 0 {
 			v.active[f.Seg>>6] |= 1 << (f.Seg & 63)

@@ -1,12 +1,14 @@
 package soc_test
 
 import (
+	"bytes"
 	"io"
 	"testing"
 
 	"gem5rtl/internal/experiments"
 	"gem5rtl/internal/pmu"
 	"gem5rtl/internal/port"
+	"gem5rtl/internal/rtlc"
 	"gem5rtl/internal/sim"
 	"gem5rtl/internal/soc"
 	"gem5rtl/internal/workload"
@@ -51,9 +53,9 @@ func runPMUSort(t *testing.T, n, sleepUs int, edit func(*soc.Config), o soc.Orac
 // miss lines move, which the compiled netlist counts in closed form — at
 // least 90% of its cycles are applied without a tick, with the tick,
 // interrupt and dispatch counts and the final state of the machine ticking
-// every cycle.
-// Where every cycle must be seen (a waveform) or the evaluator has no closed
-// form (the reference), nothing is elided.
+// every cycle. Under a waveform the held stretches are elided and write the
+// per-cycle machine's bytes; where the evaluator has no closed form (the
+// reference), nothing is elided.
 func TestPMUElidesIdleWindows(t *testing.T) {
 	t.Parallel()
 	var hash [2]uint64
@@ -86,15 +88,55 @@ func TestPMUElidesIdleWindows(t *testing.T) {
 		t.Errorf("the per-cycle machine elided %d events", n)
 	}
 
-	wave := runPMUSort(t, 60, 20, func(c *soc.Config) {
-		c.PMUWaveform, c.PMUWaveOut = true, io.Discard
-	}, soc.Oracles{})
-	if n := wave.Queue.Elided(); n != 0 {
-		t.Errorf("with the waveform on, %d events elided", n)
+	var vcd [2]bytes.Buffer
+	for i, oracle := range []bool{false, true} {
+		sys[i] = runPMUSort(t, 60, 20, func(c *soc.Config) {
+			c.PMUWaveform, c.PMUWaveOut = true, &vcd[i]
+		}, soc.Oracles{PerCycle: oracle})
+		if err := sys[i].PMUWrapper.Model().VCD().Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(vcd[0].Bytes(), vcd[1].Bytes()) {
+		t.Errorf("with the waveform on, %d VCD bytes, per-cycle %d, not the same", vcd[0].Len(), vcd[1].Len())
+	}
+	if a, b := sys[0].PMU.Stats(), sys[1].PMU.Stats(); a != b {
+		t.Errorf("with the waveform on, PMU stats:\n sleeping  %+v\n per-cycle %+v", a, b)
+	}
+	if a, b := sys[0].Queue.Dispatched(), sys[1].Queue.Dispatched(); a != b {
+		t.Errorf("with the waveform on, dispatched %d events, per-cycle %d", a, b)
+	}
+	if n := sys[0].Queue.Elided(); n == 0 {
+		t.Errorf("with the waveform on, nothing elided")
+	} else {
+		t.Logf("with the waveform on, %d of %d PMU cycles applied in closed form", n, sys[0].PMU.Stats().Ticks)
 	}
 	ref := runPMUSort(t, 60, 20, nil, soc.Oracles{ReferencePMU: true})
 	if n := ref.Queue.Elided(); n != 0 {
 		t.Errorf("on the reference evaluator, %d events elided", n)
+	}
+}
+
+// TestPMUWaveformAnalysesStayInTheSleeps: under a waveform the PMU asks its
+// netlist for a stretch only after two idle cycles, so on the n = 200 Table 2
+// sort the analysis runs about once per core sleep and interrupt period, not
+// in every short gap between a working core's commits: at most 200 times.
+// The three sleeps still apply their cycles in closed form, 45% of the run
+// or more.
+func TestPMUWaveformAnalysesStayInTheSleeps(t *testing.T) {
+	t.Parallel()
+	s := runPMUSort(t, 200, 100, func(c *soc.Config) {
+		c.PMUWaveform, c.PMUWaveOut = true, io.Discard
+	}, soc.Oracles{})
+	vm := s.PMUWrapper.Model().Backend().(*rtlc.VM)
+	ticks, elided := s.PMU.Stats().Ticks, s.Queue.Elided()
+	t.Logf("%d closed-form analyses; %d of %d PMU cycles applied in closed form (%.1f%%)",
+		vm.Analyses(), elided, ticks, 100*float64(elided)/float64(ticks))
+	if n := vm.Analyses(); n > 200 {
+		t.Errorf("%d closed-form analyses in the waveform run, want at most 200", n)
+	}
+	if elided*100 < ticks*45 {
+		t.Errorf("only %d of %d PMU cycles elided under the waveform, under 45%%", elided, ticks)
 	}
 }
 

@@ -268,13 +268,20 @@ func BuildWithOracles(cfg Config, o Oracles) (*System, error) {
 		// The event taps drive the model's event lines beside the object's
 		// Input. A PMU asleep on its quiet cycles stays asleep: its horizon
 		// holds whatever the lines do, and the wrapper folds each event into
-		// the edge the per-cycle machine would first drive it on.
+		// the edge the per-cycle machine would first drive it on. Under a
+		// waveform, which records every counter value, an event wakes it.
 		s.Cores[0].OnCommit = func(n int) {
 			if n > 0 {
+				if w.Waveform() {
+					obj.Wake()
+				}
 				w.AddCommits(n, obj.Owed())
 			}
 		}
 		s.L1Ds[0].OnMiss = func() {
+			if w.Waveform() {
+				obj.Wake()
+			}
 			w.AddMiss(obj.Owed())
 		}
 	}
