@@ -157,7 +157,7 @@ func simulate(m *rtl.Model, cycles uint64) (applied uint64) {
 		m.Tick()
 		left--
 		if k := min(m.Quiet(nil), left); k > 0 {
-			m.Advance(k, nil, nil)
+			m.Advance(k, nil)
 			left -= k
 			applied += k
 		}

@@ -243,36 +243,60 @@ func mustStateHash(t *testing.T, s *soc.System) uint64 {
 	return h
 }
 
-// pmuHeldStretches runs the per-cycle machine with its waveform on at the
-// given threshold and returns, for up to four of the stretches a PMU under a
-// waveform may sleep through — from the second of two cycles whose event
-// lines carry nothing but the cycle line, to the next cycle that carries
-// more — the ticks of the stretch's first and last cycle.
-func pmuHeldStretches(t *testing.T, thresh uint32) []sim.Tick {
+// pmuFoldedStretches runs the sleeping machine with its waveform on at the
+// given threshold and returns, for up to four of the stretches its PMU
+// sleeps through while the core commits — the taps folding into the sleep —
+// the ticks of the stretch's first and last cycle and of a tap between
+// them. A probe just after every PMU edge finds the edges the PMU owes.
+func pmuFoldedStretches(t *testing.T, thresh uint32) []sim.Tick {
 	t.Helper()
 	const pmuEdge = sim.Tick(1000)
-	s := pmuSortSystem(t, thresh, true, io.Discard)
-	var bounds []sim.Tick
-	idle := 0
-	events := s.PMUWrapper.Model().InputID("events")
-	s.PMUWrapper.TickHook = func(m *rtl.Model) {
-		now := s.Queue.Now()
-		if m.PeekID(events) != 1<<pmu.EvCycle {
-			if idle >= 2 {
-				bounds = append(bounds, now-pmuEdge)
+	s := pmuSortSystem(t, thresh, false, io.Discard)
+	var bounds, taps []sim.Tick // bounds: first and last cycle of each stretch
+	commit := s.Cores[0].OnCommit
+	s.Cores[0].OnCommit = func(n int) {
+		if n > 0 && s.PMU.Owed() > 0 {
+			taps = append(taps, s.Queue.Now())
+		}
+		commit(n)
+	}
+	asleep := false
+	var probe func()
+	probe = func() {
+		edge := s.Queue.Now() - 1
+		if s.PMU.Owed() > 0 {
+			if !asleep {
+				bounds = append(bounds, edge, edge)
 			}
-			idle = 0
-			return
+			bounds[len(bounds)-1] = edge
 		}
-		if idle++; idle == 2 {
-			bounds = append(bounds, now+pmuEdge)
-		}
+		asleep = s.PMU.Owed() > 0
+		s.Queue.ScheduleFunc("probe", edge+pmuEdge+1, probe)
 	}
+	s.Queue.ScheduleFunc("probe", pmuEdge+1, probe)
 	s.Queue.RunUntil(sim.MaxTick)
-	var picked []sim.Tick
-	for i := 0; i+1 < len(bounds); i += 2 * ((len(bounds)/2 + 3) / 4) {
-		picked = append(picked, bounds[i], bounds[i+1])
+	// The stretches with a tap inside, and one of their taps each.
+	var folded []sim.Tick
+	for i, j := 0, 0; i+1 < len(bounds); i += 2 {
+		for j < len(taps) && taps[j] < bounds[i] {
+			j++
+		}
+		if j < len(taps) && taps[j] < bounds[i+1] && bounds[i+1]-bounds[i] > 2*pmuEdge {
+			mid := j
+			for mid+1 < len(taps) && taps[mid+1] < bounds[i]+(bounds[i+1]-bounds[i])/2 {
+				mid++
+			}
+			folded = append(folded, bounds[i], bounds[i+1], taps[mid])
+		}
 	}
+	if len(folded) == 0 {
+		t.Fatalf("threshold %d: no stretch the taps fold into", thresh)
+	}
+	var picked []sim.Tick
+	for i := 0; i < len(folded); i += 3 * ((len(folded)/3 + 3) / 4) {
+		picked = append(picked, folded[i:i+3]...)
+	}
+	t.Logf("threshold %d: %d stretches the taps fold into; split at %v", thresh, len(folded)/3, picked)
 	return picked
 }
 
@@ -287,12 +311,13 @@ func pmuHeldStretches(t *testing.T, thresh uint32) []sim.Tick {
 // sleeps serialises to the per-cycle machine's bytes at the split and at
 // exit. A save wakes the PMU, so each split is a separate run.
 //
-// With the waveform on, where the PMU sleeps only through held stretches
-// and the taps wake it, the splits also fall on the first and last cycle of
-// some of those stretches, and the sleeping machine must have written the
-// per-cycle machine's VCD bytes at the split and at exit. That half runs at
-// threshold 1 000 alone, whose interrupts cut the most stretches short: a
-// waveform run costs three of the others.
+// With the waveform on, where the PMU sleeps as it does without one and its
+// stretches write their records from the taps' log, the splits also fall
+// inside the busy phases' stretches — on the first and last cycle of some
+// of those the taps fold into, and on a tap between them — and the sleeping
+// machine must have written the per-cycle machine's VCD bytes at the split
+// and at exit. That half runs at threshold 1 000 alone, whose interrupts
+// cut the most stretches short: a waveform run costs three of the others.
 func TestPMUSleepingMatchesPerCycleAtEverySplit(t *testing.T) {
 	if testing.Short() {
 		t.Skip("4 thresholds x 248 splits")
@@ -323,7 +348,7 @@ func TestPMUSleepingMatchesPerCycleAtEverySplit(t *testing.T) {
 				splits = append(splits, at-pmuEdge, at, at+pmuEdge)
 			}
 			if wave {
-				splits = append(splits, pmuHeldStretches(t, thresh)...)
+				splits = append(splits, pmuFoldedStretches(t, thresh)...)
 			}
 			sort.Slice(splits, func(i, j int) bool { return splits[i] < splits[j] })
 			// The per-cycle machine is never asleep, so saving it changes

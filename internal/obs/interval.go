@@ -13,8 +13,8 @@ import (
 
 // IntervalRecord is one emitted interval: the boundary time (a simulated
 // tick for IntervalDumper, elapsed host milliseconds for HostIntervalStreamer),
-// a zero-based interval index, and the per-name stat deltas over the
-// interval. Extra carries producer-specific context (e.g. the sweep
+// a zero-based interval index, and each stat over the interval (a counter's
+// change, a ratio of the changes of its totals). Extra carries producer-specific context (e.g. the sweep
 // service's job status snapshot on a progress stream).
 type IntervalRecord struct {
 	Tick     uint64             `json:"tick"`
@@ -24,22 +24,31 @@ type IntervalRecord struct {
 }
 
 // deltaWriter is the sample-and-delta core both interval producers share:
-// it fixes a registry's stat-name set (sorted), remembers the previous
-// sample, and writes one record per call with every stat's change since
-// then, as JSONL or CSV. Records telescope: the per-name column sums equal
-// the change between the first and the last sample exactly.
+// it fixes a registry's stat set (sorted by name), remembers the previous
+// sample, and writes one record per call with every stat over the interval
+// since then, as JSONL or CSV: a counter's change, and a ratio recomputed
+// from the changes of its two totals (stats.Kind). Counter records
+// telescope: the per-name column sums equal the change between the first
+// and the last sample exactly.
 type deltaWriter struct {
 	reg   *stats.Registry
 	w     io.Writer
 	csv   bool
+	vals  []stats.Value
 	names []string
-	prev  []float64
-	n     int
+	// prev is the previous sample: a counter's value, or a ratio's
+	// numerator, at 2i, and a ratio's denominator at 2i+1.
+	prev []float64
+	n    int
 }
 
 // start takes the baseline sample and writes the CSV header.
 func (d *deltaWriter) start() {
-	d.names = d.reg.Names()
+	d.vals = d.reg.SortedValues()
+	d.names = make([]string, len(d.vals))
+	for i, v := range d.vals {
+		d.names[i] = v.Name
+	}
 	d.prev = d.sample()
 	if d.csv {
 		fmt.Fprintf(d.w, "tick,interval,%s\n", strings.Join(d.names, ","))
@@ -47,12 +56,23 @@ func (d *deltaWriter) start() {
 }
 
 func (d *deltaWriter) sample() []float64 {
-	out := make([]float64, len(d.names))
-	for i, name := range d.names {
-		v, _ := d.reg.Get(name)
-		out[i] = v
+	out := make([]float64, 2*len(d.vals))
+	for i, v := range d.vals {
+		if v.Kind == stats.Ratio {
+			out[2*i], out[2*i+1] = v.Num(), v.Den()
+		} else {
+			out[2*i] = v.Get()
+		}
 	}
 	return out
+}
+
+// over is stat i over the interval from sample prev to sample cur.
+func (d *deltaWriter) over(i int, prev, cur []float64) float64 {
+	if d.vals[i].Kind == stats.Ratio {
+		return stats.Div(cur[2*i]-prev[2*i], cur[2*i+1]-prev[2*i+1])
+	}
+	return cur[2*i] - prev[2*i]
 }
 
 // emit writes the record of the interval ending at tick — annotate, when
@@ -67,13 +87,13 @@ func (d *deltaWriter) emit(tick uint64, annotate func(*IntervalRecord)) error {
 		sb.WriteString(strconv.Itoa(d.n))
 		for i := range d.names {
 			sb.WriteByte(',')
-			sb.WriteString(strconv.FormatFloat(cur[i]-d.prev[i], 'g', -1, 64))
+			sb.WriteString(strconv.FormatFloat(d.over(i, d.prev, cur), 'g', -1, 64))
 		}
 		_, err = fmt.Fprintln(d.w, sb.String())
 	} else {
 		deltas := make(map[string]float64, len(d.names))
 		for i, name := range d.names {
-			deltas[name] = cur[i] - d.prev[i]
+			deltas[name] = d.over(i, d.prev, cur)
 		}
 		rec := IntervalRecord{Tick: tick, Interval: d.n, Stats: deltas}
 		if annotate != nil {
@@ -93,9 +113,11 @@ func (d *deltaWriter) emit(tick uint64, annotate func(*IntervalRecord)) error {
 // writes delta records — the per-interval counterpart of the end-of-run
 // Dump, enabling Figure-5-style counter-vs-stats validation per window.
 //
-// Records telescope: every interval's delta is (current - previous), and
-// Close emits the final partial interval, so the per-name column sums of a
-// full run equal the end-of-run totals exactly.
+// Counter records telescope: every interval's delta is (current -
+// previous), and Close emits the final partial interval, so the per-name
+// column sums of a full run equal the end-of-run totals exactly. A ratio
+// (stats.Ratio) is its two totals' interval changes divided, so it reads
+// what the end-of-run value would over that interval alone.
 //
 // The dumper polls the run loop (sim.EventQueue.Poll) rather than scheduling
 // events, so a dumped run is the same machine as a bare one — dispatch

@@ -125,8 +125,9 @@ func (p *LatencyProfile) Register(r *stats.Registry) {
 		base := "obs.lat." + t.name
 		r.Register(base+".samples", "packets measured at "+t.name,
 			func() float64 { return float64(t.hist.Count()) })
-		r.Register(base+".mean", "mean packet latency (ticks) at "+t.name,
-			func() float64 { return t.hist.Mean() })
+		r.RegisterRatio(base+".mean", "mean packet latency (ticks) at "+t.name,
+			func() float64 { return float64(t.hist.Sum()) },
+			func() float64 { return float64(t.hist.Count()) })
 		r.Register(base+".min", "min packet latency (ticks) at "+t.name,
 			func() float64 { return float64(t.hist.Min()) })
 		r.Register(base+".max", "max packet latency (ticks) at "+t.name,

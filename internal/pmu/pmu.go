@@ -22,7 +22,6 @@ package pmu
 
 import (
 	"fmt"
-	"math/bits"
 	"strings"
 	"sync"
 
@@ -219,10 +218,9 @@ func compiledPMU(nc int) (*rtl.Circuit, *rtlc.Program, error) {
 // the event wires (up to four commit lines and one miss line per cycle,
 // carrying any remainder into following cycles). While the RTLObject sleeps
 // the taps do not wake it: each arrival is folded into the cycles before it
-// by that same drain rule, as counts per event line, and Advance hands the
-// counts to the model's closed form. A waveform is the exception: it records
-// every counter value, so the taps wake the object (see Waveform), and its
-// sleeps are the stretches with every input held.
+// by that same drain rule, as runs of the event lines they drive, and
+// Advance hands the log of those runs to the model's closed form, which
+// counts from it and writes the waveform's records from it.
 type Wrapper struct {
 	model *rtl.Model
 	nc    int
@@ -235,25 +233,17 @@ type Wrapper struct {
 
 	// pendingCommits and pendingMisses are the events not yet driven, as of
 	// cycle at of those the wrapper has not yet ticked or advanced through;
-	// at is 0 except while its object sleeps. counts holds, per varying
-	// event line, how many of the cycles before at drove it, and last the
-	// lines cycle at-1 drove.
+	// at is 0 except while its object sleeps. The model has applied the
+	// first done of those cycles, and log holds the event lines each of the
+	// rest drove.
 	pendingCommits int
 	pendingMisses  int
-	at             uint64
-	counts         [EvL1DMiss + 1]uint64
-	last           uint64
+	at, done       uint64
+	log            rtl.Log
 
 	// vary names the event lines the taps drive (the commit and miss lines)
-	// to the model's closed form; lastIn carries last to it. held records
-	// that the stretch last asked for was the one with every input held.
-	vary   [1]rtl.Vary
-	lastIn [1]uint64
-	held   bool
-
-	// idle counts the last ticked cycles, up to two, that drove no commit or
-	// miss line.
-	idle uint8
+	// to the model's closed form.
+	vary [1]rtl.Vary
 
 	// One AXI transaction in flight at a time; extras queue here. The queue
 	// is a request or two deep, so the head is removed by shifting down and
@@ -327,7 +317,6 @@ func (w *Wrapper) Reset() {
 	w.model.SetInputID(w.inRst, 0)
 	w.pendingCommits = 0
 	w.pendingMisses = 0
-	w.idle = 0
 	w.settled()
 	w.axiQ = w.axiQ[:0]
 	w.reading = false
@@ -348,25 +337,50 @@ func (w *Wrapper) AddMiss(edge uint64) {
 	w.pendingMisses++
 }
 
-// drainTo runs the drain rule over the cycles from at to e, in O(1): each
-// drives up to four commit lines and one miss line from what is pending, and
-// carries the rest.
+// drainTo runs the drain rule over the cycles from at to e and logs the
+// event lines they drive, in O(1): each drives up to four commit lines and
+// one miss line from what is pending, and carries the rest, so the lines
+// change only where four commits a cycle leave fewer than four, and where
+// the misses run out.
 func (w *Wrapper) drainTo(e uint64) {
 	if e <= w.at {
 		return
 	}
-	m := e - w.at
 	p, q := uint64(w.pendingCommits), uint64(w.pendingMisses)
-	for b := uint64(0); b < 4; b++ {
-		if p > b {
-			w.counts[EvCommit0+b] += min(m, (p-b+3)/4)
+	for t := w.at; t < e; {
+		run := e - t
+		if p >= 4 {
+			run = min(run, p/4)
+		} else if p > 0 {
+			run = 1
 		}
+		if q > 0 {
+			run = min(run, q)
+		}
+		w.log.Add(run, lines(p, q))
+		p, q = after(p, 4, run), after(q, 1, run)
+		t += run
 	}
-	w.counts[EvL1DMiss] += min(m, q)
-	// The last of the m cycles drives what the m-1 before it left.
-	w.last = lines(after(p, 4, m-1), after(q, 1, m-1))
-	w.pendingCommits, w.pendingMisses = int(after(p, 4, m)), int(after(q, 1, m))
+	w.pendingCommits, w.pendingMisses = int(p), int(q)
 	w.at = e
+	if w.log.Runs() >= maxLogRuns {
+		w.apply()
+	}
+}
+
+// maxLogRuns bounds the log: a sleep through a busy phase applies its
+// cycles to the model whenever the log holds that many runs, so the log's
+// storage stays small and is reused.
+const maxLogRuns = 512
+
+// apply hands the logged cycles to the model: they are past, and their
+// event lines are all known.
+func (w *Wrapper) apply() {
+	if w.at > w.done {
+		w.model.Advance(w.at-w.done, &w.log)
+	}
+	w.done = w.at
+	w.log.Reset()
 }
 
 // after is what is left of p once m cycles have each drained per of it.
@@ -389,7 +403,8 @@ func lines(p, q uint64) uint64 {
 
 // settled forgets the fold: the cycles before at have been applied.
 func (w *Wrapper) settled() {
-	w.at, w.counts = 0, [EvL1DMiss + 1]uint64{}
+	w.at, w.done = 0, 0
+	w.log.Reset()
 }
 
 // Tick implements rtlobject.Wrapper. The returned Output and its slices are
@@ -401,13 +416,8 @@ func (w *Wrapper) Tick(in *rtlobject.Input) *rtlobject.Output {
 
 	// Event wires for this cycle.
 	w.drainTo(1)
-	w.model.SetInputID(w.inEvents, w.last)
+	w.model.SetInputID(w.inEvents, w.log.Last(0))
 	w.settled()
-	if w.last != lines(0, 0) {
-		w.idle = 0
-	} else if w.idle < 2 {
-		w.idle++
-	}
 
 	// Drive at most one AXI transaction per cycle.
 	w.model.SetInputID(w.inAwvalid, 0)
@@ -464,49 +474,25 @@ func (w *Wrapper) Tick(in *rtlobject.Input) *rtlobject.Output {
 	return out
 }
 
-// Waveform reports whether the model is writing an enabled waveform. While it
-// is, the SoC's taps wake the RTLObject before they add an event, instead of
-// having the wrapper fold it into a sleep; enable or disable the writer of a
-// running PMU only after waking its RTLObject.
-func (w *Wrapper) Waveform() bool {
-	v := w.model.VCD()
-	return v != nil && v.Enabled()
-}
-
 // Quiet implements rtlobject.Sleeper. A quiet cycle of the wrapper drives
 // the cycle line, what the commit and miss lines drain, and no AXI
 // transaction; while the wrapper has no AXI work and drove none last cycle,
 // its quiet cycles are the model's with the commit and miss lines free to
 // vary and every other input held, and the horizon is the compiled
 // netlist's own (rtl.Model.Quiet, whose ^uint64(0) is rtlobject.Forever):
-// events arriving through the taps cannot end it. No memory response wakes
-// it: the PMU issues no memory requests.
-//
-// Under a waveform the taps wake the object, so a quiet cycle drives the
-// cycle line alone and the stretch is the one with every input held: the
-// wrapper's quiet cycles only once the last tick drove the cycle line alone
-// too, and the netlist's only once the event register has caught up, two
-// idle cycles after the last event. Until then the wrapper does not ask,
-// which also keeps the analysis off the short gaps between a working core's
-// commits.
+// events arriving through the taps cannot end it, waveform or not. No memory
+// response wakes it: the PMU issues no memory requests.
 func (w *Wrapper) Quiet() (uint64, rtlobject.InputKind) {
 	if len(w.axiQ) != 0 || w.reading || w.TickHook != nil ||
 		w.model.PeekID(w.inAwvalid) != 0 || w.model.PeekID(w.inArvalid) != 0 {
 		return 0, 0
 	}
-	w.held = w.Waveform()
-	if !w.held {
-		return w.model.Quiet(w.vary[:]), 0
-	}
-	if w.idle < 2 || w.pendingCommits != 0 || w.pendingMisses != 0 {
-		return 0, 0
-	}
-	return w.model.Quiet(nil), 0
+	return w.model.Quiet(w.vary[:]), 0
 }
 
 // Advance implements rtlobject.Sleeper: n quiet cycles of the wrapper are n
 // cycles of the model with the event lines the drain rule drove, which the
-// fold has counted.
+// fold has logged.
 func (w *Wrapper) Advance(n uint64, _ []rtlobject.MemResponse) {
 	if w.TickHook != nil {
 		panic("pmu: TickHook set while the PMU was asleep; wake its RTLObject before setting it")
@@ -514,16 +500,8 @@ func (w *Wrapper) Advance(n uint64, _ []rtlobject.MemResponse) {
 	if w.at > n {
 		panic(fmt.Sprintf("pmu: an event folded into cycle %d of a %d-cycle advance", w.at, n))
 	}
-	if w.held && (w.at != 0 || w.pendingCommits != 0 || w.pendingMisses != 0) {
-		panic("pmu: an event reached a PMU asleep under a waveform; wake its RTLObject first")
-	}
 	w.drainTo(n)
-	if w.held {
-		w.model.Advance(n, nil, nil)
-	} else {
-		w.lastIn[0] = w.last
-		w.model.Advance(n, w.counts[:bits.OnesCount64(w.vary[0].Bits)], w.lastIn[:])
-	}
+	w.apply()
 	w.settled()
 }
 

@@ -1,6 +1,7 @@
 package pmu
 
 import (
+	"bytes"
 	"testing"
 
 	"gem5rtl/internal/rtl"
@@ -218,17 +219,54 @@ func TestUnknownAddressReads(t *testing.T) {
 	}
 }
 
+// countingSink is a waveform sink that keeps nothing but the byte count.
+type countingSink struct{ n int64 }
+
+func (c *countingSink) Write(p []byte) (int, error) {
+	c.n += int64(len(p))
+	return len(p), nil
+}
+
+// BenchmarkPMUTick times one busy cycle of the wrapper, programmed as the
+// Table 2 runs program it — every event line enabled, the threshold on the
+// cycle counter — with 0 to 7 commits and, one cycle in eight, a miss
+// arriving each cycle. The waveform variant also writes the model's VCD to a
+// sink that counts its bytes.
 func BenchmarkPMUTick(b *testing.B) {
-	w, err := NewWrapper(NumCounters)
-	if err != nil {
-		b.Fatal(err)
-	}
-	w.Reset()
-	in := &rtlobject.Input{}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w.AddCommits(3, 0)
-		w.Tick(in)
+	for _, wave := range []bool{false, true} {
+		name := "model"
+		if wave {
+			name = "waveform"
+		}
+		b.Run(name, func(b *testing.B) {
+			w := newPMU(b)
+			var sink countingSink
+			if wave {
+				w.Model().AttachVCD(&sink, 1)
+			}
+			axiWrite(w, RegEnable, 0x3F)
+			axiWrite(w, RegThreshSel, EvCycle)
+			axiWrite(w, RegThreshVal, 10000)
+			in := &rtlobject.Input{}
+			rng := uint64(0x9e3779b97f4a7c15)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rng ^= rng << 13
+				rng ^= rng >> 7
+				rng ^= rng << 17
+				w.AddCommits(int(rng%8), 0)
+				if rng>>3%8 == 0 {
+					w.AddMiss(0)
+				}
+				w.Tick(in)
+			}
+			if wave {
+				if err := w.Model().VCD().Flush(); err != nil {
+					b.Fatal(err)
+				}
+				b.ReportMetric(float64(sink.n)/float64(b.N), "vcd-B/op")
+			}
+		})
 	}
 }
 
@@ -272,9 +310,23 @@ func TestTickAllocsPerRun(t *testing.T) {
 // them with Advance; a twin ticks every cycle and takes each in the cycle it
 // arrives in. Both models, and the events still pending, must agree at the
 // end of every stretch — including events that arrive on the stretch's last
-// edge, which the next tick drives.
+// edge, which the next tick drives. The second run writes both waveforms,
+// which must agree byte for byte at the end of every stretch: bursts long
+// enough to fill the log (maxLogRuns) apply part of a stretch before its
+// end.
 func TestTapsFoldIntoASleep(t *testing.T) {
+	for _, wave := range []bool{false, true} {
+		checkTapsFold(t, wave)
+	}
+}
+
+func checkTapsFold(t *testing.T, wave bool) {
 	nap, tick := newPMU(t), newPMU(t)
+	var vcd [2]bytes.Buffer
+	if wave {
+		nap.Model().AttachVCD(&vcd[0], 1)
+		tick.Model().AttachVCD(&vcd[1], 1)
+	}
 	for _, w := range []*Wrapper{nap, tick} {
 		axiWrite(w, RegEnable, 0x3F)
 		axiWrite(w, RegThreshSel, EvCycle)
@@ -291,7 +343,7 @@ func TestTapsFoldIntoASleep(t *testing.T) {
 	type arrival struct {
 		edge, commits uint64 // commits 0: a miss
 	}
-	stretches := 0
+	stretches, longs := 0, 0
 	for cycles := 0; cycles < 20000; {
 		k, _ := nap.Quiet()
 		if k == 0 {
@@ -300,10 +352,16 @@ func TestTapsFoldIntoASleep(t *testing.T) {
 			cycles++
 			continue
 		}
-		n := 1 + rand(min(k, 400))
-		// A burst, a trickle, or nothing: arrivals in edge order.
+		// A burst, a trickle, or nothing: arrivals in edge order. One
+		// stretch in eight that can be is a long burst, an arrival every few
+		// cycles, which fills the log before its end.
+		n, dense := 1+rand(min(k, 400)), rand(3)
+		long := stretches%8 == 7 && k >= 3*maxLogRuns
+		if long {
+			n, dense = 3*maxLogRuns, 8
+		}
 		var arr []arrival
-		for e, dense := uint64(0), rand(3); e <= n && dense > 0; e += 1 + rand(8/dense*4) {
+		for e := uint64(0); e <= n && dense > 0; e += 1 + rand(8/dense*4) {
 			arr = append(arr, arrival{e, rand(9)})
 		}
 		i := 0
@@ -321,6 +379,12 @@ func TestTapsFoldIntoASleep(t *testing.T) {
 				tick.Tick(&rtlobject.Input{})
 			}
 		}
+		if long {
+			if nap.done == 0 {
+				t.Fatalf("stretch %d: a %d-cycle burst did not fill the log", stretches, n)
+			}
+			longs++
+		}
 		nap.Advance(n, nil)
 		stretches++
 		cycles += int(n)
@@ -334,12 +398,22 @@ func TestTapsFoldIntoASleep(t *testing.T) {
 			t.Fatalf("stretch %d: pending %d/%d, ticking %d/%d", stretches,
 				nap.pendingCommits, nap.pendingMisses, tick.pendingCommits, tick.pendingMisses)
 		}
+		if wave {
+			for _, w := range []*Wrapper{nap, tick} {
+				if err := w.Model().VCD().Flush(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !bytes.Equal(vcd[0].Bytes(), vcd[1].Bytes()) {
+				t.Fatalf("stretch %d (%d cycles): %d VCD bytes, ticking %d, not the same", stretches, n, vcd[0].Len(), vcd[1].Len())
+			}
+		}
 		nap.Tick(&rtlobject.Input{})
 		tick.Tick(&rtlobject.Input{})
 		cycles++
 	}
-	t.Logf("%d stretches", stretches)
-	if stretches < 50 {
-		t.Fatalf("only %d stretches", stretches)
+	t.Logf("waveform %v: %d stretches, %d of them long bursts", wave, stretches, longs)
+	if stretches < 50 || longs < 2 {
+		t.Fatalf("waveform %v: only %d stretches, %d long bursts", wave, stretches, longs)
 	}
 }

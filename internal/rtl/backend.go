@@ -1,5 +1,10 @@
 package rtl
 
+import (
+	"fmt"
+	"slices"
+)
+
 // Engine names one of the two evaluators a Circuit can be instantiated on.
 // It is not a user-facing choice — every binary and library entry point runs
 // the bytecode VM — and exists for two readers of pmu.CompileModelEngine and
@@ -74,27 +79,130 @@ type Backend interface {
 //     reproduce. k is ^uint64(0) when only an input can end the stretch, 0
 //     when the backend cannot say. An empty vary is the stretch with every
 //     input held. With trace set, k is also 0 unless every signal the
-//     stretch moves is one Drifts can describe, as a waveform must record it.
-//   - Drifts, after a Quiet with trace set, lists in signal-index order the
-//     signals the stretch moves, as they stand at the next cycle Advance
-//     applies.
-//   - Advance(n, counts, last), 1 <= n <= what is left of the last Quiet's k,
-//     has exactly the effect on values, memories and activity state of n such
-//     Ticks, given for each varying bit (in vary's order, each entry's bits
-//     from the lowest up) the number of the n cycles it was set, and in
-//     last[i] the value vary[i].In had on the last of them. Any evaluation
-//     (Eval, Tick) or Invalidate ends the stretch.
+//     stretch moves has a Move in Plan, as a waveform must record it.
+//   - Plan, after a Quiet with trace set, lists the signals the stretch
+//     moves, ordered by kind and, within a kind, by signal index: the order
+//     a cycle's values are computed in (MoveKind).
+//   - Advance(n, log), 1 <= n <= what is left of the last Quiet's k, has
+//     exactly the effect on values, memories and activity state of n such
+//     Ticks over the inputs log records, one of its cycles per Tick (log is
+//     nil when vary is empty). Any evaluation (Eval, Tick) or Invalidate
+//     ends the stretch.
 type ClosedForm interface {
 	Quiet(vary []Vary, trace bool) uint64
-	Drifts() []Drift
-	Advance(n uint64, counts, last []uint64)
+	Plan() []Move
+	Advance(n uint64, log *Log)
 }
 
-// Drift is one signal a closed-form stretch moves: j cycles into it the
-// signal holds (Base + j·Step) & Mask, a new value every cycle.
-type Drift struct {
-	Sig              SigID
+// MoveKind is how a closed-form stretch moves a signal. The kinds are in the
+// order one cycle's values are computed: a counted register adds what a
+// pipelined register held on the cycle before, every other kind reads the
+// cycle's own values.
+type MoveKind uint8
+
+const (
+	// MoveCounted is a register that adds, every cycle, one for each of its
+	// Terms that is set, mod Mask + 1.
+	MoveCounted MoveKind = iota + 1
+	// MovePipelined is a register whose program reads varying inputs and
+	// known values only: Base | (x >> Sh) & Step, x the varying input Src on
+	// the same cycle.
+	MovePipelined
+	// MoveVarying is a varying input, or a wire computed afresh every cycle:
+	// Base | (x >> Sh) & Step, x what Src holds on the same cycle, a varying
+	// input or a pipelined register.
+	MoveVarying
+	// MoveCopy is a wire that holds the counted register Src, & Mask.
+	MoveCopy
+	// MoveAffine is a signal that adds Step every cycle, mod Mask + 1.
+	MoveAffine
+)
+
+// String names the kind as the analysis does.
+func (k MoveKind) String() string {
+	switch k {
+	case MoveCounted:
+		return "counted"
+	case MovePipelined:
+		return "pipelined"
+	case MoveVarying:
+		return "varying"
+	case MoveCopy:
+		return "copy"
+	case MoveAffine:
+		return "affine"
+	}
+	return fmt.Sprintf("MoveKind(%d)", uint8(k))
+}
+
+// Move is one signal a closed-form stretch moves, and how (MoveKind): from
+// the value it holds when the stretch starts, cycle by cycle.
+type Move struct {
+	Sig, Src         SigID
+	Kind             MoveKind
+	Sh               uint8
 	Base, Step, Mask uint64
+	Terms            []Term
+}
+
+// Term is one bit a counted register adds each cycle: bit Bit of Sig, a
+// varying input on the same cycle or a pipelined register on the cycle
+// before.
+type Term struct {
+	Sig SigID
+	Bit uint8
+}
+
+// Log records what the varying inputs of a closed-form stretch did, one
+// value per Vary entry per cycle, as runs of cycles that held the same
+// values. Bits a Vary entry does not name are ignored. The zero Log is
+// empty; Reset empties it and keeps its storage.
+type Log struct {
+	// Run i is lens[i] cycles on each of which entry k held vals[i*w+k].
+	lens, vals []uint64
+	w          int
+}
+
+// Add appends n cycles on which the varying inputs held vals, one value per
+// Vary entry in order, extending the last run when it held the same.
+func (l *Log) Add(n uint64, vals ...uint64) {
+	if n == 0 {
+		return
+	}
+	if r := len(l.lens); r > 0 && slices.Equal(l.vals[(r-1)*l.w:], vals) {
+		l.lens[r-1] += n
+		return
+	}
+	l.w = len(vals)
+	l.lens = append(l.lens, n)
+	l.vals = append(l.vals, vals...)
+}
+
+// Reset empties the log.
+func (l *Log) Reset() { l.lens, l.vals = l.lens[:0], l.vals[:0] }
+
+// Runs is how many runs the log holds.
+func (l *Log) Runs() int { return len(l.lens) }
+
+// Cycles is how many cycles the log records.
+func (l *Log) Cycles() uint64 {
+	var n uint64
+	for _, r := range l.lens {
+		n += r
+	}
+	return n
+}
+
+// Last is the value entry k held on the last cycle.
+func (l *Log) Last(k int) uint64 { return l.vals[len(l.vals)-l.w+k] }
+
+// Count is how many cycles had bit bit of entry k set.
+func (l *Log) Count(k int, bit uint) uint64 {
+	var n uint64
+	for i, r := range l.lens {
+		n += r * (l.vals[i*l.w+k] >> bit & 1)
+	}
+	return n
 }
 
 // Vary names the bits of one input that may change from cycle to cycle

@@ -20,8 +20,10 @@ type Model struct {
 
 	backend Backend
 	closed  ClosedForm // backend's capability, nil without it
-	// traced records that the last Quiet was asked for a waveform.
+	// traced records that the last Quiet was asked for a waveform, and vary
+	// what it let vary.
 	traced bool
+	vary   []Vary
 
 	inputs  map[string]SigID
 	outputs map[string]SigID
@@ -329,10 +331,10 @@ func (m *Model) Tick() {
 // 0 when they must run. Call it after a Tick. It answers 0 on a backend
 // without the capability — the reference evaluator. While an enabled VCD
 // writer is attached the stretch must also be one whose records Advance can
-// write: the writer has recorded every value the model holds, and every
-// signal the stretch moves steps by a constant (ClosedForm.Drifts), which
-// rules out a varying input. Each entry of vary names an input and bits
-// within its width.
+// write: the writer has recorded every value the model holds, and the
+// stretch moves no signal its plan cannot compute cycle by cycle
+// (ClosedForm.Plan). Each entry of vary names an input and bits within its
+// width.
 func (m *Model) Quiet(vary []Vary) uint64 {
 	if m.closed == nil {
 		return 0
@@ -342,6 +344,7 @@ func (m *Model) Quiet(vary []Vary) uint64 {
 			panic(fmt.Sprintf("rtl: %s: Quiet: bits %#x of %q cannot vary", m.c.Name, v.Bits, m.c.Signals[v.In].Name))
 		}
 	}
+	m.vary = append(m.vary[:0], vary...)
 	m.traced = m.vcd != nil && m.vcd.enabled
 	if m.traced && !m.vcd.synced(m) {
 		return 0
@@ -350,15 +353,18 @@ func (m *Model) Quiet(vary []Vary) uint64 {
 }
 
 // Advance applies n cycles of the stretch the last Quiet reported, as n
-// Ticks would, cycle counter and waveform records included: counts and last
-// say what the varying input bits did over them (ClosedForm.Advance; both
-// nil when nothing varied), and the inputs are left at their last cycle's
-// values. A writer enabled since that Quiet starts recording where the
-// stretch ends, as one enabled then would.
-func (m *Model) Advance(n uint64, counts, last []uint64) {
-	if m.traced && m.vcd.enabled {
-		m.vcd.stretch(m, n, m.closed.Drifts())
+// Ticks would, cycle counter and waveform records included: log says what
+// the varying input bits did on each of them (nil when nothing varied), and
+// the inputs are left at their last cycle's values. A writer enabled since
+// that Quiet starts recording where the stretch ends, as one enabled then
+// would.
+func (m *Model) Advance(n uint64, log *Log) {
+	if len(m.vary) > 0 && (log == nil || log.Cycles() != n) {
+		panic(fmt.Sprintf("rtl: %s: Advance(%d) without a log of its %d cycles", m.c.Name, n, n))
 	}
-	m.closed.Advance(n, counts, last)
+	if m.traced && m.vcd.enabled {
+		m.vcd.stretch(m, n, m.closed.Plan(), log)
+	}
+	m.closed.Advance(n, log)
 	m.cycle += n
 }

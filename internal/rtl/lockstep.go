@@ -66,31 +66,23 @@ func (l *Lockstep) Quiet(vary []Vary) uint64 { return l.m.Quiet(vary) }
 // n real cycles of the reference, then compares the two. The inputs hold,
 // except that on cycle j+1 of the stretch the varying bits of vary[i].In take
 // their value from in[j][i] (in is nil when vary is empty); the model is
-// given the per-bit counts and last values of that sequence. On the way it
-// holds the reference to the rest of the promise: no output changes during
-// the stretch.
+// given the log of that sequence. On the way it holds the reference to the
+// rest of the promise: no output changes during the stretch.
 func (l *Lockstep) Advance(n uint64, vary []Vary, in [][]uint64) {
 	c := l.ref.c
 	held := append([]uint64(nil), l.ref.vals...)
-	var counts, last []uint64
-	for i := range vary {
-		last = append(last, l.ref.vals[vary[i].In])
-		for b := vary[i].Bits; b != 0; b &= b - 1 {
-			counts = append(counts, 0)
-		}
+	var log *Log
+	if len(vary) > 0 {
+		log = &Log{}
 	}
+	vals := make([]uint64, len(vary))
 	for j := uint64(0); j < n; j++ {
-		k := 0
 		for i, v := range vary {
-			val := l.ref.vals[v.In]&^v.Bits | in[j][i]&v.Bits
-			l.ref.SetInputID(v.In, val)
-			last[i] = val
-			for b := v.Bits; b != 0; b &= b - 1 {
-				if val&b&-b != 0 {
-					counts[k]++
-				}
-				k++
-			}
+			vals[i] = l.ref.vals[v.In]&^v.Bits | in[j][i]&v.Bits
+			l.ref.SetInputID(v.In, vals[i])
+		}
+		if log != nil {
+			log.Add(1, vals...)
 		}
 		l.ref.Tick()
 		for id, s := range c.Signals {
@@ -100,7 +92,7 @@ func (l *Lockstep) Advance(n uint64, vary []Vary, in [][]uint64) {
 			}
 		}
 	}
-	l.m.Advance(n, counts, last)
+	l.m.Advance(n, log)
 	l.compare("Advance")
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
+	"slices"
 	"strconv"
 )
 
@@ -24,6 +25,11 @@ type VCDWriter struct {
 	// next: timestamps and values are formatted straight into it, so a
 	// dump allocates nothing.
 	buf []byte
+	// cur and order are a closed-form stretch's scratch: each planned
+	// signal's value on the cycle being written, and the planned signals in
+	// index order.
+	cur   []uint64
+	order []SigID
 }
 
 // AttachVCD connects a VCD writer to the model. period is the number of VCD
@@ -37,6 +43,7 @@ func (m *Model) AttachVCD(w io.Writer, period uint64) *VCDWriter {
 		enabled: true,
 		ids:     make([]string, len(m.c.Signals)),
 		last:    make([]uint64, len(m.c.Signals)),
+		cur:     make([]uint64, len(m.c.Signals)),
 		period:  period,
 	}
 	for i := range m.c.Signals {
@@ -217,21 +224,66 @@ func (v *VCDWriter) synced(m *Model) bool {
 }
 
 // stretch writes the records of the next n cycles, a closed-form stretch
-// whose moving signals ds lists: on each cycle its timestamp and, in
-// signal-index order, every signal of ds, each of which takes a new value
-// every cycle — exactly what n dumps would write. Signals ds does not list
-// hold what the writer last recorded (Model.Quiet saw to that). The records
-// leave in blocks, so a long stretch does not grow the buffer.
-func (v *VCDWriter) stretch(m *Model, n uint64, ds []Drift) {
-	if len(ds) == 0 {
+// whose moving signals plan lists and whose varying inputs log records: on
+// each cycle, the values of the plan computed in its order, then, in
+// signal-index order, every one that differs from its last record, after the
+// timestamp — exactly what n dumps would write. Signals the plan does not
+// list hold what the writer last recorded (Model.Quiet saw to that). The
+// records leave in blocks, so a long stretch does not grow the buffer.
+func (v *VCDWriter) stretch(m *Model, n uint64, plan []Move, log *Log) {
+	if len(plan) == 0 {
 		return
 	}
+	cur := v.cur
+	v.order = v.order[:0]
+	for i := range plan {
+		s := plan[i].Sig
+		cur[s] = m.vals[s]
+		v.order = append(v.order, s)
+	}
+	slices.Sort(v.order)
+	for _, vr := range m.vary {
+		cur[vr.In] = m.vals[vr.In]
+	}
+	run, left := 0, uint64(0)
 	for j := uint64(1); j <= n; j++ {
-		v.appendTime(m.cycle + j)
-		for _, d := range ds {
-			val := (d.Base + j*d.Step) & d.Mask
-			v.appendValue(m.c.Signals[d.Sig].Width, val, v.ids[d.Sig])
-			v.last[d.Sig] = val
+		if len(m.vary) > 0 {
+			for ; left == 0; run++ {
+				left = log.lens[run]
+				for k, vr := range m.vary {
+					cur[vr.In] = cur[vr.In]&^vr.Bits | log.vals[run*log.w+k]&vr.Bits
+				}
+			}
+			left--
+		}
+		for i := range plan {
+			mv := &plan[i]
+			switch mv.Kind {
+			case MoveCounted:
+				x := cur[mv.Sig]
+				for _, t := range mv.Terms {
+					x += cur[t.Sig] >> t.Bit & 1
+				}
+				cur[mv.Sig] = x & mv.Mask
+			case MovePipelined, MoveVarying:
+				cur[mv.Sig] = mv.Base | cur[mv.Src]>>mv.Sh&mv.Step
+			case MoveCopy:
+				cur[mv.Sig] = cur[mv.Src] & mv.Mask
+			case MoveAffine:
+				cur[mv.Sig] = (cur[mv.Sig] + mv.Step) & mv.Mask
+			}
+		}
+		stamped := false
+		for _, s := range v.order {
+			if cur[s] == v.last[s] {
+				continue
+			}
+			if !stamped {
+				v.appendTime(m.cycle + j)
+				stamped = true
+			}
+			v.appendValue(m.c.Signals[s].Width, cur[s], v.ids[s])
+			v.last[s] = cur[s]
 		}
 		if len(v.buf) >= 4096 {
 			v.writeBuf()

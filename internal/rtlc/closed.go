@@ -3,6 +3,7 @@ package rtlc
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"gem5rtl/internal/rtl"
 )
@@ -80,7 +81,8 @@ const (
 	// behind the inputs.
 	absVary
 	// absCount: a counted register as its readers see it: base now, then up
-	// by at most step a cycle, mod mask + 1.
+	// by at most step a cycle, mod mask + 1. src is the register, which a
+	// copy, a mask or a pick carries along.
 	absCount
 	// absSum: a register's next state inside its own program: itself plus
 	// the n terms cf.terms[src:src+n], mod mask + 1.
@@ -180,13 +182,13 @@ type cntReg struct {
 	mask           uint64
 }
 
-// resTerm is a term resolved to the varying input bit behind it: count k of
-// Advance's counts, bit bit of last[in]. A term read through a pipelined
-// register (pipe, bit pbit) lags a cycle: it adds the register's bit on the
-// first cycle and misses the input's on the last.
+// resTerm is a term resolved to the varying input bit behind it: bit bit of
+// vary[in].In. A term read through a pipelined register (pipe, bit pbit)
+// lags a cycle: it adds the register's bit on the first cycle and misses the
+// input's on the last.
 type resTerm struct {
-	k, in, pipe uint32
-	bit, pbit   uint8
+	in, pipe  uint32
+	bit, pbit uint8
 }
 
 // pipeReg is one pipelined register: Advance runs its program, Seqs[seq],
@@ -223,8 +225,10 @@ type closedForm struct {
 	bad bool
 	// left is how much of the stretch Advance may still apply.
 	left uint64
-	// drifts is the signals a traced stretch moves (rtl.ClosedForm.Drifts).
-	drifts []rtl.Drift
+	// plan is the signals a traced stretch moves (rtl.ClosedForm.Plan), and
+	// planTerms its counted registers' terms.
+	plan      []rtl.Move
+	planTerms []rtl.Term
 }
 
 func newClosedForm(p *Program) *closedForm {
@@ -273,9 +277,9 @@ func (v *VM) endStretch() {
 // with every input held at its current value but the bits vary names,
 // Advance can apply in closed form — ^uint64(0) when only an input can move
 // the model, 0 when the analysis cannot tell. It reads the state a Tick left
-// and changes nothing. With trace set it also lists what a waveform records
-// of the stretch, and answers 0 unless every signal of the cone is held or
-// affine: a varying or counted value has no record to write.
+// and changes nothing. With trace set it also plans what a waveform records
+// of the stretch, and answers 0 unless every moving signal of the cone has a
+// source its record can be computed from (see plan).
 func (v *VM) Quiet(vary []rtl.Vary, trace bool) uint64 {
 	cf := v.cf
 	if cf == nil {
@@ -285,9 +289,9 @@ func (v *VM) Quiet(vary []rtl.Vary, trace bool) uint64 {
 	v.analyses++
 	cf.vary = append(cf.vary[:0], vary...)
 	cf.aff = cf.aff[:0]
-	cf.drifts = cf.drifts[:0]
+	cf.plan, cf.planTerms = cf.plan[:0], cf.planTerms[:0]
 	k := v.quiet(cf)
-	if trace && k != 0 && !v.drift(cf) {
+	if trace && k != 0 && !cf.planMoves() {
 		k = 0
 	}
 	for _, s := range cf.touched {
@@ -299,40 +303,84 @@ func (v *VM) Quiet(vary []rtl.Vary, trace bool) uint64 {
 	return k
 }
 
-// drift lists the affine signals of the cone in cf.drifts, in signal-index
-// order, and reports whether every other signal of the cone is held. A
-// signal the walk found known holds its current value (the walk rejects any
-// other), so it has no record to write.
-func (v *VM) drift(cf *closedForm) bool {
+// planMoves lists the moving signals of the cone in cf.plan, by kind and
+// then signal index (rtl.MoveKind), and reports whether each has a source:
+//
+//   - an affine signal has its own last value;
+//   - a varying one, a bit range of a varying input or of a pipelined
+//     register, and a pipelined register a bit range of a varying input;
+//   - a counted register, its terms;
+//   - a copy of a counted register, that register.
+//
+// A signal the walk found known holds its current value (the walk rejects
+// any other), so it has no record to write.
+func (cf *closedForm) planMoves() bool {
 	for _, s := range cf.touched {
 		a := cf.ab[s]
+		mv := rtl.Move{Sig: rtl.SigID(s)}
 		switch a.kind {
-		case absHeld:
+		case absHeld, absKnown:
 			continue
 		case absAffine:
+			mv.Kind, mv.Step, mv.Mask = rtl.MoveAffine, a.step, a.mask
+		case absVary:
+			mv.Kind = rtl.MoveVarying
+			if pr := cf.pipeOf(s); pr != nil {
+				mv.Kind, a = rtl.MovePipelined, pr.res
+			}
+			if a.src == noSrc {
+				return false
+			}
+			mv.Src, mv.Sh, mv.Base, mv.Step = rtl.SigID(a.src), a.sh, a.base, a.step
+		case absCount:
+			if c := cf.cntOf(s); c != nil {
+				mv.Kind, mv.Mask = rtl.MoveCounted, c.mask
+				start := len(cf.planTerms)
+				for _, t := range cf.res[c.start : c.start+c.n] {
+					if t.pipe != noSrc {
+						cf.planTerms = append(cf.planTerms, rtl.Term{Sig: rtl.SigID(t.pipe), Bit: t.pbit})
+					} else {
+						cf.planTerms = append(cf.planTerms, rtl.Term{Sig: cf.vary[t.in].In, Bit: t.bit})
+					}
+				}
+				mv.Terms = cf.planTerms[start:len(cf.planTerms):len(cf.planTerms)]
+			} else {
+				if cf.cntOf(a.src) == nil {
+					return false
+				}
+				mv.Kind, mv.Src, mv.Mask = rtl.MoveCopy, rtl.SigID(a.src), a.mask
+			}
 		default:
 			return false
 		}
-		// touched can name a slot twice; insertion keeps the list sorted
+		// touched can name a slot twice; insertion keeps the plan sorted
 		// and single.
-		d := rtl.Drift{Sig: rtl.SigID(s), Base: a.base, Step: a.step, Mask: a.mask}
-		i := len(cf.drifts)
-		for i > 0 && cf.drifts[i-1].Sig > d.Sig {
+		before := func(x, y *rtl.Move) bool { return x.Kind < y.Kind || x.Kind == y.Kind && x.Sig < y.Sig }
+		i := len(cf.plan)
+		for i > 0 && before(&mv, &cf.plan[i-1]) {
 			i--
 		}
-		if i > 0 && cf.drifts[i-1].Sig == d.Sig {
+		if i > 0 && cf.plan[i-1].Sig == mv.Sig {
 			continue
 		}
-		cf.drifts = append(cf.drifts, d)
-		copy(cf.drifts[i+1:], cf.drifts[i:])
-		cf.drifts[i] = d
+		cf.plan = slices.Insert(cf.plan, i, mv)
 	}
 	return true
 }
 
-// Drifts implements rtl.ClosedForm: the signals the stretch the last traced
-// Quiet found moves, from the next cycle Advance applies.
-func (v *VM) Drifts() []rtl.Drift { return v.cf.drifts }
+// cntOf returns the counted register at slot s.
+func (cf *closedForm) cntOf(s uint32) *cntReg {
+	for i := range cf.cnt {
+		if cf.cnt[i].slot == s {
+			return &cf.cnt[i]
+		}
+	}
+	return nil
+}
+
+// Plan implements rtl.ClosedForm: the signals the stretch the last traced
+// Quiet found moves.
+func (v *VM) Plan() []rtl.Move { return v.cf.plan }
 
 func (v *VM) quiet(cf *closedForm) uint64 {
 	p := v.p
@@ -507,7 +555,7 @@ func (v *VM) absSeq(cf *closedForm, j int) bool {
 	var now absVal
 	switch {
 	case r.kind == absSum && r.n > 0 && r.mask == sq.Mask:
-		now = absVal{kind: absCount, base: cur, step: uint64(r.n), mask: sq.Mask}
+		now = absVal{kind: absCount, src: d, base: cur, step: uint64(r.n), mask: sq.Mask}
 		cf.cnt = append(cf.cnt, cntReg{slot: d, start: r.src, n: r.n, mask: sq.Mask})
 	case r.kind == absVary && !r.late && r.base == cur&^r.step:
 		now = absVal{kind: absVary, late: true, src: d, base: r.base, step: r.step}
@@ -567,28 +615,26 @@ func (cf *closedForm) pipeOf(s uint32) *pipeReg {
 	return nil
 }
 
-// countIndex finds bit bit of input in among the varying bits: its index in
-// Advance's counts and its place in last.
+// countIndex finds bit bit of input in among the varying bits: the Vary
+// entry that names it.
 func (cf *closedForm) countIndex(in uint32, bit uint, rt *resTerm) bool {
-	k := 0
 	for i, vr := range cf.vary {
 		if uint32(vr.In) == in && vr.Bits>>bit&1 == 1 {
-			rt.k = uint32(k + bits.OnesCount64(vr.Bits&(1<<bit-1)))
 			rt.in, rt.bit = uint32(i), uint8(bit)
 			return true
 		}
-		k += bits.OnesCount64(vr.Bits)
 	}
 	return false
 }
 
 // Advance implements rtl.ClosedForm: it applies n cycles of the stretch the
 // last Quiet found, n no more than what is left of it — each affine register
-// takes n steps at once, each counted one its terms' counts, each pipelined
-// one its program's value on the last cycle's inputs, and the logic reading
-// them is settled — leaving the VM as n Ticks over those inputs would have,
-// up to segments woken that will recompute what they hold.
-func (v *VM) Advance(n uint64, counts, last []uint64) {
+// takes n steps at once, each counted one the number of cycles the log had
+// each of its terms set, each pipelined one its program's value on the last
+// cycle's inputs, and the logic reading them is settled — leaving the VM as
+// n Ticks over those inputs would have, up to segments woken that will
+// recompute what they hold.
+func (v *VM) Advance(n uint64, log *rtl.Log) {
 	cf := v.cf
 	if cf == nil || n > cf.left {
 		panic(fmt.Sprintf("rtlc: Advance(%d) beyond the quiet stretch", n))
@@ -603,9 +649,9 @@ func (v *VM) Advance(n uint64, counts, last []uint64) {
 	for _, c := range cf.cnt {
 		sum := v.regs[c.slot]
 		for _, t := range cf.res[c.start : c.start+c.n] {
-			sum += counts[t.k]
+			sum += log.Count(int(t.in), uint(t.bit))
 			if t.pipe != noSrc {
-				sum += v.regs[t.pipe]>>t.pbit&1 - last[t.in]>>t.bit&1
+				sum += v.regs[t.pipe]>>t.pbit&1 - log.Last(int(t.in))>>t.bit&1
 			}
 		}
 		v.regs[c.slot] = sum & c.mask
@@ -616,7 +662,7 @@ func (v *VM) Advance(n uint64, counts, last []uint64) {
 	// register reads another).
 	if len(cf.vary) > 0 {
 		for i, vr := range cf.vary {
-			v.regs[vr.In] = v.regs[vr.In]&^vr.Bits | last[i]&vr.Bits
+			v.regs[vr.In] = v.regs[vr.In]&^vr.Bits | log.Last(i)&vr.Bits
 		}
 		v.scanInputs()
 		v.settle()
@@ -635,10 +681,6 @@ func (v *VM) Advance(n uint64, counts, last []uint64) {
 		}
 	}
 	v.settle()
-	for i := range cf.drifts {
-		d := &cf.drifts[i]
-		d.Base = (d.Base + n*d.Step) & d.Mask
-	}
 }
 
 // absRun evaluates a code segment abstractly.

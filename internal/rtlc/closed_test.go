@@ -82,7 +82,9 @@ func TestPMUSleepsBetweenThresholds(t *testing.T) {
 // case, every line set on every cycle. Each stretch is applied against the
 // reference driven by a random event sequence, and with the threshold on a
 // commit counter also by all lines set, which must reach the interrupt on
-// the cycle after the stretch and not before.
+// the cycle after the stretch and not before. Each threshold runs twice, the
+// second time with a waveform on both sides, whose stretches must write the
+// reference's bytes.
 func TestPMUCountsWhileItSleeps(t *testing.T) {
 	ref, err := pmu.CompileModelEngine(pmu.NumCounters, rtl.EngineReference)
 	if err != nil {
@@ -103,8 +105,12 @@ func TestPMUCountsWhileItSleeps(t *testing.T) {
 		rng ^= rng << 17
 		return rng
 	}
-	for _, sel := range []uint64{pmu.EvCycle, pmu.EvCommit0, pmu.EvL1DMiss} {
+	for i, sel := range []uint64{pmu.EvCycle, pmu.EvCommit0, pmu.EvL1DMiss, pmu.EvCycle, pmu.EvCommit0, pmu.EvL1DMiss} {
+		wave := i >= 3
 		l := lockstepVM(t, c)
+		if wave {
+			l.AttachVCD()
+		}
 		l.SetInput("rst", 1)
 		l.Tick()
 		l.SetInput("rst", 0)
@@ -153,9 +159,9 @@ func TestPMUCountsWhileItSleeps(t *testing.T) {
 				ran++
 			}
 		}
-		t.Logf("threshold on line %d: %d cycles run, %d applied in %d stretches", sel, ran, applied, stretches)
+		t.Logf("threshold on line %d, waveform %v: %d cycles run, %d applied in %d stretches", sel, wave, ran, applied, stretches)
 		if applied*10 < (ran+applied)*9 {
-			t.Errorf("threshold on line %d: only %d of %d cycles applied in closed form", sel, applied, ran+applied)
+			t.Errorf("threshold on line %d, waveform %v: only %d of %d cycles applied in closed form", sel, wave, applied, ran+applied)
 		}
 	}
 }
@@ -183,6 +189,108 @@ module timer (
   end
 endmodule
 `
+
+// TestPMUPlanKinds pins how a traced stretch of the PMU as the Table 2 runs
+// program it — every event line enabled, the threshold on the cycle counter,
+// the commit and miss lines free to vary — moves each signal it moves, as the
+// plan Advance hands the waveform writer says: the event input varies, its
+// register is pipelined, the five counters of the varying lines count
+// through it, the read mux copies the first of them (araddr is held at 0),
+// and the cycle counter and the threshold mux it feeds are affine. Nothing
+// else moves.
+func TestPMUPlanKinds(t *testing.T) {
+	ref, err := pmu.CompileModelEngine(pmu.NumCounters, rtl.EngineReference)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := ref.Circuit()
+	m, err := rtlc.NewModel(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.SetInput("rst", 1)
+	m.Tick()
+	m.SetInput("rst", 0)
+	for _, wr := range [][2]uint64{
+		{pmu.RegEnable, 0x3F}, {pmu.RegThreshSel, pmu.EvCycle}, {pmu.RegThreshVal, 10000},
+	} {
+		m.SetInput("awvalid", 1)
+		m.SetInput("awaddr", wr[0])
+		m.SetInput("wdata", wr[1])
+		m.Tick()
+	}
+	m.SetInput("awvalid", 0)
+	m.SetInput("events", 0x1F|1<<pmu.EvCycle)
+	m.Tick()
+	m.Tick()
+	cf := m.Backend().(rtl.ClosedForm)
+	vary := []rtl.Vary{{In: m.InputID("events"), Bits: 1<<(pmu.EvL1DMiss+1) - 1}}
+	if k := cf.Quiet(vary, true); k == 0 {
+		t.Fatal("traced Quiet = 0 on the programmed PMU")
+	}
+	got := map[string]string{}
+	for _, mv := range cf.Plan() {
+		kind := mv.Kind.String()
+		switch mv.Kind {
+		case rtl.MoveCopy:
+			kind += " of " + c.Signals[mv.Src].Name
+		case rtl.MoveCounted:
+			for _, tm := range mv.Terms {
+				kind += fmt.Sprintf(" %s[%d]", c.Signals[tm.Sig].Name, tm.Bit)
+			}
+		}
+		got[c.Signals[mv.Sig].Name] = kind
+	}
+	want := map[string]string{
+		"events": "varying",
+		"ev_r":   "pipelined",
+		"c0":     "counted ev_r[0]",
+		"c1":     "counted ev_r[1]",
+		"c2":     "counted ev_r[2]",
+		"c3":     "counted ev_r[3]",
+		"c4":     "counted ev_r[4]",
+		"rmux":   "copy of c0",
+		"c5":     "affine",
+		"selcnt": "affine",
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("plan kinds:\n got  %v\n want %v", got, want)
+	}
+}
+
+// TestTracedStretchNeedsASource: a waveform can be written from the plan only
+// where every moving signal's value is computable from a source the plan
+// names. A wire that mixes two bits of a varying input (here their sum) is
+// varying with no single source: the stretch is found without a writer and
+// refused with one, and the ticked cycles then write the reference's bytes.
+func TestTracedStretchNeedsASource(t *testing.T) {
+	m, err := verilog.Compile(`
+module mix (input wire clk, input wire [1:0] ev, output wire [7:0] o);
+  reg [7:0] n;
+  wire [1:0] s = ev[0] + ev[1];
+  always @(posedge clk) n <= n + 8'd1;
+  assign o = 8'd3;
+endmodule
+`, "mix", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vary := []rtl.Vary{{In: m.InputID("ev"), Bits: 3}}
+	m.Tick()
+	if k := m.Quiet(vary); k == 0 {
+		t.Fatal("untraced Quiet = 0: the stretch has no end")
+	}
+	l := lockstepVM(t, m.Circuit())
+	l.AttachVCD()
+	l.Tick()
+	if k := l.Quiet(vary); k != 0 {
+		t.Fatalf("traced Quiet = %d with a sourceless varying wire, want 0", k)
+	}
+	for j := uint64(0); j < 4; j++ {
+		l.SetInput("ev", j)
+		l.Tick()
+	}
+}
 
 // TestWaveformStretchStartsInStep: a stretch writes only the records of what
 // it moves, so under a writer it may start only where the waveform has
@@ -430,9 +538,10 @@ func genCounterCircuit(f *fz) (*rtl.Circuit, error) {
 // driven by a random sequence of ev values, and k itself also by ev at all
 // ones on every cycle, the worst case the horizon is taken on: every signal,
 // memory word and the cycle count after, and every output unchanged during.
-// Each input runs a second time with a VCD writer on both sides, on the
-// stretches with every input held, which are the ones a waveform sleeps
-// through: the records Advance writes must be the reference's bytes.
+// Each input runs a second time with a VCD writer on both sides, with the
+// same inputs free to vary: every traced stretch, counted and pipelined
+// registers included, must write the reference's bytes, over random
+// sequences and over all ones alike.
 func FuzzClosedForm(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{2, 9, 0, 0, 1, 0, 0, 3, 4, 5, 0, 0, 0, 0, 0, 0, 0, 0, 7, 7, 1, 1, 2, 2})
@@ -468,7 +577,7 @@ func checkClosedForm(t *testing.T, data []byte, wave bool) (stretches int) {
 	}
 	var vary []rtl.Vary
 	for i, sg := range c.Signals {
-		if sg.Name == "ev" && !wave {
+		if sg.Name == "ev" {
 			vary = []rtl.Vary{{In: rtl.SigID(i), Bits: rtl.Mask(sg.Width)}}
 		}
 	}

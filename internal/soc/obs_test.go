@@ -3,11 +3,13 @@ package soc_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"gem5rtl/internal/cpu"
 	"gem5rtl/internal/experiments"
 	"gem5rtl/internal/guard"
 	"gem5rtl/internal/obs"
@@ -214,5 +216,62 @@ func TestWatchdogDiagnosticIncludesTraceTail(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "\n    | ") {
 		t.Fatalf("diagnostic has no trace tail:\n%s", err.Error())
+	}
+}
+
+// TestIntervalRatiosStayInRange: the interval dumper writes a ratio over an
+// interval as the ratio of its totals' changes, not as the change of the
+// ratio. On the Table 2 sort over one DRAM channel, whose core sleeps, every
+// interval's ipc lies in [0, IssueWidth] and its rowHitRate in [0, 1], and
+// an interval the core slept through reads 0 instructions per cycle.
+func TestIntervalRatiosStayInRange(t *testing.T) {
+	cfg := soc.DefaultConfig()
+	cfg.Cores, cfg.WithPMU, cfg.Memory = 1, true, "DDR4-1ch"
+	s, err := soc.Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	host := experiments.NewAXIHost(s.Queue)
+	port.Bind(host.Port(), s.PMU.CPUPort(0))
+	s.PMU.Start()
+	host.Write(pmu.RegEnable, 0x3F)
+	if err := s.LoadProgram(0, workload.SortBenchmark(workload.SortParams{N: 40, SleepUs: 30})); err != nil {
+		t.Fatal(err)
+	}
+	s.Cores[0].OnExit = func(int64) { s.Queue.ExitSimLoop("exit") }
+	var buf bytes.Buffer
+	d, err := obs.NewIntervalDumper(s.Queue, s.Stats, &buf, 10*sim.Microsecond, "jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Start()
+	s.StartCores(0)
+	s.Queue.RunUntil(sim.MaxTick)
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	width := float64(cpu.DefaultConfig(0).IssueWidth)
+	asleep := 0
+	for i, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		var rec obs.IntervalRecord
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("record %d: %v", i, err)
+		}
+		ipc, hit := rec.Stats["system.cpu0.ipc"], rec.Stats["system.mem.rowHitRate"]
+		if ipc < 0 || ipc > width {
+			t.Errorf("interval %d: ipc %g outside [0, %g]", i, ipc, width)
+		}
+		if hit < 0 || hit > 1 {
+			t.Errorf("interval %d: rowHitRate %g outside [0, 1]", i, hit)
+		}
+		if rec.Stats["system.cpu0.numCycles"] == 0 {
+			asleep++
+			if ipc != 0 {
+				t.Errorf("interval %d: the core slept through it, and ipc reads %g", i, ipc)
+			}
+		}
+	}
+	if asleep == 0 {
+		t.Errorf("no interval the core slept through")
 	}
 }

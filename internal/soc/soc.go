@@ -268,22 +268,13 @@ func BuildWithOracles(cfg Config, o Oracles) (*System, error) {
 		// The event taps drive the model's event lines beside the object's
 		// Input. A PMU asleep on its quiet cycles stays asleep: its horizon
 		// holds whatever the lines do, and the wrapper folds each event into
-		// the edge the per-cycle machine would first drive it on. Under a
-		// waveform, which records every counter value, an event wakes it.
+		// the edge the per-cycle machine would first drive it on.
 		s.Cores[0].OnCommit = func(n int) {
 			if n > 0 {
-				if w.Waveform() {
-					obj.Wake()
-				}
 				w.AddCommits(n, obj.Owed())
 			}
 		}
-		s.L1Ds[0].OnMiss = func() {
-			if w.Waveform() {
-				obj.Wake()
-			}
-			w.AddMiss(obj.Owed())
-		}
+		s.L1Ds[0].OnMiss = func() { w.AddMiss(obj.Owed()) }
 	}
 
 	// NVDLAs (Figure 2c): CSB on a CPU-side port, DBBIF/SRAMIF on the
@@ -325,64 +316,37 @@ func MustBuild(cfg Config) *System {
 }
 
 func (s *System) registerStats() {
+	reg := s.Stats
 	for i, c := range s.Cores {
-		c := c
 		p := fmt.Sprintf("system.cpu%d.", i)
-		s.Stats.Register(p+"numCycles", "core cycles", func() float64 {
-			st := c.Stats()
-			return float64(st.Cycles)
-		})
-		s.Stats.Register(p+"committedInsts", "committed instructions", func() float64 {
-			st := c.Stats()
-			return float64(st.Committed)
-		})
-		s.Stats.Register(p+"ipc", "instructions per active cycle", func() float64 {
-			st := c.Stats()
-			return st.IPC()
-		})
+		reg.Register(p+"numCycles", "core cycles", func() float64 { return float64(c.Stats().Cycles) })
+		reg.Register(p+"committedInsts", "committed instructions", func() float64 { return float64(c.Stats().Committed) })
+		reg.RegisterRatio(p+"ipc", "instructions per active cycle",
+			func() float64 { return float64(c.Stats().Committed) },
+			func() float64 { return float64(c.Stats().Cycles) })
 	}
 	for i, d := range s.L1Ds {
-		d := d
 		p := fmt.Sprintf("system.cpu%d.dcache.", i)
-		s.Stats.Register(p+"misses", "L1D demand misses", func() float64 {
-			st := d.Stats()
-			return float64(st.Misses)
-		})
-		s.Stats.Register(p+"hits", "L1D hits", func() float64 {
-			st := d.Stats()
-			return float64(st.Hits)
-		})
+		reg.Register(p+"misses", "L1D demand misses", func() float64 { return float64(d.Stats().Misses) })
+		reg.Register(p+"hits", "L1D hits", func() float64 { return float64(d.Stats().Hits) })
 	}
 	llc := s.LLC
-	s.Stats.Register("system.llc.misses", "LLC misses", func() float64 {
-		st := llc.Stats()
-		return float64(st.Misses)
-	})
-	if s.DRAM != nil {
-		d := s.DRAM
-		s.Stats.Register("system.mem.bytesRead", "DRAM bytes read", func() float64 {
-			st := d.Stats()
-			return float64(st.BytesRead)
-		})
-		s.Stats.Register("system.mem.rowHitRate", "DRAM row-buffer hit rate", func() float64 {
-			st := d.Stats()
-			return st.RowHitRate()
-		})
-		s.Stats.Register("system.mem.avgReadLatency", "DRAM mean read latency (ticks)", func() float64 {
-			st := d.Stats()
-			return st.AvgReadLatency()
-		})
+	reg.Register("system.llc.misses", "LLC misses", func() float64 { return float64(llc.Stats().Misses) })
+	if d := s.DRAM; d != nil {
+		reg.Register("system.mem.bytesRead", "DRAM bytes read", func() float64 { return float64(d.Stats().BytesRead) })
+		reg.RegisterRatio("system.mem.rowHitRate", "DRAM row-buffer hit rate",
+			func() float64 { return float64(d.Stats().RowHits) },
+			func() float64 { st := d.Stats(); return float64(st.RowHits + st.RowMisses) })
+		reg.RegisterRatio("system.mem.avgReadLatency", "DRAM mean read latency (ticks)",
+			func() float64 { return float64(d.Stats().TotalRdLat) },
+			func() float64 { return float64(d.Stats().RetiredRds) })
 	}
 	for i, o := range s.NVDLAs {
-		o := o
 		p := fmt.Sprintf("system.nvdla%d.", i)
-		s.Stats.Register(p+"memReads", "accelerator memory reads", func() float64 {
-			return float64(o.Stats().MemReads)
-		})
-		s.Stats.Register(p+"avgMemLatency", "accelerator mean memory latency (ticks)", func() float64 {
-			st := o.Stats()
-			return st.AvgMemLatency()
-		})
+		reg.Register(p+"memReads", "accelerator memory reads", func() float64 { return float64(o.Stats().MemReads) })
+		reg.RegisterRatio(p+"avgMemLatency", "accelerator mean memory latency (ticks)",
+			func() float64 { return float64(o.Stats().TotalMemLat) },
+			func() float64 { return float64(o.Stats().RetiredMem) })
 	}
 }
 

@@ -9,11 +9,25 @@ import (
 	"sort"
 )
 
-// Value is a single named statistic, sampled lazily at dump time.
+// Kind is what a statistic is, which says what it is over an interval.
+type Kind uint8
+
+const (
+	// Counter is a running total: over an interval, its change.
+	Counter Kind = iota
+	// Ratio is one running total over another, Num() / Den() (0 while
+	// Den() is 0): over an interval, the ratio of their changes.
+	Ratio
+)
+
+// Value is a single named statistic, sampled lazily at dump time. A Ratio
+// also carries the two totals Get divides.
 type Value struct {
-	Name string
-	Desc string
-	Get  func() float64
+	Name     string
+	Desc     string
+	Get      func() float64
+	Kind     Kind
+	Num, Den func() float64
 }
 
 // Registry holds the statistics of one simulated system.
@@ -27,14 +41,33 @@ func NewRegistry() *Registry {
 	return &Registry{byName: map[string]int{}}
 }
 
-// Register adds a statistic; duplicate names are rejected with a panic, as
-// they indicate mis-wired components.
+// Register adds a Counter statistic; duplicate names are rejected with a
+// panic, as they indicate mis-wired components.
 func (r *Registry) Register(name, desc string, get func() float64) {
-	if _, dup := r.byName[name]; dup {
-		panic("stats: duplicate statistic " + name)
+	r.add(Value{Name: name, Desc: desc, Get: get})
+}
+
+// RegisterRatio adds a Ratio statistic: num() / den(), 0 while den() is 0.
+func (r *Registry) RegisterRatio(name, desc string, num, den func() float64) {
+	r.add(Value{Name: name, Desc: desc, Kind: Ratio, Num: num, Den: den, Get: func() float64 {
+		return Div(num(), den())
+	}})
+}
+
+func (r *Registry) add(v Value) {
+	if _, dup := r.byName[v.Name]; dup {
+		panic("stats: duplicate statistic " + v.Name)
 	}
-	r.byName[name] = len(r.values)
-	r.values = append(r.values, Value{Name: name, Desc: desc, Get: get})
+	r.byName[v.Name] = len(r.values)
+	r.values = append(r.values, v)
+}
+
+// Div is num / den, 0 when den is 0: a Ratio's value.
+func Div(num, den float64) float64 {
+	if den == 0 {
+		return 0
+	}
+	return num / den
 }
 
 // RegisterCounter registers a uint64 counter by pointer.
