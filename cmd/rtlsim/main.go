@@ -156,7 +156,7 @@ func simulate(m *rtl.Model, cycles uint64) (applied uint64) {
 	for left := cycles; left > 0; {
 		m.Tick()
 		left--
-		if k := min(m.Quiet(nil), left); k > 0 {
+		if k := min(m.Quiet(rtl.Vary{}), left); k > 0 {
 			m.Advance(k, nil)
 			left -= k
 			applied += k

@@ -243,7 +243,7 @@ type Wrapper struct {
 
 	// vary names the event lines the taps drive (the commit and miss lines)
 	// to the model's closed form.
-	vary [1]rtl.Vary
+	vary rtl.Vary
 
 	// One AXI transaction in flight at a time; extras queue here. The queue
 	// is a request or two deep, so the head is removed by shifting down and
@@ -299,7 +299,7 @@ func NewWrapperEngine(nc int, engine rtl.Engine) (*Wrapper, error) {
 	w.outRdata = m.OutputID("rdata")
 	w.outRvalid = m.OutputID("rvalid")
 	w.outIrq = m.OutputID("irq")
-	w.vary[0] = rtl.Vary{In: w.inEvents, Bits: (1<<(EvL1DMiss+1) - 1) & (1<<nc - 1)}
+	w.vary = rtl.Vary{In: w.inEvents, Bits: (1<<(EvL1DMiss+1) - 1) & (1<<nc - 1)}
 	return w, nil
 }
 
@@ -416,7 +416,7 @@ func (w *Wrapper) Tick(in *rtlobject.Input) *rtlobject.Output {
 
 	// Event wires for this cycle.
 	w.drainTo(1)
-	w.model.SetInputID(w.inEvents, w.log.Last(0))
+	w.model.SetInputID(w.inEvents, w.log.Last())
 	w.settled()
 
 	// Drive at most one AXI transaction per cycle.
@@ -487,7 +487,7 @@ func (w *Wrapper) Quiet() (uint64, rtlobject.InputKind) {
 		w.model.PeekID(w.inAwvalid) != 0 || w.model.PeekID(w.inArvalid) != 0 {
 		return 0, 0
 	}
-	return w.model.Quiet(w.vary[:]), 0
+	return w.model.Quiet(w.vary), 0
 }
 
 // Advance implements rtlobject.Sleeper: n quiet cycles of the wrapper are n

@@ -2,7 +2,7 @@ package rtl
 
 import (
 	"fmt"
-	"slices"
+	"math/bits"
 )
 
 // Engine names one of the two evaluators a Circuit can be instantiated on.
@@ -77,7 +77,7 @@ type Backend interface {
 //     value except the bits vary names, which may take any value on any
 //     cycle, the next k Ticks change no output and nothing Advance does not
 //     reproduce. k is ^uint64(0) when only an input can end the stretch, 0
-//     when the backend cannot say. An empty vary is the stretch with every
+//     when the backend cannot say. The zero Vary is the stretch with every
 //     input held. With trace set, k is also 0 unless every signal the
 //     stretch moves has a Move in Plan, as a waveform must record it.
 //   - Plan, after a Quiet with trace set, lists the signals the stretch
@@ -86,10 +86,10 @@ type Backend interface {
 //   - Advance(n, log), 1 <= n <= what is left of the last Quiet's k, has
 //     exactly the effect on values, memories and activity state of n such
 //     Ticks over the inputs log records, one of its cycles per Tick (log is
-//     nil when vary is empty). Any evaluation (Eval, Tick) or Invalidate
+//     nil when nothing varies). Any evaluation (Eval, Tick) or Invalidate
 //     ends the stretch.
 type ClosedForm interface {
-	Quiet(vary []Vary, trace bool) uint64
+	Quiet(vary Vary, trace bool) uint64
 	Plan() []Move
 	Advance(n uint64, log *Log)
 }
@@ -153,29 +153,24 @@ type Term struct {
 	Bit uint8
 }
 
-// Log records what the varying inputs of a closed-form stretch did, one
-// value per Vary entry per cycle, as runs of cycles that held the same
-// values. Bits a Vary entry does not name are ignored. The zero Log is
-// empty; Reset empties it and keeps its storage.
+// Log records what the varying input of a closed-form stretch held on each
+// of its cycles, as runs (value, length) of cycles that held the same value.
+// Bits the Vary does not name are ignored. The zero Log is empty; Reset
+// empties it and keeps its storage.
 type Log struct {
-	// Run i is lens[i] cycles on each of which entry k held vals[i*w+k].
+	// Run i is lens[i] cycles on each of which the input held vals[i].
 	lens, vals []uint64
-	w          int
 }
 
-// Add appends n cycles on which the varying inputs held vals, one value per
-// Vary entry in order, extending the last run when it held the same.
-func (l *Log) Add(n uint64, vals ...uint64) {
-	if n == 0 {
-		return
+// Add appends n cycles on which the input held v, extending the last run
+// when it held the same.
+func (l *Log) Add(n, v uint64) {
+	if r := len(l.vals) - 1; r >= 0 && l.vals[r] == v {
+		l.lens[r] += n
+	} else if n > 0 {
+		l.lens = append(l.lens, n)
+		l.vals = append(l.vals, v)
 	}
-	if r := len(l.lens); r > 0 && slices.Equal(l.vals[(r-1)*l.w:], vals) {
-		l.lens[r-1] += n
-		return
-	}
-	l.w = len(vals)
-	l.lens = append(l.lens, n)
-	l.vals = append(l.vals, vals...)
 }
 
 // Reset empties the log.
@@ -193,20 +188,21 @@ func (l *Log) Cycles() uint64 {
 	return n
 }
 
-// Last is the value entry k held on the last cycle.
-func (l *Log) Last(k int) uint64 { return l.vals[len(l.vals)-l.w+k] }
+// Last is the value the input held on the last cycle.
+func (l *Log) Last() uint64 { return l.vals[len(l.vals)-1] }
 
-// Count is how many cycles had bit bit of entry k set.
-func (l *Log) Count(k int, bit uint) uint64 {
-	var n uint64
+// Counts adds to c[b], for each bit b of mask, how many cycles had bit b
+// set.
+func (l *Log) Counts(mask uint64, c *[64]uint64) {
 	for i, r := range l.lens {
-		n += r * (l.vals[i*l.w+k] >> bit & 1)
+		for v := l.vals[i] & mask; v != 0; v &= v - 1 {
+			c[bits.TrailingZeros64(v)] += r
+		}
 	}
-	return n
 }
 
 // Vary names the bits of one input that may change from cycle to cycle
-// during a closed-form stretch (ClosedForm.Quiet).
+// during a closed-form stretch (ClosedForm.Quiet); the zero Vary names none.
 type Vary struct {
 	In   SigID
 	Bits uint64

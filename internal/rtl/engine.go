@@ -23,7 +23,7 @@ type Model struct {
 	// traced records that the last Quiet was asked for a waveform, and vary
 	// what it let vary.
 	traced bool
-	vary   []Vary
+	vary   Vary
 
 	inputs  map[string]SigID
 	outputs map[string]SigID
@@ -333,18 +333,16 @@ func (m *Model) Tick() {
 // writer is attached the stretch must also be one whose records Advance can
 // write: the writer has recorded every value the model holds, and the
 // stretch moves no signal its plan cannot compute cycle by cycle
-// (ClosedForm.Plan). Each entry of vary names an input and bits within its
-// width.
-func (m *Model) Quiet(vary []Vary) uint64 {
+// (ClosedForm.Plan). vary names an input and bits within its width, or is
+// the zero Vary.
+func (m *Model) Quiet(vary Vary) uint64 {
 	if m.closed == nil {
 		return 0
 	}
-	for _, v := range vary {
-		if m.c.Signals[v.In].Kind != SigInput || v.Bits&^m.masks[v.In] != 0 {
-			panic(fmt.Sprintf("rtl: %s: Quiet: bits %#x of %q cannot vary", m.c.Name, v.Bits, m.c.Signals[v.In].Name))
-		}
+	if vary.Bits != 0 && (m.c.Signals[vary.In].Kind != SigInput || vary.Bits&^m.masks[vary.In] != 0) {
+		panic(fmt.Sprintf("rtl: %s: Quiet: bits %#x of %q cannot vary", m.c.Name, vary.Bits, m.c.Signals[vary.In].Name))
 	}
-	m.vary = append(m.vary[:0], vary...)
+	m.vary = vary
 	m.traced = m.vcd != nil && m.vcd.enabled
 	if m.traced && !m.vcd.synced(m) {
 		return 0
@@ -359,8 +357,8 @@ func (m *Model) Quiet(vary []Vary) uint64 {
 // that Quiet starts recording where the stretch ends, as one enabled then
 // would.
 func (m *Model) Advance(n uint64, log *Log) {
-	if len(m.vary) > 0 && (log == nil || log.Cycles() != n) {
-		panic(fmt.Sprintf("rtl: %s: Advance(%d) without a log of its %d cycles", m.c.Name, n, n))
+	if m.vary.Bits != 0 && (log == nil || log.Cycles() != n) {
+		panic(fmt.Sprintf("rtl: %s: Advance(%d) without a log of those cycles", m.c.Name, n))
 	}
 	if m.traced && m.vcd.enabled {
 		m.vcd.stretch(m, n, m.closed.Plan(), log)

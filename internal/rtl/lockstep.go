@@ -60,29 +60,26 @@ func (l *Lockstep) Tick() {
 
 // Quiet asks the model under test how many coming cycles it can apply in
 // closed form with the bits vary names free to change (Model.Quiet).
-func (l *Lockstep) Quiet(vary []Vary) uint64 { return l.m.Quiet(vary) }
+func (l *Lockstep) Quiet(vary Vary) uint64 { return l.m.Quiet(vary) }
 
 // Advance applies n cycles to the model under test in closed form and runs
 // n real cycles of the reference, then compares the two. The inputs hold,
-// except that on cycle j+1 of the stretch the varying bits of vary[i].In take
-// their value from in[j][i] (in is nil when vary is empty); the model is
-// given the log of that sequence. On the way it holds the reference to the
-// rest of the promise: no output changes during the stretch.
-func (l *Lockstep) Advance(n uint64, vary []Vary, in [][]uint64) {
+// except that on cycle j+1 of the stretch the bits vary names take their
+// value from in[j] (in is nil for the zero Vary); the model is given the
+// log of that sequence. On the way it holds the reference to the rest of
+// the promise: no output changes during the stretch.
+func (l *Lockstep) Advance(n uint64, vary Vary, in []uint64) {
 	c := l.ref.c
 	held := append([]uint64(nil), l.ref.vals...)
 	var log *Log
-	if len(vary) > 0 {
+	if vary.Bits != 0 {
 		log = &Log{}
 	}
-	vals := make([]uint64, len(vary))
 	for j := uint64(0); j < n; j++ {
-		for i, v := range vary {
-			vals[i] = l.ref.vals[v.In]&^v.Bits | in[j][i]&v.Bits
-			l.ref.SetInputID(v.In, vals[i])
-		}
 		if log != nil {
-			log.Add(1, vals...)
+			val := l.ref.vals[vary.In]&^vary.Bits | in[j]&vary.Bits
+			l.ref.SetInputID(vary.In, val)
+			log.Add(1, val)
 		}
 		l.ref.Tick()
 		for id, s := range c.Signals {

@@ -25,11 +25,12 @@ type VCDWriter struct {
 	// next: timestamps and values are formatted straight into it, so a
 	// dump allocates nothing.
 	buf []byte
-	// cur and order are a closed-form stretch's scratch: each planned
-	// signal's value on the cycle being written, and the planned signals in
-	// index order.
+	// cur, order and steps are a closed-form stretch's scratch: each planned
+	// signal's value on the cycle being written, the planned signals in
+	// index order, and those that step through the rest of a run.
 	cur   []uint64
 	order []SigID
+	steps []vcdStep
 }
 
 // AttachVCD connects a VCD writer to the model. period is the number of VCD
@@ -224,12 +225,17 @@ func (v *VCDWriter) synced(m *Model) bool {
 }
 
 // stretch writes the records of the next n cycles, a closed-form stretch
-// whose moving signals plan lists and whose varying inputs log records: on
+// whose moving signals plan lists and whose varying input log records: on
 // each cycle, the values of the plan computed in its order, then, in
 // signal-index order, every one that differs from its last record, after the
 // timestamp — exactly what n dumps would write. Signals the plan does not
 // list hold what the writer last recorded (Model.Quiet saw to that). The
 // records leave in blocks, so a long stretch does not grow the buffer.
+//
+// The log's runs shorten the work: through a run the input holds, and from
+// a run's second cycle on so do the pipelined registers, so from its third
+// every planned signal steps by what it stepped on the second. There only
+// the signals that step are computed, and written without a compare.
 func (v *VCDWriter) stretch(m *Model, n uint64, plan []Move, log *Log) {
 	if len(plan) == 0 {
 		return
@@ -242,52 +248,97 @@ func (v *VCDWriter) stretch(m *Model, n uint64, plan []Move, log *Log) {
 		v.order = append(v.order, s)
 	}
 	slices.Sort(v.order)
-	for _, vr := range m.vary {
-		cur[vr.In] = m.vals[vr.In]
-	}
-	run, left := 0, uint64(0)
-	for j := uint64(1); j <= n; j++ {
-		if len(m.vary) > 0 {
-			for ; left == 0; run++ {
-				left = log.lens[run]
-				for k, vr := range m.vary {
-					cur[vr.In] = cur[vr.In]&^vr.Bits | log.vals[run*log.w+k]&vr.Bits
+	vr := m.vary
+	cur[vr.In] = m.vals[vr.In]
+	for j, run := uint64(1), 0; j <= n; run++ {
+		left := n + 1 - j
+		if vr.Bits != 0 {
+			left = log.lens[run]
+			cur[vr.In] = cur[vr.In]&^vr.Bits | log.vals[run]&vr.Bits
+		}
+		for k := range min(left, 2) {
+			v.compute(plan)
+			if k == 1 && left > 2 {
+				v.steps = v.steps[:0]
+				for i := range plan {
+					mv := &plan[i]
+					if d := (cur[mv.Sig] - v.last[mv.Sig]) & mv.Mask; d != 0 {
+						v.steps = append(v.steps, vcdStep{mv.Sig, d, mv.Mask})
+					}
 				}
+				slices.SortFunc(v.steps, func(a, b vcdStep) int { return int(a.sig) - int(b.sig) })
 			}
-			left--
+			v.appendChanged(m, m.cycle+j)
+			j++
 		}
-		for i := range plan {
-			mv := &plan[i]
-			switch mv.Kind {
-			case MoveCounted:
-				x := cur[mv.Sig]
-				for _, t := range mv.Terms {
-					x += cur[t.Sig] >> t.Bit & 1
-				}
-				cur[mv.Sig] = x & mv.Mask
-			case MovePipelined, MoveVarying:
-				cur[mv.Sig] = mv.Base | cur[mv.Src]>>mv.Sh&mv.Step
-			case MoveCopy:
-				cur[mv.Sig] = cur[mv.Src] & mv.Mask
-			case MoveAffine:
-				cur[mv.Sig] = (cur[mv.Sig] + mv.Step) & mv.Mask
-			}
+		if left <= 2 {
+			continue
 		}
-		stamped := false
-		for _, s := range v.order {
-			if cur[s] == v.last[s] {
-				continue
-			}
-			if !stamped {
-				v.appendTime(m.cycle + j)
-				stamped = true
-			}
-			v.appendValue(m.c.Signals[s].Width, cur[s], v.ids[s])
-			v.last[s] = cur[s]
+		if len(v.steps) == 0 {
+			j += left - 2
+			continue
 		}
-		if len(v.buf) >= 4096 {
-			v.writeBuf()
+		for range left - 2 {
+			v.appendTime(m.cycle + j)
+			for _, st := range v.steps {
+				x := (cur[st.sig] + st.d) & st.mask
+				cur[st.sig] = x
+				v.appendValue(m.c.Signals[st.sig].Width, x, v.ids[st.sig])
+				v.last[st.sig] = x
+			}
+			if len(v.buf) >= 4096 {
+				v.writeBuf()
+			}
+			j++
 		}
 	}
 	v.writeBuf()
+}
+
+// vcdStep is a planned signal that steps by d every cycle, mod mask + 1.
+type vcdStep struct {
+	sig     SigID
+	d, mask uint64
+}
+
+// compute takes the planned signals one cycle on, in the plan's order.
+func (v *VCDWriter) compute(plan []Move) {
+	cur := v.cur
+	for i := range plan {
+		mv := &plan[i]
+		switch mv.Kind {
+		case MoveCounted:
+			x := cur[mv.Sig]
+			for _, t := range mv.Terms {
+				x += cur[t.Sig] >> t.Bit & 1
+			}
+			cur[mv.Sig] = x & mv.Mask
+		case MovePipelined, MoveVarying:
+			cur[mv.Sig] = mv.Base | cur[mv.Src]>>mv.Sh&mv.Step
+		case MoveCopy:
+			cur[mv.Sig] = cur[mv.Src] & mv.Mask
+		case MoveAffine:
+			cur[mv.Sig] = (cur[mv.Sig] + mv.Step) & mv.Mask
+		}
+	}
+}
+
+// appendChanged adds the records of the planned signals whose value differs
+// from their last record, after the cycle's timestamp.
+func (v *VCDWriter) appendChanged(m *Model, cycle uint64) {
+	stamped := false
+	for _, s := range v.order {
+		if v.cur[s] == v.last[s] {
+			continue
+		}
+		if !stamped {
+			v.appendTime(cycle)
+			stamped = true
+		}
+		v.appendValue(m.c.Signals[s].Width, v.cur[s], v.ids[s])
+		v.last[s] = v.cur[s]
+	}
+	if len(v.buf) >= 4096 {
+		v.writeBuf()
+	}
 }

@@ -182,12 +182,11 @@ type cntReg struct {
 	mask           uint64
 }
 
-// resTerm is a term resolved to the varying input bit behind it: bit bit of
-// vary[in].In. A term read through a pipelined register (pipe, bit pbit)
-// lags a cycle: it adds the register's bit on the first cycle and misses the
-// input's on the last.
+// resTerm is a term resolved to the varying input bit behind it, bit. A term
+// read through a pipelined register (pipe, bit pbit) lags a cycle: it adds
+// the register's bit on the first cycle and misses the input's on the last.
 type resTerm struct {
-	in, pipe  uint32
+	pipe      uint32
 	bit, pbit uint8
 }
 
@@ -210,8 +209,8 @@ type closedForm struct {
 	// and memw alias its ranges as in the VM.
 	cone            []uint64
 	comb, seq, memw []uint64
-	// vary is the set of varying input bits the last Quiet was asked about.
-	vary []rtl.Vary
+	// vary is the varying input bits the last Quiet was asked about.
+	vary rtl.Vary
 	// aff, cnt and pipe are the moving registers of the stretch found, res
 	// the counted registers' terms and terms their unresolved form; horizon
 	// is the first cycle a comparison in the cone can flip, or forever.
@@ -229,6 +228,9 @@ type closedForm struct {
 	// planTerms its counted registers' terms.
 	plan      []rtl.Move
 	planTerms []rtl.Term
+	// counts is Advance's scratch: per bit of the varying input, the cycles
+	// it was set.
+	counts [64]uint64
 }
 
 func newClosedForm(p *Program) *closedForm {
@@ -280,14 +282,14 @@ func (v *VM) endStretch() {
 // and changes nothing. With trace set it also plans what a waveform records
 // of the stretch, and answers 0 unless every moving signal of the cone has a
 // source its record can be computed from (see plan).
-func (v *VM) Quiet(vary []rtl.Vary, trace bool) uint64 {
+func (v *VM) Quiet(vary rtl.Vary, trace bool) uint64 {
 	cf := v.cf
 	if cf == nil {
 		cf = newClosedForm(v.p)
 		v.cf = cf
 	}
 	v.analyses++
-	cf.vary = append(cf.vary[:0], vary...)
+	cf.vary = vary
 	cf.aff = cf.aff[:0]
 	cf.plan, cf.planTerms = cf.plan[:0], cf.planTerms[:0]
 	k := v.quiet(cf)
@@ -340,7 +342,7 @@ func (cf *closedForm) planMoves() bool {
 					if t.pipe != noSrc {
 						cf.planTerms = append(cf.planTerms, rtl.Term{Sig: rtl.SigID(t.pipe), Bit: t.pbit})
 					} else {
-						cf.planTerms = append(cf.planTerms, rtl.Term{Sig: cf.vary[t.in].In, Bit: t.bit})
+						cf.planTerms = append(cf.planTerms, rtl.Term{Sig: cf.vary.In, Bit: t.bit})
 					}
 				}
 				mv.Terms = cf.planTerms[start:len(cf.planTerms):len(cf.planTerms)]
@@ -411,7 +413,7 @@ func (v *VM) quiet(cf *closedForm) uint64 {
 	for w := range v.memw {
 		cf.memw[w] |= v.memw[w]
 	}
-	for _, vr := range cf.vary {
+	if vr := cf.vary; vr.Bits != 0 {
 		in := uint32(vr.In)
 		cf.put(in, vary(absVal{src: in}, v.regs[in], vr.Bits), p.NSig)
 		cf.spread(p, in, vr.Bits)
@@ -595,9 +597,10 @@ func (cf *closedForm) resolve() bool {
 				rt.pipe, rt.pbit = in, uint8(bit)
 				in, bit = pr.res.src, uint(pr.res.sh)+bit
 			}
-			if !cf.countIndex(in, bit, &rt) {
+			if in != uint32(cf.vary.In) || cf.vary.Bits>>bit&1 == 0 {
 				return false
 			}
+			rt.bit = uint8(bit)
 			cf.res = append(cf.res, rt)
 		}
 		c.start = start
@@ -613,18 +616,6 @@ func (cf *closedForm) pipeOf(s uint32) *pipeReg {
 		}
 	}
 	return nil
-}
-
-// countIndex finds bit bit of input in among the varying bits: the Vary
-// entry that names it.
-func (cf *closedForm) countIndex(in uint32, bit uint, rt *resTerm) bool {
-	for i, vr := range cf.vary {
-		if uint32(vr.In) == in && vr.Bits>>bit&1 == 1 {
-			rt.in, rt.bit = uint32(i), uint8(bit)
-			return true
-		}
-	}
-	return false
 }
 
 // Advance implements rtl.ClosedForm: it applies n cycles of the stretch the
@@ -646,24 +637,26 @@ func (v *VM) Advance(n uint64, log *rtl.Log) {
 	// as the stretch found it. What a counted or pipelined register holds
 	// after the stretch may step again on the next Tick: its readers are
 	// woken whatever it moved.
+	if len(cf.cnt) > 0 {
+		cf.counts = [64]uint64{}
+		log.Counts(cf.vary.Bits, &cf.counts)
+	}
 	for _, c := range cf.cnt {
 		sum := v.regs[c.slot]
 		for _, t := range cf.res[c.start : c.start+c.n] {
-			sum += log.Count(int(t.in), uint(t.bit))
+			sum += cf.counts[t.bit]
 			if t.pipe != noSrc {
-				sum += v.regs[t.pipe]>>t.pbit&1 - log.Last(int(t.in))>>t.bit&1
+				sum += v.regs[t.pipe]>>t.pbit&1 - log.Last()>>t.bit&1
 			}
 		}
 		v.regs[c.slot] = sum & c.mask
 		v.wake(c.slot, c.mask)
 	}
-	// The varying inputs take their last cycle's values, and the pipelined
-	// registers what their programs compute from them (no pipelined
-	// register reads another).
-	if len(cf.vary) > 0 {
-		for i, vr := range cf.vary {
-			v.regs[vr.In] = v.regs[vr.In]&^vr.Bits | log.Last(i)&vr.Bits
-		}
+	// The varying input takes its last cycle's value, and the pipelined
+	// registers what their programs compute from it (no pipelined register
+	// reads another).
+	if vr := cf.vary; vr.Bits != 0 {
+		v.regs[vr.In] = v.regs[vr.In]&^vr.Bits | log.Last()&vr.Bits
 		v.scanInputs()
 		v.settle()
 		for _, pr := range cf.pipe {

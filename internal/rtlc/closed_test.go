@@ -58,11 +58,11 @@ func TestPMUSleepsBetweenThresholds(t *testing.T) {
 			irqs += irq
 			prevIrq = irq
 		}
-		if k := l.Quiet(nil); k > 0 {
+		if k := l.Quiet(rtl.Vary{}); k > 0 {
 			if k == ^uint64(0) {
 				t.Fatalf("after %d cycles: no end to the stretch with the threshold armed", ran+applied)
 			}
-			l.Advance(k, nil, nil)
+			l.Advance(k, rtl.Vary{}, nil)
 			applied += k
 		}
 	}
@@ -97,7 +97,7 @@ func TestPMUCountsWhileItSleeps(t *testing.T) {
 			events = rtl.SigID(i)
 		}
 	}
-	vary := []rtl.Vary{{In: events, Bits: 1<<(pmu.EvL1DMiss+1) - 1}}
+	vary := rtl.Vary{In: events, Bits: 1<<(pmu.EvL1DMiss+1) - 1}
 	rng := uint64(0x9e3779b97f4a7c15)
 	rand := func() uint64 {
 		rng ^= rng << 13
@@ -137,12 +137,12 @@ func TestPMUCountsWhileItSleeps(t *testing.T) {
 				t.Fatalf("threshold on line %d, after %d cycles: no end to the stretch", sel, ran+applied)
 			}
 			stretches++
-			in := make([][]uint64, k)
+			in := make([]uint64, k)
 			worst := sel != pmu.EvCycle && stretches%2 == 0
 			for j := range in {
-				in[j] = []uint64{rand()}
+				in[j] = rand()
 				if worst {
-					in[j][0] = ^uint64(0)
+					in[j] = ^uint64(0)
 				}
 			}
 			l.Advance(k, vary, in)
@@ -224,7 +224,7 @@ func TestPMUPlanKinds(t *testing.T) {
 	m.Tick()
 	m.Tick()
 	cf := m.Backend().(rtl.ClosedForm)
-	vary := []rtl.Vary{{In: m.InputID("events"), Bits: 1<<(pmu.EvL1DMiss+1) - 1}}
+	vary := rtl.Vary{In: m.InputID("events"), Bits: 1<<(pmu.EvL1DMiss+1) - 1}
 	if k := cf.Quiet(vary, true); k == 0 {
 		t.Fatal("traced Quiet = 0 on the programmed PMU")
 	}
@@ -275,7 +275,7 @@ endmodule
 	if err != nil {
 		t.Fatal(err)
 	}
-	vary := []rtl.Vary{{In: m.InputID("ev"), Bits: 3}}
+	vary := rtl.Vary{In: m.InputID("ev"), Bits: 3}
 	m.Tick()
 	if k := m.Quiet(vary); k == 0 {
 		t.Fatal("untraced Quiet = 0: the stretch has no end")
@@ -323,18 +323,18 @@ endmodule
 	l.Tick()
 	l.SetInput("a", 7)
 	l.Eval()
-	if k := l.Quiet(nil); k != 0 {
+	if k := l.Quiet(rtl.Vary{}); k != 0 {
 		t.Fatalf("Quiet = %d with a settled input the waveform has not recorded, want 0", k)
 	}
 	l.Tick()
-	k := l.Quiet(nil)
+	k := l.Quiet(rtl.Vary{})
 	if k != ^uint64(0) {
 		t.Fatalf("Quiet = %d after the Tick that recorded it, want no end", k)
 	}
 	// One stretch, applied in two pieces, as a settle between two events
 	// does.
-	l.Advance(300, nil, nil)
-	l.Advance(7, nil, nil)
+	l.Advance(300, rtl.Vary{}, nil)
+	l.Advance(7, rtl.Vary{}, nil)
 	l.Tick()
 }
 
@@ -353,7 +353,7 @@ func TestClosedFormOnAnotherNetlist(t *testing.T) {
 		l.Tick()
 		l.SetInput("load", 0)
 		l.Tick()
-		k := l.Quiet(nil)
+		k := l.Quiet(rtl.Vary{})
 		// left = period-1 now (0 for period 0, and the flag already set
 		// for period 1: fixed points); the compare left == 1 flips period-2
 		// cycles on.
@@ -368,7 +368,7 @@ func TestClosedFormOnAnotherNetlist(t *testing.T) {
 			t.Fatalf("period %d: Quiet = %d, want %d", period, k, want)
 		}
 		if k > 0 && k != ^uint64(0) {
-			l.Advance(k, nil, nil)
+			l.Advance(k, rtl.Vary{}, nil)
 		}
 		for i := 0; i < 4; i++ {
 			l.Tick()
@@ -376,7 +376,7 @@ func TestClosedFormOnAnotherNetlist(t *testing.T) {
 		if fire := l.Peek("fire"); fire != 1 && period != 0 {
 			t.Fatalf("period %d: timer did not fire", period)
 		}
-		if k := l.Quiet(nil); k != ^uint64(0) {
+		if k := l.Quiet(rtl.Vary{}); k != ^uint64(0) {
 			t.Errorf("period %d: a fired timer is quiet for %d cycles, want forever", period, k)
 		}
 	}
@@ -575,10 +575,10 @@ func checkClosedForm(t *testing.T, data []byte, wave bool) (stretches int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var vary []rtl.Vary
+	var vary rtl.Vary
 	for i, sg := range c.Signals {
 		if sg.Name == "ev" {
-			vary = []rtl.Vary{{In: rtl.SigID(i), Bits: rtl.Mask(sg.Width)}}
+			vary = rtl.Vary{In: rtl.SigID(i), Bits: rtl.Mask(sg.Width)}
 		}
 	}
 	fresh := func() *rtl.Lockstep {
@@ -594,17 +594,16 @@ func checkClosedForm(t *testing.T, data []byte, wave bool) (stretches int) {
 	}
 	// evs is a stretch's ev sequence: n values from the byte stream, or all
 	// ones.
-	evs := func(n uint64, ones bool) [][]uint64 {
-		if vary == nil {
+	evs := func(n uint64, ones bool) []uint64 {
+		if vary.Bits == 0 {
 			return nil
 		}
-		in := make([][]uint64, n)
+		in := make([]uint64, n)
 		for j := range in {
-			v := ^uint64(0)
+			in[j] = ^uint64(0)
 			if !ones {
-				v = uint64(fr.b())
+				in[j] = uint64(fr.b())
 			}
-			in[j] = []uint64{v}
 		}
 		return in
 	}
@@ -615,7 +614,7 @@ func checkClosedForm(t *testing.T, data []byte, wave bool) (stretches int) {
 		in0, in1, ev uint64
 		hold         bool
 		advance      uint64
-		evs          [][]uint64
+		evs          []uint64
 	}
 	apply := func(l *rtl.Lockstep, s step) {
 		if s.advance > 0 {
@@ -627,8 +626,8 @@ func checkClosedForm(t *testing.T, data []byte, wave bool) (stretches int) {
 		}
 		l.SetInput("in0", s.in0)
 		l.SetInput("in1", s.in1)
-		if vary != nil {
-			l.SetInput("ev", s.ev&vary[0].Bits)
+		if vary.Bits != 0 {
+			l.SetInput("ev", s.ev&vary.Bits)
 		}
 		if !s.hold {
 			l.Tick()
@@ -666,7 +665,7 @@ func checkClosedForm(t *testing.T, data []byte, wave bool) (stretches int) {
 			trials = append(trials, trial{kp, false})
 		}
 		if k <= 1024 {
-			trials = append(trials, trial{k, vary != nil})
+			trials = append(trials, trial{k, vary.Bits != 0})
 			if k > most {
 				trials = append(trials, trial{k, false})
 			}
