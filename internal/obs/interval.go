@@ -59,7 +59,7 @@ func (d *deltaWriter) sample() []float64 {
 	out := make([]float64, 2*len(d.vals))
 	for i, v := range d.vals {
 		if v.Kind == stats.Ratio {
-			out[2*i], out[2*i+1] = v.Num(), v.Den()
+			out[2*i], out[2*i+1] = v.Parts()
 		} else {
 			out[2*i] = v.Get()
 		}

@@ -126,8 +126,7 @@ func (p *LatencyProfile) Register(r *stats.Registry) {
 		r.Register(base+".samples", "packets measured at "+t.name,
 			func() float64 { return float64(t.hist.Count()) })
 		r.RegisterRatio(base+".mean", "mean packet latency (ticks) at "+t.name,
-			func() float64 { return float64(t.hist.Sum()) },
-			func() float64 { return float64(t.hist.Count()) })
+			func() (float64, float64) { return float64(t.hist.Sum()), float64(t.hist.Count()) })
 		r.Register(base+".min", "min packet latency (ticks) at "+t.name,
 			func() float64 { return float64(t.hist.Min()) })
 		r.Register(base+".max", "max packet latency (ticks) at "+t.name,

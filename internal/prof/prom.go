@@ -56,7 +56,7 @@ func writeMetric(w io.Writer, name, help, typ string, value float64) error {
 // names are sanitised with PromName.
 func WritePromRegistry(w io.Writer, prefix string, reg *stats.Registry) error {
 	for _, v := range reg.SortedValues() {
-		if err := writeMetric(w, prefix+PromName(v.Name), v.Desc, "gauge", v.Get()); err != nil {
+		if err := writeMetric(w, prefix+PromName(v.Name), v.Desc, "gauge", v.Sample()); err != nil {
 			return err
 		}
 	}

@@ -321,9 +321,10 @@ func (s *System) registerStats() {
 		p := fmt.Sprintf("system.cpu%d.", i)
 		reg.Register(p+"numCycles", "core cycles", func() float64 { return float64(c.Stats().Cycles) })
 		reg.Register(p+"committedInsts", "committed instructions", func() float64 { return float64(c.Stats().Committed) })
-		reg.RegisterRatio(p+"ipc", "instructions per active cycle",
-			func() float64 { return float64(c.Stats().Committed) },
-			func() float64 { return float64(c.Stats().Cycles) })
+		reg.RegisterRatio(p+"ipc", "instructions per active cycle", func() (float64, float64) {
+			st := c.Stats()
+			return float64(st.Committed), float64(st.Cycles)
+		})
 	}
 	for i, d := range s.L1Ds {
 		p := fmt.Sprintf("system.cpu%d.dcache.", i)
@@ -334,19 +335,22 @@ func (s *System) registerStats() {
 	reg.Register("system.llc.misses", "LLC misses", func() float64 { return float64(llc.Stats().Misses) })
 	if d := s.DRAM; d != nil {
 		reg.Register("system.mem.bytesRead", "DRAM bytes read", func() float64 { return float64(d.Stats().BytesRead) })
-		reg.RegisterRatio("system.mem.rowHitRate", "DRAM row-buffer hit rate",
-			func() float64 { return float64(d.Stats().RowHits) },
-			func() float64 { st := d.Stats(); return float64(st.RowHits + st.RowMisses) })
-		reg.RegisterRatio("system.mem.avgReadLatency", "DRAM mean read latency (ticks)",
-			func() float64 { return float64(d.Stats().TotalRdLat) },
-			func() float64 { return float64(d.Stats().RetiredRds) })
+		reg.RegisterRatio("system.mem.rowHitRate", "DRAM row-buffer hit rate", func() (float64, float64) {
+			st := d.Stats()
+			return float64(st.RowHits), float64(st.RowHits + st.RowMisses)
+		})
+		reg.RegisterRatio("system.mem.avgReadLatency", "DRAM mean read latency (ticks)", func() (float64, float64) {
+			st := d.Stats()
+			return float64(st.TotalRdLat), float64(st.RetiredRds)
+		})
 	}
 	for i, o := range s.NVDLAs {
 		p := fmt.Sprintf("system.nvdla%d.", i)
 		reg.Register(p+"memReads", "accelerator memory reads", func() float64 { return float64(o.Stats().MemReads) })
-		reg.RegisterRatio(p+"avgMemLatency", "accelerator mean memory latency (ticks)",
-			func() float64 { return float64(o.Stats().TotalMemLat) },
-			func() float64 { return float64(o.Stats().RetiredMem) })
+		reg.RegisterRatio(p+"avgMemLatency", "accelerator mean memory latency (ticks)", func() (float64, float64) {
+			st := o.Stats()
+			return float64(st.TotalMemLat), float64(st.RetiredMem)
+		})
 	}
 }
 

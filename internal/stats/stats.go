@@ -15,19 +15,27 @@ type Kind uint8
 const (
 	// Counter is a running total: over an interval, its change.
 	Counter Kind = iota
-	// Ratio is one running total over another, Num() / Den() (0 while
-	// Den() is 0): over an interval, the ratio of their changes.
+	// Ratio is one running total over another (0 while the second is 0):
+	// over an interval, the ratio of their changes.
 	Ratio
 )
 
-// Value is a single named statistic, sampled lazily at dump time. A Ratio
-// also carries the two totals Get divides.
+// Value is a single named statistic, sampled lazily at dump time: a Counter
+// reads Get, a Ratio reads Parts, the two totals it divides.
 type Value struct {
-	Name     string
-	Desc     string
-	Get      func() float64
-	Kind     Kind
-	Num, Den func() float64
+	Name  string
+	Desc  string
+	Kind  Kind
+	Get   func() float64
+	Parts func() (num, den float64)
+}
+
+// Sample reads the statistic.
+func (v *Value) Sample() float64 {
+	if v.Kind == Ratio {
+		return Div(v.Parts())
+	}
+	return v.Get()
 }
 
 // Registry holds the statistics of one simulated system.
@@ -47,11 +55,10 @@ func (r *Registry) Register(name, desc string, get func() float64) {
 	r.add(Value{Name: name, Desc: desc, Get: get})
 }
 
-// RegisterRatio adds a Ratio statistic: num() / den(), 0 while den() is 0.
-func (r *Registry) RegisterRatio(name, desc string, num, den func() float64) {
-	r.add(Value{Name: name, Desc: desc, Kind: Ratio, Num: num, Den: den, Get: func() float64 {
-		return Div(num(), den())
-	}})
+// RegisterRatio adds a Ratio statistic: num / den of the totals parts
+// reads, 0 while den is 0.
+func (r *Registry) RegisterRatio(name, desc string, parts func() (num, den float64)) {
+	r.add(Value{Name: name, Desc: desc, Kind: Ratio, Parts: parts})
 }
 
 func (r *Registry) add(v Value) {
@@ -81,7 +88,7 @@ func (r *Registry) Get(name string) (float64, bool) {
 	if !ok {
 		return 0, false
 	}
-	return r.values[i].Get(), true
+	return r.values[i].Sample(), true
 }
 
 // Snapshot samples every statistic. The returned map has no defined order;
@@ -89,8 +96,8 @@ func (r *Registry) Get(name string) (float64, bool) {
 // Names) instead, so emitted output is deterministic.
 func (r *Registry) Snapshot() map[string]float64 {
 	out := make(map[string]float64, len(r.values))
-	for _, v := range r.values {
-		out[v.Name] = v.Get()
+	for i := range r.values {
+		out[r.values[i].Name] = r.values[i].Sample()
 	}
 	return out
 }
@@ -118,7 +125,7 @@ func (r *Registry) SnapshotSorted() []Sample {
 	names := r.Names()
 	out := make([]Sample, len(names))
 	for i, name := range names {
-		out[i] = Sample{Name: name, Value: r.values[r.byName[name]].Get()}
+		out[i] = Sample{Name: name, Value: r.values[r.byName[name]].Sample()}
 	}
 	return out
 }
@@ -139,7 +146,7 @@ func (r *Registry) Dump(w io.Writer) {
 	fmt.Fprintln(w, "---------- Begin Simulation Statistics ----------")
 	for _, name := range r.Names() {
 		v := r.values[r.byName[name]]
-		fmt.Fprintf(w, "%-50s %14.6g  # %s\n", v.Name, v.Get(), v.Desc)
+		fmt.Fprintf(w, "%-50s %14.6g  # %s\n", v.Name, v.Sample(), v.Desc)
 	}
 	fmt.Fprintln(w, "---------- End Simulation Statistics   ----------")
 }
