@@ -281,7 +281,7 @@ func (v *VM) endStretch() {
 // the model, 0 when the analysis cannot tell. It reads the state a Tick left
 // and changes nothing. With trace set it also plans what a waveform records
 // of the stretch, and answers 0 unless every moving signal of the cone has a
-// source its record can be computed from (see plan).
+// source its record can be computed from (see planMoves).
 func (v *VM) Quiet(vary rtl.Vary, trace bool) uint64 {
 	cf := v.cf
 	if cf == nil {
@@ -335,31 +335,31 @@ func (cf *closedForm) planMoves() bool {
 			}
 			mv.Src, mv.Sh, mv.Base, mv.Step = rtl.SigID(a.src), a.sh, a.base, a.step
 		case absCount:
-			if c := cf.cntOf(s); c != nil {
-				mv.Kind, mv.Mask = rtl.MoveCounted, c.mask
-				start := len(cf.planTerms)
-				for _, t := range cf.res[c.start : c.start+c.n] {
-					if t.pipe != noSrc {
-						cf.planTerms = append(cf.planTerms, rtl.Term{Sig: rtl.SigID(t.pipe), Bit: t.pbit})
-					} else {
-						cf.planTerms = append(cf.planTerms, rtl.Term{Sig: cf.vary.In, Bit: t.bit})
-					}
-				}
-				mv.Terms = cf.planTerms[start:len(cf.planTerms):len(cf.planTerms)]
-			} else {
+			c := cf.cntOf(s)
+			if c == nil {
 				if cf.cntOf(a.src) == nil {
 					return false
 				}
 				mv.Kind, mv.Src, mv.Mask = rtl.MoveCopy, rtl.SigID(a.src), a.mask
+				break
 			}
+			mv.Kind, mv.Mask = rtl.MoveCounted, c.mask
+			start := len(cf.planTerms)
+			for _, t := range cf.res[c.start : c.start+c.n] {
+				tm := rtl.Term{Sig: cf.vary.In, Bit: t.bit}
+				if t.pipe != noSrc {
+					tm = rtl.Term{Sig: rtl.SigID(t.pipe), Bit: t.pbit}
+				}
+				cf.planTerms = append(cf.planTerms, tm)
+			}
+			mv.Terms = cf.planTerms[start:len(cf.planTerms):len(cf.planTerms)]
 		default:
 			return false
 		}
 		// touched can name a slot twice; insertion keeps the plan sorted
 		// and single.
-		before := func(x, y *rtl.Move) bool { return x.Kind < y.Kind || x.Kind == y.Kind && x.Sig < y.Sig }
 		i := len(cf.plan)
-		for i > 0 && before(&mv, &cf.plan[i-1]) {
+		for i > 0 && (mv.Kind < cf.plan[i-1].Kind || mv.Kind == cf.plan[i-1].Kind && mv.Sig < cf.plan[i-1].Sig) {
 			i--
 		}
 		if i > 0 && cf.plan[i-1].Sig == mv.Sig {

@@ -203,14 +203,6 @@ type Stats struct {
 	RetiredMem  uint64
 }
 
-// AvgMemLatency returns the mean memory round-trip in ticks.
-func (s *Stats) AvgMemLatency() float64 {
-	if s.RetiredMem == 0 {
-		return 0
-	}
-	return float64(s.TotalMemLat) / float64(s.RetiredMem)
-}
-
 // RTLObject bridges one Wrapper into the SoC.
 type RTLObject struct {
 	cfg     Config
