@@ -229,9 +229,9 @@ func (c *countingSink) Write(p []byte) (int, error) {
 
 // BenchmarkPMUTick times one busy cycle of the wrapper, programmed as the
 // Table 2 runs program it — every event line enabled, the threshold on the
-// cycle counter — with 0 to 7 commits and, one cycle in eight, a miss
-// arriving each cycle. The waveform variant also writes the model's VCD to a
-// sink that counts its bytes.
+// cycle counter — with 0 to 7 commits arriving each cycle and a miss one
+// cycle in eight. The waveform variant also writes the model's VCD to a sink
+// that counts its bytes.
 func BenchmarkPMUTick(b *testing.B) {
 	for _, wave := range []bool{false, true} {
 		name := "model"
