@@ -29,11 +29,15 @@ func with(own map[string]string) map[string]string {
 // numCPU stands for a runtime.NumCPU() default.
 const numCPU = "NumCPU"
 
+// addr is the -addr every sweepctl verb that talks to a server takes.
+var addr = map[string]string{"addr": "http://localhost:8080"}
+
 // flagSurface is every command's flags and their defaults: the bare run's are
 // gem5rtl's own, the subcommands' are those of the binaries they replace —
-// nvdla-dse for dse, faultcamp for faultcamp, and overhead ∪ pmurun split
-// across fig5, table2 and table3, whose -table and -table2 became the
-// subcommand names.
+// nvdla-dse for dse, faultcamp for faultcamp, overhead ∪ pmurun split across
+// fig5, table2 and table3, whose -table and -table2 became the subcommand
+// names, and sweepd, sweepctl's verbs and rtlsim for the subcommands of those
+// names.
 var flagSurface = map[string]map[string]string{
 	"": with(map[string]string{
 		"cores": "8", "mem": "DDR4-4ch", "program": "sort", "n": "200", "pmu": "false",
@@ -56,16 +60,50 @@ var flagSurface = map[string]map[string]string{
 		"inflight": "64", "seed": "1", "n": "32", "parallel": numCPU, "limit-ms": "2000",
 		"check-ports": "false", "v": "false",
 	}),
+	"sweepd": {
+		"addr": "localhost:8080", "workers": "0", "store-dir": "", "quota": "0", "max-queue": "0",
+		"retry-max": "0", "retry-base": "0s", "retry-seed": "0", "point-deadline": "0s",
+		"drain-timeout": "10m0s", "watchdog": "false", "self-profile": "0",
+		"checkpoint-at": "0s", "checkpoint-dir": "",
+	},
+	"sweepctl grid": {
+		"workload": "sanity3", "n": "1", "scale": "32",
+		"mems": "DDR4-1ch,DDR4-4ch,HBM", "inflights": "1,16,64,240",
+	},
+	"sweepctl submit": {
+		"addr": "http://localhost:8080", "client": "", "priority": "0", "wait": "false",
+	},
+	"sweepctl status":        addr,
+	"sweepctl results":       addr,
+	"sweepctl watch":         addr,
+	"sweepctl cancel":        addr,
+	"sweepctl local":         {"parallel": "0"},
+	"sweepctl server-status": addr,
+	"sweepctl metrics":       addr,
+	"sweepctl top":           {"addr": "http://localhost:8080", "k": "15"},
+	"sweepctl healthz":       addr,
+	"sweepctl quarantine":    addr,
+	"sweepctl unquarantine":  addr,
+	"sweepctl drain":         addr,
+	"rtlsim": {
+		"top": "", "cycles": "10", "vcd": "", "checkpoint": "", "restore": "", "set": "",
+		"pprof": "", "self-profile": "0", "self-profile-out": "",
+	},
 }
 
-// TestFlagSurface holds each subcommand and the bare run to its flag table:
-// a flag dropped, renamed or added, or a default changed, fails it. Building
-// every flag set also catches a family registered twice on one set, which
-// panics.
+// TestFlagSurface holds each subcommand, each sweepctl verb and the bare run
+// to its flag table: a flag dropped, renamed or added, or a default changed,
+// fails it. Building every flag set also catches a family registered twice
+// on one set, which panics.
 func TestFlagSurface(t *testing.T) {
 	defines := map[string]func() (*flag.FlagSet, func()){"": fullSystem}
 	for _, c := range commands {
-		defines[c.name] = c.define
+		if c.define != nil {
+			defines[c.name] = c.define
+		}
+		for _, v := range c.verbs {
+			defines[c.name+" "+v.name] = v.define
+		}
 	}
 	if len(defines) != len(flagSurface) {
 		t.Fatalf("%d commands, %d flag tables", len(defines), len(flagSurface))

@@ -1,9 +1,10 @@
-// Command gem5rtl is the simulator's one experiment command. With no
-// subcommand it is the general full-system runner: it builds the Table 1 SoC
-// with the selected memory technology and optional RTL devices, runs a guest
+// Command gem5rtl is the simulator's one command. With no subcommand it is
+// the general full-system runner: it builds the Table 1 SoC with the
+// selected memory technology and optional RTL devices, runs a guest
 // workload, and dumps gem5-style statistics. Its subcommands reproduce the
-// paper's figures and tables and run the fault campaigns; `gem5rtl help`
-// lists them.
+// paper's figures and tables, run the fault campaigns, serve and drive the
+// sweep service (sweepd, sweepctl) and simulate one HDL model standalone
+// (rtlsim); `gem5rtl help` lists them.
 //
 // Examples:
 //
@@ -12,6 +13,7 @@
 //	gem5rtl -cores 1 -pmu -program stream
 //	gem5rtl dse -workload sanity3 -scale 64
 //	gem5rtl faultcamp -target pmu -n 16 -seed 1
+//	gem5rtl rtlsim -top bitonic8 -set in_lo=0x04030201 -vcd waves.vcd sorter.vhd
 //
 // A run can be suspended and resumed: -checkpoint-at stops at a simulated
 // time and serialises the full system; -restore (with the same configuration
@@ -40,34 +42,29 @@ import (
 )
 
 // command is one gem5rtl subcommand. define registers its flags on a fresh
-// set and returns the run that follows parsing.
+// set and returns the run that follows parsing; a command with verbs
+// (sweepctl) has no define and takes one of its verbs as the next argument.
 type command struct {
 	name, summary string
 	define        func() (*flag.FlagSet, func())
+	verbs         []command
 }
 
 var commands = []command{
-	{"fig5", "Figure 5: PMU vs gem5 IPC/MPKI series on the sort benchmark", fig5},
-	{"table2", "Table 2: host-time overhead of the PMU model and its waveform", table2},
-	{"table3", "Table 3: host-time overhead of the NVDLA model in full system", table3},
-	{"dse", "Figures 6/7: NVDLA memory design-space exploration", dse},
-	{"faultcamp", "seeded fault-injection campaign against the NVDLA or the PMU", faultcamp},
+	{"fig5", "Figure 5: PMU vs gem5 IPC/MPKI series on the sort benchmark", fig5, nil},
+	{"table2", "Table 2: host-time overhead of the PMU model and its waveform", table2, nil},
+	{"table3", "Table 3: host-time overhead of the NVDLA model in full system", table3, nil},
+	{"dse", "Figures 6/7: NVDLA memory design-space exploration", dse, nil},
+	{"faultcamp", "seeded fault-injection campaign against the NVDLA or the PMU", faultcamp, nil},
+	{"sweepd", "sweep service: RunSpec batches over HTTP/JSON, every result memoised", sweepdServer, nil},
+	{"sweepctl", "sweepd client and its in-process twin (gem5rtl sweepctl help lists the verbs)", nil, sweepctlVerbs},
+	{"rtlsim", "standalone HDL simulator: one Verilog/VHDL model, optional VCD and checkpoint", rtlsim, nil},
 }
 
 func main() {
-	define := fullSystem
-	args := os.Args[1:]
+	define, args := fullSystem, os.Args[1:]
 	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
-		define = nil
-		for _, c := range commands {
-			if c.name == args[0] {
-				define = c.define
-			}
-		}
-		if define == nil {
-			usage()
-		}
-		args = args[1:]
+		define, args = pick("gem5rtl", commands, args)
 	}
 	fs, run := define()
 	fs.Parse(args)
@@ -75,13 +72,29 @@ func main() {
 	run()
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, "usage: gem5rtl [flags]                full-system run (gem5rtl -h lists its flags)")
-	fmt.Fprintln(os.Stderr, "       gem5rtl <subcommand> [flags]")
-	for _, c := range commands {
-		fmt.Fprintf(os.Stderr, "  %-10s %s\n", c.name, c.summary)
+// pick finds args[0] in table, descending into a command's verbs, and
+// returns its define and the arguments after the name; a missing or unknown
+// name prints the table and exits 2.
+func pick(prefix string, table []command, args []string) (func() (*flag.FlagSet, func()), []string) {
+	for _, c := range table {
+		if len(args) > 0 && c.name == args[0] {
+			if c.verbs != nil {
+				return pick(prefix+" "+c.name, c.verbs, args[1:])
+			}
+			return c.define, args[1:]
+		}
+	}
+	if prefix == "gem5rtl" {
+		fmt.Fprintln(os.Stderr, "usage: gem5rtl [flags]                full-system run (gem5rtl -h lists its flags)")
+		fmt.Fprintln(os.Stderr, "       gem5rtl <subcommand> [flags]")
+	} else {
+		fmt.Fprintf(os.Stderr, "usage: %s <verb> [flags]\n", prefix)
+	}
+	for _, c := range table {
+		fmt.Fprintf(os.Stderr, "  %-14s %s\n", c.name, c.summary)
 	}
 	os.Exit(2)
+	return nil, nil
 }
 
 // fullSystem is the bare gem5rtl run.

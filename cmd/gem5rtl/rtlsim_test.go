@@ -15,9 +15,9 @@ import (
 	"gem5rtl/internal/vhdl"
 )
 
-// TestVCDIsComplete is the regression test for the truncated waveform: rtlsim
-// dropped the VCD writer AttachVCD returns and closed the file without
-// flushing it, so every waveform ended at a multiple of the writer's 4 KiB
+// TestVCDIsComplete is the regression test for the truncated waveform:
+// gem5rtl rtlsim dropped the VCD writer AttachVCD returns and closed the file
+// without flushing it, so every waveform ended at a multiple of the writer's 4 KiB
 // buffer — for the sorter, in the middle of the header. The file must hold
 // the whole header, parse record by record to its last byte, and end with
 // the value changes of the cycle the inputs were applied on.
@@ -26,12 +26,9 @@ func TestVCDIsComplete(t *testing.T) {
 		t.Skip("builds and runs the binary")
 	}
 	dir := t.TempDir()
-	bin := filepath.Join(dir, "rtlsim")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	bin := buildBinary(t, dir)
 	vcdPath := filepath.Join(dir, "sorter.vcd")
-	out, err := exec.Command(bin, "-top", "bitonic8", "-cycles", "200",
+	out, err := exec.Command(bin, "rtlsim", "-top", "bitonic8", "-cycles", "200",
 		"-set", "in_lo=0x01020304", "-set", "in_hi=0x05060708", "-vcd", vcdPath,
 		filepath.Join("..", "..", "examples", "bitonic-vhdl", "sorter.vhd")).CombinedOutput()
 	if err != nil {
@@ -154,9 +151,9 @@ begin
 end architecture;
 `
 
-// TestSleepingMatchesPerCycle: rtlsim applies the stretches a model's held
-// inputs leave in closed form. On the committed designs — the bitonic
-// sorter, the PMU (programming its enable register every cycle, so that the
+// TestSleepingMatchesPerCycle: gem5rtl rtlsim applies the stretches a
+// model's held inputs leave in closed form. On the committed designs — the
+// bitonic sorter, the PMU (programming its enable register every cycle, so that the
 // cycle counter counts) and the front-end suites' counters — the run must
 // end with the outputs, VCD bytes and checkpoint bytes of the run that ticks
 // every cycle, with and without a waveform.

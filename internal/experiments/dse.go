@@ -38,11 +38,6 @@ type DSEParams struct {
 	Limit sim.Tick
 }
 
-// DefaultDSEParams returns the standard scaled configuration.
-func DefaultDSEParams() DSEParams {
-	return DSEParams{Scale: 8, Limit: 4 * sim.Second}
-}
-
 // DSESpecs builds the full Figure 6/7 grid for workload in output order:
 // for each accelerator count and in-flight cap, the ideal baseline followed
 // by each memory technology.

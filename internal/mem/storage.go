@@ -84,8 +84,3 @@ func allZero(b []byte) bool {
 	}
 	return true
 }
-
-// AllocatedBytes reports how much backing store has been touched.
-func (s *Storage) AllocatedBytes() uint64 {
-	return uint64(len(s.pages)) << s.pageBits
-}

@@ -25,12 +25,11 @@ type LinkTap interface {
 	TapResp(pkt *Packet) TapAction
 }
 
-// Injector re-delivers held packets to the endpoints beneath a tap, for
+// Injector re-delivers held responses to the requestor beneath a tap, for
 // delayed-delivery faults: the tap returns TapDrop and later re-injects the
 // packet through the Injector.
 type Injector struct {
-	reqInner  Requestor
-	respInner Responder
+	reqInner Requestor
 }
 
 // DeliverResp hands a response to the requestor beneath the tap, bypassing
@@ -40,14 +39,9 @@ func (inj *Injector) DeliverResp(pkt *Packet) bool {
 	return inj.reqInner.RecvTimingResp(pkt)
 }
 
-// DeliverReq hands a request to the responder beneath the tap.
-func (inj *Injector) DeliverReq(pkt *Packet) bool {
-	return inj.respInner.RecvTimingReq(pkt)
-}
-
 // Interpose wraps both owners of an already-bound link with tap adapters, so
 // every timing delivery flows through the tap. Retries pass through
-// unobserved. The returned Injector reaches the wrapped endpoints for
+// unobserved. The returned Injector reaches the wrapped requestor for
 // delayed re-delivery. Multiple interpositions nest (outermost sees traffic
 // first); a tap over a checked link observes traffic before the checker
 // validates it, so injected faults exercise the checker too.
@@ -63,7 +57,7 @@ func Interpose(req *RequestPort, tap LinkTap) *Injector {
 	}
 	resp := req.peer
 	resp.classes, resp.classOf = 0, nil
-	inj := &Injector{reqInner: req.owner, respInner: resp.owner}
+	inj := &Injector{reqInner: req.owner}
 	req.owner = &tappedRequestor{tap: tap, inner: req.owner}
 	resp.owner = &tappedResponder{tap: tap, inner: resp.owner, port: resp}
 	return inj

@@ -250,16 +250,6 @@ func (c *Circuit) SignalByName(name string) SigID {
 	return -1
 }
 
-// MemByName returns the ID of the named memory, or -1.
-func (c *Circuit) MemByName(name string) MemID {
-	for i := range c.Mems {
-		if c.Mems[i].Name == name {
-			return MemID(i)
-		}
-	}
-	return -1
-}
-
 // Mask returns the bit mask for a width (1..64).
 func Mask(w int) uint64 {
 	if w >= 64 {

@@ -59,9 +59,6 @@ type Config struct {
 	// RunPoint overrides the per-point executor; nil means experiments.Run
 	// with Options. Tests use it to count executions and inject failures.
 	RunPoint func(ctx context.Context, spec experiments.RunSpec) (sim.Tick, error)
-	// Chaos, when non-nil, wraps the composed executor (including a custom
-	// RunPoint) with seeded fault injection. Soak tests only.
-	Chaos *Chaos
 	// StreamPeriod is the progress stream's record period (0 = 1s). The e2e
 	// tests shorten it so streams produce records quickly.
 	StreamPeriod time.Duration
@@ -135,11 +132,6 @@ func New(cfg Config) (*Server, error) {
 		s.run = func(ctx context.Context, spec experiments.RunSpec) (sim.Tick, error) {
 			return experiments.Run(ctx, spec, opts...)
 		}
-	}
-	if cfg.Chaos != nil {
-		// The chaos layer wraps the fully composed executor, so injected
-		// faults exercise the same retry/quarantine path real failures take.
-		s.run = cfg.Chaos.Wrap(s.run)
 	}
 	s.reg = stats.NewRegistry()
 	obs.RegisterHostStats(s.reg)
@@ -243,9 +235,6 @@ func (s *Server) worker() {
 
 // Store exposes the result store (the e2e tests assert on its length).
 func (s *Server) Store() *Store { return s.store }
-
-// Poison exposes the quarantine (poison) store.
-func (s *Server) Poison() *PoisonStore { return s.poison }
 
 // Drain stops accepting jobs, lets the workers finish every queued point
 // (retry-waiting points skip their backoff and settle immediately), and
