@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test bench-smoke doccheck
+.PHONY: all build test bench-smoke doccheck goldens mutants
 
 all: build
 
@@ -27,3 +27,17 @@ bench-smoke:
 # the user-facing docs (doc_test.go).
 doccheck:
 	$(GO) test -count=1 -run '^TestDocs' .
+
+# Rewrite the golden files the tests compare against from the current tree:
+# the kernel grid's state hashes, the PMU trace and the stats baseline. Review
+# the diff before committing it. testdata/run_golden.json pins outputs of
+# wrappers that no longer exist, so nothing rewrites it.
+goldens:
+	$(GO) test -count=1 -run '^TestKernelGoldenStateHash$$' ./internal/experiments -update
+	$(GO) test -count=1 -run '^TestTraceGoldenPMUFirst1000Ticks$$' ./internal/soc -update
+	$(GO) test -count=1 -run '^TestStatsBaseline$$' ./cmd/gem5rtl -update
+
+# Plant each fault of internal/conform/testdata/mutants.json alone in a copy
+# of the tree and require every test its row names to fail there.
+mutants:
+	$(GO) test -count=1 -tags mutants -run '^TestMutants$$' -timeout 60m -v ./internal/conform

@@ -14,11 +14,12 @@ import (
 // docPackages are the packages whose every exported symbol must carry a doc
 // comment: the kernel packages (internal/sim, internal/port), whose exported
 // API documents the scheduling and packet-ownership contracts the rest of the
-// simulator relies on, and the RTL, device, profiler, service and flag
-// packages built on them.
+// simulator relies on, the RTL, device, profiler, service and flag
+// packages built on them, and the differential tests' driver.
 var docPackages = []string{
 	"internal/sim", "internal/port", "internal/sweepd", "internal/rtlc", "internal/prof",
 	"internal/rtlobject", "internal/nvdla", "internal/pmu", "internal/cli", "internal/hdl",
+	"internal/conform",
 }
 
 // flagPackages are the packages whose command-line flags must each be

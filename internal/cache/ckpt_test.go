@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"gem5rtl/internal/ckpt"
+	"gem5rtl/internal/conform"
 	"gem5rtl/internal/port"
 	"gem5rtl/internal/sim"
 )
@@ -31,19 +32,6 @@ func (acceptAll) RecvReqRetry()                    {}
 func (acceptAll) RecvTimingReq(*port.Packet) bool  { return true }
 func (acceptAll) RecvRespRetry()                   {}
 
-func saveCache(t *testing.T, c *Cache) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	w := ckpt.NewWriter(&buf)
-	if err := c.SaveState(w); err != nil {
-		t.Fatalf("save: %v", err)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
 // TestCacheRoundTrip fills a cache with resident lines, outstanding MSHRs
 // (with coalesced targets) and prefetcher state, then round-trips it.
 func TestCacheRoundTrip(t *testing.T) {
@@ -69,14 +57,12 @@ func TestCacheRoundTrip(t *testing.T) {
 	wr.PushSenderState(uint64(7))
 	c.handleRequest(wr)
 
-	blob := saveCache(t, c)
+	blob := conform.Save(t, c)
 
 	q2 := sim.NewEventQueue()
 	c2 := buildTestCache(q2)
-	if err := c2.RestoreState(ckpt.NewReader(bytes.NewReader(blob))); err != nil {
-		t.Fatalf("restore: %v", err)
-	}
-	if got := saveCache(t, c2); !bytes.Equal(got, blob) {
+	conform.Restore(t, blob, c2)
+	if got := conform.Save(t, c2); !bytes.Equal(got, blob) {
 		t.Error("re-saved state differs from original checkpoint")
 	}
 	if ln := c2.lookup(0x0); ln == nil || !ln.dirty || ln.data[3] != 0xaa || ln.data[8] != 1 {
@@ -95,7 +81,7 @@ func TestCacheRoundTrip(t *testing.T) {
 func TestCacheGeometryMismatch(t *testing.T) {
 	q := sim.NewEventQueue()
 	c := buildTestCache(q)
-	blob := saveCache(t, c)
+	blob := conform.Save(t, c)
 
 	cfg := testCacheCfg()
 	cfg.Assoc = 4

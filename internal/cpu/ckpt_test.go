@@ -5,23 +5,10 @@ import (
 	"testing"
 
 	"gem5rtl/internal/ckpt"
+	"gem5rtl/internal/conform"
 	"gem5rtl/internal/isa"
 	"gem5rtl/internal/sim"
 )
-
-// saveCore serialises a core to bytes, failing the test on error.
-func saveCore(t *testing.T, c *Core) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	w := ckpt.NewWriter(&buf)
-	if err := c.SaveState(w); err != nil {
-		t.Fatalf("save: %v", err)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatalf("flush: %v", err)
-	}
-	return buf.Bytes()
-}
 
 // TestCoreRoundTrip mutates a core into a mid-run shape (sleeping, pending
 // loads, stats), checkpoints it, restores into a fresh core and verifies the
@@ -45,15 +32,12 @@ func TestCoreRoundTrip(t *testing.T) {
 	c.stats = Stats{Cycles: 100, Committed: 250, Loads: 40, SleepCycles: 10}
 	q.Schedule(c.wakeEv, 9_000)
 
-	blob := saveCore(t, c)
+	blob := conform.Save(t, c)
 
 	q2 := sim.NewEventQueue()
 	dom2 := sim.NewClockDomain("clk", q2, 2_000_000_000)
 	c2 := New(DefaultConfig(0), dom2)
-	r := ckpt.NewReader(bytes.NewReader(blob))
-	if err := c2.RestoreState(r); err != nil {
-		t.Fatalf("restore: %v", err)
-	}
+	conform.Restore(t, blob, c2)
 	if c2.pc != 0x1234 || c2.regs[7] != 21 || !c2.pendingReg[5] || !c2.sleeping {
 		t.Errorf("fields lost: pc=%#x regs[7]=%d pending5=%v sleeping=%v",
 			c2.pc, c2.regs[7], c2.pendingReg[5], c2.sleeping)
@@ -64,35 +48,14 @@ func TestCoreRoundTrip(t *testing.T) {
 	if !c2.ticker.Running() {
 		t.Error("ticker not re-materialised")
 	}
-	if got := saveCore(t, c2); !bytes.Equal(got, blob) {
+	if got := conform.Save(t, c2); !bytes.Equal(got, blob) {
 		t.Error("re-saved state differs from original checkpoint")
 	}
 }
 
-// saveRig serialises everything a core rig owns, in a fixed order.
-func saveRig(t *testing.T, r *rig) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	w := ckpt.NewWriter(&buf)
-	for _, c := range []ckpt.Checkpointable{r.q, r.core, r.l1i, r.l1d, r.store} {
-		if err := c.SaveState(w); err != nil {
-			t.Fatalf("save: %v", err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-func restoreRig(t *testing.T, r *rig, blob []byte) {
-	t.Helper()
-	rd := ckpt.NewReader(bytes.NewReader(blob))
-	for _, c := range []ckpt.Checkpointable{r.q, r.core, r.l1i, r.l1d, r.store} {
-		if err := c.RestoreState(rd); err != nil {
-			t.Fatalf("restore: %v", err)
-		}
-	}
+// parts is everything a core rig checkpoints, in a fixed order.
+func (r *rig) parts() []ckpt.Checkpointable {
+	return []ckpt.Checkpointable{r.q, r.core, r.l1i, r.l1d, r.store}
 }
 
 // TestCoreSleepWakeAfterRestore checkpoints a real program mid-sleep,
@@ -128,11 +91,11 @@ main:
 	if !r.core.sleeping {
 		t.Fatal("core not sleeping at checkpoint tick")
 	}
-	blob := saveRig(t, r)
+	blob := conform.Save(t, r.parts()...)
 
 	// Restore into a fresh rig: no program load, no Start.
 	r2 := newRig(t)
-	restoreRig(t, r2, blob)
+	conform.Restore(t, blob, r2.parts()...)
 	if !r2.core.sleeping || !r2.core.wakeEv.Scheduled() {
 		t.Fatal("restored core lost its pending wake")
 	}

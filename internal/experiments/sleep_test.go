@@ -1,17 +1,22 @@
 package experiments
 
 import (
-	"bytes"
 	"context"
+	"fmt"
+	"hash/maphash"
 	"io"
-	"sort"
+	"sync"
+	"sync/atomic"
 	"testing"
 
+	"gem5rtl/internal/conform"
+	"gem5rtl/internal/isa"
 	"gem5rtl/internal/pmu"
 	"gem5rtl/internal/port"
 	"gem5rtl/internal/rtl"
 	"gem5rtl/internal/sim"
 	"gem5rtl/internal/soc"
+	"gem5rtl/internal/trace"
 	"gem5rtl/internal/workload"
 )
 
@@ -49,67 +54,117 @@ func sleepSplitTicks() []sim.Tick {
 	return ticks
 }
 
-// splitWitness is what one run split at a tick leaves behind.
-type splitWitness struct {
-	atSplit, atEnd uint64 // StateHash
-	reached, done  sim.Tick
-	remaining      int
+// digestSeed keys every digest a split test takes, so digests compare.
+var digestSeed = maphash.MakeSeed()
+
+// stateDigest is a digest of s's checkpoint bytes, as StateHash is, in a
+// hash that costs a fraction of StateHash's FNV: the split tests take
+// thousands, most of a machine's bytes its memory.
+func stateDigest(t *testing.T, s *soc.System) uint64 {
+	t.Helper()
+	var h maphash.Hash
+	h.SetSeed(digestSeed)
+	if err := s.Save(&h); err != nil {
+		t.Fatal(err)
+	}
+	return h.Sum64()
 }
 
-// runSplit runs spec to the split tick, hashes the machine, runs it to
-// completion and hashes it again. oracle builds the per-cycle machine.
-func runSplit(t *testing.T, spec RunSpec, split sim.Tick, oracle bool) (splitWitness, *soc.System) {
-	t.Helper()
-	s, err := buildPoint(spec, soc.Oracles{PerCycle: oracle})
-	if err != nil {
-		t.Fatalf("%v: build: %v", spec, err)
+// splitWitness is what an NVDLA machine shows at a split tick or at its end.
+type splitWitness struct {
+	Hash      uint64 // stateDigest
+	Reached   sim.Tick
+	Remaining int
+}
+
+// closedForm totals the cycles a split test's subject runs applied in closed
+// form and the cycles they ran.
+type closedForm struct{ elided, ticks atomic.Uint64 }
+
+// report logs the totals of what once its subtests are done, and fails t if
+// the subjects ran and slept through nothing.
+func (n *closedForm) report(t *testing.T, what, unit string) {
+	if elided, ticks := n.elided.Load(), n.ticks.Load(); ticks > 0 {
+		t.Logf("%s: %d of %d %s cycles applied in closed form", what, elided, ticks, unit)
+		if elided == 0 {
+			t.Errorf("%s: nothing was elided: the differential compared the oracle with itself", what)
+		}
 	}
-	var w splitWitness
-	w.reached, w.remaining, err = s.RunNVDLAPhase(context.Background(), split)
-	if err != nil {
-		t.Fatalf("%v: run to %d: %v", spec, split, err)
-	}
-	if w.atSplit, err = s.StateHash(); err != nil {
-		t.Fatalf("%v: hash at %d: %v", spec, split, err)
-	}
-	if w.done, err = s.RunUntilNVDLAsDoneCtx(context.Background(), spec.Limit); err != nil {
-		t.Fatalf("%v: run from %d: %v", spec, split, err)
-	}
-	if w.atEnd, err = s.StateHash(); err != nil {
-		t.Fatalf("%v: final hash: %v", spec, err)
-	}
-	return w, s
 }
 
 // TestSleepingMatchesPerCycleAtEverySplit is the system-level differential:
 // for every spec and every save tick, the machine whose RTLObjects sleep and
 // the one that ticks its accelerators on every edge serialise to the same
-// bytes at the split and at completion. The mid-run hash is what sees the
-// NVDLA's Quiet and Advance: a horizon one cycle long, a fetchTile not
-// stepped or a cycle credited to the wrong counter is in the checkpoint
-// stream long before it is in a final tick.
+// bytes at the split and at completion, and report the same ticks
+// (conform.Splits: one per-cycle run per spec, one sleeping run per split).
+// The mid-run hash is what sees the NVDLA's Quiet and Advance: a horizon one
+// cycle long, a fetchTile not stepped or a cycle credited to the wrong
+// counter is in the checkpoint stream long before it is in a final tick.
 func TestSleepingMatchesPerCycleAtEverySplit(t *testing.T) {
 	if testing.Short() {
-		t.Skip("7 specs x 44 splits x 2 machines")
+		t.Skip("7 specs x 44 splits")
 	}
 	t.Parallel()
 	for _, spec := range sleepSplitSpecs() {
-		var elided, ticks uint64
-		for _, split := range sleepSplitTicks() {
-			want, _ := runSplit(t, spec, split, true)
-			got, s := runSplit(t, spec, split, false)
-			if got != want {
-				t.Errorf("%v split at %d:\n sleeping  %+v\n per-cycle %+v", spec, split, got, want)
+		t.Run(spec.String(), func(t *testing.T) {
+			t.Parallel()
+			var n closedForm
+			t.Cleanup(func() { n.report(t, spec.String(), "accelerator") })
+			// buildPoint's machine, from traces built once for every split.
+			var traces []*trace.Trace
+			for i := 0; i < spec.NVDLAs; i++ {
+				tr, err := trace.Scaled(spec.Workload, uint64(i+1)<<32, spec.Scale)
+				if err != nil {
+					t.Fatal(err)
+				}
+				traces = append(traces, tr)
 			}
-			elided += s.Queue.Elided()
-			for _, o := range s.NVDLAs {
-				ticks += o.Stats().Ticks
-			}
-		}
-		t.Logf("%v: %d of %d accelerator cycles applied in closed form", spec, elided, ticks)
-		if elided == 0 {
-			t.Errorf("%v: nothing was elided: the differential compared the oracle with itself", spec)
-		}
+			conform.Splits(t, sleepSplitTicks(), func(t *testing.T, oracle bool) conform.Run[sim.Tick, splitWitness] {
+				s, err := soc.BuildWithOracles(specConfig(spec), soc.Oracles{PerCycle: oracle})
+				if err != nil {
+					t.Fatalf("%v: build: %v", spec, err)
+				}
+				for i, tr := range traces {
+					s.NVDLAs[i].Start()
+					s.PlayTrace(i, tr)
+				}
+				// A phase asked for after completion reports the end of the
+				// completion window; the run that first reaches the tick
+				// reports the completion tick, and so does this one.
+				var doneAt sim.Tick
+				return conform.Run[sim.Tick, splitWitness]{
+					To: func(at sim.Tick) splitWitness {
+						reached, remaining, err := s.RunNVDLAPhase(context.Background(), at)
+						if err != nil {
+							t.Fatalf("%v: run to %d: %v", spec, at, err)
+						}
+						if remaining == 0 {
+							if doneAt == 0 {
+								doneAt = reached
+							}
+							reached = doneAt
+						}
+						return splitWitness{stateDigest(t, s), reached, remaining}
+					},
+					Finish: func() splitWitness {
+						done, err := s.RunUntilNVDLAsDoneCtx(context.Background(), spec.Limit)
+						if err != nil {
+							t.Fatalf("%v: run to completion: %v", spec, err)
+						}
+						if doneAt == 0 {
+							doneAt = done
+						}
+						if !oracle {
+							n.elided.Add(s.Queue.Elided())
+							for _, o := range s.NVDLAs {
+								n.ticks.Add(o.Stats().Ticks)
+							}
+						}
+						return splitWitness{Hash: stateDigest(t, s), Reached: doneAt}
+					},
+				}
+			})
+		})
 	}
 }
 
@@ -142,6 +197,12 @@ func checkMostlyElided(t *testing.T, spec RunSpec, s *soc.System) {
 	}
 }
 
+// sortImage is the small sort benchmark pmuSortSystem loads, assembled once
+// for the thousand machines the split test builds.
+var sortImage = sync.OnceValues(func() ([]byte, error) {
+	return isa.Assemble(workload.SortBenchmark(workload.SortParams{N: 16, SleepUs: 12}))
+})
+
 // pmuSortSystem builds the Table 2 machine — one core, the PMU programmed
 // over AXI with every event line enabled and the threshold on the cycle
 // counter at thresh (0 disables it) — with a small sort benchmark started.
@@ -163,9 +224,11 @@ func pmuSortSystem(t *testing.T, thresh uint32, oracle bool, wave io.Writer) *so
 	host.Write(pmu.RegEnable, 0x3F)
 	host.Write(pmu.RegThreshSel, pmu.EvCycle)
 	host.Write(pmu.RegThreshVal, thresh)
-	if err := s.LoadProgram(0, workload.SortBenchmark(workload.SortParams{N: 16, SleepUs: 12})); err != nil {
+	img, err := sortImage()
+	if err != nil {
 		t.Fatal(err)
 	}
+	s.Cores[0].LoadProgram(img)
 	s.Cores[0].OnExit = func(int64) { s.Queue.ExitSimLoop("exit") }
 	s.StartCores(0)
 	return s
@@ -234,15 +297,6 @@ func pmuIRQEdges(t *testing.T, thresh uint32) []sim.Tick {
 	return picked
 }
 
-func mustStateHash(t *testing.T, s *soc.System) uint64 {
-	t.Helper()
-	h, err := s.StateHash()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return h
-}
-
 // pmuFoldedStretches runs the sleeping machine with its waveform on at the
 // given threshold and returns, for up to four of the stretches its PMU
 // sleeps through while the core commits — the taps folding into the sleep —
@@ -300,6 +354,12 @@ func pmuFoldedStretches(t *testing.T, thresh uint32) []sim.Tick {
 	return picked
 }
 
+// pmuWitness is what a Table 2 machine shows at a split tick or at its end.
+type pmuWitness struct {
+	Hash uint64 // stateDigest
+	VCD  uint64 // maphash of the PMU's waveform so far, if it writes one
+}
+
 // TestPMUSleepingMatchesPerCycleAtEverySplit is the split differential for
 // the PMU's closed forms: at three thresholds (0, off: the stretch has no
 // end; 1 000 and 10 000 cycles), split at every save tick of the ladder
@@ -309,7 +369,11 @@ func pmuFoldedStretches(t *testing.T, thresh uint32) []sim.Tick {
 // is asleep with commits folding into its sleep, and at the ticks one PMU
 // edge before and after some of its interrupt edges, the machine whose PMU
 // sleeps serialises to the per-cycle machine's bytes at the split and at
-// exit. A save wakes the PMU, so each split is a separate run.
+// exit. A save wakes the PMU, so each split is a separate run
+// (conform.Splits). The per-cycle machine is never asleep, so saving it
+// changes nothing: one run hashes it, and digests its waveform, at every
+// split. Each (waveform, threshold) pair is a parallel subtest, and each of
+// its splits another.
 //
 // With the waveform on, where the PMU sleeps as it does without one and its
 // stretches write their records from the taps' log, the splits also fall
@@ -337,82 +401,56 @@ func TestPMUSleepingMatchesPerCycleAtEverySplit(t *testing.T) {
 			ladder = append(ladder, off+at)
 		}
 	}
-	for _, wave := range []bool{false, true} {
-		for _, thresh := range []uint32{0, 1000, 10000} {
-			if wave && thresh != 1000 {
-				continue
-			}
+	for _, c := range []struct {
+		wave   bool
+		thresh uint32
+	}{{false, 0}, {false, 1000}, {false, 10000}, {true, 1000}} {
+		what := fmt.Sprintf("waveform %v, threshold %d", c.wave, c.thresh)
+		t.Run(what, func(t *testing.T) {
+			t.Parallel()
 			const pmuEdge = sim.Tick(1000) // the PMU's clock period, 1 GHz
 			splits := append([]sim.Tick(nil), ladder...)
-			for _, at := range pmuIRQEdges(t, thresh) {
+			for _, at := range pmuIRQEdges(t, c.thresh) {
 				splits = append(splits, at-pmuEdge, at, at+pmuEdge)
 			}
-			if wave {
-				splits = append(splits, pmuFoldedStretches(t, thresh)...)
+			if c.wave {
+				splits = append(splits, pmuFoldedStretches(t, c.thresh)...)
 			}
-			sort.Slice(splits, func(i, j int) bool { return splits[i] < splits[j] })
-			// The per-cycle machine is never asleep, so saving it changes
-			// nothing: one run hashes it, and marks its waveform, at every
-			// split.
-			var orVCD bytes.Buffer
-			var orOut io.Writer
-			if wave {
-				orOut = &orVCD
-			}
-			or := pmuSortSystem(t, thresh, true, orOut)
-			want := make([]uint64, len(splits))
-			wantVCD := make([]int, len(splits))
-			for i, at := range splits {
-				or.Queue.RunUntil(at)
-				want[i] = mustStateHash(t, or)
-				wantVCD[i] = flushedVCD(t, or, &orVCD)
-			}
-			or.Queue.RunUntil(sim.MaxTick)
-			wantEnd := mustStateHash(t, or)
-			flushedVCD(t, or, &orVCD)
-			var elided, ticks uint64
-			for i, at := range splits {
-				var vcd bytes.Buffer
+			var n closedForm
+			t.Cleanup(func() { n.report(t, what, "PMU") })
+			conform.Splits(t, splits, func(t *testing.T, oracle bool) conform.Run[sim.Tick, pmuWitness] {
+				var vcd maphash.Hash // the waveform, streamed into its digest
+				vcd.SetSeed(digestSeed)
 				var out io.Writer
-				if wave {
+				if c.wave {
 					out = &vcd
 				}
-				s := pmuSortSystem(t, thresh, false, out)
-				s.Queue.RunUntil(at)
-				if got := flushedVCD(t, s, &vcd); !bytes.Equal(vcd.Bytes(), orVCD.Bytes()[:wantVCD[i]]) {
-					t.Errorf("waveform, threshold %d, split at %d: %d VCD bytes, per-cycle %d, not the same", thresh, at, got, wantVCD[i])
+				s := pmuSortSystem(t, c.thresh, oracle, out)
+				digest := func() pmuWitness {
+					if c.wave {
+						if err := s.PMUWrapper.Model().VCD().Flush(); err != nil {
+							t.Fatal(err)
+						}
+					}
+					return pmuWitness{stateDigest(t, s), vcd.Sum64()}
 				}
-				if got := mustStateHash(t, s); got != want[i] {
-					t.Errorf("waveform %v, threshold %d, split at %d: state hash %016x, per-cycle %016x", wave, thresh, at, got, want[i])
+				return conform.Run[sim.Tick, pmuWitness]{
+					To: func(at sim.Tick) pmuWitness {
+						s.Queue.RunUntil(at)
+						return digest()
+					},
+					Finish: func() pmuWitness {
+						s.Queue.RunUntil(sim.MaxTick)
+						if !oracle {
+							n.elided.Add(s.Queue.Elided())
+							n.ticks.Add(s.PMU.Stats().Ticks)
+						}
+						return digest()
+					},
 				}
-				s.Queue.RunUntil(sim.MaxTick)
-				if got := mustStateHash(t, s); got != wantEnd {
-					t.Errorf("waveform %v, threshold %d, split at %d: final state hash %016x, per-cycle %016x", wave, thresh, at, got, wantEnd)
-				}
-				if flushedVCD(t, s, &vcd); !bytes.Equal(vcd.Bytes(), orVCD.Bytes()) {
-					t.Errorf("waveform, threshold %d, split at %d: final VCD %d bytes, per-cycle %d, not the same", thresh, at, vcd.Len(), orVCD.Len())
-				}
-				elided += s.Queue.Elided()
-				ticks += s.PMU.Stats().Ticks
-			}
-			t.Logf("waveform %v, threshold %d: %d of %d PMU cycles applied in closed form", wave, thresh, elided, ticks)
-			if elided == 0 {
-				t.Errorf("waveform %v, threshold %d: nothing was elided: the differential compared the oracle with itself", wave, thresh)
-			}
-		}
+			})
+		})
 	}
-}
-
-// flushedVCD flushes the PMU waveform of s, if it writes one, into buf and
-// returns the bytes written so far.
-func flushedVCD(t *testing.T, s *soc.System, buf *bytes.Buffer) int {
-	t.Helper()
-	if v := s.PMUWrapper.Model().VCD(); v != nil {
-		if err := v.Flush(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return buf.Len()
 }
 
 // TestPMUFaultCampaignMatchesPerCycle: a state flip is a back door into a

@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"testing"
 
-	"gem5rtl/internal/ckpt"
+	"gem5rtl/internal/conform"
 	"gem5rtl/internal/port"
 	"gem5rtl/internal/sim"
 )
@@ -14,36 +14,16 @@ type memSink struct{}
 func (memSink) RecvTimingResp(*port.Packet) bool { return true }
 func (memSink) RecvReqRetry()                    {}
 
-func saveOne(t *testing.T, c ckpt.Checkpointable) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	w := ckpt.NewWriter(&buf)
-	if err := c.SaveState(w); err != nil {
-		t.Fatalf("save: %v", err)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-func restoreOne(t *testing.T, c ckpt.Checkpointable, blob []byte) {
-	t.Helper()
-	if err := c.RestoreState(ckpt.NewReader(bytes.NewReader(blob))); err != nil {
-		t.Fatalf("restore: %v", err)
-	}
-}
-
 func TestStorageRoundTrip(t *testing.T) {
 	s := NewStorage()
 	s.Write(0x100, []byte{1, 2, 3})
 	s.Write(1<<20, []byte{9})
-	blob := saveOne(t, s)
+	blob := conform.Save(t, s)
 
 	s2 := NewStorage()
 	s2.Write(0x5000, []byte{0xff}) // pre-existing contents must be replaced
-	restoreOne(t, s2, blob)
-	if !bytes.Equal(saveOne(t, s2), blob) {
+	conform.Restore(t, blob, s2)
+	if !bytes.Equal(conform.Save(t, s2), blob) {
 		t.Error("re-saved storage differs")
 	}
 	got := make([]byte, 3)
@@ -64,12 +44,12 @@ func TestIdealAndScratchpadRoundTrip(t *testing.T) {
 	im := NewIdealMemory("im", q, store, 500)
 	port.BindUnchecked(port.NewRequestPort("r", memSink{}), im.Port())
 	im.RecvTimingReq(port.NewReadPacket(0x40, 64))
-	blob := saveOne(t, im)
+	blob := conform.Save(t, im)
 	q2 := sim.NewEventQueue()
 	im2 := NewIdealMemory("im", q2, NewStorage(), 500)
 	port.BindUnchecked(port.NewRequestPort("r", memSink{}), im2.Port())
-	restoreOne(t, im2, blob)
-	if !bytes.Equal(saveOne(t, im2), blob) {
+	conform.Restore(t, blob, im2)
+	if !bytes.Equal(conform.Save(t, im2), blob) {
 		t.Error("re-saved ideal memory differs")
 	}
 	if im2.Reads != 1 {
@@ -79,11 +59,11 @@ func TestIdealAndScratchpadRoundTrip(t *testing.T) {
 	sp := NewScratchpad(DefaultScratchpadConfig("sp"), q, store)
 	port.BindUnchecked(port.NewRequestPort("r", memSink{}), sp.Port())
 	sp.RecvTimingReq(port.NewWritePacket(0x80, make([]byte, 64)))
-	blob = saveOne(t, sp)
+	blob = conform.Save(t, sp)
 	sp2 := NewScratchpad(DefaultScratchpadConfig("sp"), sim.NewEventQueue(), NewStorage())
 	port.BindUnchecked(port.NewRequestPort("r", memSink{}), sp2.Port())
-	restoreOne(t, sp2, blob)
-	if !bytes.Equal(saveOne(t, sp2), blob) {
+	conform.Restore(t, blob, sp2)
+	if !bytes.Equal(conform.Save(t, sp2), blob) {
 		t.Error("re-saved scratchpad differs")
 	}
 	if sp2.busFreeAt != sp.busFreeAt || sp2.Bytes != 64 {
@@ -121,23 +101,13 @@ func TestDRAMRoundTrip(t *testing.T) {
 		t.Fatal("test did not reach an in-flight read state")
 	}
 
-	blob := saveOne(t, d)
+	blob := conform.Save(t, d)
 	q2 := sim.NewEventQueue()
 	d2, _ := buildDRAM(q2)
 	// Restores validate event times against the restored clock.
-	var qb bytes.Buffer
-	w := ckpt.NewWriter(&qb)
-	if err := q.SaveState(w); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := q2.RestoreState(ckpt.NewReader(&qb)); err != nil {
-		t.Fatal(err)
-	}
-	restoreOne(t, d2, blob)
-	if !bytes.Equal(saveOne(t, d2), blob) {
+	conform.Restore(t, conform.Save(t, q), q2)
+	conform.Restore(t, blob, d2)
+	if !bytes.Equal(conform.Save(t, d2), blob) {
 		t.Error("re-saved DRAM state differs")
 	}
 

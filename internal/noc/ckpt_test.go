@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"gem5rtl/internal/ckpt"
+	"gem5rtl/internal/conform"
 	"gem5rtl/internal/port"
 	"gem5rtl/internal/sim"
 )
@@ -25,19 +26,6 @@ func buildTestXbar(q *sim.EventQueue) *Xbar {
 	down := port.NewResponsePort("down", nocSink{})
 	port.Bind(x.DownPort(0), down)
 	return x
-}
-
-func saveXbar(t *testing.T, x *Xbar) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	w := ckpt.NewWriter(&buf)
-	if err := x.SaveState(w); err != nil {
-		t.Fatalf("save: %v", err)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
 }
 
 // TestXbarRoundTrip pushes traffic (forward and response directions) through
@@ -64,14 +52,12 @@ func TestXbarRoundTrip(t *testing.T) {
 	resp.AllocateData()
 	x.downs[0].Peer().SendTimingResp(resp)
 
-	blob := saveXbar(t, x)
+	blob := conform.Save(t, x)
 
 	q2 := sim.NewEventQueue()
 	x2 := buildTestXbar(q2)
-	if err := x2.RestoreState(ckpt.NewReader(bytes.NewReader(blob))); err != nil {
-		t.Fatalf("restore: %v", err)
-	}
-	if got := saveXbar(t, x2); !bytes.Equal(got, blob) {
+	conform.Restore(t, blob, x2)
+	if got := conform.Save(t, x2); !bytes.Equal(got, blob) {
 		t.Error("re-saved state differs from original checkpoint")
 	}
 	if x2.ForwardedCount() != x.ForwardedCount() || x2.Responses != x.Responses {

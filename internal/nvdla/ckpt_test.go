@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"testing"
 
-	"gem5rtl/internal/ckpt"
+	"gem5rtl/internal/conform"
 	"gem5rtl/internal/mem"
 	"gem5rtl/internal/port"
 	"gem5rtl/internal/rtlobject"
@@ -42,29 +42,10 @@ func newCkptRig(t testing.TB) *ckptRig {
 	return r
 }
 
-func (r *ckptRig) save(t *testing.T) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	w := ckpt.NewWriter(&buf)
-	for _, c := range []ckpt.Checkpointable{r.q, r.obj, r.m0, r.m1, r.store} {
-		if err := c.SaveState(w); err != nil {
-			t.Fatalf("save: %v", err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
+func (r *ckptRig) save(t *testing.T) []byte { return conform.Save(t, r.q, r.obj, r.m0, r.m1, r.store) }
 
 func (r *ckptRig) restore(t *testing.T, blob []byte) {
-	t.Helper()
-	rd := ckpt.NewReader(bytes.NewReader(blob))
-	for _, c := range []ckpt.Checkpointable{r.q, r.obj, r.m0, r.m1, r.store} {
-		if err := c.RestoreState(rd); err != nil {
-			t.Fatalf("restore: %v", err)
-		}
-	}
+	conform.Restore(t, blob, r.q, r.obj, r.m0, r.m1, r.store)
 }
 
 // TestNVDLARoundTrip checkpoints an accelerator mid-layer — outstanding tile

@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"testing"
 
-	"gem5rtl/internal/ckpt"
+	"gem5rtl/internal/conform"
 )
 
 func TestHistogramBasics(t *testing.T) {
@@ -127,32 +127,13 @@ func TestHistogramCheckpointRoundTrip(t *testing.T) {
 	for i := uint64(1); i < 1000; i += 7 {
 		h.Observe(i * 13)
 	}
-	var first bytes.Buffer
-	w := ckpt.NewWriter(&first)
-	if err := h.SaveState(w); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
+	first := conform.Save(t, &h)
 	var back Histogram
-	if err := back.RestoreState(ckpt.NewReader(bytes.NewReader(first.Bytes()))); err != nil {
-		t.Fatal(err)
-	}
+	conform.Restore(t, first, &back)
 	if back != h {
 		t.Fatalf("restored %+v != saved %+v", back, h)
 	}
-
-	var second bytes.Buffer
-	w2 := ckpt.NewWriter(&second)
-	if err := back.SaveState(w2); err != nil {
-		t.Fatal(err)
-	}
-	if err := w2.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(first.Bytes(), second.Bytes()) {
+	if !bytes.Equal(first, conform.Save(t, &back)) {
 		t.Fatal("checkpoint round-trip is not bit-identical")
 	}
 }

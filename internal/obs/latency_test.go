@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"gem5rtl/internal/ckpt"
+	"gem5rtl/internal/conform"
 	"gem5rtl/internal/port"
 	"gem5rtl/internal/sim"
 	"gem5rtl/internal/stats"
@@ -137,23 +138,14 @@ func TestLatencyStraddleCheckpoint(t *testing.T) {
 	q.ScheduleFunc("inject", 100, func() { tap.TapReq(pkt) })
 	q.Run() // now = 100, packet in flight
 
-	var snap bytes.Buffer
-	w := ckpt.NewWriter(&snap)
-	if err := p.SaveState(w); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	snap := conform.Save(t, p)
 
 	// "Fresh process": a new queue resumed past the checkpoint tick and a
 	// freshly attached profile with the same topology.
 	q2 := sim.NewEventQueue()
 	p2 := NewLatencyProfile(q2)
 	tap2 := p2.Tap("link")
-	if err := p2.RestoreState(ckpt.NewReader(bytes.NewReader(snap.Bytes()))); err != nil {
-		t.Fatal(err)
-	}
+	conform.Restore(t, snap, p2)
 	if tap2.InFlight() != 1 {
 		t.Fatalf("restored in-flight = %d, want 1", tap2.InFlight())
 	}
@@ -176,25 +168,18 @@ func TestLatencyProfileTopologyMismatch(t *testing.T) {
 	q := sim.NewEventQueue()
 	p := NewLatencyProfile(q)
 	p.Tap("a")
-	var snap bytes.Buffer
-	w := ckpt.NewWriter(&snap)
-	if err := p.SaveState(w); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	snap := conform.Save(t, p)
 
 	twoTaps := NewLatencyProfile(q)
 	twoTaps.Tap("a")
 	twoTaps.Tap("b")
-	if err := twoTaps.RestoreState(ckpt.NewReader(bytes.NewReader(snap.Bytes()))); err == nil {
+	if err := twoTaps.RestoreState(ckpt.NewReader(bytes.NewReader(snap))); err == nil {
 		t.Fatal("tap-count mismatch accepted")
 	}
 
 	renamed := NewLatencyProfile(q)
 	renamed.Tap("z")
-	if err := renamed.RestoreState(ckpt.NewReader(bytes.NewReader(snap.Bytes()))); err == nil {
+	if err := renamed.RestoreState(ckpt.NewReader(bytes.NewReader(snap))); err == nil {
 		t.Fatal("tap-name mismatch accepted")
 	}
 }

@@ -5,21 +5,9 @@ import (
 	"testing"
 
 	"gem5rtl/internal/ckpt"
+	"gem5rtl/internal/conform"
 	"gem5rtl/internal/rtlobject"
 )
-
-func savePMU(t *testing.T, w *Wrapper) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	cw := ckpt.NewWriter(&buf)
-	if err := w.SaveState(cw); err != nil {
-		t.Fatalf("save: %v", err)
-	}
-	if err := cw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
 
 // TestPMURoundTrip checkpoints a PMU mid-measurement — counters running,
 // events pending, an AXI read in flight — restores into a fresh wrapper and
@@ -40,12 +28,10 @@ func TestPMURoundTrip(t *testing.T) {
 		t.Fatalf("setup: queued=%d", len(w.axiQ))
 	}
 
-	blob := savePMU(t, w)
+	blob := conform.Save(t, w)
 	w2 := newPMU(t)
-	if err := w2.RestoreState(ckpt.NewReader(bytes.NewReader(blob))); err != nil {
-		t.Fatalf("restore: %v", err)
-	}
-	if got := savePMU(t, w2); !bytes.Equal(got, blob) {
+	conform.Restore(t, blob, w2)
+	if got := conform.Save(t, w2); !bytes.Equal(got, blob) {
 		t.Error("re-saved state differs from original checkpoint")
 	}
 	if w2.pendingCommits != w.pendingCommits || len(w2.axiQ) != 1 {
@@ -77,7 +63,7 @@ func TestPMURoundTrip(t *testing.T) {
 // checkpoint from a differently-shaped PMU.
 func TestPMUCheckpointWrongCircuit(t *testing.T) {
 	w := newPMU(t)
-	blob := savePMU(t, w)
+	blob := conform.Save(t, w)
 	other, err := NewWrapper(NumCounters / 2)
 	if err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"gem5rtl/internal/conform"
 	"gem5rtl/internal/rtl"
 	"gem5rtl/internal/rtlobject"
 	"gem5rtl/internal/verilog"
@@ -248,14 +249,12 @@ func BenchmarkPMUTick(b *testing.B) {
 			axiWrite(w, RegThreshSel, EvCycle)
 			axiWrite(w, RegThreshVal, 10000)
 			in := &rtlobject.Input{}
-			rng := uint64(0x9e3779b97f4a7c15)
+			rng := conform.NewRNG(1)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				rng ^= rng << 13
-				rng ^= rng >> 7
-				rng ^= rng << 17
-				w.AddCommits(int(rng%8), 0)
-				if rng>>3%8 == 0 {
+				x := rng.Uint64()
+				w.AddCommits(int(x%8), 0)
+				if x>>3%8 == 0 {
 					w.AddMiss(0)
 				}
 				w.Tick(in)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"gem5rtl/internal/ckpt"
+	"gem5rtl/internal/conform"
 	"gem5rtl/internal/sim"
 )
 
@@ -91,33 +92,10 @@ func TestQueuesRoundTrip(t *testing.T) {
 	tq.Schedule(NewWritePacket(0x80, []byte{1, 2}), 700)
 	resp.needReqRetry = true
 
-	var buf bytes.Buffer
-	w := ckpt.NewWriter(&buf)
-	if err := rq.SaveState(w); err != nil {
-		t.Fatal(err)
-	}
-	if err := tq.SaveState(w); err != nil {
-		t.Fatal(err)
-	}
-	if err := resp.SaveState(w); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
+	blob := conform.Save(t, rq, tq, resp)
 	q2 := sim.NewEventQueue()
 	rq2, tq2, resp2 := build(q2)
-	r := ckpt.NewReader(bytes.NewReader(buf.Bytes()))
-	if err := rq2.RestoreState(r); err != nil {
-		t.Fatal(err)
-	}
-	if err := tq2.RestoreState(r); err != nil {
-		t.Fatal(err)
-	}
-	if err := resp2.RestoreState(r); err != nil {
-		t.Fatal(err)
-	}
+	conform.Restore(t, blob, rq2, tq2, resp2)
 	if rq2.Len() != 1 || tq2.Len() != 1 {
 		t.Fatalf("restored lens = %d/%d", rq2.Len(), tq2.Len())
 	}

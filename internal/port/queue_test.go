@@ -1,12 +1,12 @@
 package port
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
 
 	"gem5rtl/internal/ckpt"
+	"gem5rtl/internal/conform"
 	"gem5rtl/internal/sim"
 )
 
@@ -133,6 +133,7 @@ type classResponder struct {
 	used     []int
 	offers   int
 	accepted []accept
+	log      uint64 // every accept, folded in order
 }
 
 // accept is one accepted request: which packet, at which tick.
@@ -155,6 +156,7 @@ func (r *classResponder) RecvTimingReq(pkt *Packet) bool {
 		r.used[c]++
 	}
 	r.accepted = append(r.accepted, accept{pkt.ID, r.q.Now()})
+	r.log = (r.log^pkt.ID)*1099511628211 ^ uint64(r.q.Now())
 	return true
 }
 
@@ -195,35 +197,31 @@ type diffArrival struct {
 	stamp   sim.Stamp
 }
 
-// diffWorld is one queue under test with its own event queue and responder.
+// diffWorld is one queue under test with its own event queue and responder,
+// driven through a script one action at a time: one side of the differential
+// (a conform.Machine whose actions are script indices; len(script) runs the
+// queue dry).
 type diffWorld struct {
-	q    *sim.EventQueue
-	rq   reqQueue
-	resp *classResponder
-	// steps logs the queue's visible state after every scripted action.
-	steps []string
-	// saves holds the checkpoints taken, with the script position and the
-	// responder occupancy a restored world continues from.
-	saves []diffSave
+	setup  diffSetup
+	script []diffAction
+	next   int // index of the first action not yet performed
+	q      *sim.EventQueue
+	rq     reqQueue
+	resp   *classResponder
 	// parkedSaves counts the checkpoints taken with packets parked.
 	parkedSaves int
-}
-
-type diffSave struct {
-	bytes []byte
-	next  int // index of the first action after the save
-	used  []int
 }
 
 type diffSetup struct {
 	ref      bool // the oracle instead of ReqQueue
 	declare  bool // the responder declares its admission classes
 	checked  bool // protocol checker on the link
+	restore  bool // continue in restored worlds after each save
 	capacity []int
 }
 
 func newDiffWorld(s diffSetup) *diffWorld {
-	w := &diffWorld{q: sim.NewEventQueue()}
+	w := &diffWorld{setup: s, q: sim.NewEventQueue()}
 	w.resp = &classResponder{q: w.q, capacity: s.capacity, used: make([]int, len(s.capacity))}
 	w.resp.port = NewResponsePort("model", w.resp)
 	if s.declare {
@@ -245,10 +243,11 @@ func newDiffWorld(s diffSetup) *diffWorld {
 	return w
 }
 
-// play schedules the actions on the world's event queue, in script order.
-func (w *diffWorld) play(script []diffAction) {
-	for i := range script {
-		i, a := i, &script[i]
+// play schedules the script's actions from index from on, in script order.
+func (w *diffWorld) play(script []diffAction, from int) {
+	w.script, w.next = script, from
+	for i := from; i < len(script); i++ {
+		a := &script[i]
 		w.q.ScheduleFunc("act", a.at, func() {
 			for _, ar := range a.arrivals {
 				pkt := &Packet{ID: ar.id, Cmd: ReadReq, Addr: uint64(ar.class), Size: 64}
@@ -264,45 +263,53 @@ func (w *diffWorld) play(script []diffAction) {
 			if a.free >= 0 {
 				w.resp.free(a.free)
 			}
-			if a.save {
-				w.saves = append(w.saves, diffSave{w.save(), i + 1, append([]int(nil), w.resp.used...)})
-			}
-			w.steps = append(w.steps, fmt.Sprintf("t=%d blocked=%v retry=%v len=%d accepted=%d",
-				w.q.Now(), w.rq.isBlocked(), w.resp.port.WaitingForReqRetry(), w.rq.Len(), len(w.resp.accepted)))
+			w.next = i + 1
 		})
 	}
 }
 
-func (w *diffWorld) save() []byte {
+// Apply dispatches events up to and including action i's.
+func (w *diffWorld) Apply(i int) {
+	if i == len(w.script) {
+		w.q.Run()
+		return
+	}
+	for w.next <= i && w.q.Step() {
+	}
+}
+
+// diffDigest is the queue's visible state and every accept so far.
+type diffDigest struct {
+	Now            sim.Tick
+	Blocked, Retry bool
+	Len, Accepted  int
+	Accepts        uint64
+	Action         int
+}
+
+func (w *diffWorld) Digest() diffDigest {
+	return diffDigest{Now: w.q.Now(), Blocked: w.rq.isBlocked(), Retry: w.resp.port.WaitingForReqRetry(),
+		Len: w.rq.Len(), Accepted: len(w.resp.accepted), Accepts: w.resp.log, Action: w.next}
+}
+
+func (w *diffWorld) Save(t testing.TB) []byte {
 	if rq, ok := w.rq.(*ReqQueue); ok && rq.parked > 0 {
 		w.parkedSaves++
 	}
-	var buf bytes.Buffer
-	cw := ckpt.NewWriter(&buf)
-	if err := w.rq.SaveState(cw); err != nil {
-		panic(err)
-	}
-	if err := w.resp.port.SaveState(cw); err != nil {
-		panic(err)
-	}
-	if err := cw.Flush(); err != nil {
-		panic(err)
-	}
-	return buf.Bytes()
+	return conform.Save(t, w.rq, w.resp.port)
 }
 
-// restored builds a fresh world holding a saved queue and the responder
-// occupancy of the world it was saved from.
-func restored(s diffSetup, from diffSave) *diffWorld {
-	n := newDiffWorld(s)
-	copy(n.resp.used, from.used)
-	r := ckpt.NewReader(bytes.NewReader(from.bytes))
-	if err := n.rq.RestoreState(r); err != nil {
-		panic(err)
+// Restore builds a fresh world holding the saved queue, the responder's
+// occupancy and accept log, and the rest of the script.
+func (w *diffWorld) Restore(t testing.TB, data []byte) conform.Machine[int, diffDigest] {
+	if !w.setup.restore {
+		return nil
 	}
-	if err := n.resp.port.RestoreState(r); err != nil {
-		panic(err)
-	}
+	n := newDiffWorld(w.setup)
+	copy(n.resp.used, w.resp.used)
+	n.resp.accepted, n.resp.log = append(n.resp.accepted, w.resp.accepted...), w.resp.log
+	conform.Restore(t, data, n.rq, n.resp.port)
+	n.play(w.script, w.next)
 	return n
 }
 
@@ -351,10 +358,17 @@ func diffScript(rng *rand.Rand, classes int, hits bool) []diffAction {
 	return script
 }
 
-// runDifferential plays one seeded script on ReqQueue and on the oracle, and
-// from every checkpoint taken on the way again on both, restored.
+// runDifferential plays one seeded script on ReqQueue and on the oracle,
+// compared after every action (conform.Script): once uninterrupted, and once
+// continuing in restored worlds after every checkpoint. The offers and the
+// checkpoints taken with packets parked are the uninterrupted run's.
 func runDifferential(t *testing.T, seed int64, declare, checked bool) (offersRef, offersNew, parkedSaves int) {
 	t.Helper()
+	defer func() {
+		if t.Failed() {
+			t.Logf("seed %d, declare %v, checked %v", seed, declare, checked)
+		}
+	}()
 	rng := rand.New(rand.NewSource(seed))
 	classes := 1 + rng.Intn(4)
 	capacity := make([]int, classes)
@@ -362,56 +376,25 @@ func runDifferential(t *testing.T, seed int64, declare, checked bool) (offersRef
 		capacity[c] = 1 + rng.Intn(3)
 	}
 	script := diffScript(rng, classes, !declare)
-
-	refSetup := diffSetup{ref: true, capacity: capacity}
-	newSetup := diffSetup{declare: declare, checked: checked, capacity: capacity}
-	ref, nw := newDiffWorld(refSetup), newDiffWorld(newSetup)
-
-	ref.play(script)
-	nw.play(script)
-	ref.q.Run()
-	nw.q.Run()
-
-	compare := func(what string, a, b []string) {
-		t.Helper()
-		for i := 0; i < len(a) && i < len(b); i++ {
-			if a[i] != b[i] {
-				t.Fatalf("seed %d: %s differ at %d: oracle %q, ReqQueue %q", seed, what, i, a[i], b[i])
-			}
+	steps := make([]int, len(script)+1)
+	for i := range steps {
+		steps[i] = i
+	}
+	isSave := func(i int) bool { return i < len(script) && script[i].save }
+	for _, restore := range []bool{false, true} {
+		ref := newDiffWorld(diffSetup{ref: true, restore: restore, capacity: capacity})
+		nw := newDiffWorld(diffSetup{declare: declare, checked: checked, restore: restore, capacity: capacity})
+		ref.play(script, 0)
+		nw.play(script, 0)
+		res := conform.Script[int, diffDigest](t, nw, ref, steps, isSave)
+		if d := res.Subject.Digest(); d.Len != 0 {
+			t.Fatalf("queues not drained: %d left", d.Len)
 		}
-		if len(a) != len(b) {
-			t.Fatalf("seed %d: %s: oracle has %d, ReqQueue %d", seed, what, len(a), len(b))
+		if !restore {
+			offersRef, offersNew, parkedSaves = ref.resp.offers, nw.resp.offers, nw.parkedSaves
 		}
 	}
-	accepts := func(w *diffWorld) []string {
-		out := make([]string, len(w.resp.accepted))
-		for i, a := range w.resp.accepted {
-			out[i] = a.String()
-		}
-		return out
-	}
-	compare("accept sequences", accepts(ref), accepts(nw))
-	compare("visible states", ref.steps, nw.steps)
-	if ref.rq.Len() != 0 || nw.rq.Len() != 0 {
-		t.Fatalf("seed %d: queues not drained: oracle %d, ReqQueue %d", seed, ref.rq.Len(), nw.rq.Len())
-	}
-	if len(ref.saves) != len(nw.saves) {
-		t.Fatalf("seed %d: %d vs %d checkpoints", seed, len(ref.saves), len(nw.saves))
-	}
-	for i := range ref.saves {
-		if !bytes.Equal(ref.saves[i].bytes, nw.saves[i].bytes) {
-			t.Fatalf("seed %d: checkpoint %d differs between oracle and ReqQueue", seed, i)
-		}
-		rest := script[ref.saves[i].next:]
-		rref, rnew := restored(refSetup, ref.saves[i]), restored(newSetup, nw.saves[i])
-		rref.play(rest)
-		rnew.play(rest)
-		rref.q.Run()
-		rnew.q.Run()
-		compare(fmt.Sprintf("accept sequences after restore %d", i), accepts(rref), accepts(rnew))
-		compare(fmt.Sprintf("visible states after restore %d", i), rref.steps, rnew.steps)
-	}
-	return ref.resp.offers, nw.resp.offers, nw.parkedSaves
+	return offersRef, offersNew, parkedSaves
 }
 
 // TestReqQueueMatchesOfferEverythingWalk is the mechanism's contract: against

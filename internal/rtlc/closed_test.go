@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"gem5rtl/internal/conform"
 	"gem5rtl/internal/pmu"
 	"gem5rtl/internal/rtl"
 	"gem5rtl/internal/rtlc"
@@ -98,13 +99,7 @@ func TestPMUCountsWhileItSleeps(t *testing.T) {
 		}
 	}
 	vary := rtl.Vary{In: events, Bits: 1<<(pmu.EvL1DMiss+1) - 1}
-	rng := uint64(0x9e3779b97f4a7c15)
-	rand := func() uint64 {
-		rng ^= rng << 13
-		rng ^= rng >> 7
-		rng ^= rng << 17
-		return rng
-	}
+	rand := conform.NewRNG(1).Uint64
 	for i, sel := range []uint64{pmu.EvCycle, pmu.EvCommit0, pmu.EvL1DMiss, pmu.EvCycle, pmu.EvCommit0, pmu.EvL1DMiss} {
 		wave := i >= 3
 		l := lockstepVM(t, c)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"gem5rtl/internal/conform"
 	"gem5rtl/internal/rtl"
 	"gem5rtl/internal/rtlc"
 )
@@ -189,12 +190,9 @@ func FuzzEngines(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
 	seed := make([]byte, 256)
-	s := uint64(0x9e3779b97f4a7c15)
+	rng := conform.NewRNG(1)
 	for i := range seed {
-		s ^= s << 13
-		s ^= s >> 7
-		s ^= s << 17
-		seed[i] = byte(s)
+		seed[i] = byte(rng.Uint64())
 	}
 	f.Add(seed)
 	f.Add(seed[3:190])

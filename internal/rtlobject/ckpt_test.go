@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"gem5rtl/internal/ckpt"
+	"gem5rtl/internal/conform"
 	"gem5rtl/internal/mem"
 	"gem5rtl/internal/port"
 	"gem5rtl/internal/sim"
@@ -69,29 +70,10 @@ func newCkptRig(total int) *ckptRig {
 	return r
 }
 
-func (r *ckptRig) save(t *testing.T) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	w := ckpt.NewWriter(&buf)
-	for _, c := range []ckpt.Checkpointable{r.q, r.obj, r.m0, r.m1} {
-		if err := c.SaveState(w); err != nil {
-			t.Fatalf("save: %v", err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
+func (r *ckptRig) save(t *testing.T) []byte { return conform.Save(t, r.q, r.obj, r.m0, r.m1) }
 
 func (r *ckptRig) restore(t *testing.T, blob []byte) {
-	t.Helper()
-	rd := ckpt.NewReader(bytes.NewReader(blob))
-	for _, c := range []ckpt.Checkpointable{r.q, r.obj, r.m0, r.m1} {
-		if err := c.RestoreState(rd); err != nil {
-			t.Fatalf("restore: %v", err)
-		}
-	}
+	conform.Restore(t, blob, r.q, r.obj, r.m0, r.m1)
 }
 
 // TestRTLObjectRoundTrip checkpoints the bridge mid-run — requests beyond

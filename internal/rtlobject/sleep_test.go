@@ -1,25 +1,26 @@
 package rtlobject
 
 import (
-	"bytes"
 	"fmt"
 	"hash/fnv"
 	"testing"
 
 	"gem5rtl/internal/ckpt"
+	"gem5rtl/internal/conform"
 	"gem5rtl/internal/port"
 	"gem5rtl/internal/sim"
 )
 
-// The sleep differential drives two rigs through one seeded script: one whose
-// RTLObject sleeps between its model's inputs, and the oracle — the same
-// code, built with Config.PerCycle set, ticking the same model on
-// every clock edge. After every action the two must be indistinguishable:
-// same bridge Stats, ticker cycle, model counters (which fold in the cycle
-// each input was consumed on), dispatch count and, at save points, the same
-// checkpoint bytes. Nothing in the oracle knows what sleeping is, so
-// whatever the sleeper credits, holds or wakes for has to come out where
-// ticking would have put it.
+// The sleep differential drives two rigs through one seeded script
+// (conform.Script): one whose RTLObject sleeps between its model's inputs,
+// and the oracle — the same code, built with Config.PerCycle set, ticking
+// the same model on every clock edge. After every action the two must be
+// indistinguishable: same bridge Stats, ticker cycle, model counters (which
+// fold in the cycle each input was consumed on), dispatch count and, at save
+// points, the same checkpoint bytes, from which both continue restored.
+// Nothing in the oracle knows what sleeping is, so whatever the sleeper
+// credits, holds or wakes for has to come out where ticking would have put
+// it.
 
 // napModel is a synthetic Sleeper: a small DMA program of bursts, waits and
 // compute stretches, quiet in the four ways the NVDLA is and honest about it.
@@ -231,19 +232,6 @@ func (m *napModel) RestoreState(r *ckpt.Reader) error {
 	return r.Err()
 }
 
-// napRNG is splitmix64 with its state in reach of a checkpoint.
-type napRNG struct{ s uint64 }
-
-func (r *napRNG) next() uint64 {
-	r.s += 0x9e3779b97f4a7c15
-	z := r.s
-	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
-	z = (z ^ z>>27) * 0x94d049bb133111eb
-	return z ^ z>>31
-}
-
-func (r *napRNG) intn(n int) int { return int(r.next() % uint64(n)) }
-
 // scriptMem answers every request after a latency drawn from its own seeded
 // stream — zero, the exact distance to a model clock edge, or anything — and
 // now and then refuses one, retrying after a delay drawn the same way. Its
@@ -259,7 +247,7 @@ type scriptMem struct {
 	p       *port.ResponsePort
 	drainEv *sim.Event
 	retryEv *sim.Event
-	rng     napRNG
+	rng     *conform.RNG
 	due     []scriptResp // sorted by (when, insertion)
 }
 
@@ -269,7 +257,7 @@ type scriptResp struct {
 }
 
 func newScriptMem(name string, q *sim.EventQueue, period sim.Tick, seed uint64) *scriptMem {
-	m := &scriptMem{q: q, period: period, rng: napRNG{seed}}
+	m := &scriptMem{q: q, period: period, rng: conform.NewRNG(seed)}
 	m.p = port.NewResponsePort(name, m)
 	m.drainEv = sim.NewEvent(name+".drain", m.drain)
 	m.retryEv = sim.NewEvent(name+".retry", m.p.SendRetryReq)
@@ -280,18 +268,18 @@ func newScriptMem(name string, q *sim.EventQueue, period sim.Tick, seed uint64) 
 // edge, the rest up to three cycles and a bit.
 func (m *scriptMem) delay() sim.Tick {
 	now := m.q.Now()
-	switch m.rng.intn(4) {
+	switch m.rng.Intn(4) {
 	case 0:
 		return 0
 	case 1:
-		edge := (now/m.period + 1 + sim.Tick(m.rng.intn(3))) * m.period
+		edge := (now/m.period + 1 + sim.Tick(m.rng.Intn(3))) * m.period
 		return edge - now
 	}
-	return sim.Tick(1 + m.rng.intn(3*int(m.period)+17))
+	return sim.Tick(1 + m.rng.Intn(3*int(m.period)+17))
 }
 
 func (m *scriptMem) RecvTimingReq(pkt *port.Packet) bool {
-	if m.rng.intn(6) == 0 && !m.retryEv.Scheduled() {
+	if m.rng.Intn(6) == 0 && !m.retryEv.Scheduled() {
 		m.q.Schedule(m.retryEv, m.q.Now()+m.delay())
 		return false
 	}
@@ -332,7 +320,7 @@ func (m *scriptMem) RecvRespRetry() {}
 
 func (m *scriptMem) SaveState(w *ckpt.Writer) error {
 	w.Section("scriptmem")
-	w.U64(m.rng.s)
+	m.rng.SaveState(w)
 	sim.SaveEvent(w, m.drainEv)
 	sim.SaveEvent(w, m.retryEv)
 	w.Int(len(m.due))
@@ -345,7 +333,7 @@ func (m *scriptMem) SaveState(w *ckpt.Writer) error {
 
 func (m *scriptMem) RestoreState(r *ckpt.Reader) error {
 	r.Section("scriptmem")
-	m.rng.s = r.U64()
+	m.rng.RestoreState(r)
 	m.q.RestoreEvent(r, m.drainEv)
 	m.q.RestoreEvent(r, m.retryEv)
 	m.due = nil
@@ -383,43 +371,34 @@ func rank(name string) uint64 {
 	return h.Sum64()
 }
 
-// straddle returns names of the form prefix+"N"+suffix whose ranks fall below
-// and above the rank of pivot: events that dispatch before and after it when
-// all three share a tick and a priority.
-func straddle(pivot, prefix, suffix string) (lo, hi string) {
-	for i := 0; lo == "" || hi == ""; i++ {
-		n := fmt.Sprintf("%s%d", prefix, i)
-		switch {
-		case lo == "" && rank(n+suffix) < rank(pivot):
-			lo = n
-		case hi == "" && rank(n+suffix) > rank(pivot):
-			hi = n
-		}
-	}
-	return lo, hi
-}
-
 const napPeriod = 1000 // model clock: 2 GHz core, divider 2
 
+// napRig is one machine of the sleep differential (a conform.Machine):
+// oracle selects the per-cycle one.
 type napRig struct {
-	q    *sim.EventQueue
-	obj  *RTLObject
-	m    *napModel
-	mems [NumMemPorts]*scriptMem
-	host *napHost
+	t       *testing.T
+	seed    uint64
+	oracle  bool
+	q       *sim.EventQueue
+	obj     *RTLObject
+	m       *napModel
+	mems    [NumMemPorts]*scriptMem
+	host    *napHost
+	running bool
+	elided  uint64 // by the sleepers this rig replaced through restores
 }
 
 func napProgram(seed uint64) []napStep {
-	r := napRNG{seed ^ 0x6e6170}
+	r := conform.NewRNG(seed ^ 0x6e6170)
 	prog := []napStep{{kind: napBurst, a: 5, b: 2}}
 	for len(prog) < 24 {
-		switch r.intn(6) {
+		switch r.Intn(6) {
 		case 0, 1:
-			prog = append(prog, napStep{kind: napBurst, a: r.intn(12), b: r.intn(6)})
+			prog = append(prog, napStep{kind: napBurst, a: r.Intn(12), b: r.Intn(6)})
 		case 2:
 			prog = append(prog, napStep{kind: napAwait})
 		case 3:
-			prog = append(prog, napStep{kind: napCompute, a: 1 + r.intn(150)})
+			prog = append(prog, napStep{kind: napCompute, a: 1 + r.Intn(150)})
 		case 4:
 			prog = append(prog, napStep{kind: napDrain})
 		case 5:
@@ -429,16 +408,16 @@ func napProgram(seed uint64) []napStep {
 	return prog
 }
 
-// newNapRig builds one machine; oracle selects the per-cycle one. The two
-// memories' response events rank on either side of the object's tick event,
-// so a response landing on a model edge is seen before the tick of that edge
-// from one of them and after it from the other.
-func newNapRig(seed uint64, oracle bool) *napRig {
-	r := &napRig{q: sim.NewEventQueue(), m: &napModel{prog: napProgram(seed)}}
+// newNapRig builds one machine. The two memories' response events rank on
+// either side of the object's tick event, so a response landing on a model
+// edge is seen before the tick of that edge from one of them and after it
+// from the other.
+func newNapRig(t *testing.T, seed uint64, oracle bool) *napRig {
+	r := &napRig{t: t, seed: seed, oracle: oracle, q: sim.NewEventQueue(), m: &napModel{prog: napProgram(seed)}}
 	core := sim.NewClockDomain("cpu", r.q, 2_000_000_000)
 	r.obj = New(Config{Name: "dev", ClockDivider: 2, MaxInflight: 3, PerCycle: oracle}, core, r.m)
 	r.obj.SetPacketIDSpace(1)
-	lo, hi := straddle("dev.tick", "mem", ".drain")
+	lo, hi := conform.Straddle(rank, "dev.tick", "mem", ".drain")
 	for i, name := range []string{lo, hi} {
 		r.mems[i] = newScriptMem(name, r.q, napPeriod, seed+uint64(i))
 		port.Bind(r.obj.MemPort(i), r.mems[i].p)
@@ -449,33 +428,16 @@ func newNapRig(seed uint64, oracle bool) *napRig {
 	return r
 }
 
-func (r *napRig) parts() []ckpt.Checkpointable {
-	return []ckpt.Checkpointable{r.q, r.obj, r.mems[0], r.mems[1]}
-}
+func (r *napRig) Save(t testing.TB) []byte { return conform.Save(t, r.q, r.obj, r.mems[0], r.mems[1]) }
 
-func (r *napRig) save(t *testing.T) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	w := ckpt.NewWriter(&buf)
-	for _, c := range r.parts() {
-		if err := c.SaveState(w); err != nil {
-			t.Fatalf("save: %v", err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-func (r *napRig) restore(t *testing.T, blob []byte) {
-	t.Helper()
-	rd := ckpt.NewReader(bytes.NewReader(blob))
-	for _, c := range r.parts() {
-		if err := c.RestoreState(rd); err != nil {
-			t.Fatalf("restore: %v", err)
-		}
-	}
+// Restore continues in a fresh machine restored from the checkpoint, with
+// the host's counts carried over.
+func (r *napRig) Restore(t testing.TB, data []byte) conform.Machine[napAction, napView] {
+	n := newNapRig(r.t, r.seed, r.oracle)
+	conform.Restore(t, data, n.q, n.obj, n.mems[0], n.mems[1])
+	n.host.got, n.host.sent, n.running = r.host.got, r.host.sent, r.running
+	n.elided = r.elided + r.q.Elided()
+	return n
 }
 
 // napView is what the two machines are compared on after an action.
@@ -490,8 +452,13 @@ type napView struct {
 	Queued     int
 }
 
-func (r *napRig) view() napView {
+// Digest fails the test as soon as the model sees its contract broken.
+func (r *napRig) Digest() napView {
 	st := r.obj.Stats() // settles: the counters below are read after it
+	if r.m.fault != "" {
+		r.t.Fatalf("seed %d, oracle %v: model contract broken: %s\nlast Tick cycle %d (%d inputs), last Advance(%d), asleep=%v from %d",
+			r.seed, r.oracle, r.m.fault, r.m.lastTickCycle, r.m.lastTickInputs, r.m.lastAdvanceCount, r.obj.asleep, r.obj.sleepFrom)
+	}
 	return napView{
 		Now: r.q.Now(), Stats: st, Cycle: r.obj.ticker.Cycle(), Model: r.m.c,
 		Dispatched: r.q.Dispatched(), HostGot: r.host.got,
@@ -499,146 +466,90 @@ func (r *napRig) view() napView {
 	}
 }
 
-// napPair is the sleeping machine and its oracle.
-type napPair struct {
-	t       *testing.T
-	seed    uint64
-	nap, or *napRig
-	running bool
-	elided  uint64 // by sleepers since replaced through a restore
-	log     []string
-}
+// napAction is one drawn step of a script: the op in its low four bits, and
+// above them the run length of an op that runs.
+type napAction uint64
 
-func (p *napPair) each(fn func(*napRig)) { fn(p.nap); fn(p.or) }
+func (a napAction) op() int { return int(a % 16) }
 
-func (p *napPair) failf(format string, args ...any) {
-	p.t.Helper()
-	tail := p.log
-	if len(tail) > 12 {
-		tail = tail[len(tail)-12:]
-	}
-	p.t.Fatalf("seed %d: %s\nlast actions: %v\nsleeper: last Tick cycle %d (%d inputs), last Advance(%d), asleep=%v from %d",
-		p.seed, fmt.Sprintf(format, args...), tail,
-		p.nap.m.lastTickCycle, p.nap.m.lastTickInputs, p.nap.m.lastAdvanceCount, p.nap.obj.asleep, p.nap.obj.sleepFrom)
-}
+// d is the action's run length, in [1, n].
+func (a napAction) d(n int) sim.Tick { return sim.Tick(1 + uint64(a>>4)%uint64(n)) }
 
-func (p *napPair) compare() {
-	p.t.Helper()
-	if a, b := p.nap.view(), p.or.view(); a != b {
-		p.failf("machines diverge\n sleeper %+v\n oracle  %+v", a, b)
-	}
-	for _, r := range []*napRig{p.nap, p.or} {
-		if r.m.fault != "" {
-			p.failf("model contract broken: %s", r.m.fault)
-		}
-	}
-}
+// isNapSave: ops 12 to 14 save and continue in restored machines.
+func isNapSave(a napAction) bool { return a.op() >= 12 && a.op() <= 14 }
 
-func (p *napPair) compareSaved() []byte {
-	p.t.Helper()
-	a, b := p.nap.save(p.t), p.or.save(p.t)
-	if !bytes.Equal(a, b) {
-		p.failf("checkpoints differ at tick %d (%d and %d bytes)", p.nap.q.Now(), len(a), len(b))
-	}
-	return a
-}
-
-// step applies one drawn action to both machines.
-func (p *napPair) step(r *napRNG) {
-	p.t.Helper()
-	now := p.nap.q.Now()
+// Apply performs one action.
+func (r *napRig) Apply(a napAction) {
+	now := r.q.Now()
 	nextEdge := (now/napPeriod + 1) * napPeriod
-	run := func(to sim.Tick) { p.each(func(g *napRig) { g.q.RunUntil(to) }) }
-	switch op := r.intn(16); op {
+	switch a.op() {
 	case 0:
-		p.log = append(p.log, "run-to-edge")
-		run(nextEdge)
+		r.q.RunUntil(nextEdge)
 	case 1:
-		p.log = append(p.log, "run-short-of-edge")
-		run(nextEdge - 1)
+		r.q.RunUntil(nextEdge - 1)
 	case 2, 3, 4:
-		d := sim.Tick(1 + r.intn(20000))
-		p.log = append(p.log, fmt.Sprintf("run+%d", d))
-		run(now + d)
+		r.q.RunUntil(now + a.d(20000))
 	case 5:
-		d := sim.Tick(1+r.intn(400)) * napPeriod
-		p.log = append(p.log, fmt.Sprintf("run+%d", d))
-		run(now + d)
+		r.q.RunUntil(now + a.d(400)*napPeriod)
 	case 6, 7:
 		// Two runs with nothing settled between them.
-		d := sim.Tick(1 + r.intn(3000))
-		p.log = append(p.log, fmt.Sprintf("run+%d,run-to-edge", d))
-		run(now + d)
-		run(((now+d)/napPeriod + 1) * napPeriod)
+		r.q.RunUntil(now + a.d(3000))
+		r.q.RunUntil(((now+a.d(3000))/napPeriod + 1) * napPeriod)
 	case 8:
-		p.log = append(p.log, "cpu-request")
-		p.each(func(g *napRig) { g.host.send() })
+		r.host.send()
 	case 9:
 		// The ordering trap: at a model edge, an event ordered after the
 		// tick schedules, for that same tick, one ordered before it, and the
 		// child delivers the input.
-		p.log = append(p.log, "cpu-request-from-late-child")
-		lo, hi := straddle("dev.tick", "trap", "")
-		p.each(func(g *napRig) {
-			g.q.ScheduleOneShot(hi, nextEdge, func() {
-				g.q.ScheduleOneShot(lo, g.q.Now(), g.host.send)
-			})
+		lo, hi := conform.Straddle(rank, "dev.tick", "trap", "")
+		r.q.ScheduleOneShot(hi, nextEdge, func() {
+			r.q.ScheduleOneShot(lo, r.q.Now(), r.host.send)
 		})
-		run(nextEdge)
+		r.q.RunUntil(nextEdge)
 	case 10:
-		p.log = append(p.log, "poke")
-		p.each(func(g *napRig) {
-			g.obj.Wake()
-			g.m.poke()
-		})
+		r.obj.Wake()
+		r.m.poke()
 	case 11:
 		// Straight after a run, with the cycles it slept through still owed.
-		run(now + sim.Tick(1+r.intn(7000)))
-		if p.running {
-			p.log = append(p.log, "stop")
-			p.each(func(g *napRig) { g.obj.Stop() })
+		r.q.RunUntil(now + a.d(7000))
+		if r.running {
+			r.obj.Stop()
 		} else {
-			p.log = append(p.log, "start")
-			p.each(func(g *napRig) { g.obj.Start() })
+			r.obj.Start()
 		}
-		p.running = !p.running
-	case 12, 13:
-		p.log = append(p.log, "save")
-		p.compareSaved()
-	case 14:
-		// Each machine continues from the other's checkpoint.
-		p.log = append(p.log, "save-restore")
-		blob := p.compareSaved()
-		nap, or := newNapRig(p.seed, false), newNapRig(p.seed, true)
-		nap.restore(p.t, blob)
-		or.restore(p.t, blob)
-		nap.host.got, or.host.got = p.nap.host.got, p.or.host.got
-		nap.host.sent, or.host.sent = p.nap.host.sent, p.or.host.sent
-		p.elided += p.nap.q.Elided()
-		p.nap, p.or = nap, or
-	case 15:
-		p.log = append(p.log, "stats")
+		r.running = !r.running
 	}
-	p.compare()
 }
 
 func runNapScript(t *testing.T, seed uint64, actions int) (elided, ticks uint64) {
 	t.Helper()
-	p := &napPair{t: t, seed: seed, nap: newNapRig(seed, false), or: newNapRig(seed, true), running: true}
-	p.each(func(g *napRig) { g.obj.Start() })
-	r := &napRNG{seed * 0x2545f4914f6cdd1d}
-	for i := 0; i < actions; i++ {
-		p.step(r)
+	defer func() {
+		if t.Failed() {
+			t.Logf("seed %d", seed)
+		}
+	}()
+	nap, or := newNapRig(t, seed, false), newNapRig(t, seed, true)
+	for _, r := range []*napRig{nap, or} {
+		r.obj.Start()
+		r.running = true
 	}
-	p.compareSaved()
-	if p.or.q.Elided() != 0 {
-		t.Fatalf("seed %d: the oracle elided %d events", seed, p.or.q.Elided())
+	r := conform.NewRNG(seed * 0x2545f4914f6cdd1d)
+	script := make([]napAction, actions)
+	for i := range script {
+		script[i] = napAction(r.Uint64())
 	}
-	return p.elided + p.nap.q.Elided(), p.nap.obj.Stats().Ticks
+	res := conform.Script[napAction, napView](t, nap, or, script, isNapSave)
+	nap, or = res.Subject.(*napRig), res.Oracle.(*napRig)
+	if or.elided+or.q.Elided() != 0 {
+		t.Fatalf("seed %d: the oracle elided %d events", seed, or.elided+or.q.Elided())
+	}
+	return nap.elided + nap.q.Elided(), nap.obj.Stats().Ticks
 }
 
-// TestSleepScripts is the seeded differential. The floor it asserts on slept
-// cycles guards against a harness in which the sleeper never sleeps.
+// TestSleepScripts is the seeded differential: 60 scripts of 250 actions,
+// the sleeping machine against the per-cycle one, compared after every action
+// (conform.Script). The floor it asserts on slept cycles guards against a
+// harness in which the sleeper never sleeps.
 func TestSleepScripts(t *testing.T) {
 	var elided, ticks uint64
 	for seed := uint64(1); seed <= 60; seed++ {
@@ -688,7 +599,7 @@ func (m *heldMem) deliver() {
 // suggests; the sleeper has to agree, in lockstep with the oracle, for this
 // and for every other way two events can bracket the tick.
 func TestSameTickChildOrdersAgainstTheElidedTick(t *testing.T) {
-	lo, hi := straddle("dev.tick", "ev", "")
+	lo, hi := conform.Straddle(rank, "dev.tick", "ev", "")
 	const edge = 7 * napPeriod
 	type rig struct {
 		q   *sim.EventQueue

@@ -5,50 +5,40 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-)
 
-// splitmix64 gives the differential tests a seedable deterministic stream
-// without importing math/rand's global state.
-func splitmix64(state *uint64) uint64 {
-	*state += 0x9e3779b97f4a7c15
-	z := *state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d4ecbd1b3e21f
-	return z ^ (z >> 31)
-}
+	"gem5rtl/internal/conform"
+)
 
 // TestCalendarMatchesReferenceHeap drives the calendar queue and the
 // reference pure-heap queue through an identical randomized workload —
 // near/far scheduling, same-tick bursts with mixed priorities, reschedules,
-// deschedules, and events scheduled from inside callbacks — and requires
-// bit-identical dispatch logs.
+// deschedules, and events scheduled from inside callbacks — run in slices of
+// a quarter window, and requires bit-identical dispatch logs after each.
 func TestCalendarMatchesReferenceHeap(t *testing.T) {
+	slices := make([]scriptAction, 16)
+	for i := range slices {
+		slices[i] = scriptAction{op: opRunUntil, off: exact(CalendarWindow / 4)}
+	}
 	for seed := uint64(1); seed <= 5; seed++ {
-		ref := runDifferentialWorkload(NewReferenceEventQueue(), seed)
-		cal := runDifferentialWorkload(NewEventQueue(), seed)
-		if len(ref) != len(cal) {
-			t.Fatalf("seed %d: reference dispatched %d events, calendar %d", seed, len(ref), len(cal))
-		}
-		for i := range ref {
-			if ref[i] != cal[i] {
-				t.Fatalf("seed %d: dispatch %d diverged:\n  ref: %s\n  cal: %s", seed, i, ref[i], cal[i])
+		cal, ref := newScriptRig(NewEventQueue), newScriptRig(NewReferenceEventQueue)
+		tickerWorkload(cal, seed)
+		tickerWorkload(ref, seed)
+		t.Run(fmt.Sprint("seed ", seed), func(t *testing.T) {
+			if cal, _ := rigs(conform.Script[scriptAction, scriptDigest](t, cal, ref, slices, isSaveAction)); cal.q.Pending() != 0 {
+				t.Fatalf("%d events still pending", cal.q.Pending())
 			}
-		}
+		})
 	}
 }
 
-func runDifferentialWorkload(q *EventQueue, seed uint64) []string {
-	var log []string
-	rng := seed
-	record := func(tag string) func() {
-		return func() {
-			log = append(log, fmt.Sprintf("%s @%d", tag, q.Now()))
-		}
-	}
+// tickerWorkload schedules TestCalendarMatchesReferenceHeap's workload on
+// r's queue, logging every dispatch in r.
+func tickerWorkload(r *scriptRig, seed uint64) {
+	q, rng := r.q, conform.NewRNG(seed)
+	record := func(tag string) func() { return func() { r.record(tag) } }
 
 	// A mix of standing events that get rescheduled/descheduled mid-run.
-	movable := NewEvent("movable", nil)
-	movable.fn = record("movable")
+	movable := NewEvent("movable", record("movable"))
 	doomed := NewEvent("doomed", func() { panic("doomed event must never run") })
 
 	// Ticker-style self-rescheduler that also spawns same-tick and far work.
@@ -56,7 +46,7 @@ func runDifferentialWorkload(q *EventQueue, seed uint64) []string {
 	ticker := NewEventPri("ticker", PriCPU, nil)
 	ticker.fn = func() {
 		ticks++
-		log = append(log, fmt.Sprintf("ticker @%d", q.Now()))
+		r.record("ticker")
 		if ticks < 400 {
 			q.Schedule(ticker, q.Now()+500)
 		}
@@ -65,11 +55,11 @@ func runDifferentialWorkload(q *EventQueue, seed uint64) []string {
 		q.ScheduleOneShot("same-tick", q.Now(), record(fmt.Sprintf("same-tick-%d", ticks)))
 		if ticks%7 == 0 {
 			// Far beyond the calendar window.
-			q.ScheduleOneShot("far", q.Now()+2*CalendarWindow+Tick(splitmix64(&rng)%1000),
+			q.ScheduleOneShot("far", q.Now()+2*CalendarWindow+Tick(rng.Intn(1000)),
 				record(fmt.Sprintf("far-%d", ticks)))
 		}
 		if ticks%11 == 0 {
-			q.Reschedule(movable, q.Now()+Tick(splitmix64(&rng)%3000))
+			q.Reschedule(movable, q.Now()+Tick(rng.Intn(3000)))
 		}
 		if ticks == 50 {
 			q.Schedule(doomed, q.Now()+40000)
@@ -79,16 +69,12 @@ func runDifferentialWorkload(q *EventQueue, seed uint64) []string {
 		}
 		// Random-priority scatter at random offsets, including the exact
 		// window boundary where near and far storage meet.
-		off := Tick(splitmix64(&rng) % uint64(2*CalendarWindow))
-		prio := int(splitmix64(&rng)%5) - 2
-		e := NewEventPri("scatter", prio, nil)
-		e.fn = record(fmt.Sprintf("scatter-p%d", prio))
-		q.Schedule(e, q.Now()+off)
+		off := Tick(rng.Intn(int(2 * CalendarWindow)))
+		prio := rng.Intn(5) - 2
+		q.Schedule(NewEventPri("scatter", prio, record(fmt.Sprintf("scatter-p%d", prio))), q.Now()+off)
 	}
 	q.Schedule(ticker, 0)
 	q.Schedule(movable, 100)
-	q.Run()
-	return log
 }
 
 // TestDoubleSchedulePanicNamesBothTicks pins the Schedule contract from

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"gem5rtl/internal/ckpt"
+	"gem5rtl/internal/conform"
 )
 
 // TestEventQueueRoundTrip checks that queue counters and exit state survive a
@@ -16,20 +17,9 @@ func TestEventQueueRoundTrip(t *testing.T) {
 	q.RunUntil(150)
 	q.ExitSimLoop("test exit")
 
-	var buf bytes.Buffer
-	w := ckpt.NewWriter(&buf)
-	if err := q.SaveState(w); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
+	blob := conform.Save(t, q)
 	q2 := NewEventQueue()
-	r := ckpt.NewReader(bytes.NewReader(buf.Bytes()))
-	if err := q2.RestoreState(r); err != nil {
-		t.Fatal(err)
-	}
+	conform.Restore(t, blob, q2)
 	if q2.Now() != q.Now() || q2.Dispatched() != q.Dispatched() {
 		t.Errorf("restored now=%d dispatched=%d, want %d/%d", q2.Now(), q2.Dispatched(), q.Now(), q.Dispatched())
 	}
@@ -41,8 +31,7 @@ func TestEventQueueRoundTrip(t *testing.T) {
 	q3 := NewEventQueue()
 	q3.ScheduleFunc("x", 0, func() {})
 	q3.Step()
-	r = ckpt.NewReader(bytes.NewReader(buf.Bytes()))
-	if err := q3.RestoreState(r); err == nil {
+	if err := q3.RestoreState(ckpt.NewReader(bytes.NewReader(blob))); err == nil {
 		t.Fatal("restore into dirty queue should fail")
 	}
 }
@@ -99,32 +88,14 @@ func TestEventAndTickerRoundTrip(t *testing.T) {
 		q.Schedule(ev, 7_500)
 		q.RunUntil(5_000)
 
-		var buf bytes.Buffer
-		w := ckpt.NewWriter(&buf)
-		if err := q.SaveState(w); err != nil {
-			t.Fatal(err)
-		}
-		SaveEvent(w, ev)
-		if err := tk.SaveState(w); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Flush(); err != nil {
-			t.Fatal(err)
-		}
+		blob := conform.Save(t, q, standing{q, []*Event{ev}}, tk)
 
 		q2 := NewEventQueue()
 		dom2 := NewClockDomain("clk", q2, 1_000_000_000)
 		var fired2 Tick
 		ev2 := NewEvent("fire", func() { fired2 = q2.Now() })
 		tk2 := NewTicker("tick", dom2, 0, func(uint64) bool { return true })
-		r := ckpt.NewReader(bytes.NewReader(buf.Bytes()))
-		if err := q2.RestoreState(r); err != nil {
-			t.Fatal(err)
-		}
-		q2.RestoreEvent(r, ev2)
-		if err := tk2.RestoreState(r); err != nil {
-			t.Fatal(err)
-		}
+		conform.Restore(t, blob, q2, standing{q2, []*Event{ev2}}, tk2)
 		q2.RunUntil(20_000)
 		return fired2, tk2.Cycle()
 	}

@@ -7,7 +7,7 @@ import (
 	"slices"
 	"testing"
 
-	"gem5rtl/internal/ckpt"
+	"gem5rtl/internal/conform"
 )
 
 // perpetualChain schedules a self-rescheduling event so the queue never
@@ -95,15 +95,7 @@ func TestPollLeavesNoTrace(t *testing.T) {
 			})
 		}
 		q.RunUntil(3500 * Nanosecond)
-		var buf bytes.Buffer
-		w := ckpt.NewWriter(&buf)
-		if err := q.SaveState(w); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes(), seen
+		return conform.Save(t, q), seen
 	}
 	bare, _ := run(false)
 	polled, seen := run(true)

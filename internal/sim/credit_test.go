@@ -1,26 +1,11 @@
 package sim
 
 import (
-	"fmt"
 	"testing"
 	"unsafe"
-)
 
-// straddleNames returns two event names whose ranks fall below and above the
-// rank of pivot: at equal tick and priority, lo dispatches before pivot and
-// hi after it.
-func straddleNames(pivot string) (lo, hi string) {
-	for i := 0; lo == "" || hi == ""; i++ {
-		n := fmt.Sprintf("ev%d", i)
-		switch {
-		case lo == "" && nameRank(n) < nameRank(pivot):
-			lo = n
-		case hi == "" && nameRank(n) > nameRank(pivot):
-			hi = n
-		}
-	}
-	return lo, hi
-}
+	"gem5rtl/internal/conform"
+)
 
 // parkedTicker runs a ticker's first edge (tick 0) and parks it there: the
 // callback returns false and nothing reschedules the event. Edges from 1000
@@ -45,7 +30,7 @@ func parkedTicker(t *testing.T, q *EventQueue) *Ticker {
 // RunUntil has finished. Owed, asked first, reports the same count and moves
 // neither the cycle count nor the queue's.
 func TestTickerCreditOrdersAgainstTheTick(t *testing.T) {
-	lo, hi := straddleNames("dev.tick")
+	lo, hi := conform.Straddle(nameRank, "dev.tick", "ev", "")
 	const edge = 5000 // edges 1000..5000 are owed: four before it, and itself
 	for _, tc := range []struct {
 		name string
@@ -117,7 +102,7 @@ func TestTickerCreditOrdersAgainstTheTick(t *testing.T) {
 // finished its last tick, the elided edge included; one that an event ended
 // with ExitSimLoop has not.
 func TestTickerCreditOutsideDispatch(t *testing.T) {
-	lo, _ := straddleNames("dev.tick")
+	lo, _ := conform.Straddle(nameRank, "dev.tick", "ev", "")
 
 	q := NewEventQueue()
 	tk := parkedTicker(t, q)

@@ -1,10 +1,9 @@
 package sim
 
 import (
-	"bytes"
 	"testing"
 
-	"gem5rtl/internal/ckpt"
+	"gem5rtl/internal/conform"
 )
 
 // TestDispatchNoProfilerZeroAllocs pins the zero-cost-when-off contract: with
@@ -108,19 +107,8 @@ func TestProfilerCheckpointRoundTrip(t *testing.T) {
 	q1 := NewEventQueue()
 	q1.AttachProfiler(8)
 	run(q1, 0, 40, q1.Owner("cpu0", "tick"))
-	var buf bytes.Buffer
-	w := ckpt.NewWriter(&buf)
-	if err := q1.SaveState(w); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
 	q2 := NewEventQueue()
-	if err := q2.RestoreState(ckpt.NewReader(&buf)); err != nil {
-		t.Fatal(err)
-	}
+	conform.Restore(t, conform.Save(t, q1), q2)
 	p2 := q2.AttachProfiler(8) // attach after restore: counts must fold in
 	run(q2, 40, 100, q2.Owner("cpu0", "tick"))
 

@@ -1,21 +1,21 @@
 package sim
 
 import (
-	"bytes"
 	"fmt"
 	"sort"
 	"strings"
 	"testing"
 
 	"gem5rtl/internal/ckpt"
+	"gem5rtl/internal/conform"
 )
 
-// The script harness drives a calendar queue and the reference heap through
-// one sequence of API calls and requires them to be indistinguishable after
-// every call: same dispatch log, same NextEventTick, Pending, Now, exit
-// state, and the same checkpoint bytes. A script is a byte string of
-// fixed-width action records, so the seeded test, the handcrafted bucket
-// scenarios and FuzzCalendar all feed one interpreter.
+// The script differential drives a calendar queue and the reference heap
+// through one sequence of API calls (conform.Script) and requires them to be
+// indistinguishable after every call: same dispatch log, same NextEventTick,
+// Pending, Now, exit state, and the same checkpoint bytes. A script is a byte
+// string of fixed-width action records, so the seeded test, the handcrafted
+// bucket scenarios and FuzzCalendar all feed one interpreter.
 //
 // What makes it see a bucket, where TestCalendarMatchesReferenceHeap keeps its
 // tickers on multiples of 500: offsets are drawn in classes aimed at the
@@ -148,23 +148,36 @@ type dispatchRec struct {
 	tick Tick
 }
 
-// scriptRig is one queue with its standing events and callback rules.
+// scriptRig is one queue with its standing events and callback rules: one
+// side of the script differential (a conform.Machine).
 type scriptRig struct {
+	newQ     func() *EventQueue
 	q        *EventQueue
 	ev       [scriptEvents]*Event
 	onFire   [scriptEvents]fireRule
 	fuel     int
 	oneShots int // queue-owned one-shots still pending
 	log      []dispatchRec
+	logHash  uint64 // every dispatch of log, folded in order
 }
 
-func newScriptRig(q *EventQueue) *scriptRig {
-	r := &scriptRig{q: q}
+type (
+	scriptMachine = conform.Machine[scriptAction, scriptDigest]
+	scriptResult  = conform.ScriptResult[scriptAction, scriptDigest]
+)
+
+func newScriptRig(newQ func() *EventQueue) *scriptRig {
+	r := &scriptRig{newQ: newQ, q: newQ()}
 	for i := range r.ev {
-		i := i
 		r.ev[i] = NewEventPri(fmt.Sprintf("ev%d", i), scriptPrios[i], func() { r.fire(i) })
 	}
 	return r
+}
+
+func (r *scriptRig) record(name string) {
+	d := dispatchRec{name, r.q.Now()}
+	r.log = append(r.log, d)
+	r.logHash = (r.logHash^nameRank(name))*1099511628211 ^ uint64(d.tick)
 }
 
 func (r *scriptRig) oneShot(n int, when Tick) {
@@ -172,13 +185,13 @@ func (r *scriptRig) oneShot(n int, when Tick) {
 	r.oneShots++
 	r.q.ScheduleOneShot(name, when, func() {
 		r.oneShots--
-		r.log = append(r.log, dispatchRec{name, r.q.Now()})
+		r.record(name)
 	})
 }
 
 func (r *scriptRig) fire(i int) {
 	now := r.q.Now()
-	r.log = append(r.log, dispatchRec{r.ev[i].name, now})
+	r.record(r.ev[i].name)
 	rule := r.onFire[i]
 	if rule.kind == fireNone || r.fuel == 0 {
 		return
@@ -203,7 +216,8 @@ func (r *scriptRig) fire(i int) {
 	}
 }
 
-func (r *scriptRig) apply(a scriptAction) {
+// Apply performs one action; opSave is the driver's (isSave).
+func (r *scriptRig) Apply(a scriptAction) {
 	r.fuel = scriptFuel
 	now := r.q.Now()
 	e := r.ev[a.i%scriptEvents]
@@ -247,104 +261,82 @@ func (r *scriptRig) apply(a scriptAction) {
 	}
 }
 
-// save serialises the queue and every standing event's schedule.
-func (r *scriptRig) save(t testing.TB) []byte {
-	var buf bytes.Buffer
-	w := ckpt.NewWriter(&buf)
-	if err := r.q.SaveState(w); err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range r.ev {
+func isSaveAction(a scriptAction) bool { return a.op == opSave }
+
+// scriptDigest is everything the queue shows a caller.
+type scriptDigest struct {
+	Dispatches    int
+	Log           uint64
+	Next          Tick
+	HasNext       bool
+	Pending       int
+	Empty         bool
+	Now           Tick
+	Dispatched    uint64
+	Stamp         Stamp
+	Exit, Summary string
+}
+
+func (r *scriptRig) Digest() scriptDigest {
+	d := scriptDigest{Dispatches: len(r.log), Log: r.logHash, Pending: r.q.Pending(), Empty: r.q.Empty(),
+		Now: r.q.Now(), Dispatched: r.q.Dispatched(), Stamp: r.q.CurrentStamp(), Exit: r.q.ExitReason(),
+		Summary: strings.Join(r.q.PendingSummaries(4), ";")}
+	d.Next, d.HasNext = r.q.NextEventTick()
+	return d
+}
+
+// standing is a queue's standing events as one checkpoint part.
+type standing struct {
+	q  *EventQueue
+	ev []*Event
+}
+
+func (s standing) SaveState(w *ckpt.Writer) error {
+	for _, e := range s.ev {
 		SaveEvent(w, e)
 	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return w.Err()
 }
 
-// restoreInto rebuilds the rig around a fresh queue from save's bytes, the way
-// components re-materialise their events after a checkpoint restore. The
-// stop-after cap is not checkpointed (runs re-arm it), so it is carried over.
-func (r *scriptRig) restoreInto(t testing.TB, q *EventQueue, data []byte) *scriptRig {
-	n := newScriptRig(q)
-	n.onFire, n.log = r.onFire, r.log
-	rd := ckpt.NewReader(bytes.NewReader(data))
-	if err := q.RestoreState(rd); err != nil {
-		t.Fatal(err)
+func (s standing) RestoreState(r *ckpt.Reader) error {
+	for _, e := range s.ev {
+		s.q.RestoreEvent(r, e)
 	}
-	for _, e := range n.ev {
-		q.RestoreEvent(rd, e)
+	return r.Err()
+}
+
+// Save serialises the queue and every standing event's schedule.
+func (r *scriptRig) Save(t testing.TB) []byte { return conform.Save(t, r.q, standing{r.q, r.ev[:]}) }
+
+// Restore rebuilds the rig around a fresh queue, the way components
+// re-materialise their events after a checkpoint restore. Queue-owned
+// one-shots do not travel through a checkpoint: with one pending the script
+// stays in this rig. The stop-after cap is not checkpointed either (runs
+// re-arm it), so it is carried over.
+func (r *scriptRig) Restore(t testing.TB, data []byte) scriptMachine {
+	if r.oneShots > 0 {
+		return nil
 	}
-	if err := rd.Err(); err != nil {
-		t.Fatal(err)
-	}
+	n := newScriptRig(r.newQ)
+	n.onFire, n.log, n.logHash = r.onFire, r.log, r.logHash
+	conform.Restore(t, data, n.q, standing{n.q, n.ev[:]})
 	if at, ok := r.q.StopAfter(); ok {
-		q.SetStopAfter(at)
+		n.q.SetStopAfter(at)
 	}
 	return n
-}
-
-// scriptResult is what a finished script reports to its caller's own checks.
-type scriptResult struct {
-	cal, ref *scriptRig
-	restores int
 }
 
 // runScript interprets data on a calendar queue and a reference queue in
 // lockstep and fails t at the first observable difference.
 func runScript(t testing.TB, data []byte) scriptResult {
 	t.Helper()
-	cal, ref := newScriptRig(NewEventQueue()), newScriptRig(NewReferenceEventQueue())
-	res := scriptResult{}
-	checked := 0
-	for step, a := range decodeScript(data) {
-		if a.op == opSave {
-			cb, rb := cal.save(t), ref.save(t)
-			if !bytes.Equal(cb, rb) {
-				t.Fatalf("step %d %v: SaveState bytes differ:\n  cal %x\n  ref %x", step, a, cb, rb)
-			}
-			// Queue-owned one-shots do not travel through a checkpoint; with
-			// none pending, continue in fresh queues restored from the bytes.
-			if cal.oneShots == 0 && ref.oneShots == 0 {
-				cal = cal.restoreInto(t, NewEventQueue(), cb)
-				ref = ref.restoreInto(t, NewReferenceEventQueue(), rb)
-				res.restores++
-			}
-		} else {
-			ref.apply(a)
-			cal.apply(a)
-		}
-		if len(cal.log) != len(ref.log) {
-			t.Fatalf("step %d %v: calendar dispatched %d events, reference %d; logs from %d:\n  cal %v\n  ref %v",
-				step, a, len(cal.log), len(ref.log), checked, cal.log[checked:], ref.log[checked:])
-		}
-		for ; checked < len(ref.log); checked++ {
-			if cal.log[checked] != ref.log[checked] {
-				t.Fatalf("step %d %v: dispatch %d diverged: calendar %v, reference %v", step, a, checked, cal.log[checked], ref.log[checked])
-			}
-		}
-		ct, cok := cal.q.NextEventTick()
-		rt, rok := ref.q.NextEventTick()
-		if ct != rt || cok != rok {
-			t.Fatalf("step %d %v: NextEventTick calendar (%d, %v), reference (%d, %v)", step, a, ct, cok, rt, rok)
-		}
-		if cal.q.Pending() != ref.q.Pending() || cal.q.Empty() != ref.q.Empty() {
-			t.Fatalf("step %d %v: Pending calendar %d, reference %d", step, a, cal.q.Pending(), ref.q.Pending())
-		}
-		if cal.q.Now() != ref.q.Now() || cal.q.Dispatched() != ref.q.Dispatched() || cal.q.CurrentStamp() != ref.q.CurrentStamp() {
-			t.Fatalf("step %d %v: calendar now %d dispatched %d stamp %v, reference now %d dispatched %d stamp %v", step, a,
-				cal.q.Now(), cal.q.Dispatched(), cal.q.CurrentStamp(), ref.q.Now(), ref.q.Dispatched(), ref.q.CurrentStamp())
-		}
-		if cal.q.ExitReason() != ref.q.ExitReason() {
-			t.Fatalf("step %d %v: exit reason calendar %q, reference %q", step, a, cal.q.ExitReason(), ref.q.ExitReason())
-		}
-		if got, want := strings.Join(cal.q.PendingSummaries(4), ";"), strings.Join(ref.q.PendingSummaries(4), ";"); got != want {
-			t.Fatalf("step %d %v: PendingSummaries calendar %q, reference %q", step, a, got, want)
-		}
-	}
-	res.cal, res.ref = cal, ref
-	return res
+	return conform.Script[scriptAction, scriptDigest](t, newScriptRig(NewEventQueue), newScriptRig(NewReferenceEventQueue),
+		decodeScript(data), isSaveAction)
+}
+
+// rigs returns the calendar and reference rigs a script ended in.
+func rigs(res scriptResult) (cal, ref *scriptRig) {
+	return res.Subject.(*scriptRig), res.Oracle.(*scriptRig)
 }
 
 // scriptBuilder assembles handcrafted scripts.
@@ -403,7 +395,8 @@ func bucketScenarios() []bucketScenario {
 	wantOrder := func(want ...string) func(*testing.T, scriptResult) {
 		return func(t *testing.T, res scriptResult) {
 			var got []string
-			for _, d := range res.cal.log {
+			cal, _ := rigs(res)
+			for _, d := range cal.log {
 				got = append(got, d.name)
 			}
 			if strings.Join(got, " ") != strings.Join(want, " ") {
@@ -413,8 +406,8 @@ func bucketScenarios() []bucketScenario {
 	}
 	wantFar := func(n uint64) func(*testing.T, scriptResult) {
 		return func(t *testing.T, res scriptResult) {
-			if got := res.cal.q.FarScheduled(); got != n {
-				t.Errorf("calendar queue scheduled %d events into the spill heap, want %d", got, n)
+			if cal, _ := rigs(res); cal.q.FarScheduled() != n {
+				t.Errorf("calendar queue scheduled %d events into the spill heap, want %d", cal.q.FarScheduled(), n)
 			}
 		}
 	}
@@ -528,8 +521,8 @@ func bucketScenarios() []bucketScenario {
 		add(opRunUntil, 0, exact(2*W))
 	add("stop-after and checkpoint inside a bucket", b, func(t *testing.T, res scriptResult) {
 		wantOrder("ev1", "ev2", "ev3")(t, res)
-		if res.restores != 1 {
-			t.Errorf("%d restores, want 1", res.restores)
+		if res.Restores != 1 {
+			t.Errorf("%d restores, want 1", res.Restores)
 		}
 	})
 
@@ -558,10 +551,10 @@ func TestCalendarBucketScenarios(t *testing.T) {
 	}
 }
 
-// genScript draws a script of n actions from a splitmix64 stream, weighted
+// genScript draws a script of n actions from rng, weighted
 // towards a populated queue: more scheduling than running, short runs more
 // often than long ones.
-func genScript(rng *uint64, n int) []byte {
+func genScript(rng *conform.RNG, n int) []byte {
 	ops := []byte{
 		opSchedule, opSchedule, opSchedule, opSchedule, opReschedule, opReschedule, opReschedule,
 		opDeschedule, opDescheduleNext, opDescheduleNext, opOneShot, opOneShot,
@@ -573,7 +566,7 @@ func genScript(rng *uint64, n int) []byte {
 	runOffs := []byte{offInBucket, offInBucket, offFewBuckets, offFewBuckets, offFewBuckets, offInWindow, offWindowEdge, offFar}
 	var data []byte
 	for i := 0; i < n; i++ {
-		x := splitmix64(rng)
+		x := rng.Uint64()
 		a := scriptAction{op: ops[x%uint64(len(ops))], i: int(x >> 8 & 0xff)}
 		offs := schedOffs
 		if a.op == opRunUntil || a.op == opStopAfter {
@@ -594,11 +587,11 @@ func genScript(rng *uint64, n int) []byte {
 // after every action (runScript). The totals it requires keep the generator
 // honest: the scripts must dispatch, spill, restore and leave events pending.
 func TestCalendarScripts(t *testing.T) {
-	rng := uint64(0x5eed)
+	rng := conform.NewRNG(0x5eed)
 	var dispatched, restores int
 	var far uint64
 	for i := 0; i < 150; i++ {
-		script := genScript(&rng, 200)
+		script := genScript(rng, 200)
 		res := func() scriptResult {
 			defer func() {
 				if t.Failed() {
@@ -607,9 +600,10 @@ func TestCalendarScripts(t *testing.T) {
 			}()
 			return runScript(t, script)
 		}()
-		dispatched += len(res.ref.log)
-		restores += res.restores
-		far += res.cal.q.FarScheduled()
+		cal, ref := rigs(res)
+		dispatched += len(ref.log)
+		restores += res.Restores
+		far += cal.q.FarScheduled()
 	}
 	t.Logf("%d events dispatched, %d scheduled into the spill heap, %d restores into fresh queues", dispatched, far, restores)
 	if dispatched < 5000 || far < 500 || restores < 100 {
@@ -624,9 +618,9 @@ func FuzzCalendar(f *testing.F) {
 	for _, sc := range bucketScenarios() {
 		f.Add(sc.script)
 	}
-	rng := uint64(0xf022)
+	rng := conform.NewRNG(0xf022)
 	for i := 0; i < 4; i++ {
-		f.Add(genScript(&rng, 60))
+		f.Add(genScript(rng, 60))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 400*scriptRecordLen {

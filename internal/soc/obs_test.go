@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -19,6 +20,8 @@ import (
 	"gem5rtl/internal/soc"
 	"gem5rtl/internal/workload"
 )
+
+var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
 func TestAttachTracerRejectsUnknownFlag(t *testing.T) {
 	t.Parallel()
@@ -57,7 +60,7 @@ func startPMUSort(t testing.TB, s *soc.System) {
 // TestTraceGoldenPMUFirst1000Ticks pins the exact trace a -debug-flags=all
 // PMU run emits in its first 1000 ticks against a committed golden file.
 // The simulation is deterministic, so any drift here is a real behaviour or
-// format change. Regenerate with OBS_GOLDEN_UPDATE=1.
+// format change. Regenerate with -update (make goldens).
 func TestTraceGoldenPMUFirst1000Ticks(t *testing.T) {
 	t.Parallel()
 	s := pmuTraceSystem(t)
@@ -69,7 +72,7 @@ func TestTraceGoldenPMUFirst1000Ticks(t *testing.T) {
 	s.Queue.RunUntil(5000) // well past the window; End clips at tick 1000
 
 	golden := filepath.Join("testdata", "trace_pmu_first1000.golden")
-	if os.Getenv("OBS_GOLDEN_UPDATE") != "" {
+	if *updateGolden {
 		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -78,7 +81,7 @@ func TestTraceGoldenPMUFirst1000Ticks(t *testing.T) {
 	}
 	want, err := os.ReadFile(golden)
 	if err != nil {
-		t.Fatalf("%v (run with OBS_GOLDEN_UPDATE=1 to create it)", err)
+		t.Fatalf("%v (run with -update to create it)", err)
 	}
 	if !bytes.Equal(buf.Bytes(), want) {
 		t.Errorf("trace drifted from golden.\n--- got ---\n%s--- want ---\n%s", buf.String(), want)
