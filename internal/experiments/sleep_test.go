@@ -5,18 +5,15 @@ import (
 	"fmt"
 	"hash/maphash"
 	"io"
-	"sync"
 	"sync/atomic"
 	"testing"
 
 	"gem5rtl/internal/conform"
-	"gem5rtl/internal/isa"
 	"gem5rtl/internal/pmu"
 	"gem5rtl/internal/port"
 	"gem5rtl/internal/rtl"
 	"gem5rtl/internal/sim"
 	"gem5rtl/internal/soc"
-	"gem5rtl/internal/trace"
 	"gem5rtl/internal/workload"
 )
 
@@ -110,23 +107,10 @@ func TestSleepingMatchesPerCycleAtEverySplit(t *testing.T) {
 			t.Parallel()
 			var n closedForm
 			t.Cleanup(func() { n.report(t, spec.String(), "accelerator") })
-			// buildPoint's machine, from traces built once for every split.
-			var traces []*trace.Trace
-			for i := 0; i < spec.NVDLAs; i++ {
-				tr, err := trace.Scaled(spec.Workload, uint64(i+1)<<32, spec.Scale)
-				if err != nil {
-					t.Fatal(err)
-				}
-				traces = append(traces, tr)
-			}
 			conform.Splits(t, sleepSplitTicks(), func(t *testing.T, oracle bool) conform.Run[sim.Tick, splitWitness] {
-				s, err := soc.BuildWithOracles(specConfig(spec), soc.Oracles{PerCycle: oracle})
+				s, err := buildPoint(spec, soc.Oracles{PerCycle: oracle})
 				if err != nil {
 					t.Fatalf("%v: build: %v", spec, err)
-				}
-				for i, tr := range traces {
-					s.NVDLAs[i].Start()
-					s.PlayTrace(i, tr)
 				}
 				// A phase asked for after completion reports the end of the
 				// completion window; the run that first reaches the tick
@@ -197,12 +181,6 @@ func checkMostlyElided(t *testing.T, spec RunSpec, s *soc.System) {
 	}
 }
 
-// sortImage is the small sort benchmark pmuSortSystem loads, assembled once
-// for the thousand machines the split test builds.
-var sortImage = sync.OnceValues(func() ([]byte, error) {
-	return isa.Assemble(workload.SortBenchmark(workload.SortParams{N: 16, SleepUs: 12}))
-})
-
 // pmuSortSystem builds the Table 2 machine — one core, the PMU programmed
 // over AXI with every event line enabled and the threshold on the cycle
 // counter at thresh (0 disables it) — with a small sort benchmark started.
@@ -224,11 +202,9 @@ func pmuSortSystem(t *testing.T, thresh uint32, oracle bool, wave io.Writer) *so
 	host.Write(pmu.RegEnable, 0x3F)
 	host.Write(pmu.RegThreshSel, pmu.EvCycle)
 	host.Write(pmu.RegThreshVal, thresh)
-	img, err := sortImage()
-	if err != nil {
+	if err := s.LoadProgram(0, workload.SortBenchmark(workload.SortParams{N: 16, SleepUs: 12})); err != nil {
 		t.Fatal(err)
 	}
-	s.Cores[0].LoadProgram(img)
 	s.Cores[0].OnExit = func(int64) { s.Queue.ExitSimLoop("exit") }
 	s.StartCores(0)
 	return s

@@ -385,6 +385,7 @@ type napRig struct {
 	mems    [NumMemPorts]*scriptMem
 	host    *napHost
 	running bool
+	restore bool   // the last action was op 14, which continues restored
 	elided  uint64 // by the sleepers this rig replaced through restores
 }
 
@@ -431,8 +432,13 @@ func newNapRig(t *testing.T, seed uint64, oracle bool) *napRig {
 func (r *napRig) Save(t testing.TB) []byte { return conform.Save(t, r.q, r.obj, r.mems[0], r.mems[1]) }
 
 // Restore continues in a fresh machine restored from the checkpoint, with
-// the host's counts carried over.
+// the host's counts carried over, after op 14. After ops 12 and 13 the
+// machine that saved runs on: a save wakes a sleeper, and the woken sleeper
+// must keep matching in its own queue.
 func (r *napRig) Restore(t testing.TB, data []byte) conform.Machine[napAction, napView] {
+	if !r.restore {
+		return nil
+	}
 	n := newNapRig(r.t, r.seed, r.oracle)
 	conform.Restore(t, data, n.q, n.obj, n.mems[0], n.mems[1])
 	n.host.got, n.host.sent, n.running = r.host.got, r.host.sent, r.running
@@ -475,11 +481,12 @@ func (a napAction) op() int { return int(a % 16) }
 // d is the action's run length, in [1, n].
 func (a napAction) d(n int) sim.Tick { return sim.Tick(1 + uint64(a>>4)%uint64(n)) }
 
-// isNapSave: ops 12 to 14 save and continue in restored machines.
+// isNapSave: ops 12 to 14 save; 14 alone continues in restored machines.
 func isNapSave(a napAction) bool { return a.op() >= 12 && a.op() <= 14 }
 
 // Apply performs one action.
 func (r *napRig) Apply(a napAction) {
+	r.restore = a.op() == 14
 	now := r.q.Now()
 	nextEdge := (now/napPeriod + 1) * napPeriod
 	switch a.op() {
