@@ -115,11 +115,7 @@ func BenchmarkFigure7_Sanity3(b *testing.B) {
 // ideal baselines) through the experiment runner, sequentially and with one
 // worker per host core. The workers=N/workers=1 ns/op ratio is the parallel
 // sweep speedup; results are tick-identical across worker counts (see
-// TestSweepParallelMatchesSequential). The warm-start variant re-runs the
-// same grid against a populated checkpoint cache, so every point restores a
-// post-warm-up snapshot instead of re-simulating the prefix from tick 0; its
-// ns/op against workers=1 is the warm-start speedup, and the results stay
-// tick-identical (TestWarmStartMatchesCold).
+// TestSweepParallelMatchesSequential).
 func BenchmarkSweep(b *testing.B) {
 	var specs []experiments.RunSpec
 	for _, inflight := range []int{1, 16, 64, 240} {
@@ -147,17 +143,6 @@ func BenchmarkSweep(b *testing.B) {
 			sweep(b, experiments.Runner{Workers: workers})
 		})
 	}
-	b.Run("workers=1/warm-start", func(b *testing.B) {
-		// Snapshot each point at 2µs simulated — most of the scale-32
-		// sanity3 runs — and restore it on every timed iteration.
-		r := experiments.Runner{Workers: 1, Options: []experiments.Option{
-			experiments.WithWarmStart(2*sim.Microsecond, experiments.NewCheckpointCache(""))}}
-		if _, err := r.Sweep(context.Background(), specs); err != nil {
-			b.Fatal(err) // populate the cache outside the timing loop
-		}
-		b.ResetTimer()
-		sweep(b, r)
-	})
 }
 
 // BenchmarkTable3 measures the three Table 3 configurations per workload;

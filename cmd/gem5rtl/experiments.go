@@ -107,7 +107,7 @@ func dse() (*flag.FlagSet, func()) {
 	scale := fs.Int("scale", 8, "trace footprint divisor (1 = full synthetic layers)")
 	verbose := fs.Bool("v", false, "print per-point progress and totals to stderr")
 	parallel := cli.Parallel(fs, runtime.NumCPU())
-	fl := cli.Register(fs, cli.Host|cli.Watchdog|cli.CheckPorts|cli.WarmStart)
+	fl := cli.Register(fs, cli.Host|cli.Watchdog|cli.CheckPorts)
 	return fs, func() {
 		ctx := fl.Setup()
 		p := experiments.DSEParams{Scale: *scale, Limit: 8 * sim.Second}
@@ -129,11 +129,6 @@ func dse() (*flag.FlagSet, func()) {
 		if *verbose {
 			fmt.Fprintf(os.Stderr, "# %d points in %s host time (%d workers)\n",
 				len(points), time.Since(start).Round(time.Millisecond), *parallel)
-			if cache := fl.WarmCache(); cache != nil {
-				cs := cache.Stats()
-				fmt.Fprintf(os.Stderr, "# warm-start cache: %d hits, %d misses, %d stale\n",
-					cs.Hits, cs.Misses, cs.Stale)
-			}
 		}
 
 		fig := "Figure 6"

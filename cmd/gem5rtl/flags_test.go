@@ -53,7 +53,7 @@ var flagSurface = map[string]map[string]string{
 	"table3": with(map[string]string{"scale": "8", "parallel": "1"}),
 	"dse": with(map[string]string{
 		"workload": "googlenet", "scale": "8", "parallel": numCPU, "v": "false",
-		"checkpoint-at": "0s", "checkpoint-dir": "", "watchdog": "false", "check-ports": "false",
+		"watchdog": "false", "check-ports": "false",
 	}),
 	"faultcamp": with(map[string]string{
 		"target": "nvdla", "workload": "sanity3", "scale": "64", "nvdla": "1", "mem": "ideal",
@@ -64,7 +64,6 @@ var flagSurface = map[string]map[string]string{
 		"addr": "localhost:8080", "workers": "0", "store-dir": "", "quota": "0", "max-queue": "0",
 		"retry-max": "0", "retry-base": "0s", "retry-seed": "0", "point-deadline": "0s",
 		"drain-timeout": "10m0s", "watchdog": "false", "self-profile": "0",
-		"checkpoint-at": "0s", "checkpoint-dir": "",
 	},
 	"sweepctl grid": {
 		"workload": "sanity3", "n": "1", "scale": "32",

@@ -21,7 +21,7 @@ import (
 // every result in a persistent fingerprint-keyed store so identical points —
 // across jobs, clients and restarts — simulate exactly once.
 //
-//	gem5rtl sweepd -addr :8080 -store-dir results/ -checkpoint-dir ckpts/ -checkpoint-at 2us
+//	gem5rtl sweepd -addr :8080 -store-dir results/
 //
 // The execution layer is fault tolerant: transient point failures (hangs,
 // blown -point-deadline budgets, worker panics) retry on a seeded backoff
@@ -45,7 +45,7 @@ func sweepdServer() (*flag.FlagSet, func()) {
 	pointDeadline := fs.Duration("point-deadline", 0, "wall-clock budget per execution attempt; a blown deadline retries the point (0 = none)")
 	drainTimeout := fs.Duration("drain-timeout", 10*time.Minute, "how long a signal-triggered drain may run before abandoning the queue")
 	// -self-profile's attribution aggregates on GET /v1/metrics.
-	fl := cli.Register(fs, cli.Watchdog|cli.SelfProfile|cli.WarmStart)
+	fl := cli.Register(fs, cli.Watchdog|cli.SelfProfile)
 	return fs, func() {
 		srv, err := sweepd.New(sweepd.Config{
 			Workers:  *workers,

@@ -104,7 +104,7 @@ func (c *Cache) RestoreState(r *ckpt.Reader) error {
 	}
 	c.useCt = r.U64()
 	n := r.Len()
-	c.mshrs = make(map[uint64]*mshr, n)
+	c.mshrs = make(map[uint64]*mshr) // n is the stream's word: no size hint
 	for i := 0; i < n && r.Err() == nil; i++ {
 		m := &mshr{blockAddr: r.U64(), isPref: r.Bool()}
 		nt := r.Len()

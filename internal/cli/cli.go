@@ -1,11 +1,10 @@
 // Package cli is the flag spine of the gem5rtl commands. Each flag family —
 // the host family (-timeout, -pprof, -host-metrics, -self-profile,
-// -self-profile-out), the guards (-watchdog, -check-ports), warm start
-// (-checkpoint-at, -checkpoint-dir) and -parallel — is registered here, once,
-// and turned into what the simulator packages take: a context, an
-// experiments.Runner, a profile export. A command registers only the flags it
-// has, so one family can be split across commands without a second
-// definition of any flag.
+// -self-profile-out), the guards (-watchdog, -check-ports) and -parallel — is
+// registered here, once, and turned into what the simulator packages take: a
+// context, an experiments.Runner, a profile export. A command registers only
+// the flags it has, so one family can be split across commands without a
+// second definition of any flag.
 //
 // The package also owns the process's exit-cleanup stack: everything a
 // command opens is closed by Cleanup on a normal return and by Fatal on an
@@ -33,7 +32,7 @@ import (
 // Flag selects spine flags for Register; OR them together.
 type Flag uint
 
-// The spine's flags. WarmStart is the pair -checkpoint-at/-checkpoint-dir.
+// The spine's flags.
 const (
 	Timeout Flag = 1 << iota
 	Pprof
@@ -42,7 +41,6 @@ const (
 	SelfProfileOut
 	Watchdog
 	CheckPorts
-	WarmStart
 
 	// Host is the whole host family.
 	Host = Timeout | Pprof | HostMetrics | SelfProfile | SelfProfileOut
@@ -58,12 +56,8 @@ type Flags struct {
 	SelfProfileOut string
 	Watchdog       bool
 	CheckPorts     bool
-	CheckpointAt   time.Duration
-	CheckpointDir  string
 
-	mon   *obs.HostMonitor
-	opts  []experiments.Option
-	cache *experiments.CheckpointCache
+	mon *obs.HostMonitor
 
 	mu   sync.Mutex
 	attr prof.Report
@@ -93,10 +87,6 @@ func Register(fs *flag.FlagSet, which Flag) *Flags {
 	}
 	if which&CheckPorts != 0 {
 		fs.BoolVar(&f.CheckPorts, "check-ports", false, "enforce the timing-port handshake protocol on every bound link (panics on a violation)")
-	}
-	if which&WarmStart != 0 {
-		fs.DurationVar(&f.CheckpointAt, "checkpoint-at", 0, "warm start: snapshot each point at this simulated time and restore it on later runs (0 = cold runs)")
-		fs.StringVar(&f.CheckpointDir, "checkpoint-dir", "", "persist warm-start snapshots here, shared across runs and processes (requires -checkpoint-at)")
 	}
 	return f
 }
@@ -163,29 +153,13 @@ func (f *Flags) Runner(workers int) experiments.Runner {
 	return r
 }
 
-// Options returns the run options the warm-start and watchdog flags select,
-// built on the first call and shared by every later one, so every run of the
-// command warms from one checkpoint cache.
+// Options returns the run options the watchdog flag selects.
 func (f *Flags) Options() []experiments.Option {
-	if f.opts == nil {
-		f.opts = []experiments.Option{}
-		if f.CheckpointAt > 0 {
-			f.cache = experiments.NewCheckpointCache(f.CheckpointDir)
-			f.opts = append(f.opts, experiments.WithWarmStart(f.Warmup(), f.cache))
-		}
-		if f.Watchdog {
-			f.opts = append(f.opts, experiments.WithWatchdog(guard.Config{}))
-		}
+	if f.Watchdog {
+		return []experiments.Option{experiments.WithWatchdog(guard.Config{})}
 	}
-	return f.opts
+	return nil
 }
-
-// WarmCache returns the warm-start cache Options made, or nil without
-// -checkpoint-at.
-func (f *Flags) WarmCache() *experiments.CheckpointCache { return f.cache }
-
-// Warmup is -checkpoint-at in simulated ticks.
-func (f *Flags) Warmup() sim.Tick { return SimTime(f.CheckpointAt) }
 
 // Attribute folds one run's attribution report into the command's aggregate;
 // a nil report is ignored. It is safe for concurrent use.

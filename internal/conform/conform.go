@@ -12,6 +12,8 @@ package conform
 import (
 	"bytes"
 	"fmt"
+	"hash/fnv"
+	"io"
 	"sort"
 	"testing"
 
@@ -64,6 +66,22 @@ func Straddle(rank func(string) uint64, pivot, prefix, suffix string) (lo, hi st
 		}
 	}
 	return lo, hi
+}
+
+// A Saver writes its whole state as one checkpoint stream, as
+// soc.System.Save does.
+type Saver interface{ Save(io.Writer) error }
+
+// Digest is the FNV-64a of the checkpoint stream s saves: the one state
+// digest the tests compare machines by and pin (kernel_golden.json), failing
+// t on an error.
+func Digest(t testing.TB, s Saver) uint64 {
+	t.Helper()
+	h := fnv.New64a()
+	if err := s.Save(h); err != nil {
+		t.Fatalf("digest: %v", err)
+	}
+	return h.Sum64()
 }
 
 // Save writes parts, in order, into one checkpoint, failing t on an error.

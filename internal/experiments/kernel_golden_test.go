@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"gem5rtl/internal/conform"
 	"gem5rtl/internal/sim"
 	"gem5rtl/internal/soc"
 )
@@ -48,15 +49,11 @@ func runKernelGoldenPoint(t *testing.T, spec RunSpec, o soc.Oracles) kernelGolde
 	}
 	// The goldens hold the machine; this holds how the host ran it.
 	checkMostlyElided(t, spec, s)
-	hash, err := s.StateHash()
-	if err != nil {
-		t.Fatalf("%v: hash: %v", spec, err)
-	}
-	return kernelGoldenEntry{Spec: spec.String(), Ticks: done, Hash: fmt.Sprintf("%016x", hash)}
+	return kernelGoldenEntry{Spec: spec.String(), Ticks: done, Hash: fmt.Sprintf("%016x", conform.Digest(t, s))}
 }
 
 // TestKernelGoldenStateHash pins the final simulated time AND the full
-// serialised system state (StateHash) of every point in the 12-config NVDLA
+// serialised system state (conform.Digest) of every point in the 12-config NVDLA
 // grid. It is the bit-identity witness for hot-path changes: any event-queue
 // or allocation optimisation that perturbs event order, packet IDs, stats, or
 // checkpoint bytes fails here. Regenerate with -update only for changes that
@@ -110,7 +107,7 @@ func TestKernelGoldenStateHash(t *testing.T) {
 // pure binary-heap reference queue and checks it against the same golden
 // file. Together with TestKernelGoldenStateHash (which runs the calendar
 // queue) this proves the two event-queue implementations produce identical
-// StateHash values on every grid point — the determinism contract of the
+// state digests on every grid point — the determinism contract of the
 // kernel rewrite.
 func TestReferenceQueueMatchesGolden(t *testing.T) {
 	if testing.Short() {

@@ -5,11 +5,11 @@ import (
 	"context"
 	"crypto/sha256"
 	"fmt"
-	"hash/fnv"
 	"sync"
 	"testing"
 	"time"
 
+	"gem5rtl/internal/conform"
 	"gem5rtl/internal/guard"
 	"gem5rtl/internal/pmu"
 	"gem5rtl/internal/port"
@@ -24,11 +24,11 @@ import (
 // process-wide packet-ID counter and scheduled its host checks as events.
 type pureSpec struct {
 	name string
-	// checkpoint builds the machine, runs it to its split tick and saves it;
-	// guarded attaches the watchdog and runs under ctx's deadline watch.
-	checkpoint func(t *testing.T, ctx context.Context, guarded bool) []byte
+	// checkpoint builds the machine and runs it to its split tick; guarded
+	// attaches the watchdog and runs under ctx's deadline watch.
+	checkpoint func(t *testing.T, ctx context.Context, guarded bool) *soc.System
 	sha256     string
-	stateHash  uint64
+	stateHash  uint64 // conform.Digest
 }
 
 func pureSpecs() []pureSpec {
@@ -37,7 +37,7 @@ func pureSpecs() []pureSpec {
 			// Table 2's machine: one core running the sort benchmark, the
 			// PMU programmed over AXI to interrupt every 10 000 cycles.
 			name: "table2 sort n=60 @250us",
-			checkpoint: func(t *testing.T, ctx context.Context, guarded bool) []byte {
+			checkpoint: func(t *testing.T, ctx context.Context, guarded bool) *soc.System {
 				cfg := soc.DefaultConfig()
 				cfg.Cores = 1
 				cfg.WithPMU = true
@@ -57,14 +57,14 @@ func pureSpecs() []pureSpec {
 					defer s.Queue.WatchContext(ctx, 0)()
 				}
 				s.Queue.RunUntil(250 * sim.Microsecond)
-				return mustSave(t, s)
+				return s
 			},
 			sha256:    "351526abf8728faa7b626be402dce6bb4c7bcd99a6f627d27da60d781600e325",
 			stateHash: 0x044de8f7daeea9cd,
 		},
 		{
 			name: "googlenet n=2 DDR4-1ch inflight=64 scale=1 @400us",
-			checkpoint: func(t *testing.T, ctx context.Context, guarded bool) []byte {
+			checkpoint: func(t *testing.T, ctx context.Context, guarded bool) *soc.System {
 				spec := DSEParams{Scale: 1, Limit: sim.Second}.Spec("googlenet", 2, "DDR4-1ch", 64)
 				s, err := buildPoint(spec, soc.Oracles{})
 				if err != nil {
@@ -76,7 +76,7 @@ func pureSpecs() []pureSpec {
 				if _, _, err := s.RunNVDLAPhase(ctx, 400*sim.Microsecond); err != nil {
 					t.Fatal(err)
 				}
-				return mustSave(t, s)
+				return s
 			},
 			sha256:    "179b4298560b7ed09b45b3620a661c6af6e053b4538d2b1c77a53df41b2e93e8",
 			stateHash: 0xf1b0a3a61d8d3b62,
@@ -110,7 +110,7 @@ func unrelatedRun(t *testing.T, i int) {
 }
 
 // TestRunIsPureFunctionOfSpec: a machine's checkpoint bytes, and the
-// StateHash that digests them, depend on the machine and nothing else — not
+// state digest of them, depend on the machine and nothing else — not
 // on what the process ran before it, not on what other goroutines run beside
 // it, and not on the host-side watchdog and deadline checks watching it.
 // Each spec must reproduce its pinned fresh-process digests (a) now, (b)
@@ -119,15 +119,13 @@ func unrelatedRun(t *testing.T, i int) {
 func TestRunIsPureFunctionOfSpec(t *testing.T) {
 	t.Parallel()
 	specs := pureSpecs()
-	check := func(t *testing.T, setting string, ps pureSpec, b []byte) {
+	check := func(t *testing.T, setting string, ps pureSpec, s *soc.System) {
 		t.Helper()
-		h := fnv.New64a()
-		h.Write(b)
-		if got := fmt.Sprintf("%x", sha256.Sum256(b)); got != ps.sha256 {
+		if got := fmt.Sprintf("%x", sha256.Sum256(mustSave(t, s))); got != ps.sha256 {
 			t.Errorf("%s, %s: checkpoint sha256 %s, pinned %s", ps.name, setting, got, ps.sha256)
 		}
-		if got := h.Sum64(); got != ps.stateHash {
-			t.Errorf("%s, %s: StateHash %016x, pinned %016x", ps.name, setting, got, ps.stateHash)
+		if got := conform.Digest(t, s); got != ps.stateHash {
+			t.Errorf("%s, %s: state digest %016x, pinned %016x", ps.name, setting, got, ps.stateHash)
 		}
 	}
 	bg := context.Background()

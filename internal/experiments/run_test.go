@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"gem5rtl/internal/conform"
 	"gem5rtl/internal/guard"
 	"gem5rtl/internal/obs"
 	"gem5rtl/internal/sim"
@@ -41,9 +42,9 @@ func parseSpecString(t *testing.T, s string) RunSpec {
 
 // TestRunMatchesLegacyGolden pins the unified Run entry point against results
 // captured from the deleted RunPoint, RunPointWarm and RunPointGuarded
-// wrappers: the bare run, the warm-start option (both the populating pass and
-// the restoring pass) and the watchdog option must each reproduce the legacy
-// tick counts bit-identically.
+// wrappers: the bare run, the run split by a checkpoint at 1 µs (runRestored)
+// and the watchdog option must each reproduce the legacy tick counts
+// bit-identically.
 func TestRunMatchesLegacyGolden(t *testing.T) {
 	buf, err := os.ReadFile(filepath.Join("testdata", "run_golden.json"))
 	if err != nil {
@@ -69,18 +70,12 @@ func TestRunMatchesLegacyGolden(t *testing.T) {
 			t.Errorf("%v: cold ticks %d, legacy RunPoint gave %d", spec, cold, entry.ColdTicks)
 		}
 
-		cache := NewCheckpointCache("")
-		populate, err := Run(ctx, spec, WithWarmStart(warmup, cache))
+		restored, _, err := runRestored(ctx, spec, warmup)
 		if err != nil {
-			t.Fatalf("%v: warm populate: %v", spec, err)
+			t.Fatalf("%v: restored: %v", spec, err)
 		}
-		restore, err := Run(ctx, spec, WithWarmStart(warmup, cache))
-		if err != nil {
-			t.Fatalf("%v: warm restore: %v", spec, err)
-		}
-		if populate != entry.WarmTicks || restore != entry.WarmTicks {
-			t.Errorf("%v: warm ticks populate=%d restore=%d, legacy RunPointWarm gave %d",
-				spec, populate, restore, entry.WarmTicks)
+		if restored != entry.WarmTicks {
+			t.Errorf("%v: restored ticks %d, legacy RunPointWarm gave %d", spec, restored, entry.WarmTicks)
 		}
 
 		guarded, err := Run(ctx, spec, WithWatchdog(guard.Config{}))
@@ -94,29 +89,30 @@ func TestRunMatchesLegacyGolden(t *testing.T) {
 	}
 }
 
-// TestRunOptionComposition exercises the full warm × guard × observability
-// × deadline-context matrix on one point: every option subset, run bare or
-// under a deadline as every sweep-service point is, must reproduce the bare
-// run's tick count and state hash, and every combination must hash
-// identically across its own passes (the warm restore-equivalence witness).
-// The watchdog and the context watch poll the run loop instead of
-// scheduling events, so neither leaves a mark on the machine.
+// TestRunOptionComposition exercises the full split × guard × observability
+// × deadline-context matrix on one point: every option subset, run unsplit
+// or split by a checkpoint (runRestored), bare or under a deadline as every
+// sweep-service point is, must reproduce the bare Run's tick count and the
+// bare run's final state digest. The watchdog and the context watch poll the
+// run loop instead of scheduling events, so neither leaves a mark on the
+// machine.
 func TestRunOptionComposition(t *testing.T) {
 	t.Parallel()
 	spec := DSEParams{Scale: 64, Limit: 8 * sim.Second}.Spec("sanity3", 1, "DDR4-1ch", 16)
-	var refHash uint64
-	refTicks, err := Run(context.Background(), spec, WithStateHash(&refHash))
+	refTicks, err := Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if refHash == 0 {
-		t.Fatal("reference state hash not populated")
+	_, ref, err := runRestored(context.Background(), spec, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
+	refHash := conform.Digest(t, ref)
 
-	for _, warm := range []bool{false, true} {
+	for _, split := range []bool{false, true} {
 		for _, guarded := range []bool{false, true} {
 			for _, observed := range []bool{false, true} {
-				name := fmt.Sprintf("warm=%v/guard=%v/obs=%v", warm, guarded, observed)
+				name := fmt.Sprintf("split=%v/guard=%v/obs=%v", split, guarded, observed)
 				t.Run(name, func(t *testing.T) {
 					t.Parallel()
 					for _, deadline := range []bool{false, true} {
@@ -127,7 +123,7 @@ func TestRunOptionComposition(t *testing.T) {
 								defer cancel()
 								ctx = c
 							}
-							runComposed(t, ctx, spec, warm, guarded, observed, refTicks, refHash)
+							runComposed(t, ctx, spec, split, guarded, observed, refTicks, refHash)
 						})
 					}
 				})
@@ -136,50 +132,33 @@ func TestRunOptionComposition(t *testing.T) {
 	}
 }
 
-// runComposed is one cell of TestRunOptionComposition: two passes of spec
-// under the given options, so the warm configurations cover both the
-// populating (miss) and restoring (hit) paths.
-func runComposed(t *testing.T, ctx context.Context, spec RunSpec, warm, guarded, observed bool, refTicks sim.Tick, refHash uint64) {
-	const warmup = 1 * sim.Microsecond
-	var cache *CheckpointCache
-	if warm {
-		cache = NewCheckpointCache("")
+// runComposed is one cell of TestRunOptionComposition.
+func runComposed(t *testing.T, ctx context.Context, spec RunSpec, split, guarded, observed bool, refTicks sim.Tick, refHash uint64) {
+	var warmup sim.Tick
+	if split {
+		warmup = 1 * sim.Microsecond
 	}
-	for pass := 0; pass < 2; pass++ {
-		var opts []Option
-		if warm {
-			opts = append(opts, WithWarmStart(warmup, cache))
-		}
-		if guarded {
-			opts = append(opts, WithWatchdog(guard.Config{}))
-		}
-		var samples []stats.Sample
-		if observed {
-			opts = append(opts, WithTracer(obs.Config{}),
-				WithStats(func(s []stats.Sample) { samples = s }))
-		}
-		var hash uint64
-		opts = append(opts, WithStateHash(&hash))
-
-		ticks, err := Run(ctx, spec, opts...)
-		if err != nil {
-			t.Fatalf("pass %d: %v", pass, err)
-		}
-		if ticks != refTicks {
-			t.Errorf("pass %d: ticks %d, bare run gave %d", pass, ticks, refTicks)
-		}
-		if hash != refHash {
-			t.Errorf("pass %d: state hash %016x, bare run gave %016x", pass, hash, refHash)
-		}
-		if observed && len(samples) == 0 {
-			t.Errorf("pass %d: WithStats sink received no samples", pass)
-		}
+	var opts []Option
+	if guarded {
+		opts = append(opts, WithWatchdog(guard.Config{}))
 	}
-	if warm {
-		cs := cache.Stats()
-		if cs.Misses != 1 || cs.Hits != 1 {
-			t.Errorf("cache stats %+v, want exactly one miss then one hit", cs)
-		}
+	var samples []stats.Sample
+	if observed {
+		opts = append(opts, WithTracer(obs.Config{}),
+			WithStats(func(s []stats.Sample) { samples = s }))
+	}
+	ticks, s, err := runRestored(ctx, spec, warmup, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ticks != refTicks {
+		t.Errorf("ticks %d, bare run gave %d", ticks, refTicks)
+	}
+	if hash := conform.Digest(t, s); hash != refHash {
+		t.Errorf("state digest %016x, bare run gave %016x", hash, refHash)
+	}
+	if observed && len(samples) == 0 {
+		t.Error("WithStats sink received no samples")
 	}
 }
 
@@ -191,21 +170,5 @@ func TestRunCancelledContext(t *testing.T) {
 	spec := DSEParams{Scale: 64, Limit: 8 * sim.Second}.Spec("sanity3", 1, "DDR4-1ch", 16)
 	if _, err := Run(ctx, spec); !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
-	}
-}
-
-// TestCacheStatsStale checks the stale counter: an unrestorable snapshot is
-// dropped, counted, and the point falls back to a cold populate.
-func TestCacheStatsStale(t *testing.T) {
-	spec := DSEParams{Scale: 64, Limit: 8 * sim.Second}.Spec("sanity3", 1, "DDR4-1ch", 16)
-	const warmup = 1 * sim.Microsecond
-	cache := NewCheckpointCache("")
-	cache.store(spec, warmup, []byte("garbage"))
-	if _, err := Run(context.Background(), spec, WithWarmStart(warmup, cache)); err != nil {
-		t.Fatal(err)
-	}
-	cs := cache.Stats()
-	if cs.Stale != 1 || cs.Hits != 0 {
-		t.Errorf("cache stats %+v, want one stale drop and no hits", cs)
 	}
 }

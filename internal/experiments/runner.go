@@ -52,11 +52,10 @@ type Runner struct {
 	// Run overrides the per-point executor; nil means Run with Options.
 	// Tests use this to inject failures and count baseline executions.
 	Run func(ctx context.Context, spec RunSpec) (sim.Tick, error)
-	// Options configure every run the runner makes (warm-start, watchdog,
-	// tracing — see the Option constructors); warm start applies to Sweep
-	// points only. Points execute concurrently, so per-point sinks like
-	// WithStateHash must not be used here; compose them on direct Run calls
-	// instead. Ignored by Sweep when Run is set.
+	// Options configure every run the runner makes (watchdog, tracing — see
+	// the Option constructors). Points execute concurrently, so per-point
+	// sinks like WithStats must not be used here; compose them on direct Run
+	// calls instead. Ignored by Sweep when Run is set.
 	Options []Option
 	// Monitor, when non-nil, samples host runtime metrics (wall time,
 	// goroutines, heap, aggregate simulated events/sec) for the duration of

@@ -38,9 +38,9 @@ func diffCounts(t *testing.T, label string, got, want map[string]uint64) {
 // TestSelfProfileObservational pins the tentpole contract: running a point
 // with the self-profiler attached changes neither the completion tick nor
 // the final simulated statistics — the simulated machine cannot see the
-// profiler. (StateHash is excluded from the on/off comparison by design:
-// with profiling on the checkpoint stream additionally carries the exact
-// attribution table, which the digest covers.)
+// profiler. (The state digest is excluded from the on/off comparison by
+// design: with profiling on the checkpoint stream additionally carries the
+// exact attribution table, which the digest covers.)
 func TestSelfProfileObservational(t *testing.T) {
 	spec := DSEParams{Scale: 64, Limit: 8 * sim.Second}.Spec("sanity3", 1, "DDR4-1ch", 64)
 	ctx := context.Background()
@@ -82,47 +82,29 @@ func TestSelfProfileObservational(t *testing.T) {
 	}
 }
 
-// TestAttributionCheckpointMatchesCold is the satellite regression: a
-// warm-start (save/restore) run's event-count attribution must equal the
-// cold run's exactly — the checkpoint carries the warm-up prefix's counts
-// and AttachProfiler folds them back in on restore.
+// TestAttributionCheckpointMatchesCold is the satellite regression: a run
+// split by a checkpoint (runRestored) must report the cold run's event-count
+// attribution exactly — the checkpoint carries the prefix's counts and a
+// profiler attached before the restore folds them back in.
 func TestAttributionCheckpointMatchesCold(t *testing.T) {
 	spec := DSEParams{Scale: 64, Limit: 8 * sim.Second}.Spec("sanity3", 1, "DDR4-1ch", 64)
 	ctx := context.Background()
-	const warmup = 1 * sim.Microsecond
 
 	var cold *prof.Report
 	coldTicks, err := Run(ctx, spec, WithSelfProfile(16, func(r *prof.Report) { cold = r }))
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	cache := NewCheckpointCache("")
-	var populate *prof.Report
-	if _, err := Run(ctx, spec, WithWarmStart(warmup, cache),
-		WithSelfProfile(16, func(r *prof.Report) { populate = r })); err != nil {
-		t.Fatal(err)
-	}
-	if cache.Len() == 0 {
-		t.Fatal("warm-up run stored no snapshot")
-	}
-
-	var warm *prof.Report
-	warmTicks, err := Run(ctx, spec, WithWarmStart(warmup, cache),
-		WithSelfProfile(16, func(r *prof.Report) { warm = r }))
+	var restored *prof.Report
+	restoredTicks, _, err := runRestored(ctx, spec, 1*sim.Microsecond,
+		WithSelfProfile(16, func(r *prof.Report) { restored = r }))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := cache.Stats(); st.Hits == 0 {
-		t.Fatal("second run did not restore from the cache")
+	if restoredTicks != coldTicks {
+		t.Fatalf("restored run diverged: %d ticks vs %d", restoredTicks, coldTicks)
 	}
-
-	if warmTicks != coldTicks {
-		t.Fatalf("warm run diverged: %d ticks vs %d", warmTicks, coldTicks)
-	}
-	want := eventCounts(cold)
-	diffCounts(t, "populate run", eventCounts(populate), want)
-	diffCounts(t, "restored run", eventCounts(warm), want)
+	diffCounts(t, "restored run", eventCounts(restored), eventCounts(cold))
 }
 
 // TestAttributionDeterministicAcrossWorkers sweeps the same specs with one

@@ -54,9 +54,10 @@ func sleepSplitTicks() []sim.Tick {
 // digestSeed keys every digest a split test takes, so digests compare.
 var digestSeed = maphash.MakeSeed()
 
-// stateDigest is a digest of s's checkpoint bytes, as StateHash is, in a
-// hash that costs a fraction of StateHash's FNV: the split tests take
-// thousands, most of a machine's bytes its memory.
+// stateDigest is a digest of s's checkpoint bytes, as conform.Digest is, in
+// a hash that costs a fraction of that FNV: the split tests take thousands,
+// most of a machine's bytes its memory, and compare them within one process
+// only (conform.Digest made them 25% slower).
 func stateDigest(t *testing.T, s *soc.System) uint64 {
 	t.Helper()
 	var h maphash.Hash

@@ -38,7 +38,7 @@ func (s *Storage) RestoreState(r *ckpt.Reader) error {
 		return fmt.Errorf("mem: checkpoint page size 2^%d does not match 2^%d", pb, s.pageBits)
 	}
 	n := r.Len()
-	s.pages = make(map[uint64][]byte, n)
+	s.pages = make(map[uint64][]byte) // n is the stream's word: no size hint
 	for i := 0; i < n && r.Err() == nil; i++ {
 		pn := r.U64()
 		s.pages[pn] = r.Bytes()

@@ -1,6 +1,7 @@
 package nvdla
 
 import (
+	"fmt"
 	"sort"
 
 	"gem5rtl/internal/ckpt"
@@ -40,15 +41,17 @@ func (w *Wrapper) SaveState(cw *ckpt.Writer) error {
 	cw.U64(w.wtEnd)
 	cw.U64(w.outCur)
 	cw.U64(w.nextID)
-	ids := make([]uint64, 0, len(w.readTile))
-	for id := range w.readTile {
-		ids = append(ids, id)
+	reads := make([]readSlot, 0, w.reads.n)
+	for _, s := range w.reads.slots {
+		if s.id != 0 {
+			reads = append(reads, s)
+		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	cw.Int(len(ids))
-	for _, id := range ids {
-		cw.U64(id)
-		cw.Int(w.readTile[id])
+	sort.Slice(reads, func(i, j int) bool { return reads[i].id < reads[j].id })
+	cw.Int(len(reads))
+	for _, s := range reads {
+		cw.U64(s.id)
+		cw.Int(s.tile)
 	}
 	cw.Int(w.writesOut)
 	cw.Int(len(w.pendWrites) - w.pendHead)
@@ -83,11 +86,9 @@ func (w *Wrapper) RestoreState(r *ckpt.Reader) error {
 	w.irq = r.Bool()
 	w.layerIdx = r.Len()
 	n = r.Len()
-	w.tiles = make([]tileState, n)
+	w.tiles = nil // grown as read: n is the stream's word
 	for i := 0; i < n && r.Err() == nil; i++ {
-		w.tiles[i].needed = r.Len()
-		w.tiles[i].arrived = r.Len()
-		w.tiles[i].issued = r.Len()
+		w.tiles = append(w.tiles, tileState{needed: r.Len(), arrived: r.Len(), issued: r.Len()})
 	}
 	w.outPerTile = r.Len()
 	w.fetchTile = r.Len()
@@ -100,10 +101,21 @@ func (w *Wrapper) RestoreState(r *ckpt.Reader) error {
 	w.outCur = r.U64()
 	w.nextID = r.U64()
 	n = r.Len()
-	w.readTile = make(map[uint64]int, n)
-	for i := 0; i < n && r.Err() == nil; i++ {
-		id := r.U64()
-		w.readTile[id] = r.Len()
+	w.reads = readTable{}
+	for i, first, last := 0, uint64(0), uint64(0); i < n && r.Err() == nil; i++ {
+		id, tile := r.U64(), r.Len()
+		if i == 0 {
+			first = id
+		}
+		// Saved ascending, all minted, each for a tile of the layer:
+		// anything else, or a window far wider than a running machine
+		// leaves in flight (which would size the ring), is a corrupt stream.
+		if r.Err() == nil && (id <= last || id > w.nextID || id-first >= 1<<20 || tile >= len(w.tiles)) {
+			r.Fail(fmt.Errorf("nvdla %s: checkpoint read %d (tile %d) out of order or range", w.cfg.Name, id, tile))
+			break
+		}
+		w.reads.put(id, tile)
+		last = id
 	}
 	w.writesOut = r.Len()
 	n = r.Len()

@@ -60,7 +60,7 @@ func TestNVDLARoundTrip(t *testing.T) {
 	if r.dla.Done() {
 		t.Fatal("layer finished before checkpoint tick; lower the tick")
 	}
-	if len(r.dla.readTile) == 0 && len(r.dla.pendWrites) == 0 &&
+	if r.dla.reads.n == 0 && len(r.dla.pendWrites) == 0 &&
 		r.dla.computeLeft == 0 && r.dla.writesOut == 0 {
 		t.Fatal("no in-flight accelerator state at checkpoint tick")
 	}

@@ -13,12 +13,12 @@ func (w *Wrapper) GuardName() string { return w.cfg.Name + ".model" }
 // InFlight reports reads the model is waiting on plus pending and
 // outstanding output writes.
 func (w *Wrapper) InFlight() int {
-	return len(w.readTile) + len(w.pendWrites) + w.writesOut
+	return w.reads.n + len(w.pendWrites) + w.writesOut
 }
 
 // GuardDetail renders the model's execution position.
 func (w *Wrapper) GuardDetail() string {
 	return fmt.Sprintf("reads-waited=%d pendWrites=%d writesOut=%d layer=%d/%d computeTile=%d/%d",
-		len(w.readTile), len(w.pendWrites), w.writesOut,
+		w.reads.n, len(w.pendWrites), w.writesOut,
 		w.layerIdx, len(w.layers), w.computeTile, len(w.tiles))
 }

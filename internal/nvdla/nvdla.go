@@ -116,7 +116,7 @@ type Wrapper struct {
 	wtEnd       uint64
 	outCur      uint64
 	nextID      uint64
-	readTile    map[uint64]int
+	reads       readTable // outstanding reads: ID → tile
 	writesOut   int
 	pendWrites  []rtlobject.MemRequest
 	// pendHead is the drain point of pendWrites; the backing array is
@@ -142,7 +142,7 @@ func New(cfg Config) *Wrapper {
 	if cfg.IssuePerTick == 0 {
 		cfg.IssuePerTick = 8
 	}
-	return &Wrapper{cfg: cfg, readTile: map[uint64]int{}}
+	return &Wrapper{cfg: cfg}
 }
 
 // Name implements rtlobject.Wrapper.
@@ -156,7 +156,7 @@ func (w *Wrapper) Done() bool { return w.done }
 
 // Reset implements rtlobject.Wrapper.
 func (w *Wrapper) Reset() {
-	*w = Wrapper{cfg: w.cfg, readTile: map[uint64]int{}, trace: w.trace}
+	*w = Wrapper{cfg: w.cfg, trace: w.trace}
 }
 
 // WriteReg applies a CSB register write (also reachable via CPU-side port
@@ -377,11 +377,10 @@ func (w *Wrapper) absorb(resps []rtlobject.MemResponse) {
 			w.writesOut--
 			continue
 		}
-		tile, ok := w.readTile[resp.ID]
+		tile, ok := w.reads.take(resp.ID)
 		if !ok {
 			panic(fmt.Sprintf("nvdla %s: response for unknown read %d", w.cfg.Name, resp.ID))
 		}
-		delete(w.readTile, resp.ID)
 		w.tiles[tile].arrived += len(resp.Data)
 		w.stats.BytesRead += uint64(len(resp.Data))
 	}
@@ -475,7 +474,7 @@ func (w *Wrapper) nextRead(tile int) (rtlobject.MemRequest, bool) {
 	}
 	w.nextID++
 	id := w.nextID
-	w.readTile[id] = tile
+	w.reads.put(id, tile)
 	t.issued += 64
 	return rtlobject.MemRequest{ID: id, Addr: addr, Size: 64, Port: prt}, true
 }

@@ -68,10 +68,6 @@ type hostSample struct {
 	HeapBytes    uint64  `json:"heap_bytes"`
 	Events       uint64  `json:"events"`
 	EventsPerSec float64 `json:"events_per_sec"`
-	CkptHits     uint64  `json:"ckpt_hits"`
-	CkptMisses   uint64  `json:"ckpt_misses"`
-	CkptStale    uint64  `json:"ckpt_stale"`
-	CkptCorrupt  uint64  `json:"ckpt_corrupt"`
 }
 
 // Start launches the sampling goroutine. Safe to call once.
@@ -135,17 +131,12 @@ func (m *HostMonitor) emit() {
 	if dt > 0 {
 		eps = float64(ev-m.lastEv) / dt
 	}
-	hits, misses, stale, corrupt := CkptCacheCounts()
 	s := hostSample{
 		WallMs:       now.Sub(m.started).Milliseconds(),
 		Goroutines:   runtime.NumGoroutine(),
 		HeapBytes:    ms.HeapAlloc,
 		Events:       ev,
 		EventsPerSec: eps,
-		CkptHits:     hits,
-		CkptMisses:   misses,
-		CkptStale:    stale,
-		CkptCorrupt:  corrupt,
 	}
 	if b, err := json.Marshal(s); err == nil {
 		fmt.Fprintf(m.W, "%s\n", b)

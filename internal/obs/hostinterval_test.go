@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -115,5 +116,49 @@ func TestHostIntervalStreamerConcurrentMutation(t *testing.T) {
 	}
 	if want := float64(retried.Load()); sumRetried != want {
 		t.Fatalf("points.retried deltas sum to %v, want %v", sumRetried, want)
+	}
+}
+
+// TestHostIntervalStreamerTelescopes checks the wall-clock streamer's
+// telescoping-delta contract on a registry gauge: summing a column across
+// the emitted records reproduces the end-to-start total, and the final
+// cancellation record is always emitted.
+func TestHostIntervalStreamerTelescopes(t *testing.T) {
+	var val atomic.Int64
+	reg := stats.NewRegistry()
+	reg.Register("g", "test gauge", func() float64 { return float64(val.Load()) })
+
+	var buf strings.Builder
+	h := &HostIntervalStreamer{Reg: reg, W: &buf, Period: 5 * time.Millisecond,
+		Annotate: func(rec *IntervalRecord) { rec.Extra = "note" }}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- h.Run(ctx) }()
+	for i := 0; i < 4; i++ {
+		time.Sleep(6 * time.Millisecond)
+		val.Add(10)
+	}
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if len(lines) == 0 {
+		t.Fatal("no records emitted")
+	}
+	var sum float64
+	for _, line := range lines {
+		var rec IntervalRecord
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("bad record %q: %v", line, err)
+		}
+		sum += rec.Stats["g"]
+		if rec.Extra == nil {
+			t.Errorf("record %d lost its annotation", rec.Interval)
+		}
+	}
+	if sum != float64(val.Load()) {
+		t.Errorf("telescoped deltas sum to %v, gauge total is %v", sum, val.Load())
 	}
 }

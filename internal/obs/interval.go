@@ -121,7 +121,7 @@ func (d *deltaWriter) emit(tick uint64, annotate func(*IntervalRecord)) error {
 //
 // The dumper polls the run loop (sim.EventQueue.Poll) rather than scheduling
 // events, so a dumped run is the same machine as a bare one — dispatch
-// count, StateHash and checkpoint bytes included — and may be saved at any
+// count and checkpoint bytes included — and may be saved at any
 // point with the dumper running. A record observes the post-update state of
 // its boundary tick: every event at or before it has run.
 type IntervalDumper struct {

@@ -187,7 +187,7 @@ func (p *LatencyProfile) RestoreState(r *ckpt.Reader) error {
 			return err
 		}
 		m := r.Len()
-		t.inflight = make(map[uint64]inflightRec, m)
+		t.inflight = make(map[uint64]inflightRec) // m is the stream's word: no size hint
 		for i := 0; i < m; i++ {
 			id := r.U64()
 			rec := inflightRec{

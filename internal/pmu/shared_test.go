@@ -19,7 +19,7 @@ import (
 // the threshold armed, and digests what the run did to the PMU: its own
 // checkpoint section (model cycle, every signal, the wrapper's queues) and
 // the run's final tick, dispatch count and committed instructions. A
-// whole-system StateHash would also cover packet IDs, which come from a
+// whole-system state digest would also cover packet IDs, which come from a
 // process-wide counter that concurrent runs interleave.
 func pmuRunDigest() (uint64, error) {
 	cfg := soc.DefaultConfig()

@@ -167,8 +167,8 @@ func (r *RTLObject) RestoreState(rd *ckpt.Reader) error {
 		r.pendingResp = append(r.pendingResp, LoadMemResponse(rd))
 	}
 	n = rd.Len()
-	r.cpuPkts = make(map[uint64]*port.Packet, n)
-	r.cpuPktPort = make(map[uint64]int, n)
+	r.cpuPkts = make(map[uint64]*port.Packet) // n is the stream's word: no size hints
+	r.cpuPktPort = make(map[uint64]int)
 	for i := 0; i < n && rd.Err() == nil; i++ {
 		id := rd.U64()
 		pi := rd.Len()

@@ -96,7 +96,7 @@ func (q *EventQueue) pendingInOrder() []*Event {
 // are assigned seq 0..n-1 in that order. The raw counter depends on how many
 // events the process scheduled before, including any run before a restore;
 // the renumbering depends only on what is pending, so the checkpoint encoding
-// (and therefore StateHash) of the same machine state is always the same
+// (and every digest of it) of the same machine state is always the same
 // bytes. It preserves the relative order of the events, so it never perturbs
 // future dispatch order.
 func (q *EventQueue) canonicalizeSeqs() uint64 {
@@ -165,7 +165,7 @@ func (q *EventQueue) RestoreState(r *ckpt.Reader) error {
 	q.exitReason = r.String()
 	n := r.U32()
 	if n > 0 {
-		q.restoredAttr = make(map[ownerKey]uint64, n)
+		q.restoredAttr = make(map[ownerKey]uint64) // n is the stream's word: no size hint
 		for i := uint32(0); i < n && r.Err() == nil; i++ {
 			comp := r.String()
 			kind := r.String()
@@ -181,25 +181,6 @@ func (q *EventQueue) RestoreState(r *ckpt.Reader) error {
 	return r.Err()
 }
 
-// RestoreSchedule inserts e with an explicit (when, seq) pair captured by a
-// checkpoint. Unlike Schedule it does not mint a fresh sequence number:
-// keeping the saved one makes dispatch ordering independent of the order in
-// which components happen to re-materialise their events. The queue's own
-// counter is bumped past seq so post-restore Schedule calls cannot collide.
-func (q *EventQueue) RestoreSchedule(e *Event, when Tick, seq uint64) {
-	if e.scheduled {
-		panic(fmt.Sprintf("sim: restoring already-scheduled event %q", e.name))
-	}
-	if when < q.now {
-		panic(fmt.Sprintf("sim: event %q restored at %d, before now %d", e.name, when, q.now))
-	}
-	e.seq = seq
-	q.insert(e, when)
-	if seq >= q.seq {
-		q.seq = seq + 1
-	}
-}
-
 // SaveEvent records the scheduling state of a component-owned event:
 // whether it is pending and, if so, its tick and sequence number.
 func SaveEvent(w *ckpt.Writer, e *Event) {
@@ -213,17 +194,28 @@ func SaveEvent(w *ckpt.Writer, e *Event) {
 // RestoreEvent re-schedules e from state captured by SaveEvent. The event
 // must belong to the restoring component (its closure is recreated by the
 // component's constructor; only the scheduling state travels through the
-// checkpoint).
+// checkpoint). It keeps the saved sequence number instead of minting one, so
+// dispatch order does not depend on the order in which components
+// re-materialise their events, and bumps the queue's counter past it so
+// later Schedule calls cannot collide. A schedule no saved machine holds —
+// the event already pending, or due before the restored clock — comes from
+// a corrupt stream and fails r.
 func (q *EventQueue) RestoreEvent(r *ckpt.Reader, e *Event) {
 	if !r.Bool() {
 		return
 	}
-	when := Tick(r.U64())
-	seq := r.U64()
-	if r.Err() != nil {
-		return
+	when, seq := Tick(r.U64()), r.U64()
+	switch {
+	case r.Err() != nil:
+	case e.scheduled:
+		r.Fail(fmt.Errorf("sim: restoring already-scheduled event %q", e.name))
+	case when < q.now:
+		r.Fail(fmt.Errorf("sim: event %q restored at %d, before now %d", e.name, when, q.now))
+	default:
+		e.seq = seq
+		q.insert(e, when)
+		q.seq = max(q.seq, seq+1)
 	}
-	q.RestoreSchedule(e, when, seq)
 }
 
 // SaveState captures the ticker's cycle count and pending-edge event.

@@ -36,6 +36,23 @@ func TestEventQueueRoundTrip(t *testing.T) {
 	}
 }
 
+// restoreAt re-schedules e at (when, seq) through RestoreEvent, as a
+// component restoring a saved event does, and returns the reader's error.
+func restoreAt(t *testing.T, q *EventQueue, e *Event, when Tick, seq uint64) error {
+	t.Helper()
+	var buf bytes.Buffer
+	w := ckpt.NewWriter(&buf)
+	w.Bool(true)
+	w.U64(uint64(when))
+	w.U64(seq)
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	r := ckpt.NewReader(&buf)
+	q.RestoreEvent(r, e)
+	return r.Err()
+}
+
 // TestRestoreSchedulePreservesOrder re-materialises three same-name,
 // same-tick events in a different order than their saved sequence numbers
 // and checks the saved seqs still decide dispatch order (rank ties on equal
@@ -48,9 +65,11 @@ func TestRestoreSchedulePreservesOrder(t *testing.T) {
 	a, b, c := mk("a"), mk("b"), mk("c")
 
 	// Restore in reverse order with explicit seqs.
-	q.RestoreSchedule(c, 100, 2)
-	q.RestoreSchedule(b, 100, 1)
-	q.RestoreSchedule(a, 100, 0)
+	for i, e := range []*Event{c, b, a} {
+		if err := restoreAt(t, q, e, 100, uint64(2-i)); err != nil {
+			t.Fatal(err)
+		}
+	}
 	// A newly scheduled event with the same name at the same tick mints a
 	// later seq and must order after all three.
 	q.ScheduleOneShot("ev", 100, func() { order = append(order, "d") })
@@ -61,6 +80,18 @@ func TestRestoreSchedulePreservesOrder(t *testing.T) {
 		if i >= len(order) || order[i] != n {
 			t.Fatalf("dispatch order = %v, want %v", order, want)
 		}
+	}
+	// A schedule no saved machine holds fails the reader instead of
+	// panicking: one due before the clock, one already pending.
+	if err := restoreAt(t, q, NewEvent("late", func() {}), q.Now()-1, 7); err == nil {
+		t.Error("event restored before now was accepted")
+	}
+	e := NewEvent("twice", func() {})
+	if err := restoreAt(t, q, e, q.Now()+5, 8); err != nil {
+		t.Fatal(err)
+	}
+	if err := restoreAt(t, q, e, q.Now()+6, 9); err == nil {
+		t.Error("already-scheduled event restored again was accepted")
 	}
 }
 

@@ -33,7 +33,7 @@
 // Both structures order events identically, so the dispatch order is
 // bit-identical to a pure-heap queue; TestCalendarScripts, FuzzCalendar,
 // TestCalendarMatchesReferenceHeap and the kernel golden-state tests hold the
-// two implementations to the same dispatch logs and StateHash.
+// two implementations to the same dispatch logs and checkpoint bytes.
 package sim
 
 import (
@@ -358,7 +358,7 @@ func (q *EventQueue) Dispatched() uint64 { return q.dispatched }
 // Elided returns how many of the Dispatched events were never scheduled:
 // clock edges a sleeping component credited arithmetically (Ticker.Credit).
 // It is a host-side diagnostic like FarScheduled: not checkpointed, not part
-// of any StateHash, and read from the simulation goroutine only.
+// of any checkpoint, and read from the simulation goroutine only.
 func (q *EventQueue) Elided() uint64 { return q.elided }
 
 // Credit counts n events of the given owner as dispatched without running
@@ -421,7 +421,7 @@ func (k orderKey) less(o orderKey) bool {
 // of the calendar ring since the queue was built — the slow path a well-sized
 // window keeps to µs-scale timers (on a reference queue, every event). It is
 // a host-side diagnostic like the self-profiler's times: not checkpointed,
-// not part of any StateHash, and read from the simulation goroutine only.
+// not part of any checkpoint, and read from the simulation goroutine only.
 func (q *EventQueue) FarScheduled() uint64 { return q.farScheduled }
 
 // Empty reports whether no events are pending.

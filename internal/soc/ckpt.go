@@ -17,10 +17,14 @@
 package soc
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc64"
 	"hash/fnv"
 	"io"
 	"os"
+	"slices"
 
 	"gem5rtl/internal/ckpt"
 )
@@ -121,35 +125,58 @@ func (s *System) Restore(in io.Reader) (uint64, error) {
 	return tick, r.Err()
 }
 
-// SaveFile checkpoints the system to a file.
+// A checkpoint file is Save's stream followed by a 12-byte integrity
+// trailer: the stream's CRC-64/ECMA, little-endian, then a magic.
+// RestoreFile checks the trailer before it decodes a byte, so a file that
+// was torn, truncated or had a bit flipped on disk is refused whole instead
+// of restoring a silently different machine. The trailer protects the bytes
+// between SaveFile and RestoreFile, nothing more: it says nothing about who
+// wrote the file, and a stream Restore reads from anywhere else carries no
+// trailer at all.
+const fileMagic = "gRCK"
+
+var fileCRC = crc64.MakeTable(crc64.ECMA)
+
+// sealSnapshot appends the integrity trailer to a checkpoint stream.
+func sealSnapshot(blob []byte) []byte {
+	sealed := binary.LittleEndian.AppendUint64(slices.Clip(blob), crc64.Checksum(blob, fileCRC))
+	return append(sealed, fileMagic...)
+}
+
+// openSnapshot verifies and strips the integrity trailer of a checkpoint
+// file's bytes.
+func openSnapshot(data []byte) ([]byte, bool) {
+	if len(data) < 12 || string(data[len(data)-4:]) != fileMagic {
+		return nil, false
+	}
+	blob := data[: len(data)-12 : len(data)-12]
+	if crc64.Checksum(blob, fileCRC) != binary.LittleEndian.Uint64(data[len(data)-12:]) {
+		return nil, false
+	}
+	return blob, true
+}
+
+// SaveFile checkpoints the system to a file, sealed with the integrity
+// trailer.
 func (s *System) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
+	var buf bytes.Buffer
+	if err := s.Save(&buf); err != nil {
 		return err
 	}
-	if err := s.Save(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return os.WriteFile(path, sealSnapshot(buf.Bytes()), 0o666)
 }
 
-// RestoreFile loads a checkpoint file into a freshly built system.
+// RestoreFile loads a checkpoint file SaveFile wrote into a freshly built
+// system. A file whose integrity trailer does not verify is refused before
+// anything is restored.
 func (s *System) RestoreFile(path string) (uint64, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return 0, err
 	}
-	defer f.Close()
-	return s.Restore(f)
-}
-
-// StateHash digests the full serialised system state — the
-// restore-equivalence tests' "bit-identical" witness.
-func (s *System) StateHash() (uint64, error) {
-	h := fnv.New64a()
-	if err := s.Save(h); err != nil {
-		return 0, err
+	blob, ok := openSnapshot(data)
+	if !ok {
+		return 0, fmt.Errorf("soc: %s: checkpoint integrity trailer does not verify (torn, corrupted or not written by SaveFile)", path)
 	}
-	return h.Sum64(), nil
+	return s.Restore(bytes.NewReader(blob))
 }

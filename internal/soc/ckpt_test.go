@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"gem5rtl/internal/conform"
 	"gem5rtl/internal/experiments"
 	"gem5rtl/internal/pmu"
 	"gem5rtl/internal/port"
@@ -39,18 +40,14 @@ func nvdlaSystem(t testing.TB, memory, wl string) *soc.System {
 	return s
 }
 
-// fingerprint digests everything a run reports: final tick, event count and
-// the full gem5-style stats dump.
+// runDigest digests everything a run reports: final tick, event count, the
+// state digest and the full gem5-style stats dump.
 func runDigest(t testing.TB, s *soc.System) string {
 	t.Helper()
 	var stats bytes.Buffer
 	s.Stats.Dump(&stats)
-	hash, err := s.StateHash()
-	if err != nil {
-		t.Fatalf("state hash: %v", err)
-	}
 	return fmt.Sprintf("tick=%d events=%d state=%#x\n%s",
-		s.Queue.Now(), s.Queue.Dispatched(), hash, stats.String())
+		s.Queue.Now(), s.Queue.Dispatched(), conform.Digest(t, s), stats.String())
 }
 
 // TestCheckpointRestoreEquivalenceNVDLA is the subsystem's headline
@@ -195,7 +192,7 @@ func TestCheckpointRestoreEquivalenceCPU(t *testing.T) {
 // TestCheckpointCrossEngine checks that a whole-system checkpoint holds the
 // RTL model's architectural state and nothing of how it is evaluated: a run
 // saved with the PMU on one evaluator restores on the other and finishes with
-// the digest (final tick, event count, StateHash, full stats dump) of an
+// the digest (final tick, event count, state digest, full stats dump) of an
 // uninterrupted run — in both directions.
 func TestCheckpointCrossEngine(t *testing.T) {
 	t.Parallel()

@@ -11,7 +11,7 @@ import (
 // register as occupancy probes, and retirement/commit counters feed the
 // forward-progress check. The watchdog polls the run loop rather than
 // scheduling events, so an untripped run is the same machine — dispatch
-// count, StateHash and checkpoint bytes included — as an unwatched one, and
+// count and checkpoint bytes included — as an unwatched one, and
 // the system may be saved with it attached.
 //
 // A trip ends the simulation loop and surfaces a *guard.HangError from

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"gem5rtl/internal/conform"
 	"gem5rtl/internal/guard"
 	"gem5rtl/internal/port"
 	"gem5rtl/internal/sim"
@@ -28,7 +29,7 @@ func buildGuardTestSystem(t *testing.T, o Oracles) *System {
 
 // The watchdog observes but never perturbs: a clean run with it attached
 // completes at the exact tick of an unwatched run, with a nil Err, the same
-// dispatch count and the same StateHash.
+// dispatch count and the same state digest.
 func TestWatchdogTransparentOnCleanRun(t *testing.T) {
 	t.Parallel()
 	plain := buildGuardTestSystem(t, Oracles{})
@@ -52,7 +53,7 @@ func TestWatchdogTransparentOnCleanRun(t *testing.T) {
 	if a, b := s.Queue.Dispatched(), plain.Queue.Dispatched(); a != b {
 		t.Errorf("watched run dispatched %d events, unwatched %d", a, b)
 	}
-	if a, b := mustHash(t, s), mustHash(t, plain); a != b {
+	if a, b := conform.Digest(t, s), conform.Digest(t, plain); a != b {
 		t.Errorf("watched state hash %016x, unwatched %016x", a, b)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"io"
 	"testing"
 
+	"gem5rtl/internal/conform"
 	"gem5rtl/internal/experiments"
 	"gem5rtl/internal/pmu"
 	"gem5rtl/internal/port"
@@ -62,11 +63,7 @@ func TestPMUElidesIdleWindows(t *testing.T) {
 	var sys [2]*soc.System
 	for i, oracle := range []bool{false, true} {
 		sys[i] = runPMUSort(t, 200, 100, nil, soc.Oracles{PerCycle: oracle})
-		h, err := sys[i].StateHash()
-		if err != nil {
-			t.Fatal(err)
-		}
-		hash[i] = h
+		hash[i] = conform.Digest(t, sys[i])
 	}
 	nap, or := sys[0], sys[1]
 	if a, b := nap.PMU.Stats(), or.PMU.Stats(); a != b {
@@ -184,11 +181,7 @@ func TestPMUTapsFoldIntoItsSleep(t *testing.T) {
 		var hashes []uint64
 		for _, at := range append(taps, 100*sim.Microsecond) {
 			s.Queue.RunUntil(at + 2500)
-			h, err := s.StateHash()
-			if err != nil {
-				t.Fatal(err)
-			}
-			hashes = append(hashes, h)
+			hashes = append(hashes, conform.Digest(t, s))
 		}
 		return s, hashes, 0
 	}
@@ -208,8 +201,8 @@ func TestPMUTapsFoldIntoItsSleep(t *testing.T) {
 	// first tap: the rest of the per-cycle machine's ticks are elided, and
 	// the machine ends where the per-cycle one does.
 	bare, _, woke := run(false, false)
-	if h, err := bare.StateHash(); err != nil || h != hOr[len(hOr)-1] {
-		t.Errorf("unhashed run: final state hash %016x (%v), per-cycle %016x", h, err, hOr[len(hOr)-1])
+	if h := conform.Digest(t, bare); h != hOr[len(hOr)-1] {
+		t.Errorf("unhashed run: final state hash %016x, per-cycle %016x", h, hOr[len(hOr)-1])
 	}
 	if n, want := bare.Queue.Elided(), or.PMU.Stats().Ticks-woke; n != want {
 		t.Errorf("%d PMU cycles elided, want the per-cycle machine's %d ticks less the %d before the first tap: a tap dispatched a tick",

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"gem5rtl/internal/conform"
 	"gem5rtl/internal/nvdla"
 	"gem5rtl/internal/port"
 	"gem5rtl/internal/rtlobject"
@@ -16,15 +17,6 @@ import (
 func buildSleepPair(t *testing.T) (sleeping, oracle *System) {
 	t.Helper()
 	return buildGuardTestSystem(t, Oracles{}), buildGuardTestSystem(t, Oracles{PerCycle: true})
-}
-
-func mustHash(t *testing.T, s *System) uint64 {
-	t.Helper()
-	h, err := s.StateHash()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return h
 }
 
 // TestLostResponseEndsAtLimit: with every response dropped and no watchdog,
@@ -59,7 +51,7 @@ func TestLostResponseEndsAtLimit(t *testing.T) {
 	if a, b := nap.Queue.Dispatched(), or.Queue.Dispatched(); a != b {
 		t.Errorf("dispatched %d events, per-cycle %d", a, b)
 	}
-	if a, b := mustHash(t, nap), mustHash(t, or); a != b {
+	if a, b := conform.Digest(t, nap), conform.Digest(t, or); a != b {
 		t.Errorf("state hash %016x, per-cycle %016x", a, b)
 	}
 }
@@ -93,7 +85,7 @@ func TestPlayTraceWakesIdleAccelerator(t *testing.T) {
 	if a, b := nap.NVDLAWrappers[0].Stats(), or.NVDLAWrappers[0].Stats(); a != b {
 		t.Errorf("model stats:\n sleeping  %+v\n per-cycle %+v", a, b)
 	}
-	if a, b := mustHash(t, nap), mustHash(t, or); a != b {
+	if a, b := conform.Digest(t, nap), conform.Digest(t, or); a != b {
 		t.Errorf("state hash %016x, per-cycle %016x", a, b)
 	}
 }

@@ -308,9 +308,9 @@ func TestChaosRealExecutorSmoke(t *testing.T) {
 // Chaos is the seeded fault-injecting executor wrapper behind the soak
 // tests: it wraps a per-point executor handed to the server as
 // Config.RunPoint and, per execution attempt, draws from a splitmix64 stream whether to
-// panic, hang, fail transiently, tear a committed result file, or bit-flip a
-// persisted checkpoint — the same fault surface a real deployment shows, on
-// demand and reproducible from one seed.
+// panic, hang, fail transiently or tear a committed result file — the same
+// fault surface a real deployment shows, on demand and reproducible from one
+// seed.
 //
 // The injection decision for attempt k of point fp is a pure function of
 // (Seed, fp, k) — the same derivation chain as RetryPolicy.Delay — so a soak
@@ -332,16 +332,12 @@ type Chaos struct {
 	// garbling) one committed result file in StoreDir — silent on-disk
 	// corruption the next boot's integrity scan must quarantine.
 	TornWriteProb float64
-	// CkptFlipProb is the per-attempt probability of flipping one bit in a
-	// persisted checkpoint file in CkptDir — caught by the snapshot CRC
-	// trailer, degrading that point to a counted cold run.
-	CkptFlipProb float64
 	// HangMax caps an injected hang on executors without a deadline
 	// (0 = 50ms), so a chaos soak cannot wedge.
 	HangMax time.Duration
-	// StoreDir / CkptDir aim the torn-write and bit-flip faults. Empty
-	// disables the respective fault regardless of probability.
-	StoreDir, CkptDir string
+	// StoreDir aims the torn-write fault. Empty disables it regardless of
+	// probability.
+	StoreDir string
 
 	mu       sync.Mutex
 	attempts map[string]int // executions seen per fingerprint
@@ -381,13 +377,10 @@ func (c *Chaos) Wrap(next func(ctx context.Context, spec experiments.RunSpec) (s
 		c.mu.Unlock()
 		rng := guard.NewRNG(guard.DeriveSeed(guard.DeriveSeedString(c.Seed, fp), att))
 
-		// Storage faults fire alongside the execution: they corrupt state at
-		// rest without failing this attempt, exactly like real bit rot.
+		// The storage fault fires alongside the execution: it corrupts state
+		// at rest without failing this attempt, exactly like real bit rot.
 		if c.StoreDir != "" && chance(rng, c.TornWriteProb) {
 			c.tearStoreFile(rng)
-		}
-		if c.CkptDir != "" && chance(rng, c.CkptFlipProb) {
-			c.flipCkptFile(rng)
 		}
 		switch {
 		case chance(rng, c.PanicProb):
@@ -422,15 +415,6 @@ func (c *Chaos) tearStoreFile(rng *guard.RNG) {
 			return buf[:int(rng.Uint64n(uint64(len(buf))))]
 		}
 		buf[rng.Intn(len(buf))] ^= 0xff
-		return buf
-	})
-}
-
-// flipCkptFile flips one bit in one persisted checkpoint file; the snapshot
-// CRC trailer must catch it and degrade the affected point to a cold run.
-func (c *Chaos) flipCkptFile(rng *guard.RNG) {
-	c.corrupt(rng, c.CkptDir, "", func(buf []byte) []byte {
-		buf[rng.Intn(len(buf))] ^= 1 << rng.Uint64n(8)
 		return buf
 	})
 }

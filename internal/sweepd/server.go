@@ -23,7 +23,7 @@ import (
 const MetricsPrefix = "gem5rtl_"
 
 // Config tunes a sweep server. The zero value is a usable in-memory server
-// with runtime.NumCPU() workers, default retries and no warm start.
+// with runtime.NumCPU() workers and default retries.
 type Config struct {
 	// Workers is the simulation worker pool size; <= 0 means
 	// runtime.NumCPU(). A running point occupies exactly one worker.
@@ -33,12 +33,10 @@ type Config struct {
 	// poison records live in its poison/ subdirectory, corrupt files moved
 	// aside by the boot scan in quarantine/.
 	StoreDir string
-	// Options configure every point's experiments.Run call: warm start
-	// against a shared checkpoint cache (workers warm each other, and with a
-	// checkpoint directory a restarted server inherits the previous one's
-	// prefixes) and a liveness watchdog, so a hung simulation fails its
-	// point with a diagnostic instead of stalling a worker until the
-	// simulated time limit. cli.Flags.Options builds them from sweepd's
+	// Options configure every point's experiments.Run call, such as a
+	// liveness watchdog, so a hung simulation fails its point with a
+	// diagnostic instead of stalling a worker until the simulated time
+	// limit. cli.Flags.Options builds them from sweepd's
 	// flags. Points run concurrently, so no per-point sink belongs here.
 	Options []experiments.Option
 	// Quota bounds any one client's live (queued or running) points;
@@ -134,7 +132,8 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	s.reg = stats.NewRegistry()
-	obs.RegisterHostStats(s.reg)
+	s.reg.Register("host.events", "simulator events dispatched host-wide",
+		func() float64 { return float64(obs.HostEvents()) })
 	s.reg.Register("sweepd.points.pending", "simulation points queued", func() float64 {
 		return float64(s.sched.counts().pending)
 	})
@@ -436,7 +435,6 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleServerStatus(w http.ResponseWriter, r *http.Request) {
 	c := s.sched.counts()
-	hits, misses, stale, corrupt := obs.CkptCacheCounts()
 	writeJSON(w, http.StatusOK, ServerStatus{
 		Jobs: c.jobs, ActiveJobs: c.active,
 		PointsPending: c.pending, PointsRunning: c.running,
@@ -444,14 +442,13 @@ func (s *Server) handleServerStatus(w http.ResponseWriter, r *http.Request) {
 		StoreLen:    s.store.Len(),
 		Quarantined: s.poison.Len(), StoreQuarantined: s.corruptFiles(),
 		Draining: s.draining.Load(), Workers: s.cfg.Workers,
-		CkptCache: CkptCacheCounts{Hits: hits, Misses: misses, Stale: stale, Corrupt: corrupt},
 	})
 }
 
 // handleMetrics serves the fleet metrics plane in the Prometheus text
 // exposition format: every registry statistic (queue depths, retry and
-// quarantine counters, checkpoint-cache effectiveness, worker utilization)
-// as a gauge family, plus — when Config.SelfProfile is on — the aggregated
+// quarantine counters, host event count, worker utilization) as a gauge
+// family, plus — when Config.SelfProfile is on — the aggregated
 // per-component attribution counter families. The body is rendered to a
 // buffer first so a slow client can never block the stats registry.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

@@ -6,8 +6,8 @@
 //
 // The service is a thin deterministic shell around the same primitives the
 // in-process tools use: points execute through experiments.Run with
-// Config.Options (the warm-start and watchdog options a gem5rtl runner
-// takes, built by the same cli.Flags.Options), results are normalised
+// Config.Options (the watchdog option a gem5rtl runner takes, built by the
+// same cli.Flags.Options), results are normalised
 // exactly like experiments.Runner.Sweep (an ideal-memory baseline is
 // scheduled automatically for every technology point), and the canonical result
 // encoding is shared with the sweepctl client so a served sweep diffs
@@ -118,11 +118,10 @@ type ServerStatus struct {
 	// Quarantined counts poison points (see /v1/quarantine);
 	// StoreQuarantined counts corrupt result and poison files the boot
 	// integrity scans moved to their quarantine/ subdirectories.
-	Quarantined      int             `json:"quarantined"`
-	StoreQuarantined int             `json:"store_quarantined"`
-	Draining         bool            `json:"draining"`
-	Workers          int             `json:"workers"`
-	CkptCache        CkptCacheCounts `json:"ckpt_cache"`
+	Quarantined      int  `json:"quarantined"`
+	StoreQuarantined int  `json:"store_quarantined"`
+	Draining         bool `json:"draining"`
+	Workers          int  `json:"workers"`
 }
 
 // HealthStatus is the healthz payload: a load balancer's readiness signal
@@ -150,17 +149,6 @@ type QuarantineList struct {
 	// StoreFiles counts corrupt result and poison files moved aside by the
 	// boot scans (kept in quarantine/ subdirectories for post-mortems).
 	StoreFiles int `json:"store_files"`
-}
-
-// CkptCacheCounts mirrors the warm-start cache effectiveness counters into
-// the status payload. Stale counts snapshots that failed to restore;
-// Corrupt counts persisted snapshot files rejected by their integrity
-// trailer. Both degrade the point to a cold run.
-type CkptCacheCounts struct {
-	Hits    uint64 `json:"hits"`
-	Misses  uint64 `json:"misses"`
-	Stale   uint64 `json:"stale"`
-	Corrupt uint64 `json:"corrupt"`
 }
 
 // SubmitRequest is the submit endpoint's request body, decoded strictly: an
