@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -80,5 +81,65 @@ func TestInterruptedRunLeavesValidOutputFiles(t *testing.T) {
 		if err := json.Unmarshal([]byte(line), &row); err != nil {
 			t.Fatalf("interval-stats line %d is not valid JSON: %v\n%s", i+1, err, line)
 		}
+	}
+}
+
+// TestCheckpointRestoreMatchesStraightRun checks the -checkpoint-at/-restore
+// round trip through a file: a two-accelerator sanity3 point saved at 1 µs
+// and resumed by a second process prints exactly what one uninterrupted run
+// prints, statistics included. A resume from a damaged checkpoint file, or
+// under flags that do not match the checkpointed configuration, must exit
+// non-zero.
+func TestCheckpointRestoreMatchesStraightRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binary")
+	}
+	dir := t.TempDir()
+	bin := buildBinary(t, dir)
+	ckptPath := filepath.Join(dir, "point.ckpt")
+	point := []string{"-nvdla", "2", "-dla-workload", "sanity3", "-dla-scale", "64",
+		"-cores", "1", "-program", "none", "-mem", "DDR4-1ch", "-inflight", "32"}
+	run := func(extra ...string) ([]byte, error) {
+		cmd := exec.Command(bin, append(append([]string(nil), point...), extra...)...)
+		var stderr strings.Builder
+		cmd.Stderr = &stderr
+		out, err := cmd.Output()
+		if err != nil {
+			err = fmt.Errorf("%w\n%s", err, stderr.String())
+		}
+		return out, err
+	}
+
+	straight, err := run()
+	if err != nil {
+		t.Fatalf("straight run: %v", err)
+	}
+	if _, err := run("-checkpoint-at", "1us", "-checkpoint-out", ckptPath); err != nil {
+		t.Fatalf("checkpointing run: %v", err)
+	}
+	restored, err := run("-restore", ckptPath)
+	if err != nil {
+		t.Fatalf("restored run: %v", err)
+	}
+	if !strings.Contains(string(straight), "# accelerators finished at") {
+		t.Fatalf("straight run did not finish its accelerators:\n%s", straight)
+	}
+	if string(restored) != string(straight) {
+		t.Errorf("restored run's output differs from the straight run's:\nrestored:\n%s\nstraight:\n%s", restored, straight)
+	}
+
+	if _, err := run("-restore", ckptPath, "-inflight", "64"); err == nil {
+		t.Error("resume under a different -inflight exited cleanly")
+	}
+	data, err := os.ReadFile(ckptPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0x10
+	if err := os.WriteFile(ckptPath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := run("-restore", ckptPath); err == nil {
+		t.Error("resume from a damaged checkpoint file exited cleanly")
 	}
 }

@@ -3,10 +3,13 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"path/filepath"
+	"reflect"
 	"testing"
 
 	"gem5rtl/internal/sim"
 	"gem5rtl/internal/soc"
+	"gem5rtl/internal/stats"
 )
 
 // runRestored runs spec through Run's lifecycle with one checkpoint split:
@@ -88,5 +91,59 @@ func TestWarmStartMatchesCold(t *testing.T) {
 			t.Errorf("%v diverges from cold: ticks %d vs %d, perf %g vs %g",
 				specs[i], restored[i].Ticks, cold[i].Ticks, restored[i].Perf, cold[i].Perf)
 		}
+	}
+}
+
+// TestWarmStartPersistsToDir checks the cross-process path gem5rtl
+// -checkpoint-at/-restore takes: a point saved at 1 µs to a checkpoint file
+// in a directory, restored from that file into a fresh build (a fresh
+// process stand-in) and completed there, ends at the cold run's tick with
+// the cold run's statistics.
+func TestWarmStartPersistsToDir(t *testing.T) {
+	spec := DSEParams{Scale: 64, Limit: 8 * sim.Second}.Spec("sanity3", 1, "DDR4-1ch", 64)
+	ctx := context.Background()
+
+	var coldStats, restoredStats []stats.Sample
+	cold, err := Run(ctx, spec, WithStats(func(s []stats.Sample) { coldStats = s }))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := buildPoint(spec, soc.Oracles{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, remaining, err := s.RunNVDLAPhase(ctx, 1*sim.Microsecond); err != nil || remaining == 0 {
+		t.Fatalf("warm-up to 1 µs: %d accelerators left, err %v; want the point still running", remaining, err)
+	}
+	path := filepath.Join(t.TempDir(), "point.ckpt")
+	if err := s.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+
+	fresh, err := soc.Build(specConfig(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tick, err := fresh.RestoreFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tick != uint64(s.Queue.Now()) {
+		t.Errorf("restored at tick %d, saved at %d", tick, s.Queue.Now())
+	}
+	restored, err := resolve([]Option{WithStats(func(s []stats.Sample) { restoredStats = s })}).
+		complete(ctx, fresh, spec.Limit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if restored != cold {
+		t.Errorf("restored run ends at %d, cold at %d", restored, cold)
+	}
+	if len(coldStats) == 0 {
+		t.Fatal("cold run reported no statistics")
+	}
+	if !reflect.DeepEqual(restoredStats, coldStats) {
+		t.Errorf("restored run's statistics differ from the cold run's:\nrestored %v\ncold     %v", restoredStats, coldStats)
 	}
 }

@@ -46,6 +46,24 @@ func corruptionPoint() Config {
 	return cfg
 }
 
+// warmPoint builds corruptionPoint, starts its accelerators on sanity3 and
+// runs it to 1 µs.
+func warmPoint(t *testing.T) *System {
+	t.Helper()
+	cfg := corruptionPoint()
+	s := MustBuild(cfg)
+	for i := 0; i < cfg.NVDLAs; i++ {
+		s.NVDLAs[i].Start()
+		tr, err := trace.Scaled("sanity3", uint64(i+1)<<32, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.PlayTrace(i, tr)
+	}
+	s.Queue.RunUntil(1 * sim.Microsecond)
+	return s
+}
+
 // corrupt applies the next corruption of the seeded table to a copy of data:
 // one to four single-bit flips, or a 4-byte run overwritten with 0xFF, at
 // offsets drawn over the whole of data. It also describes the damage.
@@ -80,16 +98,7 @@ func corrupt(rng *conform.RNG, data []byte) ([]byte, string) {
 func TestCorruptCheckpointFilesAreRefused(t *testing.T) {
 	t.Parallel()
 	cfg := corruptionPoint()
-	s := MustBuild(cfg)
-	for i := 0; i < cfg.NVDLAs; i++ {
-		s.NVDLAs[i].Start()
-		tr, err := trace.Scaled("sanity3", uint64(i+1)<<32, 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.PlayTrace(i, tr)
-	}
-	s.Queue.RunUntil(1 * sim.Microsecond)
+	s := warmPoint(t)
 	path := filepath.Join(t.TempDir(), "point.ckpt")
 	if err := s.SaveFile(path); err != nil {
 		t.Fatal(err)
@@ -126,4 +135,69 @@ func restoreWithoutPanic(t *testing.T, cfg Config, stream []byte, i int, desc st
 		}
 	}()
 	MustBuild(cfg).Restore(bytes.NewReader(stream))
+}
+
+// savedPoint returns the checkpoint stream of warmPoint.
+func savedPoint(t *testing.T) []byte {
+	t.Helper()
+	s := warmPoint(t)
+	var buf bytes.Buffer
+	if err := s.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestRestoreFileRefusesFilesSaveFileDidNotWrite hands RestoreFile files
+// that carry no trailer of SaveFile's: a bare Save stream, a whole stream
+// followed by a zero CRC and the magic or by 12 bytes of something else
+// (which Restore alone would decode), the stream with only the magic
+// appended, bytes that are no checkpoint at all, an empty file and a missing
+// one. It must refuse each of them.
+func TestRestoreFileRefusesFilesSaveFileDidNotWrite(t *testing.T) {
+	t.Parallel()
+	stream := savedPoint(t)
+	dir := t.TempDir()
+	for _, c := range []struct {
+		name string
+		data []byte
+	}{
+		{"bare stream", stream},
+		{"zero CRC", append(append(append([]byte(nil), stream...), make([]byte, 8)...), fileMagic...)},
+		{"foreign trailer", append(append([]byte(nil), stream...), bytes.Repeat([]byte{0xab}, 12)...)},
+		{"magic only", append(append([]byte(nil), stream...), fileMagic...)},
+		{"not a checkpoint", []byte("not a checkpoint")},
+		{"empty", nil},
+	} {
+		path := filepath.Join(dir, "f.ckpt")
+		if err := os.WriteFile(path, c.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := MustBuild(corruptionPoint()).RestoreFile(path); err == nil {
+			t.Errorf("%s: RestoreFile accepted the file", c.name)
+		}
+	}
+	if _, err := MustBuild(corruptionPoint()).RestoreFile(filepath.Join(dir, "missing.ckpt")); err == nil {
+		t.Error("missing file: RestoreFile returned no error")
+	}
+}
+
+// TestRestoreRefusesTruncatedStream cuts a checkpoint stream short at every
+// 997th byte and at the last byte. Restore, which has no trailer to check,
+// must return an error for each cut rather than restore a partial machine.
+func TestRestoreRefusesTruncatedStream(t *testing.T) {
+	t.Parallel()
+	stream := savedPoint(t)
+	if _, err := MustBuild(corruptionPoint()).Restore(bytes.NewReader(stream)); err != nil {
+		t.Fatalf("whole stream refused: %v", err)
+	}
+	cuts := []int{len(stream) - 1}
+	for n := 0; n < len(stream); n += 997 {
+		cuts = append(cuts, n)
+	}
+	for _, n := range cuts {
+		if _, err := MustBuild(corruptionPoint()).Restore(bytes.NewReader(stream[:n])); err == nil {
+			t.Errorf("stream cut to %d of %d bytes: Restore returned no error", n, len(stream))
+		}
+	}
 }
