@@ -1,10 +1,11 @@
 // Package cache implements the non-blocking, write-back, set-associative
 // caches of the simulated SoC (Table 1): private L1I/L1D and L2 per core and
-// a shared last-level cache. Caches track real data (so the guest ISA and
-// NVDLA traces read what they wrote), use LRU replacement, limit outstanding
-// misses with MSHRs (propagating back-pressure through the port retry
-// protocol), emit writebacks for dirty victims, and optionally run a stride
-// prefetcher (the L2 configuration in the paper).
+// a shared last-level cache. Caches model timing only: they keep tags, LRU
+// state and dirty bits but no bytes, which live in mem.Storage alone (the
+// cores read and write it directly, so no copy can go stale). They limit
+// outstanding misses with MSHRs (propagating back-pressure through the port
+// retry protocol), emit payload-free writebacks for dirty victims, and
+// optionally run a stride prefetcher (the L2 configuration in the paper).
 package cache
 
 import (
@@ -50,7 +51,6 @@ type line struct {
 	dirty      bool
 	prefetched bool
 	lastUse    uint64
-	data       []byte
 }
 
 type mshr struct {
@@ -64,16 +64,14 @@ type mshr struct {
 type Cache struct {
 	cfg Config
 	q   *sim.EventQueue
-	// sets holds one way-array per set, materialised on the set's first
-	// victim selection; setSlab lazily backs each touched set's line data
-	// with a single assoc × block-size allocation. A nil set reads as
-	// all-invalid, so large mostly-idle caches (the 16 MiB LLC in short
-	// DSE points) cost memory proportional to their touched footprint,
-	// not their geometry.
-	sets    [][]line
-	setSlab [][]byte
-	nsets   int
-	useCt   uint64
+	// sets holds one way-array per set. The table is made on the first
+	// fill and each set's ways on the set's first victim selection; a nil
+	// table or set reads as all-invalid, so large mostly-idle caches (the
+	// 16 MiB LLC in short DSE points, which no NVDLA request reaches) cost
+	// memory proportional to their touched footprint, not their geometry.
+	sets  [][]line
+	nsets int
+	useCt uint64
 
 	cpuPort *port.ResponsePort
 	memPort *port.RequestPort
@@ -113,11 +111,6 @@ func New(cfg Config, q *sim.EventQueue) *Cache {
 	}
 	c := &Cache{cfg: cfg, q: q, nsets: nsets, mshrs: map[uint64]*mshr{}}
 	c.pool.ShareIDs(q)
-	// Only the set-pointer tables are eager; way arrays and data slabs
-	// materialise per touched set in victim(). Cache construction used to
-	// dominate the allocation profile of cold DSE sweeps.
-	c.sets = make([][]line, nsets)
-	c.setSlab = make([][]byte, nsets)
 	c.cpuPort = port.NewResponsePort(cfg.Name+".cpu_side", (*cacheCPUSide)(c))
 	c.memPort = port.NewRequestPort(cfg.Name+".mem_side", (*cacheMemSide)(c))
 	c.respQ = port.NewRespQueue(cfg.Name+".resp", q, c.cpuPort)
@@ -145,6 +138,9 @@ func (c *Cache) index(addr uint64) (set int, tag uint64) {
 }
 
 func (c *Cache) lookup(addr uint64) *line {
+	if c.sets == nil {
+		return nil
+	}
 	set, tag := c.index(addr)
 	for i := range c.sets[set] {
 		ln := &c.sets[set][i]
@@ -163,11 +159,6 @@ func (cs *cacheCPUSide) RecvTimingReq(pkt *port.Packet) bool {
 }
 
 func (cs *cacheCPUSide) RecvRespRetry() { (*Cache)(cs).respQ.RecvRespRetry() }
-
-// FunctionalAccess lets upstream agents load images through the hierarchy.
-func (cs *cacheCPUSide) FunctionalAccess(pkt *port.Packet) {
-	(*Cache)(cs).FunctionalAccess(pkt)
-}
 
 // cacheMemSide implements port.Requestor on the cache's memory side.
 type cacheMemSide Cache
@@ -266,23 +257,18 @@ func (c *Cache) maybePrefetch(blockAddr uint64) {
 	c.lastMiss = blockAddr
 }
 
-// serve completes an access against a resident line.
+// serve completes an access against a resident line. The response carries
+// no payload: the requestor reads the store.
 func (c *Cache) serve(pkt *port.Packet, ln *line, readyAt sim.Tick) {
-	off := int(pkt.Addr) & (c.cfg.BlockSize - 1)
 	if pkt.Cmd.IsWrite() {
-		copy(ln.data[off:off+pkt.Size], pkt.Data)
 		ln.dirty = true
 		if !pkt.NeedsResponse() {
 			// Terminus of a writeback: this cache is the packet's final owner.
 			pkt.Release()
 			return
 		}
-		pkt.MakeResponse()
-	} else {
-		pkt.MakeResponse()
-		pkt.AllocateData()
-		copy(pkt.Data, ln.data[off:off+pkt.Size])
 	}
+	pkt.MakeResponse()
 	c.respQ.Schedule(pkt, readyAt)
 }
 
@@ -302,7 +288,6 @@ func (c *Cache) handleFill(pkt *port.Packet) bool {
 		c.trace.Logf("fill addr=%#x, %d targets", blockAddr, len(m.targets))
 	}
 	ln := c.victim(blockAddr)
-	ln.data = append(ln.data[:0], pkt.Data...)
 	_, ln.tag = c.index(blockAddr)
 	ln.valid = true
 	ln.dirty = false
@@ -313,8 +298,8 @@ func (c *Cache) handleFill(pkt *port.Packet) bool {
 	for _, t := range m.targets {
 		c.serve(t, ln, readyAt)
 	}
-	// The fill is this cache's own fetch packet coming back: the payload is
-	// copied into the line above, so the packet can be recycled.
+	// The fill is this cache's own fetch packet coming back, so it can be
+	// recycled.
 	pkt.Release()
 	for i := range m.targets {
 		m.targets[i] = nil
@@ -328,6 +313,9 @@ func (c *Cache) handleFill(pkt *port.Packet) bool {
 
 // victim selects (and if necessary evicts) a line for blockAddr's set.
 func (c *Cache) victim(blockAddr uint64) *line {
+	if c.sets == nil {
+		c.sets = make([][]line, c.nsets)
+	}
 	set, _ := c.index(blockAddr)
 	ways := c.sets[set]
 	if ways == nil {
@@ -351,25 +339,12 @@ func (c *Cache) victim(blockAddr uint64) *line {
 		c.stats.Evictions++
 		if v.dirty {
 			c.stats.Writebacks++
-			_, tag := c.index(blockAddr)
-			_ = tag
 			victimAddr := c.addrOf(set, v.tag)
 			if c.trace.On() {
 				c.trace.Logf("writeback victim addr=%#x for fill %#x", victimAddr, blockAddr)
 			}
-			wb := c.pool.Get(port.WritebackDirty, victimAddr, c.cfg.BlockSize)
-			wb.Data = append(wb.Data[:0], v.data...)
-			c.reqQ.Schedule(wb, c.q.Now())
+			c.reqQ.Schedule(c.pool.Get(port.WritebackDirty, victimAddr, c.cfg.BlockSize), c.q.Now())
 		}
-	}
-	if v.data == nil {
-		// First use: carve this line's fixed region out of the set's slab
-		// (allocated on the set's first touch, zeroed like a fresh make).
-		if c.setSlab[set] == nil {
-			c.setSlab[set] = make([]byte, c.cfg.Assoc*c.cfg.BlockSize)
-		}
-		idx := vi * c.cfg.BlockSize
-		v.data = c.setSlab[set][idx : idx+c.cfg.BlockSize : idx+c.cfg.BlockSize]
 	}
 	return v
 }
@@ -377,24 +352,4 @@ func (c *Cache) victim(blockAddr uint64) *line {
 // addrOf reconstructs a block's base address from set and tag.
 func (c *Cache) addrOf(set int, tag uint64) uint64 {
 	return (tag*uint64(c.nsets) + uint64(set)) * uint64(c.cfg.BlockSize)
-}
-
-// FunctionalAccess implements port.Functional: it updates/reads resident
-// lines and forwards to the next level so the whole hierarchy stays
-// coherent for program loading.
-func (c *Cache) FunctionalAccess(pkt *port.Packet) {
-	if ln := c.lookup(pkt.Addr); ln != nil {
-		off := int(pkt.Addr) & (c.cfg.BlockSize - 1)
-		if pkt.Cmd.IsWrite() {
-			copy(ln.data[off:off+pkt.Size], pkt.Data)
-			ln.dirty = true
-			// Also propagate downstream so lower levels/memory see it.
-			c.memPort.SendFunctional(pkt)
-			return
-		}
-		pkt.AllocateData()
-		copy(pkt.Data, ln.data[off:off+pkt.Size])
-		return
-	}
-	c.memPort.SendFunctional(pkt)
 }

@@ -1,9 +1,7 @@
 package cache
 
 import (
-	"bytes"
 	"testing"
-	"testing/quick"
 
 	"gem5rtl/internal/mem"
 	"gem5rtl/internal/port"
@@ -67,11 +65,9 @@ func l1Config() Config {
 
 func TestMissThenHit(t *testing.T) {
 	h := newHarness(t, l1Config())
-	h.store.Write(0x1000, []byte{0xAA, 0xBB, 0xCC, 0xDD})
-
 	h.send(port.NewReadPacket(0x1000, 4))
 	h.q.Run()
-	if len(h.resps) != 1 || !bytes.Equal(h.resps[0].Data, []byte{0xAA, 0xBB, 0xCC, 0xDD}) {
+	if len(h.resps) != 1 || h.resps[0].Cmd != port.ReadResp {
 		t.Fatalf("miss read failed: %+v", h.resps)
 	}
 	missTime := h.q.Now()
@@ -88,48 +84,60 @@ func TestMissThenHit(t *testing.T) {
 	}
 }
 
-func TestWriteReadBack(t *testing.T) {
-	h := newHarness(t, l1Config())
-	h.send(port.NewWritePacket(0x2000, []byte{1, 2, 3, 4}))
-	h.q.Run()
-	h.send(port.NewReadPacket(0x2000, 4))
-	h.q.Run()
-	last := h.resps[len(h.resps)-1]
-	if !bytes.Equal(last.Data, []byte{1, 2, 3, 4}) {
-		t.Fatalf("read back %v", last.Data)
-	}
-}
-
 func TestDirtyEvictionWritesBack(t *testing.T) {
 	cfg := l1Config()
 	cfg.SizeBytes = 4 * 1024 // 64 blocks, 4-way, 16 sets
 	h := newHarness(t, cfg)
-	// Write block 0, then evict it by filling its set with conflicting blocks.
+	var down memSideLog
+	port.Interpose(h.c.MemPort(), &down)
+	// Write block 0, then evict it by filling its set with conflicting
+	// blocks: twice round the set, so the clean line that took block 0's
+	// way is evicted too, and must not be written back.
 	h.send(port.NewWritePacket(0x0, []byte{0xEE}))
 	h.q.Run()
 	setStride := uint64(cfg.SizeBytes / cfg.Assoc) // 1 KiB
-	for i := 1; i <= cfg.Assoc; i++ {
+	for i := 1; i <= 2*cfg.Assoc; i++ {
 		h.send(port.NewReadPacket(uint64(i)*setStride, 8))
 		h.q.Run()
 	}
-	st := h.c.Stats()
-	if st.Writebacks == 0 {
-		t.Fatal("no writeback on dirty eviction")
+	if st := h.c.Stats(); st.Writebacks != 1 {
+		t.Fatalf("writebacks = %d, want 1", st.Writebacks)
 	}
-	// Memory must now hold the dirty data.
-	got := make([]byte, 1)
-	h.store.Read(0, got)
-	if got[0] != 0xEE {
-		t.Fatalf("memory has %#x after writeback", got[0])
+	var wbs []uint64
+	for _, r := range down.reqs {
+		if r.cmd == port.WritebackDirty {
+			wbs = append(wbs, r.addr)
+		}
 	}
-	// Re-read block 0: must miss and return the written value.
+	if len(wbs) != 1 || wbs[0] != 0 {
+		t.Fatalf("writebacks reaching memory: %#x, want [0x0]", wbs)
+	}
+	// Re-read block 0: the eviction dropped it, so it must miss.
+	misses := h.c.Stats().Misses
 	h.send(port.NewReadPacket(0x0, 1))
 	h.q.Run()
-	last := h.resps[len(h.resps)-1]
-	if last.Data[0] != 0xEE {
-		t.Fatalf("re-read %#x", last.Data[0])
+	if h.c.Stats().Misses != misses+1 {
+		t.Fatal("re-read of the evicted block hit")
 	}
 }
+
+// memSideLog is a LinkTap that records the requests a cache sends down.
+type memSideLog struct {
+	reqs []struct {
+		cmd  port.Cmd
+		addr uint64
+	}
+}
+
+func (l *memSideLog) TapReq(pkt *port.Packet) port.TapAction {
+	l.reqs = append(l.reqs, struct {
+		cmd  port.Cmd
+		addr uint64
+	}{pkt.Cmd, pkt.Addr})
+	return port.TapPass
+}
+
+func (l *memSideLog) TapResp(*port.Packet) port.TapAction { return port.TapPass }
 
 func TestMSHRCoalescing(t *testing.T) {
 	h := newHarness(t, l1Config())
@@ -227,54 +235,6 @@ func TestOnMissCallback(t *testing.T) {
 	}
 }
 
-func TestFunctionalThroughCache(t *testing.T) {
-	h := newHarness(t, l1Config())
-	// Functional write lands in memory even with no traffic.
-	w := port.NewWritePacket(0x5000, []byte{7, 8, 9})
-	h.p.SendFunctional(w)
-	got := make([]byte, 3)
-	h.store.Read(0x5000, got)
-	if !bytes.Equal(got, []byte{7, 8, 9}) {
-		t.Fatal("functional write did not reach memory")
-	}
-	r := port.NewReadPacket(0x5000, 3)
-	h.p.SendFunctional(r)
-	if !bytes.Equal(r.Data, []byte{7, 8, 9}) {
-		t.Fatal("functional read wrong")
-	}
-}
-
-// Property: any sequence of writes then reads returns the written data
-// through the cache (data integrity across evictions).
-func TestQuickDataIntegrity(t *testing.T) {
-	cfg := l1Config()
-	cfg.SizeBytes = 1024 // tiny: force evictions
-	cfg.Assoc = 2
-	h := newHarness(t, cfg)
-	written := map[uint64]byte{}
-	f := func(addrs []uint16) bool {
-		for _, a16 := range addrs {
-			addr := uint64(a16)
-			val := byte(a16 >> 3)
-			h.send(port.NewWritePacket(addr, []byte{val}))
-			written[addr] = val
-		}
-		h.q.Run()
-		for addr, val := range written {
-			h.resps = nil
-			h.send(port.NewReadPacket(addr, 1))
-			h.q.Run()
-			if len(h.resps) != 1 || h.resps[0].Data[0] != val {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestTwoLevelHierarchy(t *testing.T) {
 	q := sim.NewEventQueue()
 	l1 := New(Config{Name: "l1", SizeBytes: 4096, Assoc: 4, Latency: sim.Nanosecond, MSHRs: 8}, q)
@@ -287,10 +247,9 @@ func TestTwoLevelHierarchy(t *testing.T) {
 	h.p = port.NewRequestPort("drv", h)
 	port.Bind(h.p, l1.CPUPort())
 
-	store.Write(0x8000, []byte{0x11, 0x22})
 	h.send(port.NewReadPacket(0x8000, 2))
 	q.Run()
-	if len(h.resps) != 1 || h.resps[0].Data[0] != 0x11 {
+	if len(h.resps) != 1 {
 		t.Fatal("two-level read failed")
 	}
 	if l1.Stats().Misses != 1 || l2.Stats().Misses != 1 {
@@ -301,11 +260,13 @@ func TestTwoLevelHierarchy(t *testing.T) {
 		h.send(port.NewReadPacket(uint64(i)*64, 4))
 		q.Run()
 	}
+	// The first line is out of the L1 by now but still in the L2.
+	l1Misses, l2Hits := l1.Stats().Misses, l2.Stats().Hits
 	h.resps = nil
 	h.send(port.NewReadPacket(0x8000, 2))
 	q.Run()
-	if h.resps[0].Data[0] != 0x11 {
-		t.Fatal("data lost across levels")
+	if len(h.resps) != 1 || l1.Stats().Misses != l1Misses+1 || l2.Stats().Hits != l2Hits+1 {
+		t.Fatalf("re-read not served by the L2: l1 %+v l2 %+v", l1.Stats(), l2.Stats())
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 )
 
 // SaveState captures the full cache state: every line (tag, flags, LRU
-// stamp, data), the MSHR file with coalesced target packets, the stride
+// stamp), the MSHR file with coalesced target packets, the stride
 // prefetcher, statistics, the CPU-side retry flags and both port queues.
 // MSHRs live in a map that is only ever key-addressed during simulation, so
 // serialising it sorted by block address keeps the stream deterministic
@@ -19,7 +19,7 @@ func (c *Cache) SaveState(w *ckpt.Writer) error {
 	w.Int(c.nsets)
 	w.Int(c.cfg.Assoc)
 	// Lines are stored sparsely: only valid ones, keyed by (set, way). An
-	// invalid line's tag/lastUse/data are never read (victim selection takes
+	// invalid line's tag/lastUse are never read (victim selection takes
 	// the first invalid way), and a restore targets a freshly built cache
 	// whose lines are all invalid already — so skipping them keeps snapshots
 	// proportional to the working set, not the cache geometry.
@@ -44,7 +44,6 @@ func (c *Cache) SaveState(w *ckpt.Writer) error {
 			w.Bool(ln.dirty)
 			w.Bool(ln.prefetched)
 			w.U64(ln.lastUse)
-			w.Bytes(ln.data)
 		}
 	}
 	w.U64(c.useCt)
@@ -91,6 +90,9 @@ func (c *Cache) RestoreState(r *ckpt.Reader) error {
 			return fmt.Errorf("cache %s: checkpoint line (%d,%d) outside %dx%d geometry",
 				c.cfg.Name, s, i, c.nsets, c.cfg.Assoc)
 		}
+		if c.sets == nil {
+			c.sets = make([][]line, c.nsets)
+		}
 		if c.sets[s] == nil {
 			c.sets[s] = make([]line, c.cfg.Assoc)
 		}
@@ -100,7 +102,6 @@ func (c *Cache) RestoreState(r *ckpt.Reader) error {
 		ln.dirty = r.Bool()
 		ln.prefetched = r.Bool()
 		ln.lastUse = r.U64()
-		ln.data = r.Bytes()
 	}
 	c.useCt = r.U64()
 	n := r.Len()

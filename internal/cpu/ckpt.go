@@ -25,7 +25,7 @@ func init() {
 // registers, PC, the load scoreboard, outstanding-access counters, fetch
 // engine state, sleep/exit latches, statistics, and the clock ticker plus
 // wake event. The decoded-instruction cache is deliberately skipped — it is
-// rebuilt lazily through untimed functional reads, which cannot perturb
+// rebuilt lazily through untimed reads of the store, which cannot perturb
 // timing.
 func (c *Core) SaveState(w *ckpt.Writer) error {
 	w.Section("cpu.core")

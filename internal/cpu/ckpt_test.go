@@ -7,6 +7,7 @@ import (
 	"gem5rtl/internal/ckpt"
 	"gem5rtl/internal/conform"
 	"gem5rtl/internal/isa"
+	"gem5rtl/internal/mem"
 	"gem5rtl/internal/sim"
 )
 
@@ -16,7 +17,7 @@ import (
 func TestCoreRoundTrip(t *testing.T) {
 	q := sim.NewEventQueue()
 	dom := sim.NewClockDomain("clk", q, 2_000_000_000)
-	c := New(DefaultConfig(0), dom)
+	c := New(DefaultConfig(0), dom, mem.NewStorage())
 	c.ticker.Start()
 	for i := range c.regs {
 		c.regs[i] = uint64(i * 3)
@@ -36,7 +37,7 @@ func TestCoreRoundTrip(t *testing.T) {
 
 	q2 := sim.NewEventQueue()
 	dom2 := sim.NewClockDomain("clk", q2, 2_000_000_000)
-	c2 := New(DefaultConfig(0), dom2)
+	c2 := New(DefaultConfig(0), dom2, mem.NewStorage())
 	conform.Restore(t, blob, c2)
 	if c2.pc != 0x1234 || c2.regs[7] != 21 || !c2.pendingReg[5] || !c2.sleeping {
 		t.Errorf("fields lost: pc=%#x regs[7]=%d pending5=%v sleeping=%v",

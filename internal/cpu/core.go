@@ -2,12 +2,12 @@
 // style model of the paper's Table 1 cores (92-entry IQ and 192-entry ROB
 // approximated by load/store queue and outstanding-access limits), executing
 // RV-lite guest programs over a micro-kernel syscall layer. The model is
-// timing-directed with a functional backbone: architectural state updates
-// functionally at issue, while loads/stores/ifetches issue real timing
-// packets into the cache hierarchy whose responses gate dependent issue via
-// a register scoreboard. The core exposes the two event taps the PMU use
-// case wires up: per-cycle committed-instruction counts and L1D misses (the
-// latter via cache.Cache.OnMiss).
+// timing-directed: architectural state updates at issue, reading and writing
+// the system's mem.Storage directly, while loads/stores/ifetches issue
+// payload-free timing packets into the cache hierarchy whose responses gate
+// dependent issue via a register scoreboard. The core exposes the two event
+// taps the PMU use case wires up: per-cycle committed-instruction counts and
+// L1D misses (the latter via cache.Cache.OnMiss).
 package cpu
 
 import (
@@ -15,6 +15,7 @@ import (
 	"io"
 
 	"gem5rtl/internal/isa"
+	"gem5rtl/internal/mem"
 	"gem5rtl/internal/obs"
 	"gem5rtl/internal/port"
 	"gem5rtl/internal/sim"
@@ -85,6 +86,9 @@ type Core struct {
 	dom    *sim.ClockDomain
 	q      *sim.EventQueue
 	ticker *sim.Ticker
+	// store is the system's backing store, the one place a simulated byte
+	// lives: the caches model timing only.
+	store *mem.Storage
 
 	iPort *port.RequestPort
 	dPort *port.RequestPort
@@ -117,13 +121,8 @@ type Core struct {
 	// component downstream holds the packet once its response arrives here.
 	pool port.PacketPool
 	tags sim.Freelist[loadState]
-	// fnRead/fnWrite are reusable scratch packets for the functional
-	// backbone; fnBuf backs fnRead's payload, and fnWrite carries the store
-	// packet's own. Functional accesses complete synchronously and nothing
-	// downstream retains the packet or buffer.
-	fnRead  port.Packet
-	fnWrite port.Packet
-	fnBuf   [16]byte
+	// buf stages the bytes of one load, store or instruction read.
+	buf [8]byte
 
 	// OnCommit fires every active cycle with the number of instructions
 	// committed that cycle — the PMU's commit event lines.
@@ -156,13 +155,14 @@ func (c *Core) getLoadState(isLoad, isFetch bool, rd uint8) *loadState {
 
 func (c *Core) putLoadState(st *loadState) { c.tags.Put(st) }
 
-// New creates a core on the given clock domain. Bind IPort/DPort before
-// Start.
-func New(cfg Config, dom *sim.ClockDomain) *Core {
+// New creates a core on the given clock domain whose loads, stores and
+// instruction reads go to store. Bind IPort/DPort before Start.
+func New(cfg Config, dom *sim.ClockDomain, store *mem.Storage) *Core {
 	c := &Core{
 		cfg:        cfg,
 		dom:        dom,
 		q:          dom.Queue(),
+		store:      store,
 		pc:         cfg.Entry,
 		decoded:    map[uint64]isa.Inst{},
 		fetchBlock: ^uint64(0),
@@ -206,11 +206,9 @@ func (c *Core) PC() uint64 { return c.pc }
 // Reg returns architectural register r.
 func (c *Core) Reg(r int) uint64 { return c.regs[r] }
 
-// LoadProgram writes a program image into memory (functionally, through the
-// data port so all cache levels stay consistent) and resets the PC.
+// LoadProgram writes a program image into the store and resets the PC.
 func (c *Core) LoadProgram(image []byte) {
-	pkt := port.NewFunctionalWrite(c.cfg.Entry, image)
-	c.dPort.SendFunctional(pkt)
+	c.store.Write(c.cfg.Entry, image)
 	c.pc = c.cfg.Entry
 	c.decoded = map[uint64]isa.Inst{}
 }
@@ -273,18 +271,16 @@ func (c *Core) step(committed *int) bool {
 		if c.iPort.SendTimingReq(fetch) {
 			c.fetchOutstanding++
 		} else {
-			// Refused (L1I MSHR-full): proceed functionally; rare.
+			// Refused (L1I MSHR-full): proceed without the touch; rare.
 			c.putLoadState(fetch.PopSenderState().(*loadState))
 			fetch.Release()
 		}
 	}
 	in, ok := c.decoded[c.pc]
 	if !ok {
-		c.fnRead = port.Packet{Cmd: port.ReadReq, Addr: c.pc, Size: isa.InstBytes,
-			Data: c.fnBuf[:isa.InstBytes]}
-		c.iPort.SendFunctional(&c.fnRead)
+		c.store.Read(c.pc, c.buf[:isa.InstBytes])
 		var err error
-		in, err = isa.Decode(c.fnRead.Data)
+		in, err = isa.Decode(c.buf[:isa.InstBytes])
 		if err != nil {
 			panic(fmt.Sprintf("%s: pc=%#x: %v", c.cfg.Name, c.pc, err))
 		}
@@ -318,12 +314,11 @@ func (c *Core) step(committed *int) bool {
 		}
 		addr := c.regs[in.Rs1] + uint64(int64(in.Imm))
 		n := in.Op.MemBytes()
-		// Functional backbone: architectural value now...
-		c.fnRead = port.Packet{Cmd: port.ReadReq, Addr: addr, Size: n, Data: c.fnBuf[:n]}
-		c.dPort.SendFunctional(&c.fnRead)
+		// Architectural value now, from the store...
+		c.store.Read(addr, c.buf[:n])
 		var v uint64
 		for i := n - 1; i >= 0; i-- {
-			v = v<<8 | uint64(c.fnRead.Data[i])
+			v = v<<8 | uint64(c.buf[i])
 		}
 		c.setReg(in.Rd, v)
 		// ...timing packet to gate consumers.
@@ -349,17 +344,13 @@ func (c *Core) step(committed *int) bool {
 		}
 		addr := c.regs[in.Rs1] + uint64(int64(in.Imm))
 		n := in.Op.MemBytes()
-		// The payload goes straight into the timing packet's recycled
-		// capacity; the functional write below aliases it, which is safe
-		// because that access completes inside the call.
-		t := c.pool.Get(port.WriteReq, addr, n)
-		t.AllocateData()
+		// The bytes go to the store now; the timing packet carries none.
 		v := c.regs[in.Rs2]
 		for i := 0; i < n; i++ {
-			t.Data[i] = byte(v >> (8 * i))
+			c.buf[i] = byte(v >> (8 * i))
 		}
-		c.fnWrite = port.Packet{Cmd: port.WriteReq, Addr: addr, Size: n, Data: t.Data}
-		c.dPort.SendFunctional(&c.fnWrite)
+		c.store.Write(addr, c.buf[:n])
+		t := c.pool.Get(port.WriteReq, addr, n)
 		t.RequestorID = c.cfg.ID
 		t.PushSenderState(c.getLoadState(false, false, 0))
 		if !c.dPort.SendTimingReq(t) {

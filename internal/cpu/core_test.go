@@ -13,11 +13,9 @@ import (
 	"gem5rtl/internal/workload"
 )
 
-// rig is a single-core system: core -> L1I/L1D -> ideal memory (two ports
-// via a tiny crossbar-free setup: both caches talk to one memory through
-// separate ideal memories sharing a store is wrong; use one memory with two
-// response ports is unsupported, so L1I and L1D each get an ideal memory
-// backed by the same Storage — coherent because the store is shared).
+// rig is a single-core system: core -> L1I/L1D -> ideal memory. With no
+// crossbar to join them, L1I and L1D each get an ideal memory; both and the
+// core share one Storage, the only place the bytes live.
 type rig struct {
 	q     *sim.EventQueue
 	dom   *sim.ClockDomain
@@ -32,13 +30,13 @@ func newRig(t testing.TB) *rig {
 	t.Helper()
 	r := &rig{q: sim.NewEventQueue()}
 	r.dom = sim.NewClockDomain("cpu", r.q, 2_000_000_000)
-	r.core = New(DefaultConfig(0), r.dom)
+	r.store = mem.NewStorage()
+	r.core = New(DefaultConfig(0), r.dom, r.store)
 	r.core.Out = &r.out
 	r.l1i = cache.New(cache.Config{Name: "l1i", SizeBytes: 64 << 10, Assoc: 4,
 		Latency: 1 * sim.Nanosecond, MSHRs: 8}, r.q)
 	r.l1d = cache.New(cache.Config{Name: "l1d", SizeBytes: 64 << 10, Assoc: 4,
 		Latency: 1 * sim.Nanosecond, MSHRs: 24}, r.q)
-	r.store = mem.NewStorage()
 	mi := mem.NewIdealMemory("memI", r.q, r.store, 40*sim.Nanosecond)
 	md := mem.NewIdealMemory("memD", r.q, r.store, 40*sim.Nanosecond)
 	port.Bind(r.core.IPort(), r.l1i.CPUPort())
@@ -91,6 +89,45 @@ func TestMemoryStreamChecksum(t *testing.T) {
 	}
 	if r.l1d.Stats().Misses == 0 {
 		t.Fatal("no L1D misses on a 200-element stream")
+	}
+}
+
+// TestStoreWidthsReachStorage stores all-ones at each width and loads each
+// back: Storage must hold exactly the stored bytes, and the loads must
+// zero-extend them.
+func TestStoreWidthsReachStorage(t *testing.T) {
+	r := newRig(t)
+	src := `
+main:
+    li t0, 3145728   ; 0x300000
+    li t1, -1
+    sd t1, 0(t0)
+    sw t1, 16(t0)
+    sb t1, 32(t0)
+    ld t2, 0(t0)
+    lw t3, 16(t0)
+    lb t4, 32(t0)
+    add a0, t2, t3
+    add a0, a0, t4
+    li a7, 93
+    ecall
+`
+	if code := r.run(t, src, sim.Millisecond); code != -1+0xFFFFFFFF+0xFF {
+		t.Fatalf("exit %d, want %d", code, -1+0xFFFFFFFF+0xFF)
+	}
+	for _, c := range []struct {
+		off  uint64
+		ones int
+	}{{0, 8}, {16, 4}, {32, 1}} {
+		got := make([]byte, 16)
+		r.store.Read(0x300000+c.off, got)
+		want := make([]byte, 16)
+		for i := 0; i < c.ones; i++ {
+			want[i] = 0xFF
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("Storage at +%d holds % x, want % x", c.off, got, want)
+		}
 	}
 }
 

@@ -59,8 +59,8 @@ func pureSpecs() []pureSpec {
 				s.Queue.RunUntil(250 * sim.Microsecond)
 				return s
 			},
-			sha256:    "351526abf8728faa7b626be402dce6bb4c7bcd99a6f627d27da60d781600e325",
-			stateHash: 0x044de8f7daeea9cd,
+			sha256:    "72bd8327a3f19ba11ac3e7b9f50d3d1ab5300cde12b406833e4d243169570cb6",
+			stateHash: 0xcfaac8d89f68dcbc,
 		},
 		{
 			name: "googlenet n=2 DDR4-1ch inflight=64 scale=1 @400us",

@@ -246,16 +246,6 @@ func (d *DRAMCtrl) RecvTimingReq(pkt *port.Packet) bool {
 // RecvRespRetry implements port.Responder.
 func (d *DRAMCtrl) RecvRespRetry() { d.rq.RecvRespRetry() }
 
-// FunctionalAccess implements port.Functional for image/trace loading.
-func (d *DRAMCtrl) FunctionalAccess(pkt *port.Packet) {
-	if pkt.Cmd.IsWrite() {
-		d.store.Write(pkt.Addr, pkt.Data)
-	} else {
-		pkt.AllocateData()
-		d.store.Read(pkt.Addr, pkt.Data)
-	}
-}
-
 // kick arms the issue event if idle.
 func (ch *dramChannel) kick() {
 	if ch.issueEv.Scheduled() {

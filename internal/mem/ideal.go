@@ -62,13 +62,3 @@ func (m *IdealMemory) RecvTimingReq(pkt *port.Packet) bool {
 
 // RecvRespRetry implements port.Responder.
 func (m *IdealMemory) RecvRespRetry() { m.rq.RecvRespRetry() }
-
-// FunctionalAccess implements port.Functional.
-func (m *IdealMemory) FunctionalAccess(pkt *port.Packet) {
-	if pkt.Cmd.IsWrite() {
-		m.store.Write(pkt.Addr, pkt.Data)
-	} else {
-		pkt.AllocateData()
-		m.store.Read(pkt.Addr, pkt.Data)
-	}
-}

@@ -91,13 +91,3 @@ func (s *Scratchpad) RecvTimingReq(pkt *port.Packet) bool {
 
 // RecvRespRetry implements port.Responder.
 func (s *Scratchpad) RecvRespRetry() { s.rq.RecvRespRetry() }
-
-// FunctionalAccess implements port.Functional.
-func (s *Scratchpad) FunctionalAccess(pkt *port.Packet) {
-	if pkt.Cmd.IsWrite() {
-		s.store.Write(pkt.Addr, pkt.Data)
-	} else {
-		pkt.AllocateData()
-		s.store.Read(pkt.Addr, pkt.Data)
-	}
-}

@@ -214,13 +214,3 @@ func (d *xbarDown) RecvTimingResp(pkt *port.Packet) bool {
 }
 
 func (d *xbarDown) RecvReqRetry() { d.x.reqQs[d.i].RecvReqRetry() }
-
-// FunctionalAccess routes functional accesses downstream.
-func (x *Xbar) FunctionalAccess(pkt *port.Packet) {
-	x.downs[x.route(pkt.Addr)].SendFunctional(pkt)
-}
-
-// Ensure the front ports support functional forwarding.
-func (f *xbarFront) FunctionalAccess(pkt *port.Packet) { f.x.FunctionalAccess(pkt) }
-
-var _ port.Functional = (*xbarFront)(nil)

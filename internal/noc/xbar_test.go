@@ -180,20 +180,3 @@ func TestWritesNoResponseTracking(t *testing.T) {
 		t.Fatalf("outstanding leaked: %d", x.outstanding[0])
 	}
 }
-
-func TestFunctionalRouting(t *testing.T) {
-	q := sim.NewEventQueue()
-	x := New(cfg(), q, 1, 1)
-	store := mem.NewStorage()
-	m := mem.NewIdealMemory("m", q, store, 100)
-	port.Bind(x.DownPort(0), m.Port())
-	d := newDriver(q, "cpu")
-	port.Bind(d.p, x.FrontPort(0))
-	w := port.NewWritePacket(0x40, []byte{5})
-	d.p.SendFunctional(w)
-	got := make([]byte, 1)
-	store.Read(0x40, got)
-	if got[0] != 5 {
-		t.Fatal("functional write not routed")
-	}
-}

@@ -27,7 +27,7 @@ type inflightRec struct {
 
 // LatencyTap is a port.LinkTap that measures packet lifetimes across one
 // link: a request is stamped on first sighting and its latency observed when
-// the matching response crosses back. Functional accesses (packet ID 0) and
+// the matching response crosses back. ID-less packets (ID 0) and
 // posted traffic (no response expected) are ignored. A refused-and-retried
 // delivery re-passes the tap; only the first sighting is stamped, so retries
 // count toward the packet's latency rather than resetting it.

@@ -79,10 +79,10 @@ func TestLatencyTapMeasuresRoundTrip(t *testing.T) {
 	}
 }
 
-func TestLatencyTapIgnoresFunctionalAndPosted(t *testing.T) {
+func TestLatencyTapIgnoresIDLessAndPosted(t *testing.T) {
 	q := sim.NewEventQueue()
 	tap := NewLatencyProfile(q).Tap("x")
-	tap.TapReq(port.NewFunctionalRead(0, 8)) // ID 0
+	tap.TapReq(&port.Packet{Cmd: port.ReadReq, Size: 8}) // ID 0
 	posted := port.NewPacket(port.WriteReq, 0, 8)
 	posted.Cmd = port.WritebackDirty // posted: no response expected
 	tap.TapReq(posted)

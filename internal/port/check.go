@@ -106,7 +106,7 @@ func attachChecker(req *RequestPort, resp *ResponsePort) *Checker {
 		refused:     map[uint64]bool{},
 	}
 	req.owner = &checkedRequestor{c: c, inner: req.owner}
-	resp.owner = &checkedResponder{c: c, inner: resp.owner, port: resp}
+	resp.owner = &checkedResponder{c: c, inner: resp.owner}
 	resp.checker = c
 	return c
 }
@@ -150,7 +150,6 @@ func (c *Checker) violate(format string, args ...any) {
 type checkedResponder struct {
 	c     *Checker
 	inner Responder
-	port  *ResponsePort
 }
 
 func (r *checkedResponder) RecvTimingReq(pkt *Packet) bool {
@@ -195,16 +194,6 @@ func (r *checkedResponder) RecvRespRetry() {
 	c.respBlocked = false
 	c.record("resp-retry")
 	r.inner.RecvRespRetry()
-}
-
-// FunctionalAccess forwards functional traffic, preserving the unwrapped
-// link's panic for responders that do not support it.
-func (r *checkedResponder) FunctionalAccess(pkt *Packet) {
-	f, ok := r.inner.(Functional)
-	if !ok {
-		panic("port: peer of " + r.port.peer.name + " does not support functional access")
-	}
-	f.FunctionalAccess(pkt)
 }
 
 // checkedRequestor validates inbound responses and request retries.

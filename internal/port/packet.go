@@ -9,8 +9,6 @@
 //     refused sender must wait for a retry callback before resending. This
 //     back-pressure is what propagates MSHR and memory-queue occupancy limits
 //     through the system and makes the max-in-flight DSE meaningful.
-//   - Functional accesses move data immediately with no timing, used to load
-//     program images and NVDLA traces into memory.
 package port
 
 import (
@@ -300,22 +298,6 @@ func NewWritePacket(addr uint64, data []byte) *Packet {
 // NewReadPacket allocates a read of size bytes.
 func NewReadPacket(addr uint64, size int) *Packet {
 	return NewPacket(ReadReq, addr, size)
-}
-
-// NewFunctionalRead builds a read that does NOT consume a packet ID (ID 0).
-// Functional accesses complete synchronously inside a single call and never
-// enter checkpointed state; minting IDs for them would make the
-// ID sequence depend on host-side memoisation (for example the core's
-// decode cache, which a restored run rebuilds lazily) and break bit-exact
-// checkpoint/restore equivalence.
-func NewFunctionalRead(addr uint64, size int) *Packet {
-	return &Packet{Cmd: ReadReq, Addr: addr, Size: size}
-}
-
-// NewFunctionalWrite builds a write that does NOT consume a packet ID (ID
-// 0); see NewFunctionalRead. The data slice is not copied.
-func NewFunctionalWrite(addr uint64, data []byte) *Packet {
-	return &Packet{Cmd: WriteReq, Addr: addr, Size: len(data), Data: data}
 }
 
 // PushSenderState saves routing state before forwarding a packet downstream;

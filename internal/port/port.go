@@ -24,13 +24,6 @@ type Responder interface {
 	RecvRespRetry()
 }
 
-// Functional is implemented by responders that support debug/functional
-// accesses which complete immediately with no timing (used for loading
-// program images and traces).
-type Functional interface {
-	FunctionalAccess(pkt *Packet)
-}
-
 // RequestPort is the requestor's endpoint of a point-to-point link.
 type RequestPort struct {
 	name  string
@@ -118,18 +111,6 @@ func (p *RequestPort) SendRetryResp() {
 		p.peer.needRespRetry = false
 		p.peer.owner.RecvRespRetry()
 	}
-}
-
-// SendFunctional performs an immediate, untimed access through the link.
-func (p *RequestPort) SendFunctional(pkt *Packet) {
-	if p.peer == nil {
-		panic("port: SendFunctional on unbound port " + p.name)
-	}
-	f, ok := p.peer.owner.(Functional)
-	if !ok {
-		panic("port: peer of " + p.name + " does not support functional access")
-	}
-	f.FunctionalAccess(pkt)
 }
 
 // Name returns the port name.

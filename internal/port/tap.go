@@ -59,7 +59,7 @@ func Interpose(req *RequestPort, tap LinkTap) *Injector {
 	resp.classes, resp.classOf = 0, nil
 	inj := &Injector{reqInner: req.owner}
 	req.owner = &tappedRequestor{tap: tap, inner: req.owner}
-	resp.owner = &tappedResponder{tap: tap, inner: resp.owner, port: resp}
+	resp.owner = &tappedResponder{tap: tap, inner: resp.owner}
 	return inj
 }
 
@@ -88,7 +88,6 @@ func (t *tappedRequestor) RecvReqRetry() { t.inner.RecvReqRetry() }
 type tappedResponder struct {
 	tap   LinkTap
 	inner Responder
-	port  *ResponsePort
 }
 
 func (t *tappedResponder) RecvTimingReq(pkt *Packet) bool {
@@ -106,14 +105,3 @@ func (t *tappedResponder) RecvTimingReq(pkt *Packet) bool {
 }
 
 func (t *tappedResponder) RecvRespRetry() { t.inner.RecvRespRetry() }
-
-// FunctionalAccess forwards functional traffic beneath the tap (faults apply
-// to timing traffic only), preserving the unwrapped link's panic for
-// responders without functional support.
-func (t *tappedResponder) FunctionalAccess(pkt *Packet) {
-	f, ok := t.inner.(Functional)
-	if !ok {
-		panic("port: peer of " + t.port.peer.name + " does not support functional access")
-	}
-	f.FunctionalAccess(pkt)
-}

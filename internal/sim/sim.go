@@ -239,8 +239,8 @@ type EventQueue struct {
 	exitSet    bool
 	stopSet    bool // arms stopAfter, below; kept here so the flags share a word
 	// nearDirty forces a bitmap rescan after the cached nearBucket (below)
-	// empties; ref selects the reference pure-heap dispatcher
-	// (NewReferenceEventQueue).
+	// empties; ref files every event in the spill heap, which makes the
+	// queue the pure-heap reference (NewReferenceEventQueue).
 	nearDirty bool
 	ref       bool
 	// dispatched is a plain counter on the Step hot path; the queue is
@@ -655,9 +655,6 @@ func (q *EventQueue) Step() bool {
 	if q.exitSet {
 		return false
 	}
-	if q.ref {
-		return q.stepRef()
-	}
 	e := q.peek()
 	if e == nil {
 		return false
@@ -694,27 +691,6 @@ func (q *EventQueue) dispatch(e *Event) {
 	if e.oneShot && !e.scheduled {
 		q.recycleEvent(e)
 	}
-}
-
-// stepRef is the reference pure-heap dispatcher (the pre-calendar-queue
-// implementation, kept for differential testing).
-func (q *EventQueue) stepRef() bool {
-	if len(q.far) == 0 {
-		return false
-	}
-	e := heap.Pop(&q.far).(*Event)
-	q.now = e.when
-	e.scheduled = false
-	q.dispatched++
-	q.curStamp = Stamp{When: e.when, Prio: int32(e.prio), Rank: e.rank, Seq: e.seq}
-	if p := q.prof; p != nil {
-		p.hit(e.owner)
-	}
-	e.fn()
-	if e.oneShot && !e.scheduled {
-		q.recycleEvent(e)
-	}
-	return true
 }
 
 // ExitSimLoop requests that Run/RunUntil return after the current event. It
@@ -779,11 +755,7 @@ func (q *EventQueue) RunUntil(limit Tick) string {
 			}
 			break
 		}
-		if q.ref {
-			q.stepRef()
-		} else {
-			q.dispatch(e)
-		}
+		q.dispatch(e)
 	}
 	eff := limit
 	if q.stopSet && q.stopAfter < eff {

@@ -209,7 +209,7 @@ func BuildWithOracles(cfg Config, o Oracles) (*System, error) {
 
 	// Cores and private hierarchies.
 	for i := 0; i < cfg.Cores; i++ {
-		core := cpu.New(cpu.DefaultConfig(i), s.Clock)
+		core := cpu.New(cpu.DefaultConfig(i), s.Clock, s.Store)
 		l1i := cache.New(cache.Config{
 			Name: fmt.Sprintf("cpu%d.l1i", i), SizeBytes: 64 << 10, Assoc: 4,
 			Latency: l1Latency, MSHRs: 8, StridePrefetch: true,

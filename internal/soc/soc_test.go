@@ -2,6 +2,7 @@ package soc
 
 import (
 	"bytes"
+	"encoding/binary"
 	"strings"
 	"testing"
 
@@ -63,6 +64,38 @@ func TestProgramRunsThroughFullHierarchy(t *testing.T) {
 	// Traffic must have reached DRAM through the LLC.
 	if st := s.DRAM.Stats(); st.Reads == 0 {
 		t.Fatal("no DRAM reads")
+	}
+}
+
+// TestStreamLeavesItsBytesInStorage runs a store stream larger than the L1D
+// and L2 together, so dirty lines are evicted while it runs, and checks that
+// the core read back every value it wrote and that Storage, the one place a
+// simulated byte lives, holds them all afterwards.
+func TestStreamLeavesItsBytesInStorage(t *testing.T) {
+	t.Parallel()
+	const base, n = 0x400000, 100000
+	cfg := DefaultConfig()
+	cfg.Cores = 1
+	s := MustBuild(cfg)
+	if err := s.LoadProgram(0, workload.MemoryStream(base, n)); err != nil {
+		t.Fatal(err)
+	}
+	s.Cores[0].OnExit = func(int64) { s.Queue.ExitSimLoop("exit") }
+	s.StartCores(0)
+	s.Queue.RunUntil(20 * sim.Millisecond)
+	exited, code := s.Cores[0].Exited()
+	if !exited || code != n*(n-1)/2 {
+		t.Fatalf("exited=%v code=%d, want %d", exited, code, n*(n-1)/2)
+	}
+	if l1, l2 := s.L1Ds[0].Stats().Writebacks, s.L2s[0].Stats().Writebacks; l1 == 0 || l2 == 0 {
+		t.Fatalf("writebacks: L1D %d, L2 %d; the stream must evict dirty lines from both", l1, l2)
+	}
+	var b [8]byte
+	for i := uint64(0); i < n; i++ {
+		s.Store.Read(base+8*i, b[:])
+		if v := binary.LittleEndian.Uint64(b[:]); v != i {
+			t.Fatalf("Storage holds %d at %#x, want %d", v, base+8*i, i)
+		}
 	}
 }
 
