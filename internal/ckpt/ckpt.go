@@ -37,7 +37,7 @@ import (
 const Magic uint32 = 0x6735636b
 
 // Version is the stream layout version; bumped on incompatible changes.
-const Version uint32 = 1
+const Version uint32 = 2
 
 // sectionMark precedes every section name, catching misaligned reads early.
 const sectionMark uint32 = 0x5ec70000

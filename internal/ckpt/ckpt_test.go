@@ -2,6 +2,7 @@ package ckpt
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -128,6 +129,27 @@ func TestHeaderValidation(t *testing.T) {
 	r.Header(0x1111)
 	if err := r.Err(); err == nil || !strings.Contains(err.Error(), "magic") {
 		t.Fatalf("bad magic error = %v", err)
+	}
+}
+
+// TestVersion1StreamRefused: version 1 streams carried cache line bytes and
+// CPU packet payloads that version 2 dropped, so their header must stop the
+// restore before any section is read.
+func TestVersion1StreamRefused(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	w.U32(Magic)
+	w.U32(1)
+	w.U64(0x1111)
+	w.U64(12345)
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	r := NewReader(&buf)
+	r.Header(0x1111)
+	want := fmt.Sprintf("ckpt: unsupported checkpoint version 1 (want %d)", Version)
+	if err := r.Err(); err == nil || err.Error() != want {
+		t.Fatalf("version 1 header: error %v, want %q", err, want)
 	}
 }
 

@@ -17,7 +17,8 @@ import (
 // where the write queue holds posted writes whose requestors already have
 // their responses — pooled packets that, since the hand-off, the queue alone
 // keeps. Each checkpoint must be the one the build that never pooled a
-// posted write saved (the pinned SHA-256s were taken from it), so a restore
+// posted write saved (the pinned SHA-256s were taken from it, and have moved
+// since only with the stream version word, 1 there and 2 here), so a restore
 // from these bytes is also a restore of that build's checkpoint, and it must
 // finish the point on the cold run's tick.
 func TestCheckpointHoldsAnsweredPostedWrites(t *testing.T) {
@@ -33,8 +34,8 @@ func TestCheckpointHoldsAnsweredPostedWrites(t *testing.T) {
 		answered bool
 		sha256   string
 	}{
-		{2 * sim.Microsecond, false, "41133efa2464075aa10699360a52db202c71417a81a396f4b1db85f8c02f7725"},
-		{8 * sim.Microsecond, true, "543f843a3d29345e66e70c0f7b9c3f88d15a62ee44c9b92adc5a6bf63f559e17"},
+		{2 * sim.Microsecond, false, "96671cbb6f02a9318026b7a5aaceb8059ae00d4071c5f6d5a40807a9c61c4390"},
+		{8 * sim.Microsecond, true, "4490413ad7152b6e6f94e63e9e21fe4c817f283a9df2ce02e4698d7fbb65788b"},
 	} {
 		s, err := buildPoint(spec, soc.Oracles{})
 		if err != nil {
