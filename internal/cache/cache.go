@@ -64,11 +64,11 @@ type mshr struct {
 type Cache struct {
 	cfg Config
 	q   *sim.EventQueue
-	// sets holds one way-array per set. The table is made on the first
-	// fill and each set's ways on the set's first victim selection; a nil
-	// table or set reads as all-invalid, so large mostly-idle caches (the
-	// 16 MiB LLC in short DSE points, which no NVDLA request reaches) cost
-	// memory proportional to their touched footprint, not their geometry.
+	// sets holds one way-array per set. The table and each set are made on
+	// first use (ways); a nil table or set reads as all-invalid, so large
+	// mostly-idle caches (the 16 MiB LLC in short DSE points, which no NVDLA
+	// request reaches) cost memory proportional to their touched footprint,
+	// not their geometry.
 	sets  [][]line
 	nsets int
 	useCt uint64
@@ -313,16 +313,8 @@ func (c *Cache) handleFill(pkt *port.Packet) bool {
 
 // victim selects (and if necessary evicts) a line for blockAddr's set.
 func (c *Cache) victim(blockAddr uint64) *line {
-	if c.sets == nil {
-		c.sets = make([][]line, c.nsets)
-	}
 	set, _ := c.index(blockAddr)
-	ways := c.sets[set]
-	if ways == nil {
-		// First touch of this set: materialise its ways.
-		ways = make([]line, c.cfg.Assoc)
-		c.sets[set] = ways
-	}
+	ways := c.ways(set)
 	vi := -1
 	for i := range ways {
 		ln := &ways[i]
@@ -347,6 +339,18 @@ func (c *Cache) victim(blockAddr uint64) *line {
 		}
 	}
 	return v
+}
+
+// ways returns set s's way array, making the set table and the set on their
+// first use.
+func (c *Cache) ways(s int) []line {
+	if c.sets == nil {
+		c.sets = make([][]line, c.nsets)
+	}
+	if c.sets[s] == nil {
+		c.sets[s] = make([]line, c.cfg.Assoc)
+	}
+	return c.sets[s]
 }
 
 // addrOf reconstructs a block's base address from set and tag.

@@ -103,14 +103,8 @@ func TestDirtyEvictionWritesBack(t *testing.T) {
 	if st := h.c.Stats(); st.Writebacks != 1 {
 		t.Fatalf("writebacks = %d, want 1", st.Writebacks)
 	}
-	var wbs []uint64
-	for _, r := range down.reqs {
-		if r.cmd == port.WritebackDirty {
-			wbs = append(wbs, r.addr)
-		}
-	}
-	if len(wbs) != 1 || wbs[0] != 0 {
-		t.Fatalf("writebacks reaching memory: %#x, want [0x0]", wbs)
+	if len(down.writebacks) != 1 || down.writebacks[0] != 0 {
+		t.Fatalf("writebacks reaching memory: %#x, want [0x0]", down.writebacks)
 	}
 	// Re-read block 0: the eviction dropped it, so it must miss.
 	misses := h.c.Stats().Misses
@@ -121,19 +115,13 @@ func TestDirtyEvictionWritesBack(t *testing.T) {
 	}
 }
 
-// memSideLog is a LinkTap that records the requests a cache sends down.
-type memSideLog struct {
-	reqs []struct {
-		cmd  port.Cmd
-		addr uint64
-	}
-}
+// memSideLog is a LinkTap that records the writebacks a cache sends down.
+type memSideLog struct{ writebacks []uint64 }
 
 func (l *memSideLog) TapReq(pkt *port.Packet) port.TapAction {
-	l.reqs = append(l.reqs, struct {
-		cmd  port.Cmd
-		addr uint64
-	}{pkt.Cmd, pkt.Addr})
+	if pkt.Cmd == port.WritebackDirty {
+		l.writebacks = append(l.writebacks, pkt.Addr)
+	}
 	return port.TapPass
 }
 

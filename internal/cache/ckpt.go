@@ -90,13 +90,7 @@ func (c *Cache) RestoreState(r *ckpt.Reader) error {
 			return fmt.Errorf("cache %s: checkpoint line (%d,%d) outside %dx%d geometry",
 				c.cfg.Name, s, i, c.nsets, c.cfg.Assoc)
 		}
-		if c.sets == nil {
-			c.sets = make([][]line, c.nsets)
-		}
-		if c.sets[s] == nil {
-			c.sets[s] = make([]line, c.cfg.Assoc)
-		}
-		ln := &c.sets[s][i]
+		ln := &c.ways(s)[i]
 		ln.valid = true
 		ln.tag = r.U64()
 		ln.dirty = r.Bool()
