@@ -2,6 +2,7 @@ package cache
 
 import (
 	"testing"
+	"testing/quick"
 
 	"gem5rtl/internal/mem"
 	"gem5rtl/internal/port"
@@ -81,6 +82,58 @@ func TestMissThenHit(t *testing.T) {
 	}
 	if hitLat >= missTime {
 		t.Fatalf("hit latency %d not lower than miss %d", hitLat, missTime)
+	}
+}
+
+// A write miss allocates its block, so reading it back hits.
+func TestWriteReadBack(t *testing.T) {
+	h := newHarness(t, l1Config())
+	h.send(port.NewWritePacket(0x2000, []byte{1, 2, 3, 4}))
+	h.q.Run()
+	if st := h.c.Stats(); st.WriteMisses != 1 || len(h.resps) != 1 || h.resps[0].Cmd != port.WriteResp {
+		t.Fatalf("write miss: stats %+v resps %+v", st, h.resps)
+	}
+	h.send(port.NewReadPacket(0x2000, 4))
+	h.q.Run()
+	st := h.c.Stats()
+	if st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("read back after write: stats %+v, want 1 hit 1 miss", st)
+	}
+	if last := h.resps[len(h.resps)-1]; len(h.resps) != 2 || last.Cmd != port.ReadResp {
+		t.Fatalf("read back response: %+v", h.resps)
+	}
+}
+
+// Property: across evictions in a tiny cache, every access is answered
+// and counted once as a hit or a miss, the line a write just brought in
+// is resident for the read that follows it, and no more dirty lines are
+// written back than writes dirtied.
+func TestQuickWrittenLineStaysResident(t *testing.T) {
+	cfg := l1Config()
+	cfg.SizeBytes = 1024 // tiny: force evictions
+	cfg.Assoc = 2
+	h := newHarness(t, cfg)
+	var accesses, writes uint64
+	f := func(addrs []uint16) bool {
+		for _, a16 := range addrs {
+			addr := uint64(a16)
+			h.resps = nil
+			h.send(port.NewWritePacket(addr, []byte{byte(a16 >> 3)}))
+			h.q.Run()
+			hits := h.c.Stats().Hits
+			h.send(port.NewReadPacket(addr, 1))
+			h.q.Run()
+			accesses += 2
+			writes++
+			if len(h.resps) != 2 || h.c.Stats().Hits != hits+1 {
+				return false
+			}
+		}
+		st := h.c.Stats()
+		return st.Hits+st.Misses == accesses && st.Writebacks <= writes
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+		t.Fatal(err)
 	}
 }
 
