@@ -320,18 +320,19 @@ func (c *Core) step(committed *int) bool {
 		for i := n - 1; i >= 0; i-- {
 			v = v<<8 | uint64(c.buf[i])
 		}
-		c.setReg(in.Rd, v)
 		// ...timing packet to gate consumers.
 		t := c.pool.GetRead(addr, n)
 		t.RequestorID = c.cfg.ID
 		t.PushSenderState(c.getLoadState(true, false, in.Rd))
 		if !c.dPort.SendTimingReq(t) {
-			// L1D refused (MSHR-full): retry next cycle, undo.
+			// L1D refused (MSHR-full): retry next cycle, undo. The
+			// destination is untouched, so the retry reads the same base.
 			c.putLoadState(t.PopSenderState().(*loadState))
 			t.Release()
 			c.stats.QueueStalls++
 			return false
 		}
+		c.setReg(in.Rd, v)
 		if in.Rd != 0 {
 			c.pendingReg[in.Rd] = true
 		}

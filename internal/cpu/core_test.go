@@ -26,7 +26,10 @@ type rig struct {
 	out   bytes.Buffer
 }
 
-func newRig(t testing.TB) *rig {
+func newRig(t testing.TB) *rig { return newRigMSHRs(t, 24) }
+
+// newRigMSHRs is newRig with an L1D of the given MSHR count.
+func newRigMSHRs(t testing.TB, l1dMSHRs int) *rig {
 	t.Helper()
 	r := &rig{q: sim.NewEventQueue()}
 	r.dom = sim.NewClockDomain("cpu", r.q, 2_000_000_000)
@@ -36,7 +39,7 @@ func newRig(t testing.TB) *rig {
 	r.l1i = cache.New(cache.Config{Name: "l1i", SizeBytes: 64 << 10, Assoc: 4,
 		Latency: 1 * sim.Nanosecond, MSHRs: 8}, r.q)
 	r.l1d = cache.New(cache.Config{Name: "l1d", SizeBytes: 64 << 10, Assoc: 4,
-		Latency: 1 * sim.Nanosecond, MSHRs: 24}, r.q)
+		Latency: 1 * sim.Nanosecond, MSHRs: l1dMSHRs}, r.q)
 	mi := mem.NewIdealMemory("memI", r.q, r.store, 40*sim.Nanosecond)
 	md := mem.NewIdealMemory("memD", r.q, r.store, 40*sim.Nanosecond)
 	port.Bind(r.core.IPort(), r.l1i.CPUPort())
@@ -128,6 +131,39 @@ main:
 		if !bytes.Equal(got, want) {
 			t.Errorf("Storage at +%d holds % x, want % x", c.off, got, want)
 		}
+	}
+}
+
+// TestRefusedLoadLeavesItsDestination: a load the L1D refuses must not
+// write its destination before the retry. Two misses fill a 2-MSHR L1D, so
+// the pointer-chasing ld t0, 0(t0) behind them is refused at least once; it
+// must still load from 0x800000 (holding 0x900000), not from the address a
+// refused attempt had already put in t0 (0x900000, holding 77).
+func TestRefusedLoadLeavesItsDestination(t *testing.T) {
+	r := newRigMSHRs(t, 2)
+	var word [8]byte
+	for _, p := range []struct{ addr, val uint64 }{{0x800000, 0x900000}, {0x900000, 77}} {
+		for i := range word {
+			word[i] = byte(p.val >> (8 * i))
+		}
+		r.store.Write(p.addr, word[:])
+	}
+	src := `
+main:
+    li t1, 3145728   ; 0x300000
+    ld t2, 0(t1)
+    ld t3, 4096(t1)
+    li t0, 8388608   ; 0x800000
+    ld t0, 0(t0)
+    mv a0, t0
+    li a7, 93
+    ecall
+`
+	if code := r.run(t, src, sim.Millisecond); code != 0x900000 {
+		t.Fatalf("exit %#x, want %#x", code, 0x900000)
+	}
+	if r.l1d.Stats().MSHRStalls == 0 {
+		t.Fatal("the L1D never refused the load: the rig does not exercise a retry")
 	}
 }
 
