@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"log"
 
+	"gem5rtl/internal/mem"
 	"gem5rtl/internal/port"
 	"gem5rtl/internal/rtlobject"
 	"gem5rtl/internal/sim"
@@ -82,11 +83,12 @@ func main() {
 		log.Fatal(err)
 	}
 	// 2) Build the simulated system: event queue, 2 GHz clock, RTLObject
-	//    holding the wrapped model at 1 GHz (divider 2).
+	//    holding the wrapped model at 1 GHz (divider 2) over an empty store
+	//    (the device does no DMA).
 	q := sim.NewEventQueue()
 	clk := sim.NewClockDomain("cpu", q, 2_000_000_000)
 	obj := rtlobject.New(rtlobject.Config{Name: "pulsecnt", ClockDivider: 2},
-		clk, &wrapper{m: model})
+		clk, mem.NewStorage(), &wrapper{m: model})
 	// 3) Connect a host master to the device's CPU-side timing port.
 	h := &host{got: make(chan uint32, 1)}
 	hp := port.NewRequestPort("host", h)

@@ -31,8 +31,7 @@ func (d *pooledDriver) RecvReqRetry() {}
 func TestCacheHitPathAllocs(t *testing.T) {
 	q := sim.NewEventQueue()
 	c := New(l1Config(), q)
-	store := mem.NewStorage()
-	m := mem.NewIdealMemory("mem", q, store, 50*sim.Nanosecond)
+	m := mem.NewIdealMemory("mem", q, 50*sim.Nanosecond)
 	// Unchecked links: the allocation claim is about the simulation path, and
 	// the protocol checker (GEM5RTL_CHECK_PORTS) formats a history line per
 	// handshake.
@@ -69,8 +68,7 @@ func TestCacheMissPathAllocs(t *testing.T) {
 	q := sim.NewEventQueue()
 	cfg := l1Config()
 	c := New(cfg, q)
-	store := mem.NewStorage()
-	m := mem.NewIdealMemory("mem", q, store, 50*sim.Nanosecond)
+	m := mem.NewIdealMemory("mem", q, 50*sim.Nanosecond)
 	// Unchecked links: the allocation claim is about the simulation path, and
 	// the protocol checker (GEM5RTL_CHECK_PORTS) formats a history line per
 	// handshake.
@@ -86,7 +84,6 @@ func TestCacheMissPathAllocs(t *testing.T) {
 	var i uint64
 	miss := func() {
 		pkt := d.pool.Get(port.WriteReq, (i%lines)*stride, 8)
-		pkt.AllocateData()
 		i++
 		if !d.p.SendTimingReq(pkt) {
 			t.Fatal("cache refused a request")

@@ -26,8 +26,7 @@ func newHarness(t testing.TB, cfg Config) *harness {
 	t.Helper()
 	h := &harness{q: sim.NewEventQueue()}
 	h.c = New(cfg, h.q)
-	h.store = mem.NewStorage()
-	h.memry = mem.NewIdealMemory("mem", h.q, h.store, 50*sim.Nanosecond)
+	h.memry = mem.NewIdealMemory("mem", h.q, 50*sim.Nanosecond)
 	port.Bind(h.c.MemPort(), h.memry.Port())
 	h.p = port.NewRequestPort("drv", h)
 	port.Bind(h.p, h.c.CPUPort())
@@ -280,8 +279,7 @@ func TestTwoLevelHierarchy(t *testing.T) {
 	q := sim.NewEventQueue()
 	l1 := New(Config{Name: "l1", SizeBytes: 4096, Assoc: 4, Latency: sim.Nanosecond, MSHRs: 8}, q)
 	l2 := New(Config{Name: "l2", SizeBytes: 64 * 1024, Assoc: 8, Latency: 4 * sim.Nanosecond, MSHRs: 16, StridePrefetch: true}, q)
-	store := mem.NewStorage()
-	m := mem.NewIdealMemory("mem", q, store, 80*sim.Nanosecond)
+	m := mem.NewIdealMemory("mem", q, 80*sim.Nanosecond)
 	port.Bind(l1.MemPort(), l2.CPUPort())
 	port.Bind(l2.MemPort(), m.Port())
 	h := &harness{q: q}

@@ -14,8 +14,8 @@ import (
 )
 
 // rig is a single-core system: core -> L1I/L1D -> ideal memory. With no
-// crossbar to join them, L1I and L1D each get an ideal memory; both and the
-// core share one Storage, the only place the bytes live.
+// crossbar to join them, L1I and L1D each get an ideal memory; the core
+// reads and writes the rig's Storage, the only place the bytes live.
 type rig struct {
 	q     *sim.EventQueue
 	dom   *sim.ClockDomain
@@ -40,8 +40,8 @@ func newRigMSHRs(t testing.TB, l1dMSHRs int) *rig {
 		Latency: 1 * sim.Nanosecond, MSHRs: 8}, r.q)
 	r.l1d = cache.New(cache.Config{Name: "l1d", SizeBytes: 64 << 10, Assoc: 4,
 		Latency: 1 * sim.Nanosecond, MSHRs: l1dMSHRs}, r.q)
-	mi := mem.NewIdealMemory("memI", r.q, r.store, 40*sim.Nanosecond)
-	md := mem.NewIdealMemory("memD", r.q, r.store, 40*sim.Nanosecond)
+	mi := mem.NewIdealMemory("memI", r.q, 40*sim.Nanosecond)
+	md := mem.NewIdealMemory("memD", r.q, 40*sim.Nanosecond)
 	port.Bind(r.core.IPort(), r.l1i.CPUPort())
 	port.Bind(r.core.DPort(), r.l1d.CPUPort())
 	port.Bind(r.l1i.MemPort(), mi.Port())

@@ -111,7 +111,7 @@ func (r Runner) faultRun(ctx context.Context, c FaultCampaign, f *guard.Fault, o
 				tap = &guard.PacketFaultTap{F: *f}
 				dla, pi := f.Link/2, f.Link%2
 				inj := port.Interpose(s.NVDLAs[dla].MemPort(pi), tap)
-				tap.BindDelay(s.Queue, inj)
+				tap.Bind(s.Queue, inj, s.Store)
 			case guard.DRAMBitFlip:
 				addr, bit := f.Addr, f.Bit%8
 				s.Queue.ScheduleOneShotOwned("guard.dram-bit-flip", f.Tick,

@@ -13,14 +13,14 @@ import (
 
 // TestCheckpointHoldsAnsweredPostedWrites splits the contended DSE point (4
 // NVDLAs on DDR4-1ch) twice: at 2 µs, while the packet pools are still
-// growing, so reads in flight carry fresh packets' nil payloads, and at 8 µs,
-// where the write queue holds posted writes whose requestors already have
-// their responses — pooled packets that, since the hand-off, the queue alone
-// keeps. Each checkpoint must be the one the build that never pooled a
-// posted write saved (the pinned SHA-256s were taken from it, and have moved
-// since only with the stream version word, 1 there and 2 here), so a restore
-// from these bytes is also a restore of that build's checkpoint, and it must
-// finish the point on the cold run's tick.
+// growing, and at 8 µs, where the write queue holds posted writes whose
+// requestors already have their responses — pooled packets that, since the
+// hand-off, the queue alone keeps. Every packet in flight carries no
+// payload: the DMA's bytes are in the store. The pinned SHA-256s were taken
+// from the build that never pooled a posted write, and have moved since only
+// with the stream format (the payload-free memory side) and its version
+// word; a restore from these bytes must finish the point on the cold run's
+// tick.
 func TestCheckpointHoldsAnsweredPostedWrites(t *testing.T) {
 	t.Parallel()
 	ctx := context.Background()
@@ -34,8 +34,8 @@ func TestCheckpointHoldsAnsweredPostedWrites(t *testing.T) {
 		answered bool
 		sha256   string
 	}{
-		{2 * sim.Microsecond, false, "96671cbb6f02a9318026b7a5aaceb8059ae00d4071c5f6d5a40807a9c61c4390"},
-		{8 * sim.Microsecond, true, "4490413ad7152b6e6f94e63e9e21fe4c817f283a9df2ce02e4698d7fbb65788b"},
+		{2 * sim.Microsecond, false, "9cb033de140d26aa7a0e6bd9cfb8e9becbe6456bec6da41282f24929ae678758"},
+		{8 * sim.Microsecond, true, "0ed81848cd58c36d2e1770c92487c6e8f1b53e0eaf59c186f85cd12cdcc1c870"},
 	} {
 		s, err := buildPoint(spec, soc.Oracles{})
 		if err != nil {

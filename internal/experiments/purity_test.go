@@ -23,7 +23,8 @@ import (
 // fresh process, one spec per process, on the commit that still kept a
 // process-wide packet-ID counter and scheduled its host checks as events;
 // the pins have moved since only where the stream format did (payload-free
-// CPU packets and cache lines, then stream version 2).
+// CPU packets and cache lines, then stream version 2, then a payload-free
+// memory side).
 type pureSpec struct {
 	name string
 	// checkpoint builds the machine and runs it to its split tick; guarded
@@ -80,8 +81,8 @@ func pureSpecs() []pureSpec {
 				}
 				return s
 			},
-			sha256:    "6174acaf241581f08e6b84bba2d1d7865424017fa108aa98a828731a71e36594",
-			stateHash: 0x35905ee769371601,
+			sha256:    "7027459837bbb351db068fa3053a3efa30e29f08074fb23a8db422275e167991",
+			stateHash: 0xf064d3bb11aba1a7,
 		},
 	}
 }

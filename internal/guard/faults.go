@@ -3,6 +3,7 @@ package guard
 import (
 	"fmt"
 
+	"gem5rtl/internal/mem"
 	"gem5rtl/internal/port"
 	"gem5rtl/internal/sim"
 )
@@ -46,9 +47,10 @@ type FaultKind int
 
 // Fault kinds.
 const (
-	// ReadPayloadFlip flips one bit in a read-response payload on a port.
+	// ReadPayloadFlip flips one bit of the data a read response on a port
+	// delivers.
 	ReadPayloadFlip FaultKind = iota
-	// WritePayloadFlip flips one bit in a write-request payload on a port.
+	// WritePayloadFlip flips one bit of the data a write on a port stores.
 	WritePayloadFlip
 	// DropResp swallows one response on a port (a lost transfer).
 	DropResp
@@ -169,51 +171,67 @@ func DeriveSeedString(seed uint64, key string) uint64 {
 }
 
 // PacketFaultTap implements port.LinkTap for the packet fault kinds: it
-// counts matching packets per direction and fires the configured fault on
-// the PktIndex-th one. A tap whose index exceeds the link's actual traffic
+// counts matching responses and fires the configured fault on the
+// PktIndex-th one. A tap whose index exceeds the link's actual traffic
 // simply never fires (Fired stays false) and the injection classifies as
 // masked.
+//
+// Packets carry no payload — the bytes live in the system's mem.Storage,
+// which the requestor reads and writes — so a payload flip acts on the
+// store. A write's flip lands when the write is acknowledged, after its
+// requestor stored the bytes on acceptance. A read's flip holds only while
+// the response is delivered: the requestor reads the flipped bit, and the
+// store keeps the right one. That needs a requestor that takes every
+// response, as the RTLObject does.
 type PacketFaultTap struct {
 	F Fault
-	// Q and Inj enable DelayResp re-delivery; set via BindDelay.
-	q   *sim.EventQueue
-	inj *port.Injector
+	// q, inj and store are set by Bind.
+	q     *sim.EventQueue
+	inj   *port.Injector
+	store *mem.Storage
 	// Fired reports whether the fault point was reached.
 	Fired bool
 
-	reqSeen  uint64
 	respSeen uint64
 }
 
-// BindDelay supplies the event queue and injector a DelayResp fault needs to
-// re-deliver the held response.
-func (t *PacketFaultTap) BindDelay(q *sim.EventQueue, inj *port.Injector) {
-	t.q, t.inj = q, inj
+// Bind supplies the event queue and injector a DelayResp fault needs to
+// re-deliver the held response, and the store a payload flip corrupts.
+func (t *PacketFaultTap) Bind(q *sim.EventQueue, inj *port.Injector, store *mem.Storage) {
+	t.q, t.inj, t.store = q, inj, store
 }
 
-// TapReq implements port.LinkTap.
-func (t *PacketFaultTap) TapReq(pkt *port.Packet) port.TapAction {
-	if t.F.Kind != WritePayloadFlip || !pkt.Cmd.IsWrite() || len(pkt.Data) == 0 {
-		return port.TapPass
-	}
-	if t.reqSeen == t.F.PktIndex && !t.Fired {
-		t.flip(pkt)
-	}
-	t.reqSeen++
-	return port.TapPass
-}
+// TapReq implements port.LinkTap: every packet fault acts on a response.
+func (t *PacketFaultTap) TapReq(*port.Packet) port.TapAction { return port.TapPass }
 
 // TapResp implements port.LinkTap.
 func (t *PacketFaultTap) TapResp(pkt *port.Packet) port.TapAction {
 	switch t.F.Kind {
-	case ReadPayloadFlip:
-		if pkt.Cmd != port.ReadResp || len(pkt.Data) == 0 {
+	case ReadPayloadFlip, WritePayloadFlip:
+		want := port.ReadResp
+		if t.F.Kind == WritePayloadFlip {
+			want = port.WriteResp
+		}
+		if pkt.Cmd != want || pkt.Size == 0 {
 			return port.TapPass
 		}
-		if t.respSeen == t.F.PktIndex && !t.Fired {
-			t.flip(pkt)
-		}
+		match := t.respSeen == t.F.PktIndex && !t.Fired
 		t.respSeen++
+		if !match {
+			return port.TapPass
+		}
+		t.Fired = true
+		addr := pkt.Addr + uint64(t.F.Byte%pkt.Size)
+		flipped := t.flip(addr)
+		if t.F.Kind == WritePayloadFlip {
+			return port.TapPass
+		}
+		t.inj.DeliverResp(pkt)
+		if t.byteAt(addr) == flipped {
+			// Unless the requestor wrote the byte meanwhile, put it back.
+			t.flip(addr)
+		}
+		return port.TapDrop
 	case DropResp, DupResp, DelayResp:
 		match := t.respSeen == t.F.PktIndex && !t.Fired
 		t.respSeen++
@@ -241,9 +259,17 @@ func (t *PacketFaultTap) TapResp(pkt *port.Packet) port.TapAction {
 	return port.TapPass
 }
 
-// flip XORs the configured bit into the payload, reducing Byte/Bit modulo
-// the payload size.
-func (t *PacketFaultTap) flip(pkt *port.Packet) {
-	pkt.Data[t.F.Byte%len(pkt.Data)] ^= 1 << (t.F.Bit % 8)
-	t.Fired = true
+// flip XORs the configured bit (reduced modulo 8) into the stored byte at
+// addr and returns the byte's new value.
+func (t *PacketFaultTap) flip(addr uint64) byte {
+	b := [1]byte{t.byteAt(addr) ^ 1<<(t.F.Bit%8)}
+	t.store.Write(addr, b[:])
+	return b[0]
+}
+
+// byteAt reads the stored byte at addr.
+func (t *PacketFaultTap) byteAt(addr uint64) byte {
+	var b [1]byte
+	t.store.Read(addr, b[:])
+	return b[0]
 }

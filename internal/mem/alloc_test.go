@@ -45,9 +45,9 @@ func TestMemorySteadyStateAllocs(t *testing.T) {
 		q := sim.NewEventQueue()
 		var resp *port.ResponsePort
 		if tc.ideal {
-			resp = NewIdealMemory("ideal", q, NewStorage(), 500).Port()
+			resp = NewIdealMemory("ideal", q, 500).Port()
 		} else {
-			resp = NewDRAMCtrl(DDR4Config(1), q, NewStorage()).Port()
+			resp = NewDRAMCtrl(DDR4Config(1), q).Port()
 		}
 		rel := &releaser{}
 		req := port.NewRequestPort("releaser", rel)
@@ -61,9 +61,6 @@ func TestMemorySteadyStateAllocs(t *testing.T) {
 					cmd = port.WriteReq
 				}
 				pkt := pool.Get(cmd, addr, 64)
-				if tc.write {
-					pkt.AllocateData()
-				}
 				addr = (addr + 64) % (1 << 20)
 				if !req.SendTimingReq(pkt) {
 					t.Fatalf("%s: refused", tc.name)

@@ -40,13 +40,12 @@ func TestStorageRoundTrip(t *testing.T) {
 
 func TestIdealAndScratchpadRoundTrip(t *testing.T) {
 	q := sim.NewEventQueue()
-	store := NewStorage()
-	im := NewIdealMemory("im", q, store, 500)
+	im := NewIdealMemory("im", q, 500)
 	port.BindUnchecked(port.NewRequestPort("r", memSink{}), im.Port())
 	im.RecvTimingReq(port.NewReadPacket(0x40, 64))
 	blob := conform.Save(t, im)
 	q2 := sim.NewEventQueue()
-	im2 := NewIdealMemory("im", q2, NewStorage(), 500)
+	im2 := NewIdealMemory("im", q2, 500)
 	port.BindUnchecked(port.NewRequestPort("r", memSink{}), im2.Port())
 	conform.Restore(t, blob, im2)
 	if !bytes.Equal(conform.Save(t, im2), blob) {
@@ -56,11 +55,11 @@ func TestIdealAndScratchpadRoundTrip(t *testing.T) {
 		t.Errorf("Reads = %d", im2.Reads)
 	}
 
-	sp := NewScratchpad(DefaultScratchpadConfig("sp"), q, store)
+	sp := NewScratchpad(DefaultScratchpadConfig("sp"), q)
 	port.BindUnchecked(port.NewRequestPort("r", memSink{}), sp.Port())
-	sp.RecvTimingReq(port.NewWritePacket(0x80, make([]byte, 64)))
+	sp.RecvTimingReq(port.NewPacket(port.WriteReq, 0x80, 64))
 	blob = conform.Save(t, sp)
-	sp2 := NewScratchpad(DefaultScratchpadConfig("sp"), sim.NewEventQueue(), NewStorage())
+	sp2 := NewScratchpad(DefaultScratchpadConfig("sp"), sim.NewEventQueue())
 	port.BindUnchecked(port.NewRequestPort("r", memSink{}), sp2.Port())
 	conform.Restore(t, blob, sp2)
 	if !bytes.Equal(conform.Save(t, sp2), blob) {
@@ -72,12 +71,11 @@ func TestIdealAndScratchpadRoundTrip(t *testing.T) {
 }
 
 // buildDRAM wires a DDR4-1ch controller to a stub requestor.
-func buildDRAM(q *sim.EventQueue) (*DRAMCtrl, *Storage) {
+func buildDRAM(q *sim.EventQueue) *DRAMCtrl {
 	cfg, _ := ConfigByName("DDR4-1ch")
-	store := NewStorage()
-	d := NewDRAMCtrl(cfg, q, store)
+	d := NewDRAMCtrl(cfg, q)
 	port.BindUnchecked(port.NewRequestPort("r", memSink{}), d.Port())
-	return d, store
+	return d
 }
 
 // TestDRAMRoundTrip checkpoints a controller mid-burst — queued reads and
@@ -85,13 +83,13 @@ func buildDRAM(q *sim.EventQueue) (*DRAMCtrl, *Storage) {
 // instance re-serialises identically and finishes the outstanding work.
 func TestDRAMRoundTrip(t *testing.T) {
 	q := sim.NewEventQueue()
-	d, _ := buildDRAM(q)
+	d := buildDRAM(q)
 	for i := 0; i < 8; i++ {
 		if !d.RecvTimingReq(port.NewReadPacket(uint64(i)*4096, 64)) {
 			t.Fatal("read refused")
 		}
 	}
-	if !d.RecvTimingReq(port.NewWritePacket(0x100000, make([]byte, 64))) {
+	if !d.RecvTimingReq(port.NewPacket(port.WriteReq, 0x100000, 64)) {
 		t.Fatal("write refused")
 	}
 	// Run a little so some reads are issued (tracked in pendingReads) while
@@ -103,7 +101,7 @@ func TestDRAMRoundTrip(t *testing.T) {
 
 	blob := conform.Save(t, d)
 	q2 := sim.NewEventQueue()
-	d2, _ := buildDRAM(q2)
+	d2 := buildDRAM(q2)
 	// Restores validate event times against the restored clock.
 	conform.Restore(t, conform.Save(t, q), q2)
 	conform.Restore(t, blob, d2)

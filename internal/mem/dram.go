@@ -16,7 +16,6 @@ import (
 type DRAMCtrl struct {
 	cfg   DRAMConfig
 	q     *sim.EventQueue
-	store *Storage
 	prt   *port.ResponsePort
 	rq    *port.RespQueue
 	chans []*dramChannel
@@ -117,9 +116,9 @@ type dramChannel struct {
 	issueEv   *sim.Event
 }
 
-// NewDRAMCtrl builds a controller on the given event queue and storage.
-func NewDRAMCtrl(cfg DRAMConfig, q *sim.EventQueue, store *Storage) *DRAMCtrl {
-	d := &DRAMCtrl{cfg: cfg, q: q, store: store}
+// NewDRAMCtrl builds a controller on the given event queue.
+func NewDRAMCtrl(cfg DRAMConfig, q *sim.EventQueue) *DRAMCtrl {
+	d := &DRAMCtrl{cfg: cfg, q: q}
 	d.ownReadDone = q.Owner(cfg.Name, "readDone")
 	d.readDoneEv = *sim.NewEvent(cfg.Name+".readDone", d.readDone).SetOwner(d.ownReadDone)
 	d.ownIssue = q.Owner(cfg.Name, "issue")
@@ -224,11 +223,10 @@ func (d *DRAMCtrl) RecvTimingReq(pkt *port.Packet) bool {
 		ch.writeQ = append(ch.writeQ, req)
 		d.stats.Writes++
 		d.stats.BytesWrit += uint64(pkt.Size)
-		// Posted write: data lands in storage now, ack after the frontend
-		// pipeline; the queued entry models the bandwidth/bank cost. The
-		// entry keeps the packet past its response, so it holds the packet
-		// beside the requestor until the write drains (issue).
-		d.store.Write(pkt.Addr, pkt.Data)
+		// Posted write: ack after the frontend pipeline; the queued entry
+		// models the bandwidth/bank cost. The entry keeps the packet past
+		// its response, so it holds the packet beside the requestor until
+		// the write drains (issue).
 		if pkt.NeedsResponse() {
 			pkt.Retain()
 			pkt.MakeResponse()
@@ -329,9 +327,9 @@ func (ch *dramChannel) issue() {
 	if req.isRead {
 		d.scheduleReadDone(req.pkt, req.arrived, done+cfg.TCL+cfg.BackendLatency)
 	} else {
-		// The write drains: its data was stored at enqueue, so the queue
-		// lets go of the packet — the last holder of a writeback, and of a
-		// posted write whose requestor has had its response.
+		// The write drains: the queue lets go of the packet — the last
+		// holder of a writeback, and of a posted write whose requestor has
+		// had its response.
 		req.pkt.Release()
 	}
 	req.pkt = nil
@@ -394,8 +392,8 @@ func (d *DRAMCtrl) scheduleReadDone(pkt *port.Packet, arrived sim.Tick, when sim
 func (d *DRAMCtrl) inflightReads() []*dramPendingRead { return d.pendingReads[d.prHead:] }
 
 // readDone retires the tracked read whose completion event is being
-// dispatched — the one entry whose event is no longer pending: it fills the
-// packet from storage and hands it to the response queue.
+// dispatched — the one entry whose event is no longer pending: it turns the
+// packet into its response and hands it to the response queue.
 func (d *DRAMCtrl) readDone() {
 	// Close the gap from the front: the retiring read is the oldest or (with
 	// several channels completing out of issue order) a few entries behind it,
@@ -414,8 +412,6 @@ func (d *DRAMCtrl) readDone() {
 	}
 	pkt := pr.pkt
 	pkt.MakeResponse()
-	pkt.AllocateData()
-	d.store.Read(pkt.Addr, pkt.Data)
 	d.stats.TotalRdLat += d.q.Now() - pr.arrived
 	d.stats.RetiredRds++
 	if d.trace.On() {

@@ -12,7 +12,6 @@ import (
 // configuration of Table 3.
 type IdealMemory struct {
 	q       *sim.EventQueue
-	store   *Storage
 	prt     *port.ResponsePort
 	rq      *port.RespQueue
 	latency sim.Tick
@@ -26,8 +25,8 @@ type IdealMemory struct {
 
 // NewIdealMemory creates an ideal memory with the given fixed latency
 // (use one core-clock period for the paper's 1-cycle baseline).
-func NewIdealMemory(name string, q *sim.EventQueue, store *Storage, latency sim.Tick) *IdealMemory {
-	m := &IdealMemory{q: q, store: store, latency: latency}
+func NewIdealMemory(name string, q *sim.EventQueue, latency sim.Tick) *IdealMemory {
+	m := &IdealMemory{q: q, latency: latency}
 	m.prt = port.NewResponsePort(name, m)
 	m.rq = port.NewRespQueue(name, q, m.prt)
 	return m
@@ -43,19 +42,15 @@ func (m *IdealMemory) RecvTimingReq(pkt *port.Packet) bool {
 	}
 	if pkt.Cmd.IsWrite() {
 		m.Writes++
-		m.store.Write(pkt.Addr, pkt.Data)
 		if !pkt.NeedsResponse() {
-			// Writeback terminus: the data is stored, recycle the packet.
+			// Writeback terminus: recycle the packet.
 			pkt.Release()
 			return true
 		}
-		pkt.MakeResponse()
 	} else {
 		m.Reads++
-		pkt.MakeResponse()
-		pkt.AllocateData()
-		m.store.Read(pkt.Addr, pkt.Data)
 	}
+	pkt.MakeResponse()
 	m.rq.Schedule(pkt, m.q.Now()+m.latency)
 	return true
 }

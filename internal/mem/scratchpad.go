@@ -10,10 +10,10 @@ import (
 // data bus whose width bounds its bandwidth. It implements the extension the
 // paper proposes in §4.2 — hooking "a proper SRAM such as a scratchpad
 // memory" to the NVDLA's SRAMIF instead of routing that interface to main
-// memory. Backed by the system Storage so trace preloads reach it.
+// memory. Like every controller it models timing only: the bytes it serves
+// live in the system's Storage, which the requesting agent reads and writes.
 type Scratchpad struct {
 	q       *sim.EventQueue
-	store   *Storage
 	prt     *port.ResponsePort
 	rq      *port.RespQueue
 	latency sim.Tick
@@ -42,9 +42,9 @@ func DefaultScratchpadConfig(name string) ScratchpadConfig {
 	return ScratchpadConfig{Name: name, Latency: 2 * sim.Nanosecond, BandwidthGBs: 64}
 }
 
-// NewScratchpad creates a scratchpad on the given queue and backing store.
-func NewScratchpad(cfg ScratchpadConfig, q *sim.EventQueue, store *Storage) *Scratchpad {
-	s := &Scratchpad{q: q, store: store, latency: cfg.Latency}
+// NewScratchpad creates a scratchpad on the given queue.
+func NewScratchpad(cfg ScratchpadConfig, q *sim.EventQueue) *Scratchpad {
+	s := &Scratchpad{q: q, latency: cfg.Latency}
 	if cfg.BandwidthGBs > 0 {
 		s.perByte = 1.0 / cfg.BandwidthGBs * 1000 // ps per byte
 	}
@@ -72,19 +72,15 @@ func (s *Scratchpad) RecvTimingReq(pkt *port.Packet) bool {
 	s.Bytes += uint64(pkt.Size)
 	if pkt.Cmd.IsWrite() {
 		s.Writes++
-		s.store.Write(pkt.Addr, pkt.Data)
 		if !pkt.NeedsResponse() {
-			// Writeback terminus: the data is stored, recycle the packet.
+			// Writeback terminus: recycle the packet.
 			pkt.Release()
 			return true
 		}
-		pkt.MakeResponse()
 	} else {
 		s.Reads++
-		pkt.MakeResponse()
-		pkt.AllocateData()
-		s.store.Read(pkt.Addr, pkt.Data)
 	}
+	pkt.MakeResponse()
 	s.rq.Schedule(pkt, done)
 	return true
 }

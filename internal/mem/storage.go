@@ -5,11 +5,15 @@
 // model per-channel read/write queues with back-pressure, banks with
 // open-page row buffers, and a data bus that serialises bursts, yielding the
 // bandwidth ceilings and queueing contention the paper's design-space
-// exploration measures.
+// exploration measures. The controllers model timing only; the bytes live in
+// Storage.
 package mem
 
-// Storage is sparse byte-addressable backing store shared by a controller's
-// channels. Timing is handled by the controllers; Storage only moves data.
+// Storage is the system's sparse byte-addressable memory: the one place a
+// simulated byte lives. The agents that own bytes — the cores' loads and
+// stores, the RTLObject's DMA, program and trace preloads — read and write
+// it directly; caches and memory controllers model timing only, and their
+// packets carry no payload.
 //
 // A page is touched by its first write and is part of the store (and of its
 // checkpoint) from then on, but it is backed by memory only once it holds a

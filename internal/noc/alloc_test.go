@@ -28,7 +28,7 @@ func (r *releaser) RecvReqRetry() {}
 func TestForwardingSteadyStateAllocs(t *testing.T) {
 	q := sim.NewEventQueue()
 	x := New(cfg(), q, 2, 1)
-	dram := mem.NewDRAMCtrl(mem.DDR4Config(1), q, mem.NewStorage())
+	dram := mem.NewDRAMCtrl(mem.DDR4Config(1), q)
 	port.BindUnchecked(x.DownPort(0), dram.Port())
 	var pools [2]port.PacketPool
 	var reqs [2]*port.RequestPort
@@ -46,9 +46,6 @@ func TestForwardingSteadyStateAllocs(t *testing.T) {
 				cmd = port.WriteReq
 			}
 			pkt := pools[f].Get(cmd, addr, 64)
-			if cmd == port.WriteReq {
-				pkt.AllocateData()
-			}
 			// The issuing component's own sender state, as an RTLObject or a
 			// core pushes one, so the crossbar's is the stack's second.
 			pkt.PushSenderState(uint64(i))

@@ -49,7 +49,6 @@ func TestXbarRoundTrip(t *testing.T) {
 	}
 	q.RunUntil(2_000) // deliver requests downstream
 	resp.MakeResponse()
-	resp.AllocateData()
 	x.downs[0].Peer().SendTimingResp(resp)
 
 	blob := conform.Save(t, x)

@@ -54,9 +54,8 @@ func cfg() Config {
 func TestRoutingByRange(t *testing.T) {
 	q := sim.NewEventQueue()
 	x := New(cfg(), q, 1, 2)
-	store := mem.NewStorage()
-	m0 := mem.NewIdealMemory("m0", q, store, 100)
-	m1 := mem.NewIdealMemory("m1", q, store, 100)
+	m0 := mem.NewIdealMemory("m0", q, 100)
+	m1 := mem.NewIdealMemory("m1", q, 100)
 	port.Bind(x.DownPort(0), m0.Port())
 	port.Bind(x.DownPort(1), m1.Port())
 	x.AddRoute(Route{Base: 0, Size: 0x1000, Down: 0})
@@ -78,10 +77,9 @@ func TestRoutingByRange(t *testing.T) {
 func TestInterleaveRouting(t *testing.T) {
 	q := sim.NewEventQueue()
 	x := New(cfg(), q, 1, 4)
-	store := mem.NewStorage()
 	var mems []*mem.IdealMemory
 	for i := 0; i < 4; i++ {
-		m := mem.NewIdealMemory("m", q, store, 100)
+		m := mem.NewIdealMemory("m", q, 100)
 		port.Bind(x.DownPort(i), m.Port())
 		mems = append(mems, m)
 	}
@@ -102,8 +100,7 @@ func TestInterleaveRouting(t *testing.T) {
 func TestMultipleFrontsShareDownstream(t *testing.T) {
 	q := sim.NewEventQueue()
 	x := New(cfg(), q, 3, 1)
-	store := mem.NewStorage()
-	m := mem.NewIdealMemory("m", q, store, 100)
+	m := mem.NewIdealMemory("m", q, 100)
 	port.Bind(x.DownPort(0), m.Port())
 	var drivers []*driver
 	for i := 0; i < 3; i++ {
@@ -129,7 +126,7 @@ func TestLatencyApplied(t *testing.T) {
 	c := cfg()
 	c.Latency = 10 * sim.Nanosecond
 	x := New(c, q, 1, 1)
-	m := mem.NewIdealMemory("m", q, mem.NewStorage(), sim.Nanosecond)
+	m := mem.NewIdealMemory("m", q, sim.Nanosecond)
 	port.Bind(x.DownPort(0), m.Port())
 	d := newDriver(q, "cpu")
 	port.Bind(d.p, x.FrontPort(0))
@@ -146,7 +143,7 @@ func TestOutstandingLimit(t *testing.T) {
 	c := cfg()
 	c.MaxOutstanding = 2
 	x := New(c, q, 1, 1)
-	m := mem.NewIdealMemory("m", q, mem.NewStorage(), 100*sim.Nanosecond)
+	m := mem.NewIdealMemory("m", q, 100*sim.Nanosecond)
 	port.Bind(x.DownPort(0), m.Port())
 	d := newDriver(q, "cpu")
 	port.Bind(d.p, x.FrontPort(0))
@@ -165,15 +162,13 @@ func TestOutstandingLimit(t *testing.T) {
 func TestWritesNoResponseTracking(t *testing.T) {
 	q := sim.NewEventQueue()
 	x := New(cfg(), q, 1, 1)
-	m := mem.NewIdealMemory("m", q, mem.NewStorage(), 100)
+	m := mem.NewIdealMemory("m", q, 100)
 	port.Bind(x.DownPort(0), m.Port())
 	d := newDriver(q, "cpu")
 	port.Bind(d.p, x.FrontPort(0))
 	// WritebackDirty expects no response and must not leak outstanding slots.
 	for i := 0; i < 100; i++ {
-		wb := port.NewPacket(port.WritebackDirty, uint64(i)*64, 64)
-		wb.Data = make([]byte, 64)
-		d.send(wb)
+		d.send(port.NewPacket(port.WritebackDirty, uint64(i)*64, 64))
 	}
 	q.Run()
 	if x.outstanding[0] != 0 {

@@ -23,15 +23,14 @@ type ckptRig struct {
 
 func newCkptRig(t testing.TB) *ckptRig {
 	t.Helper()
-	r := &ckptRig{q: sim.NewEventQueue()}
+	r := &ckptRig{q: sim.NewEventQueue(), store: mem.NewStorage()}
 	core := sim.NewClockDomain("cpu", r.q, 2_000_000_000)
 	r.dla = New(DefaultConfig("nvdla0"))
 	r.obj = rtlobject.New(rtlobject.Config{
 		Name: "nvdla0", ClockDivider: 2, MaxInflight: 16,
-	}, core, r.dla)
-	r.store = mem.NewStorage()
-	r.m0 = mem.NewIdealMemory("dbbif", r.q, r.store, 20*sim.Nanosecond)
-	r.m1 = mem.NewIdealMemory("sramif", r.q, r.store, 20*sim.Nanosecond)
+	}, core, r.store, r.dla)
+	r.m0 = mem.NewIdealMemory("dbbif", r.q, 20*sim.Nanosecond)
+	r.m1 = mem.NewIdealMemory("sramif", r.q, 20*sim.Nanosecond)
 	port.Bind(r.obj.MemPort(PortDBBIF), r.m0.Port())
 	port.Bind(r.obj.MemPort(PortSRAMIF), r.m1.Port())
 	r.obj.OnInterrupt(func(level bool) {

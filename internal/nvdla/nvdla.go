@@ -509,5 +509,6 @@ func (w *Wrapper) finishTile(out *rtlobject.Output) {
 
 // outputPayload is every output write's payload: the model computes traffic,
 // not values, so each write stores zeros. The writes share it read-only; the
-// RTLObject copies a write's payload into the packet it sends.
+// RTLObject writes a write's payload into the store when the memory side
+// accepts it.
 var outputPayload [64]byte

@@ -24,10 +24,9 @@ func newDLARig(t testing.TB, maxInflight int, latency sim.Tick) *dlaRig {
 	r.dla = New(DefaultConfig("nvdla0"))
 	r.obj = rtlobject.New(rtlobject.Config{
 		Name: "nvdla0", ClockDivider: 2, MaxInflight: maxInflight,
-	}, core, r.dla)
-	store := mem.NewStorage()
-	m0 := mem.NewIdealMemory("dbbif", r.q, store, latency)
-	m1 := mem.NewIdealMemory("sramif", r.q, store, latency)
+	}, core, mem.NewStorage(), r.dla)
+	m0 := mem.NewIdealMemory("dbbif", r.q, latency)
+	m1 := mem.NewIdealMemory("sramif", r.q, latency)
 	port.Bind(r.obj.MemPort(PortDBBIF), m0.Port())
 	port.Bind(r.obj.MemPort(PortSRAMIF), m1.Port())
 	return r

@@ -31,9 +31,6 @@ func (r *echoResponder) RecvTimingReq(pkt *port.Packet) bool {
 		return true
 	}
 	pkt.MakeResponse()
-	if pkt.Cmd == port.ReadResp {
-		pkt.AllocateData()
-	}
 	r.rq.Schedule(pkt, r.q.Now()+r.latency)
 	return true
 }

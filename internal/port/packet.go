@@ -3,8 +3,10 @@
 // and the RTLObject bridge) uses to exchange memory traffic. It reproduces
 // the essential gem5 semantics the paper's framework relies on:
 //
-//   - Packets carry a command, address, size and payload, plus a sender-state
-//     stack so intermediate components can route responses back.
+//   - Packets carry a command, address and size, plus a sender-state stack
+//     so intermediate components can route responses back. Only a device
+//     register access carries a payload; memory traffic carries none, its
+//     bytes live in mem.Storage.
 //   - Timing accesses may be refused (SendTimingReq returns false); the
 //     refused sender must wait for a retry callback before resending. This
 //     back-pressure is what propagates MSHR and memory-queue occupancy limits
@@ -88,7 +90,9 @@ type Packet struct {
 	Addr uint64
 	// Size is the access size in bytes.
 	Size int
-	// Data is the payload; len(Data) == Size for reads once responded.
+	// Data is the payload of a device register access (len(Data) == Size
+	// for a read once responded). Memory traffic leaves it nil: the agents
+	// that own the bytes read and write mem.Storage.
 	Data []byte
 	// ReqTick records when the original request entered the system.
 	ReqTick sim.Tick
@@ -147,9 +151,6 @@ type PacketPool struct {
 	// q, when set (ShareIDs), supplies space-0 IDs from the system's one
 	// counter; the system's checkpoint persists it.
 	q *sim.EventQueue
-	// idsFrom, when set (MintFrom), is the pool whose space supplies this
-	// pool's IDs.
-	idsFrom *PacketPool
 }
 
 // IDSpaceShift positions a PacketPool ID-space tag in the top bits of a
@@ -178,17 +179,8 @@ func (pl *PacketPool) ShareIDs(q *sim.EventQueue) {
 	pl.q = q
 }
 
-// MintFrom makes the pool draw its IDs from src's space, whatever src is
-// given later: a component that keeps two freelists — so that packets of one
-// kind never recycle those of another — still mints one ID sequence. Must be
-// called before the first Get.
-func (pl *PacketPool) MintFrom(src *PacketPool) { pl.idsFrom = src }
-
 // mintID draws the next packet ID from the pool's space.
 func (pl *PacketPool) mintID() uint64 {
-	if pl.idsFrom != nil {
-		return pl.idsFrom.mintID()
-	}
 	if pl.q != nil {
 		return pl.q.MintPacketID()
 	}

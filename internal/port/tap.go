@@ -5,8 +5,7 @@ type TapAction int
 
 // Tap verdicts.
 const (
-	// TapPass delivers the packet normally (possibly after the tap mutated
-	// its payload in place).
+	// TapPass delivers the packet normally.
 	TapPass TapAction = iota
 	// TapDrop swallows the packet: the sender sees a successful delivery but
 	// the receiver never does. This models a lost transfer.
@@ -16,8 +15,9 @@ const (
 )
 
 // LinkTap observes (and may corrupt) traffic on a bound link. Taps are the
-// injection point of the fault campaign engine: payload flips mutate the
-// packet and return TapPass; loss and replay faults return TapDrop/TapDup.
+// injection point of the fault campaign engine: loss and replay faults
+// return TapDrop/TapDup, and payload flips corrupt the bytes in the store
+// that a passing packet stands for.
 type LinkTap interface {
 	// TapReq sees every request delivered toward the responder.
 	TapReq(pkt *Packet) TapAction

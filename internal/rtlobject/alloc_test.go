@@ -39,14 +39,15 @@ func (w *streamWrapper) Tick(in *Input) *Output {
 
 // TestReadRoundTripAllocs pins the DMA exchange: once the pools are warm, a
 // read request and its response — packet, transaction record, sender state,
-// payload copy, delivery to the wrapper — allocate nothing, and the payloads
-// handed to the wrapper are the right bytes even though they share one buffer.
+// payload read from the store, delivery to the wrapper — allocate nothing, and
+// the payloads handed to the wrapper are the right bytes even though they
+// share one buffer.
 func TestReadRoundTripAllocs(t *testing.T) {
 	q := sim.NewEventQueue()
 	core := sim.NewClockDomain("cpu", q, 2_000_000_000)
 	w := &streamWrapper{}
-	r := New(Config{Name: "dev", MaxInflight: 64}, core, w)
 	store := mem.NewStorage()
+	r := New(Config{Name: "dev", MaxInflight: 64}, core, store, w)
 	for b := 0; b < 64; b++ {
 		blk := make([]byte, 64)
 		for i := range blk {
@@ -54,7 +55,7 @@ func TestReadRoundTripAllocs(t *testing.T) {
 		}
 		store.Write(uint64(b)*64, blk)
 	}
-	ideal := mem.NewIdealMemory("ideal", q, store, 20*core.Period())
+	ideal := mem.NewIdealMemory("ideal", q, 20*core.Period())
 	// Unchecked: the protocol checker keeps a formatted history per handshake.
 	port.BindUnchecked(r.MemPort(0), ideal.Port())
 	r.Start()

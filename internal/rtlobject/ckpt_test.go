@@ -61,10 +61,9 @@ type ckptRig struct {
 func newCkptRig(total int) *ckptRig {
 	r := &ckptRig{q: sim.NewEventQueue(), wrap: &ckptWrapper{total: total}}
 	core := sim.NewClockDomain("cpu", r.q, 2_000_000_000)
-	r.obj = New(Config{Name: "obj", ClockDivider: 2, MaxInflight: 2}, core, r.wrap)
-	store := mem.NewStorage()
-	r.m0 = mem.NewIdealMemory("m0", r.q, store, 40*sim.Nanosecond)
-	r.m1 = mem.NewIdealMemory("m1", r.q, store, 40*sim.Nanosecond)
+	r.obj = New(Config{Name: "obj", ClockDivider: 2, MaxInflight: 2}, core, mem.NewStorage(), r.wrap)
+	r.m0 = mem.NewIdealMemory("m0", r.q, 40*sim.Nanosecond)
+	r.m1 = mem.NewIdealMemory("m1", r.q, 40*sim.Nanosecond)
 	port.Bind(r.obj.MemPort(0), r.m0.Port())
 	port.Bind(r.obj.MemPort(1), r.m1.Port())
 	return r
@@ -113,7 +112,7 @@ func TestRTLObjectRoundTrip(t *testing.T) {
 func TestRTLObjectWrapperMustCheckpoint(t *testing.T) {
 	q := sim.NewEventQueue()
 	core := sim.NewClockDomain("cpu", q, 2_000_000_000)
-	obj := New(Config{Name: "obj"}, core, &echoWrapper{})
+	obj := New(Config{Name: "obj"}, core, mem.NewStorage(), &echoWrapper{})
 	var buf bytes.Buffer
 	if err := obj.SaveState(ckpt.NewWriter(&buf)); err == nil {
 		t.Fatal("non-checkpointable wrapper accepted")

@@ -25,7 +25,9 @@ package rtlobject
 
 import (
 	"fmt"
+	"slices"
 
+	"gem5rtl/internal/mem"
 	"gem5rtl/internal/obs"
 	"gem5rtl/internal/port"
 	"gem5rtl/internal/sim"
@@ -55,8 +57,8 @@ type MemRequest struct {
 
 // MemResponse returns load data (or a store ack) to the model. Data is valid
 // during the Tick call that delivers it, like the Input slices themselves: the
-// RTLObject copies response payloads into one buffer it reuses every tick, so a
-// wrapper that keeps a payload must copy the bytes.
+// RTLObject reads response payloads from the store into one buffer it reuses
+// every tick, so a wrapper that keeps a payload must copy the bytes.
 type MemResponse struct {
 	ID    uint64
 	Write bool
@@ -208,6 +210,7 @@ type RTLObject struct {
 	cfg     Config
 	q       *sim.EventQueue
 	dom     *sim.ClockDomain
+	store   *mem.Storage
 	wrapper Wrapper
 	ticker  *sim.Ticker
 
@@ -235,17 +238,14 @@ type RTLObject struct {
 	// transactions in no particular order (each knows its slot); the record
 	// itself rides on the packet as sender state, so a response finds it
 	// without a lookup. sendQ drains from sendHead instead of re-slicing so
-	// the backing array is reused; txns recycles memTxn records, pool the
-	// DMA reads and posted the DMA writes, on one ID sequence. The two
-	// packet freelists stay apart because a checkpoint tells a read's
-	// recycled (empty) payload from a fresh (nil) one, so a read is only
-	// ever recycled from an earlier read.
+	// the backing array is reused; txns recycles memTxn records and pool the
+	// DMA packets, which carry no payload: the bytes move between the
+	// wrapper and the store.
 	inflight []*memTxn
 	sendQ    []MemRequest
 	sendHead int
 	txns     sim.Freelist[memTxn]
 	pool     port.PacketPool
-	posted   port.PacketPool
 	blocked  [NumMemPorts]bool
 
 	irqLevel bool
@@ -269,7 +269,8 @@ type RTLObject struct {
 	stats Stats
 }
 
-// memTxn is one issued memory request. It is also the sender state of the
+// memTxn is one issued memory request, without a write's bytes, which are
+// in the store from the moment it issues. It is also the sender state of the
 // request's packet; a checkpoint writes it as the bare request ID (see
 // ckpt.go), which is what a restored packet carries instead.
 type memTxn struct {
@@ -278,10 +279,10 @@ type memTxn struct {
 	slot   int // index in RTLObject.inflight
 }
 
-// New creates an RTLObject clocked from coreDom divided by cfg.ClockDivider.
-// The object does not start ticking until Start is called (after reset and
-// binding).
-func New(cfg Config, coreDom *sim.ClockDomain, w Wrapper) *RTLObject {
+// New creates an RTLObject clocked from coreDom divided by cfg.ClockDivider,
+// whose DMA reads and writes the system's store. The object does not start
+// ticking until Start is called (after reset and binding).
+func New(cfg Config, coreDom *sim.ClockDomain, store *mem.Storage, w Wrapper) *RTLObject {
 	if cfg.ClockDivider == 0 {
 		cfg.ClockDivider = 1
 	}
@@ -289,11 +290,11 @@ func New(cfg Config, coreDom *sim.ClockDomain, w Wrapper) *RTLObject {
 		cfg:        cfg,
 		q:          coreDom.Queue(),
 		dom:        coreDom.Derived(cfg.Name+".clk", cfg.ClockDivider),
+		store:      store,
 		wrapper:    w,
 		cpuPkts:    map[uint64]*port.Packet{},
 		cpuPktPort: map[uint64]int{},
 	}
-	r.posted.MintFrom(&r.pool)
 	for i := 0; i < NumCPUPorts; i++ {
 		name := fmt.Sprintf("%s.cpu_side[%d]", cfg.Name, i)
 		r.cpuPorts[i] = port.NewResponsePort(name, &cpuSide{r, i})
@@ -523,15 +524,14 @@ func (r *RTLObject) pumpMem() {
 		}
 		var pkt *port.Packet
 		if req.Write {
-			pkt = r.posted.Get(port.WriteReq, addr, len(req.Data))
-			pkt.AllocateData()
-			copy(pkt.Data, req.Data)
+			pkt = r.pool.Get(port.WriteReq, addr, len(req.Data))
 		} else {
 			pkt = r.pool.GetRead(addr, req.Size)
 		}
 		pkt.ReqTick = r.q.Now()
 		txn := r.txns.Get()
 		*txn = memTxn{req: req, issued: r.q.Now(), slot: len(r.inflight)}
+		txn.req.Data = nil
 		pkt.PushSenderState(txn)
 		if !r.memPorts[req.Port].SendTimingReq(pkt) {
 			pkt.PopSenderState()
@@ -539,6 +539,10 @@ func (r *RTLObject) pumpMem() {
 			r.recycleTxn(txn)
 			r.blocked[req.Port] = true
 			return
+		}
+		if req.Write {
+			// Accepted: the write's bytes are the store's from now on.
+			r.store.Write(addr, req.Data)
 		}
 		if r.trace.On() {
 			r.trace.Logf("mem issue id=%d port=%d write=%v addr=%#x (%d inflight)",
@@ -650,16 +654,17 @@ func (m *memSide) RecvTimingResp(pkt *port.Packet) bool {
 	r.stats.RetiredMem++
 	resp := MemResponse{ID: id, Write: txn.req.Write, Latency: lat}
 	if pkt.Cmd == port.ReadResp {
-		// Copied out (the packet is recycled below) into the payload buffer
-		// of the tick that will deliver it. When the buffer grows, earlier
-		// payloads stay where they are, in the array it grew out of.
+		// Read from the store as it is now into the payload buffer of the
+		// tick that will deliver it. When the buffer grows, earlier payloads
+		// stay where they are, in the array it grew out of.
 		n := len(r.respData)
-		r.respData = append(r.respData, pkt.Data...)
+		r.respData = slices.Grow(r.respData, pkt.Size)[:n+pkt.Size]
+		r.store.Read(pkt.Addr, r.respData[n:])
 		resp.Data = r.respData[n:len(r.respData):len(r.respData)]
 	}
 	r.recycleTxn(txn)
-	// The payload has been copied out: this object's hold on the packet
-	// ends (a write queue may still hold a posted write).
+	// This object's hold on the packet ends (a write queue may still hold a
+	// posted write).
 	pkt.Release()
 	r.pendingResp = append(r.pendingResp, resp)
 	// Retiring a request may unblock the overflow queue immediately.

@@ -1,8 +1,10 @@
 package rtlobject
 
 import (
+	"bytes"
 	"testing"
 
+	"gem5rtl/internal/mem"
 	"gem5rtl/internal/port"
 	"gem5rtl/internal/sim"
 )
@@ -47,6 +49,8 @@ func (w *echoWrapper) Tick(in *Input) *Output {
 }
 
 // simpleMem answers reads/writes with fixed latency and limited concurrency.
+// Like every memory controller it models timing only: the bytes are in the
+// store the RTLObject reads and writes.
 type simpleMem struct {
 	q        *sim.EventQueue
 	portR    *port.ResponsePort
@@ -71,12 +75,6 @@ func (m *simpleMem) RecvTimingReq(pkt *port.Packet) bool {
 	m.inflight++
 	m.seen++
 	pkt.MakeResponse()
-	if pkt.Cmd == port.ReadResp {
-		pkt.AllocateData()
-		for i := range pkt.Data {
-			pkt.Data[i] = byte(pkt.Addr)
-		}
-	}
 	m.rq.Schedule(pkt, m.q.Now()+m.latency)
 	m.q.ScheduleFunc("memfree", m.q.Now()+m.latency, func() {
 		m.inflight--
@@ -87,14 +85,27 @@ func (m *simpleMem) RecvTimingReq(pkt *port.Packet) bool {
 
 func (m *simpleMem) RecvRespRetry() { m.rq.RecvRespRetry() }
 
+// setup builds an object over an empty store, its memory port 0 bound to a
+// simpleMem.
 func setup(t *testing.T, cfg Config, w Wrapper, memLat sim.Tick, memCap int) (*sim.EventQueue, *RTLObject, *simpleMem) {
+	t.Helper()
+	return setupStore(t, cfg, mem.NewStorage(), w, memLat, memCap)
+}
+
+// setupStore is setup over the given store.
+func setupStore(t *testing.T, cfg Config, store *mem.Storage, w Wrapper, memLat sim.Tick, memCap int) (*sim.EventQueue, *RTLObject, *simpleMem) {
 	t.Helper()
 	q := sim.NewEventQueue()
 	core := sim.NewClockDomain("cpu", q, 2_000_000_000)
-	r := New(cfg, core, w)
-	mem := newSimpleMem(q, memLat, memCap)
-	port.Bind(r.MemPort(0), mem.portR)
-	return q, r, mem
+	r := New(cfg, core, store, w)
+	m := newSimpleMem(q, memLat, memCap)
+	port.Bind(r.MemPort(0), m.portR)
+	return q, r, m
+}
+
+// fill writes n copies of b at addr.
+func fill(store *mem.Storage, addr uint64, b byte, n int) {
+	store.Write(addr, bytes.Repeat([]byte{b}, n))
 }
 
 func TestMemoryRoundTrip(t *testing.T) {
@@ -103,7 +114,9 @@ func TestMemoryRoundTrip(t *testing.T) {
 		needed:  1,
 	}
 	irqs := 0
-	_, r, _ := setup(t, Config{Name: "dev"}, w, 1000, 8)
+	store := mem.NewStorage()
+	fill(store, 0x40, 0x40, 64)
+	_, r, _ := setupStore(t, Config{Name: "dev"}, store, w, 1000, 8)
 	r.OnInterrupt(func(level bool) {
 		if level {
 			irqs++
@@ -119,7 +132,7 @@ func TestMemoryRoundTrip(t *testing.T) {
 	if len(w.responses) != 1 {
 		t.Fatalf("wrapper got %d responses, want 1", len(w.responses))
 	}
-	if w.responses[0].ID != 1 || w.responses[0].Data[0] != 0x40 {
+	if w.responses[0].ID != 1 || len(w.responses[0].Data) != 64 || w.responses[0].Data[63] != 0x40 {
 		t.Fatalf("bad response: %+v", w.responses[0])
 	}
 	if w.responses[0].Latency < 1000 {
@@ -134,6 +147,108 @@ func TestMemoryRoundTrip(t *testing.T) {
 	}
 }
 
+// dmaWrapper writes a pattern by DMA, blocks on each of its memory ports,
+// and once every write is acknowledged reads all of it back.
+type dmaWrapper struct {
+	blocks   int
+	base     [NumMemPorts]uint64
+	phase    int // 0: issue writes, 1: await acks, 2: reads issued
+	acks     int
+	readBack map[uint64][]byte // request ID -> payload
+}
+
+func (w *dmaWrapper) Name() string { return "dma" }
+func (w *dmaWrapper) Reset()       {}
+
+// pattern is block k's contents: no two blocks, and no byte of one, alike.
+func pattern(k int) []byte {
+	b := make([]byte, 64)
+	for i := range b {
+		b[i] = byte(k*7 + i + 1)
+	}
+	return b
+}
+
+// request is the k-th access on port p; IDs number writes and reads apart.
+func (w *dmaWrapper) request(p, k int, write bool) MemRequest {
+	req := MemRequest{ID: uint64(p*w.blocks + k), Addr: w.base[p] + uint64(k)*64, Size: 64, Port: p}
+	if write {
+		req.Write, req.Data = true, pattern(p*w.blocks+k)
+	} else {
+		req.ID += uint64(NumMemPorts * w.blocks)
+	}
+	return req
+}
+
+func (w *dmaWrapper) Tick(in *Input) *Output {
+	out := &Output{}
+	for _, resp := range in.MemResponses {
+		if resp.Write {
+			w.acks++
+		} else {
+			w.readBack[resp.ID] = append([]byte(nil), resp.Data...)
+		}
+	}
+	switch {
+	case w.phase == 0:
+		for p := 0; p < NumMemPorts; p++ {
+			for k := 0; k < w.blocks; k++ {
+				out.MemRequests = append(out.MemRequests, w.request(p, k, true))
+			}
+		}
+		w.phase = 1
+	case w.phase == 1 && w.acks == NumMemPorts*w.blocks:
+		for p := 0; p < NumMemPorts; p++ {
+			for k := 0; k < w.blocks; k++ {
+				out.MemRequests = append(out.MemRequests, w.request(p, k, false))
+			}
+		}
+		w.phase = 2
+	}
+	return out
+}
+
+// TestDMARoundTrip writes a pattern by DMA through an ideal memory (port 0)
+// and a single-channel DRAM (port 1), then reads it back with a second DMA:
+// the controllers carry no bytes, so the pattern reaches the reads only
+// through the store the object writes when a write is accepted. The writes
+// outnumber the DRAM's write queue, so some are refused and sent again.
+func TestDMARoundTrip(t *testing.T) {
+	const blocks = 256
+	w := &dmaWrapper{blocks: blocks, base: [NumMemPorts]uint64{0x100000, 0x200000}, readBack: map[uint64][]byte{}}
+	q := sim.NewEventQueue()
+	core := sim.NewClockDomain("cpu", q, 2_000_000_000)
+	store := mem.NewStorage()
+	r := New(Config{Name: "dev", ClockDivider: 2}, core, store, w)
+	ideal := mem.NewIdealMemory("ideal", q, 20*sim.Nanosecond)
+	dram := mem.NewDRAMCtrl(mem.DDR4Config(1), q)
+	port.Bind(r.MemPort(0), ideal.Port())
+	port.Bind(r.MemPort(1), dram.Port())
+	if blocks <= dram.Config().WriteQueueDepth {
+		t.Fatalf("%d writes fit the DRAM's %d-entry write queue: nothing is refused", blocks, dram.Config().WriteQueueDepth)
+	}
+	r.Start()
+	q.RunUntil(100 * sim.Microsecond)
+	r.Stop()
+	if w.phase != 2 || len(w.readBack) != NumMemPorts*blocks {
+		t.Fatalf("phase %d, %d of %d acks, %d of %d reads back", w.phase, w.acks, NumMemPorts*blocks, len(w.readBack), NumMemPorts*blocks)
+	}
+	for p := 0; p < NumMemPorts; p++ {
+		for k := 0; k < blocks; k++ {
+			req := w.request(p, k, false)
+			want := pattern(p*blocks + k)
+			if got := w.readBack[req.ID]; !bytes.Equal(got, want) {
+				t.Fatalf("port %d block %d read back % x, want % x", p, k, got, want)
+			}
+			got := make([]byte, 64)
+			store.Read(req.Addr, got)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("store holds % x at %#x, want % x", got, req.Addr, want)
+			}
+		}
+	}
+}
+
 func TestMaxInflightEnforced(t *testing.T) {
 	const n = 32
 	var reqs []MemRequest
@@ -142,7 +257,7 @@ func TestMaxInflightEnforced(t *testing.T) {
 	}
 	// Issue all in one tick by front-loading.
 	w := &burstWrapper{reqs: reqs}
-	_, r, mem := setup(t, Config{Name: "dev", MaxInflight: 4}, w, 5000, 64)
+	_, r, m := setup(t, Config{Name: "dev", MaxInflight: 4}, w, 5000, 64)
 	maxSeen := 0
 	probe := sim.NewTicker("probe", r.dom, sim.PriStats, func(uint64) bool {
 		if c := r.InflightCount(); c > maxSeen {
@@ -159,8 +274,8 @@ func TestMaxInflightEnforced(t *testing.T) {
 	if maxSeen > 4 {
 		t.Fatalf("observed %d in-flight, cap is 4", maxSeen)
 	}
-	if mem.seen != n {
-		t.Fatalf("memory saw %d requests, want %d", mem.seen, n)
+	if m.seen != n {
+		t.Fatalf("memory saw %d requests, want %d", m.seen, n)
 	}
 	if len(w.responses) != n {
 		t.Fatalf("wrapper got %d responses, want %d", len(w.responses), n)
@@ -250,28 +365,23 @@ func TestTLBTranslation(t *testing.T) {
 	tlb := NewPageTLB(12)
 	tlb.Map(0x10, 0x80) // 0x10000 -> 0x80000
 	w := &echoWrapper{toIssue: []MemRequest{{ID: 1, Addr: 0x10040, Size: 64}}}
-	q := sim.NewEventQueue()
-	core := sim.NewClockDomain("cpu", q, 2_000_000_000)
-	r := New(Config{Name: "dev", TLB: tlb}, core, w)
-	mem := newSimpleMem(q, 100, 8)
-	port.Bind(r.MemPort(0), mem.portR)
-	var seenAddr uint64
-	origRecv := mem.portR
-	_ = origRecv
+	store := mem.NewStorage()
+	fill(store, 0x10040, 0xEE, 64) // the untranslated address
+	fill(store, 0x80040, 0x40, 64) // the translated one
+	q, r, _ := setupStore(t, Config{Name: "dev", TLB: tlb}, store, w, 100, 8)
 	r.Start()
 	q.RunUntil(10 * sim.Microsecond)
 	r.Stop()
 	if len(w.responses) != 1 {
 		t.Fatalf("no response")
 	}
-	// The simpleMem echoes the low byte of the translated address.
+	// The payload is read from the store at the translated address.
 	if w.responses[0].Data[0] != 0x40 {
 		t.Fatalf("data byte %#x", w.responses[0].Data[0])
 	}
 	if tlb.Hits != 1 {
 		t.Fatalf("TLB hits = %d, want 1", tlb.Hits)
 	}
-	_ = seenAddr
 }
 
 func TestIdentityTLB(t *testing.T) {
@@ -303,11 +413,11 @@ func TestPortBackPressureQueuesRequests(t *testing.T) {
 		reqs = append(reqs, MemRequest{ID: uint64(i + 1), Addr: uint64(i) * 64, Size: 64})
 	}
 	w := &burstWrapper{reqs: reqs}
-	_, r, mem := setup(t, Config{Name: "dev"}, w, 2000, 1)
+	_, r, m := setup(t, Config{Name: "dev"}, w, 2000, 1)
 	r.Start()
 	r.dom.Queue().RunUntil(sim.Millisecond)
 	r.Stop()
-	if mem.seen != 10 || len(w.responses) != 10 {
-		t.Fatalf("seen=%d responses=%d, want 10/10", mem.seen, len(w.responses))
+	if m.seen != 10 || len(w.responses) != 10 {
+		t.Fatalf("seen=%d responses=%d, want 10/10", m.seen, len(w.responses))
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"gem5rtl/internal/ckpt"
 	"gem5rtl/internal/conform"
+	"gem5rtl/internal/mem"
 	"gem5rtl/internal/port"
 	"gem5rtl/internal/sim"
 )
@@ -284,9 +285,6 @@ func (m *scriptMem) RecvTimingReq(pkt *port.Packet) bool {
 		return false
 	}
 	pkt.MakeResponse()
-	if pkt.Cmd == port.ReadResp {
-		pkt.AllocateData()
-	}
 	e := scriptResp{m.q.Now() + m.delay(), pkt}
 	i := len(m.due)
 	for i > 0 && m.due[i-1].when > e.when {
@@ -416,7 +414,7 @@ func napProgram(seed uint64) []napStep {
 func newNapRig(t *testing.T, seed uint64, oracle bool) *napRig {
 	r := &napRig{t: t, seed: seed, oracle: oracle, q: sim.NewEventQueue(), m: &napModel{prog: napProgram(seed)}}
 	core := sim.NewClockDomain("cpu", r.q, 2_000_000_000)
-	r.obj = New(Config{Name: "dev", ClockDivider: 2, MaxInflight: 3, PerCycle: oracle}, core, r.m)
+	r.obj = New(Config{Name: "dev", ClockDivider: 2, MaxInflight: 3, PerCycle: oracle}, core, mem.NewStorage(), r.m)
 	r.obj.SetPacketIDSpace(1)
 	lo, hi := conform.Straddle(rank, "dev.tick", "mem", ".drain")
 	for i, name := range []string{lo, hi} {
@@ -580,9 +578,6 @@ type heldMem struct {
 
 func (m *heldMem) RecvTimingReq(pkt *port.Packet) bool {
 	pkt.MakeResponse()
-	if pkt.Cmd == port.ReadResp {
-		pkt.AllocateData()
-	}
 	m.held = append(m.held, pkt)
 	return true
 }
@@ -619,7 +614,7 @@ func TestSameTickChildOrdersAgainstTheElidedTick(t *testing.T) {
 		// One read on port 0, then wait for its data, then idle for good.
 		r.m = &napModel{prog: []napStep{{kind: napBurst, a: 1}, {kind: napAwait}, {kind: napIdle}}, nextID: 1}
 		core := sim.NewClockDomain("cpu", r.q, 2_000_000_000)
-		r.obj = New(Config{Name: "dev", ClockDivider: 2, MaxInflight: 3, PerCycle: oracle}, core, r.m)
+		r.obj = New(Config{Name: "dev", ClockDivider: 2, MaxInflight: 3, PerCycle: oracle}, core, mem.NewStorage(), r.m)
 		r.mem.p = port.NewResponsePort("mem", r.mem)
 		port.Bind(r.obj.MemPort(0), r.mem.p)
 		r.obj.Start()

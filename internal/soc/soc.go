@@ -171,14 +171,14 @@ func BuildWithOracles(cfg Config, o Oracles) (*System, error) {
 	var memPort *port.ResponsePort
 	switch cfg.Memory {
 	case "", "ideal":
-		s.Ideal = mem.NewIdealMemory("ideal_mem", s.Queue, s.Store, s.Clock.Period())
+		s.Ideal = mem.NewIdealMemory("ideal_mem", s.Queue, s.Clock.Period())
 		memPort = s.Ideal.Port()
 	default:
 		dcfg, ok := mem.ConfigByName(cfg.Memory)
 		if !ok {
 			return nil, fmt.Errorf("soc: unknown memory technology %q", cfg.Memory)
 		}
-		s.DRAM = mem.NewDRAMCtrl(dcfg, s.Queue, s.Store)
+		s.DRAM = mem.NewDRAMCtrl(dcfg, s.Queue)
 		memPort = s.DRAM.Port()
 	}
 
@@ -259,7 +259,7 @@ func BuildWithOracles(cfg Config, o Oracles) (*System, error) {
 		}
 		obj := rtlobject.New(rtlobject.Config{
 			Name: "pmu", ClockDivider: 2, PerCycle: o.PerCycle,
-		}, s.Clock, w)
+		}, s.Clock, s.Store, w)
 		s.PMU = obj
 		// RTL devices mint packet IDs from per-device namespaces so a
 		// device's ID stream depends only on its own allocations (space 0 is
@@ -287,12 +287,12 @@ func BuildWithOracles(cfg Config, o Oracles) (*System, error) {
 			MaxInflight:  cfg.NVDLAMaxInflight,
 			TLB:          rtlobject.IdentityTLB{}, // paper bypasses the IOMMU
 			PerCycle:     o.PerCycle,
-		}, s.Clock, w)
+		}, s.Clock, s.Store, w)
 		obj.SetPacketIDSpace(uint64(2 + i))
 		s.Bind(obj.MemPort(nvdla.PortDBBIF), s.MemXbar.FrontPort(1+2*i))
 		if cfg.NVDLAScratchpad {
 			spm := mem.NewScratchpad(mem.DefaultScratchpadConfig(
-				fmt.Sprintf("nvdla%d.spm", i)), s.Queue, s.Store)
+				fmt.Sprintf("nvdla%d.spm", i)), s.Queue)
 			s.Bind(obj.MemPort(nvdla.PortSRAMIF), spm.Port())
 			s.Scratchpads = append(s.Scratchpads, spm)
 		} else {
