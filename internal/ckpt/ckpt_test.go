@@ -135,11 +135,21 @@ func TestHeaderValidation(t *testing.T) {
 // TestVersion1StreamRefused: version 1 streams carried cache line bytes and
 // CPU packet payloads that version 2 dropped, so their header must stop the
 // restore before any section is read.
-func TestVersion1StreamRefused(t *testing.T) {
+func TestVersion1StreamRefused(t *testing.T) { refuseVersion(t, 1) }
+
+// TestVersion2StreamRefused: version 2 streams carried the payloads of
+// in-flight memory-side packets and DMA writes that version 3 dropped, so
+// their header must stop the restore before any section is read.
+func TestVersion2StreamRefused(t *testing.T) { refuseVersion(t, 2) }
+
+// refuseVersion writes a header of stream version v and requires the reader
+// to refuse it with the version error.
+func refuseVersion(t *testing.T, v uint32) {
+	t.Helper()
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
 	w.U32(Magic)
-	w.U32(1)
+	w.U32(v)
 	w.U64(0x1111)
 	w.U64(12345)
 	if err := w.Flush(); err != nil {
@@ -147,9 +157,9 @@ func TestVersion1StreamRefused(t *testing.T) {
 	}
 	r := NewReader(&buf)
 	r.Header(0x1111)
-	want := fmt.Sprintf("ckpt: unsupported checkpoint version 1 (want %d)", Version)
+	want := fmt.Sprintf("ckpt: unsupported checkpoint version %d (want %d)", v, Version)
 	if err := r.Err(); err == nil || err.Error() != want {
-		t.Fatalf("version 1 header: error %v, want %q", err, want)
+		t.Fatalf("version %d header: error %v, want %q", v, err, want)
 	}
 }
 

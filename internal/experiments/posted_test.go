@@ -34,8 +34,8 @@ func TestCheckpointHoldsAnsweredPostedWrites(t *testing.T) {
 		answered bool
 		sha256   string
 	}{
-		{2 * sim.Microsecond, false, "9cb033de140d26aa7a0e6bd9cfb8e9becbe6456bec6da41282f24929ae678758"},
-		{8 * sim.Microsecond, true, "0ed81848cd58c36d2e1770c92487c6e8f1b53e0eaf59c186f85cd12cdcc1c870"},
+		{2 * sim.Microsecond, false, "ed3d5a6b34d30d8ae59642b997a6ac72b4f2ee0468b11360503d5eba68e3fa0e"},
+		{8 * sim.Microsecond, true, "34031b06abc20bad8c04d7942d09541b3ec7c4dcc573849bf1f7447ef76ffa2b"},
 	} {
 		s, err := buildPoint(spec, soc.Oracles{})
 		if err != nil {

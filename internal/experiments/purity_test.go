@@ -24,7 +24,7 @@ import (
 // process-wide packet-ID counter and scheduled its host checks as events;
 // the pins have moved since only where the stream format did (payload-free
 // CPU packets and cache lines, then stream version 2, then a payload-free
-// memory side).
+// memory side, then stream version 3).
 type pureSpec struct {
 	name string
 	// checkpoint builds the machine and runs it to its split tick; guarded
@@ -62,8 +62,8 @@ func pureSpecs() []pureSpec {
 				s.Queue.RunUntil(250 * sim.Microsecond)
 				return s
 			},
-			sha256:    "10d037b9411edb225baa7be94db556df0064ad83ba035beabc8573afd0c491f0",
-			stateHash: 0x6cd42988239ab79f,
+			sha256:    "6e036f0764a99666ab55c66f1b02ae7f4b9183275c683552e90319e51c5135c4",
+			stateHash: 0xa0bb15e9970d165e,
 		},
 		{
 			name: "googlenet n=2 DDR4-1ch inflight=64 scale=1 @400us",
@@ -81,8 +81,8 @@ func pureSpecs() []pureSpec {
 				}
 				return s
 			},
-			sha256:    "7027459837bbb351db068fa3053a3efa30e29f08074fb23a8db422275e167991",
-			stateHash: 0xf064d3bb11aba1a7,
+			sha256:    "583fd56406148f8852baa54a32377dd0dd37d64764578af4fbaa5eca62805cc0",
+			stateHash: 0x7b07374eca98a8a2,
 		},
 	}
 }
