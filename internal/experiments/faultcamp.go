@@ -113,13 +113,10 @@ func (r Runner) faultRun(ctx context.Context, c FaultCampaign, f *guard.Fault, o
 				inj := port.Interpose(s.NVDLAs[dla].MemPort(pi), tap)
 				tap.Bind(s.Queue, inj, s.Store)
 			case guard.DRAMBitFlip:
-				addr, bit := f.Addr, f.Bit%8
+				addr, bit := f.Addr, f.Bit
 				s.Queue.ScheduleOneShotOwned("guard.dram-bit-flip", f.Tick,
 					s.Queue.Owner("guard", "fault-inject"), func() {
-						var b [1]byte
-						s.Store.Read(addr, b[:])
-						b[0] ^= 1 << bit
-						s.Store.Write(addr, b[:])
+						guard.FlipBit(s.Store, addr, bit)
 						res.fired = true
 					})
 			}

@@ -178,11 +178,13 @@ func DeriveSeedString(seed uint64, key string) uint64 {
 //
 // Packets carry no payload — the bytes live in the system's mem.Storage,
 // which the requestor reads and writes — so a payload flip acts on the
-// store. A write's flip lands when the write is acknowledged, after its
-// requestor stored the bytes on acceptance. A read's flip holds only while
-// the response is delivered: the requestor reads the flipped bit, and the
-// store keeps the right one. That needs a requestor that takes every
-// response, as the RTLObject does.
+// stored byte at Byte (modulo the access size). A write's flip lands when
+// the write is acknowledged, after its requestor stored the bytes on
+// acceptance. A read's flip holds only while the response is delivered:
+// the requestor reads the flipped bit, and the store keeps the right one.
+// That needs a requestor that takes every response and writes nothing it
+// is reading while it does, as the RTLObject over a DMA engine's disjoint
+// input and output regions.
 type PacketFaultTap struct {
 	F Fault
 	// q, inj and store are set by Bind.
@@ -206,70 +208,47 @@ func (t *PacketFaultTap) TapReq(*port.Packet) port.TapAction { return port.TapPa
 
 // TapResp implements port.LinkTap.
 func (t *PacketFaultTap) TapResp(pkt *port.Packet) port.TapAction {
+	if (t.F.Kind == ReadPayloadFlip && pkt.Cmd != port.ReadResp) ||
+		(t.F.Kind == WritePayloadFlip && pkt.Cmd != port.WriteResp) {
+		return port.TapPass
+	}
+	match := t.respSeen == t.F.PktIndex && !t.Fired
+	t.respSeen++
+	if !match {
+		return port.TapPass
+	}
+	t.Fired = true
+	addr := pkt.Addr + uint64(t.F.Byte%max(pkt.Size, 1))
 	switch t.F.Kind {
-	case ReadPayloadFlip, WritePayloadFlip:
-		want := port.ReadResp
-		if t.F.Kind == WritePayloadFlip {
-			want = port.WriteResp
-		}
-		if pkt.Cmd != want || pkt.Size == 0 {
-			return port.TapPass
-		}
-		match := t.respSeen == t.F.PktIndex && !t.Fired
-		t.respSeen++
-		if !match {
-			return port.TapPass
-		}
-		t.Fired = true
-		addr := pkt.Addr + uint64(t.F.Byte%pkt.Size)
-		flipped := t.flip(addr)
-		if t.F.Kind == WritePayloadFlip {
-			return port.TapPass
-		}
+	case WritePayloadFlip:
+		FlipBit(t.store, addr, t.F.Bit)
+	case ReadPayloadFlip:
+		FlipBit(t.store, addr, t.F.Bit)
 		t.inj.DeliverResp(pkt)
-		if t.byteAt(addr) == flipped {
-			// Unless the requestor wrote the byte meanwhile, put it back.
-			t.flip(addr)
-		}
+		FlipBit(t.store, addr, t.F.Bit)
 		return port.TapDrop
-	case DropResp, DupResp, DelayResp:
-		match := t.respSeen == t.F.PktIndex && !t.Fired
-		t.respSeen++
-		if !match {
+	case DropResp:
+		return port.TapDrop
+	case DupResp:
+		return port.TapDup
+	case DelayResp:
+		if t.q == nil || t.inj == nil {
 			return port.TapPass
 		}
-		t.Fired = true
-		switch t.F.Kind {
-		case DropResp:
-			return port.TapDrop
-		case DupResp:
-			return port.TapDup
-		case DelayResp:
-			if t.q == nil || t.inj == nil {
-				return port.TapPass
-			}
-			held := pkt
-			t.q.ScheduleOneShotOwned("guard.delay-resp", t.q.Now()+t.F.Delay,
-				t.q.Owner("guard", "delay-resp"), func() {
-					t.inj.DeliverResp(held)
-				})
-			return port.TapDrop
-		}
+		held := pkt
+		t.q.ScheduleOneShotOwned("guard.delay-resp", t.q.Now()+t.F.Delay,
+			t.q.Owner("guard", "delay-resp"), func() {
+				t.inj.DeliverResp(held)
+			})
+		return port.TapDrop
 	}
 	return port.TapPass
 }
 
-// flip XORs the configured bit (reduced modulo 8) into the stored byte at
-// addr and returns the byte's new value.
-func (t *PacketFaultTap) flip(addr uint64) byte {
-	b := [1]byte{t.byteAt(addr) ^ 1<<(t.F.Bit%8)}
-	t.store.Write(addr, b[:])
-	return b[0]
-}
-
-// byteAt reads the stored byte at addr.
-func (t *PacketFaultTap) byteAt(addr uint64) byte {
+// FlipBit XORs bit (reduced modulo 8) into the stored byte at addr.
+func FlipBit(store *mem.Storage, addr uint64, bit uint) {
 	var b [1]byte
-	t.store.Read(addr, b[:])
-	return b[0]
+	store.Read(addr, b[:])
+	b[0] ^= 1 << (bit % 8)
+	store.Write(addr, b[:])
 }

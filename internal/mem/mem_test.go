@@ -123,7 +123,7 @@ func TestIdealMemoryTiming(t *testing.T) {
 
 // TestControllersAnswerWithoutPayload: a controller models timing only. Each
 // answers a write and a read of the same block, and neither response
-// carries bytes: the agent that owns them reads and writes Storage itself.
+// carries bytes: the agent that owns them reads and writes the store itself.
 func TestControllersAnswerWithoutPayload(t *testing.T) {
 	for _, tc := range []struct {
 		name  string

@@ -10,8 +10,8 @@ import (
 // data bus whose width bounds its bandwidth. It implements the extension the
 // paper proposes in §4.2 — hooking "a proper SRAM such as a scratchpad
 // memory" to the NVDLA's SRAMIF instead of routing that interface to main
-// memory. Like every controller it models timing only: the bytes it serves
-// live in the system's Storage, which the requesting agent reads and writes.
+// memory. Like every controller it models timing only: the requesting agent
+// reads and writes the bytes it serves in the system's store.
 type Scratchpad struct {
 	q       *sim.EventQueue
 	prt     *port.ResponsePort

@@ -536,7 +536,7 @@ func (r *RTLObject) pumpMem() {
 		if !r.memPorts[req.Port].SendTimingReq(pkt) {
 			pkt.PopSenderState()
 			pkt.Release()
-			r.recycleTxn(txn)
+			r.txns.Put(txn)
 			r.blocked[req.Port] = true
 			return
 		}
@@ -662,7 +662,7 @@ func (m *memSide) RecvTimingResp(pkt *port.Packet) bool {
 		r.store.Read(pkt.Addr, r.respData[n:])
 		resp.Data = r.respData[n:len(r.respData):len(r.respData)]
 	}
-	r.recycleTxn(txn)
+	r.txns.Put(txn)
 	// This object's hold on the packet ends (a write queue may still hold a
 	// posted write).
 	pkt.Release()
@@ -693,12 +693,6 @@ func (r *RTLObject) retire(state any) *memTxn {
 	r.inflight[n] = nil
 	r.inflight = r.inflight[:n]
 	return txn
-}
-
-// recycleTxn returns a record to the free list, dropping its Data reference.
-func (r *RTLObject) recycleTxn(txn *memTxn) {
-	txn.req = MemRequest{}
-	r.txns.Put(txn)
 }
 
 func (m *memSide) RecvReqRetry() {
