@@ -2,6 +2,9 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -9,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"gem5rtl/internal/conform"
 	"gem5rtl/internal/pmu"
 	"gem5rtl/internal/rtl"
 	"gem5rtl/internal/verilog"
@@ -236,6 +240,60 @@ func TestSleepingMatchesPerCycle(t *testing.T) {
 			if d.name == "pmu" && applied < d.cycles*9/10 {
 				t.Errorf("pmu: only %d of %d cycles applied in closed form", applied, d.cycles)
 			}
+		}
+	}
+}
+
+// savedFile is a checkpoint file's bytes as a conform.Saver.
+type savedFile []byte
+
+func (f savedFile) Save(w io.Writer) error {
+	_, err := w.Write(f)
+	return err
+}
+
+// TestStandaloneCheckpointPinned holds the model checkpoints gem5rtl rtlsim
+// -checkpoint writes, for the bitonic sorter and for the PMU (its enable
+// register written every cycle), to their SHA-256 and state digest. It runs
+// the command's own flag set, so the pin holds the file format whatever code
+// writes it. A different hash means the bytes moved, not that the constant
+// needs refreshing.
+func TestStandaloneCheckpointPinned(t *testing.T) {
+	dir := t.TempDir()
+	pmuSrc := filepath.Join(dir, "pmu.v")
+	if err := os.WriteFile(pmuSrc, []byte(pmu.VerilogSource(pmu.NumCounters)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name      string
+		args      []string
+		sha256    string
+		stateHash uint64
+	}{
+		{"bitonic8", []string{"-top", "bitonic8", "-cycles", "200",
+			"-set", "in_lo=0x01020304", "-set", "in_hi=0x05060708",
+			filepath.Join("..", "..", "examples", "bitonic-vhdl", "sorter.vhd")},
+			"b6c513f25fec6a3ad8757d36b8f377408fb77286755a5853e5dc1ec2b4f60686", 0x2bf584f16c7ec2e},
+		{"pmu", []string{"-top", "pmu", "-cycles", "5000",
+			"-set", "events=0x3F", "-set", "awvalid=1", "-set", fmt.Sprintf("awaddr=%d", pmu.RegEnable),
+			"-set", "wdata=0x3F", "-set", fmt.Sprintf("araddr=%d", 4*pmu.EvCycle), pmuSrc},
+			"7be594c64283e57209d02de13da5428d46a4d2c7fb2f1acf95169c8f7373f109", 0x3fc1757f2d7cf116},
+	} {
+		out := filepath.Join(dir, c.name+".ckpt")
+		fs, run := rtlsim()
+		if err := fs.Parse(append([]string{"-checkpoint", out}, c.args...)); err != nil {
+			t.Fatal(err)
+		}
+		run()
+		data, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != c.sha256 {
+			t.Errorf("%s: sha256 = %s, pinned %s", c.name, got, c.sha256)
+		}
+		if got := conform.Digest(t, savedFile(data)); got != c.stateHash {
+			t.Errorf("%s: state digest = %#x, pinned %#x", c.name, got, c.stateHash)
 		}
 	}
 }

@@ -11,6 +11,7 @@ package conform
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -104,15 +105,45 @@ func Save(t testing.TB, parts ...ckpt.Checkpointable) []byte {
 // failing t on an error.
 func Restore(t testing.TB, data []byte, parts ...ckpt.Checkpointable) {
 	t.Helper()
+	if err := Load(data, parts...); err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+}
+
+// Load reads a checkpoint back into parts, in order, as Restore does, and
+// returns the first error: the form a test uses that requires a refusal.
+func Load(data []byte, parts ...ckpt.Checkpointable) error {
 	r := ckpt.NewReader(bytes.NewReader(data))
 	for _, p := range parts {
 		if err := p.RestoreState(r); err != nil {
-			t.Fatalf("restore: %v", err)
+			return err
 		}
 	}
-	if err := r.Err(); err != nil {
-		t.Fatalf("restore: %v", err)
+	return r.Err()
+}
+
+// Words encodes vs as a checkpoint stream writes 64-bit fields:
+// little-endian, eight bytes each.
+func Words(vs ...uint64) []byte {
+	var b []byte
+	for _, v := range vs {
+		b = binary.LittleEndian.AppendUint64(b, v)
 	}
+	return b
+}
+
+// Patch returns a copy of data with old replaced by new. old must occur in
+// data exactly once, or t fails: a refusal test damages one field of a real
+// checkpoint so, and an ambiguous match would damage the wrong one.
+func Patch(t testing.TB, data, old, new []byte) []byte {
+	t.Helper()
+	at := bytes.Index(data, old)
+	if at < 0 || bytes.Index(data[at+1:], old) >= 0 {
+		t.Fatalf("patch: %x occurs %d times, want once", old, bytes.Count(data, old))
+	}
+	out := append([]byte(nil), data[:at]...)
+	out = append(out, new...)
+	return append(out, data[at+len(old):]...)
 }
 
 // A Machine is one side of a Script: a system that actions of type A drive

@@ -88,8 +88,10 @@ func benchOneShot(b *testing.B) {
 	}
 }
 
-// benchPacketPool measures the pooled packet round trip the memory system
-// performs per access: Get, materialise a response payload, Release.
+// benchPacketPool measures the pooled packet round trip of a device-register
+// (MMIO) access, which the Table 2 AXI host and the RTLObject's CPU side
+// make: Get, turn it into a response, materialise its payload, Release. No
+// memory access fills a payload: a simulated byte lives only in the store.
 func benchPacketPool(b *testing.B) {
 	var pool port.PacketPool
 	b.ResetTimer()

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"gem5rtl/internal/conform"
@@ -118,4 +119,74 @@ func TestDRAMRoundTrip(t *testing.T) {
 	if r, wr := d2.QueueOccupancy(); r != 0 || wr != 0 {
 		t.Errorf("restored controller left work queued: %d/%d", r, wr)
 	}
+}
+
+// requireRefusal fails t unless err is a refusal whose message holds want.
+func requireRefusal(t *testing.T, err error, want string) {
+	t.Helper()
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("restore error = %v, want one naming %q", err, want)
+	}
+}
+
+// TestStoragePageSizeRefused: a store takes back only pages of its own size.
+func TestStoragePageSizeRefused(t *testing.T) {
+	s := NewStorage()
+	s.Write(0x100, []byte{1})
+	blob := conform.Save(t, s)
+	// The page-size exponent is the section's first field.
+	head := []byte("mem.storage")
+	bad := conform.Patch(t, blob, append(head, conform.Words(uint64(s.pageBits))...),
+		append(head, conform.Words(uint64(s.pageBits+1))...))
+	requireRefusal(t, conform.Load(bad, NewStorage()), "page size")
+}
+
+// TestDRAMShapeRefused: a controller takes back only the channels and banks
+// per channel it was built with.
+func TestDRAMShapeRefused(t *testing.T) {
+	d := buildDRAM(sim.NewEventQueue())
+	blob := conform.Save(t, d)
+	nc, nb := uint64(len(d.chans)), uint64(len(d.chans[0].banks))
+	// An idle controller tracks no read: that count (0) precedes the channel
+	// count and the first channel's bank count.
+	shape := conform.Words(0, nc, nb)
+	for _, c := range []struct {
+		words []byte
+		want  string
+	}{
+		{conform.Words(0, nc+1, nb), "channels"},
+		{conform.Words(0, nc, nb+1), "banks/channel"},
+	} {
+		bad := conform.Patch(t, blob, shape, c.words)
+		requireRefusal(t, conform.Load(bad, buildDRAM(sim.NewEventQueue())), c.want)
+	}
+}
+
+// TestDRAMTrackedReadNeedsItsCompletion: a tracked read retires when its
+// completion event fires, so a checkpoint that tracks one with no completion
+// pending is refused.
+func TestDRAMTrackedReadNeedsItsCompletion(t *testing.T) {
+	q := sim.NewEventQueue()
+	d := buildDRAM(q)
+	for i := 0; i < 4; i++ {
+		if !d.RecvTimingReq(port.NewReadPacket(uint64(i)*4096, 64)) {
+			t.Fatal("read refused")
+		}
+	}
+	q.RunUntil(20_000)
+	if len(d.inflightReads()) == 0 {
+		t.Fatal("test did not reach an in-flight read state")
+	}
+	pr := d.inflightReads()[0]
+	blob := conform.Save(t, d)
+	// A tracked read's record ends with its arrival tick and its completion
+	// event: pending (1), then its tick.
+	rec := func(pending byte) []byte {
+		b := append(conform.Words(uint64(pr.arrived)), pending)
+		return append(b, conform.Words(uint64(pr.ev.When()))...)
+	}
+	bad := conform.Patch(t, blob, rec(1), rec(0))
+	q2 := sim.NewEventQueue()
+	conform.Restore(t, conform.Save(t, q), q2)
+	requireRefusal(t, conform.Load(bad, buildDRAM(q2)), "no completion pending")
 }

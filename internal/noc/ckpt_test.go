@@ -2,6 +2,7 @@ package noc
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"gem5rtl/internal/ckpt"
@@ -70,5 +71,21 @@ func TestXbarRoundTrip(t *testing.T) {
 	bad := New(Config{Name: "xb"}, sim.NewEventQueue(), 3, 1)
 	if err := bad.RestoreState(ckpt.NewReader(bytes.NewReader(blob))); err == nil {
 		t.Fatal("shape mismatch not detected")
+	}
+}
+
+// TestXbarShapeRefused: a crossbar takes back only the front and downstream
+// port counts it was built with.
+func TestXbarShapeRefused(t *testing.T) {
+	blob := conform.Save(t, buildTestXbar(sim.NewEventQueue()))
+	// The port counts are the section's first two fields.
+	head := []byte("noc.xb")
+	for _, shape := range [][2]uint64{{3, 1}, {2, 2}} {
+		bad := conform.Patch(t, blob, append(head, conform.Words(2, 1)...),
+			append(head, conform.Words(shape[0], shape[1])...))
+		err := conform.Load(bad, buildTestXbar(sim.NewEventQueue()))
+		if err == nil || !strings.Contains(err.Error(), "checkpoint shape") {
+			t.Fatalf("shape %v: restore error = %v, want the shape refusal", shape, err)
+		}
 	}
 }

@@ -2,6 +2,8 @@ package nvdla
 
 import (
 	"bytes"
+	"sort"
+	"strings"
 	"testing"
 
 	"gem5rtl/internal/conform"
@@ -85,5 +87,52 @@ func TestNVDLARoundTrip(t *testing.T) {
 	}
 	if r.obj.Stats() != r2.obj.Stats() {
 		t.Errorf("bridge stats diverge:\n got %+v\nwant %+v", r2.obj.Stats(), r.obj.Stats())
+	}
+}
+
+// TestNVDLAReadTableRefused: the outstanding-read table travels sorted by
+// ID, each read minted and each for a tile of the layer; a checkpoint whose
+// table breaks any of that is refused.
+func TestNVDLAReadTableRefused(t *testing.T) {
+	r := newCkptRig(t)
+	r.obj.Start()
+	program(r.dla, 8<<10, 4<<10, 4<<10, 2<<10, 300)
+	r.q.RunUntil(100 * sim.Nanosecond) // the first tiles' reads are in flight
+	r.obj.Wake()
+	var reads []readSlot
+	for _, s := range r.dla.reads.slots {
+		if s.id != 0 {
+			reads = append(reads, s)
+		}
+	}
+	sort.Slice(reads, func(i, j int) bool { return reads[i].id < reads[j].id })
+	if len(reads) < 2 {
+		t.Fatalf("%d reads in flight at the checkpoint tick, want at least 2", len(reads))
+	}
+	blob := conform.Save(t, r.dla)
+	// The table follows the ID counter: its length, then (ID, tile) pairs.
+	table := func(edit func(rs []readSlot)) []byte {
+		rs := append([]readSlot(nil), reads...)
+		edit(rs)
+		words := []uint64{r.dla.nextID, uint64(len(rs))}
+		for _, s := range rs {
+			words = append(words, s.id, uint64(s.tile))
+		}
+		return conform.Words(words...)
+	}
+	good := table(func([]readSlot) {})
+	for _, c := range []struct {
+		name string
+		edit func(rs []readSlot)
+	}{
+		{"out of order", func(rs []readSlot) { rs[0], rs[1] = rs[1], rs[0] }},
+		{"beyond the ID counter", func(rs []readSlot) { rs[len(rs)-1].id = r.dla.nextID + 1 }},
+		{"tile out of range", func(rs []readSlot) { rs[0].tile = len(r.dla.tiles) }},
+	} {
+		bad := conform.Patch(t, blob, good, table(c.edit))
+		err := conform.Load(bad, New(DefaultConfig("nvdla0")))
+		if err == nil || !strings.Contains(err.Error(), "out of order or range") {
+			t.Errorf("%s: restore error = %v, want the read-table refusal", c.name, err)
+		}
 	}
 }
