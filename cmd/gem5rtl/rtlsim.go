@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 
+	"gem5rtl/internal/ckpt"
 	"gem5rtl/internal/cli"
 	"gem5rtl/internal/prof"
 	"gem5rtl/internal/rtl"
@@ -84,7 +85,7 @@ func rtlsim() (*flag.FlagSet, func()) {
 			if err != nil {
 				cli.Fatal(err)
 			}
-			if err := model.RestoreCheckpoint(f); err != nil {
+			if err := model.Checkpoint(ckpt.Restoring(ckpt.NewReader(f))); err != nil {
 				cli.Fatal(err)
 			}
 			f.Close()
@@ -141,7 +142,12 @@ func rtlsim() (*flag.FlagSet, func()) {
 			if err != nil {
 				cli.Fatal(err)
 			}
-			if err := model.SaveCheckpoint(f); err != nil {
+			// The model's stream, bare: no system header, no trailer.
+			w := ckpt.NewWriter(f)
+			if err := model.Checkpoint(ckpt.Saving(w)); err != nil {
+				cli.Fatal(err)
+			}
+			if err := w.Flush(); err != nil {
 				cli.Fatal(err)
 			}
 			f.Close()

@@ -220,9 +220,7 @@ func TestSleepingMatchesPerCycle(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				if err := m.SaveCheckpoint(&ckpt[i]); err != nil {
-					t.Fatal(err)
-				}
+				ckpt[i].Write(conform.Save(t, m))
 				models[i] = m
 			}
 			t.Logf("%s, waveform %v: %d of %d cycles applied in closed form", d.name, wave, applied, d.cycles)

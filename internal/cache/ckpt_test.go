@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"gem5rtl/internal/ckpt"
 	"gem5rtl/internal/conform"
 	"gem5rtl/internal/port"
 	"gem5rtl/internal/sim"
@@ -83,7 +82,7 @@ func TestCacheGeometryMismatch(t *testing.T) {
 	cfg := testCacheCfg()
 	cfg.Assoc = 4
 	other := New(cfg, sim.NewEventQueue())
-	if err := other.RestoreState(ckpt.NewReader(bytes.NewReader(blob))); err == nil {
+	if err := conform.Load(blob, other); err == nil {
 		t.Fatal("geometry mismatch not detected")
 	}
 }

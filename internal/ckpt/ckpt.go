@@ -6,23 +6,33 @@
 //
 // Design rules, mirroring gem5's SERIALIZE macros in spirit:
 //
+//   - A component states its layout once, in one Checkpoint method that both
+//     saves and restores (Stream): each field method takes a pointer, writes
+//     it on a Saving stream and fills it on a Restoring one, so the two
+//     directions cannot drift apart. Code that runs in one direction only
+//     asks Stream.Restoring and sits next to the field it concerns: sorting
+//     a map or canonicalising on save, validating a value read on restore.
 //   - Streams are little-endian and fixed-layout; there is no in-band schema.
 //     A Version bump invalidates old checkpoints.
 //   - A fingerprint of the builder's configuration is embedded in the header;
 //     restore refuses a checkpoint taken under a different configuration, so
 //     state is only ever poured back into an identically shaped system.
-//   - Events hold closures and cannot be serialised. Components instead save
-//     the scheduling state (pending?, when, sequence number) of the events
-//     they own and re-materialise them on restore (see sim.SaveEvent /
-//     EventQueue.RestoreEvent). Preserving the original sequence numbers keeps
-//     intra-tick event ordering bit-identical after a restore.
+//   - Events hold closures and cannot be serialised. Components instead
+//     checkpoint the scheduling state (pending?, when, sequence number) of
+//     the events they own, which re-materialises them on restore (see
+//     sim.EventQueue.CheckpointEvent). Preserving the original sequence
+//     numbers keeps intra-tick event ordering bit-identical after a restore.
 //   - Section markers delimit every component's state. They cost a few bytes
 //     and turn a misaligned read — the classic serialization bug — into an
 //     immediate, named error instead of silent corruption downstream.
+//   - A length word from the stream never sizes an allocation: Reader.Len
+//     caps it, and Slice grows a restored slice by append while the stream
+//     is sound.
 //
-// Writer and Reader use sticky errors: the first failure latches and every
-// later call is a no-op returning zero values, so component Save/Restore code
-// can be written as straight-line field lists and check Err() once.
+// Writer, Reader and Stream use sticky errors: the first failure latches and
+// every later call is a no-op (a read yields zero values), so a Checkpoint
+// method is a straight-line field list that checks Err() once. Tests build
+// streams by hand with Writer and read them with Reader.
 package ckpt
 
 import (
@@ -30,7 +40,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 )
 
 // Magic identifies a gem5rtl system checkpoint stream ("g5ck").
@@ -43,12 +52,12 @@ const Version uint32 = 3
 const sectionMark uint32 = 0x5ec70000
 
 // Checkpointable is implemented by every component whose simulation state can
-// be captured and restored. SaveState and RestoreState must visit fields in
-// the same order; RestoreState is only called on a freshly built component of
-// the identical configuration (the SoC fingerprint enforces this).
+// be captured and restored. Checkpoint states the component's layout once:
+// it saves through a Saving stream and restores through a Restoring one, and
+// is only restored into a freshly built component of the identical
+// configuration (the SoC fingerprint enforces this).
 type Checkpointable interface {
-	SaveState(w *Writer) error
-	RestoreState(r *Reader) error
+	Checkpoint(s *Stream) error
 }
 
 // Writer serialises checkpoint state with sticky-error semantics.
@@ -79,17 +88,6 @@ func (w *Writer) Flush() error {
 	}
 	w.Fail(w.w.Flush())
 	return w.err
-}
-
-// Write passes raw bytes through, letting components with their own binary
-// formats (e.g. rtl.Model.SaveCheckpoint) write into the same stream.
-func (w *Writer) Write(p []byte) (int, error) {
-	if w.err != nil {
-		return 0, w.err
-	}
-	n, err := w.w.Write(p)
-	w.Fail(err)
-	return n, err
 }
 
 // U64 writes a little-endian uint64.
@@ -136,9 +134,6 @@ func (w *Writer) U8(v byte) {
 	}
 	w.Fail(w.w.WriteByte(v))
 }
-
-// F64 writes a float64 by bit pattern.
-func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
 
 // Bytes writes a length-prefixed byte slice, distinguishing nil from empty
 // (components rely on lazily allocated buffers staying nil across restore).
@@ -200,16 +195,6 @@ func (r *Reader) Fail(err error) {
 	if r.err == nil && err != nil {
 		r.err = err
 	}
-}
-
-// Read passes raw bytes through for components with their own binary formats.
-func (r *Reader) Read(p []byte) (int, error) {
-	if r.err != nil {
-		return 0, r.err
-	}
-	n, err := io.ReadFull(r.r, p)
-	r.Fail(err)
-	return n, err
 }
 
 // U64 reads a little-endian uint64.
@@ -304,9 +289,6 @@ func (r *Reader) U8() byte {
 	}
 	return b
 }
-
-// F64 reads a float64 by bit pattern.
-func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
 
 // Bytes reads a slice written with Writer.Bytes (nil stays nil).
 func (r *Reader) Bytes() []byte {

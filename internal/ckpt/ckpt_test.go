@@ -17,7 +17,6 @@ func TestPrimitivesRoundTrip(t *testing.T) {
 	w.Bool(true)
 	w.Bool(false)
 	w.U8(0xab)
-	w.F64(3.25)
 	w.Bytes([]byte{1, 2, 3})
 	w.Bytes(nil)
 	w.Bytes([]byte{})
@@ -45,9 +44,6 @@ func TestPrimitivesRoundTrip(t *testing.T) {
 	}
 	if got := r.U8(); got != 0xab {
 		t.Errorf("U8 = %#x", got)
-	}
-	if got := r.F64(); got != 3.25 {
-		t.Errorf("F64 = %v", got)
 	}
 	if got := r.Bytes(); !bytes.Equal(got, []byte{1, 2, 3}) {
 		t.Errorf("Bytes = %v", got)
@@ -163,56 +159,136 @@ func refuseVersion(t *testing.T, v uint32) {
 	}
 }
 
-func TestRawWriteReadPassthrough(t *testing.T) {
+type testState struct{ v uint64 }
+
+func (s *testState) SenderStateKind() uint8 { return 200 }
+func (s *testState) Checkpoint(cs *Stream)  { cs.U64(&s.v) }
+
+func TestSenderStateRegistry(t *testing.T) {
+	RegisterSenderState(200, func() SenderState { return &testState{} })
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
-	w.U64(99)
-	if _, err := w.Write([]byte("raw-model-blob")); err != nil {
-		t.Fatal(err)
-	}
-	w.U64(100)
+	stack := []any{&testState{v: 77}, uint64(5)}
+	Slice(Saving(w), &stack, (*Stream).SenderState)
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	r := NewReader(&buf)
-	if r.U64() != 99 {
-		t.Error("prefix mismatch")
+	var got []any
+	s := Restoring(NewReader(&buf))
+	Slice(s, &got, (*Stream).SenderState)
+	if err := s.Err(); err != nil {
+		t.Fatal(err)
 	}
-	blob := make([]byte, len("raw-model-blob"))
-	if _, err := r.Read(blob); err != nil || string(blob) != "raw-model-blob" {
-		t.Errorf("raw read = %q, %v", blob, err)
+	if len(got) != 2 {
+		t.Fatalf("restored %d entries, want 2", len(got))
 	}
-	if r.U64() != 100 {
-		t.Error("suffix mismatch")
+	if ts, ok := got[0].(*testState); !ok || ts.v != 77 {
+		t.Errorf("restored entry 0 = %#v", got[0])
+	}
+	if id, ok := got[1].(uint64); !ok || id != 5 {
+		t.Errorf("restored entry 1 = %#v, want the bare ID 5", got[1])
+	}
+
+	var v any
+	s = Restoring(NewReader(bytes.NewReader([]byte{250, 0, 0, 0, 0, 0, 0, 0, 0})))
+	s.SenderState(&v)
+	if s.Err() == nil {
+		t.Fatal("unknown kind should fail the stream")
+	}
+	v = struct{}{}
+	s = Saving(NewWriter(&buf))
+	s.SenderState(&v)
+	if s.Err() == nil {
+		t.Fatal("an unregistered type should fail the save")
 	}
 }
 
-type testState struct{ v uint64 }
+// pair is a component of the stream tests: every field kind, and a slice.
+type pair struct {
+	u   uint64
+	w   uint32
+	b   uint8
+	i   int64
+	n   int
+	ok  bool
+	raw []byte
+	s   string
+	xs  []uint64
+}
 
-func (s *testState) SenderStateKind() uint8      { return 200 }
-func (s *testState) EncodeSenderState(w *Writer) { w.U64(s.v) }
-func decodeTestState(r *Reader) any              { return &testState{v: r.U64()} }
+func (p *pair) Checkpoint(s *Stream) error {
+	s.Section("pair")
+	s.U64(&p.u)
+	s.U32(&p.w)
+	s.U8(&p.b)
+	s.I64(&p.i)
+	s.Len(&p.n)
+	s.Bool(&p.ok)
+	s.Bytes(&p.raw)
+	s.String(&p.s)
+	Slice(s, &p.xs, (*Stream).U64)
+	return s.Err()
+}
 
-func TestSenderStateRegistry(t *testing.T) {
-	RegisterSenderState(200, decodeTestState)
+// TestStreamRoundTrip: one Checkpoint method saves a value and restores it,
+// and a saving pass writes the same bytes as the Writer calls it stands for.
+func TestStreamRoundTrip(t *testing.T) {
+	want := pair{u: 1 << 40, w: 7, b: 0xab, i: -42, n: 3, ok: true, raw: []byte{}, s: "hi", xs: []uint64{5, 6}}
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
-	s := &testState{v: 77}
-	w.U8(s.SenderStateKind())
-	s.EncodeSenderState(w)
+	if err := want.Checkpoint(Saving(w)); err != nil {
+		t.Fatal(err)
+	}
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	r := NewReader(&buf)
-	kind := r.U8()
-	got := DecodeSenderState(kind, r)
-	if ts, ok := got.(*testState); !ok || ts.v != 77 {
-		t.Fatalf("decoded = %#v", got)
+	var direct bytes.Buffer
+	d := NewWriter(&direct)
+	d.Section("pair")
+	d.U64(1 << 40)
+	d.U32(7)
+	d.U8(0xab)
+	d.I64(-42)
+	d.Int(3)
+	d.Bool(true)
+	d.Bytes([]byte{})
+	d.String("hi")
+	d.Int(2)
+	d.U64(5)
+	d.U64(6)
+	if err := d.Flush(); err != nil {
+		t.Fatal(err)
 	}
+	if !bytes.Equal(buf.Bytes(), direct.Bytes()) {
+		t.Fatalf("saving stream wrote %x, want %x", buf.Bytes(), direct.Bytes())
+	}
+	var got pair
+	if err := got.Checkpoint(Restoring(NewReader(bytes.NewReader(buf.Bytes())))); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) || got.raw == nil {
+		t.Fatalf("restored %+v, want %+v", got, want)
+	}
+}
 
-	r = NewReader(bytes.NewReader([]byte{0}))
-	DecodeSenderState(250, r)
-	if r.Err() == nil {
-		t.Fatal("unknown kind should fail the reader")
+// TestSliceClaimDoesNotSizeAllocation: a restored slice whose length word
+// claims far more elements than the stream holds fails at the stream's end
+// with only the elements it read.
+func TestSliceClaimDoesNotSizeAllocation(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	w.Int(1 << 29)
+	w.U64(1)
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	var xs []uint64
+	s := Restoring(NewReader(&buf))
+	Slice(s, &xs, (*Stream).U64)
+	if s.Err() == nil {
+		t.Fatal("a short stream restored without an error")
+	}
+	if cap(xs) > 16 {
+		t.Fatalf("restore grew the slice to capacity %d", cap(xs))
 	}
 }

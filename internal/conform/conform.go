@@ -40,16 +40,10 @@ func (r *RNG) Uint64() uint64 {
 // Intn returns a value in [0, n).
 func (r *RNG) Intn(n int) int { return int(r.Uint64() % uint64(n)) }
 
-// SaveState writes the stream's position.
-func (r *RNG) SaveState(w *ckpt.Writer) error {
-	w.U64(r.s)
-	return w.Err()
-}
-
-// RestoreState reads back a position SaveState wrote.
-func (r *RNG) RestoreState(rd *ckpt.Reader) error {
-	r.s = rd.U64()
-	return rd.Err()
+// Checkpoint saves or restores the stream's position.
+func (r *RNG) Checkpoint(s *ckpt.Stream) error {
+	s.U64(&r.s)
+	return s.Err()
 }
 
 // Straddle returns the first two names of the form prefix+"N" whose ranks,
@@ -90,8 +84,9 @@ func Save(t testing.TB, parts ...ckpt.Checkpointable) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	w := ckpt.NewWriter(&buf)
+	s := ckpt.Saving(w)
 	for _, p := range parts {
-		if err := p.SaveState(w); err != nil {
+		if err := p.Checkpoint(s); err != nil {
 			t.Fatalf("save: %v", err)
 		}
 	}
@@ -113,13 +108,13 @@ func Restore(t testing.TB, data []byte, parts ...ckpt.Checkpointable) {
 // Load reads a checkpoint back into parts, in order, as Restore does, and
 // returns the first error: the form a test uses that requires a refusal.
 func Load(data []byte, parts ...ckpt.Checkpointable) error {
-	r := ckpt.NewReader(bytes.NewReader(data))
+	s := ckpt.Restoring(ckpt.NewReader(bytes.NewReader(data)))
 	for _, p := range parts {
-		if err := p.RestoreState(r); err != nil {
+		if err := p.Checkpoint(s); err != nil {
 			return err
 		}
 	}
-	return r.Err()
+	return s.Err()
 }
 
 // Words encodes vs as a checkpoint stream writes 64-bit fields:

@@ -6,220 +6,151 @@ import (
 
 	"gem5rtl/internal/ckpt"
 	"gem5rtl/internal/port"
-	"gem5rtl/internal/sim"
 )
 
-// SaveState serialises the sparse backing store. Pages are written sorted by
-// page number so the stream is independent of map iteration order.
-func (s *Storage) SaveState(w *ckpt.Writer) error {
-	w.Section("mem.storage")
-	w.U64(uint64(s.pageBits))
-	pns := make([]uint64, 0, len(s.pages))
-	for pn := range s.pages {
-		pns = append(pns, pn)
-	}
-	sort.Slice(pns, func(i, j int) bool { return pns[i] < pns[j] })
-	w.Int(len(pns))
-	for _, pn := range pns {
-		w.U64(pn)
-		if p := s.pages[pn]; p != nil {
-			w.Bytes(p)
-		} else {
-			w.Bytes(zeroPage[:1<<s.pageBits])
-		}
-	}
-	return w.Err()
-}
-
-// RestoreState replaces the store contents with the checkpointed pages.
-func (s *Storage) RestoreState(r *ckpt.Reader) error {
-	r.Section("mem.storage")
-	if pb := uint(r.U64()); r.Err() == nil && pb != s.pageBits {
+// Checkpoint saves or restores the sparse backing store. A save writes the
+// pages sorted by page number, so the stream is independent of map
+// iteration order; a restore replaces the store contents with them.
+func (s *Storage) Checkpoint(cs *ckpt.Stream) error {
+	cs.Section("mem.storage")
+	pb := uint64(s.pageBits)
+	cs.U64(&pb)
+	if cs.Err() == nil && uint(pb) != s.pageBits {
 		return fmt.Errorf("mem: checkpoint page size 2^%d does not match 2^%d", pb, s.pageBits)
 	}
-	n := r.Len()
-	s.pages = make(map[uint64][]byte) // n is the stream's word: no size hint
-	for i := 0; i < n && r.Err() == nil; i++ {
-		pn := r.U64()
-		s.pages[pn] = r.Bytes()
+	type page struct {
+		pn   uint64
+		data []byte
 	}
-	return r.Err()
-}
-
-// SaveState captures the ideal memory's counters, port flags and response
-// queue.
-func (m *IdealMemory) SaveState(w *ckpt.Writer) error {
-	w.Section("mem.ideal")
-	w.U64(m.Reads)
-	w.U64(m.Writes)
-	if err := m.prt.SaveState(w); err != nil {
-		return err
-	}
-	return m.rq.SaveState(w)
-}
-
-// RestoreState reinstates the ideal memory state.
-func (m *IdealMemory) RestoreState(r *ckpt.Reader) error {
-	r.Section("mem.ideal")
-	m.Reads = r.U64()
-	m.Writes = r.U64()
-	if err := m.prt.RestoreState(r); err != nil {
-		return err
-	}
-	return m.rq.RestoreState(r)
-}
-
-// SaveState captures the scratchpad's bus occupancy, counters, port flags
-// and response queue.
-func (s *Scratchpad) SaveState(w *ckpt.Writer) error {
-	w.Section("mem.spm")
-	w.U64(uint64(s.busFreeAt))
-	w.U64(s.Reads)
-	w.U64(s.Writes)
-	w.U64(s.Bytes)
-	if err := s.prt.SaveState(w); err != nil {
-		return err
-	}
-	return s.rq.SaveState(w)
-}
-
-// RestoreState reinstates the scratchpad state.
-func (s *Scratchpad) RestoreState(r *ckpt.Reader) error {
-	r.Section("mem.spm")
-	s.busFreeAt = sim.Tick(r.U64())
-	s.Reads = r.U64()
-	s.Writes = r.U64()
-	s.Bytes = r.U64()
-	if err := s.prt.RestoreState(r); err != nil {
-		return err
-	}
-	return s.rq.RestoreState(r)
-}
-
-// SaveState captures the DRAM controller: statistics, response path, tracked
-// in-flight reads, and per-channel bank state, queues, drain hysteresis and
-// issue events. Queued requests save only the packet and arrival time; their
-// (bank, row) coordinates are a pure function of the address and are
-// recomputed on restore.
-func (d *DRAMCtrl) SaveState(w *ckpt.Writer) error {
-	w.Section("mem.dram." + d.cfg.Name)
-	saveDRAMStats(w, &d.stats)
-	if err := d.prt.SaveState(w); err != nil {
-		return err
-	}
-	if err := d.rq.SaveState(w); err != nil {
-		return err
-	}
-	w.Int(len(d.inflightReads()))
-	for _, pr := range d.inflightReads() {
-		port.SavePacket(w, pr.pkt)
-		w.U64(uint64(pr.arrived))
-		sim.SaveEvent(w, &pr.ev)
-	}
-	w.Int(len(d.chans))
-	for _, ch := range d.chans {
-		w.Int(len(ch.banks))
-		for _, b := range ch.banks {
-			w.I64(b.openRow)
-			w.U64(uint64(b.readyAt))
+	var pages []page
+	if !cs.Restoring() {
+		for pn, p := range s.pages {
+			if p == nil {
+				p = zeroPage[:1<<s.pageBits]
+			}
+			pages = append(pages, page{pn, p})
 		}
-		w.U64(uint64(ch.busFreeAt))
-		w.Bool(ch.draining)
-		sim.SaveEvent(w, ch.issueEv)
-		saveDRAMQueue(w, ch.readQ)
-		saveDRAMQueue(w, ch.writeQ)
+		sort.Slice(pages, func(i, j int) bool { return pages[i].pn < pages[j].pn })
 	}
-	return w.Err()
+	ckpt.Slice(cs, &pages, func(cs *ckpt.Stream, p *page) {
+		cs.U64(&p.pn)
+		cs.Bytes(&p.data)
+	})
+	if cs.Restoring() {
+		s.pages = make(map[uint64][]byte) // the stream's count: no size hint
+		for _, p := range pages {
+			s.pages[p.pn] = p.data
+		}
+	}
+	return cs.Err()
 }
 
-// RestoreState reinstates the controller state into a freshly built instance
+// Checkpoint saves or restores the ideal memory's counters, port flags and
+// response queue.
+func (m *IdealMemory) Checkpoint(s *ckpt.Stream) error {
+	s.Section("mem.ideal")
+	s.U64(&m.Reads)
+	s.U64(&m.Writes)
+	if err := m.prt.Checkpoint(s); err != nil {
+		return err
+	}
+	return m.rq.Checkpoint(s)
+}
+
+// Checkpoint saves or restores the scratchpad's bus occupancy, counters,
+// port flags and response queue.
+func (s *Scratchpad) Checkpoint(cs *ckpt.Stream) error {
+	cs.Section("mem.spm")
+	cs.U64((*uint64)(&s.busFreeAt))
+	cs.U64(&s.Reads)
+	cs.U64(&s.Writes)
+	cs.U64(&s.Bytes)
+	if err := s.prt.Checkpoint(cs); err != nil {
+		return err
+	}
+	return s.rq.Checkpoint(cs)
+}
+
+// Checkpoint saves or restores the DRAM controller: statistics, response
+// path, tracked in-flight reads, and per-channel bank state, queues, drain
+// hysteresis and issue events. A restore targets a freshly built instance
 // of identical configuration.
-func (d *DRAMCtrl) RestoreState(r *ckpt.Reader) error {
-	r.Section("mem.dram." + d.cfg.Name)
-	restoreDRAMStats(r, &d.stats)
-	if err := d.prt.RestoreState(r); err != nil {
+func (d *DRAMCtrl) Checkpoint(s *ckpt.Stream) error {
+	s.Section("mem.dram." + d.cfg.Name)
+	st := &d.stats
+	s.U64(&st.Reads)
+	s.U64(&st.Writes)
+	s.U64(&st.RowHits)
+	s.U64(&st.RowMisses)
+	s.U64(&st.BytesRead)
+	s.U64(&st.BytesWrit)
+	s.U64(&st.RetriesSent)
+	s.U64((*uint64)(&st.TotalRdLat))
+	s.U64(&st.RetiredRds)
+	if err := d.prt.Checkpoint(s); err != nil {
 		return err
 	}
-	if err := d.rq.RestoreState(r); err != nil {
+	if err := d.rq.Checkpoint(s); err != nil {
 		return err
 	}
-	n := r.Len()
-	d.pendingReads, d.prHead = nil, 0
-	for i := 0; i < n && r.Err() == nil; i++ {
-		pkt := port.LoadPacket(r)
-		pr := d.tracker(pkt, sim.Tick(r.U64()))
-		d.pendingReads = append(d.pendingReads, pr)
-		d.q.RestoreEvent(r, &pr.ev)
-		if r.Err() == nil && !pr.ev.Scheduled() {
+	reads := d.inflightReads()
+	ckpt.Slice(s, &reads, func(s *ckpt.Stream, pr **dramPendingRead) {
+		if s.Restoring() {
+			*pr = d.tracker(nil, 0)
+		}
+		port.CheckpointPacket(s, &(*pr).pkt)
+		s.U64((*uint64)(&(*pr).arrived))
+		d.q.CheckpointEvent(s, &(*pr).ev)
+		if s.Restoring() && s.Err() == nil && !(*pr).ev.Scheduled() {
 			// readDone finds the retiring read as the one whose event has
 			// just fired, so every tracked read must have one pending.
-			return fmt.Errorf("mem %s: checkpoint tracks a read with no completion pending", d.cfg.Name)
+			s.Fail(fmt.Errorf("mem %s: checkpoint tracks a read with no completion pending", d.cfg.Name))
 		}
+	})
+	if s.Restoring() {
+		d.pendingReads, d.prHead = reads, 0
 	}
-	if nc := r.Len(); r.Err() == nil && nc != len(d.chans) {
+	nc := len(d.chans)
+	s.Len(&nc)
+	if s.Err() == nil && nc != len(d.chans) {
 		return fmt.Errorf("mem %s: checkpoint has %d channels, controller has %d", d.cfg.Name, nc, len(d.chans))
 	}
 	for _, ch := range d.chans {
-		if nb := r.Len(); r.Err() == nil && nb != len(ch.banks) {
+		nb := len(ch.banks)
+		s.Len(&nb)
+		if s.Err() == nil && nb != len(ch.banks) {
 			return fmt.Errorf("mem %s: checkpoint has %d banks/channel, controller has %d", d.cfg.Name, nb, len(ch.banks))
 		}
 		for b := range ch.banks {
-			ch.banks[b].openRow = r.I64()
-			ch.banks[b].readyAt = sim.Tick(r.U64())
+			s.I64(&ch.banks[b].openRow)
+			s.U64((*uint64)(&ch.banks[b].readyAt))
 		}
-		ch.busFreeAt = sim.Tick(r.U64())
-		ch.draining = r.Bool()
-		d.q.RestoreEvent(r, ch.issueEv)
-		ch.readQ = d.restoreDRAMQueue(r)
-		ch.writeQ = d.restoreDRAMQueue(r)
+		s.U64((*uint64)(&ch.busFreeAt))
+		s.Bool(&ch.draining)
+		d.q.CheckpointEvent(s, ch.issueEv)
+		d.checkpointQueue(s, &ch.readQ)
+		d.checkpointQueue(s, &ch.writeQ)
 	}
-	return r.Err()
+	return s.Err()
 }
 
-func saveDRAMQueue(w *ckpt.Writer, q []*dramRequest) {
-	w.Int(len(q))
-	for _, req := range q {
-		port.SavePacket(w, req.pkt)
-		w.U64(uint64(req.arrived))
-	}
-}
-
-func (d *DRAMCtrl) restoreDRAMQueue(r *ckpt.Reader) []*dramRequest {
-	n := r.Len()
-	var q []*dramRequest
-	for i := 0; i < n && r.Err() == nil; i++ {
-		pkt := port.LoadPacket(r)
-		arrived := sim.Tick(r.U64())
-		_, bank, row := d.route(pkt.Addr)
-		// A restored posted write's packet already carries its response
-		// command, for which IsRead() is false — matching the write it models.
-		req := d.reqs.Get()
-		*req = dramRequest{pkt: pkt, bank: bank, row: row, arrived: arrived, isRead: pkt.Cmd.IsRead()}
-		q = append(q, req)
-	}
-	return q
-}
-
-func saveDRAMStats(w *ckpt.Writer, s *DRAMStats) {
-	w.U64(s.Reads)
-	w.U64(s.Writes)
-	w.U64(s.RowHits)
-	w.U64(s.RowMisses)
-	w.U64(s.BytesRead)
-	w.U64(s.BytesWrit)
-	w.U64(s.RetriesSent)
-	w.U64(uint64(s.TotalRdLat))
-	w.U64(s.RetiredRds)
-}
-
-func restoreDRAMStats(r *ckpt.Reader, s *DRAMStats) {
-	s.Reads = r.U64()
-	s.Writes = r.U64()
-	s.RowHits = r.U64()
-	s.RowMisses = r.U64()
-	s.BytesRead = r.U64()
-	s.BytesWrit = r.U64()
-	s.RetriesSent = r.U64()
-	s.TotalRdLat = sim.Tick(r.U64())
-	s.RetiredRds = r.U64()
+// checkpointQueue saves or restores a channel queue. Queued requests save
+// only the packet and arrival time; their (bank, row) coordinates are a pure
+// function of the address and are recomputed on restore.
+func (d *DRAMCtrl) checkpointQueue(s *ckpt.Stream, q *[]*dramRequest) {
+	ckpt.Slice(s, q, func(s *ckpt.Stream, req **dramRequest) {
+		if s.Restoring() {
+			*req = d.reqs.Get()
+		}
+		r := *req
+		port.CheckpointPacket(s, &r.pkt)
+		s.U64((*uint64)(&r.arrived))
+		if s.Restoring() {
+			_, r.bank, r.row = d.route(r.pkt.Addr)
+			// A restored posted write's packet already carries its response
+			// command, for which IsRead() is false — matching the write it
+			// models.
+			r.isRead = r.pkt.Cmd.IsRead()
+		}
+	})
 }

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"gem5rtl/internal/ckpt"
 	"gem5rtl/internal/conform"
 	"gem5rtl/internal/port"
 	"gem5rtl/internal/sim"
@@ -69,7 +68,7 @@ func TestXbarRoundTrip(t *testing.T) {
 
 	// Shape mismatch must be refused.
 	bad := New(Config{Name: "xb"}, sim.NewEventQueue(), 3, 1)
-	if err := bad.RestoreState(ckpt.NewReader(bytes.NewReader(blob))); err == nil {
+	if err := conform.Load(blob, bad); err == nil {
 		t.Fatal("shape mismatch not detected")
 	}
 }

@@ -149,28 +149,15 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return float64(h.max)
 }
 
-// SaveState implements ckpt.Checkpointable.
-func (h *Histogram) SaveState(w *ckpt.Writer) error {
-	w.Section("obs.hist")
-	w.U64(h.n)
-	w.U64(h.sum)
-	w.U64(h.min)
-	w.U64(h.max)
-	for _, b := range h.buckets {
-		w.U64(b)
-	}
-	return w.Err()
-}
-
-// RestoreState implements ckpt.Checkpointable.
-func (h *Histogram) RestoreState(r *ckpt.Reader) error {
-	r.Section("obs.hist")
-	h.n = r.U64()
-	h.sum = r.U64()
-	h.min = r.U64()
-	h.max = r.U64()
+// Checkpoint implements ckpt.Checkpointable.
+func (h *Histogram) Checkpoint(s *ckpt.Stream) error {
+	s.Section("obs.hist")
+	s.U64(&h.n)
+	s.U64(&h.sum)
+	s.U64(&h.min)
+	s.U64(&h.max)
 	for i := range h.buckets {
-		h.buckets[i] = r.U64()
+		s.U64(&h.buckets[i])
 	}
-	return r.Err()
+	return s.Err()
 }

@@ -140,66 +140,51 @@ func (p *LatencyProfile) Register(r *stats.Registry) {
 	}
 }
 
-// SaveState implements ckpt.Checkpointable. Taps are written in attach
-// order; in-flight stamps are written sorted by packet ID so the stream is
-// deterministic regardless of map iteration order.
-func (p *LatencyProfile) SaveState(w *ckpt.Writer) error {
-	w.Section("obs.latency")
-	w.Int(len(p.taps))
-	for _, t := range p.taps {
-		w.String(t.name)
-		if err := t.hist.SaveState(w); err != nil {
-			return err
-		}
-		ids := make([]uint64, 0, len(t.inflight))
-		for id := range t.inflight {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		w.Int(len(ids))
-		for _, id := range ids {
-			rec := t.inflight[id]
-			w.U64(id)
-			w.U64(uint64(rec.start))
-			w.Int(int(rec.cmd))
-			w.U64(rec.addr)
-		}
+// Checkpoint implements ckpt.Checkpointable. Taps are saved in attach
+// order; in-flight stamps are saved sorted by packet ID so the stream is
+// deterministic regardless of map iteration order. A restore needs the
+// profile attached with the same tap topology as at save time.
+func (p *LatencyProfile) Checkpoint(s *ckpt.Stream) error {
+	s.Section("obs.latency")
+	n := len(p.taps)
+	s.Int(&n)
+	if s.Err() == nil && n != len(p.taps) {
+		s.Fail(errTapCount(n, len(p.taps)))
+		return s.Err()
 	}
-	return w.Err()
-}
-
-// RestoreState implements ckpt.Checkpointable. The profile must have been
-// attached with the same tap topology as at save time.
-func (p *LatencyProfile) RestoreState(r *ckpt.Reader) error {
-	r.Section("obs.latency")
-	n := r.Int()
-	if r.Err() == nil && n != len(p.taps) {
-		r.Fail(errTapCount(n, len(p.taps)))
-		return r.Err()
+	type stamp struct {
+		id  uint64
+		rec inflightRec
 	}
 	for _, t := range p.taps {
-		name := r.String()
-		if r.Err() == nil && name != t.name {
-			r.Fail(errTapName(name, t.name))
-			return r.Err()
+		name := t.name
+		s.String(&name)
+		if s.Err() == nil && name != t.name {
+			s.Fail(errTapName(name, t.name))
+			return s.Err()
 		}
-		if err := t.hist.RestoreState(r); err != nil {
+		if err := t.hist.Checkpoint(s); err != nil {
 			return err
 		}
-		m := r.Len()
-		t.inflight = make(map[uint64]inflightRec) // m is the stream's word: no size hint
-		for i := 0; i < m; i++ {
-			id := r.U64()
-			rec := inflightRec{
-				start: sim.Tick(r.U64()),
-				cmd:   port.Cmd(r.Int()),
-				addr:  r.U64(),
+		var stamps []stamp
+		if !s.Restoring() {
+			for id, rec := range t.inflight {
+				stamps = append(stamps, stamp{id, rec})
 			}
-			if r.Err() != nil {
-				break
+			sort.Slice(stamps, func(i, j int) bool { return stamps[i].id < stamps[j].id })
+		}
+		ckpt.Slice(s, &stamps, func(s *ckpt.Stream, st *stamp) {
+			s.U64(&st.id)
+			s.U64((*uint64)(&st.rec.start))
+			s.Int((*int)(&st.rec.cmd))
+			s.U64(&st.rec.addr)
+		})
+		if s.Restoring() {
+			t.inflight = make(map[uint64]inflightRec) // the stream's count: no size hint
+			for _, st := range stamps {
+				t.inflight[st.id] = st.rec
 			}
-			t.inflight[id] = rec
 		}
 	}
-	return r.Err()
+	return s.Err()
 }

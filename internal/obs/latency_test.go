@@ -1,10 +1,8 @@
 package obs
 
 import (
-	"bytes"
 	"testing"
 
-	"gem5rtl/internal/ckpt"
 	"gem5rtl/internal/conform"
 	"gem5rtl/internal/port"
 	"gem5rtl/internal/sim"
@@ -170,13 +168,13 @@ func TestLatencyProfileTopologyMismatch(t *testing.T) {
 	twoTaps := NewLatencyProfile(q)
 	twoTaps.Tap("a")
 	twoTaps.Tap("b")
-	if err := twoTaps.RestoreState(ckpt.NewReader(bytes.NewReader(snap))); err == nil {
+	if err := conform.Load(snap, twoTaps); err == nil {
 		t.Fatal("tap-count mismatch accepted")
 	}
 
 	renamed := NewLatencyProfile(q)
 	renamed.Tap("z")
-	if err := renamed.RestoreState(ckpt.NewReader(bytes.NewReader(snap))); err == nil {
+	if err := conform.Load(snap, renamed); err == nil {
 		t.Fatal("tap-name mismatch accepted")
 	}
 }

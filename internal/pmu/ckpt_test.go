@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"gem5rtl/internal/ckpt"
 	"gem5rtl/internal/conform"
 	"gem5rtl/internal/rtlobject"
 )
@@ -69,7 +68,7 @@ func TestPMUCheckpointWrongCircuit(t *testing.T) {
 		t.Fatal(err)
 	}
 	other.Reset()
-	if err := other.RestoreState(ckpt.NewReader(bytes.NewReader(blob))); err == nil {
+	if err := conform.Load(blob, other); err == nil {
 		t.Fatal("cross-circuit restore not refused")
 	}
 }

@@ -46,7 +46,7 @@ func pmuRunDigest() (uint64, error) {
 	}
 	h := fnv.New64a()
 	w := ckpt.NewWriter(h)
-	if err := s.PMUWrapper.SaveState(w); err != nil {
+	if err := s.PMUWrapper.Checkpoint(ckpt.Saving(w)); err != nil {
 		return 0, err
 	}
 	if err := w.Flush(); err != nil {

@@ -261,16 +261,17 @@ func TestCheckedRestoreAdoptsPreCheckpointTraffic(t *testing.T) {
 	// retry flags.
 	var buf bytes.Buffer
 	w := ckpt.NewWriter(&buf)
-	SavePacket(w, NewReadPacket(0x400, 64))
-	if err := (&ResponsePort{}).SaveState(w); err != nil {
+	old := NewReadPacket(0x400, 64)
+	CheckpointPacket(ckpt.Saving(w), &old)
+	if err := (&ResponsePort{}).Checkpoint(ckpt.Saving(w)); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	r := ckpt.NewReader(&buf)
-	old := LoadPacket(r)
-	if err := resp.RestoreState(r); err != nil {
+	r := ckpt.Restoring(ckpt.NewReader(&buf))
+	CheckpointPacket(r, &old)
+	if err := resp.Checkpoint(r); err != nil {
 		t.Fatal(err)
 	}
 

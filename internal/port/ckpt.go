@@ -1,94 +1,48 @@
 package port
 
 import (
-	"fmt"
 	"sort"
 
 	"gem5rtl/internal/ckpt"
 	"gem5rtl/internal/sim"
 )
 
-// SavePacket serialises one packet, including its sender-state stack. Each
-// stack entry is either a bare uint64 (request IDs pushed by the RTLObject
-// bridge, tagged ckpt.RawU64SenderState) or a registered ckpt.SenderState
-// implementation; anything else fails the save — extending the closed set of
-// sender-state types requires teaching it to checkpoint itself.
-func SavePacket(w *ckpt.Writer, p *Packet) {
-	w.U64(p.ID)
-	w.I64(int64(p.Cmd))
-	w.U64(p.Addr)
-	w.Int(p.Size)
-	w.Bytes(p.Data)
-	w.U64(uint64(p.ReqTick))
-	w.Int(p.RequestorID)
-	w.Int(len(p.senderState))
-	for _, s := range p.senderState {
-		switch v := s.(type) {
-		case uint64:
-			w.U8(ckpt.RawU64SenderState)
-			w.U64(v)
-		case ckpt.SenderState:
-			w.U8(v.SenderStateKind())
-			v.EncodeSenderState(w)
-		default:
-			w.Fail(fmt.Errorf("port: packet %d carries non-checkpointable sender state %T", p.ID, s))
-			return
-		}
+// CheckpointPacket saves or restores one packet, including its sender-state
+// stack (ckpt.Stream.SenderState). Restored packets are distinct host
+// objects with the original IDs; no component compares packet pointers
+// across the save boundary, so identity is carried entirely by the ID and
+// the sender-state stack.
+func CheckpointPacket(s *ckpt.Stream, pp **Packet) {
+	if s.Restoring() {
+		// A restored packet is pre-checkpoint traffic by definition: its
+		// remaining handshakes (a response to a request the fresh checker
+		// never saw) are adopted, not flagged.
+		*pp = &Packet{restored: true}
 	}
+	p := *pp
+	s.U64(&p.ID)
+	s.Int((*int)(&p.Cmd))
+	s.U64(&p.Addr)
+	s.Int(&p.Size)
+	s.Bytes(&p.Data)
+	s.U64((*uint64)(&p.ReqTick))
+	s.Int(&p.RequestorID)
+	ckpt.Slice(s, &p.senderState, (*ckpt.Stream).SenderState)
 }
 
-// LoadPacket reconstructs a packet written by SavePacket. Restored packets
-// are distinct host objects with the original IDs; no component compares
-// packet pointers across the save boundary, so identity is carried entirely
-// by the ID and the sender-state stack.
-func LoadPacket(r *ckpt.Reader) *Packet {
-	// A restored packet is pre-checkpoint traffic by definition: its
-	// remaining handshakes (a response to a request the fresh checker never
-	// saw) are adopted, not flagged.
-	p := &Packet{restored: true}
-	p.ID = r.U64()
-	p.Cmd = Cmd(r.I64())
-	p.Addr = r.U64()
-	p.Size = r.Int()
-	p.Data = r.Bytes()
-	p.ReqTick = sim.Tick(r.U64())
-	p.RequestorID = r.Int()
-	n := r.Len()
-	for i := 0; i < n; i++ {
-		kind := r.U8()
-		if r.Err() != nil {
-			return p
-		}
-		if kind == ckpt.RawU64SenderState {
-			p.senderState = append(p.senderState, r.U64())
-			continue
-		}
-		p.senderState = append(p.senderState, ckpt.DecodeSenderState(kind, r))
-	}
-	return p
-}
-
-// SaveState captures a response port's retry bookkeeping. The flags live on
-// the link's response side for both directions, so responders save their
-// ports as part of their own state.
-func (p *ResponsePort) SaveState(w *ckpt.Writer) error {
-	w.Section("port.resp")
-	w.Bool(p.needReqRetry)
-	w.Bool(p.needRespRetry)
-	return w.Err()
-}
-
-// RestoreState reinstates the retry flags. A retry they fire answers a
-// refusal made before the checkpoint, so the link's checker, if any, is told
-// to adopt one it has no record of.
-func (p *ResponsePort) RestoreState(r *ckpt.Reader) error {
-	r.Section("port.resp")
-	p.needReqRetry = r.Bool()
-	p.needRespRetry = r.Bool()
-	if p.checker != nil {
+// Checkpoint saves or restores a response port's retry bookkeeping. The
+// flags live on the link's response side for both directions, so responders
+// checkpoint their ports as part of their own state. A retry restored flags
+// fire answers a refusal made before the checkpoint, so the link's checker,
+// if any, is told to adopt one it has no record of.
+func (p *ResponsePort) Checkpoint(s *ckpt.Stream) error {
+	s.Section("port.resp")
+	s.Bool(&p.needReqRetry)
+	s.Bool(&p.needRespRetry)
+	if s.Restoring() && p.checker != nil {
 		p.checker.restored = true
 	}
-	return r.Err()
+	return s.Err()
 }
 
 // canonicalStampSeqs maps each entry's stamp Seq — a raw dispatch sequence
@@ -124,88 +78,65 @@ func canonicalStampSeqs(entries []queuedPkt) []uint64 {
 	return ord
 }
 
-// saveQueuedPkts serialises a pending slice: packets, arrival ticks and
-// sender stamps (with canonicalised stamp ordinals).
-func saveQueuedPkts(w *ckpt.Writer, entries []queuedPkt) {
-	w.Int(len(entries))
-	ord := canonicalStampSeqs(entries)
-	for i := range entries {
-		qp := &entries[i]
-		SavePacket(w, qp.pkt)
-		w.U64(uint64(qp.when))
-		w.U64(uint64(qp.stamp.When))
-		w.I64(int64(qp.stamp.Prio))
-		w.U64(qp.stamp.Rank)
-		w.U64(ord[i])
-	}
-}
-
-// loadQueuedPkts reads a pending slice written by saveQueuedPkts, appending
-// onto dst.
-func loadQueuedPkts(r *ckpt.Reader, dst []queuedPkt) []queuedPkt {
-	n := r.Len()
-	for i := 0; i < n && r.Err() == nil; i++ {
-		pkt := LoadPacket(r)
-		when := sim.Tick(r.U64())
-		stamp := sim.Stamp{
-			When: sim.Tick(r.U64()),
-			Prio: int32(r.I64()),
-			Rank: r.U64(),
-			Seq:  r.U64(),
+// checkpointQueued saves or restores a pending slice: packets, arrival ticks
+// and sender stamps. A save writes a copy whose stamp Seqs are the canonical
+// ordinals, leaving the queue's own entries as they are.
+func checkpointQueued(s *ckpt.Stream, ents *[]queuedPkt) {
+	if !s.Restoring() {
+		canon := append([]queuedPkt(nil), *ents...)
+		for i, o := range canonicalStampSeqs(canon) {
+			canon[i].stamp.Seq = o
 		}
-		dst = append(dst, queuedPkt{pkt: pkt, when: when, stamp: stamp})
+		ents = &canon
 	}
-	return dst
+	ckpt.Slice(s, ents, func(s *ckpt.Stream, qp *queuedPkt) {
+		CheckpointPacket(s, &qp.pkt)
+		s.U64((*uint64)(&qp.when))
+		s.U64((*uint64)(&qp.stamp.When))
+		prio := int64(qp.stamp.Prio)
+		s.I64(&prio)
+		qp.stamp.Prio = int32(prio)
+		s.U64(&qp.stamp.Rank)
+		s.U64(&qp.stamp.Seq)
+	})
 }
 
-// SaveState captures the queued responses, the blocked flag and the drain
-// event of a RespQueue.
-func (rq *RespQueue) SaveState(w *ckpt.Writer) error {
-	w.Section("port.respq")
-	w.Bool(rq.blocked)
-	sim.SaveEvent(w, rq.ev)
-	saveQueuedPkts(w, rq.pending.ents[rq.pending.head:])
-	return w.Err()
-}
-
-// RestoreState reinstates the queue contents and re-materialises the drain
-// event.
-func (rq *RespQueue) RestoreState(r *ckpt.Reader) error {
-	r.Section("port.respq")
-	rq.blocked = r.Bool()
-	rq.q.RestoreEvent(r, rq.ev)
-	rq.restore(loadQueuedPkts(r, rq.pending.ents[:0]))
-	return r.Err()
-}
-
-// SaveState captures the queued requests, the blocked flag and the drain
-// event of a ReqQueue. Parked packets are written in their place in queue
-// order, so the bytes do not say which packets had been refused.
-func (rq *ReqQueue) SaveState(w *ckpt.Writer) error {
-	w.Section("port.reqq")
-	w.Bool(rq.blocked)
-	sim.SaveEvent(w, rq.ev)
+// Checkpoint saves or restores the queued responses, the blocked flag and
+// the drain event of a RespQueue.
+func (rq *RespQueue) Checkpoint(s *ckpt.Stream) error {
+	s.Section("port.respq")
+	s.Bool(&rq.blocked)
+	rq.q.CheckpointEvent(s, rq.ev)
 	ents := rq.pending.ents[rq.pending.head:]
-	if rq.parked > 0 {
+	checkpointQueued(s, &ents)
+	if s.Restoring() {
+		rq.restore(ents)
+	}
+	return s.Err()
+}
+
+// Checkpoint saves or restores the queued requests, the blocked flag and the
+// drain event of a ReqQueue. Parked packets are saved in their place in
+// queue order, so the bytes do not say which packets had been refused.
+// Nothing is restored as parked: the first walk of a blocked queue offers
+// (and re-parks) what the saved queue had refused, which the peer's
+// admission promise makes indistinguishable from having kept it parked.
+func (rq *ReqQueue) Checkpoint(s *ckpt.Stream) error {
+	s.Section("port.reqq")
+	s.Bool(&rq.blocked)
+	rq.q.CheckpointEvent(s, rq.ev)
+	ents := rq.pending.ents[rq.pending.head:]
+	if rq.parked > 0 && !s.Restoring() {
 		ents = append([]queuedPkt(nil), ents...)
 		for i := range rq.lanes {
 			ents = append(ents, rq.lanes[i].ents[rq.lanes[i].head:]...)
 		}
 		sort.Slice(ents, func(a, b int) bool { return ents[a].before(&ents[b]) })
 	}
-	saveQueuedPkts(w, ents)
-	return w.Err()
-}
-
-// RestoreState reinstates the queue contents and re-materialises the drain
-// event. Nothing is restored as parked: the first walk of a blocked queue
-// offers (and re-parks) what the saved queue had refused, which the peer's
-// admission promise makes indistinguishable from having kept it parked.
-func (rq *ReqQueue) RestoreState(r *ckpt.Reader) error {
-	r.Section("port.reqq")
-	rq.blocked = r.Bool()
-	rq.q.RestoreEvent(r, rq.ev)
-	rq.restore(loadQueuedPkts(r, rq.pending.ents[:0]))
-	rq.lanes, rq.parked = nil, 0
-	return r.Err()
+	checkpointQueued(s, &ents)
+	if s.Restoring() {
+		rq.restore(ents)
+		rq.lanes, rq.parked = nil, 0
+	}
+	return s.Err()
 }

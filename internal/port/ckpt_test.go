@@ -20,13 +20,14 @@ func TestPacketRoundTrip(t *testing.T) {
 
 	var buf bytes.Buffer
 	w := ckpt.NewWriter(&buf)
-	SavePacket(w, p)
+	CheckpointPacket(ckpt.Saving(w), &p)
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
 
-	r := ckpt.NewReader(&buf)
-	got := LoadPacket(r)
+	var got *Packet
+	r := ckpt.Restoring(ckpt.NewReader(&buf))
+	CheckpointPacket(r, &got)
 	if err := r.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -45,11 +46,11 @@ func TestPacketRoundTrip(t *testing.T) {
 	q := NewReadPacket(0x2000, 64)
 	buf.Reset()
 	w = ckpt.NewWriter(&buf)
-	SavePacket(w, q)
+	CheckpointPacket(ckpt.Saving(w), &q)
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	got = LoadPacket(ckpt.NewReader(&buf))
+	CheckpointPacket(ckpt.Restoring(ckpt.NewReader(&buf)), &got)
 	if got.Data != nil {
 		t.Errorf("nil data became %v", got.Data)
 	}
@@ -59,7 +60,7 @@ func TestPacketUnknownSenderStateFails(t *testing.T) {
 	p := NewReadPacket(0, 64)
 	p.PushSenderState(struct{ x int }{1})
 	w := ckpt.NewWriter(&bytes.Buffer{})
-	SavePacket(w, p)
+	CheckpointPacket(ckpt.Saving(w), &p)
 	if w.Err() == nil {
 		t.Fatal("expected save failure for unregistered sender state")
 	}

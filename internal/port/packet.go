@@ -16,6 +16,7 @@ package port
 import (
 	"sync/atomic"
 
+	"gem5rtl/internal/ckpt"
 	"gem5rtl/internal/sim"
 )
 
@@ -105,9 +106,9 @@ type Packet struct {
 	// returns there when holders drops to zero.
 	slot    *pooledPacket
 	holders int32
-	// restored marks a packet loaded from a checkpoint (LoadPacket): traffic
-	// the checkpointed run started, which a checker that never saw its
-	// request adopts instead of flagging.
+	// restored marks a packet restored from a checkpoint
+	// (CheckpointPacket): traffic the checkpointed run started, which a
+	// checker that never saw its request adopts instead of flagging.
 	restored bool
 }
 
@@ -127,9 +128,9 @@ type pooledPacket struct {
 // slabs. It is checkpoint-safe: Get mints a fresh ID from the space the pool
 // was given — its own counter under a SetIDSpace tag, or the system's
 // space-0 counter after ShareIDs — so a system's ID sequence depends only on
-// its own run, and restored packets (LoadPacket) are simply unpooled. A pool
-// given neither counts in space 0 on its own, which suits a rig with a
-// single minter.
+// its own run, and restored packets (CheckpointPacket) are simply unpooled.
+// A pool given neither counts in space 0 on its own, which suits a rig with
+// a single minter.
 //
 // Pooled packets own their Data buffer: the capacity survives recycling, and
 // AllocateData zero-fills reused capacity so observable contents match a
@@ -144,8 +145,8 @@ type PacketPool struct {
 	// allocator's ID sequence depends only on its own allocation order — not
 	// on what any other component allocates in between — so a device's
 	// packet IDs are the same in every run of the same system. The counter
-	// is component state: owners persist it via SaveCounter/RestoreCounter
-	// in their own checkpoints.
+	// is component state: owners persist it via CheckpointCounter in their
+	// own checkpoints.
 	space uint64
 	ctr   uint64
 	// q, when set (ShareIDs), supplies space-0 IDs from the system's one
@@ -188,12 +189,9 @@ func (pl *PacketPool) mintID() uint64 {
 	return pl.space<<IDSpaceShift | pl.ctr
 }
 
-// SaveCounter saves the namespaced-ID counter into an owner's checkpoint
-// section.
-func (pl *PacketPool) SaveCounter() uint64 { return pl.ctr }
-
-// RestoreCounter reinstates a counter saved by SaveCounter.
-func (pl *PacketPool) RestoreCounter(v uint64) { pl.ctr = v }
+// CheckpointCounter saves or restores the namespaced-ID counter in an
+// owner's checkpoint section.
+func (pl *PacketPool) CheckpointCounter(s *ckpt.Stream) { s.U64(&pl.ctr) }
 
 // Get returns a packet with a fresh ID and one holder, the caller, who owns
 // it until delivery transfers it (see Packet). The packet's Data is empty
@@ -226,7 +224,7 @@ func (pl *PacketPool) GetRead(addr uint64, size int) *Packet {
 
 // Release gives up the caller's hold on a pooled packet; the last holder's
 // Release returns it to its pool. It is a no-op for packets not obtained
-// from a PacketPool (NewPacket, LoadPacket), so holders can call it
+// from a PacketPool (NewPacket, CheckpointPacket), so holders can call it
 // unconditionally. The caller must not reference the packet afterwards: once
 // it is back in the pool, its ID, command and payload are reused by a future
 // Get. Releasing more often than the packet was held panics — that always

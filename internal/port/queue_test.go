@@ -92,20 +92,12 @@ func (rq *refReqQueue) RecvReqRetry() {
 	rq.drain()
 }
 
-func (rq *refReqQueue) SaveState(w *ckpt.Writer) error {
-	w.Section("port.reqq")
-	w.Bool(rq.blocked)
-	sim.SaveEvent(w, rq.ev)
-	saveQueuedPkts(w, rq.pending)
-	return w.Err()
-}
-
-func (rq *refReqQueue) RestoreState(r *ckpt.Reader) error {
-	r.Section("port.reqq")
-	rq.blocked = r.Bool()
-	rq.q.RestoreEvent(r, rq.ev)
-	rq.pending = loadQueuedPkts(r, rq.pending[:0])
-	return r.Err()
+func (rq *refReqQueue) Checkpoint(s *ckpt.Stream) error {
+	s.Section("port.reqq")
+	s.Bool(&rq.blocked)
+	rq.q.CheckpointEvent(s, rq.ev)
+	checkpointQueued(s, &rq.pending)
+	return s.Err()
 }
 
 func (rq *ReqQueue) isBlocked() bool { return rq.blocked }
@@ -117,8 +109,7 @@ type reqQueue interface {
 	RecvReqRetry()
 	Len() int
 	isBlocked() bool
-	SaveState(*ckpt.Writer) error
-	RestoreState(*ckpt.Reader) error
+	Checkpoint(*ckpt.Stream) error
 }
 
 // classResponder is the model responder: class c (the packet's address) holds

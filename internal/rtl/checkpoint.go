@@ -1,10 +1,11 @@
 package rtl
 
 import (
-	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"io"
+
+	"gem5rtl/internal/ckpt"
 )
 
 // Checkpointing serialises a model's architectural state (cycle counter,
@@ -29,65 +30,46 @@ func (c *Circuit) fingerprint() uint64 {
 	return h.Sum64()
 }
 
-// SaveCheckpoint writes the model state to w.
-func (m *Model) SaveCheckpoint(w io.Writer) error {
-	hdr := []uint64{
-		ckptMagic,
-		m.c.fingerprint(),
-		m.cycle,
-		uint64(len(m.vals)),
-		uint64(len(m.mems)),
-	}
-	for _, v := range hdr {
-		if err := binary.Write(w, binary.LittleEndian, v); err != nil {
-			return fmt.Errorf("rtl: checkpoint write: %w", err)
+// Checkpoint saves or restores the model state: a header (magic, circuit
+// fingerprint, cycle, signal and memory counts), the signal values, then
+// each memory's depth and words. A restore fails unless the checkpoint was
+// taken from a structurally identical circuit. gem5rtl rtlsim writes the
+// stream bare to a file; a wrapper writes it inside its own section.
+func (m *Model) Checkpoint(s *ckpt.Stream) error {
+	magic, fp, cycle := uint64(ckptMagic), m.c.fingerprint(), m.cycle
+	nv, nm := uint64(len(m.vals)), uint64(len(m.mems))
+	s.U64(&magic)
+	s.U64(&fp)
+	s.U64(&cycle)
+	s.U64(&nv)
+	s.U64(&nm)
+	if s.Restoring() && s.Err() == nil {
+		switch {
+		case magic != ckptMagic:
+			s.Fail(fmt.Errorf("rtl: not a gem5rtl checkpoint (magic %#x)", magic))
+		case fp != m.c.fingerprint():
+			s.Fail(fmt.Errorf("rtl: checkpoint is for a different circuit"))
+		case nv != uint64(len(m.vals)) || nm != uint64(len(m.mems)):
+			s.Fail(fmt.Errorf("rtl: checkpoint shape mismatch"))
+		default:
+			m.cycle = cycle
 		}
 	}
-	if err := binary.Write(w, binary.LittleEndian, m.vals); err != nil {
-		return fmt.Errorf("rtl: checkpoint write signals: %w", err)
+	for i := range m.vals {
+		s.U64(&m.vals[i])
 	}
 	for i, words := range m.mems {
-		if err := binary.Write(w, binary.LittleEndian, uint64(len(words))); err != nil {
-			return fmt.Errorf("rtl: checkpoint write mem %d: %w", i, err)
+		depth := uint64(len(words))
+		s.U64(&depth)
+		if s.Err() == nil && depth != uint64(len(words)) {
+			s.Fail(fmt.Errorf("rtl: checkpoint mem %d depth mismatch", i))
 		}
-		if err := binary.Write(w, binary.LittleEndian, words); err != nil {
-			return fmt.Errorf("rtl: checkpoint write mem %d: %w", i, err)
+		for j := range words {
+			s.U64(&words[j])
 		}
 	}
-	return nil
-}
-
-// RestoreCheckpoint reads model state previously written by SaveCheckpoint.
-// It fails if the checkpoint was taken from a structurally different circuit.
-func (m *Model) RestoreCheckpoint(r io.Reader) error {
-	var hdr [5]uint64
-	if err := binary.Read(r, binary.LittleEndian, hdr[:]); err != nil {
-		return fmt.Errorf("rtl: checkpoint read: %w", err)
-	}
-	if hdr[0] != ckptMagic {
-		return fmt.Errorf("rtl: not a gem5rtl checkpoint (magic %#x)", hdr[0])
-	}
-	if hdr[1] != m.c.fingerprint() {
-		return fmt.Errorf("rtl: checkpoint is for a different circuit")
-	}
-	if hdr[3] != uint64(len(m.vals)) || hdr[4] != uint64(len(m.mems)) {
-		return fmt.Errorf("rtl: checkpoint shape mismatch")
-	}
-	m.cycle = hdr[2]
-	if err := binary.Read(r, binary.LittleEndian, m.vals); err != nil {
-		return fmt.Errorf("rtl: checkpoint read signals: %w", err)
-	}
-	for i := range m.mems {
-		var n uint64
-		if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-			return fmt.Errorf("rtl: checkpoint read mem %d: %w", i, err)
-		}
-		if n != uint64(len(m.mems[i])) {
-			return fmt.Errorf("rtl: checkpoint mem %d depth mismatch", i)
-		}
-		if err := binary.Read(r, binary.LittleEndian, m.mems[i]); err != nil {
-			return fmt.Errorf("rtl: checkpoint read mem %d: %w", i, err)
-		}
+	if !s.Restoring() || s.Err() != nil {
+		return s.Err()
 	}
 	m.backend.Invalidate()
 	m.Eval()

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"gem5rtl/internal/conform"
 )
 
 // buildCounter returns an 8-bit counter with enable and synchronous clear.
@@ -504,15 +506,12 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	for i := 0; i < 37; i++ {
 		m.Tick()
 	}
-	var buf bytes.Buffer
-	if err := m.SaveCheckpoint(&buf); err != nil {
-		t.Fatal(err)
-	}
+	buf := conform.Save(t, m)
 	// Run further, then restore.
 	for i := 0; i < 10; i++ {
 		m.Tick()
 	}
-	if err := m.RestoreCheckpoint(bytes.NewReader(buf.Bytes())); err != nil {
+	if err := conform.Load(buf, m); err != nil {
 		t.Fatal(err)
 	}
 	if m.Peek("q") != 37 || m.Cycle() != 37 {
@@ -526,17 +525,14 @@ func TestCheckpointRoundTrip(t *testing.T) {
 
 func TestCheckpointWrongCircuit(t *testing.T) {
 	m1 := buildCounter(t)
-	var buf bytes.Buffer
-	if err := m1.SaveCheckpoint(&buf); err != nil {
-		t.Fatal(err)
-	}
+	buf := conform.Save(t, m1)
 	b := NewBuilder("other")
 	r := b.Reg("r", 8, 0)
 	o := b.Output("o", 8)
 	b.Assign(o, b.Ref(r))
 	b.Seq(r, b.Ref(r))
 	m2 := MustCompile(mustBuild(t, b))
-	if err := m2.RestoreCheckpoint(bytes.NewReader(buf.Bytes())); err == nil {
+	if err := conform.Load(buf, m2); err == nil {
 		t.Fatal("restore into different circuit succeeded")
 	}
 }
@@ -556,15 +552,12 @@ func TestCheckpointMemContents(t *testing.T) {
 	m.SetInput("wa", 7)
 	m.SetInput("wd", 1234)
 	m.Tick()
-	var buf bytes.Buffer
-	if err := m.SaveCheckpoint(&buf); err != nil {
-		t.Fatal(err)
-	}
+	buf := conform.Save(t, m)
 	m.Reset()
 	if m.PeekMem(mem, 7) != 0 {
 		t.Fatal("reset did not clear mem")
 	}
-	if err := m.RestoreCheckpoint(bytes.NewReader(buf.Bytes())); err != nil {
+	if err := conform.Load(buf, m); err != nil {
 		t.Fatal(err)
 	}
 	if m.PeekMem(mem, 7) != 1234 {

@@ -5,6 +5,8 @@ import (
 	"io"
 	"strings"
 	"testing"
+
+	"gem5rtl/internal/conform"
 )
 
 // TestVCDResyncAfterRestore checks that restoring a checkpoint into a model
@@ -18,10 +20,7 @@ func TestVCDResyncAfterRestore(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		a.Tick()
 	}
-	var snap bytes.Buffer
-	if err := a.SaveCheckpoint(&snap); err != nil {
-		t.Fatal(err)
-	}
+	snap := conform.Save(t, a)
 	if err := av.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +29,7 @@ func TestVCDResyncAfterRestore(t *testing.T) {
 	b := buildCounter(t)
 	var bOut bytes.Buffer
 	bv := b.AttachVCD(&bOut, 1)
-	if err := b.RestoreCheckpoint(bytes.NewReader(snap.Bytes())); err != nil {
+	if err := conform.Load(snap, b); err != nil {
 		t.Fatal(err)
 	}
 	if err := bv.Flush(); err != nil {

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"gem5rtl/internal/conform"
 	"gem5rtl/internal/pmu"
 	"gem5rtl/internal/rtl"
 	"gem5rtl/internal/rtlc"
@@ -332,15 +333,12 @@ func TestCrossEngineCheckpoint(t *testing.T) {
 			}
 			rng := rand.New(rand.NewSource(7))
 			run(src, rng, 0, 40)
-			var buf bytes.Buffer
-			if err := src.SaveCheckpoint(&buf); err != nil {
-				t.Fatal(err)
-			}
+			buf := conform.Save(t, src)
 			dst, err := dir.load(c)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := dst.RestoreCheckpoint(bytes.NewReader(buf.Bytes())); err != nil {
+			if err := conform.Load(buf, dst); err != nil {
 				t.Fatalf("cross-engine restore: %v", err)
 			}
 			compareState(t, c, src, dst, "restore")

@@ -34,20 +34,12 @@ func (w *ckptWrapper) Tick(in *Input) *Output {
 	return out
 }
 
-func (w *ckptWrapper) SaveState(cw *ckpt.Writer) error {
-	cw.Section("ckptw")
-	cw.Int(w.issued)
-	cw.Int(w.retired)
-	cw.Int(w.total)
-	return cw.Err()
-}
-
-func (w *ckptWrapper) RestoreState(r *ckpt.Reader) error {
-	r.Section("ckptw")
-	w.issued = r.Len()
-	w.retired = r.Len()
-	w.total = r.Len()
-	return r.Err()
+func (w *ckptWrapper) Checkpoint(cs *ckpt.Stream) error {
+	cs.Section("ckptw")
+	cs.Len(&w.issued)
+	cs.Len(&w.retired)
+	cs.Len(&w.total)
+	return cs.Err()
 }
 
 type ckptRig struct {
@@ -113,8 +105,7 @@ func TestRTLObjectWrapperMustCheckpoint(t *testing.T) {
 	q := sim.NewEventQueue()
 	core := sim.NewClockDomain("cpu", q, 2_000_000_000)
 	obj := New(Config{Name: "obj"}, core, mem.NewStorage(), &echoWrapper{})
-	var buf bytes.Buffer
-	if err := obj.SaveState(ckpt.NewWriter(&buf)); err == nil {
+	if err := obj.Checkpoint(ckpt.Saving(ckpt.NewWriter(&bytes.Buffer{}))); err == nil {
 		t.Fatal("non-checkpointable wrapper accepted")
 	}
 }

@@ -208,29 +208,19 @@ func (m *napModel) Advance(n uint64, held []MemResponse) {
 	m.c.Cycles += n
 }
 
-func (m *napModel) SaveState(w *ckpt.Writer) error {
-	w.Section("nap")
-	for _, v := range []int{m.pc, m.reads, m.writes, m.computeLeft, m.readsOut + 1<<20, m.writesOut + 1<<20} {
-		w.Int(v)
+func (m *napModel) Checkpoint(s *ckpt.Stream) error {
+	s.Section("nap")
+	readsOut, writesOut := m.readsOut+1<<20, m.writesOut+1<<20
+	for _, p := range []*int{&m.pc, &m.reads, &m.writes, &m.computeLeft, &readsOut, &writesOut} {
+		s.Len(p)
 	}
-	w.U64(m.nextID)
-	w.Bool(m.irq)
-	for _, v := range []uint64{m.c.Cycles, m.c.Active, m.c.Busy, m.c.Stall, m.c.Idle, m.c.Digest} {
-		w.U64(v)
-	}
-	return w.Err()
-}
-
-func (m *napModel) RestoreState(r *ckpt.Reader) error {
-	r.Section("nap")
-	m.pc, m.reads, m.writes, m.computeLeft = r.Len(), r.Len(), r.Len(), r.Len()
-	m.readsOut, m.writesOut = r.Len()-1<<20, r.Len()-1<<20
-	m.nextID = r.U64()
-	m.irq = r.Bool()
+	m.readsOut, m.writesOut = readsOut-1<<20, writesOut-1<<20
+	s.U64(&m.nextID)
+	s.Bool(&m.irq)
 	for _, p := range []*uint64{&m.c.Cycles, &m.c.Active, &m.c.Busy, &m.c.Stall, &m.c.Idle, &m.c.Digest} {
-		*p = r.U64()
+		s.U64(p)
 	}
-	return r.Err()
+	return s.Err()
 }
 
 // scriptMem answers every request after a latency drawn from its own seeded
@@ -316,29 +306,16 @@ func (m *scriptMem) drain() {
 
 func (m *scriptMem) RecvRespRetry() {}
 
-func (m *scriptMem) SaveState(w *ckpt.Writer) error {
-	w.Section("scriptmem")
-	m.rng.SaveState(w)
-	sim.SaveEvent(w, m.drainEv)
-	sim.SaveEvent(w, m.retryEv)
-	w.Int(len(m.due))
-	for _, e := range m.due {
-		w.U64(uint64(e.when))
-		port.SavePacket(w, e.pkt)
-	}
-	return m.p.SaveState(w)
-}
-
-func (m *scriptMem) RestoreState(r *ckpt.Reader) error {
-	r.Section("scriptmem")
-	m.rng.RestoreState(r)
-	m.q.RestoreEvent(r, m.drainEv)
-	m.q.RestoreEvent(r, m.retryEv)
-	m.due = nil
-	for n := r.Len(); n > 0 && r.Err() == nil; n-- {
-		m.due = append(m.due, scriptResp{sim.Tick(r.U64()), port.LoadPacket(r)})
-	}
-	return m.p.RestoreState(r)
+func (m *scriptMem) Checkpoint(s *ckpt.Stream) error {
+	s.Section("scriptmem")
+	m.rng.Checkpoint(s)
+	m.q.CheckpointEvent(s, m.drainEv)
+	m.q.CheckpointEvent(s, m.retryEv)
+	ckpt.Slice(s, &m.due, func(s *ckpt.Stream, e *scriptResp) {
+		s.U64((*uint64)(&e.when))
+		port.CheckpointPacket(s, &e.pkt)
+	})
+	return m.p.Checkpoint(s)
 }
 
 // napHost is the SoC agent on the CPU-side port.

@@ -16,7 +16,8 @@ import (
 //   - Settle, when a run loop (Run, RunUntil) returns, so the statistics,
 //     dispatch count and back doors a caller reads next are the per-cycle
 //     machine's. A loop driven by Step settles nothing.
-//   - BeforeSave, at the start of SaveState before anything is written, which
+//   - BeforeSave, at the start of a saving Checkpoint before anything is
+//     written, which
 //     must also put the component's pending events where the per-cycle
 //     machine has them, so the stream is always that of that machine.
 type Settler interface {
@@ -24,8 +25,8 @@ type Settler interface {
 	BeforeSave()
 }
 
-// RegisterSettler adds c to the components the run loops settle and
-// SaveState wakes. The queue is the first thing any checkpoint writes, which
+// RegisterSettler adds c to the components the run loops settle and a
+// saving Checkpoint wakes. The queue is the first thing any checkpoint writes, which
 // makes its save the one place every rig passes through, whether it saves a
 // whole system or a queue and one component by hand.
 func (q *EventQueue) RegisterSettler(c Settler) {
@@ -47,25 +48,36 @@ func (q *EventQueue) eachSettler(fn func(Settler)) {
 // settle settles every registered Settler.
 func (q *EventQueue) settle() { q.eachSettler(Settler.Settle) }
 
-// SaveState serialises the queue as one "sim.eventq" section: clock,
+// Checkpoint saves or restores the queue as one "sim.eventq" section: clock,
 // canonical sequence space (canonicalizeSeqs), dispatch count and exit latch,
 // followed by the self-profiler's attribution table. Pending events are
 // deliberately not serialised here: events hold closures, which cannot cross
-// a process boundary. Instead every component saves the scheduling state of
-// the events it owns (SaveEvent) and re-materialises them during its own
-// RestoreState (RestoreEvent). Components registered with RegisterSettler
-// are woken first (BeforeSave).
-func (q *EventQueue) SaveState(w *ckpt.Writer) error {
-	q.eachSettler(Settler.BeforeSave)
-	n := q.canonicalizeSeqs()
-	w.Section("sim.eventq")
-	w.U64(uint64(q.now))
-	w.U64(CanonicalSeqBase + n)
-	w.U64(q.dispatched)
-	w.Bool(q.exitSet)
-	w.String(q.exitReason)
-	q.saveAttr(w)
-	return w.Err()
+// a process boundary. Instead every component checkpoints the scheduling
+// state of the events it owns (CheckpointEvent), which re-materialises them
+// on restore. A save wakes the components registered with RegisterSettler
+// first (BeforeSave).
+//
+// A restore must run on a pristine queue (freshly built system, nothing
+// started) and before any component restores: component reschedules
+// validate against the restored clock, and the restored sequence counter
+// guarantees that events scheduled after the restore order behind every
+// re-materialised one.
+func (q *EventQueue) Checkpoint(s *ckpt.Stream) error {
+	if !s.Restoring() {
+		q.eachSettler(Settler.BeforeSave)
+		q.canonicalizeSeqs()
+	} else if q.now != 0 || q.Pending() != 0 || q.dispatched != 0 {
+		return fmt.Errorf("sim: queue restore requires a pristine queue (now=%d, pending=%d, dispatched=%d)",
+			q.now, q.Pending(), q.dispatched)
+	}
+	s.Section("sim.eventq")
+	s.U64((*uint64)(&q.now))
+	s.U64(&q.seq)
+	s.U64(&q.dispatched)
+	s.Bool(&q.exitSet)
+	s.String(&q.exitReason)
+	q.checkpointAttr(s)
+	return s.Err()
 }
 
 // forEachPending visits every pending event (spill heap, then the occupied
@@ -99,33 +111,33 @@ func (q *EventQueue) pendingInOrder() []*Event {
 // (and every digest of it) of the same machine state is always the same
 // bytes. It preserves the relative order of the events, so it never perturbs
 // future dispatch order.
-func (q *EventQueue) canonicalizeSeqs() uint64 {
+func (q *EventQueue) canonicalizeSeqs() {
 	all := q.pendingInOrder()
 	for i, e := range all {
 		e.seq = uint64(i)
 	}
-	n := uint64(len(all))
 	// Future Schedule calls mint from CanonicalSeqBase+n: far above both the
 	// renumbered events and the per-port-queue stamp ordinals (port/ckpt.go),
 	// so anything scheduled after the save — in the saving run or in a
 	// restored one — orders behind everything that predates it. The saving
 	// run and a restored run mint identical sequences from here on, which
 	// keeps save-and-continue bit-identical to restore-and-continue.
-	q.seq = CanonicalSeqBase + n
-	return n
+	q.seq = CanonicalSeqBase + uint64(len(all))
 }
 
 // CanonicalSeqBase is the post-canonicalization floor of the event sequence
 // counter; see canonicalizeSeqs.
 const CanonicalSeqBase = uint64(1) << 32
 
-// saveAttr persists the self-profiler's exact per-owner event counts (host
-// times are machine-dependent and deliberately excluded), sorted by
-// (component, kind) — an encoding independent of OwnerID interning order.
-// With profiling off it writes an empty table.
-func (q *EventQueue) saveAttr(w *ckpt.Writer) {
+// checkpointAttr saves or restores the self-profiler's exact per-owner event
+// counts (host times are machine-dependent and deliberately excluded), saved
+// sorted by (component, kind) — an encoding independent of OwnerID interning
+// order. With profiling off a save writes an empty table. A restore folds
+// the counts into a profiler attached before it; otherwise AttachProfiler
+// picks them up, and a profiling-off run simply discards them.
+func (q *EventQueue) checkpointAttr(s *ckpt.Stream) {
 	var ids []int
-	if q.prof != nil {
+	if q.prof != nil && !s.Restoring() {
 		for id, c := range q.prof.counts {
 			if c != 0 {
 				ids = append(ids, id)
@@ -139,78 +151,54 @@ func (q *EventQueue) saveAttr(w *ckpt.Writer) {
 		}
 		return a.kind < b.kind
 	})
-	w.U32(uint32(len(ids)))
-	for _, id := range ids {
-		w.String(q.ownerKeys[id].component)
-		w.String(q.ownerKeys[id].kind)
-		w.U64(q.prof.counts[id])
-	}
-}
-
-// RestoreState loads the queue's clock and counters. It must run on a
-// pristine queue (freshly built system, nothing started) and before any
-// component restores: component reschedules validate against the restored
-// clock, and the restored sequence counter guarantees that events scheduled
-// after the restore order behind every re-materialised one.
-func (q *EventQueue) RestoreState(r *ckpt.Reader) error {
-	if q.now != 0 || q.Pending() != 0 || q.dispatched != 0 {
-		return fmt.Errorf("sim: queue restore requires a pristine queue (now=%d, pending=%d, dispatched=%d)",
-			q.now, q.Pending(), q.dispatched)
-	}
-	r.Section("sim.eventq")
-	q.now = Tick(r.U64())
-	q.seq = r.U64()
-	q.dispatched = r.U64()
-	q.exitSet = r.Bool()
-	q.exitReason = r.String()
-	n := r.U32()
-	if n > 0 {
+	n := uint32(len(ids))
+	s.U32(&n)
+	if s.Restoring() && n > 0 {
 		q.restoredAttr = make(map[ownerKey]uint64) // n is the stream's word: no size hint
-		for i := uint32(0); i < n && r.Err() == nil; i++ {
-			comp := r.String()
-			kind := r.String()
-			q.restoredAttr[ownerKey{comp, kind}] += r.U64()
+	}
+	for i := uint32(0); i < n && s.Err() == nil; i++ {
+		var k ownerKey
+		var c uint64
+		if !s.Restoring() {
+			k, c = q.ownerKeys[ids[i]], q.prof.counts[ids[i]]
 		}
-		// A profiler attached before the restore folds the counts in now;
-		// otherwise AttachProfiler picks them up, and a profiling-off run
-		// simply discards them.
-		if q.prof != nil {
-			q.applyRestoredAttr()
+		s.String(&k.component)
+		s.String(&k.kind)
+		s.U64(&c)
+		if s.Restoring() {
+			q.restoredAttr[k] += c
 		}
 	}
-	return r.Err()
-}
-
-// SaveEvent records the scheduling state of a component-owned event:
-// whether it is pending and, if so, its tick and sequence number.
-func SaveEvent(w *ckpt.Writer, e *Event) {
-	w.Bool(e.scheduled)
-	if e.scheduled {
-		w.U64(uint64(e.when))
-		w.U64(e.seq)
+	if s.Restoring() && n > 0 && q.prof != nil {
+		q.applyRestoredAttr()
 	}
 }
 
-// RestoreEvent re-schedules e from state captured by SaveEvent. The event
-// must belong to the restoring component (its closure is recreated by the
-// component's constructor; only the scheduling state travels through the
-// checkpoint). It keeps the saved sequence number instead of minting one, so
-// dispatch order does not depend on the order in which components
-// re-materialise their events, and bumps the queue's counter past it so
-// later Schedule calls cannot collide. A schedule no saved machine holds —
-// the event already pending, or due before the restored clock — comes from
-// a corrupt stream and fails r.
-func (q *EventQueue) RestoreEvent(r *ckpt.Reader, e *Event) {
-	if !r.Bool() {
+// CheckpointEvent saves or restores the scheduling state of a
+// component-owned event: whether it is pending and, if so, its tick and
+// sequence number. A restore re-schedules e; the event must belong to the
+// restoring component (its closure is recreated by the component's
+// constructor; only the scheduling state travels through the checkpoint).
+// It keeps the saved sequence number instead of minting one, so dispatch
+// order does not depend on the order in which components re-materialise
+// their events, and bumps the queue's counter past it so later Schedule
+// calls cannot collide. A schedule no saved machine holds — the event
+// already pending, or due before the restored clock — comes from a corrupt
+// stream and fails s.
+func (q *EventQueue) CheckpointEvent(s *ckpt.Stream, e *Event) {
+	pending, when, seq := e.scheduled, e.when, e.seq
+	s.Bool(&pending)
+	if !pending {
 		return
 	}
-	when, seq := Tick(r.U64()), r.U64()
+	s.U64((*uint64)(&when))
+	s.U64(&seq)
 	switch {
-	case r.Err() != nil:
+	case !s.Restoring() || s.Err() != nil:
 	case e.scheduled:
-		r.Fail(fmt.Errorf("sim: restoring already-scheduled event %q", e.name))
+		s.Fail(fmt.Errorf("sim: restoring already-scheduled event %q", e.name))
 	case when < q.now:
-		r.Fail(fmt.Errorf("sim: event %q restored at %d, before now %d", e.name, when, q.now))
+		s.Fail(fmt.Errorf("sim: event %q restored at %d, before now %d", e.name, when, q.now))
 	default:
 		e.seq = seq
 		q.insert(e, when)
@@ -218,19 +206,11 @@ func (q *EventQueue) RestoreEvent(r *ckpt.Reader, e *Event) {
 	}
 }
 
-// SaveState captures the ticker's cycle count and pending-edge event.
-func (t *Ticker) SaveState(w *ckpt.Writer) error {
-	w.Section("sim.ticker")
-	w.U64(t.cycle)
-	SaveEvent(w, t.ev)
-	return w.Err()
-}
-
-// RestoreState reinstates the cycle count and (if it was pending) the next
-// clock-edge event. Restored tickers must not also be Start()ed.
-func (t *Ticker) RestoreState(r *ckpt.Reader) error {
-	r.Section("sim.ticker")
-	t.cycle = r.U64()
-	t.dom.q.RestoreEvent(r, t.ev)
-	return r.Err()
+// Checkpoint saves or restores the ticker's cycle count and pending-edge
+// event. Restored tickers must not also be Start()ed.
+func (t *Ticker) Checkpoint(s *ckpt.Stream) error {
+	s.Section("sim.ticker")
+	s.U64(&t.cycle)
+	t.dom.q.CheckpointEvent(s, t.ev)
+	return s.Err()
 }

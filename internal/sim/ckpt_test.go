@@ -31,13 +31,13 @@ func TestEventQueueRoundTrip(t *testing.T) {
 	q3 := NewEventQueue()
 	q3.ScheduleFunc("x", 0, func() {})
 	q3.Step()
-	if err := q3.RestoreState(ckpt.NewReader(bytes.NewReader(blob))); err == nil {
+	if err := conform.Load(blob, q3); err == nil {
 		t.Fatal("restore into dirty queue should fail")
 	}
 }
 
-// restoreAt re-schedules e at (when, seq) through RestoreEvent, as a
-// component restoring a saved event does, and returns the reader's error.
+// restoreAt re-schedules e at (when, seq) through CheckpointEvent, as a
+// component restoring a saved event does, and returns the stream's error.
 func restoreAt(t *testing.T, q *EventQueue, e *Event, when Tick, seq uint64) error {
 	t.Helper()
 	var buf bytes.Buffer
@@ -48,9 +48,9 @@ func restoreAt(t *testing.T, q *EventQueue, e *Event, when Tick, seq uint64) err
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	r := ckpt.NewReader(&buf)
-	q.RestoreEvent(r, e)
-	return r.Err()
+	s := ckpt.Restoring(ckpt.NewReader(&buf))
+	q.CheckpointEvent(s, e)
+	return s.Err()
 }
 
 // TestRestoreSchedulePreservesOrder re-materialises three same-name,

@@ -48,7 +48,7 @@ const (
 	opClearStop             // ClearStopAfter()
 	opClearExit             // ClearExit()
 	opOnFire                // install ev[i]'s callback rule
-	opSave                  // SaveState both, compare bytes, continue in restored fresh queues
+	opSave                  // save both, compare bytes, continue in restored fresh queues
 	numOps
 )
 
@@ -291,18 +291,11 @@ type standing struct {
 	ev []*Event
 }
 
-func (s standing) SaveState(w *ckpt.Writer) error {
+func (s standing) Checkpoint(cs *ckpt.Stream) error {
 	for _, e := range s.ev {
-		SaveEvent(w, e)
+		s.q.CheckpointEvent(cs, e)
 	}
-	return w.Err()
-}
-
-func (s standing) RestoreState(r *ckpt.Reader) error {
-	for _, e := range s.ev {
-		s.q.RestoreEvent(r, e)
-	}
-	return r.Err()
+	return cs.Err()
 }
 
 // Save serialises the queue and every standing event's schedule.

@@ -77,26 +77,7 @@ func (s *System) components() []ckpt.Checkpointable {
 func (s *System) Save(out io.Writer) error {
 	w := ckpt.NewWriter(out)
 	w.Header(s.Cfg.fingerprint(), uint64(s.Queue.Now()))
-	// The system's space-0 packet-ID counter: restore reinstates it so IDs
-	// allocated after resume never collide with checkpointed in-flight
-	// packets.
-	w.U64(s.Queue.PacketIDs())
-	for _, c := range s.components() {
-		if err := c.SaveState(w); err != nil {
-			return err
-		}
-	}
-	// Observability state travels only when a latency profile is attached;
-	// plain runs keep the seed stream layout byte-for-byte. A checkpoint
-	// written with a profile must be restored into a system with the same
-	// profile topology attached (AttachLatencyProfile before Restore).
-	if s.Latency != nil {
-		if err := s.Latency.SaveState(w); err != nil {
-			return err
-		}
-	}
-	w.Section("soc.end")
-	if err := w.Err(); err != nil {
+	if err := s.checkpoint(ckpt.Saving(w)); err != nil {
 		return err
 	}
 	return w.Flush()
@@ -110,19 +91,35 @@ func (s *System) Restore(in io.Reader) (uint64, error) {
 	if err := r.Err(); err != nil {
 		return 0, err
 	}
-	s.Queue.SetPacketIDs(r.U64())
-	for _, c := range s.components() {
-		if err := c.RestoreState(r); err != nil {
-			return 0, err
-		}
+	return tick, s.checkpoint(ckpt.Restoring(r))
+}
+
+// checkpoint saves or restores everything after the header, in one pass
+// over the components.
+func (s *System) checkpoint(st *ckpt.Stream) error {
+	// The system's space-0 packet-ID counter: restore reinstates it so IDs
+	// allocated after resume never collide with checkpointed in-flight
+	// packets.
+	ids := s.Queue.PacketIDs()
+	st.U64(&ids)
+	if st.Restoring() {
+		s.Queue.SetPacketIDs(ids)
 	}
+	cs := s.components()
+	// Observability state travels only when a latency profile is attached;
+	// plain runs keep the seed stream layout byte-for-byte. A checkpoint
+	// written with a profile must be restored into a system with the same
+	// profile topology attached (AttachLatencyProfile before Restore).
 	if s.Latency != nil {
-		if err := s.Latency.RestoreState(r); err != nil {
-			return 0, err
+		cs = append(cs, s.Latency)
+	}
+	for _, c := range cs {
+		if err := c.Checkpoint(st); err != nil {
+			return err
 		}
 	}
-	r.Section("soc.end")
-	return tick, r.Err()
+	st.Section("soc.end")
+	return st.Err()
 }
 
 // A checkpoint file is Save's stream followed by a 12-byte integrity
