@@ -106,8 +106,8 @@ func TestNVDLAReadTableRefused(t *testing.T) {
 		}
 	}
 	sort.Slice(reads, func(i, j int) bool { return reads[i].id < reads[j].id })
-	if len(reads) < 2 {
-		t.Fatalf("%d reads in flight at the checkpoint tick, want at least 2", len(reads))
+	if len(reads) < 3 {
+		t.Fatalf("%d reads in flight at the checkpoint tick, want at least 3", len(reads))
 	}
 	blob := conform.Save(t, r.dla)
 	// The table follows the ID counter: its length, then (ID, tile) pairs.
@@ -125,7 +125,7 @@ func TestNVDLAReadTableRefused(t *testing.T) {
 		name string
 		edit func(rs []readSlot)
 	}{
-		{"out of order", func(rs []readSlot) { rs[0], rs[1] = rs[1], rs[0] }},
+		{"out of order", func(rs []readSlot) { rs[1], rs[2] = rs[2], rs[1] }},
 		{"beyond the ID counter", func(rs []readSlot) { rs[len(rs)-1].id = r.dla.nextID + 1 }},
 		{"tile out of range", func(rs []readSlot) { rs[0].tile = len(r.dla.tiles) }},
 	} {
