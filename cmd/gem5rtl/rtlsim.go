@@ -86,7 +86,7 @@ func rtlsim() (*flag.FlagSet, func()) {
 				cli.Fatal(err)
 			}
 			if err := model.Checkpoint(ckpt.Restoring(ckpt.NewReader(f))); err != nil {
-				cli.Fatal(err)
+				cli.Fatal(fmt.Errorf("restoring %s: %w", *restPath, err))
 			}
 			f.Close()
 		}

@@ -32,9 +32,9 @@ func CheckpointPacket(s *ckpt.Stream, pp **Packet) {
 
 // Checkpoint saves or restores a response port's retry bookkeeping. The
 // flags live on the link's response side for both directions, so responders
-// checkpoint their ports as part of their own state. A retry restored flags
-// fire answers a refusal made before the checkpoint, so the link's checker,
-// if any, is told to adopt one it has no record of.
+// checkpoint their ports as part of their own state. A retry that a
+// restored flag fires answers a refusal made before the checkpoint, so the
+// link's checker, if any, is told to adopt one it has no record of.
 func (p *ResponsePort) Checkpoint(s *ckpt.Stream) error {
 	s.Section("port.resp")
 	s.Bool(&p.needReqRetry)

@@ -17,18 +17,18 @@ import (
 //     dispatch count and back doors a caller reads next are the per-cycle
 //     machine's. A loop driven by Step settles nothing.
 //   - BeforeSave, at the start of a saving Checkpoint before anything is
-//     written, which
-//     must also put the component's pending events where the per-cycle
-//     machine has them, so the stream is always that of that machine.
+//     written, which must also put the component's pending events where the
+//     per-cycle machine has them, so the stream is always that of that
+//     machine.
 type Settler interface {
 	Settle()
 	BeforeSave()
 }
 
 // RegisterSettler adds c to the components the run loops settle and a
-// saving Checkpoint wakes. The queue is the first thing any checkpoint writes, which
-// makes its save the one place every rig passes through, whether it saves a
-// whole system or a queue and one component by hand.
+// saving Checkpoint wakes. The queue is the first thing any checkpoint
+// writes, which makes its save the one place every rig passes through,
+// whether it saves a whole system or a queue and one component by hand.
 func (q *EventQueue) RegisterSettler(c Settler) {
 	h := q.hook()
 	h.settlers = append(h.settlers, c)
